@@ -2,8 +2,7 @@
 
 Exit codes: 0 success, 2 configuration error, 3 data error,
 4 all clients diverged, 1 anything else.  A machine-readable error record is
-printed to stderr on failure.  FEDBENCH_THREADS controls the client-training
-thread count; everything else lives in the config file.
+printed to stderr on failure.  Everything else lives in the config file.
 """
 
 from __future__ import annotations
@@ -135,15 +134,23 @@ def _parse_data(section):
     )
 
 
-def parse_and_validate_config(path, overrides: list[str] | None = None) -> tuple[ExperimentConfig, dict]:
-    """Load, override, validate; returns (config, resolved-config echo dict)."""
+def _read_mapping(path, field: str) -> dict:
+    """Load a YAML file whose top level must be a mapping."""
     path = Path(path)
     if not path.exists():
-        raise ConfigError("config", f"file not found: {path}")
-    raw = yaml.safe_load(path.read_text())
+        raise ConfigError(field, f"file not found: {path}")
+    try:
+        raw = yaml.safe_load(path.read_text())
+    except yaml.YAMLError as exc:
+        raise ConfigError(field, f"invalid YAML: {exc}")
     if not isinstance(raw, dict):
-        raise ConfigError("config", "top level must be a mapping")
-    raw = apply_overrides(raw, overrides or [])
+        raise ConfigError(field, "top level must be a mapping")
+    return raw
+
+
+def parse_and_validate_config(path, overrides: list[str] | None = None) -> tuple[ExperimentConfig, dict]:
+    """Load, override, validate; returns (config, resolved-config echo dict)."""
+    raw = apply_overrides(_read_mapping(path, "config"), overrides or [])
     cfg = ExperimentConfig(
         model=_parse_model(_require(raw, "model", "model")),
         strategy=_parse_strategy(_require(raw, "strategy", "strategy")),
@@ -241,7 +248,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_partition(args) -> int:
-    raw = yaml.safe_load(Path(args.spec).read_text())
+    raw = _read_mapping(args.spec, "spec")
     spec = _parse_data(raw.get("data", raw))
     if not isinstance(spec, PartitionSpec):
         raise ConfigError("data", "partition needs an inline data spec, not a manifest")
@@ -330,12 +337,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_cmp = sub.add_parser("compare", help="significance matrix across result dirs")
     p_cmp.add_argument("--results", nargs="+", required=True)
-    p_cmp.add_argument("--metric", default="selection_metric")
     p_cmp.add_argument("--out", default=None)
     p_cmp.add_argument("--exact", action="store_true")
     p_cmp.add_argument("--approx", action="store_true")
     p_cmp.add_argument("--one-sided", action="store_true")
-    p_cmp.add_argument("--two-sided", action="store_true")
     p_cmp.set_defaults(func=cmd_compare)
 
     p_rep = sub.add_parser("report", help="tables + plot-data CSVs from a result dir")

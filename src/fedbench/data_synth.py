@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -71,11 +71,10 @@ def split_sizes(n: int) -> tuple[int, int, int]:
     return n_train, n_val, n - n_train - n_val
 
 
-def _split(inputs: np.ndarray, labels: np.ndarray, client_id: int, num_classes: int,
-           rng: np.random.Generator) -> ClientDataset:
+def _split(inputs: np.ndarray, labels: np.ndarray, client_id: int,
+           num_classes: int) -> ClientDataset:
+    """70/15/15 split in row order."""
     n = inputs.shape[0]
-    order = rng.permutation(n)
-    inputs, labels = inputs[order], labels[order]
     n_train, n_val, _ = split_sizes(n)
     hist = np.bincount(labels.astype(np.int64), minlength=num_classes)
     return ClientDataset(
@@ -88,7 +87,7 @@ def _split(inputs: np.ndarray, labels: np.ndarray, client_id: int, num_classes: 
     )
 
 
-def _class_means(spec: PartitionSpec, rng: np.random.Generator) -> np.ndarray:
+def _class_means(spec: PartitionSpec) -> np.ndarray:
     """Shared class-conditional Gaussian means on a scaled simplex."""
     if spec.num_classes > spec.input_dim:
         raise ConfigError("data.num_classes", "needs num_classes <= input_dim")
@@ -102,8 +101,7 @@ def generate_label_skew(spec: PartitionSpec) -> list[ClientDataset]:
     """Pure label shift: shared per-class Gaussians, Dirichlet class mixes."""
     if spec.kind != "label_skew":
         raise ConfigError("data.kind", "generate_label_skew needs kind=label_skew")
-    rng = np.random.default_rng([spec.seed, 0])
-    means = _class_means(spec, rng)
+    means = _class_means(spec)
     clients = []
     for cid in range(spec.num_clients):
         n = spec.sizes[cid]
@@ -112,7 +110,8 @@ def generate_label_skew(spec: PartitionSpec) -> list[ClientDataset]:
         counts = _largest_remainder(props, n)
         labels = np.repeat(np.arange(spec.num_classes), counts)
         inputs = crng.standard_normal((n, spec.input_dim)) + means[labels]
-        clients.append(_split(inputs, labels, cid, spec.num_classes, crng))
+        order = crng.permutation(n)
+        clients.append(_split(inputs[order], labels[order], cid, spec.num_classes))
     return clients
 
 
@@ -143,23 +142,9 @@ def generate_feature_shift(spec: PartitionSpec) -> list[ClientDataset]:
         scale = crng.uniform(1.0 - s, 1.0 + s, spec.input_dim)
         shift = crng.uniform(-s, s, spec.input_dim)
         inputs = base * scale + shift
-        clients.append(_split(inputs, labels, cid, spec.num_classes, crng))
+        order = crng.permutation(n)
+        clients.append(_split(inputs[order], labels[order], cid, spec.num_classes))
     return clients
-
-
-def generate_iid(spec: PartitionSpec) -> list[ClientDataset]:
-    """Feature-shift generator with the identity transform."""
-    iid_spec = PartitionSpec(
-        kind="feature_shift",
-        num_clients=spec.num_clients,
-        num_classes=spec.num_classes,
-        input_dim=spec.input_dim,
-        sizes=spec.sizes,
-        shift_scale=0.0,
-        seed=spec.seed,
-    )
-    out = generate_feature_shift(iid_spec)
-    return out
 
 
 def generate(spec: PartitionSpec) -> list[ClientDataset]:
@@ -167,7 +152,8 @@ def generate(spec: PartitionSpec) -> list[ClientDataset]:
         return generate_label_skew(spec)
     if spec.kind == "feature_shift":
         return generate_feature_shift(spec)
-    return generate_iid(spec)
+    # iid: the feature-shift generator with the identity transform
+    return generate_feature_shift(replace(spec, kind="feature_shift", shift_scale=0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -184,13 +170,9 @@ def save_client_csv(dataset: ClientDataset, path) -> None:
                 writer.writerow([repr(float(v)) for v in row] + [int(label)])
 
 
-def load_client_csv(path, num_classes: int, client_id: int = 0, seed: int = 0,
-                    reshuffle: bool = False) -> ClientDataset:
-    """Parse a per-client CSV and split it 70/15/15.
-
-    With ``reshuffle`` False the file order is kept (so a save/load round-trip
-    reproduces the original splits); True applies a seeded shuffle first.
-    """
+def load_client_csv(path, num_classes: int, client_id: int = 0) -> ClientDataset:
+    """Parse a per-client CSV and split it 70/15/15 in file order, so a
+    save/load round-trip reproduces the original splits."""
     path = Path(path)
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -219,21 +201,7 @@ def load_client_csv(path, num_classes: int, client_id: int = 0, seed: int = 0,
             labels.append(int(label))
     inputs = np.asarray(inputs, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
-    if reshuffle:
-        rng = np.random.default_rng([seed, client_id])
-        order = rng.permutation(len(labels))
-        inputs, labels = inputs[order], labels[order]
-    n = len(labels)
-    n_train, n_val, _ = split_sizes(n)
-    hist = np.bincount(labels, minlength=num_classes)
-    return ClientDataset(
-        client_id=client_id,
-        train=Batch.from_arrays(inputs[:n_train], labels[:n_train]),
-        val=Batch.from_arrays(inputs[n_train:n_train + n_val], labels[n_train:n_train + n_val]),
-        test=Batch.from_arrays(inputs[n_train + n_val:], labels[n_train + n_val:]),
-        n_k=n,
-        class_histogram=hist.tolist(),
-    )
+    return _split(inputs, labels, client_id, num_classes)
 
 
 # ---------------------------------------------------------------------------
@@ -254,20 +222,7 @@ def write_partition(spec: PartitionSpec, out_dir) -> Path:
             "n_k": ds.n_k,
             "class_histogram": ds.class_histogram,
         })
-    manifest = {
-        "spec": {
-            "kind": spec.kind,
-            "num_clients": spec.num_clients,
-            "num_classes": spec.num_classes,
-            "input_dim": spec.input_dim,
-            "sizes": spec.sizes,
-            "skew_concentration": spec.skew_concentration,
-            "shift_scale": spec.shift_scale,
-            "class_separation": spec.class_separation,
-            "seed": spec.seed,
-        },
-        "clients": entries,
-    }
+    manifest = {"spec": asdict(spec), "clients": entries}
     manifest_path = out_dir / "manifest.json"
     manifest_path.write_text(json.dumps(manifest, indent=2))
     return manifest_path

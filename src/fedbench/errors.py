@@ -37,6 +37,10 @@ class AllClientsDiverged(FedbenchError):
     pass
 
 
+class NoSelectableRound(FedbenchError):
+    """Every round's mean validation metric was NaN, so none can be selected."""
+
+
 class UninitializedOptState(FedbenchError):
     pass
 

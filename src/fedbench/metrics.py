@@ -2,9 +2,9 @@
 
 AUROC is the midrank (ties = 1/2) pairwise-ordering probability; AUPRC is
 average precision with step-wise interpolation.  Multiclass tasks report the
-macro one-vs-rest mean by default (micro behind a flag).  The Mann-Whitney U
-test is exact (full arrangement enumeration, midranks) for n+m <= 20 and
-falls back to the tie-corrected normal approximation beyond.
+macro one-vs-rest mean.  The Mann-Whitney U test is exact (full arrangement
+enumeration, midranks) for n+m <= 20 and falls back to the tie-corrected
+normal approximation beyond.
 """
 
 from __future__ import annotations
@@ -80,12 +80,8 @@ def auprc(scores, labels) -> float:
     return float(np.sum((recall - prev_recall) * precision))
 
 
-def _multiclass(metric, scores: np.ndarray, labels: np.ndarray, micro: bool = False) -> float:
+def _multiclass(metric, scores: np.ndarray, labels: np.ndarray) -> float:
     n, c = scores.shape
-    if micro:
-        onehot = np.zeros_like(scores)
-        onehot[np.arange(n), labels.astype(int)] = 1.0
-        return metric(scores.ravel(), onehot.ravel())
     vals = []
     for cls in range(c):
         binary = (labels == cls).astype(int)
@@ -95,14 +91,6 @@ def _multiclass(metric, scores: np.ndarray, labels: np.ndarray, micro: bool = Fa
     if not vals:
         raise SingleClass("no class with both outcomes present")
     return float(np.mean(vals))
-
-
-def micro_auroc(scores, labels) -> float:
-    return _multiclass(auroc, np.asarray(scores, dtype=np.float64), np.asarray(labels), micro=True)
-
-
-def micro_auprc(scores, labels) -> float:
-    return _multiclass(auprc, np.asarray(scores, dtype=np.float64), np.asarray(labels), micro=True)
 
 
 # ---------------------------------------------------------------------------

@@ -150,16 +150,9 @@ def norm_forward(kind, x, gain, bias, running_stats, mode, epsilon, groups=1, mo
         y = gain * x_hat + bias
         cache = {"x_hat": x_hat, "inv": inv, "axes": "batch"}
         return y, new_stats, cache
-    if kind == "layer_norm":
-        mean = np.mean(x, axis=1, keepdims=True)
-        var = np.var(x, axis=1, keepdims=True)
-        inv = 1.0 / np.sqrt(var + epsilon)
-        x_hat = (x - mean) * inv
-        y = gain * x_hat + bias
-        return y, running_stats, {"x_hat": x_hat, "inv": inv, "axes": "row"}
-    if kind == "group_norm":
+    if kind in ("layer_norm", "group_norm"):
         n, d = x.shape
-        g = groups
+        g = groups if kind == "group_norm" else 1  # layer norm is one group
         xg = x.reshape(n, g, d // g)
         mean = np.mean(xg, axis=2, keepdims=True)
         var = np.var(xg, axis=2, keepdims=True)
@@ -179,13 +172,7 @@ def _norm_backward(dy, gain, cache):
     dxh = dy * gain
     if cache["axes"] == "batch":
         dx = inv * (dxh - np.mean(dxh, axis=0) - x_hat * np.mean(dxh * x_hat, axis=0))
-    elif cache["axes"] == "row":
-        dx = inv * (
-            dxh
-            - np.mean(dxh, axis=1, keepdims=True)
-            - x_hat * np.mean(dxh * x_hat, axis=1, keepdims=True)
-        )
-    else:  # group
+    else:  # group (layer norm is one group)
         g = cache["groups"]
         n, d = x_hat.shape
         dxh_g = dxh.reshape(n, g, d // g)
@@ -201,11 +188,6 @@ def _norm_backward(dy, gain, cache):
     return dx, dgain, dbias
 
 
-def _eval_stats_backward_dx(dy, gain, cache):
-    # Eval-mode BN is an affine map per feature: dx = dy * gain * inv.
-    return dy * gain * cache["inv"]
-
-
 # ---------------------------------------------------------------------------
 # model forward / backward
 
@@ -214,8 +196,6 @@ class ForwardCache:
     params: ParamSet
     mode: str
     layer_caches: list = field(default_factory=list)
-    predictions: np.ndarray | None = None
-    labels: np.ndarray | None = None
     batch_size: int = 0
     updated_running_stats: dict = field(default_factory=dict)
 
@@ -294,8 +274,6 @@ def model_forward(spec: ModelSpec, params: ParamSet, batch: Batch, mode: str = "
                 )
             loss = float(np.mean(per_example))
             cache.layer_caches.append({"probs": probs, "targets": targets})
-            cache.predictions = probs
-            cache.labels = batch.labels
             if not np.isfinite(loss):
                 raise NonFiniteLoss(f"loss = {loss}")
             cache.updated_running_stats = new_stats
@@ -305,11 +283,11 @@ def model_forward(spec: ModelSpec, params: ParamSet, batch: Batch, mode: str = "
 
 def apply_running_stats(params: ParamSet, cache: ForwardCache) -> None:
     """Commit the EMA running-stat updates recorded by a train-mode forward."""
-    for name, value in getattr(cache, "updated_running_stats", {}).items():
+    for name, value in cache.updated_running_stats.items():
         params.entries[name] = value
 
 
-def model_backward(spec: ModelSpec, params: ParamSet, cache: ForwardCache, labels=None) -> GradSet:
+def model_backward(spec: ModelSpec, params: ParamSet, cache: ForwardCache) -> GradSet:
     """Gradient of the mean loss w.r.t. every trainable parameter."""
     if cache.params is not params:
         raise StaleCache("cache was built from different params")

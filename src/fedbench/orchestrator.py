@@ -12,18 +12,16 @@ from __future__ import annotations
 import csv
 import json
 import logging
-import os
 import shutil
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import metrics as metrics_mod
 from .data_synth import ClientDataset, PartitionSpec, generate, load_partition
-from .errors import AllClientsDiverged, ConfigError, NonFiniteLoss, SingleClass
+from .errors import AllClientsDiverged, ConfigError, NoSelectableRound, NonFiniteLoss, SingleClass
 from .nn import (
     AdamState,
     Batch,
@@ -53,14 +51,6 @@ log = logging.getLogger(__name__)
 SELECTION_METRICS = ("auroc", "auprc", "accuracy", "loss")
 
 
-def _worker_count() -> int:
-    """Client-training thread count; FEDBENCH_THREADS, default 1 (sequential)."""
-    try:
-        return max(1, int(os.environ.get("FEDBENCH_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
 @dataclass
 class ExperimentConfig:
     model: ModelSpec
@@ -75,7 +65,6 @@ class ExperimentConfig:
     selection_metric: str = "auroc"
     out_dir: str = "results"
     keep_all_checkpoints: bool = False
-    power_sampler: object = None  # callback(round, elapsed_s) -> watts; no-op default
 
     def __post_init__(self):
         self.validate()
@@ -127,10 +116,6 @@ class ClientState:
     params: ParamSet
     adam_state: AdamState | None = None
     dyn: DynMemory | None = None
-
-    @property
-    def n_k(self) -> int:
-        return self.dataset.n_k
 
 
 def client_rng(seed: int, client_id: int, round_idx: int) -> np.random.Generator:
@@ -202,7 +187,7 @@ def run_local_training(
     return ClientUpdate(
         client_id=client.client_id,
         params_after=client.params.copy(),
-        n_k=client.n_k,
+        n_k=client.dataset.n_k,
         train_loss=train_loss,
         diverged=diverged,
     )
@@ -243,15 +228,7 @@ def run_round(
     fragment = broadcast_fragment(server, strat)
     w_start = server.global_params
     ordered = sorted(clients, key=lambda c: c.client_id)
-    workers = _worker_count()
-    if workers > 1 and len(ordered) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            updates = list(
-                pool.map(lambda c: run_local_training(c, fragment, cfg, seed, round_idx), ordered)
-            )
-    else:
-        updates = [run_local_training(c, fragment, cfg, seed, round_idx) for c in ordered]
-    updates = sorted(updates, key=lambda u: u.client_id)
+    updates = [run_local_training(c, fragment, cfg, seed, round_idx) for c in ordered]
     distances = {
         u.client_id: l2_distance_excluding_norm(u.params_after, w_start)
         for u in updates
@@ -273,8 +250,6 @@ def run_round(
             # a diverged model or a single-class val split cannot be ranked
             val_metrics[c.client_id] = float("nan")
     elapsed = time.perf_counter() - start
-    if cfg.power_sampler is not None:
-        cfg.power_sampler(round_idx + 1, elapsed)
     record = RoundRecord(
         round=round_idx + 1,
         train_losses={u.client_id: u.train_loss for u in updates},
@@ -342,9 +317,13 @@ def run_experiment(cfg: ExperimentConfig, seed: int, out_dir=None) -> Experiment
                     shutil.copytree(rdir, best_dir)
             if ckpt_dir is not None and not cfg.keep_all_checkpoints and record.round > 1:
                 prev = ckpt_dir / f"round_{record.round - 1:04d}"
-                if prev.exists() and record.round - 1 != best_round:
+                if prev.exists():
                     shutil.rmtree(prev)
-    except AllClientsDiverged:
+        if not best_eval_sets:
+            raise NoSelectableRound(
+                f"mean validation {cfg.selection_metric} is NaN in all {cfg.rounds} rounds"
+            )
+    except (AllClientsDiverged, NoSelectableRound):
         if out_dir is not None and records:
             _write_round_log(Path(out_dir) / "rounds.csv", records)
         raise
@@ -412,7 +391,7 @@ def sweep_local_epochs(
             raise ConfigError("sweep.splits", f"split ({e},{t}) violates budget {budget}")
     rows = []
     for e, t in splits:
-        split_cfg = replace_schedule(cfg, e, t)
+        split_cfg = replace(cfg, local_epochs=e, rounds=t)
         for seed in cfg.seeds:
             run_dir = (
                 Path(out_dir) / f"E{e}_T{t}" / f"seed_{seed}" if out_dir is not None else None
@@ -428,20 +407,3 @@ def sweep_local_epochs(
             })
     return rows
 
-
-def replace_schedule(cfg: ExperimentConfig, local_epochs: int, rounds: int) -> ExperimentConfig:
-    return ExperimentConfig(
-        model=cfg.model,
-        strategy=cfg.strategy,
-        data=cfg.data,
-        local_epochs=local_epochs,
-        rounds=rounds,
-        eta=cfg.eta,
-        local_optimizer=cfg.local_optimizer,
-        batch_size=cfg.batch_size,
-        seeds=cfg.seeds,
-        selection_metric=cfg.selection_metric,
-        out_dir=cfg.out_dir,
-        keep_all_checkpoints=cfg.keep_all_checkpoints,
-        power_sampler=cfg.power_sampler,
-    )

@@ -8,9 +8,8 @@ exclusion policies govern them uniformly.
 
 from __future__ import annotations
 
-import io
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -168,40 +167,6 @@ def l2_distance_excluding_norm(a: ParamSet, b: ParamSet) -> float:
         diff = a.entries[name] - b.entries[name]
         total += float(np.sum(diff * diff))
     return total
-
-
-# ---------------------------------------------------------------------------
-# elementwise fragment arithmetic (server-side optimizer math)
-
-def _check_aligned(a: dict, b: dict) -> None:
-    if set(a) != set(b):
-        raise KeyMismatch("fragments have different keys")
-
-
-def frag_add(a: GradSet, b: GradSet) -> GradSet:
-    _check_aligned(a, b)
-    return {k: a[k] + b[k] for k in a}
-
-
-def frag_sub(a: GradSet, b: GradSet) -> GradSet:
-    _check_aligned(a, b)
-    return {k: a[k] - b[k] for k in a}
-
-
-def frag_scale(a: GradSet, c: float) -> GradSet:
-    return {k: c * v for k, v in a.items()}
-
-
-def frag_square(a: GradSet) -> GradSet:
-    return {k: v * v for k, v in a.items()}
-
-
-def frag_sign(a: GradSet) -> GradSet:
-    return {k: np.sign(v) for k, v in a.items()}
-
-
-def frag_zeros_like(a: dict[str, np.ndarray]) -> GradSet:
-    return {k: np.zeros_like(v) for k, v in a.items()}
 
 
 # ---------------------------------------------------------------------------

@@ -188,15 +188,10 @@ def server_aggregate(
     sets = [u.params_after for u in alive]
     w_t = server.global_params
 
-    if algorithm in ("fedavg", "fedprox", "feddyn"):
-        new_global = w_t.copy()
-        new_global.overwrite(weighted_average(sets, weights))
-        return ServerState(global_params=new_global, round=server.round + 1)
-
-    if algorithm in NORM_EXCLUDING:
-        # Weighted average over every name; excluded names are a server-side
-        # convenience copy only and are never broadcast back (the orchestrator
-        # broadcasts the aggregated fragment).
+    if algorithm in ("fedavg", "fedprox", "feddyn") or algorithm in NORM_EXCLUDING:
+        # Weighted average over every name.  Under fedbn/fedpxn the excluded
+        # names are a server-side convenience copy only and are never
+        # broadcast back (the orchestrator broadcasts the aggregated fragment).
         new_global = w_t.copy()
         new_global.overwrite(weighted_average(sets, weights))
         return ServerState(global_params=new_global, round=server.round + 1)

@@ -177,6 +177,27 @@ def test_exit_code_missing_config(tmp_path, capsys):
     assert code == EXIT_CONFIG
 
 
+@pytest.mark.parametrize(
+    "content", [None, "- 1\n- 2\n", "data: [1, 2\n"], ids=["missing", "not_a_mapping", "bad_yaml"]
+)
+def test_partition_bad_spec_is_config_error(tmp_path, capsys, content):
+    spec = tmp_path / "spec.yaml"
+    if content is not None:
+        spec.write_text(content)
+    code = main(["partition", "--spec", str(spec), "--out", str(tmp_path / "part")])
+    assert code == EXIT_CONFIG
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"] == "config_error"
+    assert err["message"].startswith("spec:")
+
+
+@pytest.mark.parametrize("flag", [["--metric", "auroc"], ["--two-sided"]])
+def test_compare_rejects_removed_flags(tmp_path, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(["compare", "--results", str(tmp_path)] + flag)
+    assert exc.value.code == EXIT_CONFIG
+
+
 def test_exit_code_data_error(tmp_path, capsys):
     bad = tmp_path / "part"
     bad.mkdir()

@@ -11,7 +11,6 @@ from fedbench.metrics import (
     auroc,
     mann_whitney_u,
     mean_std,
-    micro_auroc,
     significance_matrix,
     write_significance_csv,
     write_summary_csv,
@@ -112,17 +111,6 @@ def test_macro_multiclass_is_mean_of_one_vs_rest():
         [auroc(scores[:, c], (labels == c).astype(int)) for c in range(3)]
     )
     assert auroc(scores, labels) == pytest.approx(expected, abs=1e-12)
-
-
-def test_micro_multiclass_flattens():
-    rng = np.random.default_rng(3)
-    scores = rng.random((20, 3))
-    labels = rng.integers(0, 3, 20)
-    onehot = np.zeros_like(scores)
-    onehot[np.arange(20), labels] = 1
-    assert micro_auroc(scores, labels) == pytest.approx(
-        auroc(scores.ravel(), onehot.ravel().astype(int)), abs=1e-12
-    )
 
 
 # ---------------------------------------------------------------------------

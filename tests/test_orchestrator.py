@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from fedbench import orchestrator
+from fedbench.benchmarks import benchmark_config
 from fedbench.data_synth import PartitionSpec
-from fedbench.errors import ConfigError
+from fedbench.errors import ConfigError, NoSelectableRound
 from fedbench.nn import (
     Batch,
     init_params,
@@ -233,14 +234,22 @@ def test_distances_recomputable_from_checkpoints(tmp_path):
 
 
 def test_checkpoint_pruning_keeps_best_and_last(tmp_path):
-    cfg = experiment(rounds=4)
+    # seed 0 improves the validation metric at several non-final rounds, so
+    # every former-best round directory must be pruned as well
+    cfg = benchmark_config("fedavg", rounds=50)
     result = run_experiment(cfg, seed=0, out_dir=tmp_path)
+    assert result.selected_round < cfg.rounds
     ckpt = tmp_path / "checkpoints"
-    assert (ckpt / "best").is_dir()
-    assert (ckpt / f"round_{cfg.rounds:04d}").is_dir()
-    kept = [p for p in ckpt.iterdir() if p.name.startswith("round_")]
-    keepers = {f"round_{cfg.rounds:04d}", f"round_{result.selected_round:04d}"}
-    assert {p.name for p in kept} <= keepers
+    assert {p.name for p in ckpt.iterdir()} == {"best", f"round_{cfg.rounds:04d}"}
+
+
+@pytest.mark.filterwarnings("ignore:Mean of empty slice")
+def test_all_nan_selection_is_typed_error(monkeypatch, tmp_path):
+    monkeypatch.setattr(orchestrator, "evaluate", lambda *a, **k: float("nan"))
+    cfg = experiment(rounds=2)
+    with pytest.raises(NoSelectableRound, match="NaN in all 2 rounds"):
+        run_experiment(cfg, seed=0, out_dir=tmp_path)
+    assert (tmp_path / "rounds.csv").exists()
 
 
 def test_output_files_written(tmp_path):
@@ -249,17 +258,6 @@ def test_output_files_written(tmp_path):
     assert (tmp_path / "rounds.csv").exists()
     assert (tmp_path / "distances.csv").exists()
     assert (tmp_path / "result.json").exists()
-
-
-def test_thread_schedule_independence(monkeypatch, tmp_path):
-    cfg = experiment(rounds=2)
-    monkeypatch.delenv("FEDBENCH_THREADS", raising=False)
-    seq = run_experiment(cfg, seed=0)
-    monkeypatch.setenv("FEDBENCH_THREADS", "4")
-    par = run_experiment(cfg, seed=0)
-    for a, b in zip(seq.rounds, par.rounds):
-        assert a.train_losses == b.train_losses
-        assert a.val_metrics == b.val_metrics
 
 
 def test_sweep_budget_enforced():

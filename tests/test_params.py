@@ -7,11 +7,6 @@ from fedbench.params import (
     ClientWeight,
     ExclusionPolicy,
     ParamSet,
-    frag_add,
-    frag_scale,
-    frag_sign,
-    frag_square,
-    frag_sub,
     l2_distance_excluding_norm,
     load_paramset,
     make_weights,
@@ -160,37 +155,6 @@ def test_distance_symmetry(bn_params):
     d1 = l2_distance_excluding_norm(bn_params, other)
     d2 = l2_distance_excluding_norm(other, bn_params)
     assert d1 == d2 > 0
-
-
-# ---------------------------------------------------------------------------
-# fragment arithmetic
-
-def test_frag_scale_by_zero():
-    a = {"w": np.array([1.0, -2.0])}
-    assert np.array_equal(frag_scale(a, 0.0)["w"], np.zeros(2))
-
-
-def test_frag_sign_with_zero():
-    a = {"w": np.array([-2.0, 0.0, 3.0])}
-    assert np.array_equal(frag_sign(a)["w"], [-1.0, 0.0, 1.0])
-
-
-def test_frag_add_sub_roundtrip():
-    rng = np.random.default_rng(1)
-    a = {"w": rng.standard_normal(5)}
-    b = {"w": rng.standard_normal(5)}
-    back = frag_add(frag_sub(a, b), b)
-    assert np.allclose(back["w"], a["w"], atol=1e-15)
-
-
-def test_frag_square():
-    a = {"w": np.array([-3.0, 2.0])}
-    assert np.array_equal(frag_square(a)["w"], [9.0, 4.0])
-
-
-def test_frag_key_mismatch():
-    with pytest.raises(KeyMismatch):
-        frag_add({"w": np.zeros(1)}, {"v": np.zeros(1)})
 
 
 # ---------------------------------------------------------------------------
