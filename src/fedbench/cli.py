@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import tempfile
@@ -263,8 +264,16 @@ def _collect_seed_metrics(result_dir: Path) -> tuple[str, list[float]]:
         raise ConfigError("results", f"no seed_*/result.json under {result_dir}")
     values, algorithm = [], None
     for path in seeds:
-        record = json.loads(path.read_text())
-        values.append(record["mean_test_metric"])
+        try:
+            record = json.loads(path.read_text())
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise ConfigError("results", f"{path} is not valid JSON: {exc}")
+        value = record.get("mean_test_metric") if isinstance(record, dict) else None
+        # a NaN metric would sort above every real one in the rank tests
+        if not (isinstance(value, (int, float)) and not isinstance(value, bool)
+                and math.isfinite(value)):
+            raise ConfigError("results", f"{path} has no finite mean_test_metric: {value!r}")
+        values.append(value)
         algorithm = record.get("algorithm", result_dir.name)
     return algorithm or result_dir.name, values
 
@@ -338,8 +347,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp = sub.add_parser("compare", help="significance matrix across result dirs")
     p_cmp.add_argument("--results", nargs="+", required=True)
     p_cmp.add_argument("--out", default=None)
-    p_cmp.add_argument("--exact", action="store_true")
-    p_cmp.add_argument("--approx", action="store_true")
+    method = p_cmp.add_mutually_exclusive_group()
+    method.add_argument("--exact", action="store_true")
+    method.add_argument("--approx", action="store_true")
     p_cmp.add_argument("--one-sided", action="store_true")
     p_cmp.set_defaults(func=cmd_compare)
 

@@ -2,15 +2,15 @@
 
 AUROC is the midrank (ties = 1/2) pairwise-ordering probability; AUPRC is
 average precision with step-wise interpolation.  Multiclass tasks report the
-macro one-vs-rest mean.  The Mann-Whitney U test is exact (full arrangement
-enumeration, midranks) for n+m <= 20 and falls back to the tie-corrected
-normal approximation beyond.
+macro one-vs-rest mean.  The Mann-Whitney U test is exact (midranks; the
+rank-sum distribution is counted by the Mann & Whitney (1947) recurrence over
+doubled, hence integer, midranks) for n+m <= 20 and falls back to the
+tie-corrected normal approximation beyond.
 """
 
 from __future__ import annotations
 
 import csv
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -19,21 +19,19 @@ import numpy as np
 from .errors import EmptySample, SingleClass
 
 SIGNIFICANCE_LEVEL = 0.05
-EXACT_LIMIT = 20  # full enumeration up to C(20, n) arrangements
+EXACT_LIMIT = 20  # auto picks the exact rank-sum recurrence up to n+m = 20
 
 
 def _midranks(values: np.ndarray) -> np.ndarray:
     """Fractional ranks (1-based); ties share the mean of their ranks."""
     order = np.argsort(values, kind="stable")
-    ranks = np.empty(len(values))
     sorted_vals = values[order]
-    i = 0
-    while i < len(values):
-        j = i
-        while j + 1 < len(values) and sorted_vals[j + 1] == sorted_vals[i]:
-            j += 1
-        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
+    run_start = np.ones(len(values), dtype=bool)
+    run_start[1:] = sorted_vals[1:] != sorted_vals[:-1]
+    starts = np.flatnonzero(run_start)
+    ends = np.append(starts[1:], len(values)) - 1
+    ranks = np.empty(len(values))
+    ranks[order] = np.repeat(0.5 * (starts + ends) + 1.0, ends - starts + 1)
     return ranks
 
 
@@ -109,12 +107,28 @@ def _u_from_ranks(rank_sum_a: float, n: int) -> float:
     return rank_sum_a - n * (n + 1) / 2.0
 
 
+def _rank_sum_counts(doubled: np.ndarray, n: int) -> np.ndarray:
+    """Number of n-subsets of the pooled sample per doubled rank sum.
+
+    Mann & Whitney (1947) recurrence: fold in one doubled midrank ``d`` at a
+    time, ``counts[k, s] += counts[k - 1, s - d]``.  Counts are exact Python
+    integers: in int64 they overflow by n = m = 40.
+    """
+    width = int(doubled.sum()) + 1
+    counts = np.zeros((n + 1, width), dtype=object)
+    counts[0, 0] = 1
+    for d in doubled.tolist():
+        counts[1:, d:] += counts[:-1, :width - d].copy()
+    return counts[n]
+
+
 def mann_whitney_u(a, b, alternative: str = "two-sided", method: str = "auto") -> RankTestResult:
     """Rank-sum test with midrank tie handling.
 
-    Exact p enumerates all C(n+m, n) rank arrangements (n+m <= 20 under
-    ``auto``); the normal path uses the tie-corrected variance with
-    continuity correction.  One-sided alternative: a tends smaller than b.
+    Exact p counts all C(n+m, n) rank arrangements by the rank-sum recurrence
+    (n+m <= 20 under ``auto``); the normal path uses the tie-corrected
+    variance with continuity correction.  One-sided alternative: a tends
+    smaller than b.
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
@@ -129,16 +143,14 @@ def mann_whitney_u(a, b, alternative: str = "two-sided", method: str = "auto") -
         method = "exact" if n + m <= EXACT_LIMIT else "normal"
 
     if method == "exact":
+        # midranks are half-integers, so doubled they are exact integers and
+        # U <= u_obs  <=>  doubled rank sum <= the observed doubled rank sum
+        doubled = (2.0 * ranks).astype(np.int64)
+        observed = int(doubled[:n].sum())
+        counts = _rank_sum_counts(doubled, n)
         total = math.comb(n + m, n)
-        le = ge = 0
-        eps = 1e-9
-        for combo in itertools.combinations(range(n + m), n):
-            u = _u_from_ranks(sum(ranks[i] for i in combo), n)
-            if u <= u_obs + eps:
-                le += 1
-            if u >= u_obs - eps:
-                ge += 1
-        p_low, p_high = le / total, ge / total
+        p_low = counts[:observed + 1].sum() / total
+        p_high = counts[observed:].sum() / total
         if alternative == "two-sided":
             p = min(1.0, 2.0 * min(p_low, p_high))
         else:

@@ -231,3 +231,75 @@ def test_sweep_bad_grid(tmp_path, capsys):
     code = main(["sweep", "--config", str(path), "--grid", "banana",
                  "--out", str(tmp_path / "x")])
     assert code == EXIT_CONFIG
+
+
+def write_results(root, values, algorithm="fedavg"):
+    """Per-seed result.json files as ``run`` writes them."""
+    for seed, value in enumerate(values):
+        run_dir = root / f"seed_{seed}"
+        run_dir.mkdir(parents=True)
+        (run_dir / "result.json").write_text(json.dumps({
+            "mean_test_metric": value, "algorithm": algorithm, "elapsed_seconds": 0.5,
+        }))
+    return root
+
+
+def assert_results_config_error(capsys, code, needle):
+    assert code == EXIT_CONFIG
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"] == "config_error"
+    assert err["message"].startswith("results:")
+    assert needle in err["message"]
+
+
+def test_compare_result_without_metric_is_config_error(tmp_path, capsys):
+    good = write_results(tmp_path / "good", [0.6, 0.7])
+    bad = tmp_path / "bad"
+    (bad / "seed_0").mkdir(parents=True)
+    (bad / "seed_0" / "result.json").write_text(json.dumps({"algorithm": "fedprox"}))
+    code = main(["compare", "--results", str(good), str(bad)])
+    assert_results_config_error(capsys, code, str(bad / "seed_0" / "result.json"))
+
+
+def test_report_truncated_result_is_config_error(tmp_path, capsys):
+    results = write_results(tmp_path / "res", [0.6, 0.7])
+    path = results / "seed_1" / "result.json"
+    path.write_text(path.read_text()[:20])
+    code = main(["report", "--results", str(results), "--out", str(tmp_path / "rep")])
+    assert_results_config_error(capsys, code, str(path))
+
+
+def test_compare_nan_metric_is_config_error(tmp_path, capsys):
+    c = write_results(tmp_path / "c", [float("nan"), 0.7], algorithm="c")
+    d = write_results(tmp_path / "d", [0.6, 0.65], algorithm="d")
+    code = main(["compare", "--results", str(c), str(d)])
+    assert_results_config_error(capsys, code, "nan")
+
+
+def test_compare_exact_and_approx_exclusive(tmp_path):
+    results = write_results(tmp_path / "res", [0.6, 0.7])
+    with pytest.raises(SystemExit) as exc:
+        main(["compare", "--results", str(results), "--exact", "--approx"])
+    assert exc.value.code == EXIT_CONFIG
+
+
+def test_partition_spec_wrong_field_type_is_config_error(tmp_path, capsys):
+    cfg = base_config()
+    cfg["data"]["num_clients"] = "five"
+    path = write_config(tmp_path, cfg)
+    code = main(["partition", "--spec", str(path), "--out", str(tmp_path / "part")])
+    assert code == EXIT_CONFIG
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"] == "config_error"
+    assert err["message"].startswith("data.num_clients:")
+
+
+def test_run_config_wrong_data_type_is_config_error(tmp_path, capsys):
+    cfg = base_config()
+    cfg["data"]["sizes"] = [60, "fifty", 40]
+    path = write_config(tmp_path, cfg)
+    code = main(["run", "--config", str(path), "--out", str(tmp_path / "x")])
+    assert code == EXIT_CONFIG
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"] == "config_error"
+    assert err["message"].startswith("data.sizes:")

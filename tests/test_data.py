@@ -218,3 +218,14 @@ def test_partition_manifest_round_trip(tmp_path):
         assert np.array_equal(a.train.inputs, b.train.inputs)
         assert np.array_equal(a.train.labels, b.train.labels)
         assert np.array_equal(a.test.labels, b.test.labels)
+
+
+@pytest.mark.parametrize("field,value", [
+    ("num_clients", "five"), ("num_classes", 3.0), ("input_dim", True), ("seed", None),
+    ("sizes", [40, "30", 30]), ("sizes", "40,30,30"), ("shift_scale", "big"),
+    ("skew_concentration", False), ("class_separation", [2.0]),
+])
+def test_spec_field_types(field, value):
+    with pytest.raises(ConfigError) as err:
+        spec(**{field: value})
+    assert err.value.field == f"data.{field}"

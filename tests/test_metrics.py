@@ -1,5 +1,6 @@
 import csv
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -7,6 +8,8 @@ import pytest
 from fedbench.errors import EmptySample, SingleClass
 from fedbench.metrics import (
     INSIGNIFICANT,
+    _midranks,
+    _rank_sum_counts,
     auprc,
     auroc,
     mann_whitney_u,
@@ -155,8 +158,8 @@ def midranks_oracle(pooled):
     return out
 
 
-def exact_mwu_oracle(a, b):
-    """Two-sided exact p by direct enumeration, written independently."""
+def enumerate_mwu(a, b):
+    """U and the counts of arrangements with U <= and >= it, by direct enumeration."""
     n, m = len(a), len(b)
     pooled = list(a) + list(b)
     ranks = midranks_oracle(pooled)
@@ -169,6 +172,12 @@ def exact_mwu_oracle(a, b):
             le += 1
         if u >= u_obs - 1e-9:
             ge += 1
+    return u_obs, le, ge, total
+
+
+def exact_mwu_oracle(a, b):
+    """Two-sided exact p by direct enumeration, written independently."""
+    u_obs, le, ge, total = enumerate_mwu(a, b)
     return u_obs, min(1.0, 2.0 * min(le / total, ge / total))
 
 
@@ -183,6 +192,59 @@ def test_mwu_exact_matches_independent_enumeration_with_ties():
         res = mann_whitney_u(a, b, method="exact")
         assert res.u_statistic == pytest.approx(u, abs=1e-12)
         assert res.p_value == pytest.approx(p, abs=1e-12)
+
+
+@pytest.mark.parametrize("n,m,levels", [(3, 4, 2), (6, 6, 3), (5, 9, 4), (10, 10, 3), (7, 13, 2), (9, 11, 5)])
+def test_mwu_exact_equals_enumeration_up_to_limit(n, m, levels):
+    """The recurrence counts exactly the arrangements the enumeration counts."""
+    rng = np.random.default_rng(n * 100 + m)
+    a = rng.integers(0, levels, n).astype(float)  # heavy ties
+    b = rng.integers(0, levels, m).astype(float) + 0.5 * rng.integers(0, 2, m)
+    u_obs, le, ge, total = enumerate_mwu(list(a), list(b))
+    two = mann_whitney_u(a, b, alternative="two-sided", method="exact")
+    one = mann_whitney_u(a, b, alternative="one-sided", method="exact")
+    assert two.u_statistic == u_obs and one.u_statistic == u_obs
+    assert two.p_value == min(1.0, 2.0 * min(le / total, ge / total))
+    assert one.p_value == le / total
+
+
+def test_midranks_match_oracle():
+    rng = np.random.default_rng(6)
+    cases = [np.array([]), np.array([0.3]), np.full(7, 2.0)]
+    for _ in range(300):
+        n = int(rng.integers(0, 40))
+        q = int(rng.integers(1, 6))
+        cases.append(np.round(rng.random(n) * q) / q)
+    for values in cases:
+        assert np.array_equal(_midranks(values), np.array(midranks_oracle(list(values))))
+
+
+def test_mwu_exact_large_samples_with_ties():
+    """n = m = 40 is out of reach of enumeration; counts must not overflow."""
+    rng = np.random.default_rng(8)
+    a = np.round(rng.random(40), 1)
+    b = np.round(rng.random(40) + 0.1, 1)
+    doubled = (2 * _midranks(np.concatenate([a, b]))).astype(np.int64)
+    assert _rank_sum_counts(doubled, 40).sum() == math.comb(80, 40)
+    exact = mann_whitney_u(a, b, method="exact")
+    normal = mann_whitney_u(a, b, method="normal")
+    assert exact.method == "exact"
+    assert 0.0 <= exact.p_value <= 1.0
+    assert abs(exact.p_value - normal.p_value) <= 0.01
+
+
+def test_mwu_exact_matches_scipy_without_ties():
+    stats = pytest.importorskip("scipy.stats")
+    rng = np.random.default_rng(9)
+    for _ in range(20):
+        n, m = (int(k) for k in rng.integers(1, 11, 2))
+        a = rng.standard_normal(n)
+        b = rng.standard_normal(m) + 0.5
+        for alternative, scipy_alt in (("two-sided", "two-sided"), ("one-sided", "less")):
+            ours = mann_whitney_u(a, b, alternative=alternative, method="exact")
+            ref = stats.mannwhitneyu(a, b, alternative=scipy_alt, method="exact")
+            assert ours.u_statistic == ref.statistic
+            assert ours.p_value == pytest.approx(ref.pvalue, rel=1e-9, abs=1e-15)
 
 
 def test_mwu_normal_close_to_exact_at_boundary():
