@@ -26,8 +26,10 @@ from .errors import (
     InfeasibleSizes,
     MalformedRow,
     SchemaMismatch,
+    check_int,
+    check_real,
 )
-from .nn import LayerSpec, ModelSpec
+from .nn import BN_MOMENTUM, LayerSpec, ModelSpec
 from .orchestrator import ExperimentConfig, run_experiment, sweep_local_epochs
 from .params import ExclusionPolicy
 from .strategies import FEDOPT_FAMILY, NORM_EXCLUDING, StrategyConfig
@@ -56,6 +58,12 @@ def _require(section: dict, key: str, path: str):
     return section[key]
 
 
+def _mapping(value, path: str) -> dict:
+    if not isinstance(value, dict):
+        raise ConfigError(path, f"must be a mapping, got {value!r}")
+    return value
+
+
 def apply_overrides(config: dict, overrides: list[str]) -> dict:
     """Apply dotted ``key=value`` overrides; values parse as YAML scalars."""
     for item in overrides:
@@ -73,25 +81,45 @@ def apply_overrides(config: dict, overrides: list[str]) -> dict:
     return config
 
 
-def _parse_model(section: dict) -> ModelSpec:
-    layers = []
-    for i, raw in enumerate(_require(section, "layers", "model.layers")):
-        kind = _require(raw, "kind", f"model.layers[{i}].kind")
-        layers.append(LayerSpec(
-            kind=kind,
-            width=raw.get("width", 0),
-            groups=raw.get("groups", 1),
-            epsilon=raw.get("epsilon", 1e-5),
-        ))
+_LAYER_KEYS = ("kind", "width", "groups", "epsilon", "momentum")
+
+
+def _parse_layer(raw, path: str) -> LayerSpec:
+    raw = _mapping(raw, path)
+    unknown = [k for k in raw if k not in _LAYER_KEYS]
+    if unknown:
+        raise ConfigError(path, f"unknown keys {unknown}; expected some of {list(_LAYER_KEYS)}")
+    kind = _require(raw, "kind", f"{path}.kind")
+    width, groups = raw.get("width", 0), raw.get("groups", 1)
+    epsilon, momentum = raw.get("epsilon", 1e-5), raw.get("momentum", BN_MOMENTUM)
+    check_int(width, f"{path}.width")
+    check_int(groups, f"{path}.groups")
+    check_real(epsilon, f"{path}.epsilon")
+    check_real(momentum, f"{path}.momentum")
+    if groups < 1:
+        raise ConfigError(f"{path}.groups", "must be >= 1")
+    if not 0.0 <= momentum <= 1.0:
+        raise ConfigError(f"{path}.momentum", "must lie in [0, 1]")
+    return LayerSpec(kind=kind, width=width, groups=groups, epsilon=epsilon, momentum=momentum)
+
+
+def _parse_model(section) -> ModelSpec:
+    section = _mapping(section, "model")
+    for key in ("input_dim", "num_classes"):
+        check_int(_require(section, key, f"model.{key}"), f"model.{key}")
+    raw_layers = _require(section, "layers", "model.layers")
+    if not isinstance(raw_layers, list):
+        raise ConfigError("model.layers", "must be a list of layer mappings")
     return ModelSpec(
-        input_dim=_require(section, "input_dim", "model.input_dim"),
-        layers=layers,
+        input_dim=section["input_dim"],
+        layers=[_parse_layer(raw, f"model.layers[{i}]") for i, raw in enumerate(raw_layers)],
         loss=_require(section, "loss", "model.loss"),
-        num_classes=_require(section, "num_classes", "model.num_classes"),
+        num_classes=section["num_classes"],
     )
 
 
-def _parse_strategy(section: dict) -> StrategyConfig:
+def _parse_strategy(section) -> StrategyConfig:
+    section = _mapping(section, "strategy")
     algorithm = _require(section, "algorithm", "strategy.algorithm")
     if algorithm in ("fedprox", "fedpxn") and "mu" not in section:
         raise ConfigError("strategy.mu", f"{algorithm} requires mu")
@@ -120,6 +148,8 @@ def _parse_strategy(section: dict) -> StrategyConfig:
 def _parse_data(section):
     if isinstance(section, str):
         return section
+    if not isinstance(section, dict):
+        raise ConfigError("data", f"must be a manifest path or a mapping, got {section!r}")
     if "manifest" in section:
         return section["manifest"]
     return PartitionSpec(
@@ -161,7 +191,7 @@ def parse_and_validate_config(path, overrides: list[str] | None = None) -> tuple
         eta=_require(raw, "eta", "eta"),
         local_optimizer=raw.get("local_optimizer", "sgd"),
         batch_size=raw.get("batch_size", 32),
-        seeds=list(raw.get("seeds", [0])),
+        seeds=raw.get("seeds", [0]),
         selection_metric=raw.get("selection_metric", "auroc"),
         out_dir=raw.get("out_dir", "results"),
         keep_all_checkpoints=raw.get("keep_all_checkpoints", False),

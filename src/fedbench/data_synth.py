@@ -15,21 +15,23 @@ from __future__ import annotations
 
 import csv
 import json
-import numbers
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, InfeasibleSizes, MalformedRow, SchemaMismatch
+from .errors import (
+    ConfigError,
+    InfeasibleSizes,
+    MalformedRow,
+    SchemaMismatch,
+    check_int,
+    check_real,
+)
 from .nn import Batch
 
 # default size imbalance for K=5, shaped like a realistic multi-site cohort
 DEFAULT_SIZES_K5 = [400, 350, 282, 238, 226]
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 @dataclass
@@ -46,14 +48,13 @@ class PartitionSpec:
 
     def __post_init__(self):
         for name in ("num_clients", "num_classes", "input_dim", "seed"):
-            if not _is_int(getattr(self, name)):
-                raise ConfigError(f"data.{name}", "must be an integer")
-        if not (isinstance(self.sizes, (list, tuple)) and all(_is_int(s) for s in self.sizes)):
+            check_int(getattr(self, name), f"data.{name}")
+        if not isinstance(self.sizes, (list, tuple)):
             raise ConfigError("data.sizes", "must be a list of integers")
+        for s in self.sizes:
+            check_int(s, "data.sizes")
         for name in ("skew_concentration", "shift_scale", "class_separation"):
-            value = getattr(self, name)
-            if not isinstance(value, numbers.Real) or isinstance(value, bool):
-                raise ConfigError(f"data.{name}", "must be a number")
+            check_real(getattr(self, name), f"data.{name}")
         if self.kind not in ("label_skew", "feature_shift", "iid"):
             raise ConfigError("data.kind", f"unknown kind {self.kind!r}")
         if self.num_clients < 1:

@@ -1,5 +1,7 @@
 """Exception hierarchy shared by all fedbench modules."""
 
+import numbers
+
 
 class FedbenchError(Exception):
     """Base class for all fedbench errors."""
@@ -72,3 +74,15 @@ class ConfigError(FedbenchError):
         super().__init__(f"{field}: {reason}")
         self.field = field
         self.reason = reason
+
+
+def check_int(value, field: str) -> None:
+    """ConfigError naming ``field`` unless ``value`` is an integer (a bool is not)."""
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+        raise ConfigError(field, f"must be an integer, got {value!r}")
+
+
+def check_real(value, field: str) -> None:
+    """ConfigError naming ``field`` unless ``value`` is a real number (a bool is not)."""
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):
+        raise ConfigError(field, f"must be a number, got {value!r}")

@@ -4,10 +4,22 @@ Forward/backward passes are written analytically in float64 numpy so the
 whole model is differentiable by hand and checkable against central finite
 differences.  Reductions use numpy's pairwise summation throughout, so two
 eval forwards with identical inputs are bitwise identical.
+
+Reductions are spelled as the ufunc calls that ``np.mean``/``np.var``/
+``np.sum``/``np.max`` make internally, without their Python wrappers, which
+cost more than the arithmetic at these array sizes: a mean is
+``np.add.reduce(x, axis) / n``; a biased variance is the mean of the squared
+deviations ``c = x - mean``, ``np.add.reduce(c * c, axis) / n``, as numpy
+computes it (sum, divide, subtract, square, sum, divide); ``np.sum`` is
+``np.add.reduce`` and ``np.max`` is ``np.maximum.reduce``.  Every ufunc sees
+the operands numpy's own code would hand it, in the same order, so each
+result is bit-for-bit the one the wrappers give.  ``tests/test_bitwise.py``
+holds the wrapper-based code as the oracle.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -83,6 +95,7 @@ class Batch:
     inputs: np.ndarray  # (size, input_dim)
     labels: np.ndarray  # (size,) class ids, or (size, num_classes) multi-hot
     size: int
+    targets: np.ndarray | None = None  # (size, num_classes) float; from labels if None
 
     @classmethod
     def from_arrays(cls, inputs, labels) -> "Batch":
@@ -133,10 +146,12 @@ def norm_forward(kind, x, gain, bias, running_stats, mode, epsilon, groups=1, mo
     """
     if kind == "batch_norm":
         if mode == "train":
-            if x.shape[0] < 2:
+            n = x.shape[0]
+            if n < 2:
                 raise DegenerateBatch("batch_norm train mode needs batch size >= 2")
-            mean = np.mean(x, axis=0)
-            var = np.var(x, axis=0)  # biased (1/N)
+            mean = np.add.reduce(x, 0) / n
+            xc = x - mean
+            var = np.add.reduce(xc * xc, 0) / n  # biased (1/N)
             run_mean, run_var = running_stats
             new_stats = (
                 (1.0 - momentum) * run_mean + momentum * mean,
@@ -144,20 +159,22 @@ def norm_forward(kind, x, gain, bias, running_stats, mode, epsilon, groups=1, mo
             )
         else:
             mean, var = running_stats
+            xc = x - mean
             new_stats = running_stats
         inv = 1.0 / np.sqrt(var + epsilon)
-        x_hat = (x - mean) * inv
+        x_hat = xc * inv
         y = gain * x_hat + bias
         cache = {"x_hat": x_hat, "inv": inv, "axes": "batch"}
         return y, new_stats, cache
     if kind in ("layer_norm", "group_norm"):
         n, d = x.shape
         g = groups if kind == "group_norm" else 1  # layer norm is one group
-        xg = x.reshape(n, g, d // g)
-        mean = np.mean(xg, axis=2, keepdims=True)
-        var = np.var(xg, axis=2, keepdims=True)
+        size = d // g
+        xg = x.reshape(n, g, size)
+        xc = xg - np.add.reduce(xg, 2, keepdims=True) / size
+        var = np.add.reduce(xc * xc, 2, keepdims=True) / size
         inv = 1.0 / np.sqrt(var + epsilon)
-        x_hat = ((xg - mean) * inv).reshape(n, d)
+        x_hat = (xc * inv).reshape(n, d)
         y = gain * x_hat + bias
         return y, running_stats, {"x_hat": x_hat, "inv": inv, "axes": "group", "groups": g}
     raise ShapeMismatch(f"unknown norm kind {kind!r}")
@@ -167,22 +184,25 @@ def _norm_backward(dy, gain, cache):
     """Gradient through the standardization; returns (dx, dgain, dbias)."""
     x_hat = cache["x_hat"]
     inv = cache["inv"]
-    dgain = np.sum(dy * x_hat, axis=0)
-    dbias = np.sum(dy, axis=0)
+    add = np.add.reduce
+    dgain = add(dy * x_hat, 0)
+    dbias = add(dy, 0)
     dxh = dy * gain
     if cache["axes"] == "batch":
-        dx = inv * (dxh - np.mean(dxh, axis=0) - x_hat * np.mean(dxh * x_hat, axis=0))
+        n = x_hat.shape[0]
+        dx = inv * (dxh - add(dxh, 0) / n - x_hat * (add(dxh * x_hat, 0) / n))
     else:  # group (layer norm is one group)
         g = cache["groups"]
         n, d = x_hat.shape
-        dxh_g = dxh.reshape(n, g, d // g)
-        xh_g = x_hat.reshape(n, g, d // g)
+        size = d // g
+        dxh_g = dxh.reshape(n, g, size)
+        xh_g = x_hat.reshape(n, g, size)
         dx = (
             inv
             * (
                 dxh_g
-                - np.mean(dxh_g, axis=2, keepdims=True)
-                - xh_g * np.mean(dxh_g * xh_g, axis=2, keepdims=True)
+                - add(dxh_g, 2, keepdims=True) / size
+                - xh_g * (add(dxh_g * xh_g, 2, keepdims=True) / size)
             )
         ).reshape(n, d)
     return dx, dgain, dbias
@@ -200,8 +220,8 @@ class ForwardCache:
     updated_running_stats: dict = field(default_factory=dict)
 
 
-def _labels_to_targets(spec: ModelSpec, labels: np.ndarray) -> np.ndarray:
-    """Class ids -> one-hot; multi-hot rows pass through."""
+def labels_to_targets(spec: ModelSpec, labels: np.ndarray) -> np.ndarray:
+    """Class ids -> one-hot; multi-hot rows pass through (as float64)."""
     labels = np.asarray(labels)
     if labels.ndim == 1:
         ids = labels.astype(np.int64)
@@ -259,22 +279,25 @@ def model_forward(spec: ModelSpec, params: ParamSet, batch: Batch, mode: str = "
                 new_stats[f"{prefix}.running_var"] = updated[1]
             cache.layer_caches.append(lcache)
         else:  # loss head
-            targets = _labels_to_targets(spec, batch.labels)
+            targets = batch.targets
+            if targets is None:
+                targets = labels_to_targets(spec, batch.labels)
             if layer.kind == "softmax_ce_head":
-                z = x - np.max(x, axis=1, keepdims=True)
+                z = x - np.maximum.reduce(x, 1, keepdims=True)
                 expz = np.exp(z)
-                probs = expz / np.sum(expz, axis=1, keepdims=True)
-                per_example = -np.sum(targets * (z - np.log(np.sum(expz, axis=1, keepdims=True))), axis=1)
+                total = np.add.reduce(expz, 1, keepdims=True)
+                probs = expz / total
+                per_example = -np.add.reduce(targets * (z - np.log(total)), 1)
             else:
                 probs = 1.0 / (1.0 + np.exp(-x))
                 eps = 1e-12
-                per_example = -np.mean(
+                per_example = -(np.add.reduce(
                     targets * np.log(probs + eps) + (1.0 - targets) * np.log(1.0 - probs + eps),
-                    axis=1,
-                )
-            loss = float(np.mean(per_example))
+                    1,
+                ) / x.shape[1])
+            loss = float(np.add.reduce(per_example) / per_example.shape[0])
             cache.layer_caches.append({"probs": probs, "targets": targets})
-            if not np.isfinite(loss):
+            if not math.isfinite(loss):
                 raise NonFiniteLoss(f"loss = {loss}")
             cache.updated_running_stats = new_stats
             return probs, loss, cache
@@ -309,8 +332,9 @@ def model_backward(spec: ModelSpec, params: ParamSet, cache: ForwardCache) -> Gr
         if layer.kind == "dense":
             x = lcache["x"]
             grads[f"{prefix}.weight"] = x.T @ dx
-            grads[f"{prefix}.bias"] = np.sum(dx, axis=0)
-            dx = dx @ params.entries[f"{prefix}.weight"].T
+            grads[f"{prefix}.bias"] = np.add.reduce(dx, 0)
+            if i:  # nothing consumes the gradient w.r.t. the inputs
+                dx = dx @ params.entries[f"{prefix}.weight"].T
         elif layer.kind == "relu":
             dx = dx * lcache["mask"]
         else:
@@ -323,29 +347,39 @@ def model_backward(spec: ModelSpec, params: ParamSet, cache: ForwardCache) -> Gr
 
 # ---------------------------------------------------------------------------
 # local optimizers
+#
+# A step returns a new ParamSet that shares every array it does not change
+# (running statistics, frozen entries) with its input; params.py states the
+# no-in-place-writes invariant that makes the sharing safe.
 
 def local_sgd_step(params: ParamSet, grads: GradSet, eta: float) -> ParamSet:
     """One step of w <- w - eta*g on trainable entries; stats pass through."""
-    if not set(grads) <= set(params.entries):
-        raise KeyMismatch("gradient keys outside ParamSet")
-    out = params.copy()
+    entries = dict(params.entries)
     for name, g in grads.items():
-        if g.shape != params.entries[name].shape:
+        w = entries.get(name)
+        if w is None:
+            raise KeyMismatch("gradient keys outside ParamSet")
+        if g.shape != w.shape:
             raise KeyMismatch(f"shape mismatch for {name!r}")
-        out.entries[name] = params.entries[name] - eta * g
-    return out
+        entries[name] = w - eta * g
+    return ParamSet(entries=entries, tags=params.tags, trainable=params.trainable)
 
 
 @dataclass
 class AdamState:
-    m: GradSet
-    v: GradSet
+    """First and second moments of the trainable entries, flattened and
+    concatenated in ``names`` order."""
+
+    names: list[str]
+    m: np.ndarray
+    v: np.ndarray
     step: int = 0
 
     @classmethod
     def zeros(cls, params: ParamSet) -> "AdamState":
-        zeros = {n: np.zeros_like(params.entries[n]) for n in params.trainable_names()}
-        return cls(m={k: v.copy() for k, v in zeros.items()}, v=zeros, step=0)
+        names = params.trainable_names()
+        size = sum(params.entries[n].size for n in names)
+        return cls(names=names, m=np.zeros(size), v=np.zeros(size), step=0)
 
 
 def local_adam_step(
@@ -357,17 +391,35 @@ def local_adam_step(
     beta2: float = 0.999,
     eps_adam: float = 1e-8,
 ) -> tuple[ParamSet, AdamState]:
-    """Bias-corrected Adam update on trainable entries."""
-    if not set(grads) <= set(params.entries):
-        raise KeyMismatch("gradient keys outside ParamSet")
-    out = params.copy()
+    """Bias-corrected Adam update on trainable entries.
+
+    One update over the flat vector of all trainable entries: every operation
+    is elementwise and correctly rounded, so each element comes out exactly
+    as a per-entry update would compute it.  The new entries are views of the
+    updated vector.
+    """
+    names = state.names
+    if len(grads) != len(names):
+        raise KeyMismatch("gradient keys differ from the Adam state's")
+    try:
+        g = np.concatenate([grads[n] for n in names], axis=None)
+    except KeyError as exc:
+        raise KeyMismatch(f"no gradient for {exc}") from None
+    w = np.concatenate([params.entries[n] for n in names], axis=None)
+    if g.shape != w.shape or w.shape != state.m.shape:
+        raise KeyMismatch("gradient shapes differ from the parameters'")
     t = state.step + 1
-    new_m, new_v = dict(state.m), dict(state.v)
-    for name, g in grads.items():
-        m = beta1 * state.m[name] + (1.0 - beta1) * g
-        v = beta2 * state.v[name] + (1.0 - beta2) * g * g
-        m_hat = m / (1.0 - beta1**t)
-        v_hat = v / (1.0 - beta2**t)
-        out.entries[name] = params.entries[name] - eta * m_hat / (np.sqrt(v_hat) + eps_adam)
-        new_m[name], new_v[name] = m, v
-    return out, AdamState(m=new_m, v=new_v, step=t)
+    m = beta1 * state.m + (1.0 - beta1) * g
+    v = beta2 * state.v + (1.0 - beta2) * g * g
+    m_hat = m / (1.0 - beta1**t)
+    v_hat = v / (1.0 - beta2**t)
+    w = w - eta * m_hat / (np.sqrt(v_hat) + eps_adam)
+    entries = dict(params.entries)
+    start = 0
+    for n in names:
+        shape = entries[n].shape
+        end = start + entries[n].size
+        entries[n] = w[start:end].reshape(shape)
+        start = end
+    out = ParamSet(entries=entries, tags=params.tags, trainable=params.trainable)
+    return out, AdamState(names=names, m=m, v=v, step=t)

@@ -21,13 +21,22 @@ import numpy as np
 
 from . import metrics as metrics_mod
 from .data_synth import ClientDataset, PartitionSpec, generate, load_partition
-from .errors import AllClientsDiverged, ConfigError, NoSelectableRound, NonFiniteLoss, SingleClass
+from .errors import (
+    AllClientsDiverged,
+    ConfigError,
+    NoSelectableRound,
+    NonFiniteLoss,
+    SingleClass,
+    check_int,
+    check_real,
+)
 from .nn import (
     AdamState,
     Batch,
     ModelSpec,
     apply_running_stats,
     init_params,
+    labels_to_targets,
     local_adam_step,
     local_sgd_step,
     model_backward,
@@ -70,6 +79,17 @@ class ExperimentConfig:
         self.validate()
 
     def validate(self) -> None:
+        for name in ("local_epochs", "rounds", "batch_size"):
+            check_int(getattr(self, name), name)
+        check_real(self.eta, "eta")
+        if not isinstance(self.seeds, (list, tuple)):
+            raise ConfigError("seeds", f"must be a list of integers, got {self.seeds!r}")
+        for seed in self.seeds:
+            check_int(seed, "seeds")
+        if not isinstance(self.keep_all_checkpoints, bool):
+            raise ConfigError("keep_all_checkpoints", "must be true or false")
+        if not isinstance(self.out_dir, (str, Path)):
+            raise ConfigError("out_dir", "must be a path")
         if self.local_epochs < 1:
             raise ConfigError("local_epochs", "must be >= 1")
         if self.rounds < 1:
@@ -123,15 +143,16 @@ def client_rng(seed: int, client_id: int, round_idx: int) -> np.random.Generator
     return np.random.default_rng([seed, client_id, round_idx])
 
 
-def _batches(batch: Batch, batch_size: int, rng: np.random.Generator):
-    """Shuffled consecutive mini-batches; a trailing singleton is dropped
-    (batch-norm train mode cannot use it)."""
+def _batches(batch: Batch, targets: np.ndarray, batch_size: int, rng: np.random.Generator):
+    """Shuffled consecutive mini-batches with their rows of ``targets``; a
+    trailing singleton is dropped (batch-norm train mode cannot use it)."""
     order = rng.permutation(batch.size)
     for start in range(0, batch.size, batch_size):
         idx = order[start:start + batch_size]
         if len(idx) < 2:
             continue
-        yield Batch.from_arrays(batch.inputs[idx], batch.labels[idx])
+        yield Batch(inputs=batch.inputs[idx], labels=batch.labels[idx], size=len(idx),
+                    targets=targets[idx])
 
 
 def run_local_training(
@@ -146,12 +167,14 @@ def run_local_training(
     client.params.overwrite(fragment)
     w_ref = client.params.copy()  # round-start reference for prox/dyn terms
     rng = client_rng(seed, client.client_id, round_idx)
+    train = client.dataset.train
+    targets = labels_to_targets(cfg.model, train.labels)  # validates the class ids once
     losses = []
     diverged = False
     grad_sum = None
     grad_steps = 0
     for _ in range(cfg.local_epochs):
-        for batch in _batches(client.dataset.train, cfg.batch_size, rng):
+        for batch in _batches(train, targets, cfg.batch_size, rng):
             try:
                 _, loss, cache = model_forward(cfg.model, client.params, batch, mode="train")
             except NonFiniteLoss:
@@ -279,9 +302,15 @@ def _save_round_checkpoints(ckpt_dir: Path, round_idx: int, w_start: ParamSet,
     return rdir
 
 
-def run_experiment(cfg: ExperimentConfig, seed: int, out_dir=None) -> ExperimentResult:
-    """T rounds, best-validation-round selection, test at the selected round."""
-    datasets = _load_clients(cfg)
+def run_experiment(cfg: ExperimentConfig, seed: int, out_dir=None,
+                   datasets: list[ClientDataset] | None = None) -> ExperimentResult:
+    """T rounds, best-validation-round selection, test at the selected round.
+
+    ``datasets`` are the clients' data when the caller has already loaded
+    ``cfg.data`` (nothing writes to a ClientDataset, so runs can share them).
+    """
+    if datasets is None:
+        datasets = _load_clients(cfg)
     w_0 = init_params(cfg.model, seed)
     server = init_server_state(cfg.strategy.algorithm, w_0, cfg.strategy)
     clients = []
@@ -389,6 +418,7 @@ def sweep_local_epochs(
     for e, t in splits:
         if e * t != budget:
             raise ConfigError("sweep.splits", f"split ({e},{t}) violates budget {budget}")
+    datasets = _load_clients(cfg)  # once for the whole sweep
     rows = []
     for e, t in splits:
         split_cfg = replace(cfg, local_epochs=e, rounds=t)
@@ -396,7 +426,7 @@ def sweep_local_epochs(
             run_dir = (
                 Path(out_dir) / f"E{e}_T{t}" / f"seed_{seed}" if out_dir is not None else None
             )
-            result = run_experiment(split_cfg, seed, out_dir=run_dir)
+            result = run_experiment(split_cfg, seed, out_dir=run_dir, datasets=datasets)
             rows.append({
                 "local_epochs": e,
                 "rounds": t,

@@ -4,6 +4,16 @@ A ParamSet is an ordered map of named float64 arrays.  Every entry carries a
 tag (``norm`` for normalization-layer parameters, ``non_norm`` otherwise) and
 a trainable flag; running statistics are norm-tagged and non-trainable, so
 exclusion policies govern them uniformly.
+
+Entry arrays are never written in place, and a ParamSet's ``tags`` and
+``trainable`` maps are never edited once it is built.  A changed entry gets
+a fresh array assigned to its name: ``overwrite`` stores copies,
+``nn.apply_running_stats`` and aggregation assign newly computed arrays, and
+the local optimizer steps build new arrays for the entries they update.  So
+ParamSets may share arrays and maps, and the optimizer steps do: their output
+shares every untouched entry (running statistics) with their input instead
+of copying it, and the input's arrays stay unchanged.  Code that writes into
+an entry's array must own a ``copy()`` of the ParamSet.
 """
 
 from __future__ import annotations

@@ -20,6 +20,7 @@ from .errors import (
     KeyMismatch,
     MissingDynMemory,
     UninitializedOptState,
+    check_real,
 )
 from .params import (
     ExclusionPolicy,
@@ -63,6 +64,10 @@ class StrategyConfig:
         self.validate()
 
     def validate(self) -> None:
+        for name in ("mu", "alpha", "eta_g", "beta1", "beta2", "gamma"):
+            check_real(getattr(self, name), f"strategy.{name}")
+        if not isinstance(self.uniform_pseudo_grad, bool):
+            raise ConfigError("strategy.uniform_pseudo_grad", "must be true or false")
         if self.algorithm not in ALGORITHMS:
             raise ConfigError("strategy.algorithm", f"unknown algorithm {self.algorithm!r}")
         if self.algorithm in NORM_EXCLUDING:

@@ -1,0 +1,260 @@
+"""The local training step gives the same bits as its wrapper-based oracle.
+
+``nn_oracle`` holds the forward, backward and optimizer code written with
+``np.mean``/``np.var``, per-step one-hot targets, per-step ParamSet copies and
+per-entry Adam moments.  Every comparison here is ``np.array_equal`` or
+``==``: the faster code must not move a single bit.
+"""
+
+from dataclasses import replace
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import nn_oracle as oracle
+from conftest import make_model
+from fedbench import orchestrator
+from fedbench.data_synth import PartitionSpec, generate, write_partition
+from fedbench.nn import (
+    AdamState,
+    Batch,
+    LayerSpec,
+    ModelSpec,
+    apply_running_stats,
+    init_params,
+    labels_to_targets,
+    local_adam_step,
+    local_sgd_step,
+    model_backward,
+    model_forward,
+)
+from fedbench.orchestrator import ClientState, ExperimentConfig, client_rng, run_local_training
+from fedbench.strategies import DynMemory, StrategyConfig, local_loss_grad
+
+
+def data_spec(num_clients, sizes):
+    return PartitionSpec(kind="label_skew", num_clients=num_clients, num_classes=3,
+                         input_dim=5, sizes=list(sizes), seed=9)
+
+
+def bce_model(kinds, input_dim=5, hidden=6, num_classes=3, groups=2):
+    spec = make_model(kinds, input_dim, hidden, num_classes, groups)
+    layers = spec.layers[:-1] + [LayerSpec(kind="sigmoid_bce_head")]
+    return ModelSpec(input_dim=input_dim, layers=layers, loss="binary_cross_entropy",
+                     num_classes=num_classes)
+
+
+def perturbed_params(spec, seed):
+    """init_params with gains, biases and running stats moved off 1 and 0."""
+    params = init_params(spec, seed)
+    rng = np.random.default_rng([seed, 1])
+    for name, value in params.entries.items():
+        if not name.endswith(".weight"):
+            noise = rng.standard_normal(value.shape)
+            params.entries[name] = value + (np.abs(noise) if "running_var" in name else noise)
+    return params
+
+
+def random_labels(spec, n, rng, multi_hot):
+    if multi_hot:
+        return (rng.random((n, spec.num_classes)) < 0.4).astype(float)
+    return rng.integers(0, spec.num_classes, n)
+
+
+KINDS = [[], ["batch_norm"], ["layer_norm"], ["group_norm"], ["batch_norm", "group_norm"]]
+HEADS = {"softmax": make_model, "sigmoid": bce_model}
+
+
+@pytest.mark.parametrize("head", sorted(HEADS))
+@pytest.mark.parametrize("kinds", KINDS, ids=lambda k: "+".join(k) or "dense")
+@pytest.mark.parametrize("hidden,groups", [(6, 2), (16, 2), (40, 4)])
+def test_train_forward_backward_match_oracle(head, kinds, hidden, groups):
+    spec = HEADS[head](kinds, input_dim=7, hidden=hidden, groups=groups)
+    rng = np.random.default_rng([hidden, len(kinds)])
+    for trial in range(12):
+        params = perturbed_params(spec, trial)
+        n = int(rng.integers(2, 70))
+        x = rng.standard_normal((n, spec.input_dim)) * rng.uniform(0.1, 10.0)
+        labels = random_labels(spec, n, rng, multi_hot=head == "sigmoid" and trial % 2 == 1)
+        batch = Batch.from_arrays(x, labels)
+
+        probs, loss, cache = model_forward(spec, params, batch, mode="train")
+        o_probs, o_loss, o_cache = oracle.model_forward(spec, params, batch, mode="train")
+        assert np.array_equal(probs, o_probs)
+        assert loss == o_loss
+        assert cache.updated_running_stats.keys() == o_cache.updated_running_stats.keys()
+        for name, value in cache.updated_running_stats.items():
+            assert np.array_equal(value, o_cache.updated_running_stats[name]), name
+
+        grads = model_backward(spec, params, cache)
+        o_grads = oracle.model_backward(spec, params, o_cache)
+        assert grads.keys() == o_grads.keys()
+        for name, g in grads.items():
+            assert np.array_equal(g, o_grads[name]), name
+
+        # the same rows with precomputed targets, as the training loop feeds them
+        targets = labels_to_targets(spec, labels)
+        fed = Batch(inputs=batch.inputs, labels=batch.labels, size=n, targets=targets)
+        probs_t, loss_t, _ = model_forward(spec, params, fed, mode="train")
+        assert np.array_equal(probs_t, o_probs) and loss_t == o_loss
+
+        e_probs, e_loss, _ = model_forward(spec, params, batch, mode="eval")
+        o_e_probs, o_e_loss, _ = oracle.model_forward(spec, params, batch, mode="eval")
+        assert np.array_equal(e_probs, o_e_probs) and e_loss == o_e_loss
+
+
+def test_gathered_targets_equal_per_batch_one_hot():
+    spec = make_model(["batch_norm"])
+    rng = np.random.default_rng(3)
+    labels = rng.integers(0, spec.num_classes, 50)
+    targets = labels_to_targets(spec, labels)
+    for _ in range(20):
+        idx = rng.permutation(50)[: int(rng.integers(2, 50))]
+        assert np.array_equal(targets[idx], oracle.labels_to_targets(spec, labels[idx]))
+
+
+def random_grads(params, rng):
+    return {n: rng.standard_normal(params.entries[n].shape) for n in params.trainable_names()}
+
+
+def flat_slice(state, params, name):
+    """The part of a flat Adam moment vector that belongs to ``name``."""
+    start = 0
+    for n in state.names:
+        size = params.entries[n].size
+        if n == name:
+            return start, start + size
+        start += size
+    raise KeyError(name)
+
+
+def test_sgd_trajectory_matches_oracle():
+    params = o_params = perturbed_params(make_model(["batch_norm"]), 0)
+    rng = np.random.default_rng(5)
+    for _ in range(3):
+        grads = random_grads(params, rng)
+        params = local_sgd_step(params, grads, 0.07)
+        o_params = oracle.local_sgd_step(o_params, grads, 0.07)
+        assert params.names() == o_params.names()
+        for name in params.names():
+            assert np.array_equal(params.entries[name], o_params.entries[name]), name
+
+
+@pytest.mark.parametrize("kinds", [["batch_norm"], ["group_norm"]])
+def test_adam_trajectory_matches_oracle(kinds):
+    params = o_params = perturbed_params(make_model(kinds), 1)
+    state, o_state = AdamState.zeros(params), oracle.AdamState.zeros(params)
+    rng = np.random.default_rng(6)
+    for _ in range(3):
+        grads = random_grads(params, rng)
+        # model_backward yields gradients last layer first
+        grads = dict(reversed(list(grads.items())))
+        params, state = local_adam_step(params, grads, state, 0.01)
+        o_params, o_state = oracle.local_adam_step(o_params, grads, o_state, 0.01)
+        assert state.step == o_state.step
+        for name in params.names():
+            assert np.array_equal(params.entries[name], o_params.entries[name]), name
+        for name in state.names:
+            start, end = flat_slice(state, params, name)
+            assert np.array_equal(state.m[start:end], o_state.m[name].ravel()), name
+            assert np.array_equal(state.v[start:end], o_state.v[name].ravel()), name
+
+
+def snapshot(params):
+    return {n: (a, a.copy()) for n, a in params.entries.items()}
+
+
+def unchanged(snap):
+    return all(np.array_equal(a, before) for a, before in snap.values())
+
+
+def test_optimizer_steps_leave_their_input_unchanged():
+    params = perturbed_params(make_model(["batch_norm"]), 2)
+    snap = snapshot(params)
+    grads = random_grads(params, np.random.default_rng(7))
+    sgd_out = local_sgd_step(params, grads, 0.1)
+    adam_out, _ = local_adam_step(params, grads, AdamState.zeros(params), 0.1)
+    assert unchanged(snap)
+    for out in (sgd_out, adam_out):
+        for name in params.names():
+            if params.trainable[name]:
+                assert out.entries[name] is not params.entries[name]
+            else:  # running stats are shared, not copied
+                assert out.entries[name] is params.entries[name]
+
+
+@pytest.mark.parametrize("algorithm,optimizer", [
+    ("fedavg", "sgd"), ("fedpxn", "adam"), ("fedprox", "sgd"), ("feddyn", "adam"),
+])
+def test_local_training_matches_oracle_loop(algorithm, optimizer):
+    """run_local_training against the per-step loop written with the oracle."""
+    strategy = StrategyConfig(
+        algorithm=algorithm, mu=0.1, policy="all_norm_excluded" if algorithm == "fedpxn" else "none"
+    )
+    cfg = ExperimentConfig(
+        model=make_model(["batch_norm"]), strategy=strategy,
+        data=data_spec(num_clients=1, sizes=(90,)), local_epochs=2, rounds=1, eta=0.05,
+        local_optimizer=optimizer, batch_size=16,
+    )
+    ds = generate(cfg.data)[0]
+    seed, round_idx = 3, 0
+    w0 = perturbed_params(cfg.model, seed)
+    dyn = DynMemory(client_id=0) if algorithm == "feddyn" else None
+
+    params = w0.copy()
+    o_state = oracle.AdamState.zeros(params)
+    rng = client_rng(seed, 0, round_idx)
+    for _ in range(cfg.local_epochs):
+        order = rng.permutation(ds.train.size)
+        for start in range(0, ds.train.size, cfg.batch_size):
+            idx = order[start:start + cfg.batch_size]
+            if len(idx) < 2:
+                continue
+            batch = Batch.from_arrays(ds.train.inputs[idx], ds.train.labels[idx])
+            _, _, cache = oracle.model_forward(cfg.model, params, batch, mode="train")
+            base = oracle.model_backward(cfg.model, params, cache)
+            apply_running_stats(params, cache)
+            grad = local_loss_grad(algorithm, base, params, w0, strategy, dyn)
+            if optimizer == "adam":
+                params, o_state = oracle.local_adam_step(params, grad, o_state, cfg.eta)
+            else:
+                params = oracle.local_sgd_step(params, grad, cfg.eta)
+
+    client = ClientState(client_id=0, dataset=ds, params=w0.copy(), dyn=dyn)
+    if optimizer == "adam":
+        client.adam_state = AdamState.zeros(client.params)
+    start_snap = snapshot(client.params)
+    update = run_local_training(client, w0.fragment(w0.names()), cfg, seed, round_idx)
+    assert not update.diverged
+    for name in params.names():
+        assert np.array_equal(update.params_after.entries[name], params.entries[name]), name
+    assert unchanged(start_snap)  # training never wrote into an array it was handed
+
+
+def test_sweep_loads_the_partition_once(tmp_path, monkeypatch):
+    manifest = write_partition(data_spec(num_clients=2, sizes=(60, 50)), tmp_path / "part")
+    cfg = ExperimentConfig(
+        model=make_model(["batch_norm"]), strategy=StrategyConfig(algorithm="fedavg"),
+        data=str(manifest), local_epochs=1, rounds=2, eta=0.05, batch_size=16, seeds=[0, 1],
+    )
+    loads = []
+    real_load = orchestrator.load_partition
+
+    def counting_load(path):
+        loads.append(Path(path))
+        return real_load(path)
+
+    monkeypatch.setattr(orchestrator, "load_partition", counting_load)
+    rows = orchestrator.sweep_local_epochs(cfg, 2, [(1, 2), (2, 1)], out_dir=tmp_path / "sweep")
+    assert loads == [manifest]
+    assert len(rows) == 4
+
+    # each sweep cell equals a run that loads the partition itself
+    loads.clear()
+    for row in rows:
+        split = replace(cfg, local_epochs=row["local_epochs"], rounds=row["rounds"])
+        alone = orchestrator.run_experiment(split, row["seed"])
+        assert alone.mean_test_metric == row["mean_test_metric"]
+        assert alone.selected_round == row["selected_round"]
+    assert len(loads) == len(rows)

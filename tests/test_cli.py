@@ -303,3 +303,87 @@ def test_run_config_wrong_data_type_is_config_error(tmp_path, capsys):
     err = json.loads(capsys.readouterr().err.strip())
     assert err["error"] == "config_error"
     assert err["message"].startswith("data.sizes:")
+
+
+def config_error_field(tmp_path, capsys, cfg, overrides=()):
+    """Run ``fedbench run``; assert exit 2 with a JSON record, return the field it names."""
+    path = write_config(tmp_path, cfg)
+    argv = ["run", "--config", str(path), "--out", str(tmp_path / "x")]
+    for item in overrides:
+        argv += ["--override", item]
+    code = main(argv)
+    assert code == EXIT_CONFIG
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"] == "config_error"
+    return err["message"].split(":")[0]
+
+
+@pytest.mark.parametrize("extra,overrides,field", [
+    ({"rounds": "ten"}, [], "rounds"),
+    ({}, ["batch_size=1.5"], "batch_size"),
+    ({}, ["eta=fast"], "eta"),
+    ({}, ["local_epochs=true"], "local_epochs"),
+    ({}, ["seeds=5"], "seeds"),
+    ({"seeds": [0, "one"]}, [], "seeds"),
+])
+def test_top_level_wrong_type_is_config_error(tmp_path, capsys, extra, overrides, field):
+    assert config_error_field(tmp_path, capsys, base_config(**extra), overrides) == field
+
+
+@pytest.mark.parametrize("override,field", [
+    ("strategy.mu=x", "strategy.mu"),
+    ("strategy.alpha=[1]", "strategy.alpha"),
+    ("strategy.uniform_pseudo_grad=3", "strategy.uniform_pseudo_grad"),
+    ("strategy=fedavg", "strategy"),
+])
+def test_strategy_wrong_type_is_config_error(tmp_path, capsys, override, field):
+    assert config_error_field(tmp_path, capsys, base_config(), [override]) == field
+
+
+@pytest.mark.parametrize("override,field", [
+    ("model.input_dim='5'", "model.input_dim"),
+    ("model.num_classes=3.0", "model.num_classes"),
+    ("model.layers=dense", "model.layers"),
+    ("model=5", "model"),
+])
+def test_model_wrong_type_is_config_error(tmp_path, capsys, override, field):
+    assert config_error_field(tmp_path, capsys, base_config(), [override]) == field
+
+
+@pytest.mark.parametrize("layer,field", [
+    ({"kind": "dense", "width": "wide"}, "model.layers[0].width"),
+    ({"kind": "dense", "width": 6, "epsilon": "1e-5"}, "model.layers[0].epsilon"),
+    ({"kind": "dense", "widht": 6}, "model.layers[0]"),
+    ("dense", "model.layers[0]"),
+])
+def test_layer_wrong_type_or_unknown_key_is_config_error(tmp_path, capsys, layer, field):
+    cfg = base_config()
+    cfg["model"]["layers"][0] = layer
+    assert config_error_field(tmp_path, capsys, cfg) == field
+
+
+def with_layer(layer):
+    cfg = base_config()
+    cfg["model"]["layers"].insert(1, layer)
+    return cfg
+
+
+def test_layer_momentum_is_parsed(tmp_path):
+    parsed, _ = parse_and_validate_config(
+        write_config(tmp_path, with_layer({"kind": "batch_norm", "momentum": 0.5}))
+    )
+    assert parsed.model.layers[1].momentum == 0.5
+    default, _ = parse_and_validate_config(
+        write_config(tmp_path, with_layer({"kind": "batch_norm"}), name="default.yaml")
+    )
+    assert default.model.layers[1].momentum == 0.1
+
+
+@pytest.mark.parametrize("layer,field", [
+    ({"kind": "batch_norm", "momentum": 1.5}, "model.layers[1].momentum"),
+    ({"kind": "batch_norm", "momentum": -0.1}, "model.layers[1].momentum"),
+    ({"kind": "batch_norm", "momentum": "fast"}, "model.layers[1].momentum"),
+    ({"kind": "group_norm", "groups": 0}, "model.layers[1].groups"),
+])
+def test_layer_out_of_range_is_config_error(tmp_path, capsys, layer, field):
+    assert config_error_field(tmp_path, capsys, with_layer(layer)) == field
