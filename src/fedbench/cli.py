@@ -26,6 +26,7 @@ from .errors import (
     InfeasibleSizes,
     MalformedRow,
     SchemaMismatch,
+    ShapeMismatch,
     check_int,
     check_real,
 )
@@ -58,9 +59,13 @@ def _require(section: dict, key: str, path: str):
     return section[key]
 
 
-def _mapping(value, path: str) -> dict:
+def _mapping(value, path: str, keys: tuple[str, ...]) -> dict:
+    """``value`` as a mapping whose keys all lie in ``keys``."""
     if not isinstance(value, dict):
         raise ConfigError(path, f"must be a mapping, got {value!r}")
+    unknown = [k for k in value if k not in keys]
+    if unknown:
+        raise ConfigError(path, f"unknown keys {unknown}; expected some of {list(keys)}")
     return value
 
 
@@ -81,14 +86,20 @@ def apply_overrides(config: dict, overrides: list[str]) -> dict:
     return config
 
 
+# the keys each config section may carry
 _LAYER_KEYS = ("kind", "width", "groups", "epsilon", "momentum")
+_MODEL_KEYS = ("input_dim", "num_classes", "loss", "layers")
+_STRATEGY_KEYS = ("algorithm", "policy", "mu", "alpha", "eta_g", "beta1", "beta2", "gamma",
+                  "uniform_pseudo_grad")
+_DATA_KEYS = ("manifest", "kind", "num_clients", "num_classes", "input_dim", "sizes",
+              "skew_concentration", "shift_scale", "class_separation", "seed")
+_CONFIG_KEYS = ("model", "strategy", "data", "local_epochs", "rounds", "eta", "local_optimizer",
+                "batch_size", "seeds", "selection_metric", "out_dir", "keep_all_checkpoints",
+                "total_budget")
 
 
 def _parse_layer(raw, path: str) -> LayerSpec:
-    raw = _mapping(raw, path)
-    unknown = [k for k in raw if k not in _LAYER_KEYS]
-    if unknown:
-        raise ConfigError(path, f"unknown keys {unknown}; expected some of {list(_LAYER_KEYS)}")
+    raw = _mapping(raw, path, _LAYER_KEYS)
     kind = _require(raw, "kind", f"{path}.kind")
     width, groups = raw.get("width", 0), raw.get("groups", 1)
     epsilon, momentum = raw.get("epsilon", 1e-5), raw.get("momentum", BN_MOMENTUM)
@@ -104,22 +115,23 @@ def _parse_layer(raw, path: str) -> LayerSpec:
 
 
 def _parse_model(section) -> ModelSpec:
-    section = _mapping(section, "model")
+    section = _mapping(section, "model", _MODEL_KEYS)
     for key in ("input_dim", "num_classes"):
         check_int(_require(section, key, f"model.{key}"), f"model.{key}")
     raw_layers = _require(section, "layers", "model.layers")
     if not isinstance(raw_layers, list):
         raise ConfigError("model.layers", "must be a list of layer mappings")
-    return ModelSpec(
-        input_dim=section["input_dim"],
-        layers=[_parse_layer(raw, f"model.layers[{i}]") for i, raw in enumerate(raw_layers)],
-        loss=_require(section, "loss", "model.loss"),
-        num_classes=section["num_classes"],
-    )
+    loss = _require(section, "loss", "model.loss")
+    try:  # LayerSpec and ModelSpec check the model's structure
+        layers = [_parse_layer(raw, f"model.layers[{i}]") for i, raw in enumerate(raw_layers)]
+        return ModelSpec(input_dim=section["input_dim"], layers=layers, loss=loss,
+                         num_classes=section["num_classes"])
+    except ShapeMismatch as exc:
+        raise ConfigError("model", str(exc))
 
 
 def _parse_strategy(section) -> StrategyConfig:
-    section = _mapping(section, "strategy")
+    section = _mapping(section, "strategy", _STRATEGY_KEYS)
     algorithm = _require(section, "algorithm", "strategy.algorithm")
     if algorithm in ("fedprox", "fedpxn") and "mu" not in section:
         raise ConfigError("strategy.mu", f"{algorithm} requires mu")
@@ -150,6 +162,7 @@ def _parse_data(section):
         return section
     if not isinstance(section, dict):
         raise ConfigError("data", f"must be a manifest path or a mapping, got {section!r}")
+    _mapping(section, "data", _DATA_KEYS)
     if "manifest" in section:
         return section["manifest"]
     return PartitionSpec(
@@ -181,7 +194,8 @@ def _read_mapping(path, field: str) -> dict:
 
 def parse_and_validate_config(path, overrides: list[str] | None = None) -> tuple[ExperimentConfig, dict]:
     """Load, override, validate; returns (config, resolved-config echo dict)."""
-    raw = apply_overrides(_read_mapping(path, "config"), overrides or [])
+    raw = _mapping(apply_overrides(_read_mapping(path, "config"), overrides or []), "config",
+                   _CONFIG_KEYS)
     cfg = ExperimentConfig(
         model=_parse_model(_require(raw, "model", "model")),
         strategy=_parse_strategy(_require(raw, "strategy", "strategy")),

@@ -57,6 +57,8 @@ class ModelSpec:
     def __post_init__(self):
         if self.loss not in ("cross_entropy", "binary_cross_entropy"):
             raise ShapeMismatch(f"unknown loss {self.loss!r}")
+        if not self.layers:
+            raise ShapeMismatch("model has no layers")
         widths = self.resolve_widths()
         head = self.layers[-1]
         if head.kind not in HEAD_KINDS:

@@ -12,7 +12,6 @@ from __future__ import annotations
 import csv
 import json
 import logging
-import shutil
 import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -291,15 +290,26 @@ def _load_clients(cfg: ExperimentConfig) -> list[ClientDataset]:
     return generate(cfg.data)
 
 
-def _save_round_checkpoints(ckpt_dir: Path, round_idx: int, w_start: ParamSet,
-                            server: ServerState, clients: list[ClientState]) -> Path:
-    rdir = ckpt_dir / f"round_{round_idx:04d}"
-    rdir.mkdir(parents=True, exist_ok=True)
-    save_paramset(w_start, rdir / "global_start.npz")
-    save_paramset(server.global_params, rdir / "global_agg.npz")
+def _snapshot(w_start: ParamSet, server: ServerState,
+              clients: list[ClientState]) -> dict[str, ParamSet]:
+    """One round's checkpoint files, held in memory.
+
+    No entry array is ever written in place (see ``params``), so sharing the
+    arrays is enough; each client's entries dict is copied because the next
+    round assigns into it.
+    """
+    snapshot = {"global_start.npz": w_start, "global_agg.npz": server.global_params}
     for c in clients:
-        save_paramset(c.params, rdir / f"client_{c.client_id}.npz")
-    return rdir
+        snapshot[f"client_{c.client_id}.npz"] = ParamSet(
+            dict(c.params.entries), c.params.tags, c.params.trainable
+        )
+    return snapshot
+
+
+def _write_checkpoint(cdir: Path, snapshot: dict[str, ParamSet]) -> None:
+    cdir.mkdir(parents=True, exist_ok=True)
+    for name, params in snapshot.items():
+        save_paramset(params, cdir / name)
 
 
 def run_experiment(cfg: ExperimentConfig, seed: int, out_dir=None,
@@ -325,29 +335,25 @@ def run_experiment(cfg: ExperimentConfig, seed: int, out_dir=None,
     ckpt_dir = Path(out_dir) / "checkpoints" if out_dir is not None else None
     best_round, best_metric = 0, -np.inf
     best_eval_sets: dict[int, ParamSet] = {}
+    # the last and the best round's checkpoints, written once when the run ends
+    last = best = None
     records: list[RoundRecord] = []
     try:
         for _ in range(cfg.rounds):
-            w_start = server.global_params.copy()
+            w_start = server.global_params  # server_aggregate builds a fresh global
             server, record = run_round(server, clients, cfg, seed)
             records.append(record)
             if ckpt_dir is not None:
-                rdir = _save_round_checkpoints(ckpt_dir, record.round, w_start, server, clients)
+                last = (record.round, _snapshot(w_start, server, clients))
+                if cfg.keep_all_checkpoints:
+                    _write_checkpoint(ckpt_dir / f"round_{record.round:04d}", last[1])
             if record.mean_val_metric > best_metric:
                 best_metric = record.mean_val_metric
                 best_round = record.round
                 best_eval_sets = {
                     c.client_id: _eval_params(c, server, cfg.strategy) for c in clients
                 }
-                if ckpt_dir is not None:
-                    best_dir = ckpt_dir / "best"
-                    if best_dir.exists():
-                        shutil.rmtree(best_dir)
-                    shutil.copytree(rdir, best_dir)
-            if ckpt_dir is not None and not cfg.keep_all_checkpoints and record.round > 1:
-                prev = ckpt_dir / f"round_{record.round - 1:04d}"
-                if prev.exists():
-                    shutil.rmtree(prev)
+                best = last
         if not best_eval_sets:
             raise NoSelectableRound(
                 f"mean validation {cfg.selection_metric} is NaN in all {cfg.rounds} rounds"
@@ -356,6 +362,11 @@ def run_experiment(cfg: ExperimentConfig, seed: int, out_dir=None,
         if out_dir is not None and records:
             _write_round_log(Path(out_dir) / "rounds.csv", records)
         raise
+    finally:
+        if last is not None and not cfg.keep_all_checkpoints:
+            _write_checkpoint(ckpt_dir / f"round_{last[0]:04d}", last[1])
+        if best is not None:
+            _write_checkpoint(ckpt_dir / "best", best[1])
 
     # test once, at the selected round, with each client's own eval parameters
     test_metrics = {}

@@ -10,10 +10,13 @@ Entry arrays are never written in place, and a ParamSet's ``tags`` and
 a fresh array assigned to its name: ``overwrite`` stores copies,
 ``nn.apply_running_stats`` and aggregation assign newly computed arrays, and
 the local optimizer steps build new arrays for the entries they update.  So
-ParamSets may share arrays and maps, and the optimizer steps do: their output
-shares every untouched entry (running statistics) with their input instead
-of copying it, and the input's arrays stay unchanged.  Code that writes into
-an entry's array must own a ``copy()`` of the ParamSet.
+ParamSets may share arrays and maps, and two users rely on it.  The optimizer
+steps' output shares every untouched entry (running statistics) with their
+input instead of copying it, and the input's arrays stay unchanged.  The
+orchestrator's in-memory checkpoint snapshots hold the round-start and
+aggregated globals by reference and each client's set as a new entries dict
+over the same arrays, and write them only when the run ends.  Code that
+writes into an entry's array must own a ``copy()`` of the ParamSet.
 """
 
 from __future__ import annotations

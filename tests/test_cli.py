@@ -387,3 +387,42 @@ def test_layer_momentum_is_parsed(tmp_path):
 ])
 def test_layer_out_of_range_is_config_error(tmp_path, capsys, layer, field):
     assert config_error_field(tmp_path, capsys, with_layer(layer)) == field
+
+
+@pytest.mark.parametrize("section,key", [
+    ("config", "local_epoch"),
+    ("model", "hidden"),
+    ("strategy", "eta_global"),
+    ("data", "skew_concentraton"),
+])
+def test_unknown_key_is_config_error(tmp_path, capsys, section, key):
+    cfg = base_config()
+    (cfg if section == "config" else cfg[section])[key] = 5
+    path = write_config(tmp_path, cfg)
+    code = main(["run", "--config", str(path), "--out", str(tmp_path / "x")])
+    assert code == EXIT_CONFIG
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"] == "config_error"
+    assert err["message"].startswith(f"{section}: unknown keys ['{key}']")
+    assert not (tmp_path / "x").exists()
+
+
+def test_declared_total_budget_is_a_known_key(tmp_path):
+    parsed, _ = parse_and_validate_config(write_config(tmp_path, base_config(total_budget=2)))
+    assert parsed.total_budget == 2
+
+
+@pytest.mark.parametrize("edit,message", [
+    (lambda m: m.update(loss="mse"), "unknown loss 'mse'"),
+    (lambda m: m["layers"].insert(1, {"kind": "conv"}), "unknown layer kind 'conv'"),
+    (lambda m: m["layers"][0].pop("width"), "layer 0: dense needs a positive width"),
+    (lambda m: m.update(layers=[]), "model has no layers"),
+])
+def test_bad_model_structure_is_config_error(tmp_path, capsys, edit, message):
+    cfg = base_config()
+    edit(cfg["model"])
+    path = write_config(tmp_path, cfg)
+    code = main(["run", "--config", str(path), "--out", str(tmp_path / "x")])
+    assert code == EXIT_CONFIG
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err == {"error": "config_error", "message": f"model: {message}"}

@@ -1,10 +1,12 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from fedbench import orchestrator
 from fedbench.benchmarks import benchmark_config
 from fedbench.data_synth import PartitionSpec
-from fedbench.errors import ConfigError, NoSelectableRound
+from fedbench.errors import AllClientsDiverged, ConfigError, NoSelectableRound
 from fedbench.nn import (
     Batch,
     init_params,
@@ -241,6 +243,74 @@ def test_checkpoint_pruning_keeps_best_and_last(tmp_path):
     assert result.selected_round < cfg.rounds
     ckpt = tmp_path / "checkpoints"
     assert {p.name for p in ckpt.iterdir()} == {"best", f"round_{cfg.rounds:04d}"}
+
+
+def test_checkpoints_written_once_per_run(monkeypatch, tmp_path):
+    calls = []
+    original = orchestrator.save_paramset
+
+    def counting(params, path):
+        calls.append(path)
+        return original(params, path)
+
+    monkeypatch.setattr(orchestrator, "save_paramset", counting)
+    cfg = benchmark_config("fedavg", rounds=50)
+    run_experiment(cfg, seed=0, out_dir=tmp_path)
+    num_clients = cfg.data.num_clients
+    # global_start, global_agg and one file per client, for best/ and the last round
+    assert len(calls) == 2 * (num_clients + 2) == 14
+    assert len(set(calls)) == len(calls)
+
+
+def assert_same_checkpoint(dir_a, dir_b):
+    """Same .npz files holding the same arrays under the same keys."""
+    files = sorted(p.name for p in dir_a.iterdir())
+    assert files == sorted(p.name for p in dir_b.iterdir())
+    for name in files:
+        with np.load(dir_a / name) as a, np.load(dir_b / name) as b:
+            assert a.files == b.files
+            for key in a.files:
+                assert np.array_equal(a[key], b[key]), f"{name}:{key}"
+
+
+def test_snapshot_checkpoints_equal_keep_all_checkpoints(tmp_path):
+    cfg = benchmark_config("fedavg", rounds=50)
+    default = run_experiment(cfg, seed=0, out_dir=tmp_path / "default")
+    keep_all = run_experiment(replace(cfg, keep_all_checkpoints=True), seed=0,
+                              out_dir=tmp_path / "keep_all")
+    assert default.selected_round == keep_all.selected_round < cfg.rounds
+    a, b = tmp_path / "default" / "checkpoints", tmp_path / "keep_all" / "checkpoints"
+    assert_same_checkpoint(a / "best", b / f"round_{default.selected_round:04d}")
+    assert_same_checkpoint(a / "best", b / "best")
+    assert_same_checkpoint(a / "round_0050", b / "round_0050")
+    assert len(list(b.iterdir())) == cfg.rounds + 1
+
+
+def test_all_clients_diverged_leaves_best_and_last_round(monkeypatch, tmp_path):
+    cfg = experiment(rounds=5)
+    run_experiment(replace(cfg, keep_all_checkpoints=True), seed=0, out_dir=tmp_path / "ref")
+    original = orchestrator.run_local_training
+
+    def diverge_in_round_3(client, fragment, cfg, seed, round_idx):
+        update = original(client, fragment, cfg, seed, round_idx)
+        update.diverged = update.diverged or round_idx == 2
+        return update
+
+    monkeypatch.setattr(orchestrator, "run_local_training", diverge_in_round_3)
+    with pytest.raises(AllClientsDiverged):
+        run_experiment(cfg, seed=0, out_dir=tmp_path / "run")
+    ckpt = tmp_path / "run" / "checkpoints"
+    assert {p.name for p in ckpt.iterdir()} == {"best", "round_0002"}
+    # round 3 trained the clients before it failed; round_0002 holds round 2
+    assert_same_checkpoint(ckpt / "round_0002", tmp_path / "ref" / "checkpoints" / "round_0002")
+
+
+@pytest.mark.filterwarnings("ignore:Mean of empty slice")
+def test_no_selectable_round_leaves_last_round(monkeypatch, tmp_path):
+    monkeypatch.setattr(orchestrator, "evaluate", lambda *a, **k: float("nan"))
+    with pytest.raises(NoSelectableRound):
+        run_experiment(experiment(rounds=5), seed=0, out_dir=tmp_path)
+    assert {p.name for p in (tmp_path / "checkpoints").iterdir()} == {"round_0005"}
 
 
 @pytest.mark.filterwarnings("ignore:Mean of empty slice")

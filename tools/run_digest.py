@@ -11,6 +11,8 @@ The set:
 
 * every algorithm, 50 rounds, E=1, on the feature-shift benchmark at seed 0,
   checkpointing every round (``best/`` and the last round are kept);
+* fedyogi, 10 rounds, seed 0, with ``keep_all_checkpoints`` (every round's
+  checkpoint and ``best/`` are kept), written to ``grid_keep_all/``;
 * ``fedbench partition`` of a K=10 label-skew spec, then ``fedbench sweep
   --grid 5x4,10x2`` with fedpxn and local Adam over seeds 0-2, the shape of
   the benchmark's ``ls_sweep_cli`` workload.
@@ -30,6 +32,7 @@ import io
 import json
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -41,6 +44,7 @@ from fedbench import benchmarks, cli, orchestrator  # noqa: E402
 from fedbench.strategies import ALGORITHMS  # noqa: E402
 
 ROUNDS = 50
+KEEP_ALL_ROUNDS = 10
 SWEEP_GRID = "5x4,10x2"
 SWEEP_SIZES = [400, 350, 282, 238, 226] * 2
 
@@ -49,6 +53,13 @@ def run_grid() -> None:
     for alg in ALGORITHMS:
         cfg = benchmarks.benchmark_config(alg, "feature_shift", rounds=ROUNDS, seeds=(0,))
         orchestrator.run_experiment(cfg, 0, out_dir=Path("grid") / alg)
+
+
+def run_keep_all() -> None:
+    cfg = benchmarks.benchmark_config("fedyogi", "feature_shift", rounds=KEEP_ALL_ROUNDS,
+                                      seeds=(0,))
+    cfg = replace(cfg, keep_all_checkpoints=True)
+    orchestrator.run_experiment(cfg, 0, out_dir=Path("grid_keep_all"))
 
 
 def run_sweep() -> None:
@@ -112,6 +123,7 @@ def main(argv=None) -> int:
     out.mkdir(parents=True)
     os.chdir(out)
     run_grid()
+    run_keep_all()
     run_sweep()
     for path in sorted(p for p in Path(".").rglob("*") if p.is_file()):
         print(f"{file_digest(path)}  {path.as_posix()}")
