@@ -1,4 +1,4 @@
-"""Minimal dense network with batch/layer/group normalization.
+"""Minimal dense network with batch/layer/group normalization, run through a layer plan.
 
 Forward/backward passes are written analytically in float64 numpy so the
 whole model is differentiable by hand and checkable against central finite
@@ -15,6 +15,15 @@ computes it (sum, divide, subtract, square, sum, divide); ``np.sum`` is
 the operands numpy's own code would hand it, in the same order, so each
 result is bit-for-bit the one the wrappers give.  ``tests/test_bitwise.py``
 holds the wrapper-based code as the oracle.
+
+A ``Plan`` compiles a ModelSpec once into one flat float64 vector layout:
+trainable non-norm entries, then norm gains and biases (up to ``n_train``),
+then each batch-norm layer's running mean and variance as one (2, d) block.
+Each layer below the head is a pair of closures over fixed views of the
+vector, for train and eval alike; the backward writes into a flat gradient
+with ``out=``.  ``apply_running_stats`` and the optimizer steps update a
+vector in place, which only a client round's private vector may be (see
+``params``).
 """
 
 from __future__ import annotations
@@ -25,7 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateBatch, KeyMismatch, NonFiniteLoss, ShapeMismatch, StaleCache
-from .params import NON_NORM, NORM, GradSet, ParamSet
+from .params import NON_NORM, NORM, ParamSet
 
 BN_MOMENTUM = 0.1  # running-stat EMA step; convention, configurable per layer
 NORM_KINDS = ("batch_norm", "layer_norm", "group_norm")
@@ -108,118 +117,212 @@ class Batch:
         return cls(inputs=inputs, labels=labels, size=inputs.shape[0])
 
 
+def _layout(spec: ModelSpec) -> list[tuple[str, tuple, str, bool]]:
+    """(name, shape, tag, trainable) of every entry, in ParamSet order."""
+    widths = [spec.input_dim] + spec.resolve_widths()
+    out = []
+    for i, layer in enumerate(spec.layers):
+        prefix, width = f"layer{i}", widths[i + 1]
+        if layer.kind == "dense":
+            out += [(f"{prefix}.weight", (widths[i], width), NON_NORM, True),
+                    (f"{prefix}.bias", (width,), NON_NORM, True)]
+        elif layer.kind in NORM_KINDS:
+            out += [(f"{prefix}.gain", (width,), NORM, True), (f"{prefix}.bias", (width,), NORM, True)]
+            if layer.kind == "batch_norm":
+                out += [(f"{prefix}.running_mean", (width,), NORM, False),
+                        (f"{prefix}.running_var", (width,), NORM, False)]
+    return out
+
+
 def init_params(spec: ModelSpec, seed: int) -> ParamSet:
     """Fresh parameters: scaled-normal weights, zero biases, unit gains."""
     rng = np.random.default_rng(seed)
+    layout = _layout(spec)
     entries: dict[str, np.ndarray] = {}
-    tags: dict[str, str] = {}
-    trainable: dict[str, bool] = {}
-    widths = [spec.input_dim] + spec.resolve_widths()
-    for i, layer in enumerate(spec.layers):
-        fan_in, width = widths[i], widths[i + 1]
-        prefix = f"layer{i}"
-        if layer.kind == "dense":
-            entries[f"{prefix}.weight"] = rng.normal(0.0, 1.0 / np.sqrt(fan_in), (fan_in, width))
-            entries[f"{prefix}.bias"] = np.zeros(width)
-            for n in (f"{prefix}.weight", f"{prefix}.bias"):
-                tags[n], trainable[n] = NON_NORM, True
-        elif layer.kind in NORM_KINDS:
-            entries[f"{prefix}.gain"] = np.ones(width)
-            entries[f"{prefix}.bias"] = np.zeros(width)
-            for n in (f"{prefix}.gain", f"{prefix}.bias"):
-                tags[n], trainable[n] = NORM, True
-            if layer.kind == "batch_norm":
-                entries[f"{prefix}.running_mean"] = np.zeros(width)
-                entries[f"{prefix}.running_var"] = np.ones(width)
-                for n in (f"{prefix}.running_mean", f"{prefix}.running_var"):
-                    tags[n], trainable[n] = NORM, False
-    return ParamSet(entries=entries, tags=tags, trainable=trainable)
-
-
-# ---------------------------------------------------------------------------
-# normalization layers
-
-def norm_forward(kind, x, gain, bias, running_stats, mode, epsilon, groups=1, momentum=BN_MOMENTUM):
-    """Normalize ``x`` and return (y, updated_running_stats, cache).
-
-    BN train mode normalizes per feature over the batch and moves the running
-    mean/var by an EMA step; eval mode uses the stored running stats.  LN/GN
-    normalize per example and never touch running stats.
-    """
-    if kind == "batch_norm":
-        if mode == "train":
-            n = x.shape[0]
-            if n < 2:
-                raise DegenerateBatch("batch_norm train mode needs batch size >= 2")
-            mean = np.add.reduce(x, 0) / n
-            xc = x - mean
-            var = np.add.reduce(xc * xc, 0) / n  # biased (1/N)
-            run_mean, run_var = running_stats
-            new_stats = (
-                (1.0 - momentum) * run_mean + momentum * mean,
-                (1.0 - momentum) * run_var + momentum * var,
-            )
+    for name, shape, _, _ in layout:
+        if name.endswith(".weight"):
+            entries[name] = rng.normal(0.0, 1.0 / np.sqrt(shape[0]), shape)
+        elif name.endswith((".gain", ".running_var")):
+            entries[name] = np.ones(shape)
         else:
-            mean, var = running_stats
-            xc = x - mean
-            new_stats = running_stats
-        inv = 1.0 / np.sqrt(var + epsilon)
-        x_hat = xc * inv
-        y = gain * x_hat + bias
-        cache = {"x_hat": x_hat, "inv": inv, "axes": "batch"}
-        return y, new_stats, cache
-    if kind in ("layer_norm", "group_norm"):
-        n, d = x.shape
-        g = groups if kind == "group_norm" else 1  # layer norm is one group
-        size = d // g
-        xg = x.reshape(n, g, size)
-        xc = xg - np.add.reduce(xg, 2, keepdims=True) / size
-        var = np.add.reduce(xc * xc, 2, keepdims=True) / size
-        inv = 1.0 / np.sqrt(var + epsilon)
-        x_hat = (xc * inv).reshape(n, d)
-        y = gain * x_hat + bias
-        return y, running_stats, {"x_hat": x_hat, "inv": inv, "axes": "group", "groups": g}
-    raise ShapeMismatch(f"unknown norm kind {kind!r}")
-
-
-def _norm_backward(dy, gain, cache):
-    """Gradient through the standardization; returns (dx, dgain, dbias)."""
-    x_hat = cache["x_hat"]
-    inv = cache["inv"]
-    add = np.add.reduce
-    dgain = add(dy * x_hat, 0)
-    dbias = add(dy, 0)
-    dxh = dy * gain
-    if cache["axes"] == "batch":
-        n = x_hat.shape[0]
-        dx = inv * (dxh - add(dxh, 0) / n - x_hat * (add(dxh * x_hat, 0) / n))
-    else:  # group (layer norm is one group)
-        g = cache["groups"]
-        n, d = x_hat.shape
-        size = d // g
-        dxh_g = dxh.reshape(n, g, size)
-        xh_g = x_hat.reshape(n, g, size)
-        dx = (
-            inv
-            * (
-                dxh_g
-                - add(dxh_g, 2, keepdims=True) / size
-                - xh_g * (add(dxh_g * xh_g, 2, keepdims=True) / size)
-            )
-        ).reshape(n, d)
-    return dx, dgain, dbias
+            entries[name] = np.zeros(shape)
+    return ParamSet(entries=entries, tags={n: tag for n, _, tag, _ in layout},
+                    trainable={n: train for n, _, _, train in layout})
 
 
 # ---------------------------------------------------------------------------
-# model forward / backward
+# the layer plan
 
 @dataclass
 class ForwardCache:
-    params: ParamSet
-    mode: str
-    layer_caches: list = field(default_factory=list)
-    batch_size: int = 0
-    updated_running_stats: dict = field(default_factory=dict)
+    params: np.ndarray  # the vector the forward read
+    train: bool
+    batch_size: int
+    layers: list = field(default_factory=list)  # what each layer's backward needs
+    head: tuple = ()  # (probs, targets)
+    batch_stats: list = field(default_factory=list)  # (start, momentum, [mean; var])
+
+
+class Plan:
+    """A ModelSpec compiled against the flat parameter vector (see the module docstring)."""
+
+    def __init__(self, spec: ModelSpec):
+        self.spec = spec
+        layout = _layout(spec)
+        self.names = [name for name, _, _, _ in layout]
+        self.tags = {name: tag for name, _, tag, _ in layout}
+        self.trainable = {name: train for name, _, _, train in layout}
+        # vector order: trainable non-norm, trainable norm, running stats;
+        # the sort is stable, so each group keeps the layer order
+        group = {name: 0 if tag == NON_NORM else 1 if train else 2
+                 for name, _, tag, train in layout}
+        self.slots: dict[str, tuple[int, int, tuple]] = {}  # name -> (start, stop, shape)
+        sizes = [0, 0, 0]
+        for name, shape, _, _ in sorted(layout, key=lambda e: group[e[0]]):
+            start = sum(sizes)
+            sizes[group[name]] += math.prod(shape)
+            self.slots[name] = (start, sum(sizes), shape)
+        self.size, self.n_non_norm, self.n_train = sum(sizes), sizes[0], sizes[0] + sizes[1]
+        self.index = {name: k for k, name in enumerate(self.slots)}  # position in views()
+        self._views = [(None, []), (None, [])]  # (vector, its views), latest last
+        self.softmax = spec.layers[-1].kind == "softmax_ce_head"
+        widths = [spec.input_dim] + spec.resolve_widths()
+        self.forward, self.backward = [], []
+        for i, layer in enumerate(spec.layers[:-1]):
+            if layer.kind == "dense":
+                fwd, bwd = _dense(self, i)
+            elif layer.kind == "relu":
+                fwd, bwd = _relu()
+            else:
+                fwd, bwd = _norm(self, i, layer, widths[i + 1])
+            self.forward.append(fwd)
+            self.backward.append(bwd)
+        self.backward.reverse()
+
+    def pack(self, params: ParamSet, fragment: dict[str, np.ndarray] | None = None) -> np.ndarray:
+        """A fresh vector holding ``params`` with the entries of ``fragment`` in their place."""
+        entries = params.entries
+        if list(entries) != self.names or (fragment and not fragment.keys() <= entries.keys()):
+            raise KeyMismatch("entries are not keyed like the model's")
+        if fragment:
+            entries = {**entries, **fragment}
+        arrays = [entries[name] for name in self.slots]
+        if [a.shape for a in arrays] != [shape for _, _, shape in self.slots.values()]:
+            raise KeyMismatch("entry shapes differ from the model's")
+        return np.concatenate(arrays, axis=None)
+
+    def views(self, vec: np.ndarray) -> list[np.ndarray]:
+        """Views of the entries ``vec`` holds (a gradient: the trainable ones), in
+        vector order; kept for the last two vectors seen (a round's and its gradient)."""
+        for seen, views in self._views:
+            if seen is vec:
+                return views
+        views = [vec[a:b].reshape(shape) for a, b, shape in self.slots.values()
+                 if b <= vec.shape[0]]
+        self._views = [self._views[-1], (vec, views)]
+        return views
+
+    def entries(self, vec: np.ndarray) -> dict[str, np.ndarray]:
+        """The views of ``vec`` by name, in ParamSet order."""
+        views = self.views(vec)
+        return {n: views[self.index[n]] for n in self.names if self.index[n] < len(views)}
+
+    def publish(self, vec: np.ndarray) -> ParamSet:
+        """A ParamSet whose entries are views of ``vec``."""
+        return ParamSet(self.entries(vec), self.tags, self.trainable)
+
+
+# Each layer's closures find their entries at fixed positions of Plan.views.
+
+def _dense(plan, i):
+    k, j = plan.index[f"layer{i}.weight"], plan.index[f"layer{i}.bias"]
+
+    def forward(v, x, cache):
+        cache.layers.append(x)
+        return x @ v[k] + v[j]
+
+    def backward(v, g, dy, x):
+        np.matmul(x.T, dy, out=g[k])
+        np.add.reduce(dy, 0, out=g[j])
+        if i:  # nothing consumes the gradient w.r.t. the model's inputs
+            return dy @ v[k].T
+        return None
+
+    return forward, backward
+
+
+def _relu():
+    def forward(v, x, cache):
+        cache.layers.append(x > 0)
+        return np.maximum(x, 0.0)
+
+    def backward(v, g, dy, mask):
+        return dy * mask
+
+    return forward, backward
+
+
+def _norm(plan, i, layer, width):
+    """BN normalizes per feature over the batch (train) or by the running
+    stats (eval); LN/GN normalize per example, layer norm as one group."""
+    add = np.add.reduce
+    k, j = plan.index[f"layer{i}.gain"], plan.index[f"layer{i}.bias"]
+    eps, momentum = layer.epsilon, layer.momentum
+    if layer.kind == "batch_norm":
+        r, q = plan.index[f"layer{i}.running_mean"], plan.index[f"layer{i}.running_var"]
+        start = plan.slots[f"layer{i}.running_mean"][0]  # mean, then var: one (2, width) block
+
+        def standardize(v, x, cache):
+            if cache.train:
+                n = x.shape[0]
+                if n < 2:
+                    raise DegenerateBatch("batch_norm train mode needs batch size >= 2")
+                stats = np.empty(2 * width)
+                mean, var = stats[:width], stats[width:]
+                np.divide(add(x, 0, out=mean), n, out=mean)
+                xc = x - mean
+                np.divide(add(xc * xc, 0, out=var), n, out=var)  # biased (1/N)
+                cache.batch_stats.append((start, momentum, stats))
+            else:
+                mean, var = v[r], v[q]
+                xc = x - mean
+            inv = 1.0 / np.sqrt(var + eps)
+            return xc * inv, inv
+
+        def standardize_backward(dxh, x_hat, inv):
+            n = x_hat.shape[0]
+            return inv * (dxh - add(dxh, 0) / n - x_hat * (add(dxh * x_hat, 0) / n))
+    else:
+        groups = layer.groups if layer.kind == "group_norm" else 1
+        size = width // groups
+
+        def standardize(v, x, cache):
+            n = x.shape[0]
+            xg = x.reshape(n, groups, size)
+            xc = xg - add(xg, 2, keepdims=True) / size
+            var = add(xc * xc, 2, keepdims=True) / size
+            inv = 1.0 / np.sqrt(var + eps)
+            return (xc * inv).reshape(n, width), inv
+
+        def standardize_backward(dxh, x_hat, inv):
+            n = x_hat.shape[0]
+            dxh_g, xh_g = dxh.reshape(n, groups, size), x_hat.reshape(n, groups, size)
+            mean_dxh = add(dxh_g, 2, keepdims=True) / size
+            dx = inv * (dxh_g - mean_dxh - xh_g * (add(dxh_g * xh_g, 2, keepdims=True) / size))
+            return dx.reshape(n, width)
+
+    def forward(v, x, cache):
+        x_hat, inv = standardize(v, x, cache)
+        cache.layers.append((x_hat, inv))
+        return v[k] * x_hat + v[j]
+
+    def backward(v, g, dy, saved):
+        x_hat, inv = saved
+        add(dy * x_hat, 0, out=g[k])
+        add(dy, 0, out=g[j])
+        return standardize_backward(dy * v[k], x_hat, inv)
+
+    return forward, backward
 
 
 def labels_to_targets(spec: ModelSpec, labels: np.ndarray) -> np.ndarray:
@@ -237,191 +340,130 @@ def labels_to_targets(spec: ModelSpec, labels: np.ndarray) -> np.ndarray:
     return labels.astype(np.float64)
 
 
-def model_forward(spec: ModelSpec, params: ParamSet, batch: Batch, mode: str = "train"):
-    """Run the network; returns (predictions, mean loss, cache).
+def model_forward(plan: Plan, params: np.ndarray, batch: Batch, mode: str = "train"):
+    """Run the network on the parameter vector; returns (predictions, mean loss, cache).
 
-    Train mode uses batch statistics for batch_norm and records the updated
-    running stats in the cache (applied by the caller via
-    ``apply_running_stats``); eval mode is deterministic w.r.t. params.
+    Train mode uses batch statistics for batch_norm and records them in the
+    cache (the caller moves the running stats with ``apply_running_stats``);
+    eval mode is deterministic w.r.t. params.
     """
     if batch.size < 1:
         raise ShapeMismatch("empty batch")
     x = np.asarray(batch.inputs, dtype=np.float64)
-    if x.shape[1] != spec.input_dim:
-        raise ShapeMismatch(f"input dim {x.shape[1]} != {spec.input_dim}")
-    cache = ForwardCache(params=params, mode=mode, batch_size=batch.size)
-    new_stats: dict[str, np.ndarray] = {}
-    for i, layer in enumerate(spec.layers):
-        prefix = f"layer{i}"
-        if layer.kind == "dense":
-            w = params.entries[f"{prefix}.weight"]
-            b = params.entries[f"{prefix}.bias"]
-            if x.shape[1] != w.shape[0]:
-                raise ShapeMismatch(f"layer {i}: input width {x.shape[1]} != {w.shape[0]}")
-            cache.layer_caches.append({"x": x})
-            x = x @ w + b
-        elif layer.kind == "relu":
-            cache.layer_caches.append({"mask": x > 0})
-            x = np.maximum(x, 0.0)
-        elif layer.kind in NORM_KINDS:
-            gain = params.entries[f"{prefix}.gain"]
-            bias = params.entries[f"{prefix}.bias"]
-            stats = None
-            if layer.kind == "batch_norm":
-                stats = (
-                    params.entries[f"{prefix}.running_mean"],
-                    params.entries[f"{prefix}.running_var"],
-                )
-            x, updated, lcache = norm_forward(
-                layer.kind, x, gain, bias, stats, mode, layer.epsilon, layer.groups,
-                layer.momentum,
-            )
-            if layer.kind == "batch_norm" and mode == "train":
-                new_stats[f"{prefix}.running_mean"] = updated[0]
-                new_stats[f"{prefix}.running_var"] = updated[1]
-            cache.layer_caches.append(lcache)
-        else:  # loss head
-            targets = batch.targets
-            if targets is None:
-                targets = labels_to_targets(spec, batch.labels)
-            if layer.kind == "softmax_ce_head":
-                z = x - np.maximum.reduce(x, 1, keepdims=True)
-                expz = np.exp(z)
-                total = np.add.reduce(expz, 1, keepdims=True)
-                probs = expz / total
-                per_example = -np.add.reduce(targets * (z - np.log(total)), 1)
-            else:
-                probs = 1.0 / (1.0 + np.exp(-x))
-                eps = 1e-12
-                per_example = -(np.add.reduce(
-                    targets * np.log(probs + eps) + (1.0 - targets) * np.log(1.0 - probs + eps),
-                    1,
-                ) / x.shape[1])
-            loss = float(np.add.reduce(per_example) / per_example.shape[0])
-            cache.layer_caches.append({"probs": probs, "targets": targets})
-            if not math.isfinite(loss):
-                raise NonFiniteLoss(f"loss = {loss}")
-            cache.updated_running_stats = new_stats
-            return probs, loss, cache
-    raise ShapeMismatch("model has no loss head")  # pragma: no cover
+    if x.shape[1] != plan.spec.input_dim:
+        raise ShapeMismatch(f"input dim {x.shape[1]} != {plan.spec.input_dim}")
+    cache = ForwardCache(params=params, train=mode == "train", batch_size=batch.size)
+    views = plan.views(params)
+    for forward in plan.forward:
+        x = forward(views, x, cache)
+    targets = batch.targets
+    if targets is None:
+        targets = labels_to_targets(plan.spec, batch.labels)
+    if plan.softmax:
+        z = x - np.maximum.reduce(x, 1, keepdims=True)
+        expz = np.exp(z)
+        total = np.add.reduce(expz, 1, keepdims=True)
+        probs = expz / total
+        per_example = -np.add.reduce(targets * (z - np.log(total)), 1)
+    else:
+        probs = 1.0 / (1.0 + np.exp(-x))
+        eps = 1e-12
+        per_example = -(np.add.reduce(
+            targets * np.log(probs + eps) + (1.0 - targets) * np.log(1.0 - probs + eps),
+            1,
+        ) / x.shape[1])
+    loss = float(np.add.reduce(per_example) / per_example.shape[0])
+    cache.head = (probs, targets)
+    if not math.isfinite(loss):
+        raise NonFiniteLoss(f"loss = {loss}")
+    return probs, loss, cache
 
 
-def apply_running_stats(params: ParamSet, cache: ForwardCache) -> None:
-    """Commit the EMA running-stat updates recorded by a train-mode forward."""
-    for name, value in cache.updated_running_stats.items():
-        params.entries[name] = value
+def apply_running_stats(params: np.ndarray, cache: ForwardCache) -> None:
+    """Move each batch-norm layer's running stats in ``params`` one EMA step
+    toward the batch statistics a train-mode forward recorded, in place."""
+    for start, momentum, batch_stats in cache.batch_stats:
+        running = params[start:start + batch_stats.shape[0]]  # mean, then var
+        np.multiply(running, 1.0 - momentum, out=running)
+        np.add(running, momentum * batch_stats, out=running)
 
 
-def model_backward(spec: ModelSpec, params: ParamSet, cache: ForwardCache) -> GradSet:
-    """Gradient of the mean loss w.r.t. every trainable parameter."""
+def model_backward(plan: Plan, params: np.ndarray, cache: ForwardCache,
+                   out: np.ndarray | None = None) -> np.ndarray:
+    """Gradient of the mean loss w.r.t. the trainable prefix ``params[:n_train]``,
+    written into ``out`` (a fresh vector if None)."""
     if cache.params is not params:
         raise StaleCache("cache was built from different params")
-    if cache.mode != "train":
+    if not cache.train:
         raise StaleCache("backward requires a train-mode cache")
-    grads: GradSet = {}
-    head_cache = cache.layer_caches[-1]
-    probs, targets = head_cache["probs"], head_cache["targets"]
+    grad = np.empty(plan.n_train) if out is None else out
+    probs, targets = cache.head
     n = cache.batch_size
-    head = spec.layers[-1]
-    if head.kind == "softmax_ce_head":
+    if plan.softmax:
         dx = (probs - targets) / n
     else:
         dx = (probs - targets) / (n * targets.shape[1])
-    for i in range(len(spec.layers) - 2, -1, -1):
-        layer = spec.layers[i]
-        prefix = f"layer{i}"
-        lcache = cache.layer_caches[i]
-        if layer.kind == "dense":
-            x = lcache["x"]
-            grads[f"{prefix}.weight"] = x.T @ dx
-            grads[f"{prefix}.bias"] = np.add.reduce(dx, 0)
-            if i:  # nothing consumes the gradient w.r.t. the inputs
-                dx = dx @ params.entries[f"{prefix}.weight"].T
-        elif layer.kind == "relu":
-            dx = dx * lcache["mask"]
-        else:
-            gain = params.entries[f"{prefix}.gain"]
-            dx, dgain, dbias = _norm_backward(dx, gain, lcache)
-            grads[f"{prefix}.gain"] = dgain
-            grads[f"{prefix}.bias"] = dbias
-    return grads
+    views, grad_views = plan.views(params), plan.views(grad)
+    for backward, saved in zip(plan.backward, reversed(cache.layers)):
+        dx = backward(views, grad_views, dx, saved)
+    return grad
 
 
 # ---------------------------------------------------------------------------
 # local optimizers
 #
-# A step returns a new ParamSet that shares every array it does not change
-# (running statistics, frozen entries) with its input; params.py states the
-# no-in-place-writes invariant that makes the sharing safe.
+# A step updates the trainable prefix params[:grad.size] of a parameter
+# vector in place; the running statistics after it are left as they are.
 
-def local_sgd_step(params: ParamSet, grads: GradSet, eta: float) -> ParamSet:
-    """One step of w <- w - eta*g on trainable entries; stats pass through."""
-    entries = dict(params.entries)
-    for name, g in grads.items():
-        w = entries.get(name)
-        if w is None:
-            raise KeyMismatch("gradient keys outside ParamSet")
-        if g.shape != w.shape:
-            raise KeyMismatch(f"shape mismatch for {name!r}")
-        entries[name] = w - eta * g
-    return ParamSet(entries=entries, tags=params.tags, trainable=params.trainable)
+def local_sgd_step(params: np.ndarray, grad: np.ndarray, eta: float) -> None:
+    """One step of w <- w - eta*g."""
+    n = grad.shape[0]
+    if n > params.shape[0]:
+        raise KeyMismatch("gradient is longer than the parameter vector")
+    w = params[:n]
+    np.subtract(w, eta * grad, out=w)
 
 
 @dataclass
 class AdamState:
-    """First and second moments of the trainable entries, flattened and
-    concatenated in ``names`` order."""
+    """First and second moments of the trainable prefix, updated in place."""
 
-    names: list[str]
     m: np.ndarray
     v: np.ndarray
     step: int = 0
 
     @classmethod
-    def zeros(cls, params: ParamSet) -> "AdamState":
-        names = params.trainable_names()
-        size = sum(params.entries[n].size for n in names)
-        return cls(names=names, m=np.zeros(size), v=np.zeros(size), step=0)
+    def zeros(cls, size: int) -> "AdamState":
+        return cls(m=np.zeros(size), v=np.zeros(size), step=0)
 
 
 def local_adam_step(
-    params: ParamSet,
-    grads: GradSet,
+    params: np.ndarray,
+    grad: np.ndarray,
     state: AdamState,
     eta: float,
     beta1: float = 0.9,
     beta2: float = 0.999,
     eps_adam: float = 1e-8,
-) -> tuple[ParamSet, AdamState]:
-    """Bias-corrected Adam update on trainable entries.
-
-    One update over the flat vector of all trainable entries: every operation
-    is elementwise and correctly rounded, so each element comes out exactly
-    as a per-entry update would compute it.  The new entries are views of the
-    updated vector.
-    """
-    names = state.names
-    if len(grads) != len(names):
-        raise KeyMismatch("gradient keys differ from the Adam state's")
-    try:
-        g = np.concatenate([grads[n] for n in names], axis=None)
-    except KeyError as exc:
-        raise KeyMismatch(f"no gradient for {exc}") from None
-    w = np.concatenate([params.entries[n] for n in names], axis=None)
-    if g.shape != w.shape or w.shape != state.m.shape:
-        raise KeyMismatch("gradient shapes differ from the parameters'")
-    t = state.step + 1
-    m = beta1 * state.m + (1.0 - beta1) * g
-    v = beta2 * state.v + (1.0 - beta2) * g * g
+) -> None:
+    """Bias-corrected Adam update.  Each in-place ufunc sees the operands of
+    ``m = beta1*m + (1-beta1)*g``, ``v = beta2*v + (1-beta2)*g*g`` and
+    ``w = w - eta*m_hat / (sqrt(v_hat) + eps)``, so the bits are the same."""
+    n = grad.shape[0]
+    if n != state.m.shape[0] or n > params.shape[0]:
+        raise KeyMismatch("gradient size differs from the Adam state's")
+    state.step += 1
+    t = state.step
+    m, v = state.m, state.v
+    m *= beta1
+    m += (1.0 - beta1) * grad
+    v *= beta2
+    v += (1.0 - beta2) * grad * grad
     m_hat = m / (1.0 - beta1**t)
     v_hat = v / (1.0 - beta2**t)
-    w = w - eta * m_hat / (np.sqrt(v_hat) + eps_adam)
-    entries = dict(params.entries)
-    start = 0
-    for n in names:
-        shape = entries[n].shape
-        end = start + entries[n].size
-        entries[n] = w[start:end].reshape(shape)
-        start = end
-    out = ParamSet(entries=entries, tags=params.tags, trainable=params.trainable)
-    return out, AdamState(names=names, m=m, v=v, step=t)
+    np.sqrt(v_hat, out=v_hat)
+    v_hat += eps_adam
+    m_hat *= eta
+    m_hat /= v_hat
+    w = params[:n]
+    w -= m_hat

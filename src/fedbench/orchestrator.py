@@ -33,6 +33,7 @@ from .nn import (
     AdamState,
     Batch,
     ModelSpec,
+    Plan,
     apply_running_stats,
     init_params,
     labels_to_targets,
@@ -143,15 +144,17 @@ def client_rng(seed: int, client_id: int, round_idx: int) -> np.random.Generator
 
 
 def _batches(batch: Batch, targets: np.ndarray, batch_size: int, rng: np.random.Generator):
-    """Shuffled consecutive mini-batches with their rows of ``targets``; a
-    trailing singleton is dropped (batch-norm train mode cannot use it)."""
+    """Shuffled consecutive mini-batches with their rows of ``targets``, all
+    gathered once per epoch; a trailing singleton is dropped (batch-norm
+    train mode cannot use it)."""
     order = rng.permutation(batch.size)
+    inputs, labels, targets = batch.inputs[order], batch.labels[order], targets[order]
     for start in range(0, batch.size, batch_size):
-        idx = order[start:start + batch_size]
-        if len(idx) < 2:
+        stop = min(start + batch_size, batch.size)
+        if stop - start < 2:
             continue
-        yield Batch(inputs=batch.inputs[idx], labels=batch.labels[idx], size=len(idx),
-                    targets=targets[idx])
+        yield Batch(inputs=inputs[start:stop], labels=labels[start:stop], size=stop - start,
+                    targets=targets[start:stop])
 
 
 def run_local_training(
@@ -160,11 +163,16 @@ def run_local_training(
     cfg: ExperimentConfig,
     seed: int,
     round_idx: int,
+    plan: Plan,
 ) -> ClientUpdate:
-    """E local epochs with the strategy-modified gradient."""
+    """E local epochs with the strategy-modified gradient, trained in place in
+    one private vector (``plan.pack`` of the client's entries and ``fragment``,
+    which checks their keying), then published read-only as views."""
     strat = cfg.strategy
-    client.params.overwrite(fragment)
-    w_ref = client.params.copy()  # round-start reference for prox/dyn terms
+    w_ref = plan.pack(client.params, fragment)  # round-start reference for prox/dyn terms
+    w_ref.flags.writeable = False
+    work = w_ref.copy()
+    grad = np.empty(plan.n_train)
     rng = client_rng(seed, client.client_id, round_idx)
     train = client.dataset.train
     targets = labels_to_targets(cfg.model, train.labels)  # validates the class ids once
@@ -175,40 +183,38 @@ def run_local_training(
     for _ in range(cfg.local_epochs):
         for batch in _batches(train, targets, cfg.batch_size, rng):
             try:
-                _, loss, cache = model_forward(cfg.model, client.params, batch, mode="train")
+                _, loss, cache = model_forward(plan, work, batch, mode="train")
             except NonFiniteLoss:
                 diverged = True
                 break
             losses.append(loss)
-            base_grad = model_backward(cfg.model, client.params, cache)
-            apply_running_stats(client.params, cache)
+            model_backward(plan, work, cache, grad)
+            apply_running_stats(work, cache)
             if strat.algorithm == "feddyn":
                 if grad_sum is None:
-                    grad_sum = {k: v.copy() for k, v in base_grad.items()}
+                    grad_sum = grad.copy()
                 else:
-                    for k in grad_sum:
-                        grad_sum[k] += base_grad[k]
+                    grad_sum += grad
                 grad_steps += 1
-            grad = local_loss_grad(
-                strat.algorithm, base_grad, client.params, w_ref, strat, client.dyn
+            step_grad = local_loss_grad(
+                strat.algorithm, grad, work, w_ref, plan.n_non_norm, strat, client.dyn
             )
             if cfg.local_optimizer == "adam":
-                client.params, client.adam_state = local_adam_step(
-                    client.params, grad, client.adam_state, cfg.eta
-                )
+                local_adam_step(work, step_grad, client.adam_state, cfg.eta)
             else:
-                client.params = local_sgd_step(client.params, grad, cfg.eta)
+                local_sgd_step(work, step_grad, cfg.eta)
         if diverged:
             break
-    if not diverged and not client.params.all_finite():
+    if not diverged and not np.isfinite(work).all():
         diverged = True
     if strat.algorithm == "feddyn" and not diverged and grad_steps:
-        mean_grad = {k: v / grad_steps for k, v in grad_sum.items()}
-        client.dyn = update_dyn_memory(client.dyn, mean_grad)
+        client.dyn = update_dyn_memory(client.dyn, grad_sum / grad_steps)
     train_loss = float(np.mean(losses)) if losses else float("nan")
+    work.flags.writeable = False
+    client.params = plan.publish(work)
     return ClientUpdate(
         client_id=client.client_id,
-        params_after=client.params.copy(),
+        params_after=client.params.shallow_copy(),
         n_k=client.dataset.n_k,
         train_loss=train_loss,
         diverged=diverged,
@@ -217,13 +223,13 @@ def run_local_training(
 
 def _eval_params(client: ClientState, server: ServerState, strat: StrategyConfig) -> ParamSet:
     """Post-aggregation evaluation parameters for one client."""
-    merged = client.params.copy()
+    merged = client.params.shallow_copy()
     merged.overwrite(broadcast_fragment(server, strat))
     return merged
 
 
-def evaluate(model: ModelSpec, params: ParamSet, batch: Batch, metric: str) -> float:
-    probs, loss, _ = model_forward(model, params, batch, mode="eval")
+def evaluate(plan: Plan, params: ParamSet, batch: Batch, metric: str) -> float:
+    probs, loss, _ = model_forward(plan, plan.pack(params), batch, mode="eval")
     labels = np.asarray(batch.labels)
     if metric == "loss":
         return -loss  # selection maximizes
@@ -242,6 +248,7 @@ def run_round(
     clients: list[ClientState],
     cfg: ExperimentConfig,
     seed: int,
+    plan: Plan,
 ) -> tuple[ServerState, RoundRecord]:
     """broadcast -> local training -> aggregate -> per-client validation."""
     strat = cfg.strategy
@@ -250,7 +257,7 @@ def run_round(
     fragment = broadcast_fragment(server, strat)
     w_start = server.global_params
     ordered = sorted(clients, key=lambda c: c.client_id)
-    updates = [run_local_training(c, fragment, cfg, seed, round_idx) for c in ordered]
+    updates = [run_local_training(c, fragment, cfg, seed, round_idx, plan) for c in ordered]
     distances = {
         u.client_id: l2_distance_excluding_norm(u.params_after, w_start)
         for u in updates
@@ -266,7 +273,7 @@ def run_round(
         eval_params = _eval_params(c, new_server, strat)
         try:
             val_metrics[c.client_id] = evaluate(
-                cfg.model, eval_params, c.dataset.val, cfg.selection_metric
+                plan, eval_params, c.dataset.val, cfg.selection_metric
             )
         except (NonFiniteLoss, SingleClass):
             # a diverged model or a single-class val split cannot be ranked
@@ -294,15 +301,13 @@ def _snapshot(w_start: ParamSet, server: ServerState,
               clients: list[ClientState]) -> dict[str, ParamSet]:
     """One round's checkpoint files, held in memory.
 
-    No entry array is ever written in place (see ``params``), so sharing the
-    arrays is enough; each client's entries dict is copied because the next
-    round assigns into it.
+    No entry array is ever written in place once published, and a round
+    replaces ``client.params`` instead of editing it (see ``params``), so
+    holding the ParamSets by reference is enough.
     """
     snapshot = {"global_start.npz": w_start, "global_agg.npz": server.global_params}
     for c in clients:
-        snapshot[f"client_{c.client_id}.npz"] = ParamSet(
-            dict(c.params.entries), c.params.tags, c.params.trainable
-        )
+        snapshot[f"client_{c.client_id}.npz"] = c.params
     return snapshot
 
 
@@ -321,13 +326,14 @@ def run_experiment(cfg: ExperimentConfig, seed: int, out_dir=None,
     """
     if datasets is None:
         datasets = _load_clients(cfg)
+    plan = Plan(cfg.model)
     w_0 = init_params(cfg.model, seed)
     server = init_server_state(cfg.strategy.algorithm, w_0, cfg.strategy)
     clients = []
     for ds in datasets:
         state = ClientState(client_id=ds.client_id, dataset=ds, params=w_0.copy())
         if cfg.local_optimizer == "adam":
-            state.adam_state = AdamState.zeros(state.params)
+            state.adam_state = AdamState.zeros(plan.n_train)
         if cfg.strategy.algorithm == "feddyn":
             state.dyn = DynMemory(client_id=ds.client_id)
         clients.append(state)
@@ -341,7 +347,7 @@ def run_experiment(cfg: ExperimentConfig, seed: int, out_dir=None,
     try:
         for _ in range(cfg.rounds):
             w_start = server.global_params  # server_aggregate builds a fresh global
-            server, record = run_round(server, clients, cfg, seed)
+            server, record = run_round(server, clients, cfg, seed, plan)
             records.append(record)
             if ckpt_dir is not None:
                 last = (record.round, _snapshot(w_start, server, clients))
@@ -373,7 +379,7 @@ def run_experiment(cfg: ExperimentConfig, seed: int, out_dir=None,
     for c in clients:
         try:
             test_metrics[c.client_id] = evaluate(
-                cfg.model, best_eval_sets[c.client_id], c.dataset.test, cfg.selection_metric
+                plan, best_eval_sets[c.client_id], c.dataset.test, cfg.selection_metric
             )
         except SingleClass:
             test_metrics[c.client_id] = float("nan")

@@ -7,16 +7,19 @@ exclusion policies govern them uniformly.
 
 Entry arrays are never written in place, and a ParamSet's ``tags`` and
 ``trainable`` maps are never edited once it is built.  A changed entry gets
-a fresh array assigned to its name: ``overwrite`` stores copies,
-``nn.apply_running_stats`` and aggregation assign newly computed arrays, and
-the local optimizer steps build new arrays for the entries they update.  So
-ParamSets may share arrays and maps, and two users rely on it.  The optimizer
-steps' output shares every untouched entry (running statistics) with their
-input instead of copying it, and the input's arrays stay unchanged.  The
-orchestrator's in-memory checkpoint snapshots hold the round-start and
-aggregated globals by reference and each client's set as a new entries dict
-over the same arrays, and write them only when the run ends.  Code that
-writes into an entry's array must own a ``copy()`` of the ParamSet.
+a fresh array assigned to its name: ``overwrite`` and aggregation assign
+newly computed arrays.  So ParamSets may share arrays and maps, and every
+user relies on it: the broadcast fragment holds the global's own arrays, a
+server step and the evaluation sets start from a ``shallow_copy``, and the
+orchestrator's in-memory checkpoint snapshots hold the globals and the
+clients' sets by reference until the run ends.
+
+The one sanctioned in-place writer is a client round.  It copies the
+client's entries and the broadcast fragment into a fresh private vector
+(``nn.Plan.pack``), trains that vector in place and, when the round ends,
+publishes it read-only as views in the client's ParamSet and the round's
+update; nothing writes it after that.  Other code that must write into an
+entry's array must own a ``copy()`` of the ParamSet.
 """
 
 from __future__ import annotations
@@ -79,24 +82,21 @@ class ParamSet:
             trainable=dict(self.trainable),
         )
 
+    def shallow_copy(self) -> "ParamSet":
+        """A new entries dict over the same arrays and maps."""
+        return ParamSet(dict(self.entries), self.tags, self.trainable)
+
     def trainable_names(self) -> list[str]:
         return [n for n in self.entries if self.trainable[n]]
 
-    def fragment(self, names) -> dict[str, np.ndarray]:
-        """Copy of the selected entries as a plain dict."""
-        return {n: self.entries[n].copy() for n in names}
-
     def overwrite(self, fragment: dict[str, np.ndarray]) -> None:
-        """Replace entries named in ``fragment`` in place."""
+        """Assign the arrays of ``fragment`` to the entries it names."""
         for name, value in fragment.items():
             if name not in self.entries:
                 raise KeyMismatch(f"unknown entry {name!r}")
             if self.entries[name].shape != value.shape:
                 raise KeyMismatch(f"shape mismatch for {name!r}")
-            self.entries[name] = value.copy()
-
-    def all_finite(self) -> bool:
-        return all(np.isfinite(v).all() for v in self.entries.values())
+            self.entries[name] = value
 
     def same_keying(self, other: "ParamSet") -> bool:
         return (
@@ -105,8 +105,8 @@ class ParamSet:
         )
 
 
-# A GradSet uses the same keying as the ParamSet it was computed from, with
-# arrays only for trainable entries.  Plain dicts keep the call sites light.
+# A GradSet maps the trainable entries of a ParamSet to arrays of their
+# shapes (the FedOpt server's moments).  Plain dicts keep the call sites light.
 GradSet = dict[str, np.ndarray]
 
 

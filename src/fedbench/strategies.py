@@ -1,16 +1,17 @@
 """The eight aggregation strategies behind one interface.
 
-Local-objective modifiers (fedprox, fedpxn, feddyn) act on per-batch
-gradients; server-update rules (fedavg, fedbn, fedadam, fedadagrad, fedyogi)
-act on the round's client updates.  fedbn/fedpxn keep the server's copy of
-excluded norm entries as a weighted average for checkpoint/eval purposes
-only; client-held values stay authoritative and are never overwritten.
+Local-objective modifiers (fedprox, fedpxn, feddyn) act on the per-batch flat
+gradient of a client round's parameter vector; server-update rules (fedavg,
+fedbn, fedadam, fedadagrad, fedyogi) act on the round's client updates.
+fedbn/fedpxn keep the server's copy of excluded norm entries as a weighted
+average for checkpoint/eval purposes only; client-held values stay
+authoritative and are never overwritten.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -113,7 +114,7 @@ class ClientUpdate:
 @dataclass
 class DynMemory:
     client_id: int
-    prev_grad: GradSet = field(default_factory=dict)
+    prev_grad: np.ndarray | None = None  # flat, over the trainable prefix
     initialized: bool = False
 
 
@@ -129,51 +130,44 @@ def init_server_state(algorithm: str, w_0: ParamSet, cfg: StrategyConfig) -> Ser
 
 def local_loss_grad(
     algorithm: str,
-    base_grad: GradSet,
-    w_local: ParamSet,
-    w_global: ParamSet,
+    base_grad: np.ndarray,
+    w_local: np.ndarray,
+    w_global: np.ndarray,
+    norm_start: int,
     cfg: StrategyConfig,
     dyn: DynMemory | None = None,
-) -> GradSet:
-    """Apply the strategy's local-objective modification to a base gradient."""
+) -> np.ndarray:
+    """Apply the strategy's local-objective modification to a base gradient, in
+    place.  ``base_grad`` covers the trainable prefix of the vectors ``w_local``
+    and ``w_global`` (one plan's layout, checked once per client round), whose
+    non-norm entries end at ``norm_start``."""
     if algorithm == "feddyn" and dyn is None:
         raise MissingDynMemory("feddyn requires DynMemory")
-    if not w_local.same_keying(w_global):
-        raise KeyMismatch("local/global ParamSets have different keying")
 
     if algorithm in ("fedavg", "fedbn") or algorithm in FEDOPT_FAMILY:
         return base_grad
     if algorithm in ("fedprox", "fedpxn"):
         if cfg.mu == 0.0:
             return base_grad
-        out = dict(base_grad)
-        for name in base_grad:
-            if algorithm == "fedpxn" and w_local.tags[name] == "norm":
-                continue
-            out[name] = base_grad[name] + cfg.mu * (
-                w_local.entries[name] - w_global.entries[name]
-            )
-        return out
+        k = norm_start if algorithm == "fedpxn" else base_grad.shape[0]  # fedpxn: no norm pull
+        base_grad[:k] += cfg.mu * (w_local[:k] - w_global[:k])
+        return base_grad
     if algorithm == "feddyn":
-        out = {}
-        for name in base_grad:
-            g = base_grad[name] + cfg.alpha * (
-                w_local.entries[name] - w_global.entries[name]
-            )
-            if dyn.initialized and name in dyn.prev_grad:
-                g = g - dyn.prev_grad[name]
-            out[name] = g
-        return out
+        k = base_grad.shape[0]
+        base_grad += cfg.alpha * (w_local[:k] - w_global[:k])
+        if dyn.initialized:
+            base_grad -= dyn.prev_grad
+        return base_grad
     raise ConfigError("strategy.algorithm", f"unknown algorithm {algorithm!r}")
 
 
-def update_dyn_memory(dyn: DynMemory, epoch_mean_grad: GradSet) -> DynMemory:
+def update_dyn_memory(dyn: DynMemory, epoch_mean_grad: np.ndarray) -> DynMemory:
     """Store the epoch-mean base gradient at the just-finished local solution."""
-    if dyn.initialized and set(dyn.prev_grad) != set(epoch_mean_grad):
-        raise KeyMismatch("gradient keys changed between rounds")
+    if dyn.initialized and dyn.prev_grad.shape != epoch_mean_grad.shape:
+        raise KeyMismatch("gradient layout changed between rounds")
     return DynMemory(
         client_id=dyn.client_id,
-        prev_grad={k: v.copy() for k, v in epoch_mean_grad.items()},
+        prev_grad=epoch_mean_grad.copy(),
         initialized=True,
     )
 
@@ -197,7 +191,7 @@ def server_aggregate(
         # Weighted average over every name.  Under fedbn/fedpxn the excluded
         # names are a server-side convenience copy only and are never
         # broadcast back (the orchestrator broadcasts the aggregated fragment).
-        new_global = w_t.copy()
+        new_global = w_t.shallow_copy()
         new_global.overwrite(weighted_average(sets, weights))
         return ServerState(global_params=new_global, round=server.round + 1)
 
@@ -229,7 +223,7 @@ def server_aggregate(
                 v[n] = np.maximum(vn, floor)
         if clamped:
             log.info("fedyogi clamped %d second-moment entries at gamma^2", clamped)
-        new_global = w_t.copy()
+        new_global = w_t.shallow_copy()
         for n in names:
             new_global.entries[n] = w_t.entries[n] + cfg.eta_g * m[n] / (np.sqrt(v[n]) + cfg.gamma)
         # running statistics carry no meaningful pseudo-gradient: plain average
@@ -242,6 +236,7 @@ def server_aggregate(
 
 
 def broadcast_fragment(server: ServerState, cfg: StrategyConfig) -> dict[str, np.ndarray]:
-    """The entries a client's round starts from, respecting the policy."""
+    """The entries a client's round starts from, respecting the policy (the
+    global's own arrays: a round copies them into its vector)."""
     _, aggregated = partition_names(server.global_params, cfg.policy)
-    return server.global_params.fragment(sorted(aggregated))
+    return {n: server.global_params.entries[n] for n in sorted(aggregated)}

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fedbench.nn import Batch, LayerSpec, ModelSpec, init_params, model_forward
+from fedbench.nn import Batch, LayerSpec, ModelSpec, Plan, init_params, model_forward
 
 
 def make_model(kinds, input_dim=5, hidden=6, num_classes=3, groups=2):
@@ -65,7 +65,9 @@ def seeded_params(bn_model):
 
 
 def forward_loss(spec, batch, mode="train"):
+    plan = Plan(spec)
+
     def loss_fn(params):
-        _, loss, _ = model_forward(spec, params, batch, mode=mode)
+        _, loss, _ = model_forward(plan, plan.pack(params), batch, mode=mode)
         return loss
     return loss_fn

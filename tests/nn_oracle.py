@@ -3,19 +3,37 @@
 These are the forward, backward and optimizer functions as they were written
 with the ``np.mean``/``np.var``/``np.sum``/``np.max`` wrappers, per-step
 one-hot targets, a full ``ParamSet.copy()`` per optimizer step and per-entry
-Adam moments.  ``test_bitwise.py`` checks that ``fedbench.nn`` and the
-orchestrator's training loop give the same bits as this code.
+Adam moments, over named ParamSet entries; with them the per-entry running
+stats update and local objectives.  ``test_bitwise.py`` checks that the
+layer plan of ``fedbench.nn`` and the orchestrator's training loop, which
+work on one flat vector, give the same bits as this code.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from fedbench.errors import DegenerateBatch, KeyMismatch, NonFiniteLoss, ShapeMismatch, StaleCache
-from fedbench.nn import BN_MOMENTUM, NORM_KINDS, Batch, ForwardCache, ModelSpec
+from fedbench.errors import (
+    DegenerateBatch,
+    KeyMismatch,
+    NonFiniteLoss,
+    ShapeMismatch,
+    StaleCache,
+)
+from fedbench.nn import BN_MOMENTUM, NORM_KINDS, Batch, ModelSpec
 from fedbench.params import GradSet, ParamSet
+from fedbench.strategies import FEDOPT_FAMILY
+
+
+@dataclass
+class ForwardCache:
+    params: ParamSet
+    mode: str
+    layer_caches: list = field(default_factory=list)
+    batch_size: int = 0
+    updated_running_stats: dict = field(default_factory=dict)
 
 
 def norm_forward(kind, x, gain, bias, running_stats, mode, epsilon, groups=1, momentum=BN_MOMENTUM):
@@ -195,6 +213,40 @@ def model_backward(spec: ModelSpec, params: ParamSet, cache: ForwardCache) -> Gr
             grads[f"{prefix}.gain"] = dgain
             grads[f"{prefix}.bias"] = dbias
     return grads
+
+
+def apply_running_stats(params: ParamSet, cache: ForwardCache) -> None:
+    """Commit the EMA running-stat updates recorded by a train-mode forward."""
+    for name, value in cache.updated_running_stats.items():
+        params.entries[name] = value
+
+
+def local_loss_grad(algorithm, base_grad: GradSet, w_local: ParamSet, w_global: ParamSet,
+                    cfg, prev_grad: GradSet | None = None) -> GradSet:
+    """The local-objective modification per named entry; ``prev_grad`` is
+    FedDyn's stored gradient (None before its first round)."""
+    if algorithm in ("fedavg", "fedbn") or algorithm in FEDOPT_FAMILY:
+        return base_grad
+    if algorithm in ("fedprox", "fedpxn"):
+        if cfg.mu == 0.0:
+            return base_grad
+        out = dict(base_grad)
+        for name in base_grad:
+            if algorithm == "fedpxn" and w_local.tags[name] == "norm":
+                continue
+            out[name] = base_grad[name] + cfg.mu * (
+                w_local.entries[name] - w_global.entries[name]
+            )
+        return out
+    if algorithm == "feddyn":
+        out = {}
+        for name in base_grad:
+            g = base_grad[name] + cfg.alpha * (w_local.entries[name] - w_global.entries[name])
+            if prev_grad is not None:
+                g = g - prev_grad[name]
+            out[name] = g
+        return out
+    raise ValueError(f"unknown algorithm {algorithm!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -30,6 +30,7 @@ from fedbench.metrics import (
 )
 from fedbench.nn import (
     Batch,
+    Plan,
     init_params,
     local_sgd_step,
     model_backward,
@@ -89,7 +90,8 @@ def test_criterion_1_collapse_equivalences():
     cfg.data = replace(cfg.data, num_clients=1, sizes=[200])
     seed = 0
     ds = generate(cfg.data)[0]
-    params = init_params(cfg.model, seed)
+    plan = Plan(cfg.model)
+    params = plan.pack(init_params(cfg.model, seed))
     from fedbench.nn import apply_running_stats
 
     for round_idx in range(cfg.rounds):
@@ -101,17 +103,17 @@ def test_criterion_1_collapse_equivalences():
                 if len(idx) < 2:
                     continue
                 batch = Batch.from_arrays(ds.train.inputs[idx], ds.train.labels[idx])
-                _, _, cache = model_forward(cfg.model, params, batch, mode="train")
-                grad = model_backward(cfg.model, params, cache)
+                _, _, cache = model_forward(plan, params, batch, mode="train")
+                grad = model_backward(plan, params, cache)
                 apply_running_stats(params, cache)
-                params = local_sgd_step(params, grad, cfg.eta)
+                local_sgd_step(params, grad, cfg.eta)
 
     server = init_server_state("fedavg", init_params(cfg.model, seed), cfg.strategy)
     clients = [ClientState(client_id=0, dataset=ds, params=init_params(cfg.model, seed))]
     for _ in range(cfg.rounds):
-        server, _ = run_round(server, clients, cfg, seed)
-    for name in params.names():
-        assert np.array_equal(server.global_params.entries[name], params.entries[name])
+        server, _ = run_round(server, clients, cfg, seed, plan)
+    for name, value in plan.entries(params).items():
+        assert np.array_equal(server.global_params.entries[name], value)
     report(1)
 
 
@@ -127,14 +129,16 @@ def test_criterion_2_gradient_suite():
     }
     for kinds in kind_map.values():
         spec = make_model(kinds, input_dim=4, hidden=4, num_classes=2)
+        plan = Plan(spec)
         for seed in range(20):
             params = init_params(spec, seed)
             batch = random_batch(spec, 8, seed + 1000)
-            _, _, cache = model_forward(spec, params, batch, mode="train")
-            grads = model_backward(spec, params, cache)
+            w = plan.pack(params)
+            _, _, cache = model_forward(plan, w, batch, mode="train")
+            grads = plan.entries(model_backward(plan, w, cache))
 
             def loss_fn(p):
-                _, loss, _ = model_forward(spec, p, batch, mode="train")
+                _, loss, _ = model_forward(plan, plan.pack(p), batch, mode="train")
                 return loss
 
             fd = finite_difference_grads(loss_fn, params, params.trainable_names())
@@ -142,6 +146,7 @@ def test_criterion_2_gradient_suite():
 
     # modified objectives: fedprox, fedpxn, feddyn
     spec = make_model(["layer_norm"], input_dim=4, hidden=4, num_classes=2)
+    plan = Plan(spec)
     for algorithm in ("fedprox", "fedpxn", "feddyn"):
         for seed in range(20):
             params = init_params(spec, seed)
@@ -158,19 +163,20 @@ def test_criterion_2_gradient_suite():
                 rng = np.random.default_rng(seed)
                 dyn = DynMemory(
                     client_id=0,
-                    prev_grad={
-                        n: rng.standard_normal(params.entries[n].shape)
-                        for n in params.trainable_names()
-                    },
+                    prev_grad=rng.standard_normal(plan.n_train),
                     initialized=True,
                 )
+                prev_grad = plan.entries(dyn.prev_grad)
 
-            _, _, cache = model_forward(spec, params, batch, mode="train")
-            base = model_backward(spec, params, cache)
-            grads = local_loss_grad(algorithm, base, params, w_ref, strat, dyn)
+            w = plan.pack(params)
+            _, _, cache = model_forward(plan, w, batch, mode="train")
+            base = model_backward(plan, w, cache)
+            grads = plan.entries(local_loss_grad(
+                algorithm, base, w, plan.pack(w_ref), plan.n_non_norm, strat, dyn
+            ))
 
             def loss_fn(p):
-                _, loss, _ = model_forward(spec, p, batch, mode="train")
+                _, loss, _ = model_forward(plan, plan.pack(p), batch, mode="train")
                 for name in p.trainable_names():
                     diff = p.entries[name] - w_ref.entries[name]
                     if algorithm == "fedprox":
@@ -180,7 +186,7 @@ def test_criterion_2_gradient_suite():
                             loss += mu / 2.0 * float(np.sum(diff**2))
                     else:
                         loss += alpha / 2.0 * float(np.sum(diff**2))
-                        loss -= float(np.sum(dyn.prev_grad[name] * p.entries[name]))
+                        loss -= float(np.sum(prev_grad[name] * p.entries[name]))
                 return loss
 
             fd = finite_difference_grads(loss_fn, params, params.trainable_names())
@@ -262,7 +268,7 @@ def test_criterion_4_fedbn_partition_invariant(tmp_path):
         ClientState(client_id=ds.client_id, dataset=ds, params=init_params(cfg.model, 0))
         for ds in datasets
     ]
-    server, _ = run_round(server, clients, cfg, seed=0)
+    server, _ = run_round(server, clients, cfg, 0, Plan(cfg.model))
     merged = [_eval_params(c, server, cfg.strategy) for c in clients]
     for name in merged[0].names():
         if merged[0].tags[name] != NORM:
@@ -443,11 +449,14 @@ def test_criterion_8_metric_oracles():
 def test_criterion_9_divergence_handling(monkeypatch, caplog):
     original = orchestrator.run_local_training
 
-    def sabotage(client, fragment, cfg, seed, round_idx):
-        update = original(client, fragment, cfg, seed, round_idx)
+    def sabotage(client, fragment, cfg, seed, round_idx, plan):
+        update = original(client, fragment, cfg, seed, round_idx, plan)
         if client.client_id == 0 and round_idx == 0:
+            # the published entries are read-only views: assign NaN arrays
             for name in update.params_after.trainable_names():
-                update.params_after.entries[name][...] = np.nan
+                update.params_after.entries[name] = np.full_like(
+                    update.params_after.entries[name], np.nan
+                )
             update.diverged = True
         return update
 

@@ -2,8 +2,10 @@
 
 ``nn_oracle`` holds the forward, backward and optimizer code written with
 ``np.mean``/``np.var``, per-step one-hot targets, per-step ParamSet copies and
-per-entry Adam moments.  Every comparison here is ``np.array_equal`` or
-``==``: the faster code must not move a single bit.
+per-entry Adam moments, over named entries.  The layer plan works on one flat
+vector; ``Plan.pack`` and ``Plan.entries`` translate between the two.  Every
+comparison here is ``np.array_equal`` or ``==``: the faster code must not move
+a single bit.
 """
 
 from dataclasses import replace
@@ -21,6 +23,7 @@ from fedbench.nn import (
     Batch,
     LayerSpec,
     ModelSpec,
+    Plan,
     apply_running_stats,
     init_params,
     labels_to_targets,
@@ -30,7 +33,7 @@ from fedbench.nn import (
     model_forward,
 )
 from fedbench.orchestrator import ClientState, ExperimentConfig, client_rng, run_local_training
-from fedbench.strategies import DynMemory, StrategyConfig, local_loss_grad
+from fedbench.strategies import ALGORITHMS, NORM_EXCLUDING, DynMemory, StrategyConfig
 
 
 def data_spec(num_clients, sizes):
@@ -71,6 +74,7 @@ HEADS = {"softmax": make_model, "sigmoid": bce_model}
 @pytest.mark.parametrize("hidden,groups", [(6, 2), (16, 2), (40, 4)])
 def test_train_forward_backward_match_oracle(head, kinds, hidden, groups):
     spec = HEADS[head](kinds, input_dim=7, hidden=hidden, groups=groups)
+    plan = Plan(spec)
     rng = np.random.default_rng([hidden, len(kinds)])
     for trial in range(12):
         params = perturbed_params(spec, trial)
@@ -79,15 +83,19 @@ def test_train_forward_backward_match_oracle(head, kinds, hidden, groups):
         labels = random_labels(spec, n, rng, multi_hot=head == "sigmoid" and trial % 2 == 1)
         batch = Batch.from_arrays(x, labels)
 
-        probs, loss, cache = model_forward(spec, params, batch, mode="train")
+        w = plan.pack(params)
+        probs, loss, cache = model_forward(plan, w, batch, mode="train")
         o_probs, o_loss, o_cache = oracle.model_forward(spec, params, batch, mode="train")
         assert np.array_equal(probs, o_probs)
         assert loss == o_loss
-        assert cache.updated_running_stats.keys() == o_cache.updated_running_stats.keys()
-        for name, value in cache.updated_running_stats.items():
+        moved = w.copy()
+        apply_running_stats(moved, cache)
+        stats = {n: v for n, v in plan.entries(moved).items() if not plan.trainable[n]}
+        assert stats.keys() == o_cache.updated_running_stats.keys()
+        for name, value in stats.items():
             assert np.array_equal(value, o_cache.updated_running_stats[name]), name
 
-        grads = model_backward(spec, params, cache)
+        grads = plan.entries(model_backward(plan, w, cache))
         o_grads = oracle.model_backward(spec, params, o_cache)
         assert grads.keys() == o_grads.keys()
         for name, g in grads.items():
@@ -96,10 +104,10 @@ def test_train_forward_backward_match_oracle(head, kinds, hidden, groups):
         # the same rows with precomputed targets, as the training loop feeds them
         targets = labels_to_targets(spec, labels)
         fed = Batch(inputs=batch.inputs, labels=batch.labels, size=n, targets=targets)
-        probs_t, loss_t, _ = model_forward(spec, params, fed, mode="train")
+        probs_t, loss_t, _ = model_forward(plan, w, fed, mode="train")
         assert np.array_equal(probs_t, o_probs) and loss_t == o_loss
 
-        e_probs, e_loss, _ = model_forward(spec, params, batch, mode="eval")
+        e_probs, e_loss, _ = model_forward(plan, w, batch, mode="eval")
         o_e_probs, o_e_loss, _ = oracle.model_forward(spec, params, batch, mode="eval")
         assert np.array_equal(e_probs, o_e_probs) and e_loss == o_e_loss
 
@@ -114,28 +122,23 @@ def test_gathered_targets_equal_per_batch_one_hot():
         assert np.array_equal(targets[idx], oracle.labels_to_targets(spec, labels[idx]))
 
 
-def random_grads(params, rng):
-    return {n: rng.standard_normal(params.entries[n].shape) for n in params.trainable_names()}
-
-
-def flat_slice(state, params, name):
-    """The part of a flat Adam moment vector that belongs to ``name``."""
-    start = 0
-    for n in state.names:
-        size = params.entries[n].size
-        if n == name:
-            return start, start + size
-        start += size
-    raise KeyError(name)
+def random_grad(plan, rng):
+    """A flat gradient and its named view, as the oracle takes it."""
+    g = rng.standard_normal(plan.n_train)
+    return g, plan.entries(g)
 
 
 def test_sgd_trajectory_matches_oracle():
-    params = o_params = perturbed_params(make_model(["batch_norm"]), 0)
+    spec = make_model(["batch_norm"])
+    plan = Plan(spec)
+    o_params = perturbed_params(spec, 0)
+    w = plan.pack(o_params)
     rng = np.random.default_rng(5)
     for _ in range(3):
-        grads = random_grads(params, rng)
-        params = local_sgd_step(params, grads, 0.07)
-        o_params = oracle.local_sgd_step(o_params, grads, 0.07)
+        grad, named = random_grad(plan, rng)
+        local_sgd_step(w, grad, 0.07)
+        o_params = oracle.local_sgd_step(o_params, named, 0.07)
+        params = plan.publish(w)
         assert params.names() == o_params.names()
         for name in params.names():
             assert np.array_equal(params.entries[name], o_params.entries[name]), name
@@ -143,22 +146,23 @@ def test_sgd_trajectory_matches_oracle():
 
 @pytest.mark.parametrize("kinds", [["batch_norm"], ["group_norm"]])
 def test_adam_trajectory_matches_oracle(kinds):
-    params = o_params = perturbed_params(make_model(kinds), 1)
-    state, o_state = AdamState.zeros(params), oracle.AdamState.zeros(params)
+    spec = make_model(kinds)
+    plan = Plan(spec)
+    o_params = perturbed_params(spec, 1)
+    w = plan.pack(o_params)
+    state, o_state = AdamState.zeros(plan.n_train), oracle.AdamState.zeros(o_params)
     rng = np.random.default_rng(6)
     for _ in range(3):
-        grads = random_grads(params, rng)
-        # model_backward yields gradients last layer first
-        grads = dict(reversed(list(grads.items())))
-        params, state = local_adam_step(params, grads, state, 0.01)
-        o_params, o_state = oracle.local_adam_step(o_params, grads, o_state, 0.01)
+        grad, named = random_grad(plan, rng)
+        local_adam_step(w, grad, state, 0.01)
+        o_params, o_state = oracle.local_adam_step(o_params, named, o_state, 0.01)
         assert state.step == o_state.step
+        params = plan.publish(w)
         for name in params.names():
             assert np.array_equal(params.entries[name], o_params.entries[name]), name
-        for name in state.names:
-            start, end = flat_slice(state, params, name)
-            assert np.array_equal(state.m[start:end], o_state.m[name].ravel()), name
-            assert np.array_equal(state.v[start:end], o_state.v[name].ravel()), name
+        for name, m in plan.entries(state.m).items():
+            assert np.array_equal(m, o_state.m[name]), name
+            assert np.array_equal(plan.entries(state.v)[name], o_state.v[name]), name
 
 
 def snapshot(params):
@@ -169,41 +173,63 @@ def unchanged(snap):
     return all(np.array_equal(a, before) for a, before in snap.values())
 
 
-def test_optimizer_steps_leave_their_input_unchanged():
-    params = perturbed_params(make_model(["batch_norm"]), 2)
-    snap = snapshot(params)
-    grads = random_grads(params, np.random.default_rng(7))
-    sgd_out = local_sgd_step(params, grads, 0.1)
-    adam_out, _ = local_adam_step(params, grads, AdamState.zeros(params), 0.1)
-    assert unchanged(snap)
-    for out in (sgd_out, adam_out):
-        for name in params.names():
-            if params.trainable[name]:
-                assert out.entries[name] is not params.entries[name]
-            else:  # running stats are shared, not copied
-                assert out.entries[name] is params.entries[name]
+def test_optimizer_steps_write_only_the_trainable_prefix():
+    spec = make_model(["batch_norm"])
+    plan = Plan(spec)
+    w0 = plan.pack(perturbed_params(spec, 2))
+    grad = np.random.default_rng(7).standard_normal(plan.n_train)
+    grad_before = grad.copy()
+    for step in (lambda w: local_sgd_step(w, grad, 0.1),
+                 lambda w: local_adam_step(w, grad, AdamState.zeros(plan.n_train), 0.1)):
+        w = w0.copy()
+        step(w)
+        assert np.array_equal(grad, grad_before)  # the gradient is read, not written
+        assert np.array_equal(w[plan.n_train:], w0[plan.n_train:])  # running stats
+        assert not np.any(w[:plan.n_train] == w0[:plan.n_train])
 
 
-@pytest.mark.parametrize("algorithm,optimizer", [
-    ("fedavg", "sgd"), ("fedpxn", "adam"), ("fedprox", "sgd"), ("feddyn", "adam"),
-])
-def test_local_training_matches_oracle_loop(algorithm, optimizer):
+MODELS = {
+    "batch_norm": lambda: make_model(["batch_norm"]),
+    "layer_norm": lambda: make_model(["layer_norm"]),
+    "group_norm": lambda: make_model(["group_norm"]),
+    "no_norm": lambda: make_model([]),
+    "sigmoid_bce": lambda: bce_model(["batch_norm"]),
+}
+
+
+# batch norm, the model of the original four cases, keeps their ids
+ORACLE_LOOP_CASES = [
+    pytest.param(algorithm, optimizer, model,
+                 id="-".join([algorithm, optimizer] + ([model] if model != "batch_norm" else [])))
+    for algorithm in ALGORITHMS for optimizer in ("sgd", "adam") for model in sorted(MODELS)
+]
+
+
+@pytest.mark.parametrize("algorithm,optimizer,model", ORACLE_LOOP_CASES)
+def test_local_training_matches_oracle_loop(algorithm, optimizer, model):
     """run_local_training against the per-step loop written with the oracle."""
     strategy = StrategyConfig(
-        algorithm=algorithm, mu=0.1, policy="all_norm_excluded" if algorithm == "fedpxn" else "none"
+        algorithm=algorithm, mu=0.1,
+        policy="all_norm_excluded" if algorithm in NORM_EXCLUDING else "none",
     )
     cfg = ExperimentConfig(
-        model=make_model(["batch_norm"]), strategy=strategy,
+        model=MODELS[model](), strategy=strategy,
         data=data_spec(num_clients=1, sizes=(90,)), local_epochs=2, rounds=1, eta=0.05,
         local_optimizer=optimizer, batch_size=16,
     )
+    plan = Plan(cfg.model)
     ds = generate(cfg.data)[0]
     seed, round_idx = 3, 0
     w0 = perturbed_params(cfg.model, seed)
-    dyn = DynMemory(client_id=0) if algorithm == "feddyn" else None
+    dyn = o_prev = None
+    if algorithm == "feddyn":  # a stored gradient from an earlier round
+        dyn = DynMemory(client_id=0, initialized=True,
+                        prev_grad=np.random.default_rng(8).standard_normal(plan.n_train))
+        o_prev = plan.entries(dyn.prev_grad)
 
     params = w0.copy()
     o_state = oracle.AdamState.zeros(params)
+    o_grad_sum, steps = None, 0
     rng = client_rng(seed, 0, round_idx)
     for _ in range(cfg.local_epochs):
         order = rng.permutation(ds.train.size)
@@ -214,8 +240,11 @@ def test_local_training_matches_oracle_loop(algorithm, optimizer):
             batch = Batch.from_arrays(ds.train.inputs[idx], ds.train.labels[idx])
             _, _, cache = oracle.model_forward(cfg.model, params, batch, mode="train")
             base = oracle.model_backward(cfg.model, params, cache)
-            apply_running_stats(params, cache)
-            grad = local_loss_grad(algorithm, base, params, w0, strategy, dyn)
+            oracle.apply_running_stats(params, cache)
+            flat = np.concatenate([base[n] for n in plan.slots if n in base], axis=None)
+            o_grad_sum = flat if o_grad_sum is None else o_grad_sum + flat
+            steps += 1
+            grad = oracle.local_loss_grad(algorithm, base, params, w0, strategy, o_prev)
             if optimizer == "adam":
                 params, o_state = oracle.local_adam_step(params, grad, o_state, cfg.eta)
             else:
@@ -223,13 +252,15 @@ def test_local_training_matches_oracle_loop(algorithm, optimizer):
 
     client = ClientState(client_id=0, dataset=ds, params=w0.copy(), dyn=dyn)
     if optimizer == "adam":
-        client.adam_state = AdamState.zeros(client.params)
+        client.adam_state = AdamState.zeros(plan.n_train)
     start_snap = snapshot(client.params)
-    update = run_local_training(client, w0.fragment(w0.names()), cfg, seed, round_idx)
+    update = run_local_training(client, dict(w0.entries), cfg, seed, round_idx, plan)
     assert not update.diverged
     for name in params.names():
         assert np.array_equal(update.params_after.entries[name], params.entries[name]), name
     assert unchanged(start_snap)  # training never wrote into an array it was handed
+    if algorithm == "feddyn":
+        assert np.array_equal(client.dyn.prev_grad, o_grad_sum / steps)
 
 
 def test_sweep_loads_the_partition_once(tmp_path, monkeypatch):

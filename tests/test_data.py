@@ -16,7 +16,7 @@ from fedbench.data_synth import (
     write_partition,
 )
 from fedbench.errors import ConfigError, MalformedRow, SchemaMismatch
-from fedbench.nn import apply_running_stats, model_forward
+from fedbench.nn import Plan, apply_running_stats, model_forward
 
 
 def spec(kind="label_skew", **kw):
@@ -149,10 +149,11 @@ def test_bn_running_stats_diverge_across_clients():
     model = make_model(["batch_norm"], input_dim=6, hidden=8, num_classes=3)
     stats = []
     for ds in datasets:
-        params = init_params(model, seed=0)
-        _, _, cache = model_forward(model, params, ds.train, mode="train")
+        plan = Plan(model)
+        params = plan.pack(init_params(model, seed=0))
+        _, _, cache = model_forward(plan, params, ds.train, mode="train")
         apply_running_stats(params, cache)
-        stats.append(params.entries["layer1.running_mean"].copy())
+        stats.append(plan.entries(params)["layer1.running_mean"].copy())
     assert not np.allclose(stats[0], stats[1], atol=1e-6)
 
 

@@ -6,6 +6,7 @@ from fedbench.nn import (
     Batch,
     LayerSpec,
     ModelSpec,
+    Plan,
     init_params,
     model_backward,
     model_forward,
@@ -20,14 +21,21 @@ from conftest import (
 )
 
 
+def forward_backward(spec, params, batch):
+    """(probs, named gradients) of one train-mode step of a plan."""
+    plan = Plan(spec)
+    w = plan.pack(params)
+    probs, _, cache = model_forward(plan, w, batch, mode="train")
+    return probs, plan.entries(model_backward(plan, w, cache))
+
+
 @pytest.mark.parametrize("kinds", [[], ["batch_norm"], ["layer_norm"], ["group_norm"]])
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_gradient_check_all_layer_kinds(kinds, seed):
     spec = make_model(kinds)
     params = init_params(spec, seed=seed)
     batch = random_batch(spec, 6, seed=seed + 100)
-    _, _, cache = model_forward(spec, params, batch, mode="train")
-    analytic = model_backward(spec, params, cache)
+    _, analytic = forward_backward(spec, params, batch)
     numeric = finite_difference_grads(forward_loss(spec, batch), params)
     assert_grads_close(analytic, numeric)
 
@@ -41,8 +49,7 @@ def test_zero_input_kills_weight_gradient():
     )
     params = init_params(spec, seed=0)
     batch = Batch.from_arrays(np.zeros((4, 3)), np.array([0, 1, 0, 1]))
-    probs, _, cache = model_forward(spec, params, batch, mode="train")
-    grads = model_backward(spec, params, cache)
+    probs, grads = forward_backward(spec, params, batch)
     assert np.array_equal(grads["layer0.weight"], np.zeros((3, 2)))
     targets = np.zeros((4, 2))
     targets[np.arange(4), batch.labels] = 1.0
@@ -55,10 +62,8 @@ def test_duplicated_batch_same_gradient(bn_model, seeded_params):
         np.vstack([batch.inputs, batch.inputs]),
         np.concatenate([batch.labels, batch.labels]),
     )
-    _, _, c1 = model_forward(bn_model, seeded_params, batch, mode="train")
-    g1 = model_backward(bn_model, seeded_params, c1)
-    _, _, c2 = model_forward(bn_model, seeded_params, doubled, mode="train")
-    g2 = model_backward(bn_model, seeded_params, c2)
+    _, g1 = forward_backward(bn_model, seeded_params, batch)
+    _, g2 = forward_backward(bn_model, seeded_params, doubled)
     for name in g1:
         assert np.allclose(g1[name], g2[name], atol=1e-12)
 
@@ -67,33 +72,34 @@ def test_grad_permutation_invariance(bn_model, seeded_params):
     batch = random_batch(bn_model, 8, seed=4)
     perm = np.random.default_rng(2).permutation(8)
     shuffled = Batch.from_arrays(batch.inputs[perm], batch.labels[perm])
-    _, _, c1 = model_forward(bn_model, seeded_params, batch, mode="train")
-    g1 = model_backward(bn_model, seeded_params, c1)
-    _, _, c2 = model_forward(bn_model, seeded_params, shuffled, mode="train")
-    g2 = model_backward(bn_model, seeded_params, c2)
+    _, g1 = forward_backward(bn_model, seeded_params, batch)
+    _, g2 = forward_backward(bn_model, seeded_params, shuffled)
     for name in g1:
         assert np.allclose(g1[name], g2[name], atol=1e-12)
 
 
 def test_stale_cache_rejected(bn_model, seeded_params):
     batch = random_batch(bn_model, 4, seed=1)
-    _, _, cache = model_forward(bn_model, seeded_params, batch, mode="train")
-    other = seeded_params.copy()
+    plan = Plan(bn_model)
+    w = plan.pack(seeded_params)
+    _, _, cache = model_forward(plan, w, batch, mode="train")
+    other = w.copy()
     with pytest.raises(StaleCache):
-        model_backward(bn_model, other, cache)
+        model_backward(plan, other, cache)
 
 
 def test_eval_cache_rejected(bn_model, seeded_params):
     batch = random_batch(bn_model, 4, seed=1)
-    _, _, cache = model_forward(bn_model, seeded_params, batch, mode="eval")
+    plan = Plan(bn_model)
+    w = plan.pack(seeded_params)
+    _, _, cache = model_forward(plan, w, batch, mode="eval")
     with pytest.raises(StaleCache):
-        model_backward(bn_model, seeded_params, cache)
+        model_backward(plan, w, cache)
 
 
 def test_running_stats_carry_no_gradient(bn_model, seeded_params):
     batch = random_batch(bn_model, 6, seed=2)
-    _, _, cache = model_forward(bn_model, seeded_params, batch, mode="train")
-    grads = model_backward(bn_model, seeded_params, cache)
+    _, grads = forward_backward(bn_model, seeded_params, batch)
     assert "layer1.running_mean" not in grads
     assert "layer1.running_var" not in grads
 
@@ -116,8 +122,7 @@ def test_ln_gain_bias_grads_are_head_error_statistics():
     x = rng.standard_normal((6, 4))
     x = (x - x.mean(axis=1, keepdims=True)) / x.std(axis=1, keepdims=True)
     batch = Batch.from_arrays(x, rng.integers(0, 2, 6))
-    probs, _, cache = model_forward(spec, params, batch, mode="train")
-    grads = model_backward(spec, params, cache)
+    probs, grads = forward_backward(spec, params, batch)
     targets = np.zeros((6, 2))
     targets[np.arange(6), batch.labels] = 1.0
     err = (probs - targets) / 6.0  # head error, already mean-scaled

@@ -5,16 +5,49 @@ import pytest
 
 from fedbench.errors import DegenerateBatch, ShapeMismatch
 from fedbench.nn import (
+    BN_MOMENTUM,
     Batch,
+    ForwardCache,
     LayerSpec,
     ModelSpec,
+    Plan,
     apply_running_stats,
     init_params,
     model_forward,
-    norm_forward,
 )
 
 from conftest import make_model, random_batch
+
+
+def norm_forward(kind, x, gain, bias, running_stats, mode, epsilon, groups=1,
+                 momentum=BN_MOMENTUM):
+    """Run one norm layer of a plan; returns (y, running stats after
+    ``apply_running_stats``, cache)."""
+    width = x.shape[1]
+    spec = ModelSpec(
+        input_dim=width,
+        layers=[LayerSpec(kind=kind, epsilon=epsilon, groups=groups, momentum=momentum),
+                LayerSpec(kind="softmax_ce_head")],
+        loss="cross_entropy",
+        num_classes=width,
+    )
+    plan = Plan(spec)
+    params = init_params(spec, seed=0)
+    params.entries["layer0.gain"], params.entries["layer0.bias"] = gain, bias
+    if running_stats is not None:
+        params.entries["layer0.running_mean"], params.entries["layer0.running_var"] = running_stats
+    w = plan.pack(params)
+    cache = ForwardCache(params=w, train=mode == "train", batch_size=x.shape[0])
+    y = plan.forward[0](plan.views(w), x, cache)
+    apply_running_stats(w, cache)
+    entries = plan.entries(w)
+    stats = (entries["layer0.running_mean"], entries["layer0.running_var"]) if running_stats else None
+    return y, stats, cache
+
+
+def forward(spec, params, batch, mode):
+    plan = Plan(spec)
+    return model_forward(plan, plan.pack(params), batch, mode=mode)
 
 
 def test_zero_weight_dense_softmax_gives_uniform():
@@ -28,7 +61,7 @@ def test_zero_weight_dense_softmax_gives_uniform():
     params.entries["layer0.weight"][:] = 0.0
     params.entries["layer0.bias"][:] = 0.0
     batch = Batch.from_arrays(np.random.default_rng(1).standard_normal((5, 4)), [0, 1, 2, 0, 1])
-    probs, loss, _ = model_forward(spec, params, batch, mode="eval")
+    probs, loss, _ = forward(spec, params, batch, mode="eval")
     assert np.allclose(probs, 1.0 / 3.0)
     assert loss == pytest.approx(math.log(3.0), abs=1e-12)
 
@@ -70,7 +103,7 @@ def test_mlp_loss_matches_scalar_oracle():
     spec = make_model([], input_dim=3, hidden=4, num_classes=2)
     params = init_params(spec, seed=0)
     batch = random_batch(spec, 8, seed=7)
-    _, loss, _ = model_forward(spec, params, batch, mode="train")
+    _, loss, _ = forward(spec, params, batch, mode="train")
 
     w0, b0 = params.entries["layer0.weight"], params.entries["layer0.bias"]
     w2, b2 = params.entries["layer2.weight"], params.entries["layer2.bias"]
@@ -86,8 +119,8 @@ def test_mlp_loss_matches_scalar_oracle():
 
 def test_eval_mode_bitwise_deterministic(bn_model, seeded_params):
     batch = random_batch(bn_model, 6, seed=3)
-    p1, l1, _ = model_forward(bn_model, seeded_params, batch, mode="eval")
-    p2, l2, _ = model_forward(bn_model, seeded_params, batch, mode="eval")
+    p1, l1, _ = forward(bn_model, seeded_params, batch, mode="eval")
+    p2, l2, _ = forward(bn_model, seeded_params, batch, mode="eval")
     assert np.array_equal(p1, p2)
     assert l1 == l2
 
@@ -96,30 +129,33 @@ def test_loss_permutation_invariance(bn_model, seeded_params):
     batch = random_batch(bn_model, 8, seed=5)
     perm = np.random.default_rng(0).permutation(8)
     shuffled = Batch.from_arrays(batch.inputs[perm], batch.labels[perm])
-    _, l1, _ = model_forward(bn_model, seeded_params, batch, mode="train")
-    _, l2, _ = model_forward(bn_model, seeded_params, shuffled, mode="train")
+    _, l1, _ = forward(bn_model, seeded_params, batch, mode="train")
+    _, l2, _ = forward(bn_model, seeded_params, shuffled, mode="train")
     assert l1 == pytest.approx(l2, abs=1e-12)
 
 
 def test_bn_train_batch_of_one_rejected(bn_model, seeded_params):
     batch = random_batch(bn_model, 1, seed=3)
     with pytest.raises(DegenerateBatch):
-        model_forward(bn_model, seeded_params, batch, mode="train")
+        forward(bn_model, seeded_params, batch, mode="train")
 
 
 def test_wrong_input_dim_rejected(bn_model, seeded_params):
     batch = Batch.from_arrays(np.zeros((4, 7)), np.zeros(4, dtype=int))
     with pytest.raises(ShapeMismatch):
-        model_forward(bn_model, seeded_params, batch, mode="train")
+        forward(bn_model, seeded_params, batch, mode="train")
 
 
 def test_running_stats_committed_only_on_apply(bn_model, seeded_params):
     batch = random_batch(bn_model, 8, seed=5)
-    before = seeded_params.entries["layer1.running_mean"].copy()
-    _, _, cache = model_forward(bn_model, seeded_params, batch, mode="train")
-    assert np.array_equal(seeded_params.entries["layer1.running_mean"], before)
-    apply_running_stats(seeded_params, cache)
-    assert not np.array_equal(seeded_params.entries["layer1.running_mean"], before)
+    plan = Plan(bn_model)
+    w = plan.pack(seeded_params)
+    running_mean = plan.entries(w)["layer1.running_mean"]
+    before = running_mean.copy()
+    _, _, cache = model_forward(plan, w, batch, mode="train")
+    assert np.array_equal(running_mean, before)
+    apply_running_stats(w, cache)
+    assert not np.array_equal(running_mean, before)
 
 
 def test_bce_head_on_multi_hot_labels():
@@ -132,6 +168,6 @@ def test_bce_head_on_multi_hot_labels():
     params = init_params(spec, seed=1)
     params.entries["layer0.weight"][:] = 0.0
     batch = Batch.from_arrays(np.zeros((3, 3)), np.array([[1, 0], [0, 1], [1, 1]], dtype=float))
-    probs, loss, _ = model_forward(spec, params, batch, mode="eval")
+    probs, loss, _ = forward(spec, params, batch, mode="eval")
     assert np.allclose(probs, 0.5)
     assert loss == pytest.approx(math.log(2.0), rel=1e-9)

@@ -3,70 +3,58 @@ import pytest
 
 from fedbench.errors import KeyMismatch
 from fedbench.nn import AdamState, local_adam_step, local_sgd_step
-from fedbench.params import NON_NORM, NORM, ParamSet
 
 
 def scalar_params(value=1.0):
-    return ParamSet(
-        entries={"w": np.array([value])},
-        tags={"w": NON_NORM},
-        trainable={"w": True},
-    )
+    return np.array([value])
 
 
 def test_sgd_zero_gradient_is_identity():
     p = scalar_params(1.5)
-    out = local_sgd_step(p, {"w": np.zeros(1)}, eta=0.1)
-    assert np.array_equal(out.entries["w"], p.entries["w"])
+    before = p.copy()
+    local_sgd_step(p, np.zeros(1), eta=0.1)
+    assert np.array_equal(p, before)
 
 
 def test_sgd_single_step_arithmetic():
-    p = ParamSet(
-        entries={"w": np.array([1.0, 2.0])},
-        tags={"w": NON_NORM},
-        trainable={"w": True},
-    )
-    out = local_sgd_step(p, {"w": np.array([0.5, -0.5])}, eta=0.1)
-    assert np.allclose(out.entries["w"], [0.95, 2.05], atol=1e-15)
+    p = np.array([1.0, 2.0])
+    local_sgd_step(p, np.array([0.5, -0.5]), eta=0.1)
+    assert np.allclose(p, [0.95, 2.05], atol=1e-15)
 
 
 def test_sgd_two_steps_equals_double_eta_on_frozen_gradient():
-    g = {"w": np.array([0.3])}
-    p = scalar_params(1.0)
-    two = local_sgd_step(local_sgd_step(p, g, eta=0.05), g, eta=0.05)
-    one = local_sgd_step(p, g, eta=0.1)
-    assert np.allclose(two.entries["w"], one.entries["w"], atol=1e-12)
+    g = np.array([0.3])
+    two, one = scalar_params(1.0), scalar_params(1.0)
+    local_sgd_step(two, g, eta=0.05)
+    local_sgd_step(two, g, eta=0.05)
+    local_sgd_step(one, g, eta=0.1)
+    assert np.allclose(two, one, atol=1e-12)
 
 
 def test_sgd_passes_running_stats_through():
-    p = ParamSet(
-        entries={"w": np.array([1.0]), "rm": np.array([0.7])},
-        tags={"w": NON_NORM, "rm": NORM},
-        trainable={"w": True, "rm": False},
-    )
-    out = local_sgd_step(p, {"w": np.array([1.0])}, eta=0.1)
-    assert out.entries["rm"][0] == 0.7
+    p = np.array([1.0, 0.7])  # trainable w, then a running stat the gradient does not cover
+    local_sgd_step(p, np.array([1.0]), eta=0.1)
+    assert p[1] == 0.7
 
 
 def test_sgd_key_mismatch():
     p = scalar_params()
     with pytest.raises(KeyMismatch):
-        local_sgd_step(p, {"nope": np.zeros(1)}, eta=0.1)
+        local_sgd_step(p, np.zeros(2), eta=0.1)
 
 
 def test_adam_zero_gradient_zero_moments_is_identity():
     p = scalar_params(2.0)
-    state = AdamState.zeros(p)
-    out, _ = local_adam_step(p, {"w": np.zeros(1)}, state, eta=0.1)
-    assert np.array_equal(out.entries["w"], p.entries["w"])
+    state = AdamState.zeros(1)
+    local_adam_step(p, np.zeros(1), state, eta=0.1)
+    assert np.array_equal(p, scalar_params(2.0))
 
 
 def test_adam_first_step_moves_by_eta():
     p = scalar_params(1.0)
-    state = AdamState.zeros(p)
-    out, state = local_adam_step(p, {"w": np.ones(1)}, state, eta=0.1,
-                                 beta1=0.9, beta2=0.999, eps_adam=1e-8)
-    assert out.entries["w"][0] == pytest.approx(0.9, abs=1e-8)
+    state = AdamState.zeros(1)
+    local_adam_step(p, np.ones(1), state, eta=0.1, beta1=0.9, beta2=0.999, eps_adam=1e-8)
+    assert p[0] == pytest.approx(0.9, abs=1e-8)
     assert state.step == 1
 
 
@@ -84,7 +72,7 @@ def test_adam_three_step_trajectory_matches_scalar_oracle():
         w -= eta * m_hat / (v_hat**0.5 + eps)
 
     p = scalar_params(1.0)
-    state = AdamState.zeros(p)
+    state = AdamState.zeros(1)
     for g in grads:
-        p, state = local_adam_step(p, {"w": np.array([g])}, state, eta, b1, b2, eps)
-    assert p.entries["w"][0] == pytest.approx(w, abs=1e-12)
+        local_adam_step(p, np.array([g]), state, eta, b1, b2, eps)
+    assert p[0] == pytest.approx(w, abs=1e-12)

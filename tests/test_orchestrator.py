@@ -5,10 +5,11 @@ import pytest
 
 from fedbench import orchestrator
 from fedbench.benchmarks import benchmark_config
-from fedbench.data_synth import PartitionSpec
-from fedbench.errors import AllClientsDiverged, ConfigError, NoSelectableRound
+from fedbench.data_synth import PartitionSpec, generate
+from fedbench.errors import AllClientsDiverged, ConfigError, KeyMismatch, NoSelectableRound
 from fedbench.nn import (
     Batch,
+    Plan,
     init_params,
     local_sgd_step,
     model_backward,
@@ -19,6 +20,7 @@ from fedbench.orchestrator import (
     ExperimentConfig,
     client_rng,
     run_experiment,
+    run_local_training,
     run_round,
     sweep_local_epochs,
 )
@@ -88,7 +90,8 @@ def test_single_client_fedavg_equals_centralized_sgd():
 
     ds = generate(cfg.data)[0]
     # centralized reference: same init, same RNG schedule, plain SGD
-    params = init_params(cfg.model, seed)
+    plan = Plan(cfg.model)
+    params = plan.pack(init_params(cfg.model, seed))
     for round_idx in range(cfg.rounds):
         rng = client_rng(seed, 0, round_idx)
         for _ in range(cfg.local_epochs):
@@ -98,21 +101,21 @@ def test_single_client_fedavg_equals_centralized_sgd():
                 if len(idx) < 2:
                     continue
                 batch = Batch.from_arrays(ds.train.inputs[idx], ds.train.labels[idx])
-                _, _, cache = model_forward(cfg.model, params, batch, mode="train")
-                grad = model_backward(cfg.model, params, cache)
+                _, _, cache = model_forward(plan, params, batch, mode="train")
+                grad = model_backward(plan, params, cache)
                 from fedbench.nn import apply_running_stats
 
                 apply_running_stats(params, cache)
-                params = local_sgd_step(params, grad, cfg.eta)
+                local_sgd_step(params, grad, cfg.eta)
 
     result = run_experiment(cfg, seed=seed)
     # recover the final aggregated params by replaying the experiment
     server = init_server_state("fedavg", init_params(cfg.model, seed), cfg.strategy)
     clients = [ClientState(client_id=0, dataset=ds, params=init_params(cfg.model, seed))]
     for _ in range(cfg.rounds):
-        server, _ = run_round(server, clients, cfg, seed)
-    for name in params.names():
-        assert np.array_equal(server.global_params.entries[name], params.entries[name])
+        server, _ = run_round(server, clients, cfg, seed, plan)
+    for name, value in plan.entries(params).items():
+        assert np.array_equal(server.global_params.entries[name], value)
     assert len(result.rounds) == cfg.rounds
 
 
@@ -134,8 +137,10 @@ def test_single_round_single_batch_hand_stepped():
     rng = client_rng(seed, 0, 0)
     order = rng.permutation(7)
     batch = Batch.from_arrays(ds.train.inputs[order], ds.train.labels[order])
-    _, _, cache = model_forward(cfg.model, w0, batch, mode="train")
-    grad = model_backward(cfg.model, w0, cache)
+    plan = Plan(cfg.model)
+    w = plan.pack(w0)
+    _, _, cache = model_forward(plan, w, batch, mode="train")
+    grad = plan.entries(model_backward(plan, w, cache))
     expected = {
         name: w0.entries[name] - 0.05 * grad[name]
         for name in w0.trainable_names()
@@ -143,7 +148,7 @@ def test_single_round_single_batch_hand_stepped():
 
     server = init_server_state("fedavg", init_params(cfg.model, seed), cfg.strategy)
     clients = [ClientState(client_id=0, dataset=ds, params=init_params(cfg.model, seed))]
-    server, record = run_round(server, clients, cfg, seed)
+    server, record = run_round(server, clients, cfg, seed, plan)
     for name, want in expected.items():
         assert np.allclose(server.global_params.entries[name], want, atol=1e-15)
     assert record.round == 1
@@ -159,8 +164,9 @@ def test_fedbn_clients_keep_local_norm_params():
         ClientState(client_id=ds.client_id, dataset=ds, params=init_params(cfg.model, 0))
         for ds in datasets
     ]
+    plan = Plan(cfg.model)
     for _ in range(2):
-        server, _ = run_round(server, clients, cfg, seed=0)
+        server, _ = run_round(server, clients, cfg, 0, plan)
     gains = [c.params.entries["layer1.gain"].copy() for c in clients]
     assert not np.allclose(gains[0], gains[1], atol=1e-9)
     # while aggregated names are identical after broadcast at the next round
@@ -196,8 +202,9 @@ def test_identical_data_and_rng_collapses_to_single_client(monkeypatch):
             params=w0.copy(),
         )
         clients.append(clone)
+    plan = Plan(cfg.model)
     for _ in range(2):
-        server, _ = run_round(server, clients, cfg, seed=0)
+        server, _ = run_round(server, clients, cfg, 0, plan)
     for name in w0.names():
         assert np.allclose(
             server.global_params.entries[name], clients[0].params.entries[name], atol=1e-12
@@ -291,8 +298,8 @@ def test_all_clients_diverged_leaves_best_and_last_round(monkeypatch, tmp_path):
     run_experiment(replace(cfg, keep_all_checkpoints=True), seed=0, out_dir=tmp_path / "ref")
     original = orchestrator.run_local_training
 
-    def diverge_in_round_3(client, fragment, cfg, seed, round_idx):
-        update = original(client, fragment, cfg, seed, round_idx)
+    def diverge_in_round_3(client, fragment, cfg, seed, round_idx, plan):
+        update = original(client, fragment, cfg, seed, round_idx, plan)
         update.diverged = update.diverged or round_idx == 2
         return update
 
@@ -349,12 +356,75 @@ def test_epoch_budget_instrumented(monkeypatch):
     counts = {}
     original = orchestrator.run_local_training
 
-    def counting(client, fragment, cfg, seed, round_idx):
+    def counting(client, fragment, cfg, seed, round_idx, plan):
         counts[client.client_id] = counts.get(client.client_id, 0) + cfg.local_epochs
-        return original(client, fragment, cfg, seed, round_idx)
+        return original(client, fragment, cfg, seed, round_idx, plan)
 
     monkeypatch.setattr(orchestrator, "run_local_training", counting)
     cfg = experiment(rounds=3, local_epochs=2)
     run_experiment(cfg, seed=0)
     assert all(v == cfg.total_budget for v in counts.values())
     assert len(counts) == 3
+
+
+def test_round_rejects_entries_keyed_unlike_the_model():
+    """The keying check runs once per client round, as the round's vector is built."""
+    cfg = experiment(norm="batch_norm", rounds=1)
+    plan = Plan(cfg.model)
+    ds = generate(cfg.data)[0]
+    w0 = init_params(cfg.model, 0)
+    weight = w0.entries["layer0.weight"]
+    bad_fragments = [
+        {"layer9.weight": np.zeros((2, 2))},  # no such entry
+        {"layer0.weight": np.zeros((2, 2))},  # wrong size
+        {"layer0.weight": weight.T.copy()},  # same size, wrong shape
+    ]
+    for fragment in bad_fragments:
+        client = ClientState(client_id=0, dataset=ds, params=w0.copy())
+        with pytest.raises(KeyMismatch):
+            run_local_training(client, fragment, cfg, 0, 0, plan)
+    # client entries from another model: layer norm has no running stats
+    other = init_params(experiment(norm="layer_norm").model, 0)
+    client = ClientState(client_id=0, dataset=ds, params=other)
+    with pytest.raises(KeyMismatch):
+        run_local_training(client, dict(w0.entries), cfg, 0, 0, plan)
+
+
+def test_later_rounds_leave_published_arrays_unchanged(monkeypatch, tmp_path):
+    """Each round trains a fresh private vector in place, so what a round has
+    published (the in-memory checkpoint snapshot, ``params_after``) and its
+    round-start reference keep their bits while later rounds train."""
+    held = []  # (array, its bits when the round that made it ended)
+
+    def hold(arrays):
+        held.extend((a, a.copy()) for a in arrays)
+
+    real_train, real_snapshot = orchestrator.run_local_training, orchestrator._snapshot
+    real_loss_grad = orchestrator.local_loss_grad
+    refs = {}
+
+    def loss_grad(algorithm, grad, w_local, w_global, *rest):
+        refs[id(w_global)] = w_global
+        return real_loss_grad(algorithm, grad, w_local, w_global, *rest)
+
+    def train(*args):
+        update = real_train(*args)
+        hold(update.params_after.entries.values())
+        hold(refs.values())
+        refs.clear()
+        return update
+
+    def snapshot(*args):
+        snap = real_snapshot(*args)
+        for params in snap.values():
+            hold(params.entries.values())
+        return snap
+
+    monkeypatch.setattr(orchestrator, "local_loss_grad", loss_grad)
+    monkeypatch.setattr(orchestrator, "run_local_training", train)
+    monkeypatch.setattr(orchestrator, "_snapshot", snapshot)
+    run_experiment(experiment(algorithm="fedprox", norm="batch_norm", rounds=4, local_epochs=2),
+                   seed=0, out_dir=tmp_path)
+    assert len(held) > 4 * 3 * 2 * 8
+    for array, bits in held:
+        assert np.array_equal(array, bits)

@@ -53,31 +53,34 @@ def test_config_rejects_policy_mismatch():
 # local objective modifiers
 
 def test_fedprox_mu_zero_is_base_grad():
-    base = {"w": np.array([0.3])}
-    out = local_loss_grad("fedprox", base, scalar_set(2.0), scalar_set(1.0), cfg_for("fedprox", mu=0.0))
+    base = np.array([0.3])
+    out = local_loss_grad("fedprox", base, np.array([2.0]), np.array([1.0]), 1,
+                          cfg_for("fedprox", mu=0.0))
     assert out is base
 
 
 def test_fedprox_scalar_example():
-    base = {"w": np.array([0.3])}
-    out = local_loss_grad("fedprox", base, scalar_set(2.0), scalar_set(1.0), cfg_for("fedprox", mu=0.1))
-    assert out["w"][0] == pytest.approx(0.4, abs=1e-15)
+    base = np.array([0.3])
+    out = local_loss_grad("fedprox", base, np.array([2.0]), np.array([1.0]), 1,
+                          cfg_for("fedprox", mu=0.1))
+    assert out[0] == pytest.approx(0.4, abs=1e-15)
 
 
 def test_fedpxn_skips_norm_entries():
-    extra = {"gain": (5.0, NORM, True)}
-    local = scalar_set(2.0, extra)
-    glob = scalar_set(1.0, {"gain": (0.0, NORM, True)})
-    base = {"w": np.array([0.3]), "gain": np.array([0.2])}
-    out = local_loss_grad("fedpxn", base, local, glob, cfg_for("fedpxn", mu=0.1))
-    assert out["gain"][0] == pytest.approx(0.2, abs=1e-15)  # no proximal pull
-    assert out["w"][0] == pytest.approx(0.4, abs=1e-15)
+    # vector layout: the non-norm entry w, then the norm gain (norm_start = 1)
+    local = np.array([2.0, 5.0])
+    glob = np.array([1.0, 0.0])
+    base = np.array([0.3, 0.2])
+    out = local_loss_grad("fedpxn", base, local, glob, 1, cfg_for("fedpxn", mu=0.1))
+    assert out[1] == pytest.approx(0.2, abs=1e-15)  # no proximal pull
+    assert out[0] == pytest.approx(0.4, abs=1e-15)
 
 
 def test_feddyn_requires_memory():
-    base = {"w": np.array([0.1])}
+    base = np.array([0.1])
     with pytest.raises(MissingDynMemory):
-        local_loss_grad("feddyn", base, scalar_set(), scalar_set(), cfg_for("feddyn", alpha=0.1))
+        local_loss_grad("feddyn", base, np.array([1.0]), np.array([1.0]), 1,
+                        cfg_for("feddyn", alpha=0.1))
 
 
 def test_feddyn_gradient_matches_finite_difference_of_modified_objective():
@@ -96,10 +99,9 @@ def test_feddyn_gradient_matches_finite_difference_of_modified_objective():
         )
 
     w = rng.standard_normal(4)
-    local = ParamSet({"w": w.copy()}, {"w": NON_NORM}, {"w": True})
-    glob = ParamSet({"w": w_global.copy()}, {"w": NON_NORM}, {"w": True})
-    dyn = DynMemory(client_id=0, prev_grad={"w": prev_grad.copy()}, initialized=True)
-    out = local_loss_grad("feddyn", {"w": w - c}, local, glob, cfg_for("feddyn", alpha=alpha), dyn)
+    dyn = DynMemory(client_id=0, prev_grad=prev_grad.copy(), initialized=True)
+    out = local_loss_grad("feddyn", w - c, w.copy(), w_global.copy(), 4,
+                          cfg_for("feddyn", alpha=alpha), dyn)
 
     h = 1e-5
     for i in range(4):
@@ -107,20 +109,20 @@ def test_feddyn_gradient_matches_finite_difference_of_modified_objective():
         up[i] += h
         down[i] -= h
         fd = (modified(up) - modified(down)) / (2 * h)
-        assert out["w"][i] == pytest.approx(fd, rel=1e-4, abs=1e-8)
+        assert out[i] == pytest.approx(fd, rel=1e-4, abs=1e-8)
 
 
 def test_update_dyn_memory_first_call_and_zero_grad():
     dyn = DynMemory(client_id=0)
-    new = update_dyn_memory(dyn, {"w": np.array([0.5])})
+    new = update_dyn_memory(dyn, np.array([0.5]))
     assert new.initialized
-    assert new.prev_grad["w"][0] == 0.5
+    assert new.prev_grad[0] == 0.5
 
-    zeroed = update_dyn_memory(new, {"w": np.zeros(1)})
-    base = {"w": np.array([0.2])}
+    zeroed = update_dyn_memory(new, np.zeros(1))
+    base = np.array([0.2])
     cfg = cfg_for("feddyn", alpha=0.3)
-    out = local_loss_grad("feddyn", base, scalar_set(2.0), scalar_set(1.0), cfg, zeroed)
-    assert out["w"][0] == pytest.approx(0.2 + 0.3 * 1.0, abs=1e-15)
+    out = local_loss_grad("feddyn", base, np.array([2.0]), np.array([1.0]), 1, cfg, zeroed)
+    assert out[0] == pytest.approx(0.2 + 0.3 * 1.0, abs=1e-15)
 
 
 # ---------------------------------------------------------------------------

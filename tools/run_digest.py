@@ -13,6 +13,9 @@ The set:
   checkpointing every round (``best/`` and the last round are kept);
 * fedyogi, 10 rounds, seed 0, with ``keep_all_checkpoints`` (every round's
   checkpoint and ``best/`` are kept), written to ``grid_keep_all/``;
+* 10 rounds at seed 0 of each other layer kind the model compiles, written
+  to ``kinds/``: layer norm (fedpxn), group norm (feddyn with local Adam), no
+  norm (fedprox) and a sigmoid-BCE head after batch norm (fedadam);
 * ``fedbench partition`` of a K=10 label-skew spec, then ``fedbench sweep
   --grid 5x4,10x2`` with fedpxn and local Adam over seeds 0-2, the shape of
   the benchmark's ``ls_sweep_cli`` workload.
@@ -41,10 +44,19 @@ import yaml
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from fedbench import benchmarks, cli, orchestrator  # noqa: E402
+from fedbench.nn import LayerSpec  # noqa: E402
 from fedbench.strategies import ALGORITHMS  # noqa: E402
 
 ROUNDS = 50
 KEEP_ALL_ROUNDS = 10
+KIND_ROUNDS = 10
+# run name -> (algorithm, norm kind, local optimizer, loss head)
+KIND_RUNS = {
+    "layer_norm": ("fedpxn", "layer_norm", "sgd", "softmax_ce_head"),
+    "group_norm": ("feddyn", "group_norm", "adam", "softmax_ce_head"),
+    "no_norm": ("fedprox", "", "sgd", "softmax_ce_head"),
+    "sigmoid_bce": ("fedadam", "batch_norm", "sgd", "sigmoid_bce_head"),
+}
 SWEEP_GRID = "5x4,10x2"
 SWEEP_SIZES = [400, 350, 282, 238, 226] * 2
 
@@ -60,6 +72,18 @@ def run_keep_all() -> None:
                                       seeds=(0,))
     cfg = replace(cfg, keep_all_checkpoints=True)
     orchestrator.run_experiment(cfg, 0, out_dir=Path("grid_keep_all"))
+
+
+def run_kinds() -> None:
+    for name, (alg, norm_kind, optimizer, head) in KIND_RUNS.items():
+        cfg = benchmarks.benchmark_config(alg, "feature_shift", rounds=KIND_ROUNDS, seeds=(0,),
+                                          norm_kind=norm_kind)
+        model = cfg.model
+        if head == "sigmoid_bce_head":
+            model = replace(model, layers=model.layers[:-1] + [LayerSpec(kind=head)],
+                            loss="binary_cross_entropy")
+        cfg = replace(cfg, model=model, local_optimizer=optimizer)
+        orchestrator.run_experiment(cfg, 0, out_dir=Path("kinds") / name)
 
 
 def run_sweep() -> None:
@@ -124,6 +148,7 @@ def main(argv=None) -> int:
     os.chdir(out)
     run_grid()
     run_keep_all()
+    run_kinds()
     run_sweep()
     for path in sorted(p for p in Path(".").rglob("*") if p.is_file()):
         print(f"{file_digest(path)}  {path.as_posix()}")
