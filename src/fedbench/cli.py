@@ -302,30 +302,37 @@ def cmd_partition(args) -> int:
     return EXIT_OK
 
 
-def _collect_seed_metrics(result_dir: Path) -> tuple[str, list[float]]:
+def _finite(record: dict, key: str, path: Path, default=None) -> float:
+    value = record.get(key, default) if isinstance(record, dict) else None
+    # a NaN metric would sort above every real one in the rank tests, and a
+    # string or null elapsed time cannot be summed
+    if not (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and math.isfinite(value)):
+        raise ConfigError("results", f"{path} has no finite {key}: {value!r}")
+    return value
+
+
+def _collect_seed_metrics(result_dir: Path) -> tuple[str, list[float], list[tuple[Path, dict]]]:
+    """(algorithm, per-seed mean test metrics, (path, record) of each result.json)."""
     seeds = sorted(result_dir.glob("seed_*/result.json"))
     if not seeds:
         raise ConfigError("results", f"no seed_*/result.json under {result_dir}")
-    values, algorithm = [], None
+    values, records, algorithm = [], [], None
     for path in seeds:
         try:
             record = json.loads(path.read_text())
         except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise ConfigError("results", f"{path} is not valid JSON: {exc}")
-        value = record.get("mean_test_metric") if isinstance(record, dict) else None
-        # a NaN metric would sort above every real one in the rank tests
-        if not (isinstance(value, (int, float)) and not isinstance(value, bool)
-                and math.isfinite(value)):
-            raise ConfigError("results", f"{path} has no finite mean_test_metric: {value!r}")
-        values.append(value)
+        values.append(_finite(record, "mean_test_metric", path))
+        records.append((path, record))
         algorithm = record.get("algorithm", result_dir.name)
-    return algorithm or result_dir.name, values
+    return algorithm or result_dir.name, values, records
 
 
 def cmd_compare(args) -> int:
     collected: dict[str, list[float]] = {}
     for d in args.results:
-        name, values = _collect_seed_metrics(Path(d))
+        name, values, _ = _collect_seed_metrics(Path(d))
         key = name if name not in collected else f"{name}:{d}"
         collected[key] = values
     method = "exact" if args.exact else ("normal" if args.approx else "auto")
@@ -342,13 +349,13 @@ def cmd_compare(args) -> int:
 
 def cmd_report(args) -> int:
     result_dir = Path(args.results)
-    name, values = _collect_seed_metrics(result_dir)
+    name, values, records = _collect_seed_metrics(result_dir)
+    elapsed = 0.0
+    for path, record in records:
+        elapsed += _finite(record, "elapsed_seconds", path, default=0.0)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     metrics_mod.write_summary_csv(out / "summary.csv", {name: {"selection_metric": values}})
-    elapsed = 0.0
-    for path in sorted(result_dir.glob("seed_*/result.json")):
-        elapsed += json.loads(path.read_text()).get("elapsed_seconds", 0.0)
     metrics_mod.write_timing_csv(out / "timing.csv", {name: elapsed})
     for path in sorted(result_dir.glob("seed_*/distances.csv")):
         target = out / f"distances_{path.parent.name}.csv"

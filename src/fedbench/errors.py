@@ -15,6 +15,10 @@ class NonFiniteLoss(FedbenchError):
     """Loss or activations went NaN/Inf; caller decides abort vs. record."""
 
 
+class NonFiniteScore(FedbenchError):
+    """A score handed to a ranking metric is NaN or infinite."""
+
+
 class StaleCache(FedbenchError):
     """Backward called with a cache built from different params."""
 

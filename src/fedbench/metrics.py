@@ -1,11 +1,13 @@
 """Evaluation metrics and the exact rank-sum test.
 
 AUROC is the midrank (ties = 1/2) pairwise-ordering probability; AUPRC is
-average precision with step-wise interpolation.  Multiclass tasks report the
-macro one-vs-rest mean.  The Mann-Whitney U test is exact (midranks; the
-rank-sum distribution is counted by the Mann & Whitney (1947) recurrence over
-doubled, hence integer, midranks) for n+m <= 20 and falls back to the
-tie-corrected normal approximation beyond.
+average precision with step-wise interpolation.  Both score columns: a binary
+task is one column, and multiclass (class ids) and multi-label (multi-hot)
+tasks report the macro mean over the columns with both outcomes present.
+The Mann-Whitney U test is exact (midranks; the rank-sum distribution is
+counted by the Mann & Whitney (1947) recurrence over doubled, hence integer,
+midranks) for n+m <= 20 and falls back to the tie-corrected normal
+approximation beyond.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptySample, SingleClass
+from .errors import EmptySample, NonFiniteScore, ShapeMismatch, SingleClass
 
 SIGNIFICANCE_LEVEL = 0.05
 EXACT_LIMIT = 20  # auto picks the exact rank-sum recurrence up to n+m = 20
@@ -35,60 +37,81 @@ def _midranks(values: np.ndarray) -> np.ndarray:
     return ranks
 
 
-def auroc(scores, labels) -> float:
-    """Probability a random positive outscores a random negative (ties 1/2).
+def _columns(scores, labels) -> tuple[np.ndarray, np.ndarray]:
+    """(n, C) finite scores and the (n, C) mask of their positives.
 
-    1-D scores: binary labels.  2-D scores (n, C): integer class ids, macro
-    one-vs-rest mean over classes with both outcomes present.
+    1-D scores are one binary column, positives ``labels == 1``.  2-D scores
+    take class ids, positives ``labels == c`` in column c, or (n, C)
+    multi-hot labels, positives ``labels[:, c] == 1``.
     """
     scores = np.asarray(scores, dtype=np.float64)
     labels = np.asarray(labels)
-    if scores.ndim == 2:
-        return _multiclass(auroc, scores, labels)
-    pos = labels == 1
-    n_pos, n_neg = int(pos.sum()), int((~pos).sum())
-    if n_pos == 0 or n_neg == 0:
+    if scores.ndim == 1 and labels.shape == scores.shape:
+        scores, positives = scores[:, None], (labels == 1)[:, None]
+    elif scores.ndim == 2 and labels.shape == scores.shape[:1]:
+        positives = labels[:, None] == np.arange(scores.shape[1])
+    elif scores.ndim == 2 and labels.shape == scores.shape:
+        positives = labels == 1
+    else:
+        raise ShapeMismatch(f"labels of shape {labels.shape} do not fit scores of shape "
+                            f"{scores.shape}")
+    if not np.isfinite(scores).all():
+        raise NonFiniteScore("scores must be finite to be ranked")
+    return scores, positives
+
+
+def auroc(scores, labels) -> float:
+    """Probability a random positive outscores a random negative (ties 1/2),
+    macro-averaged over the columns of ``_columns``.
+
+    The columns are sorted once.  A score's midrank is (#scores below it +
+    #scores at or below it + 1) / 2, two binary searches in its sorted column,
+    so the doubled rank sum of a column's p positives is an exact integer.
+    """
+    scores, positives = _columns(scores, labels)
+    ranked = np.sort(scores, axis=0)
+    n = scores.shape[0]
+    vals = []
+    for c in range(scores.shape[1]):
+        pos = positives[:, c]
+        p = int(np.count_nonzero(pos))
+        if p in (0, n):
+            continue
+        col, x = ranked[:, c], scores[pos, c]
+        doubled = int(np.add.reduce(col.searchsorted(x, "left")
+                                    + col.searchsorted(x, "right"))) + p
+        vals.append((doubled / 2 - p * (p + 1) / 2.0) / (p * (n - p)))
+    if not vals:
         raise SingleClass("AUROC needs both classes present")
-    ranks = _midranks(scores)
-    return float((ranks[pos].sum() - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
+    return float(np.add.reduce(vals) / len(vals))  # np.mean's arithmetic
 
 
 def auprc(scores, labels) -> float:
-    """Average precision with step-wise interpolation."""
-    scores = np.asarray(scores, dtype=np.float64)
-    labels = np.asarray(labels)
-    if scores.ndim == 2:
-        return _multiclass(auprc, scores, labels)
-    pos = labels == 1
-    n_pos = int(pos.sum())
-    if n_pos == 0 or n_pos == len(labels):
-        raise SingleClass("AUPRC needs both classes present")
-    # walk thresholds at distinct scores, high to low
-    order = np.argsort(-scores, kind="stable")
-    sorted_scores = scores[order]
-    sorted_pos = pos[order].astype(np.float64)
-    tp = np.cumsum(sorted_pos)
-    fp = np.cumsum(1.0 - sorted_pos)
-    # keep the last index of each distinct score (full tie group counted at once)
-    distinct = np.append(sorted_scores[1:] != sorted_scores[:-1], True)
-    tp_d, fp_d = tp[distinct], fp[distinct]
-    recall = tp_d / n_pos
-    precision = tp_d / (tp_d + fp_d)
-    prev_recall = np.concatenate([[0.0], recall[:-1]])
-    return float(np.sum((recall - prev_recall) * precision))
-
-
-def _multiclass(metric, scores: np.ndarray, labels: np.ndarray) -> float:
-    n, c = scores.shape
+    """Average precision with step-wise interpolation, macro-averaged over the
+    columns of ``_columns``."""
+    scores, positives = _columns(scores, labels)
     vals = []
-    for cls in range(c):
-        binary = (labels == cls).astype(int)
-        if binary.sum() in (0, n):
+    for c in range(scores.shape[1]):
+        pos = positives[:, c]
+        n_pos = int(np.count_nonzero(pos))
+        if n_pos in (0, len(pos)):
             continue
-        vals.append(metric(scores[:, cls], binary))
+        # walk thresholds at distinct scores, high to low
+        order = np.argsort(-scores[:, c], kind="stable")
+        sorted_scores = scores[order, c]
+        sorted_pos = pos[order].astype(np.float64)
+        tp = np.cumsum(sorted_pos)
+        fp = np.cumsum(1.0 - sorted_pos)
+        # keep the last index of each distinct score (full tie group counted at once)
+        distinct = np.append(sorted_scores[1:] != sorted_scores[:-1], True)
+        tp_d, fp_d = tp[distinct], fp[distinct]
+        recall = tp_d / n_pos
+        precision = tp_d / (tp_d + fp_d)
+        prev_recall = np.concatenate([[0.0], recall[:-1]])
+        vals.append(float(np.sum((recall - prev_recall) * precision)))
     if not vals:
-        raise SingleClass("no class with both outcomes present")
-    return float(np.mean(vals))
+        raise SingleClass("AUPRC needs both classes present")
+    return float(np.add.reduce(vals) / len(vals))
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,9 @@ holds the wrapper-based code as the oracle.
 
 A ``Plan`` compiles a ModelSpec once into one flat float64 vector layout:
 trainable non-norm entries, then norm gains and biases (up to ``n_train``),
-then each batch-norm layer's running mean and variance as one (2, d) block.
+then each batch-norm layer's running mean and variance as one (2, d) block,
+so each exclusion policy shares a prefix of it (``Plan.prefix``).  Inside a
+run this vector is the only parameter representation (see ``params``).
 Each layer below the head is a pair of closures over fixed views of the
 vector, for train and eval alike; the backward writes into a flat gradient
 with ``out=``.  ``apply_running_stats`` and the optimizer steps update a
@@ -34,7 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateBatch, KeyMismatch, NonFiniteLoss, ShapeMismatch, StaleCache
-from .params import NON_NORM, NORM, ParamSet
+from .params import NON_NORM, NORM, ExclusionPolicy, ParamSet
 
 BN_MOMENTUM = 0.1  # running-stat EMA step; convention, configurable per layer
 NORM_KINDS = ("batch_norm", "layer_norm", "group_norm")
@@ -183,6 +185,7 @@ class Plan:
             sizes[group[name]] += math.prod(shape)
             self.slots[name] = (start, sum(sizes), shape)
         self.size, self.n_non_norm, self.n_train = sum(sizes), sizes[0], sizes[0] + sizes[1]
+        self.non_norm_slots = [(a, b) for a, b, _ in self.slots.values() if b <= self.n_non_norm]
         self.index = {name: k for k, name in enumerate(self.slots)}  # position in views()
         self._views = [(None, []), (None, [])]  # (vector, its views), latest last
         self.softmax = spec.layers[-1].kind == "softmax_ce_head"
@@ -199,17 +202,20 @@ class Plan:
             self.backward.append(bwd)
         self.backward.reverse()
 
-    def pack(self, params: ParamSet, fragment: dict[str, np.ndarray] | None = None) -> np.ndarray:
-        """A fresh vector holding ``params`` with the entries of ``fragment`` in their place."""
-        entries = params.entries
-        if list(entries) != self.names or (fragment and not fragment.keys() <= entries.keys()):
+    def pack(self, params: ParamSet) -> np.ndarray:
+        """A fresh vector holding the entries of ``params``."""
+        if list(params.entries) != self.names:
             raise KeyMismatch("entries are not keyed like the model's")
-        if fragment:
-            entries = {**entries, **fragment}
-        arrays = [entries[name] for name in self.slots]
+        arrays = [params.entries[name] for name in self.slots]
         if [a.shape for a in arrays] != [shape for _, _, shape in self.slots.values()]:
             raise KeyMismatch("entry shapes differ from the model's")
         return np.concatenate(arrays, axis=None)
+
+    def prefix(self, policy: ExclusionPolicy) -> int:
+        """How many leading entries of a vector the server shares under ``policy``
+        (the trainable ones under stats_only_excluded and rescaling_aggregated)."""
+        return {ExclusionPolicy.NONE: self.size,
+                ExclusionPolicy.ALL_NORM_EXCLUDED: self.n_non_norm}.get(policy, self.n_train)
 
     def views(self, vec: np.ndarray) -> list[np.ndarray]:
         """Views of the entries ``vec`` holds (a gradient: the trainable ones), in
@@ -330,7 +336,7 @@ def labels_to_targets(spec: ModelSpec, labels: np.ndarray) -> np.ndarray:
     labels = np.asarray(labels)
     if labels.ndim == 1:
         ids = labels.astype(np.int64)
-        if ids.min() < 0 or ids.max() >= spec.num_classes:
+        if ids.size and (ids.min() < 0 or ids.max() >= spec.num_classes):
             raise ShapeMismatch("class id outside [0, num_classes)")
         targets = np.zeros((labels.shape[0], spec.num_classes))
         targets[np.arange(labels.shape[0]), ids] = 1.0

@@ -3,8 +3,11 @@
 Every round: broadcast (respecting the exclusion policy), E local epochs per
 client, barrier, aggregation, then a validation pass per client.  Client RNG
 streams are derived from (seed, client_id, round) so the execution order can
-never perturb the results.  Under fedbn/fedpxn each client evaluates with its
-own norm parameters; all other algorithms evaluate the identical global set.
+never perturb the results.  A run works on one ``nn.Plan``'s flat vectors
+(see ``params``).  A client starts its round from, and evaluates with, the
+global's first ``k`` entries (``Plan.prefix`` of the policy) and the rest of
+its own vector: under fedbn/fedpxn each client keeps its own norm
+parameters; all other algorithms use the identical global vector.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ from .data_synth import ClientDataset, PartitionSpec, generate, load_partition
 from .errors import (
     AllClientsDiverged,
     ConfigError,
+    KeyMismatch,
     NoSelectableRound,
     NonFiniteLoss,
     SingleClass,
@@ -42,7 +46,7 @@ from .nn import (
     model_backward,
     model_forward,
 )
-from .params import ParamSet, l2_distance_excluding_norm, save_paramset
+from .params import l2_distance_excluding_norm, save_paramset
 from .strategies import (
     ClientUpdate,
     DynMemory,
@@ -132,10 +136,30 @@ class ExperimentResult:
 @dataclass
 class ClientState:
     client_id: int
-    dataset: ClientDataset
-    params: ParamSet
+    n_k: int
+    train: Batch  # the client's splits with their one-hot targets (see ``create``)
+    val: Batch
+    test: Batch
+    params: np.ndarray  # its own vector: w_0, then each round's trained vector (read-only)
+    eval_params: np.ndarray | None = None  # what it evaluated with after the last aggregation
     adam_state: AdamState | None = None
     dyn: DynMemory | None = None
+
+    @classmethod
+    def create(cls, ds: ClientDataset, w_0: np.ndarray, cfg: ExperimentConfig,
+               plan: Plan) -> "ClientState":
+        """A client at the start of a run.  Its targets are built here, once per
+        run (validating the class ids), into new Batches: the ClientDataset may
+        be shared between runs and is never written."""
+        def split(batch: Batch) -> Batch:
+            return replace(batch, targets=labels_to_targets(cfg.model, batch.labels))
+
+        return cls(
+            client_id=ds.client_id, n_k=ds.n_k,
+            train=split(ds.train), val=split(ds.val), test=split(ds.test), params=w_0,
+            adam_state=AdamState.zeros(plan.n_train) if cfg.local_optimizer == "adam" else None,
+            dyn=DynMemory(client_id=ds.client_id) if cfg.strategy.algorithm == "feddyn" else None,
+        )
 
 
 def client_rng(seed: int, client_id: int, round_idx: int) -> np.random.Generator:
@@ -143,12 +167,12 @@ def client_rng(seed: int, client_id: int, round_idx: int) -> np.random.Generator
     return np.random.default_rng([seed, client_id, round_idx])
 
 
-def _batches(batch: Batch, targets: np.ndarray, batch_size: int, rng: np.random.Generator):
-    """Shuffled consecutive mini-batches with their rows of ``targets``, all
+def _batches(batch: Batch, batch_size: int, rng: np.random.Generator):
+    """Shuffled consecutive mini-batches with their rows of the targets, all
     gathered once per epoch; a trailing singleton is dropped (batch-norm
     train mode cannot use it)."""
     order = rng.permutation(batch.size)
-    inputs, labels, targets = batch.inputs[order], batch.labels[order], targets[order]
+    inputs, labels, targets = batch.inputs[order], batch.labels[order], batch.targets[order]
     for start in range(0, batch.size, batch_size):
         stop = min(start + batch_size, batch.size)
         if stop - start < 2:
@@ -157,31 +181,41 @@ def _batches(batch: Batch, targets: np.ndarray, batch_size: int, rng: np.random.
                     targets=targets[start:stop])
 
 
+def _merge(fragment: np.ndarray, own: np.ndarray) -> np.ndarray:
+    """``own`` with the broadcast prefix ``fragment`` in place of its first
+    entries, read-only; the fragment itself when it covers the whole vector."""
+    k = fragment.shape[0]
+    if k == own.shape[0]:
+        return fragment
+    vec = np.concatenate((fragment, own[k:]))
+    vec.flags.writeable = False
+    return vec
+
+
 def run_local_training(
     client: ClientState,
-    fragment: dict[str, np.ndarray],
+    fragment: np.ndarray,
     cfg: ExperimentConfig,
     seed: int,
     round_idx: int,
     plan: Plan,
 ) -> ClientUpdate:
     """E local epochs with the strategy-modified gradient, trained in place in
-    one private vector (``plan.pack`` of the client's entries and ``fragment``,
-    which checks their keying), then published read-only as views."""
+    a private copy of the round-start vector (the broadcast ``fragment`` over
+    the client's own vector), then published read-only."""
     strat = cfg.strategy
-    w_ref = plan.pack(client.params, fragment)  # round-start reference for prox/dyn terms
-    w_ref.flags.writeable = False
+    if client.params.shape != (plan.size,) or fragment.shape[0] > plan.size:
+        raise KeyMismatch("vectors are not laid out like the model's")
+    w_ref = _merge(fragment, client.params)  # round-start reference for prox/dyn terms
     work = w_ref.copy()
     grad = np.empty(plan.n_train)
     rng = client_rng(seed, client.client_id, round_idx)
-    train = client.dataset.train
-    targets = labels_to_targets(cfg.model, train.labels)  # validates the class ids once
     losses = []
     diverged = False
     grad_sum = None
     grad_steps = 0
     for _ in range(cfg.local_epochs):
-        for batch in _batches(train, targets, cfg.batch_size, rng):
+        for batch in _batches(client.train, cfg.batch_size, rng):
             try:
                 _, loss, cache = model_forward(plan, work, batch, mode="train")
             except NonFiniteLoss:
@@ -211,25 +245,18 @@ def run_local_training(
         client.dyn = update_dyn_memory(client.dyn, grad_sum / grad_steps)
     train_loss = float(np.mean(losses)) if losses else float("nan")
     work.flags.writeable = False
-    client.params = plan.publish(work)
+    client.params = work
     return ClientUpdate(
         client_id=client.client_id,
-        params_after=client.params.shallow_copy(),
-        n_k=client.dataset.n_k,
+        params_after=work,
+        n_k=client.n_k,
         train_loss=train_loss,
         diverged=diverged,
     )
 
 
-def _eval_params(client: ClientState, server: ServerState, strat: StrategyConfig) -> ParamSet:
-    """Post-aggregation evaluation parameters for one client."""
-    merged = client.params.shallow_copy()
-    merged.overwrite(broadcast_fragment(server, strat))
-    return merged
-
-
-def evaluate(plan: Plan, params: ParamSet, batch: Batch, metric: str) -> float:
-    probs, loss, _ = model_forward(plan, plan.pack(params), batch, mode="eval")
+def evaluate(plan: Plan, params: np.ndarray, batch: Batch, metric: str) -> float:
+    probs, loss, _ = model_forward(plan, params, batch, mode="eval")
     labels = np.asarray(batch.labels)
     if metric == "loss":
         return -loss  # selection maximizes
@@ -254,12 +281,13 @@ def run_round(
     strat = cfg.strategy
     start = time.perf_counter()
     round_idx = server.round
-    fragment = broadcast_fragment(server, strat)
+    k = plan.prefix(strat.policy)
+    fragment = broadcast_fragment(server, k)
     w_start = server.global_params
     ordered = sorted(clients, key=lambda c: c.client_id)
     updates = [run_local_training(c, fragment, cfg, seed, round_idx, plan) for c in ordered]
     distances = {
-        u.client_id: l2_distance_excluding_norm(u.params_after, w_start)
+        u.client_id: l2_distance_excluding_norm(u.params_after, w_start, plan.non_norm_slots)
         for u in updates
         if not u.diverged
     }
@@ -268,13 +296,12 @@ def run_round(
         log.warning("round %d: diverged clients excluded from aggregation: %s",
                     round_idx + 1, diverged_ids)
     new_server = server_aggregate(strat.algorithm, server, updates, strat)
+    fragment = broadcast_fragment(new_server, k)  # evaluate as the next round starts
     val_metrics = {}
     for c in clients:
-        eval_params = _eval_params(c, new_server, strat)
+        c.eval_params = _merge(fragment, c.params)
         try:
-            val_metrics[c.client_id] = evaluate(
-                plan, eval_params, c.dataset.val, cfg.selection_metric
-            )
+            val_metrics[c.client_id] = evaluate(plan, c.eval_params, c.val, cfg.selection_metric)
         except (NonFiniteLoss, SingleClass):
             # a diverged model or a single-class val split cannot be ranked
             val_metrics[c.client_id] = float("nan")
@@ -297,13 +324,13 @@ def _load_clients(cfg: ExperimentConfig) -> list[ClientDataset]:
     return generate(cfg.data)
 
 
-def _snapshot(w_start: ParamSet, server: ServerState,
-              clients: list[ClientState]) -> dict[str, ParamSet]:
+def _snapshot(w_start: np.ndarray, server: ServerState,
+              clients: list[ClientState]) -> dict[str, np.ndarray]:
     """One round's checkpoint files, held in memory.
 
-    No entry array is ever written in place once published, and a round
-    replaces ``client.params`` instead of editing it (see ``params``), so
-    holding the ParamSets by reference is enough.
+    A published vector is never written again, and a round replaces
+    ``client.params`` instead of editing it (see ``params``), so holding the
+    vectors by reference is enough.
     """
     snapshot = {"global_start.npz": w_start, "global_agg.npz": server.global_params}
     for c in clients:
@@ -311,10 +338,10 @@ def _snapshot(w_start: ParamSet, server: ServerState,
     return snapshot
 
 
-def _write_checkpoint(cdir: Path, snapshot: dict[str, ParamSet]) -> None:
+def _write_checkpoint(cdir: Path, snapshot: dict[str, np.ndarray], plan: Plan) -> None:
     cdir.mkdir(parents=True, exist_ok=True)
-    for name, params in snapshot.items():
-        save_paramset(params, cdir / name)
+    for name, vec in snapshot.items():
+        save_paramset(plan.publish(vec), cdir / name)
 
 
 def run_experiment(cfg: ExperimentConfig, seed: int, out_dir=None,
@@ -327,20 +354,14 @@ def run_experiment(cfg: ExperimentConfig, seed: int, out_dir=None,
     if datasets is None:
         datasets = _load_clients(cfg)
     plan = Plan(cfg.model)
-    w_0 = init_params(cfg.model, seed)
-    server = init_server_state(cfg.strategy.algorithm, w_0, cfg.strategy)
-    clients = []
-    for ds in datasets:
-        state = ClientState(client_id=ds.client_id, dataset=ds, params=w_0.copy())
-        if cfg.local_optimizer == "adam":
-            state.adam_state = AdamState.zeros(plan.n_train)
-        if cfg.strategy.algorithm == "feddyn":
-            state.dyn = DynMemory(client_id=ds.client_id)
-        clients.append(state)
+    w_0 = plan.pack(init_params(cfg.model, seed))
+    w_0.flags.writeable = False
+    server = init_server_state(cfg.strategy.algorithm, w_0, cfg.strategy, plan.n_train)
+    clients = [ClientState.create(ds, w_0, cfg, plan) for ds in datasets]
 
     ckpt_dir = Path(out_dir) / "checkpoints" if out_dir is not None else None
     best_round, best_metric = 0, -np.inf
-    best_eval_sets: dict[int, ParamSet] = {}
+    best_eval_sets: dict[int, np.ndarray] = {}
     # the last and the best round's checkpoints, written once when the run ends
     last = best = None
     records: list[RoundRecord] = []
@@ -352,13 +373,11 @@ def run_experiment(cfg: ExperimentConfig, seed: int, out_dir=None,
             if ckpt_dir is not None:
                 last = (record.round, _snapshot(w_start, server, clients))
                 if cfg.keep_all_checkpoints:
-                    _write_checkpoint(ckpt_dir / f"round_{record.round:04d}", last[1])
+                    _write_checkpoint(ckpt_dir / f"round_{record.round:04d}", last[1], plan)
             if record.mean_val_metric > best_metric:
                 best_metric = record.mean_val_metric
                 best_round = record.round
-                best_eval_sets = {
-                    c.client_id: _eval_params(c, server, cfg.strategy) for c in clients
-                }
+                best_eval_sets = {c.client_id: c.eval_params for c in clients}
                 best = last
         if not best_eval_sets:
             raise NoSelectableRound(
@@ -370,16 +389,16 @@ def run_experiment(cfg: ExperimentConfig, seed: int, out_dir=None,
         raise
     finally:
         if last is not None and not cfg.keep_all_checkpoints:
-            _write_checkpoint(ckpt_dir / f"round_{last[0]:04d}", last[1])
+            _write_checkpoint(ckpt_dir / f"round_{last[0]:04d}", last[1], plan)
         if best is not None:
-            _write_checkpoint(ckpt_dir / "best", best[1])
+            _write_checkpoint(ckpt_dir / "best", best[1], plan)
 
     # test once, at the selected round, with each client's own eval parameters
     test_metrics = {}
     for c in clients:
         try:
             test_metrics[c.client_id] = evaluate(
-                plan, best_eval_sets[c.client_id], c.dataset.test, cfg.selection_metric
+                plan, best_eval_sets[c.client_id], c.test, cfg.selection_metric
             )
         except SingleClass:
             test_metrics[c.client_id] = float("nan")

@@ -1,25 +1,22 @@
-"""Parameter containers, norm/non-norm partitioning and aggregation primitives.
+"""Parameter containers, exclusion policies and aggregation primitives.
 
-A ParamSet is an ordered map of named float64 arrays.  Every entry carries a
-tag (``norm`` for normalization-layer parameters, ``non_norm`` otherwise) and
-a trainable flag; running statistics are norm-tagged and non-trainable, so
-exclusion policies govern them uniformly.
+Inside a run, parameters are flat float64 vectors in one ``nn.Plan``'s layout:
+trainable non-norm entries, then norm gains and biases (up to ``n_train``),
+then batch-norm running statistics.  The server's global, its FedOpt moments,
+every client's vector and every evaluation vector are such vectors, and the
+aggregation and drift primitives below work on them.  A ParamSet, an ordered
+map of named arrays with a tag (``norm`` or ``non_norm``) and a trainable
+flag per entry, exists only at the edges of a run: ``init_params`` returns
+one, which ``Plan.pack`` copies into a vector once, and each checkpoint is a
+ParamSet of views (``Plan.publish``) built only when ``save_paramset``
+writes it.
 
-Entry arrays are never written in place, and a ParamSet's ``tags`` and
-``trainable`` maps are never edited once it is built.  A changed entry gets
-a fresh array assigned to its name: ``overwrite`` and aggregation assign
-newly computed arrays.  So ParamSets may share arrays and maps, and every
-user relies on it: the broadcast fragment holds the global's own arrays, a
-server step and the evaluation sets start from a ``shallow_copy``, and the
-orchestrator's in-memory checkpoint snapshots hold the globals and the
-clients' sets by reference until the run ends.
-
-The one sanctioned in-place writer is a client round.  It copies the
-client's entries and the broadcast fragment into a fresh private vector
-(``nn.Plan.pack``), trains that vector in place and, when the round ends,
-publishes it read-only as views in the client's ParamSet and the round's
-update; nothing writes it after that.  Other code that must write into an
-entry's array must own a ``copy()`` of the ParamSet.
+A published vector is read-only and never written again, so vectors are
+shared freely: the broadcast is a view of the global, an evaluation vector
+is a view of the global when the policy shares all of it, and the in-memory
+checkpoint snapshots hold vectors by reference until the run ends.  The one
+in-place writer is a client round, which trains a private copy of its
+round-start vector and then publishes it read-only.
 """
 
 from __future__ import annotations
@@ -51,6 +48,9 @@ class ExclusionPolicy(str, Enum):
                             stats; stat-free norm layers (LN/GN) are fully
                             aggregated.  Coincides with stats_only_excluded
                             for models without batch norm.
+
+    Each shares a prefix of a plan's vector: all of it, the non-norm entries,
+    or (the last two) the trainable entries; see ``Plan.prefix``.
     """
 
     NONE = "none"
@@ -82,32 +82,8 @@ class ParamSet:
             trainable=dict(self.trainable),
         )
 
-    def shallow_copy(self) -> "ParamSet":
-        """A new entries dict over the same arrays and maps."""
-        return ParamSet(dict(self.entries), self.tags, self.trainable)
-
     def trainable_names(self) -> list[str]:
         return [n for n in self.entries if self.trainable[n]]
-
-    def overwrite(self, fragment: dict[str, np.ndarray]) -> None:
-        """Assign the arrays of ``fragment`` to the entries it names."""
-        for name, value in fragment.items():
-            if name not in self.entries:
-                raise KeyMismatch(f"unknown entry {name!r}")
-            if self.entries[name].shape != value.shape:
-                raise KeyMismatch(f"shape mismatch for {name!r}")
-            self.entries[name] = value
-
-    def same_keying(self, other: "ParamSet") -> bool:
-        return (
-            list(self.entries) == list(other.entries)
-            and all(self.entries[n].shape == other.entries[n].shape for n in self.entries)
-        )
-
-
-# A GradSet maps the trainable entries of a ParamSet to arrays of their
-# shapes (the FedOpt server's moments).  Plain dicts keep the call sites light.
-GradSet = dict[str, np.ndarray]
 
 
 @dataclass
@@ -123,62 +99,37 @@ def make_weights(sizes: dict[int, int]) -> list[ClientWeight]:
     return [ClientWeight(cid, n_k, n_k / total) for cid, n_k in sizes.items()]
 
 
-def partition_names(params: ParamSet, policy: ExclusionPolicy) -> tuple[set, set]:
-    """Split names into (excluded, aggregated) under the given policy."""
-    names = set(params.entries)
-    if policy == ExclusionPolicy.NONE:
-        excluded = set()
-    elif policy == ExclusionPolicy.ALL_NORM_EXCLUDED:
-        excluded = {n for n in names if params.tags[n] == NORM}
-    elif policy in (ExclusionPolicy.STATS_ONLY_EXCLUDED, ExclusionPolicy.RESCALING_AGGREGATED):
-        excluded = {n for n in names if params.tags[n] == NORM and not params.trainable[n]}
-    else:  # pragma: no cover
-        raise ValueError(f"unknown policy {policy}")
-    return excluded, names - excluded
-
-
-def weighted_average(
-    sets: list[ParamSet], weights: list[ClientWeight], over=None
-) -> dict[str, np.ndarray]:
-    """Elementwise convex combination of the named entries.
-
-    Returns a fragment containing only names in ``over`` (all names when
-    ``over`` is None).
-    """
-    if not sets:
-        raise KeyMismatch("need at least one ParamSet")
-    if len(sets) != len(weights):
-        raise KeyMismatch("weights/sets length mismatch")
+def weighted_average(vectors: list[np.ndarray], weights: list[ClientWeight]) -> np.ndarray:
+    """Elementwise convex combination ``sum_k w_k * v_k`` of equal-length
+    vectors, accumulated in list order."""
+    if not vectors:
+        raise KeyMismatch("need at least one vector")
+    if len(vectors) != len(weights):
+        raise KeyMismatch("weights/vectors length mismatch")
     total = sum(w.weight for w in weights)
     if abs(total - 1.0) > WEIGHT_SUM_TOL:
         raise WeightSumViolation(f"weights sum to {total!r}, expected 1")
-    first = sets[0]
-    for s in sets[1:]:
-        if not first.same_keying(s):
-            raise KeyMismatch("ParamSets have different keying")
-    if over is None:
-        over = first.names()
-    out: dict[str, np.ndarray] = {}
-    for name in first.names():
-        if name not in over:
-            continue
-        acc = np.zeros_like(first.entries[name])
-        for s, w in zip(sets, weights):
-            acc += w.weight * s.entries[name]
-        out[name] = acc
-    return out
+    if any(v.shape != vectors[0].shape for v in vectors):
+        raise KeyMismatch("vectors have different lengths")
+    acc = np.zeros_like(vectors[0])
+    for v, w in zip(vectors, weights):
+        acc += w.weight * v
+    return acc
 
 
-def l2_distance_excluding_norm(a: ParamSet, b: ParamSet) -> float:
-    """Squared L2 distance over non-norm entries (diagnostic of local drift)."""
-    if not a.same_keying(b):
-        raise KeyMismatch("ParamSets have different keying")
+def l2_distance_excluding_norm(a: np.ndarray, b: np.ndarray,
+                               slots: list[tuple[int, int]]) -> float:
+    """Squared L2 distance over the non-norm entries of two vectors (diagnostic
+    of local drift).  ``slots`` are the (start, stop) of each non-norm entry
+    (``Plan.non_norm_slots``); each entry's squares are summed on their own and
+    the sums added in name order, which fixes the bits."""
+    if a.shape != b.shape:
+        raise KeyMismatch("vectors have different lengths")
+    diff = a - b
+    squares = diff * diff
     total = 0.0
-    for name in a.names():
-        if a.tags[name] == NORM:
-            continue
-        diff = a.entries[name] - b.entries[name]
-        total += float(np.sum(diff * diff))
+    for start, stop in slots:
+        total += float(np.add.reduce(squares[start:stop]))
     return total
 
 

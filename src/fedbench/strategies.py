@@ -2,10 +2,11 @@
 
 Local-objective modifiers (fedprox, fedpxn, feddyn) act on the per-batch flat
 gradient of a client round's parameter vector; server-update rules (fedavg,
-fedbn, fedadam, fedadagrad, fedyogi) act on the round's client updates.
-fedbn/fedpxn keep the server's copy of excluded norm entries as a weighted
-average for checkpoint/eval purposes only; client-held values stay
-authoritative and are never overwritten.
+fedbn, fedadam, fedadagrad, fedyogi) act on the round's client vectors (see
+``params``) and aggregate whole vectors; the policy only sets how long a
+prefix of the global is broadcast.  So fedbn/fedpxn keep the server's copy
+of excluded norm entries as a weighted average for checkpoint purposes only;
+client-held values stay authoritative and are never overwritten.
 """
 
 from __future__ import annotations
@@ -23,14 +24,7 @@ from .errors import (
     UninitializedOptState,
     check_real,
 )
-from .params import (
-    ExclusionPolicy,
-    GradSet,
-    ParamSet,
-    make_weights,
-    partition_names,
-    weighted_average,
-)
+from .params import ExclusionPolicy, make_weights, weighted_average
 
 log = logging.getLogger(__name__)
 
@@ -96,16 +90,16 @@ class StrategyConfig:
 
 @dataclass
 class ServerState:
-    global_params: ParamSet
-    m: GradSet | None = None
-    v: GradSet | None = None
+    global_params: np.ndarray  # read-only
+    m: np.ndarray | None = None  # FedOpt moments over the trainable prefix
+    v: np.ndarray | None = None
     round: int = 0
 
 
 @dataclass
 class ClientUpdate:
     client_id: int
-    params_after: ParamSet
+    params_after: np.ndarray  # the client's trained vector, read-only
     n_k: int
     train_loss: float
     diverged: bool = False
@@ -118,13 +112,15 @@ class DynMemory:
     initialized: bool = False
 
 
-def init_server_state(algorithm: str, w_0: ParamSet, cfg: StrategyConfig) -> ServerState:
-    """m = 0, v = gamma^2 elementwise for the FedOpt family; plain otherwise."""
+def init_server_state(algorithm: str, w_0: np.ndarray, cfg: StrategyConfig,
+                      n_train: int) -> ServerState:
+    """The global ``w_0`` (a read-only copy); for the FedOpt family m = 0 and
+    v = gamma^2 over the trainable prefix ``w_0[:n_train]``."""
     state = ServerState(global_params=w_0.copy(), round=0)
+    state.global_params.flags.writeable = False
     if algorithm in FEDOPT_FAMILY:
-        names = w_0.trainable_names()
-        state.m = {n: np.zeros_like(w_0.entries[n]) for n in names}
-        state.v = {n: np.full_like(w_0.entries[n], cfg.gamma**2) for n in names}
+        state.m = np.zeros(n_train)
+        state.v = np.full(n_train, cfg.gamma**2)
     return state
 
 
@@ -184,59 +180,53 @@ def server_aggregate(
         raise AllClientsDiverged("no non-diverged client updates this round")
     alive = sorted(alive, key=lambda u: u.client_id)
     weights = make_weights({u.client_id: u.n_k for u in alive})
-    sets = [u.params_after for u in alive]
+    vectors = [u.params_after for u in alive]
     w_t = server.global_params
 
     if algorithm in ("fedavg", "fedprox", "feddyn") or algorithm in NORM_EXCLUDING:
-        # Weighted average over every name.  Under fedbn/fedpxn the excluded
-        # names are a server-side convenience copy only and are never
-        # broadcast back (the orchestrator broadcasts the aggregated fragment).
-        new_global = w_t.shallow_copy()
-        new_global.overwrite(weighted_average(sets, weights))
+        # Weighted average of whole vectors.  Under fedbn/fedpxn the excluded
+        # entries are a server-side convenience copy only and are never
+        # broadcast back (the orchestrator broadcasts the policy's prefix).
+        new_global = weighted_average(vectors, weights)
+        new_global.flags.writeable = False
         return ServerState(global_params=new_global, round=server.round + 1)
 
     if algorithm in FEDOPT_FAMILY:
         if server.m is None or server.v is None:
             raise UninitializedOptState(f"{algorithm} requires initialized m, v")
-        names = w_t.trainable_names()
+        n = server.m.shape[0]  # the trainable prefix
         if cfg.uniform_pseudo_grad:
             d_weights = make_weights({u.client_id: 1 for u in alive})
         else:
             d_weights = weights
-        delta: GradSet = {n: np.zeros_like(w_t.entries[n]) for n in names}
-        for u, w in zip(alive, d_weights):
-            for n in names:
-                delta[n] += w.weight * (u.params_after.entries[n] - w_t.entries[n])
-        m = {n: cfg.beta1 * server.m[n] + (1.0 - cfg.beta1) * delta[n] for n in names}
-        v: GradSet = {}
-        clamped = 0
-        for n in names:
-            d2 = delta[n] * delta[n]
-            if algorithm == "fedadam":
-                v[n] = cfg.beta2 * server.v[n] + (1.0 - cfg.beta2) * d2
-            elif algorithm == "fedadagrad":
-                v[n] = server.v[n] + d2
-            else:  # fedyogi
-                vn = server.v[n] - (1.0 - cfg.beta2) * d2 * np.sign(server.v[n] - d2)
-                floor = cfg.gamma**2
-                clamped += int(np.sum(vn < floor))
-                v[n] = np.maximum(vn, floor)
-        if clamped:
-            log.info("fedyogi clamped %d second-moment entries at gamma^2", clamped)
-        new_global = w_t.shallow_copy()
-        for n in names:
-            new_global.entries[n] = w_t.entries[n] + cfg.eta_g * m[n] / (np.sqrt(v[n]) + cfg.gamma)
-        # running statistics carry no meaningful pseudo-gradient: plain average
-        stat_names = [n for n in w_t.names() if not w_t.trainable[n]]
-        if stat_names:
-            new_global.overwrite(weighted_average(sets, weights, over=set(stat_names)))
+        delta = np.zeros(n)
+        for vec, w in zip(vectors, d_weights):
+            delta += w.weight * (vec[:n] - w_t[:n])
+        m = cfg.beta1 * server.m + (1.0 - cfg.beta1) * delta
+        d2 = delta * delta
+        if algorithm == "fedadam":
+            v = cfg.beta2 * server.v + (1.0 - cfg.beta2) * d2
+        elif algorithm == "fedadagrad":
+            v = server.v + d2
+        else:  # fedyogi
+            v = server.v - (1.0 - cfg.beta2) * d2 * np.sign(server.v - d2)
+            floor = cfg.gamma**2
+            clamped = int(np.sum(v < floor))
+            if clamped:
+                log.info("fedyogi clamped %d second-moment entries at gamma^2", clamped)
+            v = np.maximum(v, floor)
+        new_global = np.empty_like(w_t)
+        new_global[:n] = w_t[:n] + cfg.eta_g * m / (np.sqrt(v) + cfg.gamma)
+        if n < w_t.shape[0]:
+            # running statistics carry no meaningful pseudo-gradient: plain average
+            new_global[n:] = weighted_average([vec[n:] for vec in vectors], weights)
+        new_global.flags.writeable = False
         return ServerState(global_params=new_global, m=m, v=v, round=server.round + 1)
 
     raise ConfigError("strategy.algorithm", f"unknown algorithm {algorithm!r}")
 
 
-def broadcast_fragment(server: ServerState, cfg: StrategyConfig) -> dict[str, np.ndarray]:
-    """The entries a client's round starts from, respecting the policy (the
-    global's own arrays: a round copies them into its vector)."""
-    _, aggregated = partition_names(server.global_params, cfg.policy)
-    return {n: server.global_params.entries[n] for n in sorted(aggregated)}
+def broadcast_fragment(server: ServerState, k: int) -> np.ndarray:
+    """What a client's round starts from: the first ``k`` entries of the
+    global (``Plan.prefix`` of the policy), as a read-only view."""
+    return server.global_params[:k]

@@ -23,8 +23,10 @@ from fedbench.errors import (
     StaleCache,
 )
 from fedbench.nn import BN_MOMENTUM, NORM_KINDS, Batch, ModelSpec
-from fedbench.params import GradSet, ParamSet
+from fedbench.params import ParamSet
 from fedbench.strategies import FEDOPT_FAMILY
+
+GradSet = dict[str, np.ndarray]
 
 
 @dataclass

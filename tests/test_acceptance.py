@@ -46,7 +46,6 @@ from fedbench.orchestrator import (
 from fedbench.params import (
     NORM,
     ExclusionPolicy,
-    ParamSet,
     l2_distance_excluding_norm,
     load_paramset,
     make_weights,
@@ -108,12 +107,13 @@ def test_criterion_1_collapse_equivalences():
                 apply_running_stats(params, cache)
                 local_sgd_step(params, grad, cfg.eta)
 
-    server = init_server_state("fedavg", init_params(cfg.model, seed), cfg.strategy)
-    clients = [ClientState(client_id=0, dataset=ds, params=init_params(cfg.model, seed))]
+    w0 = plan.pack(init_params(cfg.model, seed))
+    server = init_server_state("fedavg", w0, cfg.strategy, plan.n_train)
+    clients = [ClientState.create(ds, w0, cfg, plan)]
     for _ in range(cfg.rounds):
         server, _ = run_round(server, clients, cfg, seed, plan)
     for name, value in plan.entries(params).items():
-        assert np.array_equal(server.global_params.entries[name], value)
+        assert np.array_equal(plan.entries(server.global_params)[name], value)
     report(1)
 
 
@@ -201,23 +201,17 @@ def test_criterion_3_aggregation_oracle():
     rng = np.random.default_rng(0)
     for _ in range(100):
         k = int(rng.integers(2, 6))
-        shapes = [(int(rng.integers(1, 4)), int(rng.integers(1, 4))) for _ in range(3)]
-        sets = []
-        for _ in range(k):
-            entries = {f"p{i}": rng.standard_normal(s) for i, s in enumerate(shapes)}
-            tags = {n: "non_norm" for n in entries}
-            sets.append(ParamSet(entries, tags, {n: True for n in entries}))
+        size = int(rng.integers(1, 28))
+        sets = [rng.standard_normal(size) for _ in range(k)]
         sizes = rng.integers(1, 100, k).tolist()
         weights = make_weights({cid: n for cid, n in enumerate(sizes)})
         avg = weighted_average(sets, weights)
         total = sum(sizes)
-        for i, s in enumerate(shapes):
-            naive = np.zeros(s)
-            for j in range(k):
-                for r in range(s[0]):
-                    for c in range(s[1]):
-                        naive[r, c] += sizes[j] / total * sets[j].entries[f"p{i}"][r, c]
-            assert np.allclose(avg[f"p{i}"], naive, atol=1e-12, rtol=0)
+        naive = np.zeros(size)
+        for j in range(k):
+            for i in range(size):
+                naive[i] += sizes[j] / total * sets[j][i]
+        assert np.allclose(avg, naive, atol=1e-12, rtol=0)
 
     # weights outside 1 +/- 1e-12 are rejected
     bad = list(make_weights({0: 1, 1: 1}))
@@ -234,6 +228,7 @@ def test_criterion_4_fedbn_partition_invariant(tmp_path):
     cfg = benchmark_config("fedbn", "feature_shift", rounds=3, local_epochs=1)
     cfg.keep_all_checkpoints = True
     result = run_experiment(cfg, seed=0, out_dir=tmp_path)
+    plan = Plan(cfg.model)
 
     for record in result.rounds:
         rdir = tmp_path / "checkpoints" / f"round_{record.round:04d}"
@@ -253,27 +248,23 @@ def test_criterion_4_fedbn_partition_invariant(tmp_path):
         assert norm_diff
 
         # eq-3 distance recomputed offline matches the log to 1e-10
-        w_start = load_paramset(rdir / "global_start.npz")
+        w_start = plan.pack(load_paramset(rdir / "global_start.npz"))
         for cid, want in record.distances.items():
-            got = l2_distance_excluding_norm(client_sets[cid], w_start)
+            got = l2_distance_excluding_norm(plan.pack(client_sets[cid]), w_start,
+                                             plan.non_norm_slots)
             assert got == pytest.approx(want, abs=1e-10)
 
     # after a round + broadcast every client evaluates with identical non-norm
-    from fedbench.orchestrator import _eval_params
-    from fedbench.strategies import ServerState, broadcast_fragment
-
     datasets = generate(cfg.data)
-    server = init_server_state("fedbn", init_params(cfg.model, 0), cfg.strategy)
-    clients = [
-        ClientState(client_id=ds.client_id, dataset=ds, params=init_params(cfg.model, 0))
-        for ds in datasets
-    ]
-    server, _ = run_round(server, clients, cfg, 0, Plan(cfg.model))
-    merged = [_eval_params(c, server, cfg.strategy) for c in clients]
-    for name in merged[0].names():
-        if merged[0].tags[name] != NORM:
+    w0 = plan.pack(init_params(cfg.model, 0))
+    server = init_server_state("fedbn", w0, cfg.strategy, plan.n_train)
+    clients = [ClientState.create(ds, w0, cfg, plan) for ds in datasets]
+    server, _ = run_round(server, clients, cfg, 0, plan)
+    merged = [plan.entries(c.eval_params) for c in clients]
+    for name in merged[0]:
+        if plan.tags[name] != NORM:
             for other in merged[1:]:
-                assert np.array_equal(merged[0].entries[name], other.entries[name])
+                assert np.array_equal(merged[0][name], other[name])
     report(4)
 
 
@@ -284,7 +275,7 @@ def test_criterion_5_fedopt_math():
     from fedbench.strategies import ClientUpdate, server_aggregate
 
     def scalar_set(w):
-        return ParamSet({"w": np.array([w])}, {"w": "non_norm"}, {"w": True})
+        return np.array([w])  # one trainable entry
 
     def update(target):
         return ClientUpdate(client_id=0, params_after=scalar_set(target), n_k=1,
@@ -309,22 +300,22 @@ def test_criterion_5_fedopt_math():
             w = w + cfg.eta_g * m / (v**0.5 + cfg.gamma)
             oracle.append(w)
 
-        state = init_server_state(algorithm, scalar_set(0.0), cfg)
+        state = init_server_state(algorithm, scalar_set(0.0), cfg, 1)
         for d, expect in zip(deltas, oracle):
-            target = state.global_params.entries["w"][0] + d
+            target = state.global_params[0] + d
             state = server_aggregate(algorithm, state, [update(target)], cfg)
-            assert state.global_params.entries["w"][0] == pytest.approx(expect, abs=1e-12)
+            assert state.global_params[0] == pytest.approx(expect, abs=1e-12)
 
     # adagrad v non-decreasing over 50 rounds
     cfg = StrategyConfig(algorithm="fedadagrad", eta_g=0.01, gamma=0.01)
-    state = init_server_state("fedadagrad", scalar_set(0.0), cfg)
+    state = init_server_state("fedadagrad", scalar_set(0.0), cfg, 1)
     rng = np.random.default_rng(1)
-    prev = state.v["w"].copy()
+    prev = state.v.copy()
     for _ in range(50):
-        target = state.global_params.entries["w"][0] + rng.standard_normal()
+        target = state.global_params[0] + rng.standard_normal()
         state = server_aggregate("fedadagrad", state, [update(target)], cfg)
-        assert np.all(state.v["w"] >= prev)
-        prev = state.v["w"].copy()
+        assert np.all(state.v >= prev)
+        prev = state.v.copy()
     report(5)
 
 
@@ -452,11 +443,10 @@ def test_criterion_9_divergence_handling(monkeypatch, caplog):
     def sabotage(client, fragment, cfg, seed, round_idx, plan):
         update = original(client, fragment, cfg, seed, round_idx, plan)
         if client.client_id == 0 and round_idx == 0:
-            # the published entries are read-only views: assign NaN arrays
-            for name in update.params_after.trainable_names():
-                update.params_after.entries[name] = np.full_like(
-                    update.params_after.entries[name], np.nan
-                )
+            # the published vector is read-only: replace its trainable prefix by NaN
+            sabotaged = update.params_after.copy()
+            sabotaged[:plan.n_train] = np.nan
+            update.params_after = sabotaged
             update.diverged = True
         return update
 

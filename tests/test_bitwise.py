@@ -2,7 +2,8 @@
 
 ``nn_oracle`` holds the forward, backward and optimizer code written with
 ``np.mean``/``np.var``, per-step one-hot targets, per-step ParamSet copies and
-per-entry Adam moments, over named entries.  The layer plan works on one flat
+per-entry Adam moments, over named entries (``test_server_bitwise.py`` does the
+same for the server, the drift and the evaluation vectors).  The layer plan works on one flat
 vector; ``Plan.pack`` and ``Plan.entries`` translate between the two.  Every
 comparison here is ``np.array_equal`` or ``==``: the faster code must not move
 a single bit.
@@ -165,14 +166,6 @@ def test_adam_trajectory_matches_oracle(kinds):
             assert np.array_equal(plan.entries(state.v)[name], o_state.v[name]), name
 
 
-def snapshot(params):
-    return {n: (a, a.copy()) for n, a in params.entries.items()}
-
-
-def unchanged(snap):
-    return all(np.array_equal(a, before) for a, before in snap.values())
-
-
 def test_optimizer_steps_write_only_the_trainable_prefix():
     spec = make_model(["batch_norm"])
     plan = Plan(spec)
@@ -250,15 +243,16 @@ def test_local_training_matches_oracle_loop(algorithm, optimizer, model):
             else:
                 params = oracle.local_sgd_step(params, grad, cfg.eta)
 
-    client = ClientState(client_id=0, dataset=ds, params=w0.copy(), dyn=dyn)
-    if optimizer == "adam":
-        client.adam_state = AdamState.zeros(plan.n_train)
-    start_snap = snapshot(client.params)
-    update = run_local_training(client, dict(w0.entries), cfg, seed, round_idx, plan)
+    w_start = plan.pack(w0)
+    client = ClientState.create(ds, w_start, cfg, plan)
+    client.dyn = dyn
+    before = w_start.copy()
+    update = run_local_training(client, w_start, cfg, seed, round_idx, plan)
     assert not update.diverged
+    trained = plan.entries(update.params_after)
     for name in params.names():
-        assert np.array_equal(update.params_after.entries[name], params.entries[name]), name
-    assert unchanged(start_snap)  # training never wrote into an array it was handed
+        assert np.array_equal(trained[name], params.entries[name]), name
+    assert np.array_equal(w_start, before)  # training never wrote into a vector it was handed
     if algorithm == "feddyn":
         assert np.array_equal(client.dyn.prev_grad, o_grad_sum / steps)
 

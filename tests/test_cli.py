@@ -269,6 +269,18 @@ def test_report_truncated_result_is_config_error(tmp_path, capsys):
     assert_results_config_error(capsys, code, str(path))
 
 
+@pytest.mark.parametrize("elapsed", ["slow", None, float("inf")])
+def test_report_bad_elapsed_seconds_is_config_error(tmp_path, capsys, elapsed):
+    results = write_results(tmp_path / "res", [0.6, 0.7])
+    path = results / "seed_1" / "result.json"
+    record = json.loads(path.read_text())
+    record["elapsed_seconds"] = elapsed
+    path.write_text(json.dumps(record))
+    code = main(["report", "--results", str(results), "--out", str(tmp_path / "rep")])
+    assert_results_config_error(capsys, code, str(path))
+    assert not (tmp_path / "rep").exists()
+
+
 def test_compare_nan_metric_is_config_error(tmp_path, capsys):
     c = write_results(tmp_path / "c", [float("nan"), 0.7], algorithm="c")
     d = write_results(tmp_path / "d", [0.6, 0.65], algorithm="d")

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from fedbench.errors import EmptySample, SingleClass
+from fedbench.errors import EmptySample, NonFiniteScore, ShapeMismatch, SingleClass
 from fedbench.metrics import (
     INSIGNIFICANT,
     _midranks,
@@ -64,6 +64,31 @@ def test_auroc_matches_pairwise_oracle_randomized():
 def test_auroc_single_class_raises():
     with pytest.raises(SingleClass):
         auroc([0.1, 0.2], [1, 1])
+
+
+@pytest.mark.parametrize("metric", [auroc, auprc])
+def test_multi_hot_labels_take_the_macro_mean_over_label_columns(metric):
+    rng = np.random.default_rng(4)
+    scores = rng.random((10, 3))
+    labels = (rng.random((10, 3)) < 0.5).astype(float)
+    labels[:, 2] = 1.0  # a column with one outcome only is skipped
+    expected = np.mean([metric(scores[:, c], labels[:, c]) for c in range(2)])
+    assert metric(scores, labels) == expected
+    with pytest.raises(ShapeMismatch):
+        metric(scores, labels[:, :2])
+    with pytest.raises(ShapeMismatch):
+        metric(scores[:, 0], labels)
+    with pytest.raises(ShapeMismatch):
+        metric(scores[:, 0], labels[:9, 0])
+
+
+@pytest.mark.parametrize("metric", [auroc, auprc])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_scores_raise(metric, bad):
+    with pytest.raises(NonFiniteScore):
+        metric([0.1, bad, 0.4], [0, 1, 1])
+    with pytest.raises(NonFiniteScore):
+        metric([[0.1, 0.9], [bad, 0.5]], [0, 1])
 
 
 def test_auprc_documented_example():

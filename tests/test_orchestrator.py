@@ -110,12 +110,13 @@ def test_single_client_fedavg_equals_centralized_sgd():
 
     result = run_experiment(cfg, seed=seed)
     # recover the final aggregated params by replaying the experiment
-    server = init_server_state("fedavg", init_params(cfg.model, seed), cfg.strategy)
-    clients = [ClientState(client_id=0, dataset=ds, params=init_params(cfg.model, seed))]
+    w0 = plan.pack(init_params(cfg.model, seed))
+    server = init_server_state("fedavg", w0, cfg.strategy, plan.n_train)
+    clients = [ClientState.create(ds, w0, cfg, plan)]
     for _ in range(cfg.rounds):
         server, _ = run_round(server, clients, cfg, seed, plan)
     for name, value in plan.entries(params).items():
-        assert np.array_equal(server.global_params.entries[name], value)
+        assert np.array_equal(plan.entries(server.global_params)[name], value)
     assert len(result.rounds) == cfg.rounds
 
 
@@ -146,11 +147,11 @@ def test_single_round_single_batch_hand_stepped():
         for name in w0.trainable_names()
     }
 
-    server = init_server_state("fedavg", init_params(cfg.model, seed), cfg.strategy)
-    clients = [ClientState(client_id=0, dataset=ds, params=init_params(cfg.model, seed))]
+    server = init_server_state("fedavg", w, cfg.strategy, plan.n_train)
+    clients = [ClientState.create(ds, w, cfg, plan)]
     server, record = run_round(server, clients, cfg, seed, plan)
     for name, want in expected.items():
-        assert np.allclose(server.global_params.entries[name], want, atol=1e-15)
+        assert np.allclose(plan.entries(server.global_params)[name], want, atol=1e-15)
     assert record.round == 1
 
 
@@ -159,21 +160,19 @@ def test_fedbn_clients_keep_local_norm_params():
     from fedbench.data_synth import generate
 
     datasets = generate(cfg.data)
-    server = init_server_state("fedbn", init_params(cfg.model, 0), cfg.strategy)
-    clients = [
-        ClientState(client_id=ds.client_id, dataset=ds, params=init_params(cfg.model, 0))
-        for ds in datasets
-    ]
     plan = Plan(cfg.model)
+    w0 = plan.pack(init_params(cfg.model, 0))
+    server = init_server_state("fedbn", w0, cfg.strategy, plan.n_train)
+    clients = [ClientState.create(ds, w0, cfg, plan) for ds in datasets]
     for _ in range(2):
         server, _ = run_round(server, clients, cfg, 0, plan)
-    gains = [c.params.entries["layer1.gain"].copy() for c in clients]
+    gains = [plan.entries(c.params)["layer1.gain"].copy() for c in clients]
     assert not np.allclose(gains[0], gains[1], atol=1e-9)
     # while aggregated names are identical after broadcast at the next round
     from fedbench.strategies import broadcast_fragment
 
-    frag = broadcast_fragment(server, cfg.strategy)
-    assert "layer1.gain" not in frag
+    frag = broadcast_fragment(server, plan.prefix(cfg.strategy.policy))
+    assert len(frag) <= plan.slots["layer1.gain"][0]
 
 
 def test_identical_data_and_rng_collapses_to_single_client(monkeypatch):
@@ -187,28 +186,19 @@ def test_identical_data_and_rng_collapses_to_single_client(monkeypatch):
         orchestrator, "client_rng", lambda seed, cid, rnd: np.random.default_rng([seed, 0, rnd])
     )
     cfg = experiment(data=base, rounds=2)
-    w0 = init_params(cfg.model, 0)
-    server = init_server_state("fedavg", w0.copy(), cfg.strategy)
+    plan = Plan(cfg.model)
+    w0 = plan.pack(init_params(cfg.model, 0))
+    server = init_server_state("fedavg", w0, cfg.strategy, plan.n_train)
     clients = []
     for cid in range(3):
-        import copy
-
-        clone = ClientState(
-            client_id=cid,
-            dataset=type(ds)(
-                client_id=cid, train=ds.train, val=ds.val, test=ds.test,
-                n_k=ds.n_k, class_histogram=ds.class_histogram,
-            ),
-            params=w0.copy(),
+        clone = type(ds)(
+            client_id=cid, train=ds.train, val=ds.val, test=ds.test,
+            n_k=ds.n_k, class_histogram=ds.class_histogram,
         )
-        clients.append(clone)
-    plan = Plan(cfg.model)
+        clients.append(ClientState.create(clone, w0, cfg, plan))
     for _ in range(2):
         server, _ = run_round(server, clients, cfg, 0, plan)
-    for name in w0.names():
-        assert np.allclose(
-            server.global_params.entries[name], clients[0].params.entries[name], atol=1e-12
-        )
+    assert np.allclose(server.global_params, clients[0].params, atol=1e-12)
 
 
 def test_round_records_deterministic_and_timed():
@@ -233,12 +223,13 @@ def test_selection_prefers_earliest_best_round():
 def test_distances_recomputable_from_checkpoints(tmp_path):
     cfg = experiment(rounds=3, keep_all_checkpoints=True)
     result = run_experiment(cfg, seed=0, out_dir=tmp_path)
+    plan = Plan(cfg.model)
     for record in result.rounds:
         rdir = tmp_path / "checkpoints" / f"round_{record.round:04d}"
-        w_start = load_paramset(rdir / "global_start.npz")
+        w_start = plan.pack(load_paramset(rdir / "global_start.npz"))
         for cid, want in record.distances.items():
-            client = load_paramset(rdir / f"client_{cid}.npz")
-            got = l2_distance_excluding_norm(client, w_start)
+            client = plan.pack(load_paramset(rdir / f"client_{cid}.npz"))
+            got = l2_distance_excluding_norm(client, w_start, plan.non_norm_slots)
             assert got == pytest.approx(want, abs=1e-10)
 
 
@@ -368,26 +359,31 @@ def test_epoch_budget_instrumented(monkeypatch):
 
 
 def test_round_rejects_entries_keyed_unlike_the_model():
-    """The keying check runs once per client round, as the round's vector is built."""
+    """The layout check runs once per client round, as the round's vector is built."""
     cfg = experiment(norm="batch_norm", rounds=1)
     plan = Plan(cfg.model)
     ds = generate(cfg.data)[0]
-    w0 = init_params(cfg.model, 0)
-    weight = w0.entries["layer0.weight"]
-    bad_fragments = [
-        {"layer9.weight": np.zeros((2, 2))},  # no such entry
-        {"layer0.weight": np.zeros((2, 2))},  # wrong size
-        {"layer0.weight": weight.T.copy()},  # same size, wrong shape
-    ]
-    for fragment in bad_fragments:
-        client = ClientState(client_id=0, dataset=ds, params=w0.copy())
-        with pytest.raises(KeyMismatch):
-            run_local_training(client, fragment, cfg, 0, 0, plan)
-    # client entries from another model: layer norm has no running stats
-    other = init_params(experiment(norm="layer_norm").model, 0)
-    client = ClientState(client_id=0, dataset=ds, params=other)
+    w0 = plan.pack(init_params(cfg.model, 0))
+    with pytest.raises(KeyMismatch):  # a fragment longer than the model's vector
+        run_local_training(ClientState.create(ds, w0, cfg, plan), np.zeros(plan.size + 1),
+                           cfg, 0, 0, plan)
+    # a client vector from another model: layer norm has no running stats
+    other_plan = Plan(experiment(norm="layer_norm").model)
+    other = other_plan.pack(init_params(other_plan.spec, 0))
+    client = ClientState.create(ds, other, cfg, plan)
     with pytest.raises(KeyMismatch):
-        run_local_training(client, dict(w0.entries), cfg, 0, 0, plan)
+        run_local_training(client, w0, cfg, 0, 0, plan)
+    # entries keyed or shaped unlike the model's never become a vector
+    weight = init_params(cfg.model, 0).entries["layer0.weight"]
+    for bad in (np.zeros((2, 2)), weight.T.copy()):  # wrong size; same size, wrong shape
+        params = init_params(cfg.model, 0)
+        params.entries["layer0.weight"] = bad
+        with pytest.raises(KeyMismatch):
+            plan.pack(params)
+    params = init_params(cfg.model, 0)
+    params.entries["layer9.weight"] = params.entries.pop("layer0.weight")  # no such entry
+    with pytest.raises(KeyMismatch):
+        plan.pack(params)
 
 
 def test_later_rounds_leave_published_arrays_unchanged(monkeypatch, tmp_path):
@@ -409,15 +405,14 @@ def test_later_rounds_leave_published_arrays_unchanged(monkeypatch, tmp_path):
 
     def train(*args):
         update = real_train(*args)
-        hold(update.params_after.entries.values())
+        hold([update.params_after])
         hold(refs.values())
         refs.clear()
         return update
 
     def snapshot(*args):
         snap = real_snapshot(*args)
-        for params in snap.values():
-            hold(params.entries.values())
+        hold(snap.values())
         return snap
 
     monkeypatch.setattr(orchestrator, "local_loss_grad", loss_grad)
@@ -425,6 +420,6 @@ def test_later_rounds_leave_published_arrays_unchanged(monkeypatch, tmp_path):
     monkeypatch.setattr(orchestrator, "_snapshot", snapshot)
     run_experiment(experiment(algorithm="fedprox", norm="batch_norm", rounds=4, local_epochs=2),
                    seed=0, out_dir=tmp_path)
-    assert len(held) > 4 * 3 * 2 * 8
+    assert len(held) > 4 * 3 * 2
     for array, bits in held:
         assert np.array_equal(array, bits)

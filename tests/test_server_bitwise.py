@@ -1,0 +1,114 @@
+"""The round's vector code gives the same bits as its dict-based oracle.
+
+``server_oracle`` holds aggregation, the FedOpt rules, the drift diagnostic,
+the evaluation parameters and AUROC as they were written over named
+ParamSet entries.  The server now works on one plan's flat vectors, with
+the policy as a broadcast prefix; every comparison here is
+``np.array_equal`` or ``==``.
+"""
+
+import numpy as np
+import pytest
+
+import server_oracle as oracle
+from conftest import make_model
+from fedbench import metrics, orchestrator
+from fedbench.errors import SingleClass
+from fedbench.nn import Plan, init_params
+from fedbench.params import ExclusionPolicy, l2_distance_excluding_norm
+from fedbench.strategies import (
+    ALGORITHMS,
+    NORM_EXCLUDING,
+    NORM_POLICIES,
+    ClientUpdate,
+    StrategyConfig,
+    broadcast_fragment,
+    init_server_state,
+    server_aggregate,
+)
+
+KINDS = {"batch_norm": ["batch_norm"], "layer_norm": ["layer_norm"],
+         "group_norm": ["group_norm"], "no_norm": []}
+CASES = [
+    pytest.param(algorithm, policy, kind, id=f"{algorithm}-{policy.value}-{kind}")
+    for algorithm in ALGORITHMS
+    for policy in (NORM_POLICIES if algorithm in NORM_EXCLUDING else (ExclusionPolicy.NONE,))
+    for kind in KINDS
+]
+
+
+def flat(plan, named):
+    """A name -> array map (a ParamSet's entries, or FedOpt moments) in vector order."""
+    return np.concatenate([named[n] for n in plan.slots if n in named], axis=None)
+
+
+@pytest.mark.parametrize("algorithm,policy,kind", CASES)
+def test_round_vectors_match_oracle(algorithm, policy, kind):
+    """Global, m/v, drift and evaluation vectors over six rounds of random clients."""
+    plan = Plan(make_model(KINDS[kind], hidden=8, groups=2))
+    cfg = StrategyConfig(algorithm=algorithm, policy=policy, eta_g=0.1, gamma=0.01,
+                         uniform_pseudo_grad=algorithm == "fedyogi")
+    k = plan.prefix(policy)
+    rng = np.random.default_rng([ALGORITHMS.index(algorithm), len(plan.slots)])
+    w_0 = plan.pack(init_params(plan.spec, 0))
+    server = init_server_state(algorithm, w_0, cfg, plan.n_train)
+    o_server = oracle.init_server_state(algorithm, plan.publish(w_0.copy()), cfg)
+    own = {cid: w_0 for cid in range(4)}  # each client's own vector
+    for round_idx in range(6):
+        start = orchestrator._merge(broadcast_fragment(server, k), own[0])
+        o_start = oracle.eval_params(plan.publish(own[0]), o_server, policy)
+        assert np.array_equal(start, plan.pack(o_start))
+        updates, o_updates = [], []
+        for cid in own:
+            scale = rng.choice([1e-3, 0.1, 2.0])
+            vec = server.global_params + scale * rng.standard_normal(plan.size)
+            vec.flags.writeable = False
+            diverged = round_idx == 2 and cid == 1
+            updates.append(ClientUpdate(cid, vec, int(rng.integers(5, 60)), 0.0, diverged))
+            o_updates.append(oracle.ClientUpdate(cid, plan.publish(vec), updates[-1].n_k,
+                                                 diverged))
+            d = l2_distance_excluding_norm(vec, server.global_params, plan.non_norm_slots)
+            assert d == oracle.l2_distance_excluding_norm(
+                plan.publish(vec), o_server.global_params)
+        server = server_aggregate(algorithm, server, updates, cfg)
+        o_server = oracle.server_aggregate(algorithm, o_server, o_updates, cfg)
+        assert np.array_equal(server.global_params, plan.pack(o_server.global_params))
+        assert not server.global_params.flags.writeable
+        if algorithm in ("fedadam", "fedadagrad", "fedyogi"):
+            assert np.array_equal(server.m, flat(plan, o_server.m))
+            assert np.array_equal(server.v, flat(plan, o_server.v))
+        fragment = broadcast_fragment(server, k)
+        for u, o_u in zip(updates, o_updates):
+            own[u.client_id] = u.params_after
+            got = orchestrator._merge(fragment, u.params_after)
+            want = oracle.eval_params(o_u.params_after, o_server, policy)
+            assert np.array_equal(got, plan.pack(want))
+            assert np.shares_memory(got, server.global_params) == (k == plan.size)
+
+
+def tied_inputs(rng, n, classes):
+    """Scores on a coarse grid (so ties are common) and labels that may leave
+    a class out or give it every row."""
+    levels = int(rng.integers(2, 12))
+    shape = (n,) if classes == 2 else (n, classes)
+    scores = rng.integers(0, levels, shape) / levels
+    present = rng.choice(classes, size=int(rng.integers(1, classes + 1)), replace=False)
+    return scores, rng.choice(present, n)
+
+
+def test_auroc_matches_oracle_on_tied_inputs():
+    rng = np.random.default_rng(2024)
+    checked = single = 0
+    for trial in range(18_000):
+        classes = (2, 3, 4, 5)[trial % 4]
+        scores, labels = tied_inputs(rng, int(rng.integers(2, 70)), classes)
+        try:
+            want = oracle.auroc(scores, labels)
+        except SingleClass:
+            with pytest.raises(SingleClass):
+                metrics.auroc(scores, labels)
+            single += 1
+            continue
+        assert metrics.auroc(scores, labels) == want
+        checked += 1
+    assert checked >= 10_000 and single > 100

@@ -7,8 +7,8 @@ from fedbench.errors import (
     MissingDynMemory,
     UninitializedOptState,
 )
-from fedbench.nn import init_params
-from fedbench.params import NON_NORM, NORM, ExclusionPolicy, ParamSet
+from fedbench.nn import Plan, init_params
+from fedbench.params import ExclusionPolicy
 from fedbench.strategies import (
     ClientUpdate,
     DynMemory,
@@ -24,16 +24,9 @@ from fedbench.strategies import (
 from conftest import make_model
 
 
-def scalar_set(w=1.0, extra=None):
-    entries = {"w": np.array([w])}
-    tags = {"w": NON_NORM}
-    trainable = {"w": True}
-    if extra:
-        for name, (value, tag, train) in extra.items():
-            entries[name] = np.array([value])
-            tags[name] = tag
-            trainable[name] = train
-    return ParamSet(entries=entries, tags=tags, trainable=trainable)
+def scalar_set(w=1.0):
+    """A one-entry parameter vector (one trainable entry ``w``)."""
+    return np.array([w])
 
 
 def cfg_for(algorithm, **kw):
@@ -130,15 +123,15 @@ def test_update_dyn_memory_first_call_and_zero_grad():
 
 def test_init_server_state_fedavg_has_no_moments():
     w0 = scalar_set()
-    state = init_server_state("fedavg", w0, cfg_for("fedavg"))
+    state = init_server_state("fedavg", w0, cfg_for("fedavg"), 1)
     assert state.m is None and state.v is None and state.round == 0
 
 
 def test_init_server_state_fedadam_moments():
     w0 = scalar_set()
-    state = init_server_state("fedadam", w0, cfg_for("fedadam", gamma=0.1))
-    assert np.array_equal(state.m["w"], np.zeros(1))
-    assert np.allclose(state.v["w"], 0.01)
+    state = init_server_state("fedadam", w0, cfg_for("fedadam", gamma=0.1), 1)
+    assert np.array_equal(state.m, np.zeros(1))
+    assert np.allclose(state.v, 0.01)
 
 
 def test_init_deterministic_w0():
@@ -155,26 +148,26 @@ def update(cid, params, n_k=1, diverged=False):
 
 def test_fedavg_single_client_exact():
     w0 = scalar_set(1.0)
-    state = init_server_state("fedavg", w0, cfg_for("fedavg"))
+    state = init_server_state("fedavg", w0, cfg_for("fedavg"), 1)
     client = scalar_set(3.141592653589793)
     new = server_aggregate("fedavg", state, [update(0, client)], cfg_for("fedavg"))
-    assert new.global_params.entries["w"][0] == client.entries["w"][0]
+    assert new.global_params[0] == client[0]
     assert new.round == 1
 
 
 def test_all_diverged_raises():
     w0 = scalar_set()
-    state = init_server_state("fedavg", w0, cfg_for("fedavg"))
+    state = init_server_state("fedavg", w0, cfg_for("fedavg"), 1)
     with pytest.raises(AllClientsDiverged):
         server_aggregate("fedavg", state, [update(0, scalar_set(), diverged=True)], cfg_for("fedavg"))
 
 
 def test_diverged_clients_excluded():
     w0 = scalar_set(0.0)
-    state = init_server_state("fedavg", w0, cfg_for("fedavg"))
+    state = init_server_state("fedavg", w0, cfg_for("fedavg"), 1)
     ups = [update(0, scalar_set(2.0)), update(1, scalar_set(np.nan), diverged=True)]
     new = server_aggregate("fedavg", state, ups, cfg_for("fedavg"))
-    assert new.global_params.entries["w"][0] == 2.0
+    assert new.global_params[0] == 2.0
 
 
 def test_fedopt_requires_initialized_moments():
@@ -185,46 +178,46 @@ def test_fedopt_requires_initialized_moments():
 
 def test_fedadagrad_scalar_first_round():
     cfg = cfg_for("fedadagrad", eta_g=1.0, beta1=0.9, gamma=0.01)
-    state = init_server_state("fedadagrad", scalar_set(0.0), cfg)
+    state = init_server_state("fedadagrad", scalar_set(0.0), cfg, 1)
     new = server_aggregate("fedadagrad", state, [update(0, scalar_set(1.0))], cfg)
     # delta=1: v = 1e-4 + 1, m = 0.1, step = 0.1/(sqrt(1.0001)+0.01)
     expected = 0.1 / (np.sqrt(1.0001) + 0.01)
-    assert new.v["w"][0] == pytest.approx(1.0001, abs=1e-15)
-    assert new.global_params.entries["w"][0] == pytest.approx(expected, abs=1e-12)
+    assert new.v[0] == pytest.approx(1.0001, abs=1e-15)
+    assert new.global_params[0] == pytest.approx(expected, abs=1e-12)
     assert expected == pytest.approx(0.0990, abs=5e-4)
 
 
 def test_fedyogi_fixpoint_when_v_equals_delta_squared():
     cfg = cfg_for("fedyogi", eta_g=0.1, beta2=0.9, gamma=0.001)
-    state = init_server_state("fedyogi", scalar_set(0.0), cfg)
+    state = init_server_state("fedyogi", scalar_set(0.0), cfg, 1)
     delta = cfg.gamma  # so delta^2 == v_0 == gamma^2
     new = server_aggregate("fedyogi", state, [update(0, scalar_set(delta))], cfg)
-    assert new.v["w"][0] == pytest.approx(cfg.gamma**2, abs=1e-20)
+    assert new.v[0] == pytest.approx(cfg.gamma**2, abs=1e-20)
 
 
 def test_fedadagrad_v_monotone_over_rounds():
     cfg = cfg_for("fedadagrad", eta_g=0.01, gamma=0.01)
-    state = init_server_state("fedadagrad", scalar_set(0.0), cfg)
+    state = init_server_state("fedadagrad", scalar_set(0.0), cfg, 1)
     rng = np.random.default_rng(0)
-    prev_v = state.v["w"].copy()
+    prev_v = state.v.copy()
     for _ in range(50):
-        target = state.global_params.entries["w"][0] + rng.standard_normal()
+        target = state.global_params[0] + rng.standard_normal()
         state = server_aggregate("fedadagrad", state, [update(0, scalar_set(target))], cfg)
-        assert np.all(state.v["w"] >= prev_v)
-        prev_v = state.v["w"].copy()
+        assert np.all(state.v >= prev_v)
+        prev_v = state.v.copy()
 
 
 @pytest.mark.parametrize("algorithm", ["fedadam", "fedadagrad", "fedyogi"])
 def test_fedopt_step_direction_matches_momentum_sign(algorithm):
     cfg = cfg_for(algorithm, eta_g=0.1, gamma=0.01)
-    state = init_server_state(algorithm, scalar_set(0.0), cfg)
+    state = init_server_state(algorithm, scalar_set(0.0), cfg, 1)
     rng = np.random.default_rng(4)
     for _ in range(5):
-        w_before = state.global_params.entries["w"].copy()
+        w_before = state.global_params.copy()
         target = w_before[0] + rng.standard_normal()
         state = server_aggregate(algorithm, state, [update(0, scalar_set(target))], cfg)
-        step = state.global_params.entries["w"] - w_before
-        assert np.all(np.sign(step) == np.sign(state.m["w"]))
+        step = state.global_params - w_before
+        assert np.all(np.sign(step) == np.sign(state.m))
 
 
 @pytest.mark.parametrize(
@@ -232,13 +225,13 @@ def test_fedopt_step_direction_matches_momentum_sign(algorithm):
 )
 def test_aggregation_idempotent_on_unchanged_clients(algorithm):
     spec = make_model(["batch_norm"])
-    w0 = init_params(spec, seed=1)
+    plan = Plan(spec)
+    w0 = plan.pack(init_params(spec, seed=1))
     cfg = cfg_for(algorithm)
-    state = init_server_state(algorithm, w0, cfg)
+    state = init_server_state(algorithm, w0, cfg, plan.n_train)
     ups = [update(cid, w0.copy(), n_k=cid + 1) for cid in range(3)]
     new = server_aggregate(algorithm, state, ups, cfg)
-    for name in w0.names():
-        assert np.allclose(new.global_params.entries[name], w0.entries[name], atol=1e-14)
+    assert np.allclose(new.global_params, w0, atol=1e-14)
 
 
 def test_fedopt_three_round_scalar_trajectory_matches_oracle():
@@ -261,28 +254,29 @@ def test_fedopt_three_round_scalar_trajectory_matches_oracle():
             w = w + cfg.eta_g * m / (v**0.5 + cfg.gamma)
             oracle.append(w)
 
-        state = init_server_state(algorithm, scalar_set(0.0), cfg)
+        state = init_server_state(algorithm, scalar_set(0.0), cfg, 1)
         for d, expect in zip(deltas, oracle):
-            target = state.global_params.entries["w"][0] + d
+            target = state.global_params[0] + d
             state = server_aggregate(algorithm, state, [update(0, scalar_set(target))], cfg)
-            assert state.global_params.entries["w"][0] == pytest.approx(expect, abs=1e-12)
+            assert state.global_params[0] == pytest.approx(expect, abs=1e-12)
 
 
 def test_uniform_pseudo_gradient_switch():
     cfg = cfg_for("fedadam", eta_g=0.1, gamma=0.01, uniform_pseudo_grad=True)
-    state = init_server_state("fedadam", scalar_set(0.0), cfg)
+    state = init_server_state("fedadam", scalar_set(0.0), cfg, 1)
     ups = [update(0, scalar_set(1.0), n_k=1), update(1, scalar_set(0.0), n_k=99)]
     new = server_aggregate("fedadam", state, ups, cfg)
     # uniform: delta = 0.5, not 0.01
-    assert new.m["w"][0] == pytest.approx(0.05, abs=1e-15)
+    assert new.m[0] == pytest.approx(0.05, abs=1e-15)
 
 
 def test_broadcast_fragment_respects_policy():
     spec = make_model(["batch_norm"])
-    w0 = init_params(spec, seed=0)
+    plan = Plan(spec)
     cfg = cfg_for("fedbn")
-    state = init_server_state("fedbn", w0, cfg)
-    frag = broadcast_fragment(state, cfg)
-    assert "layer1.gain" not in frag
-    assert "layer1.running_mean" not in frag
-    assert "layer0.weight" in frag
+    state = init_server_state("fedbn", plan.pack(init_params(spec, seed=0)), cfg, plan.n_train)
+    frag = broadcast_fragment(state, plan.prefix(cfg.policy))
+    assert plan.slots["layer1.gain"][0] >= len(frag)
+    assert plan.slots["layer1.running_mean"][0] >= len(frag)
+    assert plan.slots["layer0.weight"][1] <= len(frag)
+    assert np.array_equal(frag, state.global_params[:len(frag)])

@@ -16,6 +16,11 @@ The set:
 * 10 rounds at seed 0 of each other layer kind the model compiles, written
   to ``kinds/``: layer norm (fedpxn), group norm (feddyn with local Adam), no
   norm (fedprox) and a sigmoid-BCE head after batch norm (fedadam);
+* 10 rounds at seed 0 of the other server and evaluation paths, written to
+  ``paths/``: fedbn under ``stats_only_excluded`` and under
+  ``rescaling_aggregated`` (the broadcast covers the norm gains and biases),
+  fedavg on a 2-class feature-shift partition (the binary AUROC path), and
+  fedavg selecting by ``auprc``, ``accuracy`` and ``loss``;
 * ``fedbench partition`` of a K=10 label-skew spec, then ``fedbench sweep
   --grid 5x4,10x2`` with fedpxn and local Adam over seeds 0-2, the shape of
   the benchmark's ``ls_sweep_cli`` workload.
@@ -57,6 +62,15 @@ KIND_RUNS = {
     "no_norm": ("fedprox", "", "sgd", "softmax_ce_head"),
     "sigmoid_bce": ("fedadam", "batch_norm", "sgd", "sigmoid_bce_head"),
 }
+# run name -> (algorithm, policy, number of classes, selection metric)
+PATH_RUNS = {
+    "fedbn_stats_only": ("fedbn", "stats_only_excluded", 3, "auroc"),
+    "fedbn_rescaling": ("fedbn", "rescaling_aggregated", 3, "auroc"),
+    "binary": ("fedavg", "none", 2, "auroc"),
+    "select_auprc": ("fedavg", "none", 3, "auprc"),
+    "select_accuracy": ("fedavg", "none", 3, "accuracy"),
+    "select_loss": ("fedavg", "none", 3, "loss"),
+}
 SWEEP_GRID = "5x4,10x2"
 SWEEP_SIZES = [400, 350, 282, 238, 226] * 2
 
@@ -84,6 +98,16 @@ def run_kinds() -> None:
                             loss="binary_cross_entropy")
         cfg = replace(cfg, model=model, local_optimizer=optimizer)
         orchestrator.run_experiment(cfg, 0, out_dir=Path("kinds") / name)
+
+
+def run_paths() -> None:
+    for name, (alg, policy, classes, metric) in PATH_RUNS.items():
+        cfg = benchmarks.benchmark_config(alg, "feature_shift", rounds=KIND_ROUNDS, seeds=(0,))
+        cfg = replace(cfg, strategy=replace(cfg.strategy, policy=policy),
+                      data=replace(cfg.data, num_classes=classes),
+                      model=benchmarks.small_model(num_classes=classes),
+                      selection_metric=metric)
+        orchestrator.run_experiment(cfg, 0, out_dir=Path("paths") / name)
 
 
 def run_sweep() -> None:
@@ -149,6 +173,7 @@ def main(argv=None) -> int:
     run_grid()
     run_keep_all()
     run_kinds()
+    run_paths()
     run_sweep()
     for path in sorted(p for p in Path(".").rglob("*") if p.is_file()):
         print(f"{file_digest(path)}  {path.as_posix()}")
