@@ -5,8 +5,7 @@ from __future__ import annotations
 from .data_synth import DEFAULT_SIZES_K5, PartitionSpec
 from .nn import LayerSpec, ModelSpec
 from .orchestrator import ExperimentConfig
-from .params import ExclusionPolicy
-from .strategies import NORM_EXCLUDING, StrategyConfig
+from .strategies import StrategyConfig
 
 
 def feature_shift_spec(seed: int = 0, num_clients: int = 5) -> PartitionSpec:
@@ -62,15 +61,9 @@ def benchmark_config(
     data_seed: int = 0,
 ) -> ExperimentConfig:
     spec = feature_shift_spec(data_seed) if data_kind == "feature_shift" else label_skew_spec(data_seed)
-    policy = (
-        ExclusionPolicy.ALL_NORM_EXCLUDED
-        if algorithm in NORM_EXCLUDING
-        else ExclusionPolicy.NONE
-    )
-    strategy = StrategyConfig(algorithm=algorithm, mu=mu, policy=policy)
     return ExperimentConfig(
         model=small_model(norm_kind),
-        strategy=strategy,
+        strategy=StrategyConfig(algorithm=algorithm, mu=mu),
         data=spec,
         local_epochs=local_epochs,
         rounds=rounds,

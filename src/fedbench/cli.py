@@ -13,6 +13,7 @@ import math
 import os
 import sys
 import tempfile
+from dataclasses import MISSING, fields
 from pathlib import Path
 
 import yaml
@@ -27,13 +28,10 @@ from .errors import (
     MalformedRow,
     SchemaMismatch,
     ShapeMismatch,
-    check_int,
-    check_real,
 )
-from .nn import BN_MOMENTUM, LayerSpec, ModelSpec
+from .nn import LayerSpec, ModelSpec
 from .orchestrator import ExperimentConfig, run_experiment, sweep_local_epochs
-from .params import ExclusionPolicy
-from .strategies import FEDOPT_FAMILY, NORM_EXCLUDING, StrategyConfig
+from .strategies import FEDOPT_FAMILY, StrategyConfig
 
 EXIT_OK = 0
 EXIT_OTHER = 1
@@ -53,20 +51,27 @@ _EPILOG = """exit codes:
 # ---------------------------------------------------------------------------
 # config parsing
 
-def _require(section: dict, key: str, path: str):
-    if key not in section:
-        raise ConfigError(path, "required field missing")
-    return section[key]
-
-
-def _mapping(value, path: str, keys: tuple[str, ...]) -> dict:
-    """``value`` as a mapping whose keys all lie in ``keys``."""
+def _mapping(value, path: str, cls, extras: tuple[str, ...] = ()) -> dict:
+    """``value`` as a mapping whose keys are all fields of ``cls`` or ``extras``."""
+    keys = [f.name for f in fields(cls)] + list(extras)
     if not isinstance(value, dict):
         raise ConfigError(path, f"must be a mapping, got {value!r}")
     unknown = [k for k in value if k not in keys]
     if unknown:
-        raise ConfigError(path, f"unknown keys {unknown}; expected some of {list(keys)}")
+        raise ConfigError(path, f"unknown keys {unknown}; expected some of {keys}")
     return value
+
+
+def _build(cls, section, path: str, extras: tuple[str, ...] = (), **parse):
+    """``cls(**section)`` for a config section checked by ``_mapping``; a field
+    without a default must be present, and ``parse[name]`` converts a field's
+    raw value first.  ``path`` "" is the top level."""
+    _mapping(section, path or "config", cls, extras)
+    for f in fields(cls):
+        if f.name not in section and f.default is MISSING and f.default_factory is MISSING:
+            raise ConfigError(f"{path}.{f.name}" if path else f.name, "required field missing")
+    return cls(**{k: parse[k](v) if k in parse else v
+                  for k, v in section.items() if k not in extras})
 
 
 def apply_overrides(config: dict, overrides: list[str]) -> dict:
@@ -86,75 +91,28 @@ def apply_overrides(config: dict, overrides: list[str]) -> dict:
     return config
 
 
-# the keys each config section may carry
-_LAYER_KEYS = ("kind", "width", "groups", "epsilon", "momentum")
-_MODEL_KEYS = ("input_dim", "num_classes", "loss", "layers")
-_STRATEGY_KEYS = ("algorithm", "policy", "mu", "alpha", "eta_g", "beta1", "beta2", "gamma",
-                  "uniform_pseudo_grad")
-_DATA_KEYS = ("manifest", "kind", "num_clients", "num_classes", "input_dim", "sizes",
-              "skew_concentration", "shift_scale", "class_separation", "seed")
-_CONFIG_KEYS = ("model", "strategy", "data", "local_epochs", "rounds", "eta", "local_optimizer",
-                "batch_size", "seeds", "selection_metric", "out_dir", "keep_all_checkpoints",
-                "total_budget")
-
-
-def _parse_layer(raw, path: str) -> LayerSpec:
-    raw = _mapping(raw, path, _LAYER_KEYS)
-    kind = _require(raw, "kind", f"{path}.kind")
-    width, groups = raw.get("width", 0), raw.get("groups", 1)
-    epsilon, momentum = raw.get("epsilon", 1e-5), raw.get("momentum", BN_MOMENTUM)
-    check_int(width, f"{path}.width")
-    check_int(groups, f"{path}.groups")
-    check_real(epsilon, f"{path}.epsilon")
-    check_real(momentum, f"{path}.momentum")
-    if groups < 1:
-        raise ConfigError(f"{path}.groups", "must be >= 1")
-    if not 0.0 <= momentum <= 1.0:
-        raise ConfigError(f"{path}.momentum", "must lie in [0, 1]")
-    return LayerSpec(kind=kind, width=width, groups=groups, epsilon=epsilon, momentum=momentum)
+def _parse_layers(raw) -> list[LayerSpec]:
+    if not isinstance(raw, list):
+        raise ConfigError("model.layers", "must be a list of layer mappings")
+    return [_build(LayerSpec, layer, f"model.layers[{i}]") for i, layer in enumerate(raw)]
 
 
 def _parse_model(section) -> ModelSpec:
-    section = _mapping(section, "model", _MODEL_KEYS)
-    for key in ("input_dim", "num_classes"):
-        check_int(_require(section, key, f"model.{key}"), f"model.{key}")
-    raw_layers = _require(section, "layers", "model.layers")
-    if not isinstance(raw_layers, list):
-        raise ConfigError("model.layers", "must be a list of layer mappings")
-    loss = _require(section, "loss", "model.loss")
     try:  # LayerSpec and ModelSpec check the model's structure
-        layers = [_parse_layer(raw, f"model.layers[{i}]") for i, raw in enumerate(raw_layers)]
-        return ModelSpec(input_dim=section["input_dim"], layers=layers, loss=loss,
-                         num_classes=section["num_classes"])
+        return _build(ModelSpec, section, "model", layers=_parse_layers)
     except ShapeMismatch as exc:
         raise ConfigError("model", str(exc))
 
 
 def _parse_strategy(section) -> StrategyConfig:
-    section = _mapping(section, "strategy", _STRATEGY_KEYS)
-    algorithm = _require(section, "algorithm", "strategy.algorithm")
-    if algorithm in ("fedprox", "fedpxn") and "mu" not in section:
-        raise ConfigError("strategy.mu", f"{algorithm} requires mu")
-    if algorithm == "feddyn" and "alpha" not in section:
-        raise ConfigError("strategy.alpha", "feddyn requires alpha")
-    if algorithm in FEDOPT_FAMILY:
-        for field_name in ("eta_g", "gamma"):
-            if field_name not in section:
-                raise ConfigError(f"strategy.{field_name}", f"{algorithm} requires {field_name}")
-    kwargs = {
-        k: section[k]
-        for k in ("mu", "alpha", "eta_g", "beta1", "beta2", "gamma", "uniform_pseudo_grad")
-        if k in section
-    }
-    policy = section.get(
-        "policy",
-        ExclusionPolicy.ALL_NORM_EXCLUDED.value if algorithm in NORM_EXCLUDING
-        else ExclusionPolicy.NONE.value,
-    )
-    try:
-        return StrategyConfig(algorithm=algorithm, policy=ExclusionPolicy(policy), **kwargs)
-    except ValueError:
-        raise ConfigError("strategy.policy", f"unknown policy {policy!r}")
+    cfg = _build(StrategyConfig, section, "strategy")
+    # a config must state the hyperparameters these algorithms are tuned by
+    stated = {"fedprox": ("mu",), "fedpxn": ("mu",), "feddyn": ("alpha",),
+              **dict.fromkeys(FEDOPT_FAMILY, ("eta_g", "gamma"))}
+    for name in stated.get(cfg.algorithm, ()):
+        if name not in section:
+            raise ConfigError(f"strategy.{name}", f"{cfg.algorithm} requires {name}")
+    return cfg
 
 
 def _parse_data(section):
@@ -162,20 +120,9 @@ def _parse_data(section):
         return section
     if not isinstance(section, dict):
         raise ConfigError("data", f"must be a manifest path or a mapping, got {section!r}")
-    _mapping(section, "data", _DATA_KEYS)
     if "manifest" in section:
-        return section["manifest"]
-    return PartitionSpec(
-        kind=_require(section, "kind", "data.kind"),
-        num_clients=_require(section, "num_clients", "data.num_clients"),
-        num_classes=_require(section, "num_classes", "data.num_classes"),
-        input_dim=_require(section, "input_dim", "data.input_dim"),
-        sizes=_require(section, "sizes", "data.sizes"),
-        skew_concentration=section.get("skew_concentration", 0.5),
-        shift_scale=section.get("shift_scale", 1.0),
-        class_separation=section.get("class_separation", 2.0),
-        seed=section.get("seed", 0),
-    )
+        return _mapping(section, "data", PartitionSpec, ("manifest",))["manifest"]
+    return _build(PartitionSpec, section, "data", ("manifest",))
 
 
 def _read_mapping(path, field: str) -> dict:
@@ -194,33 +141,17 @@ def _read_mapping(path, field: str) -> dict:
 
 def parse_and_validate_config(path, overrides: list[str] | None = None) -> tuple[ExperimentConfig, dict]:
     """Load, override, validate; returns (config, resolved-config echo dict)."""
-    raw = _mapping(apply_overrides(_read_mapping(path, "config"), overrides or []), "config",
-                   _CONFIG_KEYS)
-    cfg = ExperimentConfig(
-        model=_parse_model(_require(raw, "model", "model")),
-        strategy=_parse_strategy(_require(raw, "strategy", "strategy")),
-        data=_parse_data(_require(raw, "data", "data")),
-        local_epochs=raw.get("local_epochs", 1),
-        rounds=_require(raw, "rounds", "rounds"),
-        eta=_require(raw, "eta", "eta"),
-        local_optimizer=raw.get("local_optimizer", "sgd"),
-        batch_size=raw.get("batch_size", 32),
-        seeds=raw.get("seeds", [0]),
-        selection_metric=raw.get("selection_metric", "auroc"),
-        out_dir=raw.get("out_dir", "results"),
-        keep_all_checkpoints=raw.get("keep_all_checkpoints", False),
-    )
+    raw = apply_overrides(_read_mapping(path, "config"), overrides or [])
+    cfg = _build(ExperimentConfig, raw, "", ("total_budget",), model=_parse_model,
+                 strategy=_parse_strategy, data=_parse_data)
     if "total_budget" in raw and raw["total_budget"] != cfg.total_budget:
         raise ConfigError(
             "total_budget",
             f"declared {raw['total_budget']} != local_epochs*rounds = {cfg.total_budget}",
         )
     echo = dict(raw)
-    echo.setdefault("local_epochs", cfg.local_epochs)
-    echo.setdefault("local_optimizer", cfg.local_optimizer)
-    echo.setdefault("batch_size", cfg.batch_size)
-    echo.setdefault("seeds", cfg.seeds)
-    echo.setdefault("selection_metric", cfg.selection_metric)
+    for name in ("local_epochs", "local_optimizer", "batch_size", "seeds", "selection_metric"):
+        echo.setdefault(name, getattr(cfg, name))
     echo["total_budget"] = cfg.total_budget
     return cfg, echo
 

@@ -8,7 +8,8 @@ Two heterogeneity regimes:
                  affine-transformed inputs.
 
 Per-client data is split 70/15/15 (train = floor(0.7 n), val = floor(0.15 n),
-test = remainder).
+test = remainder), so a client needs at least 7 examples for a non-empty
+validation split.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from .nn import Batch
 
 # default size imbalance for K=5, shaped like a realistic multi-site cohort
 DEFAULT_SIZES_K5 = [400, 350, 282, 238, 226]
+MIN_CLIENT_SIZE = 7  # the smallest n with floor(0.15 n) >= 1
 
 
 @dataclass
@@ -61,8 +63,8 @@ class PartitionSpec:
             raise ConfigError("data.num_clients", "need at least one client")
         if len(self.sizes) != self.num_clients:
             raise ConfigError("data.sizes", "one size per client required")
-        if any(s < 2 for s in self.sizes):
-            raise ConfigError("data.sizes", "every client needs >= 2 examples")
+        if any(s < MIN_CLIENT_SIZE for s in self.sizes):
+            raise ConfigError("data.sizes", f"every client needs >= {MIN_CLIENT_SIZE} examples")
         if self.kind == "label_skew" and self.skew_concentration <= 0:
             raise ConfigError("data.skew_concentration", "must be > 0")
         if self.shift_scale < 0:
@@ -90,6 +92,9 @@ def _split(inputs: np.ndarray, labels: np.ndarray, client_id: int,
            num_classes: int) -> ClientDataset:
     """70/15/15 split in row order."""
     n = inputs.shape[0]
+    if n < MIN_CLIENT_SIZE:
+        raise InfeasibleSizes(f"client {client_id} has {n} examples, fewer than the "
+                              f"{MIN_CLIENT_SIZE} a non-empty validation split needs")
     n_train, n_val, _ = split_sizes(n)
     hist = np.bincount(labels.astype(np.int64), minlength=num_classes)
     return ClientDataset(
@@ -244,14 +249,28 @@ def write_partition(spec: PartitionSpec, out_dir) -> Path:
 
 
 def load_partition(manifest_path) -> list[ClientDataset]:
+    """The clients a manifest lists; SchemaMismatch naming the manifest if it
+    is unreadable, lacks a positive integer ``spec.num_classes`` or
+    ``clients``, lists no client, or names a client file that does not exist."""
     manifest_path = Path(manifest_path)
-    manifest = json.loads(manifest_path.read_text())
-    num_classes = manifest["spec"]["num_classes"]
-    return [
-        load_client_csv(
-            manifest_path.parent / entry["path"],
-            num_classes=num_classes,
-            client_id=entry["client_id"],
-        )
-        for entry in manifest["clients"]
-    ]
+    try:
+        manifest = json.loads(manifest_path.read_text())
+        num_classes = manifest["spec"]["num_classes"]
+        clients = [(manifest_path.parent / entry["path"], entry["client_id"])
+                   for entry in manifest["clients"]]
+    except OSError as exc:
+        raise SchemaMismatch(f"{manifest_path}: cannot read manifest: {exc.strerror}")
+    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError are ValueErrors
+        raise SchemaMismatch(f"{manifest_path}: not a JSON manifest: {exc}")
+    except (KeyError, TypeError):
+        raise SchemaMismatch(f"{manifest_path}: needs spec.num_classes and clients, "
+                             "each with path and client_id")
+    if not isinstance(num_classes, int) or isinstance(num_classes, bool) or num_classes < 1:
+        raise SchemaMismatch(f"{manifest_path}: spec.num_classes must be a positive integer")
+    if not clients:
+        raise SchemaMismatch(f"{manifest_path}: lists no clients")
+    for path, _ in clients:
+        if not path.is_file():
+            raise SchemaMismatch(f"{manifest_path}: client file {path} not found")
+    return [load_client_csv(path, num_classes=num_classes, client_id=client_id)
+            for path, client_id in clients]

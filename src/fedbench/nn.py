@@ -35,7 +35,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateBatch, KeyMismatch, NonFiniteLoss, ShapeMismatch, StaleCache
+from .errors import (
+    ConfigError,
+    DegenerateBatch,
+    KeyMismatch,
+    NonFiniteLoss,
+    ShapeMismatch,
+    StaleCache,
+    check_int,
+    check_real,
+)
 from .params import NON_NORM, NORM, ExclusionPolicy, ParamSet
 
 BN_MOMENTUM = 0.1  # running-stat EMA step; convention, configurable per layer
@@ -54,6 +63,18 @@ class LayerSpec:
     def __post_init__(self):
         if self.kind not in ("dense", "relu") + NORM_KINDS + HEAD_KINDS:
             raise ShapeMismatch(f"unknown layer kind {self.kind!r}")
+
+    def check(self, path: str) -> None:
+        """Field types and ranges; ModelSpec runs this for each layer, with
+        ``path`` naming the layer by its index in a ConfigError."""
+        check_int(self.width, f"{path}.width")
+        check_int(self.groups, f"{path}.groups")
+        check_real(self.epsilon, f"{path}.epsilon")
+        check_real(self.momentum, f"{path}.momentum")
+        if self.groups < 1:
+            raise ConfigError(f"{path}.groups", "must be >= 1")
+        if not 0.0 <= self.momentum <= 1.0:
+            raise ConfigError(f"{path}.momentum", "must lie in [0, 1]")
         if self.kind in NORM_KINDS and self.epsilon < 0:
             raise ShapeMismatch("epsilon must be non-negative")
 
@@ -66,6 +87,10 @@ class ModelSpec:
     num_classes: int
 
     def __post_init__(self):
+        check_int(self.input_dim, "model.input_dim")
+        check_int(self.num_classes, "model.num_classes")
+        for i, layer in enumerate(self.layers):
+            layer.check(f"model.layers[{i}]")
         if self.loss not in ("cross_entropy", "binary_cross_entropy"):
             raise ShapeMismatch(f"unknown loss {self.loss!r}")
         if not self.layers:

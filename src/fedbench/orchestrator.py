@@ -69,9 +69,9 @@ class ExperimentConfig:
     model: ModelSpec
     strategy: StrategyConfig
     data: PartitionSpec | str  # spec, or path to a partition manifest
-    local_epochs: int
     rounds: int
     eta: float
+    local_epochs: int = 1
     local_optimizer: str = "sgd"  # sgd | adam
     batch_size: int = 32
     seeds: list[int] = field(default_factory=lambda: [0])

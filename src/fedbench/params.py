@@ -75,6 +75,7 @@ class ParamSet:
     def names(self) -> list[str]:
         return list(self.entries)
 
+    # a run never calls this; it stays for perfbench's ``params.copy`` span and the test oracles
     def copy(self) -> "ParamSet":
         return ParamSet(
             entries={k: v.copy() for k, v in self.entries.items()},

@@ -50,12 +50,17 @@ class StrategyConfig:
     beta1: float = 0.9        # fedopt momentum
     beta2: float = 0.99       # fedopt second moment
     gamma: float = 0.001      # fedopt adaptivity floor
-    policy: ExclusionPolicy = ExclusionPolicy.NONE
+    policy: ExclusionPolicy | None = None  # None: all_norm_excluded for fedbn/fedpxn, else none
     uniform_pseudo_grad: bool = False  # average deltas uniformly instead of n_k/n
 
     def __post_init__(self):
-        if isinstance(self.policy, str):
+        if self.policy is None:
+            self.policy = (ExclusionPolicy.ALL_NORM_EXCLUDED if self.algorithm in NORM_EXCLUDING
+                           else ExclusionPolicy.NONE)
+        try:
             self.policy = ExclusionPolicy(self.policy)
+        except ValueError:
+            raise ConfigError("strategy.policy", f"unknown policy {self.policy!r}")
         self.validate()
 
     def validate(self) -> None:

@@ -45,7 +45,6 @@ from fedbench.orchestrator import (
 )
 from fedbench.params import (
     NORM,
-    ExclusionPolicy,
     l2_distance_excluding_norm,
     load_paramset,
     make_weights,
@@ -153,11 +152,7 @@ def test_criterion_2_gradient_suite():
             w_ref = init_params(spec, seed + 500)
             batch = random_batch(spec, 8, seed + 1000)
             mu, alpha = 0.7, 0.4
-            policy = (
-                ExclusionPolicy.ALL_NORM_EXCLUDED if algorithm == "fedpxn"
-                else ExclusionPolicy.NONE
-            )
-            strat = StrategyConfig(algorithm=algorithm, mu=mu, alpha=alpha, policy=policy)
+            strat = StrategyConfig(algorithm=algorithm, mu=mu, alpha=alpha)
             dyn = None
             if algorithm == "feddyn":
                 rng = np.random.default_rng(seed)

@@ -34,7 +34,7 @@ from fedbench.nn import (
     model_forward,
 )
 from fedbench.orchestrator import ClientState, ExperimentConfig, client_rng, run_local_training
-from fedbench.strategies import ALGORITHMS, NORM_EXCLUDING, DynMemory, StrategyConfig
+from fedbench.strategies import ALGORITHMS, DynMemory, StrategyConfig
 
 
 def data_spec(num_clients, sizes):
@@ -201,10 +201,7 @@ ORACLE_LOOP_CASES = [
 @pytest.mark.parametrize("algorithm,optimizer,model", ORACLE_LOOP_CASES)
 def test_local_training_matches_oracle_loop(algorithm, optimizer, model):
     """run_local_training against the per-step loop written with the oracle."""
-    strategy = StrategyConfig(
-        algorithm=algorithm, mu=0.1,
-        policy="all_norm_excluded" if algorithm in NORM_EXCLUDING else "none",
-    )
+    strategy = StrategyConfig(algorithm=algorithm, mu=0.1)
     cfg = ExperimentConfig(
         model=MODELS[model](), strategy=strategy,
         data=data_spec(num_clients=1, sizes=(90,)), local_epochs=2, rounds=1, eta=0.05,

@@ -215,6 +215,52 @@ def test_exit_code_data_error(tmp_path, capsys):
     assert err["error"] == "data_error"
 
 
+def run_on_manifest(tmp_path, capsys, manifest):
+    """``fedbench run`` on a manifest; assert exit 3 with a JSON record, return its message."""
+    cfg = base_config()
+    cfg["data"] = str(manifest)
+    code = main(["run", "--config", str(write_config(tmp_path, cfg)),
+                 "--out", str(tmp_path / "x")])
+    assert code == EXIT_DATA
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"] == "data_error"
+    return err["message"]
+
+
+CLIENT = {"client_id": 0, "path": "client_0.csv"}
+
+
+@pytest.mark.parametrize("content", [
+    None,
+    "{not json",
+    json.dumps([1, 2]),
+    json.dumps({"spec": {}, "clients": [CLIENT]}),
+    json.dumps({"spec": {"num_classes": "3"}, "clients": [CLIENT]}),
+    json.dumps({"spec": {"num_classes": 2}}),
+    json.dumps({"spec": {"num_classes": 2}, "clients": []}),
+    json.dumps({"spec": {"num_classes": 2}, "clients": [{"path": "client_0.csv"}]}),
+    json.dumps({"spec": {"num_classes": 2}, "clients": [dict(CLIENT, path="client_9.csv")]}),
+], ids=["missing", "not_json", "not_a_mapping", "no_num_classes", "str_num_classes", "no_clients",
+        "empty_clients", "no_client_id", "missing_csv"])
+def test_bad_manifest_is_data_error_naming_it(tmp_path, capsys, content):
+    part = tmp_path / "part"
+    part.mkdir()
+    (part / "client_0.csv").write_text("feature_0,label\n" + "0.5,1\n" * 10)
+    manifest = part / "manifest.json"
+    if content is not None:
+        manifest.write_text(content)
+    assert run_on_manifest(tmp_path, capsys, manifest).startswith(f"{manifest}: ")
+
+
+def test_client_csv_without_a_validation_example_is_data_error(tmp_path, capsys):
+    part = tmp_path / "part"
+    part.mkdir()
+    (part / "client_0.csv").write_text("feature_0,label\n" + "0.5,1\n" * 6)
+    (part / "manifest.json").write_text(json.dumps({"spec": {"num_classes": 2},
+                                                    "clients": [CLIENT]}))
+    assert "validation" in run_on_manifest(tmp_path, capsys, part / "manifest.json")
+
+
 def test_sweep_grid_and_csv(tmp_path):
     path = write_config(tmp_path, base_config(rounds=4))
     out = tmp_path / "sweep"
@@ -399,6 +445,13 @@ def test_layer_momentum_is_parsed(tmp_path):
 ])
 def test_layer_out_of_range_is_config_error(tmp_path, capsys, layer, field):
     assert config_error_field(tmp_path, capsys, with_layer(layer)) == field
+
+
+@pytest.mark.parametrize("sizes", [[60, 50, 6], [60, 50, 2]])
+def test_client_without_a_validation_example_is_config_error(tmp_path, capsys, sizes):
+    cfg = base_config()
+    cfg["data"]["sizes"] = sizes
+    assert config_error_field(tmp_path, capsys, cfg) == "data.sizes"
 
 
 @pytest.mark.parametrize("section,key", [

@@ -15,7 +15,7 @@ from fedbench.data_synth import (
     split_sizes,
     write_partition,
 )
-from fedbench.errors import ConfigError, MalformedRow, SchemaMismatch
+from fedbench.errors import ConfigError, InfeasibleSizes, MalformedRow, SchemaMismatch
 from fedbench.nn import Plan, apply_running_stats, model_forward
 
 
@@ -40,9 +40,19 @@ def all_rows(ds):
 
 def test_split_sizes_examples():
     assert split_sizes(10) == (7, 1, 2)
+    assert split_sizes(7) == (4, 1, 2)  # the smallest n with a validation example
     assert split_sizes(100) == (70, 15, 15)
     n_tr, n_va, n_te = split_sizes(4008)
     assert n_tr + n_va + n_te == 4008
+
+
+@pytest.mark.parametrize("n", [2, 6])
+def test_spec_rejects_a_client_without_a_validation_example(n):
+    assert split_sizes(n)[1] == 0
+    with pytest.raises(ConfigError) as err:
+        spec(sizes=[40, 30, n])
+    assert err.value.field == "data.sizes"
+    assert generate(spec(sizes=[40, 30, 7]))[2].val.size == 1
 
 
 def test_spec_validation():
@@ -205,6 +215,18 @@ def test_schema_mismatch(tmp_path):
     empty.write_text("")
     with pytest.raises(SchemaMismatch):
         load_client_csv(empty, num_classes=2)
+
+
+def write_rows(path, n):
+    path.write_text("feature_0,label\n" + "".join(f"{i / 10},{i % 2}\n" for i in range(n)))
+    return path
+
+
+def test_csv_too_short_for_a_validation_split_is_infeasible(tmp_path):
+    with pytest.raises(InfeasibleSizes):
+        load_client_csv(write_rows(tmp_path / "six.csv", 6), num_classes=2)
+    ds = load_client_csv(write_rows(tmp_path / "seven.csv", 7), num_classes=2)
+    assert (ds.train.size, ds.val.size, ds.test.size) == (4, 1, 2)
 
 
 def test_partition_manifest_round_trip(tmp_path):

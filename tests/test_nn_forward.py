@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from fedbench.errors import DegenerateBatch, ShapeMismatch
+from fedbench.errors import ConfigError, DegenerateBatch, ShapeMismatch
 from fedbench.nn import (
     BN_MOMENTUM,
     Batch,
@@ -144,6 +144,42 @@ def test_wrong_input_dim_rejected(bn_model, seeded_params):
     batch = Batch.from_arrays(np.zeros((4, 7)), np.zeros(4, dtype=int))
     with pytest.raises(ShapeMismatch):
         forward(bn_model, seeded_params, batch, mode="train")
+
+
+def model_with(layer, input_dim=5, num_classes=3):
+    """dense(6) -> ``layer`` -> relu -> dense -> softmax head, built in Python."""
+    return ModelSpec(
+        input_dim=input_dim,
+        layers=[LayerSpec(kind="dense", width=6), layer, LayerSpec(kind="relu"),
+                LayerSpec(kind="dense", width=3), LayerSpec(kind="softmax_ce_head")],
+        loss="cross_entropy",
+        num_classes=num_classes,
+    )
+
+
+@pytest.mark.parametrize("layer,field", [
+    ({"kind": "group_norm", "groups": 0}, "model.layers[1].groups"),
+    ({"kind": "dense", "width": "3"}, "model.layers[1].width"),
+    ({"kind": "batch_norm", "epsilon": "1e-5"}, "model.layers[1].epsilon"),
+    ({"kind": "batch_norm", "momentum": 1.5}, "model.layers[1].momentum"),
+    ({"kind": "batch_norm", "momentum": -0.1}, "model.layers[1].momentum"),
+    ({"kind": "group_norm", "groups": 2.0}, "model.layers[1].groups"),
+])
+def test_model_spec_checks_each_layer_with_its_index(layer, field):
+    with pytest.raises(ConfigError) as err:
+        model_with(LayerSpec(**layer))
+    assert err.value.field == field
+
+
+@pytest.mark.parametrize("kw,field", [
+    ({"input_dim": "8"}, "model.input_dim"),
+    ({"num_classes": 3.0}, "model.num_classes"),
+    ({"input_dim": True}, "model.input_dim"),
+])
+def test_model_spec_checks_its_integer_fields(kw, field):
+    with pytest.raises(ConfigError) as err:
+        model_with(LayerSpec(kind="relu"), **kw)
+    assert err.value.field == field
 
 
 def test_running_stats_committed_only_on_apply(bn_model, seeded_params):

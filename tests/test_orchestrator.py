@@ -24,7 +24,7 @@ from fedbench.orchestrator import (
     run_round,
     sweep_local_epochs,
 )
-from fedbench.params import ExclusionPolicy, l2_distance_excluding_norm, load_paramset
+from fedbench.params import l2_distance_excluding_norm, load_paramset
 from fedbench.strategies import StrategyConfig, init_server_state
 
 from conftest import make_model
@@ -43,17 +43,12 @@ def data_spec(num_clients=3, sizes=(60, 50, 40), seed=9, kind="label_skew"):
 
 def experiment(algorithm="fedavg", norm=None, rounds=3, local_epochs=1, **kw):
     kinds = [norm] if norm else []
-    policy = (
-        ExclusionPolicy.ALL_NORM_EXCLUDED
-        if algorithm in ("fedbn", "fedpxn")
-        else ExclusionPolicy.NONE
-    )
     strat_kw = {}
     if algorithm in ("fedprox", "fedpxn"):
         strat_kw["mu"] = kw.pop("mu", 0.1)
     return ExperimentConfig(
         model=make_model(kinds),
-        strategy=StrategyConfig(algorithm=algorithm, policy=policy, **strat_kw),
+        strategy=StrategyConfig(algorithm=algorithm, **strat_kw),
         data=kw.pop("data", data_spec()),
         local_epochs=local_epochs,
         rounds=rounds,

@@ -29,17 +29,30 @@ def scalar_set(w=1.0):
     return np.array([w])
 
 
-def cfg_for(algorithm, **kw):
-    if algorithm in ("fedbn", "fedpxn"):
-        kw.setdefault("policy", ExclusionPolicy.ALL_NORM_EXCLUDED)
-    return StrategyConfig(algorithm=algorithm, **kw)
-
-
 def test_config_rejects_policy_mismatch():
     with pytest.raises(ConfigError):
         StrategyConfig(algorithm="fedavg", policy=ExclusionPolicy.ALL_NORM_EXCLUDED)
     with pytest.raises(ConfigError):
         StrategyConfig(algorithm="fedbn", policy=ExclusionPolicy.NONE)
+
+
+def test_policy_defaults_from_the_algorithm():
+    assert StrategyConfig("fedbn").policy == ExclusionPolicy.ALL_NORM_EXCLUDED
+    assert StrategyConfig("fedpxn", mu=0.1).policy == ExclusionPolicy.ALL_NORM_EXCLUDED
+    for algorithm in ("fedavg", "fedprox", "fedadam", "feddyn"):
+        assert StrategyConfig(algorithm).policy == ExclusionPolicy.NONE
+
+
+def test_explicit_policy_none_for_fedbn_still_rejected():
+    with pytest.raises(ConfigError) as err:
+        StrategyConfig("fedbn", policy="none")
+    assert err.value.field == "strategy.policy"
+
+
+def test_unknown_policy_is_config_error():
+    with pytest.raises(ConfigError) as err:
+        StrategyConfig("fedbn", policy="bogus")
+    assert err.value.field == "strategy.policy"
 
 
 # ---------------------------------------------------------------------------
@@ -48,14 +61,14 @@ def test_config_rejects_policy_mismatch():
 def test_fedprox_mu_zero_is_base_grad():
     base = np.array([0.3])
     out = local_loss_grad("fedprox", base, np.array([2.0]), np.array([1.0]), 1,
-                          cfg_for("fedprox", mu=0.0))
+                          StrategyConfig("fedprox", mu=0.0))
     assert out is base
 
 
 def test_fedprox_scalar_example():
     base = np.array([0.3])
     out = local_loss_grad("fedprox", base, np.array([2.0]), np.array([1.0]), 1,
-                          cfg_for("fedprox", mu=0.1))
+                          StrategyConfig("fedprox", mu=0.1))
     assert out[0] == pytest.approx(0.4, abs=1e-15)
 
 
@@ -64,7 +77,7 @@ def test_fedpxn_skips_norm_entries():
     local = np.array([2.0, 5.0])
     glob = np.array([1.0, 0.0])
     base = np.array([0.3, 0.2])
-    out = local_loss_grad("fedpxn", base, local, glob, 1, cfg_for("fedpxn", mu=0.1))
+    out = local_loss_grad("fedpxn", base, local, glob, 1, StrategyConfig("fedpxn", mu=0.1))
     assert out[1] == pytest.approx(0.2, abs=1e-15)  # no proximal pull
     assert out[0] == pytest.approx(0.4, abs=1e-15)
 
@@ -73,7 +86,7 @@ def test_feddyn_requires_memory():
     base = np.array([0.1])
     with pytest.raises(MissingDynMemory):
         local_loss_grad("feddyn", base, np.array([1.0]), np.array([1.0]), 1,
-                        cfg_for("feddyn", alpha=0.1))
+                        StrategyConfig("feddyn", alpha=0.1))
 
 
 def test_feddyn_gradient_matches_finite_difference_of_modified_objective():
@@ -94,7 +107,7 @@ def test_feddyn_gradient_matches_finite_difference_of_modified_objective():
     w = rng.standard_normal(4)
     dyn = DynMemory(client_id=0, prev_grad=prev_grad.copy(), initialized=True)
     out = local_loss_grad("feddyn", w - c, w.copy(), w_global.copy(), 4,
-                          cfg_for("feddyn", alpha=alpha), dyn)
+                          StrategyConfig("feddyn", alpha=alpha), dyn)
 
     h = 1e-5
     for i in range(4):
@@ -113,7 +126,7 @@ def test_update_dyn_memory_first_call_and_zero_grad():
 
     zeroed = update_dyn_memory(new, np.zeros(1))
     base = np.array([0.2])
-    cfg = cfg_for("feddyn", alpha=0.3)
+    cfg = StrategyConfig("feddyn", alpha=0.3)
     out = local_loss_grad("feddyn", base, np.array([2.0]), np.array([1.0]), 1, cfg, zeroed)
     assert out[0] == pytest.approx(0.2 + 0.3 * 1.0, abs=1e-15)
 
@@ -123,13 +136,13 @@ def test_update_dyn_memory_first_call_and_zero_grad():
 
 def test_init_server_state_fedavg_has_no_moments():
     w0 = scalar_set()
-    state = init_server_state("fedavg", w0, cfg_for("fedavg"), 1)
+    state = init_server_state("fedavg", w0, StrategyConfig("fedavg"), 1)
     assert state.m is None and state.v is None and state.round == 0
 
 
 def test_init_server_state_fedadam_moments():
     w0 = scalar_set()
-    state = init_server_state("fedadam", w0, cfg_for("fedadam", gamma=0.1), 1)
+    state = init_server_state("fedadam", w0, StrategyConfig("fedadam", gamma=0.1), 1)
     assert np.array_equal(state.m, np.zeros(1))
     assert np.allclose(state.v, 0.01)
 
@@ -148,36 +161,36 @@ def update(cid, params, n_k=1, diverged=False):
 
 def test_fedavg_single_client_exact():
     w0 = scalar_set(1.0)
-    state = init_server_state("fedavg", w0, cfg_for("fedavg"), 1)
+    state = init_server_state("fedavg", w0, StrategyConfig("fedavg"), 1)
     client = scalar_set(3.141592653589793)
-    new = server_aggregate("fedavg", state, [update(0, client)], cfg_for("fedavg"))
+    new = server_aggregate("fedavg", state, [update(0, client)], StrategyConfig("fedavg"))
     assert new.global_params[0] == client[0]
     assert new.round == 1
 
 
 def test_all_diverged_raises():
     w0 = scalar_set()
-    state = init_server_state("fedavg", w0, cfg_for("fedavg"), 1)
+    state = init_server_state("fedavg", w0, StrategyConfig("fedavg"), 1)
     with pytest.raises(AllClientsDiverged):
-        server_aggregate("fedavg", state, [update(0, scalar_set(), diverged=True)], cfg_for("fedavg"))
+        server_aggregate("fedavg", state, [update(0, scalar_set(), diverged=True)], StrategyConfig("fedavg"))
 
 
 def test_diverged_clients_excluded():
     w0 = scalar_set(0.0)
-    state = init_server_state("fedavg", w0, cfg_for("fedavg"), 1)
+    state = init_server_state("fedavg", w0, StrategyConfig("fedavg"), 1)
     ups = [update(0, scalar_set(2.0)), update(1, scalar_set(np.nan), diverged=True)]
-    new = server_aggregate("fedavg", state, ups, cfg_for("fedavg"))
+    new = server_aggregate("fedavg", state, ups, StrategyConfig("fedavg"))
     assert new.global_params[0] == 2.0
 
 
 def test_fedopt_requires_initialized_moments():
     state = ServerState(global_params=scalar_set())
     with pytest.raises(UninitializedOptState):
-        server_aggregate("fedadam", state, [update(0, scalar_set(2.0))], cfg_for("fedadam"))
+        server_aggregate("fedadam", state, [update(0, scalar_set(2.0))], StrategyConfig("fedadam"))
 
 
 def test_fedadagrad_scalar_first_round():
-    cfg = cfg_for("fedadagrad", eta_g=1.0, beta1=0.9, gamma=0.01)
+    cfg = StrategyConfig("fedadagrad", eta_g=1.0, beta1=0.9, gamma=0.01)
     state = init_server_state("fedadagrad", scalar_set(0.0), cfg, 1)
     new = server_aggregate("fedadagrad", state, [update(0, scalar_set(1.0))], cfg)
     # delta=1: v = 1e-4 + 1, m = 0.1, step = 0.1/(sqrt(1.0001)+0.01)
@@ -188,7 +201,7 @@ def test_fedadagrad_scalar_first_round():
 
 
 def test_fedyogi_fixpoint_when_v_equals_delta_squared():
-    cfg = cfg_for("fedyogi", eta_g=0.1, beta2=0.9, gamma=0.001)
+    cfg = StrategyConfig("fedyogi", eta_g=0.1, beta2=0.9, gamma=0.001)
     state = init_server_state("fedyogi", scalar_set(0.0), cfg, 1)
     delta = cfg.gamma  # so delta^2 == v_0 == gamma^2
     new = server_aggregate("fedyogi", state, [update(0, scalar_set(delta))], cfg)
@@ -196,7 +209,7 @@ def test_fedyogi_fixpoint_when_v_equals_delta_squared():
 
 
 def test_fedadagrad_v_monotone_over_rounds():
-    cfg = cfg_for("fedadagrad", eta_g=0.01, gamma=0.01)
+    cfg = StrategyConfig("fedadagrad", eta_g=0.01, gamma=0.01)
     state = init_server_state("fedadagrad", scalar_set(0.0), cfg, 1)
     rng = np.random.default_rng(0)
     prev_v = state.v.copy()
@@ -209,7 +222,7 @@ def test_fedadagrad_v_monotone_over_rounds():
 
 @pytest.mark.parametrize("algorithm", ["fedadam", "fedadagrad", "fedyogi"])
 def test_fedopt_step_direction_matches_momentum_sign(algorithm):
-    cfg = cfg_for(algorithm, eta_g=0.1, gamma=0.01)
+    cfg = StrategyConfig(algorithm, eta_g=0.1, gamma=0.01)
     state = init_server_state(algorithm, scalar_set(0.0), cfg, 1)
     rng = np.random.default_rng(4)
     for _ in range(5):
@@ -227,7 +240,7 @@ def test_aggregation_idempotent_on_unchanged_clients(algorithm):
     spec = make_model(["batch_norm"])
     plan = Plan(spec)
     w0 = plan.pack(init_params(spec, seed=1))
-    cfg = cfg_for(algorithm)
+    cfg = StrategyConfig(algorithm)
     state = init_server_state(algorithm, w0, cfg, plan.n_train)
     ups = [update(cid, w0.copy(), n_k=cid + 1) for cid in range(3)]
     new = server_aggregate(algorithm, state, ups, cfg)
@@ -236,7 +249,7 @@ def test_aggregation_idempotent_on_unchanged_clients(algorithm):
 
 def test_fedopt_three_round_scalar_trajectory_matches_oracle():
     for algorithm in ("fedadam", "fedadagrad", "fedyogi"):
-        cfg = cfg_for(algorithm, eta_g=0.5, beta1=0.9, beta2=0.99, gamma=0.01)
+        cfg = StrategyConfig(algorithm, eta_g=0.5, beta1=0.9, beta2=0.99, gamma=0.01)
         deltas = [0.8, -0.3, 0.5]
 
         # independent plain-float recomputation of the server rule
@@ -262,7 +275,7 @@ def test_fedopt_three_round_scalar_trajectory_matches_oracle():
 
 
 def test_uniform_pseudo_gradient_switch():
-    cfg = cfg_for("fedadam", eta_g=0.1, gamma=0.01, uniform_pseudo_grad=True)
+    cfg = StrategyConfig("fedadam", eta_g=0.1, gamma=0.01, uniform_pseudo_grad=True)
     state = init_server_state("fedadam", scalar_set(0.0), cfg, 1)
     ups = [update(0, scalar_set(1.0), n_k=1), update(1, scalar_set(0.0), n_k=99)]
     new = server_aggregate("fedadam", state, ups, cfg)
@@ -273,7 +286,7 @@ def test_uniform_pseudo_gradient_switch():
 def test_broadcast_fragment_respects_policy():
     spec = make_model(["batch_norm"])
     plan = Plan(spec)
-    cfg = cfg_for("fedbn")
+    cfg = StrategyConfig("fedbn")
     state = init_server_state("fedbn", plan.pack(init_params(spec, seed=0)), cfg, plan.n_train)
     frag = broadcast_fragment(state, plan.prefix(cfg.policy))
     assert plan.slots["layer1.gain"][0] >= len(frag)
