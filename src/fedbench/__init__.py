@@ -3,8 +3,8 @@
 from .data_synth import ClientDataset, PartitionSpec
 from .nn import Batch, LayerSpec, ModelSpec, init_params
 from .orchestrator import ExperimentConfig, ExperimentResult, RoundRecord, run_experiment
-from .params import ExclusionPolicy, ParamSet
-from .strategies import ALGORITHMS, StrategyConfig
+from .params import ParamSet
+from .strategies import ALGORITHMS, ExclusionPolicy, StrategyConfig
 
 __all__ = [
     "ALGORITHMS",

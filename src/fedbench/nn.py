@@ -19,8 +19,9 @@ holds the wrapper-based code as the oracle.
 A ``Plan`` compiles a ModelSpec once into one flat float64 vector layout:
 trainable non-norm entries, then norm gains and biases (up to ``n_train``),
 then each batch-norm layer's running mean and variance as one (2, d) block,
-so each exclusion policy shares a prefix of it (``Plan.prefix``).  Inside a
-run this vector is the only parameter representation (see ``params``).
+so what the server shares of it is always a prefix (see ``strategies``).
+Inside a run this vector is the only parameter representation (see
+``params``).
 Each layer below the head is a pair of closures over fixed views of the
 vector, for train and eval alike; the backward writes into a flat gradient
 with ``out=``.  ``apply_running_stats`` and the optimizer steps update a
@@ -45,7 +46,7 @@ from .errors import (
     check_int,
     check_real,
 )
-from .params import NON_NORM, NORM, ExclusionPolicy, ParamSet
+from .params import NON_NORM, NORM, ParamSet
 
 BN_MOMENTUM = 0.1  # running-stat EMA step; convention, configurable per layer
 NORM_KINDS = ("batch_norm", "layer_norm", "group_norm")
@@ -235,12 +236,6 @@ class Plan:
         if [a.shape for a in arrays] != [shape for _, _, shape in self.slots.values()]:
             raise KeyMismatch("entry shapes differ from the model's")
         return np.concatenate(arrays, axis=None)
-
-    def prefix(self, policy: ExclusionPolicy) -> int:
-        """How many leading entries of a vector the server shares under ``policy``
-        (the trainable ones under stats_only_excluded and rescaling_aggregated)."""
-        return {ExclusionPolicy.NONE: self.size,
-                ExclusionPolicy.ALL_NORM_EXCLUDED: self.n_non_norm}.get(policy, self.n_train)
 
     def views(self, vec: np.ndarray) -> list[np.ndarray]:
         """Views of the entries ``vec`` holds (a gradient: the trainable ones), in

@@ -1,13 +1,15 @@
 """Full-participation round protocol under a fixed training-epoch budget.
 
-Every round: broadcast (respecting the exclusion policy), E local epochs per
-client, barrier, aggregation, then a validation pass per client.  Client RNG
-streams are derived from (seed, client_id, round) so the execution order can
-never perturb the results.  A run works on one ``nn.Plan``'s flat vectors
-(see ``params``).  A client starts its round from, and evaluates with, the
-global's first ``k`` entries (``Plan.prefix`` of the policy) and the rest of
-its own vector: under fedbn/fedpxn each client keeps its own norm
-parameters; all other algorithms use the identical global vector.
+Every round: E local epochs per client, barrier, aggregation, broadcast
+(respecting the exclusion policy), then a validation pass per client.  Client
+RNG streams are derived from (seed, client_id, round) so the execution order
+can never perturb the results.  A run works on one ``nn.Plan``'s flat vectors
+(see ``params``).  Each client keeps one start vector, built once per round
+after aggregation from the global's first ``k`` entries (the policy's
+``ExclusionPolicy.prefix``) and the rest of its own vector: it validates with
+it, trains from it in the next round, and the selected round's is tested.
+Under fedbn/fedpxn each client keeps its own norm parameters; all other
+algorithms use the identical global vector.
 """
 
 from __future__ import annotations
@@ -141,7 +143,7 @@ class ClientState:
     val: Batch
     test: Batch
     params: np.ndarray  # its own vector: w_0, then each round's trained vector (read-only)
-    eval_params: np.ndarray | None = None  # what it evaluated with after the last aggregation
+    eval_params: np.ndarray  # its round-start vector: w_0, then rebuilt after each aggregation
     adam_state: AdamState | None = None
     dyn: DynMemory | None = None
 
@@ -156,7 +158,8 @@ class ClientState:
 
         return cls(
             client_id=ds.client_id, n_k=ds.n_k,
-            train=split(ds.train), val=split(ds.val), test=split(ds.test), params=w_0,
+            train=split(ds.train), val=split(ds.val), test=split(ds.test),
+            params=w_0, eval_params=w_0,
             adam_state=AdamState.zeros(plan.n_train) if cfg.local_optimizer == "adam" else None,
             dyn=DynMemory(client_id=ds.client_id) if cfg.strategy.algorithm == "feddyn" else None,
         )
@@ -194,19 +197,18 @@ def _merge(fragment: np.ndarray, own: np.ndarray) -> np.ndarray:
 
 def run_local_training(
     client: ClientState,
-    fragment: np.ndarray,
     cfg: ExperimentConfig,
     seed: int,
     round_idx: int,
     plan: Plan,
 ) -> ClientUpdate:
     """E local epochs with the strategy-modified gradient, trained in place in
-    a private copy of the round-start vector (the broadcast ``fragment`` over
-    the client's own vector), then published read-only."""
+    a private copy of the client's round-start vector, then published
+    read-only."""
     strat = cfg.strategy
-    if client.params.shape != (plan.size,) or fragment.shape[0] > plan.size:
+    w_ref = client.eval_params  # round-start reference for prox/dyn terms
+    if w_ref.shape != (plan.size,):
         raise KeyMismatch("vectors are not laid out like the model's")
-    w_ref = _merge(fragment, client.params)  # round-start reference for prox/dyn terms
     work = w_ref.copy()
     grad = np.empty(plan.n_train)
     rng = client_rng(seed, client.client_id, round_idx)
@@ -230,9 +232,7 @@ def run_local_training(
                 else:
                     grad_sum += grad
                 grad_steps += 1
-            step_grad = local_loss_grad(
-                strat.algorithm, grad, work, w_ref, plan.n_non_norm, strat, client.dyn
-            )
+            step_grad = local_loss_grad(grad, work, w_ref, plan.n_non_norm, strat, client.dyn)
             if cfg.local_optimizer == "adam":
                 local_adam_step(work, step_grad, client.adam_state, cfg.eta)
             else:
@@ -277,15 +277,13 @@ def run_round(
     seed: int,
     plan: Plan,
 ) -> tuple[ServerState, RoundRecord]:
-    """broadcast -> local training -> aggregate -> per-client validation."""
+    """local training -> aggregate -> broadcast -> per-client validation."""
     strat = cfg.strategy
     start = time.perf_counter()
     round_idx = server.round
-    k = plan.prefix(strat.policy)
-    fragment = broadcast_fragment(server, k)
     w_start = server.global_params
     ordered = sorted(clients, key=lambda c: c.client_id)
-    updates = [run_local_training(c, fragment, cfg, seed, round_idx, plan) for c in ordered]
+    updates = [run_local_training(c, cfg, seed, round_idx, plan) for c in ordered]
     distances = {
         u.client_id: l2_distance_excluding_norm(u.params_after, w_start, plan.non_norm_slots)
         for u in updates
@@ -295,8 +293,8 @@ def run_round(
     if diverged_ids:
         log.warning("round %d: diverged clients excluded from aggregation: %s",
                     round_idx + 1, diverged_ids)
-    new_server = server_aggregate(strat.algorithm, server, updates, strat)
-    fragment = broadcast_fragment(new_server, k)  # evaluate as the next round starts
+    new_server = server_aggregate(server, updates, strat)
+    fragment = broadcast_fragment(new_server, strat.policy.prefix(plan))
     val_metrics = {}
     for c in clients:
         c.eval_params = _merge(fragment, c.params)
@@ -356,7 +354,7 @@ def run_experiment(cfg: ExperimentConfig, seed: int, out_dir=None,
     plan = Plan(cfg.model)
     w_0 = plan.pack(init_params(cfg.model, seed))
     w_0.flags.writeable = False
-    server = init_server_state(cfg.strategy.algorithm, w_0, cfg.strategy, plan.n_train)
+    server = init_server_state(w_0, cfg.strategy, plan.n_train)
     clients = [ClientState.create(ds, w_0, cfg, plan) for ds in datasets]
 
     ckpt_dir = Path(out_dir) / "checkpoints" if out_dir is not None else None

@@ -1,18 +1,18 @@
-"""Parameter containers, exclusion policies and aggregation primitives.
+"""Parameter containers and aggregation primitives.
 
 Inside a run, parameters are flat float64 vectors in one ``nn.Plan``'s layout:
 trainable non-norm entries, then norm gains and biases (up to ``n_train``),
-then batch-norm running statistics.  The server's global, its FedOpt moments,
-every client's vector and every evaluation vector are such vectors, and the
-aggregation and drift primitives below work on them.  A ParamSet, an ordered
-map of named arrays with a tag (``norm`` or ``non_norm``) and a trainable
-flag per entry, exists only at the edges of a run: ``init_params`` returns
-one, which ``Plan.pack`` copies into a vector once, and each checkpoint is a
-ParamSet of views (``Plan.publish``) built only when ``save_paramset``
-writes it.
+then batch-norm running statistics.  The server's global, its optimizer
+state, every client's vector and every round-start vector are such vectors,
+and the aggregation and drift primitives below work on them.  A ParamSet, an
+ordered map of named arrays with a tag (``norm`` or ``non_norm``) and a
+trainable flag per entry, exists only at the edges of a run: ``init_params``
+returns one, which ``Plan.pack`` copies into a vector once, and each
+checkpoint is a ParamSet of views (``Plan.publish``) built only when
+``save_paramset`` writes it.
 
 A published vector is read-only and never written again, so vectors are
-shared freely: the broadcast is a view of the global, an evaluation vector
+shared freely: the broadcast is a view of the global, a round-start vector
 is a view of the global when the policy shares all of it, and the in-memory
 checkpoint snapshots hold vectors by reference until the run ends.  The one
 in-place writer is a client round, which trains a private copy of its
@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -35,28 +34,6 @@ NON_NORM = "non_norm"
 _FORMAT_VERSION = 1
 
 WEIGHT_SUM_TOL = 1e-12
-
-
-class ExclusionPolicy(str, Enum):
-    """Which norm-layer entries are excluded from server aggregation.
-
-    ``none``                aggregate everything.
-    ``all_norm_excluded``   exclude every norm-tagged entry (gains, biases,
-                            running stats).
-    ``stats_only_excluded`` aggregate norm gains/biases, exclude running stats.
-    ``rescaling_aggregated`` aggregate norm gains/biases, exclude running
-                            stats; stat-free norm layers (LN/GN) are fully
-                            aggregated.  Coincides with stats_only_excluded
-                            for models without batch norm.
-
-    Each shares a prefix of a plan's vector: all of it, the non-norm entries,
-    or (the last two) the trainable entries; see ``Plan.prefix``.
-    """
-
-    NONE = "none"
-    ALL_NORM_EXCLUDED = "all_norm_excluded"
-    STATS_ONLY_EXCLUDED = "stats_only_excluded"
-    RESCALING_AGGREGATED = "rescaling_aggregated"
 
 
 @dataclass
@@ -87,34 +64,27 @@ class ParamSet:
         return [n for n in self.entries if self.trainable[n]]
 
 
-@dataclass
-class ClientWeight:
-    client_id: int
-    n_k: int
-    weight: float
+def make_weights(sizes: list[int]) -> list[float]:
+    """Data-proportional weights n_k / n for a cohort, in the order given."""
+    total = sum(sizes)
+    return [n_k / total for n_k in sizes]
 
 
-def make_weights(sizes: dict[int, int]) -> list[ClientWeight]:
-    """Data-proportional weights n_k / n for a cohort."""
-    total = sum(sizes.values())
-    return [ClientWeight(cid, n_k, n_k / total) for cid, n_k in sizes.items()]
-
-
-def weighted_average(vectors: list[np.ndarray], weights: list[ClientWeight]) -> np.ndarray:
+def weighted_average(vectors: list[np.ndarray], weights: list[float]) -> np.ndarray:
     """Elementwise convex combination ``sum_k w_k * v_k`` of equal-length
     vectors, accumulated in list order."""
     if not vectors:
         raise KeyMismatch("need at least one vector")
     if len(vectors) != len(weights):
         raise KeyMismatch("weights/vectors length mismatch")
-    total = sum(w.weight for w in weights)
+    total = sum(weights)
     if abs(total - 1.0) > WEIGHT_SUM_TOL:
         raise WeightSumViolation(f"weights sum to {total!r}, expected 1")
     if any(v.shape != vectors[0].shape for v in vectors):
         raise KeyMismatch("vectors have different lengths")
     acc = np.zeros_like(vectors[0])
     for v, w in zip(vectors, weights):
-        acc += w.weight * v
+        acc += w * v
     return acc
 
 

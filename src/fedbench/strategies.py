@@ -3,16 +3,18 @@
 Local-objective modifiers (fedprox, fedpxn, feddyn) act on the per-batch flat
 gradient of a client round's parameter vector; server-update rules (fedavg,
 fedbn, fedadam, fedadagrad, fedyogi) act on the round's client vectors (see
-``params``) and aggregate whole vectors; the policy only sets how long a
-prefix of the global is broadcast.  So fedbn/fedpxn keep the server's copy
-of excluded norm entries as a weighted average for checkpoint purposes only;
-client-held values stay authoritative and are never overwritten.
+``params``) and aggregate whole vectors.  What a client takes of the global
+is a prefix of the plan's vector, whose length ``ExclusionPolicy.prefix``
+sets.  So fedbn/fedpxn keep the server's copy of excluded norm entries as a
+weighted average for checkpoint purposes only; client-held values stay
+authoritative and are never overwritten.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from enum import Enum
 
 import numpy as np
 
@@ -24,7 +26,8 @@ from .errors import (
     UninitializedOptState,
     check_real,
 )
-from .params import ExclusionPolicy, make_weights, weighted_average
+from .nn import Plan
+from .params import make_weights, weighted_average
 
 log = logging.getLogger(__name__)
 
@@ -34,11 +37,30 @@ ALGORITHMS = (
 )
 FEDOPT_FAMILY = ("fedadam", "fedadagrad", "fedyogi")
 NORM_EXCLUDING = ("fedbn", "fedpxn")
-NORM_POLICIES = (
-    ExclusionPolicy.ALL_NORM_EXCLUDED,
-    ExclusionPolicy.STATS_ONLY_EXCLUDED,
-    ExclusionPolicy.RESCALING_AGGREGATED,
-)
+
+
+class ExclusionPolicy(str, Enum):
+    """Which norm-layer entries a client keeps instead of taking the global's.
+
+    ``none``                take everything.
+    ``all_norm_excluded``   keep every norm-tagged entry (gains, biases,
+                            running stats).
+    ``stats_only_excluded`` take norm gains/biases, keep running stats; for a
+                            model without batch norm this takes everything.
+    """
+
+    NONE = "none"
+    ALL_NORM_EXCLUDED = "all_norm_excluded"
+    STATS_ONLY_EXCLUDED = "stats_only_excluded"
+
+    def prefix(self, plan: Plan) -> int:
+        """How many leading entries of a ``plan`` vector the server shares: all
+        of them, the non-norm ones, or the trainable ones."""
+        if self is ExclusionPolicy.NONE:
+            return plan.size
+        if self is ExclusionPolicy.ALL_NORM_EXCLUDED:
+            return plan.n_non_norm
+        return plan.n_train
 
 
 @dataclass
@@ -60,7 +82,8 @@ class StrategyConfig:
         try:
             self.policy = ExclusionPolicy(self.policy)
         except ValueError:
-            raise ConfigError("strategy.policy", f"unknown policy {self.policy!r}")
+            valid = ", ".join(p.value for p in ExclusionPolicy)
+            raise ConfigError("strategy.policy", f"unknown policy {self.policy!r}; valid: {valid}")
         self.validate()
 
     def validate(self) -> None:
@@ -71,7 +94,7 @@ class StrategyConfig:
         if self.algorithm not in ALGORITHMS:
             raise ConfigError("strategy.algorithm", f"unknown algorithm {self.algorithm!r}")
         if self.algorithm in NORM_EXCLUDING:
-            if self.policy not in NORM_POLICIES:
+            if self.policy == ExclusionPolicy.NONE:
                 raise ConfigError(
                     "strategy.policy",
                     f"{self.algorithm} requires a norm-excluding policy, got {self.policy.value}",
@@ -117,20 +140,18 @@ class DynMemory:
     initialized: bool = False
 
 
-def init_server_state(algorithm: str, w_0: np.ndarray, cfg: StrategyConfig,
-                      n_train: int) -> ServerState:
+def init_server_state(w_0: np.ndarray, cfg: StrategyConfig, n_train: int) -> ServerState:
     """The global ``w_0`` (a read-only copy); for the FedOpt family m = 0 and
     v = gamma^2 over the trainable prefix ``w_0[:n_train]``."""
     state = ServerState(global_params=w_0.copy(), round=0)
     state.global_params.flags.writeable = False
-    if algorithm in FEDOPT_FAMILY:
+    if cfg.algorithm in FEDOPT_FAMILY:
         state.m = np.zeros(n_train)
         state.v = np.full(n_train, cfg.gamma**2)
     return state
 
 
 def local_loss_grad(
-    algorithm: str,
     base_grad: np.ndarray,
     w_local: np.ndarray,
     w_global: np.ndarray,
@@ -142,6 +163,7 @@ def local_loss_grad(
     place.  ``base_grad`` covers the trainable prefix of the vectors ``w_local``
     and ``w_global`` (one plan's layout, checked once per client round), whose
     non-norm entries end at ``norm_start``."""
+    algorithm = cfg.algorithm
     if algorithm == "feddyn" and dyn is None:
         raise MissingDynMemory("feddyn requires DynMemory")
 
@@ -153,13 +175,12 @@ def local_loss_grad(
         k = norm_start if algorithm == "fedpxn" else base_grad.shape[0]  # fedpxn: no norm pull
         base_grad[:k] += cfg.mu * (w_local[:k] - w_global[:k])
         return base_grad
-    if algorithm == "feddyn":
-        k = base_grad.shape[0]
-        base_grad += cfg.alpha * (w_local[:k] - w_global[:k])
-        if dyn.initialized:
-            base_grad -= dyn.prev_grad
-        return base_grad
-    raise ConfigError("strategy.algorithm", f"unknown algorithm {algorithm!r}")
+    # feddyn
+    k = base_grad.shape[0]
+    base_grad += cfg.alpha * (w_local[:k] - w_global[:k])
+    if dyn.initialized:
+        base_grad -= dyn.prev_grad
+    return base_grad
 
 
 def update_dyn_memory(dyn: DynMemory, epoch_mean_grad: np.ndarray) -> DynMemory:
@@ -173,22 +194,19 @@ def update_dyn_memory(dyn: DynMemory, epoch_mean_grad: np.ndarray) -> DynMemory:
     )
 
 
-def server_aggregate(
-    algorithm: str,
-    server: ServerState,
-    updates: list[ClientUpdate],
-    cfg: StrategyConfig,
-) -> ServerState:
+def server_aggregate(server: ServerState, updates: list[ClientUpdate],
+                     cfg: StrategyConfig) -> ServerState:
     """One aggregation step; returns a fresh ServerState with round+1."""
+    algorithm = cfg.algorithm
     alive = [u for u in updates if not u.diverged]
     if not alive:
         raise AllClientsDiverged("no non-diverged client updates this round")
     alive = sorted(alive, key=lambda u: u.client_id)
-    weights = make_weights({u.client_id: u.n_k for u in alive})
+    weights = make_weights([u.n_k for u in alive])
     vectors = [u.params_after for u in alive]
     w_t = server.global_params
 
-    if algorithm in ("fedavg", "fedprox", "feddyn") or algorithm in NORM_EXCLUDING:
+    if algorithm not in FEDOPT_FAMILY:
         # Weighted average of whole vectors.  Under fedbn/fedpxn the excluded
         # entries are a server-side convenience copy only and are never
         # broadcast back (the orchestrator broadcasts the policy's prefix).
@@ -196,42 +214,36 @@ def server_aggregate(
         new_global.flags.writeable = False
         return ServerState(global_params=new_global, round=server.round + 1)
 
-    if algorithm in FEDOPT_FAMILY:
-        if server.m is None or server.v is None:
-            raise UninitializedOptState(f"{algorithm} requires initialized m, v")
-        n = server.m.shape[0]  # the trainable prefix
-        if cfg.uniform_pseudo_grad:
-            d_weights = make_weights({u.client_id: 1 for u in alive})
-        else:
-            d_weights = weights
-        delta = np.zeros(n)
-        for vec, w in zip(vectors, d_weights):
-            delta += w.weight * (vec[:n] - w_t[:n])
-        m = cfg.beta1 * server.m + (1.0 - cfg.beta1) * delta
-        d2 = delta * delta
-        if algorithm == "fedadam":
-            v = cfg.beta2 * server.v + (1.0 - cfg.beta2) * d2
-        elif algorithm == "fedadagrad":
-            v = server.v + d2
-        else:  # fedyogi
-            v = server.v - (1.0 - cfg.beta2) * d2 * np.sign(server.v - d2)
-            floor = cfg.gamma**2
-            clamped = int(np.sum(v < floor))
-            if clamped:
-                log.info("fedyogi clamped %d second-moment entries at gamma^2", clamped)
-            v = np.maximum(v, floor)
-        new_global = np.empty_like(w_t)
-        new_global[:n] = w_t[:n] + cfg.eta_g * m / (np.sqrt(v) + cfg.gamma)
-        if n < w_t.shape[0]:
-            # running statistics carry no meaningful pseudo-gradient: plain average
-            new_global[n:] = weighted_average([vec[n:] for vec in vectors], weights)
-        new_global.flags.writeable = False
-        return ServerState(global_params=new_global, m=m, v=v, round=server.round + 1)
-
-    raise ConfigError("strategy.algorithm", f"unknown algorithm {algorithm!r}")
+    if server.m is None or server.v is None:
+        raise UninitializedOptState(f"{algorithm} requires initialized m, v")
+    n = server.m.shape[0]  # the trainable prefix
+    d_weights = make_weights([1] * len(alive)) if cfg.uniform_pseudo_grad else weights
+    delta = np.zeros(n)
+    for vec, w in zip(vectors, d_weights):
+        delta += w * (vec[:n] - w_t[:n])
+    m = cfg.beta1 * server.m + (1.0 - cfg.beta1) * delta
+    d2 = delta * delta
+    if algorithm == "fedadam":
+        v = cfg.beta2 * server.v + (1.0 - cfg.beta2) * d2
+    elif algorithm == "fedadagrad":
+        v = server.v + d2
+    else:  # fedyogi
+        v = server.v - (1.0 - cfg.beta2) * d2 * np.sign(server.v - d2)
+        floor = cfg.gamma**2
+        clamped = int(np.sum(v < floor))
+        if clamped:
+            log.info("fedyogi clamped %d second-moment entries at gamma^2", clamped)
+        v = np.maximum(v, floor)
+    new_global = np.empty_like(w_t)
+    new_global[:n] = w_t[:n] + cfg.eta_g * m / (np.sqrt(v) + cfg.gamma)
+    if n < w_t.shape[0]:
+        # running statistics carry no meaningful pseudo-gradient: plain average
+        new_global[n:] = weighted_average([vec[n:] for vec in vectors], weights)
+    new_global.flags.writeable = False
+    return ServerState(global_params=new_global, m=m, v=v, round=server.round + 1)
 
 
 def broadcast_fragment(server: ServerState, k: int) -> np.ndarray:
-    """What a client's round starts from: the first ``k`` entries of the
-    global (``Plan.prefix`` of the policy), as a read-only view."""
+    """What a client takes of the global: its first ``k`` entries (the
+    policy's ``ExclusionPolicy.prefix``), as a read-only view."""
     return server.global_params[:k]

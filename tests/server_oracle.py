@@ -17,8 +17,8 @@ import numpy as np
 
 from fedbench.errors import AllClientsDiverged, KeyMismatch, SingleClass, WeightSumViolation
 from fedbench.metrics import _midranks
-from fedbench.params import NORM, WEIGHT_SUM_TOL, ExclusionPolicy, ParamSet, make_weights
-from fedbench.strategies import FEDOPT_FAMILY, NORM_EXCLUDING
+from fedbench.params import NORM, WEIGHT_SUM_TOL, ParamSet, make_weights
+from fedbench.strategies import FEDOPT_FAMILY, NORM_EXCLUDING, ExclusionPolicy
 
 log = logging.getLogger(__name__)
 
@@ -52,7 +52,7 @@ def partition_names(params: ParamSet, policy: ExclusionPolicy) -> tuple[set, set
         excluded = set()
     elif policy == ExclusionPolicy.ALL_NORM_EXCLUDED:
         excluded = {n for n in names if params.tags[n] == NORM}
-    else:  # stats_only_excluded, rescaling_aggregated
+    else:  # stats_only_excluded
         excluded = {n for n in names if params.tags[n] == NORM and not params.trainable[n]}
     return excluded, names - excluded
 
@@ -62,7 +62,7 @@ def weighted_average(sets: list[ParamSet], weights, over=None) -> dict[str, np.n
         raise KeyMismatch("need at least one ParamSet")
     if len(sets) != len(weights):
         raise KeyMismatch("weights/sets length mismatch")
-    total = sum(w.weight for w in weights)
+    total = sum(weights)
     if abs(total - 1.0) > WEIGHT_SUM_TOL:
         raise WeightSumViolation(f"weights sum to {total!r}, expected 1")
     first = sets[0]
@@ -77,7 +77,7 @@ def weighted_average(sets: list[ParamSet], weights, over=None) -> dict[str, np.n
             continue
         acc = np.zeros_like(first.entries[name])
         for s, w in zip(sets, weights):
-            acc += w.weight * s.entries[name]
+            acc += w * s.entries[name]
         out[name] = acc
     return out
 
@@ -125,7 +125,7 @@ def server_aggregate(algorithm: str, server: ServerState, updates: list[ClientUp
     if not alive:
         raise AllClientsDiverged("no non-diverged client updates this round")
     alive = sorted(alive, key=lambda u: u.client_id)
-    weights = make_weights({u.client_id: u.n_k for u in alive})
+    weights = make_weights([u.n_k for u in alive])
     sets = [u.params_after for u in alive]
     w_t = server.global_params
 
@@ -136,13 +136,13 @@ def server_aggregate(algorithm: str, server: ServerState, updates: list[ClientUp
 
     names = w_t.trainable_names()
     if cfg.uniform_pseudo_grad:
-        d_weights = make_weights({u.client_id: 1 for u in alive})
+        d_weights = make_weights([1] * len(alive))
     else:
         d_weights = weights
     delta: GradSet = {n: np.zeros_like(w_t.entries[n]) for n in names}
     for u, w in zip(alive, d_weights):
         for n in names:
-            delta[n] += w.weight * (u.params_after.entries[n] - w_t.entries[n])
+            delta[n] += w * (u.params_after.entries[n] - w_t.entries[n])
     m = {n: cfg.beta1 * server.m[n] + (1.0 - cfg.beta1) * delta[n] for n in names}
     v: GradSet = {}
     for n in names:

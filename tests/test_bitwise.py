@@ -244,7 +244,7 @@ def test_local_training_matches_oracle_loop(algorithm, optimizer, model):
     client = ClientState.create(ds, w_start, cfg, plan)
     client.dyn = dyn
     before = w_start.copy()
-    update = run_local_training(client, w_start, cfg, seed, round_idx, plan)
+    update = run_local_training(client, cfg, seed, round_idx, plan)
     assert not update.diverged
     trained = plan.entries(update.params_after)
     for name in params.names():

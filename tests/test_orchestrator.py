@@ -106,7 +106,7 @@ def test_single_client_fedavg_equals_centralized_sgd():
     result = run_experiment(cfg, seed=seed)
     # recover the final aggregated params by replaying the experiment
     w0 = plan.pack(init_params(cfg.model, seed))
-    server = init_server_state("fedavg", w0, cfg.strategy, plan.n_train)
+    server = init_server_state(w0, cfg.strategy, plan.n_train)
     clients = [ClientState.create(ds, w0, cfg, plan)]
     for _ in range(cfg.rounds):
         server, _ = run_round(server, clients, cfg, seed, plan)
@@ -142,7 +142,7 @@ def test_single_round_single_batch_hand_stepped():
         for name in w0.trainable_names()
     }
 
-    server = init_server_state("fedavg", w, cfg.strategy, plan.n_train)
+    server = init_server_state(w, cfg.strategy, plan.n_train)
     clients = [ClientState.create(ds, w, cfg, plan)]
     server, record = run_round(server, clients, cfg, seed, plan)
     for name, want in expected.items():
@@ -157,7 +157,7 @@ def test_fedbn_clients_keep_local_norm_params():
     datasets = generate(cfg.data)
     plan = Plan(cfg.model)
     w0 = plan.pack(init_params(cfg.model, 0))
-    server = init_server_state("fedbn", w0, cfg.strategy, plan.n_train)
+    server = init_server_state(w0, cfg.strategy, plan.n_train)
     clients = [ClientState.create(ds, w0, cfg, plan) for ds in datasets]
     for _ in range(2):
         server, _ = run_round(server, clients, cfg, 0, plan)
@@ -166,7 +166,7 @@ def test_fedbn_clients_keep_local_norm_params():
     # while aggregated names are identical after broadcast at the next round
     from fedbench.strategies import broadcast_fragment
 
-    frag = broadcast_fragment(server, plan.prefix(cfg.strategy.policy))
+    frag = broadcast_fragment(server, cfg.strategy.policy.prefix(plan))
     assert len(frag) <= plan.slots["layer1.gain"][0]
 
 
@@ -183,7 +183,7 @@ def test_identical_data_and_rng_collapses_to_single_client(monkeypatch):
     cfg = experiment(data=base, rounds=2)
     plan = Plan(cfg.model)
     w0 = plan.pack(init_params(cfg.model, 0))
-    server = init_server_state("fedavg", w0, cfg.strategy, plan.n_train)
+    server = init_server_state(w0, cfg.strategy, plan.n_train)
     clients = []
     for cid in range(3):
         clone = type(ds)(
@@ -284,8 +284,8 @@ def test_all_clients_diverged_leaves_best_and_last_round(monkeypatch, tmp_path):
     run_experiment(replace(cfg, keep_all_checkpoints=True), seed=0, out_dir=tmp_path / "ref")
     original = orchestrator.run_local_training
 
-    def diverge_in_round_3(client, fragment, cfg, seed, round_idx, plan):
-        update = original(client, fragment, cfg, seed, round_idx, plan)
+    def diverge_in_round_3(client, cfg, seed, round_idx, plan):
+        update = original(client, cfg, seed, round_idx, plan)
         update.diverged = update.diverged or round_idx == 2
         return update
 
@@ -342,9 +342,9 @@ def test_epoch_budget_instrumented(monkeypatch):
     counts = {}
     original = orchestrator.run_local_training
 
-    def counting(client, fragment, cfg, seed, round_idx, plan):
+    def counting(client, cfg, seed, round_idx, plan):
         counts[client.client_id] = counts.get(client.client_id, 0) + cfg.local_epochs
-        return original(client, fragment, cfg, seed, round_idx, plan)
+        return original(client, cfg, seed, round_idx, plan)
 
     monkeypatch.setattr(orchestrator, "run_local_training", counting)
     cfg = experiment(rounds=3, local_epochs=2)
@@ -354,20 +354,16 @@ def test_epoch_budget_instrumented(monkeypatch):
 
 
 def test_round_rejects_entries_keyed_unlike_the_model():
-    """The layout check runs once per client round, as the round's vector is built."""
+    """The layout check runs once per client round, on the round-start vector."""
     cfg = experiment(norm="batch_norm", rounds=1)
     plan = Plan(cfg.model)
     ds = generate(cfg.data)[0]
-    w0 = plan.pack(init_params(cfg.model, 0))
-    with pytest.raises(KeyMismatch):  # a fragment longer than the model's vector
-        run_local_training(ClientState.create(ds, w0, cfg, plan), np.zeros(plan.size + 1),
-                           cfg, 0, 0, plan)
     # a client vector from another model: layer norm has no running stats
     other_plan = Plan(experiment(norm="layer_norm").model)
     other = other_plan.pack(init_params(other_plan.spec, 0))
     client = ClientState.create(ds, other, cfg, plan)
     with pytest.raises(KeyMismatch):
-        run_local_training(client, w0, cfg, 0, 0, plan)
+        run_local_training(client, cfg, 0, 0, plan)
     # entries keyed or shaped unlike the model's never become a vector
     weight = init_params(cfg.model, 0).entries["layer0.weight"]
     for bad in (np.zeros((2, 2)), weight.T.copy()):  # wrong size; same size, wrong shape
@@ -394,9 +390,9 @@ def test_later_rounds_leave_published_arrays_unchanged(monkeypatch, tmp_path):
     real_loss_grad = orchestrator.local_loss_grad
     refs = {}
 
-    def loss_grad(algorithm, grad, w_local, w_global, *rest):
+    def loss_grad(grad, w_local, w_global, *rest):
         refs[id(w_global)] = w_global
-        return real_loss_grad(algorithm, grad, w_local, w_global, *rest)
+        return real_loss_grad(grad, w_local, w_global, *rest)
 
     def train(*args):
         update = real_train(*args)

@@ -4,14 +4,13 @@ import pytest
 from fedbench.errors import KeyMismatch, WeightSumViolation
 from fedbench.nn import Plan, init_params
 from fedbench.params import (
-    ClientWeight,
-    ExclusionPolicy,
     l2_distance_excluding_norm,
     load_paramset,
     make_weights,
     save_paramset,
     weighted_average,
 )
+from fedbench.strategies import ExclusionPolicy
 
 from conftest import make_model
 
@@ -28,7 +27,7 @@ def bn_plan():
 
 def partition_names(plan, policy):
     """(excluded, aggregated) names: the entries after and within the policy's prefix."""
-    k = plan.prefix(policy)
+    k = policy.prefix(plan)
     aggregated = {n for n, (start, stop, _) in plan.slots.items() if stop <= k}
     return set(plan.slots) - aggregated, aggregated
 
@@ -42,7 +41,7 @@ def test_no_norm_model_excludes_nothing():
         excluded, aggregated = partition_names(plan, policy)
         assert excluded == set()
         assert aggregated == set(plan.names)
-        assert plan.prefix(policy) == plan.size
+        assert policy.prefix(plan) == plan.size
 
 
 def test_bn_all_norm_excluded(bn_plan):
@@ -57,11 +56,9 @@ def test_bn_stats_only_excluded(bn_plan):
     assert excluded == {"layer1.running_mean", "layer1.running_var"}
 
 
-def test_rescaling_aggregated_coincides_with_stats_only_for_ln():
+def test_stats_only_excluded_shares_all_of_a_layer_norm_model():
     plan = Plan(make_model(["layer_norm"]))
-    a = partition_names(plan, ExclusionPolicy.STATS_ONLY_EXCLUDED)
-    b = partition_names(plan, ExclusionPolicy.RESCALING_AGGREGATED)
-    assert a == b == (set(), set(plan.names))
+    assert partition_names(plan, ExclusionPolicy.STATS_ONLY_EXCLUDED) == (set(), set(plan.names))
 
 
 @pytest.mark.parametrize("policy", list(ExclusionPolicy))
@@ -70,7 +67,7 @@ def test_partition_is_disjoint_cover(bn_plan, policy):
     assert excluded | aggregated == set(bn_plan.names)
     assert excluded & aggregated == set()
     # the prefix ends on an entry boundary
-    assert all(stop <= bn_plan.prefix(policy) or start >= bn_plan.prefix(policy)
+    assert all(stop <= policy.prefix(bn_plan) or start >= policy.prefix(bn_plan)
                for start, stop, _ in bn_plan.slots.values())
 
 
@@ -78,7 +75,7 @@ def test_partition_is_disjoint_cover(bn_plan, policy):
 # weighted average
 
 def test_identical_sets_are_fixpoint(bn_params, bn_plan):
-    weights = make_weights({0: 3, 1: 7})
+    weights = make_weights([3, 7])
     vec = bn_plan.pack(bn_params)
     avg = weighted_average([vec, vec.copy()], weights)
     assert np.allclose(avg, vec, atol=1e-15)
@@ -86,19 +83,19 @@ def test_identical_sets_are_fixpoint(bn_params, bn_plan):
 
 def test_two_client_arithmetic():
     avg = weighted_average([np.array([1.0, 3.0]), np.array([5.0, 7.0])],
-                           make_weights({0: 1, 1: 3}))
+                           make_weights([1, 3]))
     assert np.allclose(avg, [4.0, 6.0], atol=1e-15)
 
 
 def test_matches_naive_elementwise_oracle():
     rng = np.random.default_rng(11)
-    vectors, sizes = [], {}
-    for cid in range(5):
+    vectors, sizes = [], []
+    for _ in range(5):
         vectors.append(rng.standard_normal(10))
-        sizes[cid] = int(rng.integers(1, 50))
+        sizes.append(int(rng.integers(1, 50)))
     weights = make_weights(sizes)
     avg = weighted_average(vectors, weights)
-    total = sum(sizes.values())
+    total = sum(sizes)
     for i in range(10):
         expected = sum(sizes[c] / total * vectors[c][i] for c in range(5))
         assert avg[i] == pytest.approx(expected, abs=1e-12)
@@ -107,18 +104,18 @@ def test_matches_naive_elementwise_oracle():
 def test_bad_weight_sum_rejected():
     a = np.array([1.0])
     with pytest.raises(WeightSumViolation):
-        weighted_average([a, a.copy()], [ClientWeight(0, 1, 0.5), ClientWeight(1, 1, 0.6)])
+        weighted_average([a, a.copy()], [0.5, 0.6])
 
 
 def test_keying_mismatch_rejected():
     with pytest.raises(KeyMismatch):
-        weighted_average([np.array([1.0]), np.array([1.0, 2.0])], make_weights({0: 1, 1: 1}))
+        weighted_average([np.array([1.0]), np.array([1.0, 2.0])], make_weights([1, 1]))
 
 
 def test_aggregated_values_within_client_bounds():
     rng = np.random.default_rng(5)
     vectors = [rng.standard_normal(6) for _ in range(4)]
-    avg = weighted_average(vectors, make_weights({i: i + 1 for i in range(4)}))
+    avg = weighted_average(vectors, make_weights([1, 2, 3, 4]))
     stacked = np.stack(vectors)
     assert np.all(avg >= stacked.min(axis=0) - 1e-12)
     assert np.all(avg <= stacked.max(axis=0) + 1e-12)
@@ -127,7 +124,7 @@ def test_aggregated_values_within_client_bounds():
 def test_restricted_to_over_names():
     """A slice of the vectors averages only the entries it covers."""
     vec = np.array([1.0, 2.0])
-    avg = weighted_average([vec[1:]], make_weights({0: 1}))
+    avg = weighted_average([vec[1:]], make_weights([1]))
     assert avg.tolist() == [2.0]
 
 

@@ -15,12 +15,12 @@ from conftest import make_model
 from fedbench import metrics, orchestrator
 from fedbench.errors import SingleClass
 from fedbench.nn import Plan, init_params
-from fedbench.params import ExclusionPolicy, l2_distance_excluding_norm
+from fedbench.params import l2_distance_excluding_norm
 from fedbench.strategies import (
     ALGORITHMS,
     NORM_EXCLUDING,
-    NORM_POLICIES,
     ClientUpdate,
+    ExclusionPolicy,
     StrategyConfig,
     broadcast_fragment,
     init_server_state,
@@ -32,7 +32,8 @@ KINDS = {"batch_norm": ["batch_norm"], "layer_norm": ["layer_norm"],
 CASES = [
     pytest.param(algorithm, policy, kind, id=f"{algorithm}-{policy.value}-{kind}")
     for algorithm in ALGORITHMS
-    for policy in (NORM_POLICIES if algorithm in NORM_EXCLUDING else (ExclusionPolicy.NONE,))
+    for policy in ExclusionPolicy
+    if (policy != ExclusionPolicy.NONE) == (algorithm in NORM_EXCLUDING)
     for kind in KINDS
 ]
 
@@ -48,10 +49,10 @@ def test_round_vectors_match_oracle(algorithm, policy, kind):
     plan = Plan(make_model(KINDS[kind], hidden=8, groups=2))
     cfg = StrategyConfig(algorithm=algorithm, policy=policy, eta_g=0.1, gamma=0.01,
                          uniform_pseudo_grad=algorithm == "fedyogi")
-    k = plan.prefix(policy)
+    k = policy.prefix(plan)
     rng = np.random.default_rng([ALGORITHMS.index(algorithm), len(plan.slots)])
     w_0 = plan.pack(init_params(plan.spec, 0))
-    server = init_server_state(algorithm, w_0, cfg, plan.n_train)
+    server = init_server_state(w_0, cfg, plan.n_train)
     o_server = oracle.init_server_state(algorithm, plan.publish(w_0.copy()), cfg)
     own = {cid: w_0 for cid in range(4)}  # each client's own vector
     for round_idx in range(6):
@@ -70,7 +71,7 @@ def test_round_vectors_match_oracle(algorithm, policy, kind):
             d = l2_distance_excluding_norm(vec, server.global_params, plan.non_norm_slots)
             assert d == oracle.l2_distance_excluding_norm(
                 plan.publish(vec), o_server.global_params)
-        server = server_aggregate(algorithm, server, updates, cfg)
+        server = server_aggregate(server, updates, cfg)
         o_server = oracle.server_aggregate(algorithm, o_server, o_updates, cfg)
         assert np.array_equal(server.global_params, plan.pack(o_server.global_params))
         assert not server.global_params.flags.writeable

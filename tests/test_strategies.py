@@ -8,10 +8,10 @@ from fedbench.errors import (
     UninitializedOptState,
 )
 from fedbench.nn import Plan, init_params
-from fedbench.params import ExclusionPolicy
 from fedbench.strategies import (
     ClientUpdate,
     DynMemory,
+    ExclusionPolicy,
     ServerState,
     StrategyConfig,
     broadcast_fragment,
@@ -55,19 +55,27 @@ def test_unknown_policy_is_config_error():
     assert err.value.field == "strategy.policy"
 
 
+def test_rescaling_aggregated_is_rejected_naming_the_valid_policies():
+    with pytest.raises(ConfigError) as err:
+        StrategyConfig("fedbn", policy="rescaling_aggregated")
+    assert err.value.field == "strategy.policy"
+    for valid in ("none", "all_norm_excluded", "stats_only_excluded"):
+        assert valid in str(err.value)
+
+
 # ---------------------------------------------------------------------------
 # local objective modifiers
 
 def test_fedprox_mu_zero_is_base_grad():
     base = np.array([0.3])
-    out = local_loss_grad("fedprox", base, np.array([2.0]), np.array([1.0]), 1,
+    out = local_loss_grad(base, np.array([2.0]), np.array([1.0]), 1,
                           StrategyConfig("fedprox", mu=0.0))
     assert out is base
 
 
 def test_fedprox_scalar_example():
     base = np.array([0.3])
-    out = local_loss_grad("fedprox", base, np.array([2.0]), np.array([1.0]), 1,
+    out = local_loss_grad(base, np.array([2.0]), np.array([1.0]), 1,
                           StrategyConfig("fedprox", mu=0.1))
     assert out[0] == pytest.approx(0.4, abs=1e-15)
 
@@ -77,7 +85,7 @@ def test_fedpxn_skips_norm_entries():
     local = np.array([2.0, 5.0])
     glob = np.array([1.0, 0.0])
     base = np.array([0.3, 0.2])
-    out = local_loss_grad("fedpxn", base, local, glob, 1, StrategyConfig("fedpxn", mu=0.1))
+    out = local_loss_grad(base, local, glob, 1, StrategyConfig("fedpxn", mu=0.1))
     assert out[1] == pytest.approx(0.2, abs=1e-15)  # no proximal pull
     assert out[0] == pytest.approx(0.4, abs=1e-15)
 
@@ -85,7 +93,7 @@ def test_fedpxn_skips_norm_entries():
 def test_feddyn_requires_memory():
     base = np.array([0.1])
     with pytest.raises(MissingDynMemory):
-        local_loss_grad("feddyn", base, np.array([1.0]), np.array([1.0]), 1,
+        local_loss_grad(base, np.array([1.0]), np.array([1.0]), 1,
                         StrategyConfig("feddyn", alpha=0.1))
 
 
@@ -106,7 +114,7 @@ def test_feddyn_gradient_matches_finite_difference_of_modified_objective():
 
     w = rng.standard_normal(4)
     dyn = DynMemory(client_id=0, prev_grad=prev_grad.copy(), initialized=True)
-    out = local_loss_grad("feddyn", w - c, w.copy(), w_global.copy(), 4,
+    out = local_loss_grad(w - c, w.copy(), w_global.copy(), 4,
                           StrategyConfig("feddyn", alpha=alpha), dyn)
 
     h = 1e-5
@@ -127,7 +135,7 @@ def test_update_dyn_memory_first_call_and_zero_grad():
     zeroed = update_dyn_memory(new, np.zeros(1))
     base = np.array([0.2])
     cfg = StrategyConfig("feddyn", alpha=0.3)
-    out = local_loss_grad("feddyn", base, np.array([2.0]), np.array([1.0]), 1, cfg, zeroed)
+    out = local_loss_grad(base, np.array([2.0]), np.array([1.0]), 1, cfg, zeroed)
     assert out[0] == pytest.approx(0.2 + 0.3 * 1.0, abs=1e-15)
 
 
@@ -136,13 +144,13 @@ def test_update_dyn_memory_first_call_and_zero_grad():
 
 def test_init_server_state_fedavg_has_no_moments():
     w0 = scalar_set()
-    state = init_server_state("fedavg", w0, StrategyConfig("fedavg"), 1)
+    state = init_server_state(w0, StrategyConfig("fedavg"), 1)
     assert state.m is None and state.v is None and state.round == 0
 
 
 def test_init_server_state_fedadam_moments():
     w0 = scalar_set()
-    state = init_server_state("fedadam", w0, StrategyConfig("fedadam", gamma=0.1), 1)
+    state = init_server_state(w0, StrategyConfig("fedadam", gamma=0.1), 1)
     assert np.array_equal(state.m, np.zeros(1))
     assert np.allclose(state.v, 0.01)
 
@@ -161,38 +169,38 @@ def update(cid, params, n_k=1, diverged=False):
 
 def test_fedavg_single_client_exact():
     w0 = scalar_set(1.0)
-    state = init_server_state("fedavg", w0, StrategyConfig("fedavg"), 1)
+    state = init_server_state(w0, StrategyConfig("fedavg"), 1)
     client = scalar_set(3.141592653589793)
-    new = server_aggregate("fedavg", state, [update(0, client)], StrategyConfig("fedavg"))
+    new = server_aggregate(state, [update(0, client)], StrategyConfig("fedavg"))
     assert new.global_params[0] == client[0]
     assert new.round == 1
 
 
 def test_all_diverged_raises():
     w0 = scalar_set()
-    state = init_server_state("fedavg", w0, StrategyConfig("fedavg"), 1)
+    state = init_server_state(w0, StrategyConfig("fedavg"), 1)
     with pytest.raises(AllClientsDiverged):
-        server_aggregate("fedavg", state, [update(0, scalar_set(), diverged=True)], StrategyConfig("fedavg"))
+        server_aggregate(state, [update(0, scalar_set(), diverged=True)], StrategyConfig("fedavg"))
 
 
 def test_diverged_clients_excluded():
     w0 = scalar_set(0.0)
-    state = init_server_state("fedavg", w0, StrategyConfig("fedavg"), 1)
+    state = init_server_state(w0, StrategyConfig("fedavg"), 1)
     ups = [update(0, scalar_set(2.0)), update(1, scalar_set(np.nan), diverged=True)]
-    new = server_aggregate("fedavg", state, ups, StrategyConfig("fedavg"))
+    new = server_aggregate(state, ups, StrategyConfig("fedavg"))
     assert new.global_params[0] == 2.0
 
 
 def test_fedopt_requires_initialized_moments():
     state = ServerState(global_params=scalar_set())
     with pytest.raises(UninitializedOptState):
-        server_aggregate("fedadam", state, [update(0, scalar_set(2.0))], StrategyConfig("fedadam"))
+        server_aggregate(state, [update(0, scalar_set(2.0))], StrategyConfig("fedadam"))
 
 
 def test_fedadagrad_scalar_first_round():
     cfg = StrategyConfig("fedadagrad", eta_g=1.0, beta1=0.9, gamma=0.01)
-    state = init_server_state("fedadagrad", scalar_set(0.0), cfg, 1)
-    new = server_aggregate("fedadagrad", state, [update(0, scalar_set(1.0))], cfg)
+    state = init_server_state(scalar_set(0.0), cfg, 1)
+    new = server_aggregate(state, [update(0, scalar_set(1.0))], cfg)
     # delta=1: v = 1e-4 + 1, m = 0.1, step = 0.1/(sqrt(1.0001)+0.01)
     expected = 0.1 / (np.sqrt(1.0001) + 0.01)
     assert new.v[0] == pytest.approx(1.0001, abs=1e-15)
@@ -202,20 +210,20 @@ def test_fedadagrad_scalar_first_round():
 
 def test_fedyogi_fixpoint_when_v_equals_delta_squared():
     cfg = StrategyConfig("fedyogi", eta_g=0.1, beta2=0.9, gamma=0.001)
-    state = init_server_state("fedyogi", scalar_set(0.0), cfg, 1)
+    state = init_server_state(scalar_set(0.0), cfg, 1)
     delta = cfg.gamma  # so delta^2 == v_0 == gamma^2
-    new = server_aggregate("fedyogi", state, [update(0, scalar_set(delta))], cfg)
+    new = server_aggregate(state, [update(0, scalar_set(delta))], cfg)
     assert new.v[0] == pytest.approx(cfg.gamma**2, abs=1e-20)
 
 
 def test_fedadagrad_v_monotone_over_rounds():
     cfg = StrategyConfig("fedadagrad", eta_g=0.01, gamma=0.01)
-    state = init_server_state("fedadagrad", scalar_set(0.0), cfg, 1)
+    state = init_server_state(scalar_set(0.0), cfg, 1)
     rng = np.random.default_rng(0)
     prev_v = state.v.copy()
     for _ in range(50):
         target = state.global_params[0] + rng.standard_normal()
-        state = server_aggregate("fedadagrad", state, [update(0, scalar_set(target))], cfg)
+        state = server_aggregate(state, [update(0, scalar_set(target))], cfg)
         assert np.all(state.v >= prev_v)
         prev_v = state.v.copy()
 
@@ -223,12 +231,12 @@ def test_fedadagrad_v_monotone_over_rounds():
 @pytest.mark.parametrize("algorithm", ["fedadam", "fedadagrad", "fedyogi"])
 def test_fedopt_step_direction_matches_momentum_sign(algorithm):
     cfg = StrategyConfig(algorithm, eta_g=0.1, gamma=0.01)
-    state = init_server_state(algorithm, scalar_set(0.0), cfg, 1)
+    state = init_server_state(scalar_set(0.0), cfg, 1)
     rng = np.random.default_rng(4)
     for _ in range(5):
         w_before = state.global_params.copy()
         target = w_before[0] + rng.standard_normal()
-        state = server_aggregate(algorithm, state, [update(0, scalar_set(target))], cfg)
+        state = server_aggregate(state, [update(0, scalar_set(target))], cfg)
         step = state.global_params - w_before
         assert np.all(np.sign(step) == np.sign(state.m))
 
@@ -241,9 +249,9 @@ def test_aggregation_idempotent_on_unchanged_clients(algorithm):
     plan = Plan(spec)
     w0 = plan.pack(init_params(spec, seed=1))
     cfg = StrategyConfig(algorithm)
-    state = init_server_state(algorithm, w0, cfg, plan.n_train)
+    state = init_server_state(w0, cfg, plan.n_train)
     ups = [update(cid, w0.copy(), n_k=cid + 1) for cid in range(3)]
-    new = server_aggregate(algorithm, state, ups, cfg)
+    new = server_aggregate(state, ups, cfg)
     assert np.allclose(new.global_params, w0, atol=1e-14)
 
 
@@ -267,18 +275,18 @@ def test_fedopt_three_round_scalar_trajectory_matches_oracle():
             w = w + cfg.eta_g * m / (v**0.5 + cfg.gamma)
             oracle.append(w)
 
-        state = init_server_state(algorithm, scalar_set(0.0), cfg, 1)
+        state = init_server_state(scalar_set(0.0), cfg, 1)
         for d, expect in zip(deltas, oracle):
             target = state.global_params[0] + d
-            state = server_aggregate(algorithm, state, [update(0, scalar_set(target))], cfg)
+            state = server_aggregate(state, [update(0, scalar_set(target))], cfg)
             assert state.global_params[0] == pytest.approx(expect, abs=1e-12)
 
 
 def test_uniform_pseudo_gradient_switch():
     cfg = StrategyConfig("fedadam", eta_g=0.1, gamma=0.01, uniform_pseudo_grad=True)
-    state = init_server_state("fedadam", scalar_set(0.0), cfg, 1)
+    state = init_server_state(scalar_set(0.0), cfg, 1)
     ups = [update(0, scalar_set(1.0), n_k=1), update(1, scalar_set(0.0), n_k=99)]
-    new = server_aggregate("fedadam", state, ups, cfg)
+    new = server_aggregate(state, ups, cfg)
     # uniform: delta = 0.5, not 0.01
     assert new.m[0] == pytest.approx(0.05, abs=1e-15)
 
@@ -287,8 +295,8 @@ def test_broadcast_fragment_respects_policy():
     spec = make_model(["batch_norm"])
     plan = Plan(spec)
     cfg = StrategyConfig("fedbn")
-    state = init_server_state("fedbn", plan.pack(init_params(spec, seed=0)), cfg, plan.n_train)
-    frag = broadcast_fragment(state, plan.prefix(cfg.policy))
+    state = init_server_state(plan.pack(init_params(spec, seed=0)), cfg, plan.n_train)
+    frag = broadcast_fragment(state, cfg.policy.prefix(plan))
     assert plan.slots["layer1.gain"][0] >= len(frag)
     assert plan.slots["layer1.running_mean"][0] >= len(frag)
     assert plan.slots["layer0.weight"][1] <= len(frag)

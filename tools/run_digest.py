@@ -17,10 +17,10 @@ The set:
   to ``kinds/``: layer norm (fedpxn), group norm (feddyn with local Adam), no
   norm (fedprox) and a sigmoid-BCE head after batch norm (fedadam);
 * 10 rounds at seed 0 of the other server and evaluation paths, written to
-  ``paths/``: fedbn under ``stats_only_excluded`` and under
-  ``rescaling_aggregated`` (the broadcast covers the norm gains and biases),
-  fedavg on a 2-class feature-shift partition (the binary AUROC path), and
-  fedavg selecting by ``auprc``, ``accuracy`` and ``loss``;
+  ``paths/``: fedbn under ``stats_only_excluded`` (the broadcast covers the
+  norm gains and biases), fedavg on a 2-class feature-shift partition (the
+  binary AUROC path), and fedavg selecting by ``auprc``, ``accuracy`` and
+  ``loss``;
 * ``fedbench partition`` of a K=10 label-skew spec, then ``fedbench sweep
   --grid 5x4,10x2`` with fedpxn and local Adam over seeds 0-2, the shape of
   the benchmark's ``ls_sweep_cli`` workload.
@@ -65,7 +65,6 @@ KIND_RUNS = {
 # run name -> (algorithm, policy, number of classes, selection metric)
 PATH_RUNS = {
     "fedbn_stats_only": ("fedbn", "stats_only_excluded", 3, "auroc"),
-    "fedbn_rescaling": ("fedbn", "rescaling_aggregated", 3, "auroc"),
     "binary": ("fedavg", "none", 2, "auroc"),
     "select_auprc": ("fedavg", "none", 3, "auprc"),
     "select_accuracy": ("fedavg", "none", 3, "accuracy"),
