@@ -161,7 +161,8 @@ class ClientState:
             train=split(ds.train), val=split(ds.val), test=split(ds.test),
             params=w_0, eval_params=w_0,
             adam_state=AdamState.zeros(plan.n_train) if cfg.local_optimizer == "adam" else None,
-            dyn=DynMemory(client_id=ds.client_id) if cfg.strategy.algorithm == "feddyn" else None,
+            dyn=(DynMemory(ds.client_id, np.zeros(plan.n_train))
+                 if cfg.strategy.algorithm == "feddyn" else None),
         )
 
 
@@ -214,8 +215,6 @@ def run_local_training(
     rng = client_rng(seed, client.client_id, round_idx)
     losses = []
     diverged = False
-    grad_sum = None
-    grad_steps = 0
     for _ in range(cfg.local_epochs):
         for batch in _batches(client.train, cfg.batch_size, rng):
             try:
@@ -226,12 +225,6 @@ def run_local_training(
             losses.append(loss)
             model_backward(plan, work, cache, grad)
             apply_running_stats(work, cache)
-            if strat.algorithm == "feddyn":
-                if grad_sum is None:
-                    grad_sum = grad.copy()
-                else:
-                    grad_sum += grad
-                grad_steps += 1
             step_grad = local_loss_grad(grad, work, w_ref, plan.n_non_norm, strat, client.dyn)
             if cfg.local_optimizer == "adam":
                 local_adam_step(work, step_grad, client.adam_state, cfg.eta)
@@ -241,8 +234,8 @@ def run_local_training(
             break
     if not diverged and not np.isfinite(work).all():
         diverged = True
-    if strat.algorithm == "feddyn" and not diverged and grad_steps:
-        client.dyn = update_dyn_memory(client.dyn, grad_sum / grad_steps)
+    if strat.algorithm == "feddyn" and not diverged:
+        client.dyn = update_dyn_memory(client.dyn, work, w_ref, strat.alpha)
     train_loss = float(np.mean(losses)) if losses else float("nan")
     work.flags.writeable = False
     client.params = work

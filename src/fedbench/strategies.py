@@ -1,9 +1,11 @@
 """The eight aggregation strategies behind one interface.
 
 Local-objective modifiers (fedprox, fedpxn, feddyn) act on the per-batch flat
-gradient of a client round's parameter vector; server-update rules (fedavg,
-fedbn, fedadam, fedadagrad, fedyogi) act on the round's client vectors (see
-``params``) and aggregate whole vectors.  What a client takes of the global
+gradient of a client round's parameter vector; server-update rules act on the
+round's client vectors (see ``params``): fedavg, fedprox, fedbn and fedpxn
+average whole vectors, feddyn averages them uniformly and corrects the
+trainable prefix by its server state, and the FedOpt family steps the
+trainable prefix by its moments and averages the running statistics.  What a client takes of the global
 is a prefix of the plan's vector, whose length ``ExclusionPolicy.prefix``
 sets.  So fedbn/fedpxn keep the server's copy of excluded norm entries as a
 weighted average for checkpoint purposes only; client-held values stay
@@ -21,7 +23,6 @@ import numpy as np
 from .errors import (
     AllClientsDiverged,
     ConfigError,
-    KeyMismatch,
     MissingDynMemory,
     UninitializedOptState,
     check_real,
@@ -121,6 +122,7 @@ class ServerState:
     global_params: np.ndarray  # read-only
     m: np.ndarray | None = None  # FedOpt moments over the trainable prefix
     v: np.ndarray | None = None
+    h: np.ndarray | None = None  # FedDyn's server state over the trainable prefix
     round: int = 0
 
 
@@ -136,18 +138,20 @@ class ClientUpdate:
 @dataclass
 class DynMemory:
     client_id: int
-    prev_grad: np.ndarray | None = None  # flat, over the trainable prefix
-    initialized: bool = False
+    prev_grad: np.ndarray  # FedDyn's g_k over the trainable prefix; zero before round 1
 
 
 def init_server_state(w_0: np.ndarray, cfg: StrategyConfig, n_train: int) -> ServerState:
-    """The global ``w_0`` (a read-only copy); for the FedOpt family m = 0 and
-    v = gamma^2 over the trainable prefix ``w_0[:n_train]``."""
+    """The global ``w_0`` (a read-only copy); over the trainable prefix
+    ``w_0[:n_train]``, m = 0 and v = gamma^2 for the FedOpt family and h = 0
+    for feddyn."""
     state = ServerState(global_params=w_0.copy(), round=0)
     state.global_params.flags.writeable = False
     if cfg.algorithm in FEDOPT_FAMILY:
         state.m = np.zeros(n_train)
         state.v = np.full(n_train, cfg.gamma**2)
+    elif cfg.algorithm == "feddyn":
+        state.h = np.zeros(n_train)
     return state
 
 
@@ -175,23 +179,20 @@ def local_loss_grad(
         k = norm_start if algorithm == "fedpxn" else base_grad.shape[0]  # fedpxn: no norm pull
         base_grad[:k] += cfg.mu * (w_local[:k] - w_global[:k])
         return base_grad
-    # feddyn
+    # feddyn: the gradient of F_k(w) - <g_k, w> + alpha/2 |w - w_global|^2
     k = base_grad.shape[0]
     base_grad += cfg.alpha * (w_local[:k] - w_global[:k])
-    if dyn.initialized:
-        base_grad -= dyn.prev_grad
+    base_grad -= dyn.prev_grad
     return base_grad
 
 
-def update_dyn_memory(dyn: DynMemory, epoch_mean_grad: np.ndarray) -> DynMemory:
-    """Store the epoch-mean base gradient at the just-finished local solution."""
-    if dyn.initialized and dyn.prev_grad.shape != epoch_mean_grad.shape:
-        raise KeyMismatch("gradient layout changed between rounds")
-    return DynMemory(
-        client_id=dyn.client_id,
-        prev_grad=epoch_mean_grad.copy(),
-        initialized=True,
-    )
+def update_dyn_memory(dyn: DynMemory, w_local: np.ndarray, w_ref: np.ndarray,
+                      alpha: float) -> DynMemory:
+    """FedDyn's client memory after a round (Acar et al., ICLR 2021, Algorithm 1):
+    ``g_k <- g_k - alpha * (w_local - w_ref)`` over the trainable prefix, where
+    ``w_ref`` is the vector the round started from."""
+    k = dyn.prev_grad.shape[0]
+    return DynMemory(dyn.client_id, dyn.prev_grad - alpha * (w_local[:k] - w_ref[:k]))
 
 
 def server_aggregate(server: ServerState, updates: list[ClientUpdate],
@@ -205,6 +206,23 @@ def server_aggregate(server: ServerState, updates: list[ClientUpdate],
     weights = make_weights([u.n_k for u in alive])
     vectors = [u.params_after for u in alive]
     w_t = server.global_params
+
+    if algorithm == "feddyn":
+        if server.h is None:
+            raise UninitializedOptState("feddyn requires an initialized h")
+        # Acar et al. (ICLR 2021), Algorithm 1: h <- h - (alpha/m) sum_k
+        # (theta_k - theta^{t-1}) over the m clients of the round, and theta^t
+        # is the uniform mean of the client vectors minus h / alpha.  h covers
+        # the trainable prefix only; running statistics are just averaged.
+        n = server.h.shape[0]
+        drift = np.zeros(n)
+        for vec in vectors:
+            drift += vec[:n] - w_t[:n]
+        h = server.h - cfg.alpha / len(updates) * drift
+        new_global = weighted_average(vectors, make_weights([1] * len(alive)))
+        new_global[:n] -= h / cfg.alpha
+        new_global.flags.writeable = False
+        return ServerState(global_params=new_global, h=h, round=server.round + 1)
 
     if algorithm not in FEDOPT_FAMILY:
         # Weighted average of whole vectors.  Under fedbn/fedpxn the excluded

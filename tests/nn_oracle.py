@@ -251,6 +251,12 @@ def local_loss_grad(algorithm, base_grad: GradSet, w_local: ParamSet, w_global: 
     raise ValueError(f"unknown algorithm {algorithm!r}")
 
 
+def update_dyn_memory(prev_grad: GradSet, w_local: ParamSet, w_ref: ParamSet, alpha) -> GradSet:
+    """FedDyn's client memory after a round: g - alpha * (w_local - w_ref) per entry."""
+    return {name: g - alpha * (w_local.entries[name] - w_ref.entries[name])
+            for name, g in prev_grad.items()}
+
+
 # ---------------------------------------------------------------------------
 # local optimizers
 

@@ -2,8 +2,8 @@
 
 These are aggregation, the FedOpt server rules, the drift diagnostic, the
 policy partition and the per-client evaluation parameters as they were
-written over named ParamSet entries, and AUROC as one midrank sort per
-class.  ``test_server_bitwise.py`` checks that the vector code of
+written over named ParamSet entries, the FedDyn server rule written the same
+way, and AUROC as one midrank sort per class.  ``test_server_bitwise.py`` checks that the vector code of
 ``fedbench.params``, ``fedbench.strategies`` and ``fedbench.orchestrator``
 and the one-sort ``metrics.auroc`` give the same bits as this code.
 """
@@ -99,6 +99,7 @@ class ServerState:
     global_params: ParamSet
     m: GradSet | None = None
     v: GradSet | None = None
+    h: GradSet | None = None
     round: int = 0
 
 
@@ -116,6 +117,8 @@ def init_server_state(algorithm: str, w_0: ParamSet, cfg) -> ServerState:
         names = w_0.trainable_names()
         state.m = {n: np.zeros_like(w_0.entries[n]) for n in names}
         state.v = {n: np.full_like(w_0.entries[n], cfg.gamma**2) for n in names}
+    elif algorithm == "feddyn":
+        state.h = {n: np.zeros_like(w_0.entries[n]) for n in w_0.trainable_names()}
     return state
 
 
@@ -129,7 +132,21 @@ def server_aggregate(algorithm: str, server: ServerState, updates: list[ClientUp
     sets = [u.params_after for u in alive]
     w_t = server.global_params
 
-    if algorithm in ("fedavg", "fedprox", "feddyn") or algorithm in NORM_EXCLUDING:
+    if algorithm == "feddyn":
+        names = w_t.trainable_names()
+        h = {}
+        for n in names:
+            drift = np.zeros_like(w_t.entries[n])
+            for u in alive:
+                drift += u.params_after.entries[n] - w_t.entries[n]
+            h[n] = server.h[n] - cfg.alpha / len(updates) * drift
+        new_global = shallow_copy(w_t)
+        overwrite(new_global, weighted_average(sets, make_weights([1] * len(alive))))
+        for n in names:
+            new_global.entries[n] = new_global.entries[n] - h[n] / cfg.alpha
+        return ServerState(global_params=new_global, h=h, round=server.round + 1)
+
+    if algorithm in ("fedavg", "fedprox") or algorithm in NORM_EXCLUDING:
         new_global = shallow_copy(w_t)
         overwrite(new_global, weighted_average(sets, weights))
         return ServerState(global_params=new_global, round=server.round + 1)

@@ -212,14 +212,13 @@ def test_local_training_matches_oracle_loop(algorithm, optimizer, model):
     seed, round_idx = 3, 0
     w0 = perturbed_params(cfg.model, seed)
     dyn = o_prev = None
-    if algorithm == "feddyn":  # a stored gradient from an earlier round
-        dyn = DynMemory(client_id=0, initialized=True,
+    if algorithm == "feddyn":  # a memory from an earlier round
+        dyn = DynMemory(client_id=0,
                         prev_grad=np.random.default_rng(8).standard_normal(plan.n_train))
         o_prev = plan.entries(dyn.prev_grad)
 
     params = w0.copy()
     o_state = oracle.AdamState.zeros(params)
-    o_grad_sum, steps = None, 0
     rng = client_rng(seed, 0, round_idx)
     for _ in range(cfg.local_epochs):
         order = rng.permutation(ds.train.size)
@@ -231,9 +230,6 @@ def test_local_training_matches_oracle_loop(algorithm, optimizer, model):
             _, _, cache = oracle.model_forward(cfg.model, params, batch, mode="train")
             base = oracle.model_backward(cfg.model, params, cache)
             oracle.apply_running_stats(params, cache)
-            flat = np.concatenate([base[n] for n in plan.slots if n in base], axis=None)
-            o_grad_sum = flat if o_grad_sum is None else o_grad_sum + flat
-            steps += 1
             grad = oracle.local_loss_grad(algorithm, base, params, w0, strategy, o_prev)
             if optimizer == "adam":
                 params, o_state = oracle.local_adam_step(params, grad, o_state, cfg.eta)
@@ -251,7 +247,9 @@ def test_local_training_matches_oracle_loop(algorithm, optimizer, model):
         assert np.array_equal(trained[name], params.entries[name]), name
     assert np.array_equal(w_start, before)  # training never wrote into a vector it was handed
     if algorithm == "feddyn":
-        assert np.array_equal(client.dyn.prev_grad, o_grad_sum / steps)
+        memory = plan.entries(client.dyn.prev_grad)
+        for name, want in oracle.update_dyn_memory(o_prev, params, w0, strategy.alpha).items():
+            assert np.array_equal(memory[name], want), name
 
 
 def test_sweep_loads_the_partition_once(tmp_path, monkeypatch):

@@ -45,7 +45,7 @@ def flat(plan, named):
 
 @pytest.mark.parametrize("algorithm,policy,kind", CASES)
 def test_round_vectors_match_oracle(algorithm, policy, kind):
-    """Global, m/v, drift and evaluation vectors over six rounds of random clients."""
+    """Global, m/v/h, drift and round-start vectors over six rounds of random clients."""
     plan = Plan(make_model(KINDS[kind], hidden=8, groups=2))
     cfg = StrategyConfig(algorithm=algorithm, policy=policy, eta_g=0.1, gamma=0.01,
                          uniform_pseudo_grad=algorithm == "fedyogi")
@@ -78,6 +78,8 @@ def test_round_vectors_match_oracle(algorithm, policy, kind):
         if algorithm in ("fedadam", "fedadagrad", "fedyogi"):
             assert np.array_equal(server.m, flat(plan, o_server.m))
             assert np.array_equal(server.v, flat(plan, o_server.v))
+        if algorithm == "feddyn":
+            assert np.array_equal(server.h, flat(plan, o_server.h))
         fragment = broadcast_fragment(server, k)
         for u, o_u in zip(updates, o_updates):
             own[u.client_id] = u.params_after

@@ -113,7 +113,7 @@ def test_feddyn_gradient_matches_finite_difference_of_modified_objective():
         )
 
     w = rng.standard_normal(4)
-    dyn = DynMemory(client_id=0, prev_grad=prev_grad.copy(), initialized=True)
+    dyn = DynMemory(client_id=0, prev_grad=prev_grad.copy())
     out = local_loss_grad(w - c, w.copy(), w_global.copy(), 4,
                           StrategyConfig("feddyn", alpha=alpha), dyn)
 
@@ -127,16 +127,22 @@ def test_feddyn_gradient_matches_finite_difference_of_modified_objective():
 
 
 def test_update_dyn_memory_first_call_and_zero_grad():
-    dyn = DynMemory(client_id=0)
-    new = update_dyn_memory(dyn, np.array([0.5]))
-    assert new.initialized
-    assert new.prev_grad[0] == 0.5
+    """g <- g - alpha * (theta_k - theta_ref) over the trainable prefix
+    (Acar et al., ICLR 2021, Algorithm 1)."""
+    dyn = DynMemory(client_id=0, prev_grad=np.zeros(1))  # entry 1 is a running statistic
+    new = update_dyn_memory(dyn, np.array([2.0, 9.0]), np.array([1.5, 0.0]), 0.3)
+    assert new.prev_grad.tolist() == [-0.3 * 0.5]
+    assert dyn.prev_grad[0] == 0.0  # the memory is replaced, not written
 
-    zeroed = update_dyn_memory(new, np.zeros(1))
+    # a round that ends where it started leaves the memory as it was
+    same = update_dyn_memory(new, np.array([1.0, 4.0]), np.array([1.0, 7.0]), 0.3)
+    assert same.prev_grad.tolist() == new.prev_grad.tolist()
+
+    # the next round's gradient subtracts it
     base = np.array([0.2])
     cfg = StrategyConfig("feddyn", alpha=0.3)
-    out = local_loss_grad(base, np.array([2.0]), np.array([1.0]), 1, cfg, zeroed)
-    assert out[0] == pytest.approx(0.2 + 0.3 * 1.0, abs=1e-15)
+    out = local_loss_grad(base, np.array([2.0]), np.array([1.0]), 1, cfg, same)
+    assert out[0] == pytest.approx(0.2 + 0.3 * 1.0 + 0.3 * 0.5, abs=1e-15)
 
 
 # ---------------------------------------------------------------------------
@@ -280,6 +286,36 @@ def test_fedopt_three_round_scalar_trajectory_matches_oracle():
             target = state.global_params[0] + d
             state = server_aggregate(state, [update(0, scalar_set(target))], cfg)
             assert state.global_params[0] == pytest.approx(expect, abs=1e-12)
+
+
+def test_feddyn_server_state_scalar_trajectory():
+    """h <- h - (alpha/m) sum_k (theta_k - theta), theta <- mean_k theta_k - h/alpha,
+    recomputed in plain floats over three rounds of two clients."""
+    cfg = StrategyConfig("feddyn", alpha=0.5)
+    state = init_server_state(scalar_set(0.0), cfg, 1)
+    w, h = 0.0, 0.0
+    for targets in ((1.0, 3.0), (0.5, -1.0), (2.0, 2.5)):
+        h = h - cfg.alpha / 2 * sum(t - w for t in targets)
+        w = sum(targets) / 2 - h / cfg.alpha
+        # n_k does not weigh the mean
+        ups = [update(0, scalar_set(targets[0]), n_k=1), update(1, scalar_set(targets[1]), n_k=9)]
+        state = server_aggregate(state, ups, cfg)
+        assert state.h[0] == pytest.approx(h, abs=1e-12)
+        assert state.global_params[0] == pytest.approx(w, abs=1e-12)
+
+
+def test_feddyn_h_leaves_running_statistics_averaged():
+    plan = Plan(make_model(["batch_norm"]))
+    cfg = StrategyConfig("feddyn", alpha=0.1)
+    w0 = plan.pack(init_params(plan.spec, seed=0))
+    state = init_server_state(w0, cfg, plan.n_train)
+    assert state.h.shape == (plan.n_train,)
+    ups = [update(cid, w0 + cid + 1.0, n_k=cid + 1) for cid in range(3)]
+    new = server_aggregate(state, ups, cfg)
+    assert np.allclose(new.global_params[plan.n_train:], w0[plan.n_train:] + 2.0, atol=1e-12)
+    # the trainable prefix moved by 2 on average, and h pulls it further along
+    assert np.allclose(new.h, -0.1 * 2.0, atol=1e-12)
+    assert np.allclose(new.global_params[:plan.n_train], w0[:plan.n_train] + 4.0, atol=1e-12)
 
 
 def test_uniform_pseudo_gradient_switch():
