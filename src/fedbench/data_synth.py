@@ -192,7 +192,8 @@ def save_client_csv(dataset: ClientDataset, path) -> None:
 
 def load_client_csv(path, num_classes: int, client_id: int = 0) -> ClientDataset:
     """Parse a per-client CSV and split it 70/15/15 in file order, so a
-    save/load round-trip reproduces the original splits."""
+    save/load round-trip reproduces the original splits.  Each label must be
+    a class id in ``[0, num_classes)``."""
     path = Path(path)
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -216,6 +217,8 @@ def load_client_csv(path, num_classes: int, client_id: int = 0) -> ClientDataset
                 label = float(row[-1])
             except ValueError:
                 raise MalformedRow(lineno, f"non-numeric label {row[-1]!r}")
+            if not 0 <= label < num_classes:  # also rejects nan and inf
+                raise MalformedRow(lineno, f"label {row[-1]!r} outside [0, {num_classes})")
             if label != int(label):
                 raise MalformedRow(lineno, f"label {row[-1]!r} is not integral")
             labels.append(int(label))

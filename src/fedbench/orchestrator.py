@@ -344,6 +344,11 @@ def run_experiment(cfg: ExperimentConfig, seed: int, out_dir=None,
     """
     if datasets is None:
         datasets = _load_clients(cfg)
+    # a client's histogram has one bin per class of its partition
+    data_classes = {len(ds.class_histogram) for ds in datasets}
+    if data_classes != {cfg.model.num_classes}:
+        raise ConfigError("model.num_classes", f"the model has {cfg.model.num_classes} "
+                          f"classes, the data {sorted(data_classes)}")
     plan = Plan(cfg.model)
     w_0 = plan.pack(init_params(cfg.model, seed))
     w_0.flags.writeable = False

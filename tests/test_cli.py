@@ -215,6 +215,19 @@ def test_exit_code_data_error(tmp_path, capsys):
     assert err["error"] == "data_error"
 
 
+def test_data_with_fewer_classes_than_the_model_is_config_error(tmp_path, capsys):
+    cfg = base_config()
+    cfg["data"]["num_classes"] = 2
+    assert config_error_field(tmp_path, capsys, cfg) == "model.num_classes"
+
+
+def test_data_with_more_classes_than_the_model_is_config_error(tmp_path, capsys):
+    cfg = base_config()
+    cfg["model"]["num_classes"] = 2
+    cfg["model"]["layers"][2]["width"] = 2
+    assert config_error_field(tmp_path, capsys, cfg) == "model.num_classes"
+
+
 def run_on_manifest(tmp_path, capsys, manifest):
     """``fedbench run`` on a manifest; assert exit 3 with a JSON record, return its message."""
     cfg = base_config()

@@ -198,6 +198,28 @@ def test_non_integral_label_rejected(tmp_path):
     assert err.value.line_number == 2
 
 
+def test_label_outside_num_classes_rejected(tmp_path):
+    path = tmp_path / "bad.csv"
+    path.write_text("feature_0,label\n0.1,0\n0.2,1\n0.3,nan\n0.4,-1\n")
+    for num_classes, line in ((1, 3), (2, 4)):
+        with pytest.raises(MalformedRow) as err:
+            load_client_csv(path, num_classes=num_classes)
+        assert err.value.line_number == line
+
+
+def test_manifest_class_count_below_its_labels_is_malformed_row(tmp_path):
+    """A manifest saying 2 classes over CSVs holding labels 0-2 does not load."""
+    manifest_path = write_partition(spec(num_classes=3), tmp_path)
+    manifest = json.loads(manifest_path.read_text())
+    manifest["spec"]["num_classes"] = 2
+    manifest_path.write_text(json.dumps(manifest))
+    with pytest.raises(MalformedRow, match="outside \\[0, 2\\)") as err:
+        load_partition(manifest_path)
+    labels = generate(spec(num_classes=3))[0]
+    rows = np.concatenate([labels.train.labels, labels.val.labels, labels.test.labels])
+    assert err.value.line_number == 2 + int(np.argmax(rows == 2))
+
+
 def test_wrong_cell_count_rejected(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("feature_0,feature_1,label\n0.1,0.2,1\n0.3,0\n")

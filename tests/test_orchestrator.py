@@ -353,6 +353,14 @@ def test_epoch_budget_instrumented(monkeypatch):
     assert len(counts) == 3
 
 
+def test_run_checks_the_class_count_of_preloaded_datasets():
+    cfg = experiment(rounds=1)
+    datasets = generate(replace(cfg.data, num_classes=2))
+    with pytest.raises(ConfigError) as err:
+        run_experiment(cfg, seed=0, datasets=datasets)
+    assert err.value.field == "model.num_classes"
+
+
 def test_round_rejects_entries_keyed_unlike_the_model():
     """The layout check runs once per client round, on the round-start vector."""
     cfg = experiment(norm="batch_norm", rounds=1)
