@@ -21,12 +21,11 @@ trainable non-norm entries, then norm gains and biases (up to ``n_train``),
 then each batch-norm layer's running mean and variance as one (2, d) block,
 so what the server shares of it is always a prefix (see ``strategies``).
 Inside a run this vector is the only parameter representation (see
-``params``).
-Each layer below the head is a pair of closures over fixed views of the
-vector, for train and eval alike; the backward writes into a flat gradient
-with ``out=``.  ``apply_running_stats`` and the optimizer steps update a
-vector in place, which only a client round's private vector may be (see
-``params``).
+``params``).  Each layer below the head is a pair of closures over fixed
+views of the vector, for train and eval alike; the backward writes into a
+flat gradient with ``out=``.  ``apply_running_stats`` and the optimizer
+steps update a vector in place, which only a client round's private vector
+may be (see ``params``).
 """
 
 from __future__ import annotations

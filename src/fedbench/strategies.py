@@ -5,11 +5,11 @@ gradient of a client round's parameter vector; server-update rules act on the
 round's client vectors (see ``params``): fedavg, fedprox, fedbn and fedpxn
 average whole vectors, feddyn averages them uniformly and corrects the
 trainable prefix by its server state, and the FedOpt family steps the
-trainable prefix by its moments and averages the running statistics.  What a client takes of the global
-is a prefix of the plan's vector, whose length ``ExclusionPolicy.prefix``
-sets.  So fedbn/fedpxn keep the server's copy of excluded norm entries as a
-weighted average for checkpoint purposes only; client-held values stay
-authoritative and are never overwritten.
+trainable prefix by its moments and averages the running statistics.  What a
+client takes of the global is a prefix of the plan's vector, whose length
+``ExclusionPolicy.prefix`` sets.  So fedbn/fedpxn keep the server's copy of
+excluded norm entries as a weighted average for checkpoint purposes only;
+client-held values stay authoritative and are never overwritten.
 """
 
 from __future__ import annotations

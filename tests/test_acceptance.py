@@ -479,9 +479,8 @@ def test_criterion_10_end_to_end(tmp_path):
             assert record["algorithm"] == algorithm
             assert np.isfinite(record["mean_test_metric"])
             metrics.append(record["mean_test_metric"])
-            # each run learns: finite output alone let a non-learning feddyn through
-            # (its best round beat round 1 by at most 0.016; every other algorithm
-            # gains at least 0.133 at seeds 0-2)
+            # each run must learn, not only end finite; the smallest gain of a
+            # working algorithm here is +0.134 (fedadagrad, seed 2)
             vals = [r.mean_val_metric for r in result.rounds]
             assert max(vals) - vals[0] >= LEARNING_MARGIN, (algorithm, seed, vals[0], max(vals))
         per_alg[algorithm] = metrics

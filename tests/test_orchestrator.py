@@ -353,6 +353,47 @@ def test_epoch_budget_instrumented(monkeypatch):
     assert len(counts) == 3
 
 
+def test_each_round_builds_each_start_vector_once(monkeypatch):
+    """One broadcast and one merge per client per round; the merged vector is
+    what the client validates with and what its next round trains from."""
+    calls = {"broadcast": 0, "merge": 0}
+    real_broadcast, real_merge = orchestrator.broadcast_fragment, orchestrator._merge
+
+    def broadcast(*args):
+        calls["broadcast"] += 1
+        return real_broadcast(*args)
+
+    def merge(*args):
+        calls["merge"] += 1
+        return real_merge(*args)
+
+    monkeypatch.setattr(orchestrator, "broadcast_fragment", broadcast)
+    monkeypatch.setattr(orchestrator, "_merge", merge)
+    cfg = experiment(algorithm="fedbn", norm="batch_norm", rounds=2)
+    plan = Plan(cfg.model)
+    w0 = plan.pack(init_params(cfg.model, 0))
+    server = init_server_state(w0, cfg.strategy, plan.n_train)
+    clients = [ClientState.create(ds, w0, cfg, plan) for ds in generate(cfg.data)]
+    assert all(c.eval_params is w0 for c in clients)
+    server, _ = run_round(server, clients, cfg, 0, plan)
+    starts = {c.client_id: c.eval_params for c in clients}
+    k = cfg.strategy.policy.prefix(plan)
+    for c in clients:
+        assert np.array_equal(starts[c.client_id][:k], server.global_params[:k])
+        assert np.array_equal(starts[c.client_id][k:], c.params[k:])
+    seen = []
+    real_train = orchestrator.run_local_training
+
+    def train(client, *rest):
+        seen.append(client.eval_params is starts[client.client_id])
+        return real_train(client, *rest)
+
+    monkeypatch.setattr(orchestrator, "run_local_training", train)
+    run_round(server, clients, cfg, 0, plan)
+    assert seen == [True] * len(clients)
+    assert calls == {"broadcast": 2, "merge": 2 * len(clients)}
+
+
 def test_run_checks_the_class_count_of_preloaded_datasets():
     cfg = experiment(rounds=1)
     datasets = generate(replace(cfg.data, num_classes=2))
