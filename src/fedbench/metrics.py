@@ -4,10 +4,11 @@ AUROC is the midrank (ties = 1/2) pairwise-ordering probability; AUPRC is
 average precision with step-wise interpolation.  Both score columns: a binary
 task is one column, and multiclass (class ids) and multi-label (multi-hot)
 tasks report the macro mean over the columns with both outcomes present.
-The Mann-Whitney U test is exact (midranks; the rank-sum distribution is
-counted by the Mann & Whitney (1947) recurrence over doubled, hence integer,
-midranks) for n+m <= 20 and falls back to the tie-corrected normal
-approximation beyond.
+The Mann-Whitney U test is exact (the rank-sum distribution is counted by the
+Mann & Whitney (1947) recurrence) for n+m <= 20 and falls back to the
+tie-corrected normal approximation beyond.  AUROC and U rank by one
+primitive, ``_doubled_midranks``: twice each midrank, an exact integer, from
+two binary searches in the sorted sample.
 """
 
 from __future__ import annotations
@@ -24,17 +25,16 @@ SIGNIFICANCE_LEVEL = 0.05
 EXACT_LIMIT = 20  # auto picks the exact rank-sum recurrence up to n+m = 20
 
 
-def _midranks(values: np.ndarray) -> np.ndarray:
-    """Fractional ranks (1-based); ties share the mean of their ranks."""
-    order = np.argsort(values, kind="stable")
-    sorted_vals = values[order]
-    run_start = np.ones(len(values), dtype=bool)
-    run_start[1:] = sorted_vals[1:] != sorted_vals[:-1]
-    starts = np.flatnonzero(run_start)
-    ends = np.append(starts[1:], len(values)) - 1
-    ranks = np.empty(len(values))
-    ranks[order] = np.repeat(0.5 * (starts + ends) + 1.0, ends - starts + 1)
-    return ranks
+def _doubled_midranks(ranked: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Twice the 1-based midrank of each of ``x`` among the sorted ``ranked``,
+    and how many of ``ranked`` tie with it.
+
+    With ``left``/``right`` the #values below / at or below it (two binary
+    searches), the midrank is (left + right + 1) / 2: ties share the mean of
+    their ranks, and doubled it is an exact integer.
+    """
+    left, right = ranked.searchsorted(x, "left"), ranked.searchsorted(x, "right")
+    return left + right + 1, right - left
 
 
 def _columns(scores, labels) -> tuple[np.ndarray, np.ndarray]:
@@ -64,9 +64,8 @@ def auroc(scores, labels) -> float:
     """Probability a random positive outscores a random negative (ties 1/2),
     macro-averaged over the columns of ``_columns``.
 
-    The columns are sorted once.  A score's midrank is (#scores below it +
-    #scores at or below it + 1) / 2, two binary searches in its sorted column,
-    so the doubled rank sum of a column's p positives is an exact integer.
+    The columns are sorted once, and the doubled rank sum of a column's p
+    positives (``_doubled_midranks``) is an exact integer.
     """
     scores, positives = _columns(scores, labels)
     ranked = np.sort(scores, axis=0)
@@ -77,9 +76,7 @@ def auroc(scores, labels) -> float:
         p = int(np.count_nonzero(pos))
         if p in (0, n):
             continue
-        col, x = ranked[:, c], scores[pos, c]
-        doubled = int(np.add.reduce(col.searchsorted(x, "left")
-                                    + col.searchsorted(x, "right"))) + p
+        doubled = int(np.add.reduce(_doubled_midranks(ranked[:, c], scores[pos, c])[0]))
         vals.append((doubled / 2 - p * (p + 1) / 2.0) / (p * (n - p)))
     if not vals:
         raise SingleClass("AUROC needs both classes present")
@@ -126,10 +123,6 @@ class RankTestResult:
     alternative: str  # two-sided | one-sided
 
 
-def _u_from_ranks(rank_sum_a: float, n: int) -> float:
-    return rank_sum_a - n * (n + 1) / 2.0
-
-
 def _rank_sum_counts(doubled: np.ndarray, n: int) -> np.ndarray:
     """Number of n-subsets of the pooled sample per doubled rank sum.
 
@@ -159,16 +152,16 @@ def mann_whitney_u(a, b, alternative: str = "two-sided", method: str = "auto") -
     if n == 0 or m == 0:
         raise EmptySample("both samples must be nonempty")
     pooled = np.concatenate([a, b])
-    ranks = _midranks(pooled)
-    u_obs = _u_from_ranks(ranks[:n].sum(), n)
+    if np.isnan(pooled).any():
+        raise NonFiniteScore("samples must not hold NaN to be ranked")
+    doubled, ties = _doubled_midranks(np.sort(pooled), pooled)
+    u_obs = doubled[:n].sum() / 2 - n * (n + 1) / 2.0
 
     if method == "auto":
         method = "exact" if n + m <= EXACT_LIMIT else "normal"
 
     if method == "exact":
-        # midranks are half-integers, so doubled they are exact integers and
         # U <= u_obs  <=>  doubled rank sum <= the observed doubled rank sum
-        doubled = (2.0 * ranks).astype(np.int64)
         observed = int(doubled[:n].sum())
         counts = _rank_sum_counts(doubled, n)
         total = math.comb(n + m, n)
@@ -180,9 +173,9 @@ def mann_whitney_u(a, b, alternative: str = "two-sided", method: str = "auto") -
             p = p_low  # evidence that a ranks below b
     else:
         mean = n * m / 2.0
-        # tie-corrected variance
-        _, counts = np.unique(pooled, return_counts=True)
-        tie_term = np.sum(counts**3 - counts)
+        # tie-corrected variance: a value tied t times adds t^3 - t, i.e. t^2 - 1
+        # for each of its t copies
+        tie_term = np.sum(ties * ties - 1)
         var = n * m / 12.0 * ((n + m + 1) - tie_term / ((n + m) * (n + m - 1.0)))
         if var == 0:
             p = 1.0
@@ -274,8 +267,8 @@ def write_distance_csv(path, rounds) -> None:
         writer = csv.writer(fh)
         writer.writerow(["round", "client_id", "sq_distance"])
         for record in rounds:
-            for cid in sorted(record.distances):
-                writer.writerow([record.round, cid, repr(record.distances[cid])])
+            for cid, d in record.distances.items():
+                writer.writerow([record.round, cid, repr(d)])
 
 
 def write_timing_csv(path, per_algorithm_elapsed: dict[str, float]) -> None:

@@ -132,8 +132,12 @@ class ModelSpec:
 class Batch:
     inputs: np.ndarray  # (size, input_dim)
     labels: np.ndarray  # (size,) class ids, or (size, num_classes) multi-hot
-    size: int
     targets: np.ndarray | None = None  # (size, num_classes) float; from labels if None
+
+    @property
+    def size(self) -> int:
+        """The number of rows, read from ``inputs``."""
+        return self.inputs.shape[0]
 
     @classmethod
     def from_arrays(cls, inputs, labels) -> "Batch":
@@ -141,7 +145,7 @@ class Batch:
         labels = np.asarray(labels)
         if inputs.shape[0] != labels.shape[0]:
             raise ShapeMismatch("inputs and labels disagree on batch size")
-        return cls(inputs=inputs, labels=labels, size=inputs.shape[0])
+        return cls(inputs=inputs, labels=labels)
 
 
 def _layout(spec: ModelSpec) -> list[tuple[str, tuple, str, bool]]:
@@ -184,7 +188,6 @@ def init_params(spec: ModelSpec, seed: int) -> ParamSet:
 class ForwardCache:
     params: np.ndarray  # the vector the forward read
     train: bool
-    batch_size: int
     layers: list = field(default_factory=list)  # what each layer's backward needs
     head: tuple = ()  # (probs, targets)
     batch_stats: list = field(default_factory=list)  # (start, momentum, [mean; var])
@@ -372,12 +375,12 @@ def model_forward(plan: Plan, params: np.ndarray, batch: Batch, mode: str = "tra
     cache (the caller moves the running stats with ``apply_running_stats``);
     eval mode is deterministic w.r.t. params.
     """
-    if batch.size < 1:
-        raise ShapeMismatch("empty batch")
     x = np.asarray(batch.inputs, dtype=np.float64)
+    if x.shape[0] < 1:
+        raise ShapeMismatch("empty batch")
     if x.shape[1] != plan.spec.input_dim:
         raise ShapeMismatch(f"input dim {x.shape[1]} != {plan.spec.input_dim}")
-    cache = ForwardCache(params=params, train=mode == "train", batch_size=batch.size)
+    cache = ForwardCache(params=params, train=mode == "train")
     views = plan.views(params)
     for forward in plan.forward:
         x = forward(views, x, cache)
@@ -423,7 +426,7 @@ def model_backward(plan: Plan, params: np.ndarray, cache: ForwardCache,
         raise StaleCache("backward requires a train-mode cache")
     grad = np.empty(plan.n_train) if out is None else out
     probs, targets = cache.head
-    n = cache.batch_size
+    n = probs.shape[0]
     if plan.softmax:
         dx = (probs - targets) / n
     else:

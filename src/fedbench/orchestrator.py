@@ -1,9 +1,12 @@
 """Full-participation round protocol under a fixed training-epoch budget.
 
 Every round: E local epochs per client, barrier, aggregation, broadcast
-(respecting the exclusion policy), then a validation pass per client.  Client
-RNG streams are derived from (seed, client_id, round) so the execution order
-can never perturb the results.  A run works on one ``nn.Plan``'s flat vectors
+(respecting the exclusion policy), then a validation pass per client.  A run
+sorts its clients by id once, and training, aggregation, validation,
+checkpoints and the test all follow that order; with client RNG streams
+derived from (seed, client_id, round), neither the order in which a manifest
+or a caller lists the clients nor the execution order can perturb the
+results.  A run works on one ``nn.Plan``'s flat vectors
 (see ``params``).  Each client keeps one start vector, built once per round
 after aggregation from the global's first ``k`` entries (the policy's
 ``ExclusionPolicy.prefix``) and the rest of its own vector: it validates with
@@ -51,7 +54,6 @@ from .nn import (
 from .params import l2_distance_excluding_norm, save_paramset
 from .strategies import (
     ClientUpdate,
-    DynMemory,
     ServerState,
     StrategyConfig,
     broadcast_fragment,
@@ -145,7 +147,7 @@ class ClientState:
     params: np.ndarray  # its own vector: w_0, then each round's trained vector (read-only)
     eval_params: np.ndarray  # its round-start vector: w_0, then rebuilt after each aggregation
     adam_state: AdamState | None = None
-    dyn: DynMemory | None = None
+    dyn: np.ndarray | None = None  # FedDyn's g_k over the trainable prefix; zero before round 1
 
     @classmethod
     def create(cls, ds: ClientDataset, w_0: np.ndarray, cfg: ExperimentConfig,
@@ -161,8 +163,7 @@ class ClientState:
             train=split(ds.train), val=split(ds.val), test=split(ds.test),
             params=w_0, eval_params=w_0,
             adam_state=AdamState.zeros(plan.n_train) if cfg.local_optimizer == "adam" else None,
-            dyn=(DynMemory(ds.client_id, np.zeros(plan.n_train))
-                 if cfg.strategy.algorithm == "feddyn" else None),
+            dyn=np.zeros(plan.n_train) if cfg.strategy.algorithm == "feddyn" else None,
         )
 
 
@@ -175,13 +176,14 @@ def _batches(batch: Batch, batch_size: int, rng: np.random.Generator):
     """Shuffled consecutive mini-batches with their rows of the targets, all
     gathered once per epoch; a trailing singleton is dropped (batch-norm
     train mode cannot use it)."""
-    order = rng.permutation(batch.size)
+    n = batch.size
+    order = rng.permutation(n)
     inputs, labels, targets = batch.inputs[order], batch.labels[order], batch.targets[order]
-    for start in range(0, batch.size, batch_size):
-        stop = min(start + batch_size, batch.size)
+    for start in range(0, n, batch_size):
+        stop = min(start + batch_size, n)
         if stop - start < 2:
             continue
-        yield Batch(inputs=inputs[start:stop], labels=labels[start:stop], size=stop - start,
+        yield Batch(inputs=inputs[start:stop], labels=labels[start:stop],
                     targets=targets[start:stop])
 
 
@@ -275,8 +277,7 @@ def run_round(
     start = time.perf_counter()
     round_idx = server.round
     w_start = server.global_params
-    ordered = sorted(clients, key=lambda c: c.client_id)
-    updates = [run_local_training(c, cfg, seed, round_idx, plan) for c in ordered]
+    updates = [run_local_training(c, cfg, seed, round_idx, plan) for c in clients]
     distances = {
         u.client_id: l2_distance_excluding_norm(u.params_after, w_start, plan.non_norm_slots)
         for u in updates
@@ -341,6 +342,7 @@ def run_experiment(cfg: ExperimentConfig, seed: int, out_dir=None,
 
     ``datasets`` are the clients' data when the caller has already loaded
     ``cfg.data`` (nothing writes to a ClientDataset, so runs can share them).
+    The run's client list is sorted by id here, the one place that orders it.
     """
     if datasets is None:
         datasets = _load_clients(cfg)
@@ -353,11 +355,12 @@ def run_experiment(cfg: ExperimentConfig, seed: int, out_dir=None,
     w_0 = plan.pack(init_params(cfg.model, seed))
     w_0.flags.writeable = False
     server = init_server_state(w_0, cfg.strategy, plan.n_train)
-    clients = [ClientState.create(ds, w_0, cfg, plan) for ds in datasets]
+    clients = [ClientState.create(ds, w_0, cfg, plan)
+               for ds in sorted(datasets, key=lambda ds: ds.client_id)]
 
     ckpt_dir = Path(out_dir) / "checkpoints" if out_dir is not None else None
     best_round, best_metric = 0, -np.inf
-    best_eval_sets: dict[int, np.ndarray] = {}
+    best_eval_sets: list[np.ndarray] = []
     # the last and the best round's checkpoints, written once when the run ends
     last = best = None
     records: list[RoundRecord] = []
@@ -373,7 +376,7 @@ def run_experiment(cfg: ExperimentConfig, seed: int, out_dir=None,
             if record.mean_val_metric > best_metric:
                 best_metric = record.mean_val_metric
                 best_round = record.round
-                best_eval_sets = {c.client_id: c.eval_params for c in clients}
+                best_eval_sets = [c.eval_params for c in clients]
                 best = last
         if not best_eval_sets:
             raise NoSelectableRound(
@@ -391,11 +394,9 @@ def run_experiment(cfg: ExperimentConfig, seed: int, out_dir=None,
 
     # test once, at the selected round, with each client's own eval parameters
     test_metrics = {}
-    for c in clients:
+    for c, eval_params in zip(clients, best_eval_sets):
         try:
-            test_metrics[c.client_id] = evaluate(
-                plan, best_eval_sets[c.client_id], c.test, cfg.selection_metric
-            )
+            test_metrics[c.client_id] = evaluate(plan, eval_params, c.test, cfg.selection_metric)
         except SingleClass:
             test_metrics[c.client_id] = float("nan")
     result = ExperimentResult(
@@ -417,11 +418,11 @@ def _write_round_log(path: Path, records: list[RoundRecord]) -> None:
         writer = csv.writer(fh)
         writer.writerow(["round", "client_id", "split", "metric", "value"])
         for r in records:
-            for cid, v in sorted(r.train_losses.items()):
+            for cid, v in r.train_losses.items():
                 writer.writerow([r.round, cid, "train", "loss", repr(v)])
-            for cid, v in sorted(r.val_metrics.items()):
+            for cid, v in r.val_metrics.items():
                 writer.writerow([r.round, cid, "val", "selection_metric", repr(v)])
-            for cid, v in sorted(r.distances.items()):
+            for cid, v in r.distances.items():
                 writer.writerow([r.round, cid, "diag", "sq_distance", repr(v)])
 
 

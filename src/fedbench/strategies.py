@@ -135,12 +135,6 @@ class ClientUpdate:
     diverged: bool = False
 
 
-@dataclass
-class DynMemory:
-    client_id: int
-    prev_grad: np.ndarray  # FedDyn's g_k over the trainable prefix; zero before round 1
-
-
 def init_server_state(w_0: np.ndarray, cfg: StrategyConfig, n_train: int) -> ServerState:
     """The global ``w_0`` (a read-only copy); over the trainable prefix
     ``w_0[:n_train]``, m = 0 and v = gamma^2 for the FedOpt family and h = 0
@@ -161,15 +155,16 @@ def local_loss_grad(
     w_global: np.ndarray,
     norm_start: int,
     cfg: StrategyConfig,
-    dyn: DynMemory | None = None,
+    dyn: np.ndarray | None = None,
 ) -> np.ndarray:
     """Apply the strategy's local-objective modification to a base gradient, in
     place.  ``base_grad`` covers the trainable prefix of the vectors ``w_local``
     and ``w_global`` (one plan's layout, checked once per client round), whose
-    non-norm entries end at ``norm_start``."""
+    non-norm entries end at ``norm_start``; ``dyn`` is FedDyn's client memory
+    ``g_k`` over the same prefix."""
     algorithm = cfg.algorithm
     if algorithm == "feddyn" and dyn is None:
-        raise MissingDynMemory("feddyn requires DynMemory")
+        raise MissingDynMemory("feddyn requires its client memory")
 
     if algorithm in ("fedavg", "fedbn") or algorithm in FEDOPT_FAMILY:
         return base_grad
@@ -182,27 +177,27 @@ def local_loss_grad(
     # feddyn: the gradient of F_k(w) - <g_k, w> + alpha/2 |w - w_global|^2
     k = base_grad.shape[0]
     base_grad += cfg.alpha * (w_local[:k] - w_global[:k])
-    base_grad -= dyn.prev_grad
+    base_grad -= dyn
     return base_grad
 
 
-def update_dyn_memory(dyn: DynMemory, w_local: np.ndarray, w_ref: np.ndarray,
-                      alpha: float) -> DynMemory:
+def update_dyn_memory(g: np.ndarray, w_local: np.ndarray, w_ref: np.ndarray,
+                      alpha: float) -> np.ndarray:
     """FedDyn's client memory after a round (Acar et al., ICLR 2021, Algorithm 1):
-    ``g_k <- g_k - alpha * (w_local - w_ref)`` over the trainable prefix, where
-    ``w_ref`` is the vector the round started from."""
-    k = dyn.prev_grad.shape[0]
-    return DynMemory(dyn.client_id, dyn.prev_grad - alpha * (w_local[:k] - w_ref[:k]))
+    a new ``g_k = g_k - alpha * (w_local - w_ref)`` over the trainable prefix,
+    where ``w_ref`` is the vector the round started from."""
+    k = g.shape[0]
+    return g - alpha * (w_local[:k] - w_ref[:k])
 
 
 def server_aggregate(server: ServerState, updates: list[ClientUpdate],
                      cfg: StrategyConfig) -> ServerState:
-    """One aggregation step; returns a fresh ServerState with round+1."""
+    """One aggregation step; returns a fresh ServerState with round+1.  The
+    updates are summed in the order given (the run's clients, sorted by id)."""
     algorithm = cfg.algorithm
     alive = [u for u in updates if not u.diverged]
     if not alive:
         raise AllClientsDiverged("no non-diverged client updates this round")
-    alive = sorted(alive, key=lambda u: u.client_id)
     weights = make_weights([u.n_k for u in alive])
     vectors = [u.params_after for u in alive]
     w_t = server.global_params

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from fedbench.errors import AllClientsDiverged, KeyMismatch, SingleClass, WeightSumViolation
-from fedbench.metrics import _midranks
 from fedbench.params import NORM, WEIGHT_SUM_TOL, ParamSet, make_weights
 from fedbench.strategies import FEDOPT_FAMILY, NORM_EXCLUDING, ExclusionPolicy
 
@@ -190,6 +189,20 @@ def eval_params(client_params: ParamSet, server: ServerState, policy: ExclusionP
     merged = shallow_copy(client_params)
     overwrite(merged, broadcast_fragment(server, policy))
     return merged
+
+
+def _midranks(values: np.ndarray) -> np.ndarray:
+    """Fractional ranks (1-based) from one stable argsort; ties share the mean
+    of their ranks."""
+    order = np.argsort(values, kind="stable")
+    sorted_vals = values[order]
+    run_start = np.ones(len(values), dtype=bool)
+    run_start[1:] = sorted_vals[1:] != sorted_vals[:-1]
+    starts = np.flatnonzero(run_start)
+    ends = np.append(starts[1:], len(values)) - 1
+    ranks = np.empty(len(values))
+    ranks[order] = np.repeat(0.5 * (starts + ends) + 1.0, ends - starts + 1)
+    return ranks
 
 
 def auroc(scores, labels) -> float:

@@ -51,7 +51,6 @@ from fedbench.params import (
     weighted_average,
 )
 from fedbench.strategies import (
-    DynMemory,
     StrategyConfig,
     init_server_state,
     local_loss_grad,
@@ -156,8 +155,8 @@ def test_criterion_2_gradient_suite():
             dyn = None
             if algorithm == "feddyn":
                 rng = np.random.default_rng(seed)
-                dyn = DynMemory(client_id=0, prev_grad=rng.standard_normal(plan.n_train))
-                prev_grad = plan.entries(dyn.prev_grad)
+                dyn = rng.standard_normal(plan.n_train)
+                prev_grad = plan.entries(dyn)
 
             w = plan.pack(params)
             _, _, cache = model_forward(plan, w, batch, mode="train")

@@ -34,7 +34,7 @@ from fedbench.nn import (
     model_forward,
 )
 from fedbench.orchestrator import ClientState, ExperimentConfig, client_rng, run_local_training
-from fedbench.strategies import ALGORITHMS, DynMemory, StrategyConfig
+from fedbench.strategies import ALGORITHMS, StrategyConfig
 
 
 def data_spec(num_clients, sizes):
@@ -104,7 +104,7 @@ def test_train_forward_backward_match_oracle(head, kinds, hidden, groups):
 
         # the same rows with precomputed targets, as the training loop feeds them
         targets = labels_to_targets(spec, labels)
-        fed = Batch(inputs=batch.inputs, labels=batch.labels, size=n, targets=targets)
+        fed = Batch(inputs=batch.inputs, labels=batch.labels, targets=targets)
         probs_t, loss_t, _ = model_forward(plan, w, fed, mode="train")
         assert np.array_equal(probs_t, o_probs) and loss_t == o_loss
 
@@ -213,9 +213,8 @@ def test_local_training_matches_oracle_loop(algorithm, optimizer, model):
     w0 = perturbed_params(cfg.model, seed)
     dyn = o_prev = None
     if algorithm == "feddyn":  # a memory from an earlier round
-        dyn = DynMemory(client_id=0,
-                        prev_grad=np.random.default_rng(8).standard_normal(plan.n_train))
-        o_prev = plan.entries(dyn.prev_grad)
+        dyn = np.random.default_rng(8).standard_normal(plan.n_train)
+        o_prev = plan.entries(dyn)
 
     params = w0.copy()
     o_state = oracle.AdamState.zeros(params)
@@ -247,7 +246,7 @@ def test_local_training_matches_oracle_loop(algorithm, optimizer, model):
         assert np.array_equal(trained[name], params.entries[name]), name
     assert np.array_equal(w_start, before)  # training never wrote into a vector it was handed
     if algorithm == "feddyn":
-        memory = plan.entries(client.dyn.prev_grad)
+        memory = plan.entries(client.dyn)
         for name, want in oracle.update_dyn_memory(o_prev, params, w0, strategy.alpha).items():
             assert np.array_equal(memory[name], want), name
 

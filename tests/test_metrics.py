@@ -8,7 +8,7 @@ import pytest
 from fedbench.errors import EmptySample, NonFiniteScore, ShapeMismatch, SingleClass
 from fedbench.metrics import (
     INSIGNIFICANT,
-    _midranks,
+    _doubled_midranks,
     _rank_sum_counts,
     auprc,
     auroc,
@@ -241,7 +241,9 @@ def test_midranks_match_oracle():
         q = int(rng.integers(1, 6))
         cases.append(np.round(rng.random(n) * q) / q)
     for values in cases:
-        assert np.array_equal(_midranks(values), np.array(midranks_oracle(list(values))))
+        doubled, ties = _doubled_midranks(np.sort(values), values)
+        assert np.array_equal(doubled, 2 * np.array(midranks_oracle(list(values))))
+        assert np.array_equal(ties, [np.count_nonzero(values == v) for v in values])
 
 
 def test_mwu_exact_large_samples_with_ties():
@@ -249,7 +251,8 @@ def test_mwu_exact_large_samples_with_ties():
     rng = np.random.default_rng(8)
     a = np.round(rng.random(40), 1)
     b = np.round(rng.random(40) + 0.1, 1)
-    doubled = (2 * _midranks(np.concatenate([a, b]))).astype(np.int64)
+    pooled = np.concatenate([a, b])
+    doubled, _ = _doubled_midranks(np.sort(pooled), pooled)
     assert _rank_sum_counts(doubled, 40).sum() == math.comb(80, 40)
     exact = mann_whitney_u(a, b, method="exact")
     normal = mann_whitney_u(a, b, method="normal")

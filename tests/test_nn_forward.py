@@ -37,7 +37,7 @@ def norm_forward(kind, x, gain, bias, running_stats, mode, epsilon, groups=1,
     if running_stats is not None:
         params.entries["layer0.running_mean"], params.entries["layer0.running_var"] = running_stats
     w = plan.pack(params)
-    cache = ForwardCache(params=w, train=mode == "train", batch_size=x.shape[0])
+    cache = ForwardCache(params=w, train=mode == "train")
     y = plan.forward[0](plan.views(w), x, cache)
     apply_running_stats(w, cache)
     entries = plan.entries(w)
@@ -207,3 +207,10 @@ def test_bce_head_on_multi_hot_labels():
     probs, loss, _ = forward(spec, params, batch, mode="eval")
     assert np.allclose(probs, 0.5)
     assert loss == pytest.approx(math.log(2.0), rel=1e-9)
+
+
+def test_batch_rows_are_the_rows_of_its_inputs():
+    x, y = np.zeros((4, 2)), np.zeros(4, dtype=int)
+    assert Batch(inputs=x, labels=y).size == Batch.from_arrays(x, y).size == 4
+    with pytest.raises(TypeError):
+        Batch(inputs=x, labels=y, size=2)  # a row count of its own could disagree

@@ -1,3 +1,4 @@
+import json
 from dataclasses import replace
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 
 from fedbench import orchestrator
 from fedbench.benchmarks import benchmark_config
-from fedbench.data_synth import PartitionSpec, generate
+from fedbench.data_synth import PartitionSpec, generate, write_partition
 from fedbench.errors import AllClientsDiverged, ConfigError, KeyMismatch, NoSelectableRound
 from fedbench.nn import (
     Batch,
@@ -463,3 +464,32 @@ def test_later_rounds_leave_published_arrays_unchanged(monkeypatch, tmp_path):
     assert len(held) > 4 * 3 * 2
     for array, bits in held:
         assert np.array_equal(array, bits)
+
+
+@pytest.mark.parametrize("algorithm", ["fedavg", "fedbn", "feddyn"])
+def test_manifest_client_order_changes_no_output(tmp_path, algorithm):
+    """A run sorts its clients by id once, so a manifest that lists them in
+    reverse writes the same rounds, distances, result and checkpoints."""
+    manifest = write_partition(benchmark_config("fedavg").data, tmp_path / "part")
+    raw = json.loads(manifest.read_text())
+    raw["clients"].reverse()
+    reversed_manifest = manifest.with_name("reversed.json")
+    reversed_manifest.write_text(json.dumps(raw))
+    ordered, rev = tmp_path / "ordered", tmp_path / "reversed"
+    for path, out in ((manifest, ordered), (reversed_manifest, rev)):
+        cfg = replace(benchmark_config(algorithm, rounds=20, seeds=(0,)), data=str(path))
+        run_experiment(cfg, 0, out_dir=out)
+
+    for name in ("rounds.csv", "distances.csv"):
+        assert (rev / name).read_bytes() == (ordered / name).read_bytes(), name
+    results = [json.loads((out / "result.json").read_text()) for out in (ordered, rev)]
+    for result in results:
+        del result["elapsed_seconds"]
+    assert json.dumps(results[1]) == json.dumps(results[0])  # the key order too
+    files = sorted(p.relative_to(ordered) for p in ordered.rglob("*.npz"))
+    assert files and files == sorted(p.relative_to(rev) for p in rev.rglob("*.npz"))
+    for name in files:
+        with np.load(ordered / name) as want, np.load(rev / name) as got:
+            assert want.files == got.files
+            for key in want.files:
+                assert np.array_equal(got[key], want[key]), (name, key)

@@ -10,7 +10,6 @@ from fedbench.errors import (
 from fedbench.nn import Plan, init_params
 from fedbench.strategies import (
     ClientUpdate,
-    DynMemory,
     ExclusionPolicy,
     ServerState,
     StrategyConfig,
@@ -113,9 +112,8 @@ def test_feddyn_gradient_matches_finite_difference_of_modified_objective():
         )
 
     w = rng.standard_normal(4)
-    dyn = DynMemory(client_id=0, prev_grad=prev_grad.copy())
     out = local_loss_grad(w - c, w.copy(), w_global.copy(), 4,
-                          StrategyConfig("feddyn", alpha=alpha), dyn)
+                          StrategyConfig("feddyn", alpha=alpha), prev_grad.copy())
 
     h = 1e-5
     for i in range(4):
@@ -129,14 +127,14 @@ def test_feddyn_gradient_matches_finite_difference_of_modified_objective():
 def test_update_dyn_memory_first_call_and_zero_grad():
     """g <- g - alpha * (theta_k - theta_ref) over the trainable prefix
     (Acar et al., ICLR 2021, Algorithm 1)."""
-    dyn = DynMemory(client_id=0, prev_grad=np.zeros(1))  # entry 1 is a running statistic
+    dyn = np.zeros(1)  # entry 1 is a running statistic
     new = update_dyn_memory(dyn, np.array([2.0, 9.0]), np.array([1.5, 0.0]), 0.3)
-    assert new.prev_grad.tolist() == [-0.3 * 0.5]
-    assert dyn.prev_grad[0] == 0.0  # the memory is replaced, not written
+    assert new.tolist() == [-0.3 * 0.5]
+    assert dyn[0] == 0.0  # the memory is replaced, not written
 
     # a round that ends where it started leaves the memory as it was
     same = update_dyn_memory(new, np.array([1.0, 4.0]), np.array([1.0, 7.0]), 0.3)
-    assert same.prev_grad.tolist() == new.prev_grad.tolist()
+    assert same.tolist() == new.tolist()
 
     # the next round's gradient subtracts it
     base = np.array([0.2])
