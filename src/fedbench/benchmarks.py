@@ -8,27 +8,30 @@ from .orchestrator import ExperimentConfig
 from .strategies import StrategyConfig
 
 
+def default_sizes(num_clients: int) -> list[int]:
+    """``DEFAULT_SIZES_K5`` tiled to ``num_clients`` clients (its first ones for K <= 5)."""
+    return [DEFAULT_SIZES_K5[k % len(DEFAULT_SIZES_K5)] for k in range(num_clients)]
+
+
 def feature_shift_spec(seed: int = 0, num_clients: int = 5) -> PartitionSpec:
-    sizes = DEFAULT_SIZES_K5[:num_clients]
     return PartitionSpec(
         kind="feature_shift",
         num_clients=num_clients,
         num_classes=3,
         input_dim=8,
-        sizes=sizes,
+        sizes=default_sizes(num_clients),
         shift_scale=2.0,
         seed=seed,
     )
 
 
 def label_skew_spec(seed: int = 0, num_clients: int = 5) -> PartitionSpec:
-    sizes = DEFAULT_SIZES_K5[:num_clients]
     return PartitionSpec(
         kind="label_skew",
         num_clients=num_clients,
         num_classes=3,
         input_dim=8,
-        sizes=sizes,
+        sizes=default_sizes(num_clients),
         skew_concentration=0.3,
         class_separation=1.0,
         seed=seed,

@@ -207,11 +207,10 @@ def _parse_grid(grid: str) -> list[tuple[int, int]]:
 def cmd_sweep(args) -> int:
     cfg, echo = parse_and_validate_config(args.config, args.override)
     splits = _parse_grid(args.grid)
-    budget = cfg.total_budget
     out_dir = Path(args.out or cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     _atomic_write(out_dir / "config_echo.yaml", yaml.safe_dump(echo, sort_keys=False))
-    rows = sweep_local_epochs(cfg, budget, splits, out_dir=out_dir)
+    rows = sweep_local_epochs(cfg, splits, out_dir=out_dir)
     lines = ["local_epochs,rounds,seed,selected_round,mean_val_metric,mean_test_metric"]
     for r in rows:
         lines.append(

@@ -254,12 +254,15 @@ def write_partition(spec: PartitionSpec, out_dir) -> Path:
 def load_partition(manifest_path) -> list[ClientDataset]:
     """The clients a manifest lists; SchemaMismatch naming the manifest if it
     is unreadable, lacks a positive integer ``spec.num_classes`` or
-    ``clients``, lists no client, or names a client file that does not exist."""
+    ``clients``, lists no client, lists a client_id that is not a
+    non-negative integer or twice, names a client file that does not exist,
+    or gives a client an ``n_k`` or ``class_histogram`` its CSV does not
+    have (both are optional)."""
     manifest_path = Path(manifest_path)
     try:
         manifest = json.loads(manifest_path.read_text())
         num_classes = manifest["spec"]["num_classes"]
-        clients = [(manifest_path.parent / entry["path"], entry["client_id"])
+        clients = [(manifest_path.parent / entry["path"], entry["client_id"], entry)
                    for entry in manifest["clients"]]
     except OSError as exc:
         raise SchemaMismatch(f"{manifest_path}: cannot read manifest: {exc.strerror}")
@@ -272,8 +275,22 @@ def load_partition(manifest_path) -> list[ClientDataset]:
         raise SchemaMismatch(f"{manifest_path}: spec.num_classes must be a positive integer")
     if not clients:
         raise SchemaMismatch(f"{manifest_path}: lists no clients")
-    for path, _ in clients:
+    ids = []
+    for path, client_id, _ in clients:
+        if not isinstance(client_id, int) or isinstance(client_id, bool) or client_id < 0:
+            raise SchemaMismatch(f"{manifest_path}: client_id {client_id!r} is not a "
+                                 "non-negative integer")
+        if client_id in ids:
+            raise SchemaMismatch(f"{manifest_path}: client_id {client_id} is listed twice")
+        ids.append(client_id)
         if not path.is_file():
             raise SchemaMismatch(f"{manifest_path}: client file {path} not found")
-    return [load_client_csv(path, num_classes=num_classes, client_id=client_id)
-            for path, client_id in clients]
+    datasets = []
+    for path, client_id, entry in clients:
+        ds = load_client_csv(path, num_classes=num_classes, client_id=client_id)
+        for key, found in (("n_k", ds.n_k), ("class_histogram", ds.class_histogram)):
+            if key in entry and entry[key] != found:
+                raise SchemaMismatch(f"{manifest_path}: client {client_id} lists {key} "
+                                     f"{entry[key]!r}, but {path.name} holds {found!r}")
+        datasets.append(ds)
+    return datasets

@@ -351,6 +351,10 @@ def run_experiment(cfg: ExperimentConfig, seed: int, out_dir=None,
     if data_classes != {cfg.model.num_classes}:
         raise ConfigError("model.num_classes", f"the model has {cfg.model.num_classes} "
                           f"classes, the data {sorted(data_classes)}")
+    data_dims = {ds.train.inputs.shape[1] for ds in datasets}
+    if data_dims != {cfg.model.input_dim}:
+        raise ConfigError("model.input_dim", f"the model takes {cfg.model.input_dim} "
+                          f"inputs, the data has {sorted(data_dims)}")
     plan = Plan(cfg.model)
     w_0 = plan.pack(init_params(cfg.model, seed))
     w_0.flags.writeable = False
@@ -445,9 +449,10 @@ def _write_result(out_dir: Path, cfg: ExperimentConfig, result: ExperimentResult
 
 
 def sweep_local_epochs(
-    cfg: ExperimentConfig, budget: int, splits: list[tuple[int, int]], out_dir=None
+    cfg: ExperimentConfig, splits: list[tuple[int, int]], out_dir=None
 ) -> list[dict]:
-    """One experiment per (E, T) split per seed under a fixed E*T budget."""
+    """One experiment per (E, T) split per seed under ``cfg``'s E*T budget."""
+    budget = cfg.total_budget
     for e, t in splits:
         if e * t != budget:
             raise ConfigError("sweep.splits", f"split ({e},{t}) violates budget {budget}")

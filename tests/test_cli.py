@@ -13,6 +13,7 @@ from fedbench.cli import (
     main,
     parse_and_validate_config,
 )
+from fedbench.data_synth import PartitionSpec, write_partition
 from fedbench.errors import ConfigError
 
 
@@ -228,6 +229,12 @@ def test_data_with_more_classes_than_the_model_is_config_error(tmp_path, capsys)
     assert config_error_field(tmp_path, capsys, cfg) == "model.num_classes"
 
 
+def test_data_with_other_input_dim_than_the_model_is_config_error(tmp_path, capsys):
+    cfg = base_config()
+    cfg["model"]["input_dim"] = 4
+    assert config_error_field(tmp_path, capsys, cfg) == "model.input_dim"
+
+
 def run_on_manifest(tmp_path, capsys, manifest):
     """``fedbench run`` on a manifest; assert exit 3 with a JSON record, return its message."""
     cfg = base_config()
@@ -263,6 +270,40 @@ def test_bad_manifest_is_data_error_naming_it(tmp_path, capsys, content):
     if content is not None:
         manifest.write_text(content)
     assert run_on_manifest(tmp_path, capsys, manifest).startswith(f"{manifest}: ")
+
+
+def edited_manifest(tmp_path, edit):
+    """The manifest of ``base_config``'s partition (clients of 60, 50 and 40
+    rows), with ``edit`` applied to its client list."""
+    manifest = write_partition(PartitionSpec(**base_config()["data"]), tmp_path / "part")
+    raw = json.loads(manifest.read_text())
+    edit(raw["clients"])
+    manifest.write_text(json.dumps(raw))
+    return manifest
+
+
+def test_manifest_with_a_duplicate_client_id_is_data_error(tmp_path, capsys):
+    manifest = edited_manifest(tmp_path, lambda clients: clients[1].update(client_id=0))
+    message = run_on_manifest(tmp_path, capsys, manifest)
+    assert message == f"{manifest}: client_id 0 is listed twice"
+
+
+@pytest.mark.parametrize("client_id", [-1, "2", 1.0, True])
+def test_manifest_client_id_must_be_a_non_negative_integer(tmp_path, capsys, client_id):
+    manifest = edited_manifest(tmp_path, lambda clients: clients[2].update(client_id=client_id))
+    message = run_on_manifest(tmp_path, capsys, manifest)
+    assert message == f"{manifest}: client_id {client_id!r} is not a non-negative integer"
+
+
+@pytest.mark.parametrize("key,value,found", [
+    ("n_k", 999, 40),
+    ("class_histogram", [1, 2], [36, 1, 3]),
+])
+def test_manifest_counts_must_match_the_client_csv(tmp_path, capsys, key, value, found):
+    manifest = edited_manifest(tmp_path, lambda clients: clients[2].update({key: value}))
+    message = run_on_manifest(tmp_path, capsys, manifest)
+    assert message == (f"{manifest}: client 2 lists {key} {value!r}, "
+                       f"but client_2.csv holds {found!r}")
 
 
 def test_client_csv_without_a_validation_example_is_data_error(tmp_path, capsys):

@@ -15,6 +15,7 @@ from fedbench.data_synth import (
     split_sizes,
     write_partition,
 )
+from fedbench.benchmarks import feature_shift_spec, label_skew_spec
 from fedbench.errors import ConfigError, InfeasibleSizes, MalformedRow, SchemaMismatch
 from fedbench.nn import Plan, apply_running_stats, model_forward
 
@@ -274,3 +275,11 @@ def test_spec_field_types(field, value):
     with pytest.raises(ConfigError) as err:
         spec(**{field: value})
     assert err.value.field == f"data.{field}"
+
+
+@pytest.mark.parametrize("make", [feature_shift_spec, label_skew_spec])
+def test_benchmark_specs_tile_the_default_sizes(make):
+    assert make(num_clients=3).sizes == DEFAULT_SIZES_K5[:3]
+    spec = make(num_clients=10)
+    assert spec.sizes == DEFAULT_SIZES_K5 * 2
+    assert [ds.n_k for ds in generate(spec)] == spec.sizes

@@ -325,14 +325,15 @@ def test_output_files_written(tmp_path):
 
 
 def test_sweep_budget_enforced():
-    cfg = experiment(rounds=2)
-    with pytest.raises(ConfigError):
-        sweep_local_epochs(cfg, budget=60, splits=[(7, 9)])
+    cfg = experiment(local_epochs=6, rounds=10)  # budget 60
+    with pytest.raises(ConfigError) as exc:
+        sweep_local_epochs(cfg, splits=[(7, 9)])
+    assert exc.value.field == "sweep.splits"
 
 
 def test_sweep_runs_each_split():
-    cfg = experiment(rounds=2)
-    rows = sweep_local_epochs(cfg, budget=4, splits=[(1, 4), (2, 2), (4, 1)])
+    cfg = experiment(rounds=4)  # budget 4
+    rows = sweep_local_epochs(cfg, splits=[(1, 4), (2, 2), (4, 1)])
     assert [(r["local_epochs"], r["rounds"]) for r in rows] == [(1, 4), (2, 2), (4, 1)]
     for row in rows:
         assert row["local_epochs"] * row["rounds"] == 4
