@@ -256,8 +256,8 @@ def load_partition(manifest_path) -> list[ClientDataset]:
     is unreadable, lacks a positive integer ``spec.num_classes`` or
     ``clients``, lists no client, lists a client_id that is not a
     non-negative integer or twice, names a client file that does not exist,
-    or gives a client an ``n_k`` or ``class_histogram`` its CSV does not
-    have (both are optional)."""
+    gives a client an ``n_k`` or ``class_histogram`` its CSV does not have
+    (both are optional), or holds CSVs with different feature counts."""
     manifest_path = Path(manifest_path)
     try:
         manifest = json.loads(manifest_path.read_text())
@@ -292,5 +292,10 @@ def load_partition(manifest_path) -> list[ClientDataset]:
             if key in entry and entry[key] != found:
                 raise SchemaMismatch(f"{manifest_path}: client {client_id} lists {key} "
                                      f"{entry[key]!r}, but {path.name} holds {found!r}")
+        width = ds.train.inputs.shape[1]
+        if datasets and width != datasets[0].train.inputs.shape[1]:
+            raise SchemaMismatch(f"{manifest_path}: client {client_id} has {width} features, "
+                                 f"client {datasets[0].client_id} has "
+                                 f"{datasets[0].train.inputs.shape[1]}")
         datasets.append(ds)
     return datasets

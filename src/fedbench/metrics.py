@@ -6,7 +6,9 @@ task is one column, and multiclass (class ids) and multi-label (multi-hot)
 tasks report the macro mean over the columns with both outcomes present.
 The Mann-Whitney U test is exact (the rank-sum distribution is counted by the
 Mann & Whitney (1947) recurrence) for n+m <= 20 and falls back to the
-tie-corrected normal approximation beyond.  AUROC and U rank by one
+tie-corrected normal approximation beyond.  The counts are int64 when none can
+reach 2**63 and Python integers otherwise; either way p is the correctly
+rounded quotient of two exact integers.  AUROC and U rank by one
 primitive, ``_doubled_midranks``: twice each midrank, an exact integer, from
 two binary searches in the sorted sample.
 """
@@ -127,11 +129,15 @@ def _rank_sum_counts(doubled: np.ndarray, n: int) -> np.ndarray:
     """Number of n-subsets of the pooled sample per doubled rank sum.
 
     Mann & Whitney (1947) recurrence: fold in one doubled midrank ``d`` at a
-    time, ``counts[k, s] += counts[k - 1, s - d]``.  Counts are exact Python
-    integers: in int64 they overflow by n = m = 40.
+    time, ``counts[k, s] += counts[k - 1, s - d]``.  Row k counts k-subsets of
+    the N pooled values, so no entry of rows 0..n exceeds C(N, min(n, N // 2)):
+    the table is int64 when that bound is below 2**63 (every n + m <= 66) and
+    exact Python integers beyond.
     """
+    pooled = len(doubled)
+    largest = math.comb(pooled, min(n, pooled // 2))
     width = int(doubled.sum()) + 1
-    counts = np.zeros((n + 1, width), dtype=object)
+    counts = np.zeros((n + 1, width), dtype=np.int64 if largest < 2**63 else object)
     counts[0, 0] = 1
     for d in doubled.tolist():
         counts[1:, d:] += counts[:-1, :width - d].copy()
@@ -165,8 +171,9 @@ def mann_whitney_u(a, b, alternative: str = "two-sided", method: str = "auto") -
         observed = int(doubled[:n].sum())
         counts = _rank_sum_counts(doubled, n)
         total = math.comb(n + m, n)
-        p_low = counts[:observed + 1].sum() / total
-        p_high = counts[observed:].sum() / total
+        # Python-int division: correctly rounded, and p stays a float
+        p_low = int(counts[:observed + 1].sum()) / total
+        p_high = int(counts[observed:].sum()) / total
         if alternative == "two-sided":
             p = min(1.0, 2.0 * min(p_low, p_high))
         else:

@@ -34,6 +34,7 @@ from .errors import (
     KeyMismatch,
     NoSelectableRound,
     NonFiniteLoss,
+    SchemaMismatch,
     SingleClass,
     check_int,
     check_real,
@@ -342,10 +343,15 @@ def run_experiment(cfg: ExperimentConfig, seed: int, out_dir=None,
 
     ``datasets`` are the clients' data when the caller has already loaded
     ``cfg.data`` (nothing writes to a ClientDataset, so runs can share them).
-    The run's client list is sorted by id here, the one place that orders it.
+    The run's client list is sorted by id here, the one place that orders it,
+    and a client_id given twice is a SchemaMismatch.
     """
     if datasets is None:
         datasets = _load_clients(cfg)
+    datasets = sorted(datasets, key=lambda ds: ds.client_id)
+    for prev, ds in zip(datasets, datasets[1:]):
+        if prev.client_id == ds.client_id:
+            raise SchemaMismatch(f"client_id {ds.client_id} is given twice")
     # a client's histogram has one bin per class of its partition
     data_classes = {len(ds.class_histogram) for ds in datasets}
     if data_classes != {cfg.model.num_classes}:
@@ -359,8 +365,7 @@ def run_experiment(cfg: ExperimentConfig, seed: int, out_dir=None,
     w_0 = plan.pack(init_params(cfg.model, seed))
     w_0.flags.writeable = False
     server = init_server_state(w_0, cfg.strategy, plan.n_train)
-    clients = [ClientState.create(ds, w_0, cfg, plan)
-               for ds in sorted(datasets, key=lambda ds: ds.client_id)]
+    clients = [ClientState.create(ds, w_0, cfg, plan) for ds in datasets]
 
     ckpt_dir = Path(out_dir) / "checkpoints" if out_dir is not None else None
     best_round, best_metric = 0, -np.inf

@@ -306,6 +306,18 @@ def test_manifest_counts_must_match_the_client_csv(tmp_path, capsys, key, value,
                        f"but client_2.csv holds {found!r}")
 
 
+def test_client_csvs_with_different_feature_counts_are_data_error(tmp_path, capsys):
+    data = dict(base_config()["data"], num_clients=2, sizes=[60, 50])
+    manifest = write_partition(PartitionSpec(**data), tmp_path / "part")
+    client_1 = manifest.parent / "client_1.csv"
+    with open(client_1, newline="") as fh:
+        rows = [row[:4] + row[5:] for row in csv.reader(fh)]  # drops feature_4
+    with open(client_1, "w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+    message = run_on_manifest(tmp_path, capsys, manifest)
+    assert message == f"{manifest}: client 1 has 4 features, client 0 has 5"
+
+
 def test_client_csv_without_a_validation_example_is_data_error(tmp_path, capsys):
     part = tmp_path / "part"
     part.mkdir()

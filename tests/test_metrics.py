@@ -261,6 +261,61 @@ def test_mwu_exact_large_samples_with_ties():
     assert abs(exact.p_value - normal.p_value) <= 0.01
 
 
+def object_rank_sum_counts(doubled, n):
+    """The rank-sum recurrence over Python ints, row by row from the top (so
+    each value is folded in once), written apart from the module's table."""
+    width = int(doubled.sum()) + 1
+    rows = [np.zeros(width, dtype=object) for _ in range(n + 1)]
+    rows[0][0] = 1
+    for d in doubled.tolist():
+        for k in range(n, 0, -1):
+            rows[k][d:] += rows[k - 1][:width - d]
+    return rows[n]
+
+
+@pytest.mark.parametrize("n,m,levels", [(10, 10, 4), (7, 13, 3), (25, 25, 6)])
+def test_int64_rank_sum_counts_equal_python_int_counts(n, m, levels):
+    rng = np.random.default_rng(n * 100 + m)
+    pooled = rng.integers(0, levels, n + m).astype(float)  # heavy ties
+    doubled, _ = _doubled_midranks(np.sort(pooled), pooled)
+    counts = _rank_sum_counts(doubled, n)
+    assert counts.dtype == np.int64
+    assert counts.tolist() == object_rank_sum_counts(doubled, n).tolist()
+
+
+@pytest.mark.parametrize("n,m,dtype", [
+    (10, 10, np.int64), (33, 33, np.int64), (34, 34, object), (62, 6, object), (6, 62, np.int64),
+])
+def test_rank_sum_counts_dtype_follows_the_largest_count(n, m, dtype):
+    """Rows 0..n hold counts up to C(N, min(n, N // 2)); int64 only below 2**63."""
+    doubled = np.arange(2, 2 * (n + m) + 1, 2)  # untied ranks 1..N, doubled
+    assert _rank_sum_counts(doubled, n).dtype == dtype
+
+
+def test_mwu_exact_unbalanced_equals_its_mirror():
+    """n = 62, m = 6: C(68, 62) fits int64 but the middle rows, up to C(68, 34),
+    do not, so this side counts in Python ints and the mirror in int64."""
+    rng = np.random.default_rng(12)
+    a = np.round(rng.random(62), 1)
+    b = np.round(rng.random(6) + 0.2, 1)
+    ab = mann_whitney_u(a, b, method="exact")
+    ba = mann_whitney_u(b, a, method="exact")
+    assert 0.0 < ab.p_value < 1.0
+    assert ab.p_value == ba.p_value
+    assert ab.u_statistic + ba.u_statistic == 62 * 6
+
+
+@pytest.mark.parametrize("n,m", [(3, 3), (10, 10), (62, 6)])
+@pytest.mark.parametrize("alternative", ["two-sided", "one-sided"])
+def test_mwu_exact_result_types(n, m, alternative):
+    rng = np.random.default_rng(n + m)
+    res = mann_whitney_u(np.round(rng.random(n), 1), np.round(rng.random(m) + 0.3, 1),
+                         alternative=alternative, method="exact")
+    assert type(res.u_statistic) is float
+    assert type(res.p_value) is float
+    assert type(res.significant) is bool
+
+
 def test_mwu_exact_matches_scipy_without_ties():
     stats = pytest.importorskip("scipy.stats")
     rng = np.random.default_rng(9)

@@ -7,7 +7,13 @@ import pytest
 from fedbench import orchestrator
 from fedbench.benchmarks import benchmark_config
 from fedbench.data_synth import PartitionSpec, generate, write_partition
-from fedbench.errors import AllClientsDiverged, ConfigError, KeyMismatch, NoSelectableRound
+from fedbench.errors import (
+    AllClientsDiverged,
+    ConfigError,
+    KeyMismatch,
+    NoSelectableRound,
+    SchemaMismatch,
+)
 from fedbench.nn import (
     Batch,
     Plan,
@@ -402,6 +408,16 @@ def test_run_checks_the_class_count_of_preloaded_datasets():
     with pytest.raises(ConfigError) as err:
         run_experiment(cfg, seed=0, datasets=datasets)
     assert err.value.field == "model.num_classes"
+
+
+def test_run_rejects_preloaded_datasets_with_a_repeated_client_id(tmp_path, monkeypatch):
+    cfg = experiment(rounds=1)
+    datasets = generate(cfg.data)
+    monkeypatch.setattr(orchestrator, "run_round", lambda *args: pytest.fail("a round ran"))
+    with pytest.raises(SchemaMismatch) as err:
+        run_experiment(cfg, seed=0, out_dir=tmp_path / "run", datasets=datasets + datasets[:1])
+    assert str(err.value) == "client_id 0 is given twice"
+    assert not (tmp_path / "run").exists()
 
 
 def test_round_rejects_entries_keyed_unlike_the_model():

@@ -23,7 +23,14 @@ The set:
   ``loss``;
 * ``fedbench partition`` of a K=10 label-skew spec, then ``fedbench sweep
   --grid 5x4,10x2`` with fedpxn and local Adam over seeds 0-2, the shape of
-  the benchmark's ``ls_sweep_cli`` workload.
+  the benchmark's ``ls_sweep_cli`` workload;
+* the rank tests, written to ``rank/``: fixed ``result.json`` trees with
+  tied metrics (four algorithms of 10 seeds and one of 15, so ``--exact``
+  counts n+m = 25), ``fedbench compare`` under the default method,
+  ``--one-sided``, ``--exact`` and ``--approx``, ``fedbench report`` of each
+  tree, and ``rank/p_values.txt``, the ``repr`` of every pair's p from
+  ``metrics.significance_matrix`` under the same four settings
+  (``significance.csv`` rounds p to 6 digits).
 
 CSV, YAML and JSON files are hashed as bytes, except ``result.json``, which
 is hashed without its wall-clock ``elapsed_seconds``.  ``.npz`` checkpoints
@@ -48,7 +55,7 @@ import yaml
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from fedbench import benchmarks, cli, orchestrator  # noqa: E402
+from fedbench import benchmarks, cli, metrics, orchestrator  # noqa: E402
 from fedbench.nn import LayerSpec  # noqa: E402
 from fedbench.strategies import ALGORITHMS  # noqa: E402
 
@@ -72,6 +79,15 @@ PATH_RUNS = {
 }
 SWEEP_GRID = "5x4,10x2"
 SWEEP_SIZES = [400, 350, 282, 238, 226] * 2
+# algorithm -> number of seeds of its result tree
+RANK_SEEDS = {"fedavg": 10, "fedprox": 10, "fedbn": 10, "fedpxn": 10, "feddyn": 15}
+# compare flags -> (method, alternative) of significance_matrix
+RANK_SETTINGS = {
+    "default": ([], "auto", "two-sided"),
+    "one_sided": (["--one-sided"], "auto", "one-sided"),
+    "exact": (["--exact"], "exact", "two-sided"),
+    "approx": (["--approx"], "normal", "two-sided"),
+}
 
 
 def run_grid() -> None:
@@ -136,12 +152,43 @@ def run_sweep() -> None:
         "selection_metric": "auroc",
     }
     Path("sweep.yaml").write_text(yaml.safe_dump(config, sort_keys=False))
-    for argv in (["partition", "--spec", "partition.yaml", "--out", "partition"],
-                 ["sweep", "--config", "sweep.yaml", "--grid", SWEEP_GRID, "--out", "sweep"]):
-        with contextlib.redirect_stdout(io.StringIO()):
-            code = cli.main(argv)
-        if code != 0:
-            raise SystemExit(f"fedbench {' '.join(argv)} exited {code}")
+    run_cli(["partition", "--spec", "partition.yaml", "--out", "partition"])
+    run_cli(["sweep", "--config", "sweep.yaml", "--grid", SWEEP_GRID, "--out", "sweep"])
+
+
+def run_rank() -> None:
+    rng = np.random.default_rng(0)
+    results = {}
+    for alg, seeds in RANK_SEEDS.items():
+        # two decimals around a per-algorithm centre, so values tie within
+        # and across trees
+        values = np.round(rng.uniform(0.65, 0.8) + 0.02 * rng.standard_normal(seeds), 2)
+        for i, value in enumerate(values.tolist()):
+            run_dir = Path("rank") / "results" / alg / f"seed_{i}"
+            run_dir.mkdir(parents=True)
+            (run_dir / "result.json").write_text(json.dumps({
+                "algorithm": alg, "seed": i, "mean_test_metric": value,
+                "elapsed_seconds": 0.5 + i / 8,
+            }, indent=2))
+        results[alg] = values.tolist()
+    dirs = [str(Path("rank") / "results" / alg) for alg in RANK_SEEDS]
+    lines = []
+    for name, (flags, method, alternative) in RANK_SETTINGS.items():
+        run_cli(["compare", "--results", *dirs, *flags,
+                 "--out", str(Path("rank") / f"compare_{name}")])
+        matrix = metrics.significance_matrix(results, alternative=alternative, method=method)
+        for (a, b), (res, _) in matrix.items():
+            lines.append(f"{name} {a} {b} {res.p_value!r}")
+    Path("rank", "p_values.txt").write_text("\n".join(lines) + "\n")
+    for alg, d in zip(RANK_SEEDS, dirs):
+        run_cli(["report", "--results", d, "--out", str(Path("rank") / f"report_{alg}")])
+
+
+def run_cli(argv: list[str]) -> None:
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(argv)
+    if code != 0:
+        raise SystemExit(f"fedbench {' '.join(argv)} exited {code}")
 
 
 def file_digest(path: Path) -> str:
@@ -174,6 +221,7 @@ def main(argv=None) -> int:
     run_kinds()
     run_paths()
     run_sweep()
+    run_rank()
     for path in sorted(p for p in Path(".").rglob("*") if p.is_file()):
         print(f"{file_digest(path)}  {path.as_posix()}")
     return 0
