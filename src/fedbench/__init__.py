@@ -3,7 +3,6 @@
 from .data_synth import ClientDataset, PartitionSpec
 from .nn import Batch, LayerSpec, ModelSpec, init_params
 from .orchestrator import ExperimentConfig, ExperimentResult, RoundRecord, run_experiment
-from .params import ParamSet
 from .strategies import ALGORITHMS, ExclusionPolicy, StrategyConfig
 
 __all__ = [
@@ -15,7 +14,6 @@ __all__ = [
     "ExperimentResult",
     "LayerSpec",
     "ModelSpec",
-    "ParamSet",
     "PartitionSpec",
     "RoundRecord",
     "StrategyConfig",

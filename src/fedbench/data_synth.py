@@ -192,8 +192,8 @@ def save_client_csv(dataset: ClientDataset, path) -> None:
 
 def load_client_csv(path, num_classes: int, client_id: int = 0) -> ClientDataset:
     """Parse a per-client CSV and split it 70/15/15 in file order, so a
-    save/load round-trip reproduces the original splits.  Each label must be
-    a class id in ``[0, num_classes)``."""
+    save/load round-trip reproduces the original splits.  Each feature must be
+    finite and each label a class id in ``[0, num_classes)``."""
     path = Path(path)
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -223,6 +223,10 @@ def load_client_csv(path, num_classes: int, client_id: int = 0) -> ClientDataset
                 raise MalformedRow(lineno, f"label {row[-1]!r} is not integral")
             labels.append(int(label))
     inputs = np.asarray(inputs, dtype=np.float64)
+    finite = np.isfinite(inputs)
+    if not finite.all():
+        row = int(np.flatnonzero(~finite.all(axis=1))[0])
+        raise MalformedRow(row + 2, f"non-finite feature cell in {inputs[row].tolist()!r}")
     labels = np.asarray(labels, dtype=np.int64)
     return _split(inputs, labels, client_id, num_classes)
 

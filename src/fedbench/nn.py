@@ -20,12 +20,12 @@ A ``Plan`` compiles a ModelSpec once into one flat float64 vector layout:
 trainable non-norm entries, then norm gains and biases (up to ``n_train``),
 then each batch-norm layer's running mean and variance as one (2, d) block,
 so what the server shares of it is always a prefix (see ``strategies``).
-Inside a run this vector is the only parameter representation (see
-``params``).  Each layer below the head is a pair of closures over fixed
-views of the vector, for train and eval alike; the backward writes into a
-flat gradient with ``out=``.  ``apply_running_stats`` and the optimizer
-steps update a vector in place, which only a client round's private vector
-may be (see ``params``).
+From ``init_params`` to the checkpoint files this vector is the only
+parameter representation (see ``params``).  Each layer below the head is a
+pair of closures over fixed views of the vector, for train and eval alike;
+the backward writes into a flat gradient with ``out=``.
+``apply_running_stats`` and the optimizer steps update a vector in place,
+which only a client round's private vector may be (see ``params``).
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ from .errors import (
     check_int,
     check_real,
 )
-from .params import NON_NORM, NORM, ParamSet
+from .params import NON_NORM, NORM
 
 BN_MOMENTUM = 0.1  # running-stat EMA step; convention, configurable per layer
 NORM_KINDS = ("batch_norm", "layer_norm", "group_norm")
@@ -149,7 +149,7 @@ class Batch:
 
 
 def _layout(spec: ModelSpec) -> list[tuple[str, tuple, str, bool]]:
-    """(name, shape, tag, trainable) of every entry, in ParamSet order."""
+    """(name, shape, tag, trainable) of every entry, in the checkpoint's layout order."""
     widths = [spec.input_dim] + spec.resolve_widths()
     out = []
     for i, layer in enumerate(spec.layers):
@@ -163,22 +163,6 @@ def _layout(spec: ModelSpec) -> list[tuple[str, tuple, str, bool]]:
                 out += [(f"{prefix}.running_mean", (width,), NORM, False),
                         (f"{prefix}.running_var", (width,), NORM, False)]
     return out
-
-
-def init_params(spec: ModelSpec, seed: int) -> ParamSet:
-    """Fresh parameters: scaled-normal weights, zero biases, unit gains."""
-    rng = np.random.default_rng(seed)
-    layout = _layout(spec)
-    entries: dict[str, np.ndarray] = {}
-    for name, shape, _, _ in layout:
-        if name.endswith(".weight"):
-            entries[name] = rng.normal(0.0, 1.0 / np.sqrt(shape[0]), shape)
-        elif name.endswith((".gain", ".running_var")):
-            entries[name] = np.ones(shape)
-        else:
-            entries[name] = np.zeros(shape)
-    return ParamSet(entries=entries, tags={n: tag for n, _, tag, _ in layout},
-                    trainable={n: train for n, _, _, train in layout})
 
 
 # ---------------------------------------------------------------------------
@@ -230,15 +214,6 @@ class Plan:
             self.backward.append(bwd)
         self.backward.reverse()
 
-    def pack(self, params: ParamSet) -> np.ndarray:
-        """A fresh vector holding the entries of ``params``."""
-        if list(params.entries) != self.names:
-            raise KeyMismatch("entries are not keyed like the model's")
-        arrays = [params.entries[name] for name in self.slots]
-        if [a.shape for a in arrays] != [shape for _, _, shape in self.slots.values()]:
-            raise KeyMismatch("entry shapes differ from the model's")
-        return np.concatenate(arrays, axis=None)
-
     def views(self, vec: np.ndarray) -> list[np.ndarray]:
         """Views of the entries ``vec`` holds (a gradient: the trainable ones), in
         vector order; kept for the last two vectors seen (a round's and its gradient)."""
@@ -251,13 +226,22 @@ class Plan:
         return views
 
     def entries(self, vec: np.ndarray) -> dict[str, np.ndarray]:
-        """The views of ``vec`` by name, in ParamSet order."""
+        """The views of ``vec`` by name, in the checkpoint's layout order."""
         views = self.views(vec)
         return {n: views[self.index[n]] for n in self.names if self.index[n] < len(views)}
 
-    def publish(self, vec: np.ndarray) -> ParamSet:
-        """A ParamSet whose entries are views of ``vec``."""
-        return ParamSet(self.entries(vec), self.tags, self.trainable)
+
+def init_params(plan: Plan, seed: int) -> np.ndarray:
+    """A fresh vector: scaled-normal weights, zero biases, unit gains, the
+    weights drawn entry by entry in the checkpoint's layout order."""
+    rng = np.random.default_rng(seed)
+    vec = np.zeros(plan.size)
+    for name, entry in plan.entries(vec).items():
+        if name.endswith(".weight"):
+            entry[...] = rng.normal(0.0, 1.0 / np.sqrt(entry.shape[0]), entry.shape)
+        elif name.endswith((".gain", ".running_var")):
+            entry[...] = 1.0
+    return vec
 
 
 # Each layer's closures find their entries at fixed positions of Plan.views.

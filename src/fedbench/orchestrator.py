@@ -266,6 +266,15 @@ def evaluate(plan: Plan, params: np.ndarray, batch: Batch, metric: str) -> float
     return metrics_mod.auprc(scores, labels)
 
 
+def _score(plan: Plan, params: np.ndarray, batch: Batch, metric: str) -> float:
+    """``evaluate``, or NaN where a diverged model or a single-class split
+    cannot be ranked; validation and the test both score through it."""
+    try:
+        return evaluate(plan, params, batch, metric)
+    except (NonFiniteLoss, SingleClass):
+        return float("nan")
+
+
 def run_round(
     server: ServerState,
     clients: list[ClientState],
@@ -293,11 +302,7 @@ def run_round(
     val_metrics = {}
     for c in clients:
         c.eval_params = _merge(fragment, c.params)
-        try:
-            val_metrics[c.client_id] = evaluate(plan, c.eval_params, c.val, cfg.selection_metric)
-        except (NonFiniteLoss, SingleClass):
-            # a diverged model or a single-class val split cannot be ranked
-            val_metrics[c.client_id] = float("nan")
+        val_metrics[c.client_id] = _score(plan, c.eval_params, c.val, cfg.selection_metric)
     elapsed = time.perf_counter() - start
     record = RoundRecord(
         round=round_idx + 1,
@@ -334,7 +339,7 @@ def _snapshot(w_start: np.ndarray, server: ServerState,
 def _write_checkpoint(cdir: Path, snapshot: dict[str, np.ndarray], plan: Plan) -> None:
     cdir.mkdir(parents=True, exist_ok=True)
     for name, vec in snapshot.items():
-        save_paramset(plan.publish(vec), cdir / name)
+        save_paramset(vec, cdir / name, plan)
 
 
 def run_experiment(cfg: ExperimentConfig, seed: int, out_dir=None,
@@ -362,7 +367,7 @@ def run_experiment(cfg: ExperimentConfig, seed: int, out_dir=None,
         raise ConfigError("model.input_dim", f"the model takes {cfg.model.input_dim} "
                           f"inputs, the data has {sorted(data_dims)}")
     plan = Plan(cfg.model)
-    w_0 = plan.pack(init_params(cfg.model, seed))
+    w_0 = init_params(plan, seed)
     w_0.flags.writeable = False
     server = init_server_state(w_0, cfg.strategy, plan.n_train)
     clients = [ClientState.create(ds, w_0, cfg, plan) for ds in datasets]
@@ -402,12 +407,8 @@ def run_experiment(cfg: ExperimentConfig, seed: int, out_dir=None,
             _write_checkpoint(ckpt_dir / "best", best[1], plan)
 
     # test once, at the selected round, with each client's own eval parameters
-    test_metrics = {}
-    for c, eval_params in zip(clients, best_eval_sets):
-        try:
-            test_metrics[c.client_id] = evaluate(plan, eval_params, c.test, cfg.selection_metric)
-        except SingleClass:
-            test_metrics[c.client_id] = float("nan")
+    test_metrics = {c.client_id: _score(plan, eval_params, c.test, cfg.selection_metric)
+                    for c, eval_params in zip(clients, best_eval_sets)}
     result = ExperimentResult(
         selected_round=best_round,
         test_metrics=test_metrics,

@@ -4,12 +4,12 @@ Inside a run, parameters are flat float64 vectors in one ``nn.Plan``'s layout:
 trainable non-norm entries, then norm gains and biases (up to ``n_train``),
 then batch-norm running statistics.  The server's global, its optimizer
 state, every client's vector and every round-start vector are such vectors,
-and the aggregation and drift primitives below work on them.  A ParamSet, an
-ordered map of named arrays with a tag (``norm`` or ``non_norm``) and a
-trainable flag per entry, exists only at the edges of a run: ``init_params``
-returns one, which ``Plan.pack`` copies into a vector once, and each
-checkpoint is a ParamSet of views (``Plan.publish``) built only when
-``save_paramset`` writes it.
+and the aggregation and drift primitives below work on them, from ``w_0``
+(``init_params``) to the checkpoint files (``save_paramset``), which hold a
+vector's entries one array each in the checkpoint's layout order with the
+plan's names, tags (``norm`` or ``non_norm``) and trainable flags.  A
+ParamSet, an ordered map of named arrays with a tag and a trainable flag per
+entry, is what ``load_paramset`` reads a checkpoint back as.
 
 A published vector is read-only and never written again, so vectors are
 shared freely: the broadcast is a view of the global, a round-start vector
@@ -38,7 +38,7 @@ WEIGHT_SUM_TOL = 1e-12
 
 @dataclass
 class ParamSet:
-    """Named, tagged parameter tensors (all float64)."""
+    """Named, tagged parameter tensors (all float64), as read from a checkpoint."""
 
     entries: dict[str, np.ndarray]
     tags: dict[str, str]
@@ -49,9 +49,6 @@ class ParamSet:
             if name not in self.tags or name not in self.trainable:
                 raise KeyMismatch(f"entry {name!r} missing tag or trainable flag")
 
-    def names(self) -> list[str]:
-        return list(self.entries)
-
     # a run never calls this; it stays for perfbench's ``params.copy`` span and the test oracles
     def copy(self) -> "ParamSet":
         return ParamSet(
@@ -59,9 +56,6 @@ class ParamSet:
             tags=dict(self.tags),
             trainable=dict(self.trainable),
         )
-
-    def trainable_names(self) -> list[str]:
-        return [n for n in self.entries if self.trainable[n]]
 
 
 def make_weights(sizes: list[int]) -> list[float]:
@@ -107,15 +101,17 @@ def l2_distance_excluding_norm(a: np.ndarray, b: np.ndarray,
 # ---------------------------------------------------------------------------
 # serialization (checkpoint format)
 
-def save_paramset(params: ParamSet, path) -> None:
-    """Write a ParamSet; float64 payloads round-trip bitwise."""
+def save_paramset(vec: np.ndarray, path, plan) -> None:
+    """Write the entries of ``vec``, laid out by the ``nn.Plan`` ``plan``, with
+    the plan's names, tags and trainable flags; float64 payloads round-trip
+    bitwise through ``load_paramset``."""
     meta = {
         "format_version": _FORMAT_VERSION,
-        "names": params.names(),
-        "tags": params.tags,
-        "trainable": params.trainable,
+        "names": plan.names,
+        "tags": plan.tags,
+        "trainable": plan.trainable,
     }
-    arrays = {f"v_{i}": params.entries[n] for i, n in enumerate(params.names())}
+    arrays = {f"v_{i}": entry for i, entry in enumerate(plan.entries(vec).values())}
     with open(path, "wb") as fh:
         np.savez(fh, __meta__=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8), **arrays)
 

@@ -25,24 +25,27 @@ def random_batch(spec, n, seed):
     return Batch.from_arrays(x, y)
 
 
-def finite_difference_grads(loss_fn, params, names=None, h=1e-5):
-    """Central finite differences of a scalar loss over ParamSet entries."""
+def trainable_names(plan):
+    return [n for n in plan.names if plan.trainable[n]]
+
+
+def finite_difference_grads(loss_fn, plan, vec, names=None, h=1e-5):
+    """Central finite differences of a scalar ``loss_fn(vec)`` over the entries
+    of a plan vector, each perturbed in place through its ``plan.entries`` view."""
     grads = {}
-    names = names if names is not None else params.trainable_names()
-    for name in names:
-        arr = params.entries[name]
-        g = np.zeros_like(arr)
-        flat = arr.ravel()
-        gflat = g.ravel()
+    entries = plan.entries(vec)
+    for name in names if names is not None else trainable_names(plan):
+        flat = entries[name].reshape(-1)
+        gflat = np.zeros(flat.size)
         for i in range(flat.size):
             orig = flat[i]
             flat[i] = orig + h
-            up = loss_fn(params)
+            up = loss_fn(vec)
             flat[i] = orig - h
-            down = loss_fn(params)
+            down = loss_fn(vec)
             flat[i] = orig
             gflat[i] = (up - down) / (2 * h)
-        grads[name] = g
+        grads[name] = gflat.reshape(entries[name].shape)
     return grads
 
 
@@ -61,13 +64,11 @@ def bn_model():
 
 @pytest.fixture
 def seeded_params(bn_model):
-    return init_params(bn_model, seed=0)
+    return init_params(Plan(bn_model), seed=0)
 
 
-def forward_loss(spec, batch, mode="train"):
-    plan = Plan(spec)
-
-    def loss_fn(params):
-        _, loss, _ = model_forward(plan, plan.pack(params), batch, mode=mode)
+def forward_loss(plan, batch, mode="train"):
+    def loss_fn(vec):
+        _, loss, _ = model_forward(plan, vec, batch, mode=mode)
         return loss
     return loss_fn

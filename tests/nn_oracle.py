@@ -1,12 +1,13 @@
 """The pre-optimisation numpy code of the local training step, kept as an oracle.
 
-These are the forward, backward and optimizer functions as they were written
-with the ``np.mean``/``np.var``/``np.sum``/``np.max`` wrappers, per-step
-one-hot targets, a full ``ParamSet.copy()`` per optimizer step and per-entry
-Adam moments, over named ParamSet entries; with them the per-entry running
-stats update and local objectives.  ``test_bitwise.py`` checks that the
-layer plan of ``fedbench.nn`` and the orchestrator's training loop, which
-work on one flat vector, give the same bits as this code.
+These are the initialisation, forward, backward and optimizer functions as
+they were written with the ``np.mean``/``np.var``/``np.sum``/``np.max``
+wrappers, per-step one-hot targets, a full ``ParamSet.copy()`` per optimizer
+step and per-entry Adam moments, over named ParamSet entries; with them the
+per-entry running stats update and local objectives.  ``test_bitwise.py``
+checks that the layer plan of ``fedbench.nn`` and the orchestrator's training
+loop, which work on one flat vector, give the same bits as this code;
+``to_paramset`` and ``to_vector`` translate between the two forms.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from fedbench.errors import (
     StaleCache,
 )
 from fedbench.nn import BN_MOMENTUM, NORM_KINDS, Batch, ModelSpec
-from fedbench.params import ParamSet
+from fedbench.params import NON_NORM, NORM, ParamSet
 from fedbench.strategies import FEDOPT_FAMILY
 
 GradSet = dict[str, np.ndarray]
@@ -36,6 +37,42 @@ class ForwardCache:
     layer_caches: list = field(default_factory=list)
     batch_size: int = 0
     updated_running_stats: dict = field(default_factory=dict)
+
+
+def init_params(spec: ModelSpec, seed: int) -> ParamSet:
+    """Fresh parameters entry by entry in layer order: scaled-normal weights,
+    zero biases and running means, unit gains and running variances."""
+    rng = np.random.default_rng(seed)
+    entries, tags = {}, {}
+    width = spec.input_dim
+    for i, layer in enumerate(spec.layers):
+        prefix = f"layer{i}"
+        if layer.kind == "dense":
+            shape = (width, layer.width)
+            entries[f"{prefix}.weight"] = rng.normal(0.0, 1.0 / np.sqrt(width), shape)
+            width = layer.width
+            entries[f"{prefix}.bias"] = np.zeros(width)
+            tags[f"{prefix}.weight"] = tags[f"{prefix}.bias"] = NON_NORM
+        elif layer.kind in NORM_KINDS:
+            names = [f"{prefix}.gain", f"{prefix}.bias"]
+            entries[names[0]], entries[names[1]] = np.ones(width), np.zeros(width)
+            if layer.kind == "batch_norm":
+                names += [f"{prefix}.running_mean", f"{prefix}.running_var"]
+                entries[names[2]], entries[names[3]] = np.zeros(width), np.ones(width)
+            tags.update(dict.fromkeys(names, NORM))
+    trainable = {n: not n.endswith((".running_mean", ".running_var")) for n in entries}
+    return ParamSet(entries=entries, tags=tags, trainable=trainable)
+
+
+def to_paramset(plan, vec: np.ndarray) -> ParamSet:
+    """A copy of the plan vector ``vec`` as named, tagged entries."""
+    return ParamSet(plan.entries(vec.copy()), plan.tags, plan.trainable)
+
+
+def to_vector(plan, named: dict[str, np.ndarray]) -> np.ndarray:
+    """Named arrays (a ParamSet's entries, or moments over the trainable ones)
+    concatenated in the plan's vector order."""
+    return np.concatenate([named[n] for n in plan.slots if n in named], axis=None)
 
 
 def norm_forward(kind, x, gain, bias, running_stats, mode, epsilon, groups=1, momentum=BN_MOMENTUM):
@@ -280,7 +317,7 @@ class AdamState:
 
     @classmethod
     def zeros(cls, params: ParamSet) -> "AdamState":
-        zeros = {n: np.zeros_like(params.entries[n]) for n in params.trainable_names()}
+        zeros = {n: np.zeros_like(v) for n, v in params.entries.items() if params.trainable[n]}
         return cls(m={k: v.copy() for k, v in zeros.items()}, v=zeros, step=0)
 
 

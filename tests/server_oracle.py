@@ -69,9 +69,9 @@ def weighted_average(sets: list[ParamSet], weights, over=None) -> dict[str, np.n
         if not same_keying(first, s):
             raise KeyMismatch("ParamSets have different keying")
     if over is None:
-        over = first.names()
+        over = list(first.entries)
     out: dict[str, np.ndarray] = {}
-    for name in first.names():
+    for name in first.entries:
         if name not in over:
             continue
         acc = np.zeros_like(first.entries[name])
@@ -85,7 +85,7 @@ def l2_distance_excluding_norm(a: ParamSet, b: ParamSet) -> float:
     if not same_keying(a, b):
         raise KeyMismatch("ParamSets have different keying")
     total = 0.0
-    for name in a.names():
+    for name in a.entries:
         if a.tags[name] == NORM:
             continue
         diff = a.entries[name] - b.entries[name]
@@ -113,11 +113,11 @@ class ClientUpdate:
 def init_server_state(algorithm: str, w_0: ParamSet, cfg) -> ServerState:
     state = ServerState(global_params=w_0.copy(), round=0)
     if algorithm in FEDOPT_FAMILY:
-        names = w_0.trainable_names()
+        names = [n for n in w_0.entries if w_0.trainable[n]]
         state.m = {n: np.zeros_like(w_0.entries[n]) for n in names}
         state.v = {n: np.full_like(w_0.entries[n], cfg.gamma**2) for n in names}
     elif algorithm == "feddyn":
-        state.h = {n: np.zeros_like(w_0.entries[n]) for n in w_0.trainable_names()}
+        state.h = {n: np.zeros_like(v) for n, v in w_0.entries.items() if w_0.trainable[n]}
     return state
 
 
@@ -132,7 +132,7 @@ def server_aggregate(algorithm: str, server: ServerState, updates: list[ClientUp
     w_t = server.global_params
 
     if algorithm == "feddyn":
-        names = w_t.trainable_names()
+        names = [n for n in w_t.entries if w_t.trainable[n]]
         h = {}
         for n in names:
             drift = np.zeros_like(w_t.entries[n])
@@ -150,7 +150,7 @@ def server_aggregate(algorithm: str, server: ServerState, updates: list[ClientUp
         overwrite(new_global, weighted_average(sets, weights))
         return ServerState(global_params=new_global, round=server.round + 1)
 
-    names = w_t.trainable_names()
+    names = [n for n in w_t.entries if w_t.trainable[n]]
     if cfg.uniform_pseudo_grad:
         d_weights = make_weights([1] * len(alive))
     else:
@@ -173,7 +173,7 @@ def server_aggregate(algorithm: str, server: ServerState, updates: list[ClientUp
     new_global = shallow_copy(w_t)
     for n in names:
         new_global.entries[n] = w_t.entries[n] + cfg.eta_g * m[n] / (np.sqrt(v[n]) + cfg.gamma)
-    stat_names = [n for n in w_t.names() if not w_t.trainable[n]]
+    stat_names = [n for n in w_t.entries if not w_t.trainable[n]]
     if stat_names:
         overwrite(new_global, weighted_average(sets, weights, over=set(stat_names)))
     return ServerState(global_params=new_global, m=m, v=v, round=server.round + 1)

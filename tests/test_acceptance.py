@@ -56,7 +56,15 @@ from fedbench.strategies import (
     local_loss_grad,
 )
 
-from conftest import assert_grads_close, finite_difference_grads, make_model, random_batch
+from conftest import (
+    assert_grads_close,
+    finite_difference_grads,
+    forward_loss,
+    make_model,
+    random_batch,
+    trainable_names,
+)
+from nn_oracle import to_vector
 
 
 def report(n):
@@ -88,7 +96,7 @@ def test_criterion_1_collapse_equivalences():
     seed = 0
     ds = generate(cfg.data)[0]
     plan = Plan(cfg.model)
-    params = plan.pack(init_params(cfg.model, seed))
+    params = init_params(plan, seed)
     from fedbench.nn import apply_running_stats
 
     for round_idx in range(cfg.rounds):
@@ -105,7 +113,7 @@ def test_criterion_1_collapse_equivalences():
                 apply_running_stats(params, cache)
                 local_sgd_step(params, grad, cfg.eta)
 
-    w0 = plan.pack(init_params(cfg.model, seed))
+    w0 = init_params(plan, seed)
     server = init_server_state(w0, cfg.strategy, plan.n_train)
     clients = [ClientState.create(ds, w0, cfg, plan)]
     for _ in range(cfg.rounds):
@@ -129,17 +137,11 @@ def test_criterion_2_gradient_suite():
         spec = make_model(kinds, input_dim=4, hidden=4, num_classes=2)
         plan = Plan(spec)
         for seed in range(20):
-            params = init_params(spec, seed)
+            w = init_params(plan, seed)
             batch = random_batch(spec, 8, seed + 1000)
-            w = plan.pack(params)
             _, _, cache = model_forward(plan, w, batch, mode="train")
             grads = plan.entries(model_backward(plan, w, cache))
-
-            def loss_fn(p):
-                _, loss, _ = model_forward(plan, plan.pack(p), batch, mode="train")
-                return loss
-
-            fd = finite_difference_grads(loss_fn, params, params.trainable_names())
+            fd = finite_difference_grads(forward_loss(plan, batch), plan, w)
             assert_grads_close(grads, fd)
 
     # modified objectives: fedprox, fedpxn, feddyn
@@ -147,8 +149,9 @@ def test_criterion_2_gradient_suite():
     plan = Plan(spec)
     for algorithm in ("fedprox", "fedpxn", "feddyn"):
         for seed in range(20):
-            params = init_params(spec, seed)
-            w_ref = init_params(spec, seed + 500)
+            w = init_params(plan, seed)
+            w_ref = init_params(plan, seed + 500)
+            ref = plan.entries(w_ref)
             batch = random_batch(spec, 8, seed + 1000)
             mu, alpha = 0.7, 0.4
             strat = StrategyConfig(algorithm=algorithm, mu=mu, alpha=alpha)
@@ -158,28 +161,28 @@ def test_criterion_2_gradient_suite():
                 dyn = rng.standard_normal(plan.n_train)
                 prev_grad = plan.entries(dyn)
 
-            w = plan.pack(params)
             _, _, cache = model_forward(plan, w, batch, mode="train")
             base = model_backward(plan, w, cache)
             grads = plan.entries(local_loss_grad(
-                base, w, plan.pack(w_ref), plan.n_non_norm, strat, dyn
+                base, w, w_ref, plan.n_non_norm, strat, dyn
             ))
 
-            def loss_fn(p):
-                _, loss, _ = model_forward(plan, plan.pack(p), batch, mode="train")
-                for name in p.trainable_names():
-                    diff = p.entries[name] - w_ref.entries[name]
+            def loss_fn(vec):
+                _, loss, _ = model_forward(plan, vec, batch, mode="train")
+                entries = plan.entries(vec)
+                for name in trainable_names(plan):
+                    diff = entries[name] - ref[name]
                     if algorithm == "fedprox":
                         loss += mu / 2.0 * float(np.sum(diff**2))
                     elif algorithm == "fedpxn":
-                        if p.tags[name] != NORM:
+                        if plan.tags[name] != NORM:
                             loss += mu / 2.0 * float(np.sum(diff**2))
                     else:
                         loss += alpha / 2.0 * float(np.sum(diff**2))
-                        loss -= float(np.sum(prev_grad[name] * p.entries[name]))
+                        loss -= float(np.sum(prev_grad[name] * entries[name]))
                 return loss
 
-            fd = finite_difference_grads(loss_fn, params, params.trainable_names())
+            fd = finite_difference_grads(loss_fn, plan, w)
             assert_grads_close(grads, fd)
     report(2)
 
@@ -230,7 +233,7 @@ def test_criterion_4_fedbn_partition_invariant(tmp_path):
         # aggregated values; verify the aggregate itself is the shared part
         # and that at least one norm parameter differs across clients
         norm_diff = False
-        for name in client_sets[0].names():
+        for name in client_sets[0].entries:
             if client_sets[0].tags[name] == NORM:
                 for other in client_sets[1:]:
                     if not np.array_equal(client_sets[0].entries[name], other.entries[name]):
@@ -238,15 +241,15 @@ def test_criterion_4_fedbn_partition_invariant(tmp_path):
         assert norm_diff
 
         # eq-3 distance recomputed offline matches the log to 1e-10
-        w_start = plan.pack(load_paramset(rdir / "global_start.npz"))
+        w_start = to_vector(plan, load_paramset(rdir / "global_start.npz").entries)
         for cid, want in record.distances.items():
-            got = l2_distance_excluding_norm(plan.pack(client_sets[cid]), w_start,
+            got = l2_distance_excluding_norm(to_vector(plan, client_sets[cid].entries), w_start,
                                              plan.non_norm_slots)
             assert got == pytest.approx(want, abs=1e-10)
 
     # after a round + broadcast every client evaluates with identical non-norm
     datasets = generate(cfg.data)
-    w0 = plan.pack(init_params(cfg.model, 0))
+    w0 = init_params(plan, 0)
     server = init_server_state(w0, cfg.strategy, plan.n_train)
     clients = [ClientState.create(ds, w0, cfg, plan) for ds in datasets]
     server, _ = run_round(server, clients, cfg, 0, plan)

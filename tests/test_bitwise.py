@@ -4,7 +4,7 @@
 ``np.mean``/``np.var``, per-step one-hot targets, per-step ParamSet copies and
 per-entry Adam moments, over named entries (``test_server_bitwise.py`` does the
 same for the server, the drift and the evaluation vectors).  The layer plan works on one flat
-vector; ``Plan.pack`` and ``Plan.entries`` translate between the two.  Every
+vector; ``nn_oracle.to_paramset`` and ``Plan.entries`` translate between the two.  Every
 comparison here is ``np.array_equal`` or ``==``: the faster code must not move
 a single bit.
 """
@@ -49,15 +49,15 @@ def bce_model(kinds, input_dim=5, hidden=6, num_classes=3, groups=2):
                      num_classes=num_classes)
 
 
-def perturbed_params(spec, seed):
+def perturbed_params(plan, seed):
     """init_params with gains, biases and running stats moved off 1 and 0."""
-    params = init_params(spec, seed)
+    w = init_params(plan, seed)
     rng = np.random.default_rng([seed, 1])
-    for name, value in params.entries.items():
+    for name, value in plan.entries(w).items():
         if not name.endswith(".weight"):
             noise = rng.standard_normal(value.shape)
-            params.entries[name] = value + (np.abs(noise) if "running_var" in name else noise)
-    return params
+            value += np.abs(noise) if "running_var" in name else noise
+    return w
 
 
 def random_labels(spec, n, rng, multi_hot):
@@ -78,13 +78,13 @@ def test_train_forward_backward_match_oracle(head, kinds, hidden, groups):
     plan = Plan(spec)
     rng = np.random.default_rng([hidden, len(kinds)])
     for trial in range(12):
-        params = perturbed_params(spec, trial)
+        w = perturbed_params(plan, trial)
+        params = oracle.to_paramset(plan, w)
         n = int(rng.integers(2, 70))
         x = rng.standard_normal((n, spec.input_dim)) * rng.uniform(0.1, 10.0)
         labels = random_labels(spec, n, rng, multi_hot=head == "sigmoid" and trial % 2 == 1)
         batch = Batch.from_arrays(x, labels)
 
-        w = plan.pack(params)
         probs, loss, cache = model_forward(plan, w, batch, mode="train")
         o_probs, o_loss, o_cache = oracle.model_forward(spec, params, batch, mode="train")
         assert np.array_equal(probs, o_probs)
@@ -132,25 +132,25 @@ def random_grad(plan, rng):
 def test_sgd_trajectory_matches_oracle():
     spec = make_model(["batch_norm"])
     plan = Plan(spec)
-    o_params = perturbed_params(spec, 0)
-    w = plan.pack(o_params)
+    w = perturbed_params(plan, 0)
+    o_params = oracle.to_paramset(plan, w)
     rng = np.random.default_rng(5)
     for _ in range(3):
         grad, named = random_grad(plan, rng)
         local_sgd_step(w, grad, 0.07)
         o_params = oracle.local_sgd_step(o_params, named, 0.07)
-        params = plan.publish(w)
-        assert params.names() == o_params.names()
-        for name in params.names():
-            assert np.array_equal(params.entries[name], o_params.entries[name]), name
+        params = plan.entries(w)
+        assert list(params) == list(o_params.entries)
+        for name, value in params.items():
+            assert np.array_equal(value, o_params.entries[name]), name
 
 
 @pytest.mark.parametrize("kinds", [["batch_norm"], ["group_norm"]])
 def test_adam_trajectory_matches_oracle(kinds):
     spec = make_model(kinds)
     plan = Plan(spec)
-    o_params = perturbed_params(spec, 1)
-    w = plan.pack(o_params)
+    w = perturbed_params(plan, 1)
+    o_params = oracle.to_paramset(plan, w)
     state, o_state = AdamState.zeros(plan.n_train), oracle.AdamState.zeros(o_params)
     rng = np.random.default_rng(6)
     for _ in range(3):
@@ -158,9 +158,8 @@ def test_adam_trajectory_matches_oracle(kinds):
         local_adam_step(w, grad, state, 0.01)
         o_params, o_state = oracle.local_adam_step(o_params, named, o_state, 0.01)
         assert state.step == o_state.step
-        params = plan.publish(w)
-        for name in params.names():
-            assert np.array_equal(params.entries[name], o_params.entries[name]), name
+        for name, value in plan.entries(w).items():
+            assert np.array_equal(value, o_params.entries[name]), name
         for name, m in plan.entries(state.m).items():
             assert np.array_equal(m, o_state.m[name]), name
             assert np.array_equal(plan.entries(state.v)[name], o_state.v[name]), name
@@ -169,7 +168,7 @@ def test_adam_trajectory_matches_oracle(kinds):
 def test_optimizer_steps_write_only_the_trainable_prefix():
     spec = make_model(["batch_norm"])
     plan = Plan(spec)
-    w0 = plan.pack(perturbed_params(spec, 2))
+    w0 = perturbed_params(plan, 2)
     grad = np.random.default_rng(7).standard_normal(plan.n_train)
     grad_before = grad.copy()
     for step in (lambda w: local_sgd_step(w, grad, 0.1),
@@ -188,6 +187,19 @@ MODELS = {
     "no_norm": lambda: make_model([]),
     "sigmoid_bce": lambda: bce_model(["batch_norm"]),
 }
+
+
+@pytest.mark.parametrize("model", sorted(MODELS) + ["two_classes"])
+def test_init_params_matches_oracle(model):
+    spec = make_model(["batch_norm"], num_classes=2) if model == "two_classes" else MODELS[model]()
+    plan = Plan(spec)
+    for seed in (0, 1, 7, 12345):
+        want = oracle.init_params(spec, seed)
+        got = plan.entries(init_params(plan, seed))
+        assert list(got) == list(want.entries) == plan.names
+        assert want.tags == plan.tags and want.trainable == plan.trainable
+        for name, value in got.items():
+            assert np.array_equal(value, want.entries[name]), name
 
 
 # batch norm, the model of the original four cases, keeps their ids
@@ -210,7 +222,8 @@ def test_local_training_matches_oracle_loop(algorithm, optimizer, model):
     plan = Plan(cfg.model)
     ds = generate(cfg.data)[0]
     seed, round_idx = 3, 0
-    w0 = perturbed_params(cfg.model, seed)
+    w_start = perturbed_params(plan, seed)
+    w0 = oracle.to_paramset(plan, w_start)
     dyn = o_prev = None
     if algorithm == "feddyn":  # a memory from an earlier round
         dyn = np.random.default_rng(8).standard_normal(plan.n_train)
@@ -235,15 +248,14 @@ def test_local_training_matches_oracle_loop(algorithm, optimizer, model):
             else:
                 params = oracle.local_sgd_step(params, grad, cfg.eta)
 
-    w_start = plan.pack(w0)
     client = ClientState.create(ds, w_start, cfg, plan)
     client.dyn = dyn
     before = w_start.copy()
     update = run_local_training(client, cfg, seed, round_idx, plan)
     assert not update.diverged
     trained = plan.entries(update.params_after)
-    for name in params.names():
-        assert np.array_equal(trained[name], params.entries[name]), name
+    for name, value in params.entries.items():
+        assert np.array_equal(trained[name], value), name
     assert np.array_equal(w_start, before)  # training never wrote into a vector it was handed
     if algorithm == "feddyn":
         memory = plan.entries(client.dyn)

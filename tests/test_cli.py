@@ -282,6 +282,19 @@ def edited_manifest(tmp_path, edit):
     return manifest
 
 
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+def test_non_finite_feature_cell_is_data_error_naming_its_line(tmp_path, capsys, cell):
+    manifest = write_partition(PartitionSpec(**base_config()["data"]), tmp_path / "part")
+    path = manifest.parent / "client_2.csv"
+    lines = path.read_text().splitlines(keepends=True)
+    cells = lines[4].split(",")
+    cells[3] = cell
+    lines[4] = ",".join(cells)
+    path.write_text("".join(lines))
+    message = run_on_manifest(tmp_path, capsys, manifest)
+    assert message.startswith("line 5: non-finite feature cell in [")
+
+
 def test_manifest_with_a_duplicate_client_id_is_data_error(tmp_path, capsys):
     manifest = edited_manifest(tmp_path, lambda clients: clients[1].update(client_id=0))
     message = run_on_manifest(tmp_path, capsys, manifest)

@@ -161,7 +161,7 @@ def test_bn_running_stats_diverge_across_clients():
     stats = []
     for ds in datasets:
         plan = Plan(model)
-        params = plan.pack(init_params(model, seed=0))
+        params = init_params(plan, seed=0)
         _, _, cache = model_forward(plan, params, ds.train, mode="train")
         apply_running_stats(params, cache)
         stats.append(plan.entries(params)["layer1.running_mean"].copy())
@@ -219,6 +219,20 @@ def test_manifest_class_count_below_its_labels_is_malformed_row(tmp_path):
     labels = generate(spec(num_classes=3))[0]
     rows = np.concatenate([labels.train.labels, labels.val.labels, labels.test.labels])
     assert err.value.line_number == 2 + int(np.argmax(rows == 2))
+
+
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+def test_non_finite_feature_rejected(tmp_path, cell):
+    manifest = write_partition(spec(), tmp_path)
+    path = tmp_path / "client_1.csv"
+    lines = path.read_text().splitlines(keepends=True)
+    cells = lines[5].split(",")
+    cells[1] = cell
+    lines[5] = ",".join(cells)
+    path.write_text("".join(lines))
+    with pytest.raises(MalformedRow, match="non-finite feature cell") as err:
+        load_partition(manifest)
+    assert err.value.line_number == 6
 
 
 def test_wrong_cell_count_rejected(tmp_path):

@@ -21,10 +21,9 @@ from conftest import (
 )
 
 
-def forward_backward(spec, params, batch):
+def forward_backward(spec, w, batch):
     """(probs, named gradients) of one train-mode step of a plan."""
     plan = Plan(spec)
-    w = plan.pack(params)
     probs, _, cache = model_forward(plan, w, batch, mode="train")
     return probs, plan.entries(model_backward(plan, w, cache))
 
@@ -33,10 +32,11 @@ def forward_backward(spec, params, batch):
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_gradient_check_all_layer_kinds(kinds, seed):
     spec = make_model(kinds)
-    params = init_params(spec, seed=seed)
+    plan = Plan(spec)
+    w = init_params(plan, seed=seed)
     batch = random_batch(spec, 6, seed=seed + 100)
-    _, analytic = forward_backward(spec, params, batch)
-    numeric = finite_difference_grads(forward_loss(spec, batch), params)
+    _, analytic = forward_backward(spec, w, batch)
+    numeric = finite_difference_grads(forward_loss(plan, batch), plan, w)
     assert_grads_close(analytic, numeric)
 
 
@@ -47,9 +47,9 @@ def test_zero_input_kills_weight_gradient():
         loss="cross_entropy",
         num_classes=2,
     )
-    params = init_params(spec, seed=0)
+    w = init_params(Plan(spec), seed=0)
     batch = Batch.from_arrays(np.zeros((4, 3)), np.array([0, 1, 0, 1]))
-    probs, grads = forward_backward(spec, params, batch)
+    probs, grads = forward_backward(spec, w, batch)
     assert np.array_equal(grads["layer0.weight"], np.zeros((3, 2)))
     targets = np.zeros((4, 2))
     targets[np.arange(4), batch.labels] = 1.0
@@ -81,7 +81,7 @@ def test_grad_permutation_invariance(bn_model, seeded_params):
 def test_stale_cache_rejected(bn_model, seeded_params):
     batch = random_batch(bn_model, 4, seed=1)
     plan = Plan(bn_model)
-    w = plan.pack(seeded_params)
+    w = seeded_params
     _, _, cache = model_forward(plan, w, batch, mode="train")
     other = w.copy()
     with pytest.raises(StaleCache):
@@ -91,7 +91,7 @@ def test_stale_cache_rejected(bn_model, seeded_params):
 def test_eval_cache_rejected(bn_model, seeded_params):
     batch = random_batch(bn_model, 4, seed=1)
     plan = Plan(bn_model)
-    w = plan.pack(seeded_params)
+    w = seeded_params
     _, _, cache = model_forward(plan, w, batch, mode="eval")
     with pytest.raises(StaleCache):
         model_backward(plan, w, cache)
@@ -117,16 +117,17 @@ def test_ln_gain_bias_grads_are_head_error_statistics():
         loss="cross_entropy",
         num_classes=2,
     )
-    params = init_params(spec, seed=3)
+    plan = Plan(spec)
+    w = init_params(plan, seed=3)
     rng = np.random.default_rng(0)
     x = rng.standard_normal((6, 4))
     x = (x - x.mean(axis=1, keepdims=True)) / x.std(axis=1, keepdims=True)
     batch = Batch.from_arrays(x, rng.integers(0, 2, 6))
-    probs, grads = forward_backward(spec, params, batch)
+    probs, grads = forward_backward(spec, w, batch)
     targets = np.zeros((6, 2))
     targets[np.arange(6), batch.labels] = 1.0
     err = (probs - targets) / 6.0  # head error, already mean-scaled
-    dy = err @ params.entries["layer1.weight"].T
+    dy = err @ plan.entries(w)["layer1.weight"].T
     # x_hat == x, plus the projection that standardization applies to upstream grads
     dxh = dy
     expected_bias_grad_dir = dxh.sum(axis=0)

@@ -32,22 +32,20 @@ def norm_forward(kind, x, gain, bias, running_stats, mode, epsilon, groups=1,
         num_classes=width,
     )
     plan = Plan(spec)
-    params = init_params(spec, seed=0)
-    params.entries["layer0.gain"], params.entries["layer0.bias"] = gain, bias
+    w = init_params(plan, seed=0)
+    entries = plan.entries(w)
+    entries["layer0.gain"][...], entries["layer0.bias"][...] = gain, bias
     if running_stats is not None:
-        params.entries["layer0.running_mean"], params.entries["layer0.running_var"] = running_stats
-    w = plan.pack(params)
+        entries["layer0.running_mean"][...], entries["layer0.running_var"][...] = running_stats
     cache = ForwardCache(params=w, train=mode == "train")
     y = plan.forward[0](plan.views(w), x, cache)
     apply_running_stats(w, cache)
-    entries = plan.entries(w)
     stats = (entries["layer0.running_mean"], entries["layer0.running_var"]) if running_stats else None
     return y, stats, cache
 
 
-def forward(spec, params, batch, mode):
-    plan = Plan(spec)
-    return model_forward(plan, plan.pack(params), batch, mode=mode)
+def forward(spec, w, batch, mode):
+    return model_forward(Plan(spec), w, batch, mode=mode)
 
 
 def test_zero_weight_dense_softmax_gives_uniform():
@@ -57,11 +55,12 @@ def test_zero_weight_dense_softmax_gives_uniform():
         loss="cross_entropy",
         num_classes=3,
     )
-    params = init_params(spec, seed=0)
-    params.entries["layer0.weight"][:] = 0.0
-    params.entries["layer0.bias"][:] = 0.0
+    plan = Plan(spec)
+    w = init_params(plan, seed=0)
+    plan.entries(w)["layer0.weight"][:] = 0.0
+    plan.entries(w)["layer0.bias"][:] = 0.0
     batch = Batch.from_arrays(np.random.default_rng(1).standard_normal((5, 4)), [0, 1, 2, 0, 1])
-    probs, loss, _ = forward(spec, params, batch, mode="eval")
+    probs, loss, _ = forward(spec, w, batch, mode="eval")
     assert np.allclose(probs, 1.0 / 3.0)
     assert loss == pytest.approx(math.log(3.0), abs=1e-12)
 
@@ -101,12 +100,14 @@ def test_bn_running_stat_ema_single_step():
 def test_mlp_loss_matches_scalar_oracle():
     # straight-line scalar recomputation of dense -> relu -> dense -> softmax CE
     spec = make_model([], input_dim=3, hidden=4, num_classes=2)
-    params = init_params(spec, seed=0)
+    plan = Plan(spec)
+    w = init_params(plan, seed=0)
     batch = random_batch(spec, 8, seed=7)
-    _, loss, _ = forward(spec, params, batch, mode="train")
+    _, loss, _ = forward(spec, w, batch, mode="train")
 
-    w0, b0 = params.entries["layer0.weight"], params.entries["layer0.bias"]
-    w2, b2 = params.entries["layer2.weight"], params.entries["layer2.bias"]
+    entries = plan.entries(w)
+    w0, b0 = entries["layer0.weight"], entries["layer0.bias"]
+    w2, b2 = entries["layer2.weight"], entries["layer2.bias"]
     total = 0.0
     for r in range(8):
         h = [sum(batch.inputs[r][i] * w0[i][j] for i in range(3)) + b0[j] for j in range(4)]
@@ -185,7 +186,7 @@ def test_model_spec_checks_its_integer_fields(kw, field):
 def test_running_stats_committed_only_on_apply(bn_model, seeded_params):
     batch = random_batch(bn_model, 8, seed=5)
     plan = Plan(bn_model)
-    w = plan.pack(seeded_params)
+    w = seeded_params
     running_mean = plan.entries(w)["layer1.running_mean"]
     before = running_mean.copy()
     _, _, cache = model_forward(plan, w, batch, mode="train")
@@ -201,10 +202,11 @@ def test_bce_head_on_multi_hot_labels():
         loss="binary_cross_entropy",
         num_classes=2,
     )
-    params = init_params(spec, seed=1)
-    params.entries["layer0.weight"][:] = 0.0
+    plan = Plan(spec)
+    w = init_params(plan, seed=1)
+    plan.entries(w)["layer0.weight"][:] = 0.0
     batch = Batch.from_arrays(np.zeros((3, 3)), np.array([[1, 0], [0, 1], [1, 1]], dtype=float))
-    probs, loss, _ = forward(spec, params, batch, mode="eval")
+    probs, loss, _ = forward(spec, w, batch, mode="eval")
     assert np.allclose(probs, 0.5)
     assert loss == pytest.approx(math.log(2.0), rel=1e-9)
 

@@ -12,6 +12,7 @@ from fedbench.errors import (
     ConfigError,
     KeyMismatch,
     NoSelectableRound,
+    NonFiniteLoss,
     SchemaMismatch,
 )
 from fedbench.nn import (
@@ -35,6 +36,7 @@ from fedbench.params import l2_distance_excluding_norm, load_paramset
 from fedbench.strategies import StrategyConfig, init_server_state
 
 from conftest import make_model
+from nn_oracle import to_vector
 
 
 def data_spec(num_clients=3, sizes=(60, 50, 40), seed=9, kind="label_skew"):
@@ -93,7 +95,7 @@ def test_single_client_fedavg_equals_centralized_sgd():
     ds = generate(cfg.data)[0]
     # centralized reference: same init, same RNG schedule, plain SGD
     plan = Plan(cfg.model)
-    params = plan.pack(init_params(cfg.model, seed))
+    params = init_params(plan, seed)
     for round_idx in range(cfg.rounds):
         rng = client_rng(seed, 0, round_idx)
         for _ in range(cfg.local_epochs):
@@ -112,7 +114,7 @@ def test_single_client_fedavg_equals_centralized_sgd():
 
     result = run_experiment(cfg, seed=seed)
     # recover the final aggregated params by replaying the experiment
-    w0 = plan.pack(init_params(cfg.model, seed))
+    w0 = init_params(plan, seed)
     server = init_server_state(w0, cfg.strategy, plan.n_train)
     clients = [ClientState.create(ds, w0, cfg, plan)]
     for _ in range(cfg.rounds):
@@ -136,18 +138,15 @@ def test_single_round_single_batch_hand_stepped():
 
     ds = generate(cfg.data)[0]
     seed = 0
-    w0 = init_params(cfg.model, seed)
+    plan = Plan(cfg.model)
+    w = init_params(plan, seed)
     rng = client_rng(seed, 0, 0)
     order = rng.permutation(7)
     batch = Batch.from_arrays(ds.train.inputs[order], ds.train.labels[order])
-    plan = Plan(cfg.model)
-    w = plan.pack(w0)
     _, _, cache = model_forward(plan, w, batch, mode="train")
     grad = plan.entries(model_backward(plan, w, cache))
-    expected = {
-        name: w0.entries[name] - 0.05 * grad[name]
-        for name in w0.trainable_names()
-    }
+    w0 = plan.entries(w)
+    expected = {name: w0[name] - 0.05 * g for name, g in grad.items()}
 
     server = init_server_state(w, cfg.strategy, plan.n_train)
     clients = [ClientState.create(ds, w, cfg, plan)]
@@ -163,7 +162,7 @@ def test_fedbn_clients_keep_local_norm_params():
 
     datasets = generate(cfg.data)
     plan = Plan(cfg.model)
-    w0 = plan.pack(init_params(cfg.model, 0))
+    w0 = init_params(plan, 0)
     server = init_server_state(w0, cfg.strategy, plan.n_train)
     clients = [ClientState.create(ds, w0, cfg, plan) for ds in datasets]
     for _ in range(2):
@@ -189,7 +188,7 @@ def test_identical_data_and_rng_collapses_to_single_client(monkeypatch):
     )
     cfg = experiment(data=base, rounds=2)
     plan = Plan(cfg.model)
-    w0 = plan.pack(init_params(cfg.model, 0))
+    w0 = init_params(plan, 0)
     server = init_server_state(w0, cfg.strategy, plan.n_train)
     clients = []
     for cid in range(3):
@@ -201,6 +200,30 @@ def test_identical_data_and_rng_collapses_to_single_client(monkeypatch):
     for _ in range(2):
         server, _ = run_round(server, clients, cfg, 0, plan)
     assert np.allclose(server.global_params, clients[0].params, atol=1e-12)
+
+
+def test_non_finite_test_loss_scores_nan(monkeypatch, tmp_path):
+    """A client whose test loss is non-finite gets a NaN test metric, as a
+    non-finite validation loss does, and the run still writes its record."""
+    cfg = experiment(rounds=2)
+    datasets = generate(cfg.data)
+    bad = datasets[1]
+    real_evaluate = orchestrator.evaluate
+
+    def evaluate(plan, params, batch, metric):
+        if batch.inputs is bad.test.inputs:
+            raise NonFiniteLoss("loss = nan")
+        return real_evaluate(plan, params, batch, metric)
+
+    monkeypatch.setattr(orchestrator, "evaluate", evaluate)
+    result = run_experiment(cfg, seed=0, out_dir=tmp_path, datasets=datasets)
+    others = [v for cid, v in result.test_metrics.items() if cid != bad.client_id]
+    assert np.isnan(result.test_metrics[bad.client_id])
+    assert len(others) == 2 and np.isfinite(others).all()
+    assert result.mean_test_metric == np.mean(others)
+    record = json.loads((tmp_path / "result.json").read_text())
+    assert np.isnan(record["test_metrics"][str(bad.client_id)])
+    assert record["mean_test_metric"] == result.mean_test_metric
 
 
 def test_round_records_deterministic_and_timed():
@@ -228,9 +251,9 @@ def test_distances_recomputable_from_checkpoints(tmp_path):
     plan = Plan(cfg.model)
     for record in result.rounds:
         rdir = tmp_path / "checkpoints" / f"round_{record.round:04d}"
-        w_start = plan.pack(load_paramset(rdir / "global_start.npz"))
+        w_start = to_vector(plan, load_paramset(rdir / "global_start.npz").entries)
         for cid, want in record.distances.items():
-            client = plan.pack(load_paramset(rdir / f"client_{cid}.npz"))
+            client = to_vector(plan, load_paramset(rdir / f"client_{cid}.npz").entries)
             got = l2_distance_excluding_norm(client, w_start, plan.non_norm_slots)
             assert got == pytest.approx(want, abs=1e-10)
 
@@ -249,9 +272,9 @@ def test_checkpoints_written_once_per_run(monkeypatch, tmp_path):
     calls = []
     original = orchestrator.save_paramset
 
-    def counting(params, path):
+    def counting(vec, path, plan):
         calls.append(path)
-        return original(params, path)
+        return original(vec, path, plan)
 
     monkeypatch.setattr(orchestrator, "save_paramset", counting)
     cfg = benchmark_config("fedavg", rounds=50)
@@ -379,7 +402,7 @@ def test_each_round_builds_each_start_vector_once(monkeypatch):
     monkeypatch.setattr(orchestrator, "_merge", merge)
     cfg = experiment(algorithm="fedbn", norm="batch_norm", rounds=2)
     plan = Plan(cfg.model)
-    w0 = plan.pack(init_params(cfg.model, 0))
+    w0 = init_params(plan, 0)
     server = init_server_state(w0, cfg.strategy, plan.n_train)
     clients = [ClientState.create(ds, w0, cfg, plan) for ds in generate(cfg.data)]
     assert all(c.eval_params is w0 for c in clients)
@@ -427,21 +450,10 @@ def test_round_rejects_entries_keyed_unlike_the_model():
     ds = generate(cfg.data)[0]
     # a client vector from another model: layer norm has no running stats
     other_plan = Plan(experiment(norm="layer_norm").model)
-    other = other_plan.pack(init_params(other_plan.spec, 0))
+    other = init_params(other_plan, 0)
     client = ClientState.create(ds, other, cfg, plan)
     with pytest.raises(KeyMismatch):
         run_local_training(client, cfg, 0, 0, plan)
-    # entries keyed or shaped unlike the model's never become a vector
-    weight = init_params(cfg.model, 0).entries["layer0.weight"]
-    for bad in (np.zeros((2, 2)), weight.T.copy()):  # wrong size; same size, wrong shape
-        params = init_params(cfg.model, 0)
-        params.entries["layer0.weight"] = bad
-        with pytest.raises(KeyMismatch):
-            plan.pack(params)
-    params = init_params(cfg.model, 0)
-    params.entries["layer9.weight"] = params.entries.pop("layer0.weight")  # no such entry
-    with pytest.raises(KeyMismatch):
-        plan.pack(params)
 
 
 def test_later_rounds_leave_published_arrays_unchanged(monkeypatch, tmp_path):

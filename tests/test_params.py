@@ -16,13 +16,13 @@ from conftest import make_model
 
 
 @pytest.fixture
-def bn_params():
-    return init_params(make_model(["batch_norm"]), seed=0)
+def bn_plan():
+    return Plan(make_model(["batch_norm"]))
 
 
 @pytest.fixture
-def bn_plan():
-    return Plan(make_model(["batch_norm"]))
+def bn_params(bn_plan):
+    return init_params(bn_plan, seed=0)
 
 
 def partition_names(plan, policy):
@@ -76,7 +76,7 @@ def test_partition_is_disjoint_cover(bn_plan, policy):
 
 def test_identical_sets_are_fixpoint(bn_params, bn_plan):
     weights = make_weights([3, 7])
-    vec = bn_plan.pack(bn_params)
+    vec = bn_params
     avg = weighted_average([vec, vec.copy()], weights)
     assert np.allclose(avg, vec, atol=1e-15)
 
@@ -132,15 +132,14 @@ def test_restricted_to_over_names():
 # distance diagnostic
 
 def test_distance_zero_for_equal_sets(bn_params, bn_plan):
-    vec = bn_plan.pack(bn_params)
+    vec = bn_params
     assert l2_distance_excluding_norm(vec, vec.copy(), bn_plan.non_norm_slots) == 0.0
 
 
 def test_distance_ignores_norm_entries(bn_params, bn_plan):
-    other = bn_params.copy()
-    other.entries["layer1.gain"] += 5.0
-    other.entries["layer1.running_mean"] += 3.0
-    a, b = bn_plan.pack(bn_params), bn_plan.pack(other)
+    a, b = bn_params, bn_params.copy()
+    bn_plan.entries(b)["layer1.gain"] += 5.0
+    bn_plan.entries(b)["layer1.running_mean"] += 3.0
     assert l2_distance_excluding_norm(a, b, bn_plan.non_norm_slots) == 0.0
 
 
@@ -150,9 +149,8 @@ def test_distance_squared_norm():
 
 
 def test_distance_symmetry(bn_params, bn_plan):
-    other = bn_params.copy()
-    other.entries["layer0.weight"] += 0.3
-    a, b = bn_plan.pack(bn_params), bn_plan.pack(other)
+    a, b = bn_params, bn_params.copy()
+    bn_plan.entries(b)["layer0.weight"] += 0.3
     d1 = l2_distance_excluding_norm(a, b, bn_plan.non_norm_slots)
     d2 = l2_distance_excluding_norm(b, a, bn_plan.non_norm_slots)
     assert d1 == d2 > 0
@@ -161,12 +159,16 @@ def test_distance_symmetry(bn_params, bn_plan):
 # ---------------------------------------------------------------------------
 # serialization
 
-def test_checkpoint_roundtrip_bitwise(tmp_path, bn_params):
-    path = tmp_path / "ckpt.npz"
-    save_paramset(bn_params, path)
-    loaded = load_paramset(path)
-    assert loaded.names() == bn_params.names()
-    assert loaded.tags == bn_params.tags
-    assert loaded.trainable == bn_params.trainable
-    for name in bn_params.names():
-        assert np.array_equal(loaded.entries[name], bn_params.entries[name])
+def test_checkpoint_roundtrip_bitwise(tmp_path):
+    for kinds in (["batch_norm"], ["layer_norm"], ["group_norm"], []):
+        plan = Plan(make_model(kinds))
+        vec = np.random.default_rng(3).standard_normal(plan.size)
+        path = tmp_path / f"{'_'.join(kinds)}.npz"
+        save_paramset(vec, path, plan)
+        loaded = load_paramset(path)
+        assert list(loaded.entries) == plan.names
+        assert loaded.tags == plan.tags
+        assert loaded.trainable == plan.trainable
+        for name, entry in plan.entries(vec).items():
+            assert loaded.entries[name].dtype == entry.dtype
+            assert np.array_equal(loaded.entries[name], entry)

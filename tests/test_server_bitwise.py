@@ -3,7 +3,8 @@
 ``server_oracle`` holds aggregation, the FedOpt rules, the drift diagnostic,
 the evaluation parameters and AUROC as they were written over named
 ParamSet entries.  The server now works on one plan's flat vectors, with
-the policy as a broadcast prefix; every comparison here is
+the policy as a broadcast prefix; ``nn_oracle.to_paramset`` and
+``to_vector`` translate between the two forms, and every comparison here is
 ``np.array_equal`` or ``==``.
 """
 
@@ -11,6 +12,7 @@ import numpy as np
 import pytest
 
 import server_oracle as oracle
+from nn_oracle import to_paramset, to_vector
 from conftest import make_model
 from fedbench import metrics, orchestrator
 from fedbench.errors import SingleClass
@@ -38,11 +40,6 @@ CASES = [
 ]
 
 
-def flat(plan, named):
-    """A name -> array map (a ParamSet's entries, or FedOpt moments) in vector order."""
-    return np.concatenate([named[n] for n in plan.slots if n in named], axis=None)
-
-
 @pytest.mark.parametrize("algorithm,policy,kind", CASES)
 def test_round_vectors_match_oracle(algorithm, policy, kind):
     """Global, m/v/h, drift and round-start vectors over six rounds of random clients."""
@@ -51,14 +48,14 @@ def test_round_vectors_match_oracle(algorithm, policy, kind):
                          uniform_pseudo_grad=algorithm == "fedyogi")
     k = policy.prefix(plan)
     rng = np.random.default_rng([ALGORITHMS.index(algorithm), len(plan.slots)])
-    w_0 = plan.pack(init_params(plan.spec, 0))
+    w_0 = init_params(plan, 0)
     server = init_server_state(w_0, cfg, plan.n_train)
-    o_server = oracle.init_server_state(algorithm, plan.publish(w_0.copy()), cfg)
+    o_server = oracle.init_server_state(algorithm, to_paramset(plan, w_0), cfg)
     own = {cid: w_0 for cid in range(4)}  # each client's own vector
     for round_idx in range(6):
         start = orchestrator._merge(broadcast_fragment(server, k), own[0])
-        o_start = oracle.eval_params(plan.publish(own[0]), o_server, policy)
-        assert np.array_equal(start, plan.pack(o_start))
+        o_start = oracle.eval_params(to_paramset(plan, own[0]), o_server, policy)
+        assert np.array_equal(start, to_vector(plan, o_start.entries))
         updates, o_updates = [], []
         for cid in own:
             scale = rng.choice([1e-3, 0.1, 2.0])
@@ -66,26 +63,27 @@ def test_round_vectors_match_oracle(algorithm, policy, kind):
             vec.flags.writeable = False
             diverged = round_idx == 2 and cid == 1
             updates.append(ClientUpdate(cid, vec, int(rng.integers(5, 60)), 0.0, diverged))
-            o_updates.append(oracle.ClientUpdate(cid, plan.publish(vec), updates[-1].n_k,
+            o_updates.append(oracle.ClientUpdate(cid, to_paramset(plan, vec), updates[-1].n_k,
                                                  diverged))
             d = l2_distance_excluding_norm(vec, server.global_params, plan.non_norm_slots)
             assert d == oracle.l2_distance_excluding_norm(
-                plan.publish(vec), o_server.global_params)
+                to_paramset(plan, vec), o_server.global_params)
         server = server_aggregate(server, updates, cfg)
         o_server = oracle.server_aggregate(algorithm, o_server, o_updates, cfg)
-        assert np.array_equal(server.global_params, plan.pack(o_server.global_params))
+        o_global = o_server.global_params.entries
+        assert np.array_equal(server.global_params, to_vector(plan, o_global))
         assert not server.global_params.flags.writeable
         if algorithm in ("fedadam", "fedadagrad", "fedyogi"):
-            assert np.array_equal(server.m, flat(plan, o_server.m))
-            assert np.array_equal(server.v, flat(plan, o_server.v))
+            assert np.array_equal(server.m, to_vector(plan, o_server.m))
+            assert np.array_equal(server.v, to_vector(plan, o_server.v))
         if algorithm == "feddyn":
-            assert np.array_equal(server.h, flat(plan, o_server.h))
+            assert np.array_equal(server.h, to_vector(plan, o_server.h))
         fragment = broadcast_fragment(server, k)
         for u, o_u in zip(updates, o_updates):
             own[u.client_id] = u.params_after
             got = orchestrator._merge(fragment, u.params_after)
             want = oracle.eval_params(o_u.params_after, o_server, policy)
-            assert np.array_equal(got, plan.pack(want))
+            assert np.array_equal(got, to_vector(plan, want.entries))
             assert np.shares_memory(got, server.global_params) == (k == plan.size)
 
 

@@ -160,10 +160,9 @@ def test_init_server_state_fedadam_moments():
 
 
 def test_init_deterministic_w0():
-    spec = make_model(["batch_norm"])
-    a, b = init_params(spec, seed=7), init_params(spec, seed=7)
-    for name in a.names():
-        assert np.array_equal(a.entries[name], b.entries[name])
+    plan = Plan(make_model(["batch_norm"]))
+    a, b = init_params(plan, seed=7), init_params(Plan(plan.spec), seed=7)
+    assert np.array_equal(a, b)
 
 
 def update(cid, params, n_k=1, diverged=False):
@@ -251,7 +250,7 @@ def test_fedopt_step_direction_matches_momentum_sign(algorithm):
 def test_aggregation_idempotent_on_unchanged_clients(algorithm):
     spec = make_model(["batch_norm"])
     plan = Plan(spec)
-    w0 = plan.pack(init_params(spec, seed=1))
+    w0 = init_params(plan, seed=1)
     cfg = StrategyConfig(algorithm)
     state = init_server_state(w0, cfg, plan.n_train)
     ups = [update(cid, w0.copy(), n_k=cid + 1) for cid in range(3)]
@@ -305,7 +304,7 @@ def test_feddyn_server_state_scalar_trajectory():
 def test_feddyn_h_leaves_running_statistics_averaged():
     plan = Plan(make_model(["batch_norm"]))
     cfg = StrategyConfig("feddyn", alpha=0.1)
-    w0 = plan.pack(init_params(plan.spec, seed=0))
+    w0 = init_params(plan, seed=0)
     state = init_server_state(w0, cfg, plan.n_train)
     assert state.h.shape == (plan.n_train,)
     ups = [update(cid, w0 + cid + 1.0, n_k=cid + 1) for cid in range(3)]
@@ -329,7 +328,7 @@ def test_broadcast_fragment_respects_policy():
     spec = make_model(["batch_norm"])
     plan = Plan(spec)
     cfg = StrategyConfig("fedbn")
-    state = init_server_state(plan.pack(init_params(spec, seed=0)), cfg, plan.n_train)
+    state = init_server_state(init_params(plan, seed=0), cfg, plan.n_train)
     frag = broadcast_fragment(state, cfg.policy.prefix(plan))
     assert plan.slots["layer1.gain"][0] >= len(frag)
     assert plan.slots["layer1.running_mean"][0] >= len(frag)

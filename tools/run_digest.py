@@ -21,6 +21,11 @@ The set:
   norm gains and biases), fedavg on a 2-class feature-shift partition (the
   binary AUROC path), and fedavg selecting by ``auprc``, ``accuracy`` and
   ``loss``;
+* 1 round at seed 0 with ``keep_all_checkpoints`` of each model other than
+  the batch-norm one, written to ``init/``: the layer-norm, group-norm,
+  no-norm and sigmoid-BCE models of ``kinds/`` and the 2-class model of
+  ``paths/``, so that each ``round_0001/global_start.npz`` pins that model's
+  ``w_0`` (``grid_keep_all/`` pins the batch-norm one);
 * ``fedbench partition`` of a K=10 label-skew spec, then ``fedbench sweep
   --grid 5x4,10x2`` with fedpxn and local Adam over seeds 0-2, the shape of
   the benchmark's ``ls_sweep_cli`` workload;
@@ -103,26 +108,44 @@ def run_keep_all() -> None:
     orchestrator.run_experiment(cfg, 0, out_dir=Path("grid_keep_all"))
 
 
+def kind_config(name: str, rounds: int):
+    alg, norm_kind, optimizer, head = KIND_RUNS[name]
+    cfg = benchmarks.benchmark_config(alg, "feature_shift", rounds=rounds, seeds=(0,),
+                                      norm_kind=norm_kind)
+    model = cfg.model
+    if head == "sigmoid_bce_head":
+        model = replace(model, layers=model.layers[:-1] + [LayerSpec(kind=head)],
+                        loss="binary_cross_entropy")
+    return replace(cfg, model=model, local_optimizer=optimizer)
+
+
+def path_config(name: str, rounds: int):
+    alg, policy, classes, metric = PATH_RUNS[name]
+    cfg = benchmarks.benchmark_config(alg, "feature_shift", rounds=rounds, seeds=(0,))
+    return replace(cfg, strategy=replace(cfg.strategy, policy=policy),
+                   data=replace(cfg.data, num_classes=classes),
+                   model=benchmarks.small_model(num_classes=classes),
+                   selection_metric=metric)
+
+
 def run_kinds() -> None:
-    for name, (alg, norm_kind, optimizer, head) in KIND_RUNS.items():
-        cfg = benchmarks.benchmark_config(alg, "feature_shift", rounds=KIND_ROUNDS, seeds=(0,),
-                                          norm_kind=norm_kind)
-        model = cfg.model
-        if head == "sigmoid_bce_head":
-            model = replace(model, layers=model.layers[:-1] + [LayerSpec(kind=head)],
-                            loss="binary_cross_entropy")
-        cfg = replace(cfg, model=model, local_optimizer=optimizer)
-        orchestrator.run_experiment(cfg, 0, out_dir=Path("kinds") / name)
+    for name in KIND_RUNS:
+        orchestrator.run_experiment(kind_config(name, KIND_ROUNDS), 0,
+                                    out_dir=Path("kinds") / name)
 
 
 def run_paths() -> None:
-    for name, (alg, policy, classes, metric) in PATH_RUNS.items():
-        cfg = benchmarks.benchmark_config(alg, "feature_shift", rounds=KIND_ROUNDS, seeds=(0,))
-        cfg = replace(cfg, strategy=replace(cfg.strategy, policy=policy),
-                      data=replace(cfg.data, num_classes=classes),
-                      model=benchmarks.small_model(num_classes=classes),
-                      selection_metric=metric)
-        orchestrator.run_experiment(cfg, 0, out_dir=Path("paths") / name)
+    for name in PATH_RUNS:
+        orchestrator.run_experiment(path_config(name, KIND_ROUNDS), 0,
+                                    out_dir=Path("paths") / name)
+
+
+def run_init() -> None:
+    configs = {name: kind_config(name, 1) for name in KIND_RUNS}
+    configs["binary"] = path_config("binary", 1)
+    for name, cfg in configs.items():
+        cfg = replace(cfg, keep_all_checkpoints=True)
+        orchestrator.run_experiment(cfg, 0, out_dir=Path("init") / name)
 
 
 def run_sweep() -> None:
@@ -220,6 +243,7 @@ def main(argv=None) -> int:
     run_keep_all()
     run_kinds()
     run_paths()
+    run_init()
     run_sweep()
     run_rank()
     for path in sorted(p for p in Path(".").rglob("*") if p.is_file()):
