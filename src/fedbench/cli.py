@@ -176,7 +176,6 @@ def cmd_run(args) -> int:
     cfg, echo = parse_and_validate_config(args.config, args.override)
     seeds = args.seed if args.seed else cfg.seeds
     out_dir = Path(args.out or cfg.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     _atomic_write(out_dir / "config_echo.yaml", yaml.safe_dump(echo, sort_keys=False))
     per_seed = []
     for seed in seeds:
@@ -208,7 +207,6 @@ def cmd_sweep(args) -> int:
     cfg, echo = parse_and_validate_config(args.config, args.override)
     splits = _parse_grid(args.grid)
     out_dir = Path(args.out or cfg.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     _atomic_write(out_dir / "config_echo.yaml", yaml.safe_dump(echo, sort_keys=False))
     rows = sweep_local_epochs(cfg, splits, out_dir=out_dir)
     lines = ["local_epochs,rounds,seed,selected_round,mean_val_metric,mean_test_metric"]

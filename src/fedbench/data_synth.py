@@ -193,7 +193,8 @@ def save_client_csv(dataset: ClientDataset, path) -> None:
 def load_client_csv(path, num_classes: int, client_id: int = 0) -> ClientDataset:
     """Parse a per-client CSV and split it 70/15/15 in file order, so a
     save/load round-trip reproduces the original splits.  Each feature must be
-    finite and each label a class id in ``[0, num_classes)``."""
+    finite and each label a class id in ``[0, num_classes)``; a row that is
+    not is a MalformedRow naming ``path`` and its line."""
     path = Path(path)
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -208,25 +209,25 @@ def load_client_csv(path, num_classes: int, client_id: int = 0) -> ClientDataset
         inputs, labels = [], []
         for lineno, row in enumerate(reader, start=2):
             if len(row) != d + 1:
-                raise MalformedRow(lineno, f"expected {d + 1} cells, got {len(row)}")
+                raise MalformedRow(path, lineno, f"expected {d + 1} cells, got {len(row)}")
             try:
                 inputs.append([float(v) for v in row[:-1]])
             except ValueError:
-                raise MalformedRow(lineno, f"non-numeric feature cell in {row!r}")
+                raise MalformedRow(path, lineno, f"non-numeric feature cell in {row!r}")
             try:
                 label = float(row[-1])
             except ValueError:
-                raise MalformedRow(lineno, f"non-numeric label {row[-1]!r}")
+                raise MalformedRow(path, lineno, f"non-numeric label {row[-1]!r}")
             if not 0 <= label < num_classes:  # also rejects nan and inf
-                raise MalformedRow(lineno, f"label {row[-1]!r} outside [0, {num_classes})")
+                raise MalformedRow(path, lineno, f"label {row[-1]!r} outside [0, {num_classes})")
             if label != int(label):
-                raise MalformedRow(lineno, f"label {row[-1]!r} is not integral")
+                raise MalformedRow(path, lineno, f"label {row[-1]!r} is not integral")
             labels.append(int(label))
     inputs = np.asarray(inputs, dtype=np.float64)
     finite = np.isfinite(inputs)
     if not finite.all():
         row = int(np.flatnonzero(~finite.all(axis=1))[0])
-        raise MalformedRow(row + 2, f"non-finite feature cell in {inputs[row].tolist()!r}")
+        raise MalformedRow(path, row + 2, f"non-finite feature cell in {inputs[row].tolist()!r}")
     labels = np.asarray(labels, dtype=np.int64)
     return _split(inputs, labels, client_id, num_classes)
 

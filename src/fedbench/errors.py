@@ -56,8 +56,8 @@ class InfeasibleSizes(FedbenchError):
 
 
 class MalformedRow(FedbenchError):
-    def __init__(self, line_number: int, message: str):
-        super().__init__(f"line {line_number}: {message}")
+    def __init__(self, path, line_number: int, message: str):
+        super().__init__(f"{path}: line {line_number}: {message}")
         self.line_number = line_number
 
 

@@ -6,11 +6,14 @@ sorts its clients by id once, and training, aggregation, validation,
 checkpoints and the test all follow that order; with client RNG streams
 derived from (seed, client_id, round), neither the order in which a manifest
 or a caller lists the clients nor the execution order can perturb the
-results.  A run works on one ``nn.Plan``'s flat vectors
-(see ``params``).  Each client keeps one start vector, built once per round
-after aggregation from the global's first ``k`` entries (the policy's
-``ExclusionPolicy.prefix``) and the rest of its own vector: it validates with
-it, trains from it in the next round, and the selected round's is tested.
+results.  A run works on one ``nn.Plan``'s flat vectors (see ``params``).  A
+client's ``ClientState`` is the one holder of its round outcome: local
+training leaves the trained vector, the mean loss and the divergence flag on
+it, and ``server_aggregate`` reads the round's clients themselves.  Each
+client keeps one start vector, built once per round after aggregation from
+the global's first ``k`` entries (the policy's ``ExclusionPolicy.prefix``)
+and the rest of its own vector: it validates with it, trains from it in the
+next round, and the selected round's is tested.
 Under fedbn/fedpxn each client keeps its own norm parameters; all other
 algorithms use the identical global vector.
 """
@@ -54,7 +57,6 @@ from .nn import (
 )
 from .params import l2_distance_excluding_norm, save_paramset
 from .strategies import (
-    ClientUpdate,
     ServerState,
     StrategyConfig,
     broadcast_fragment,
@@ -134,7 +136,6 @@ class ExperimentResult:
     test_metrics: dict[int, float]
     mean_test_metric: float
     rounds: list[RoundRecord]
-    checkpoint_dir: str | None = None
     seed: int = 0
 
 
@@ -149,6 +150,8 @@ class ClientState:
     eval_params: np.ndarray  # its round-start vector: w_0, then rebuilt after each aggregation
     adam_state: AdamState | None = None
     dyn: np.ndarray | None = None  # FedDyn's g_k over the trainable prefix; zero before round 1
+    train_loss: float = float("nan")  # of the last local round, as are ``params`` and ``diverged``
+    diverged: bool = False
 
     @classmethod
     def create(cls, ds: ClientDataset, w_0: np.ndarray, cfg: ExperimentConfig,
@@ -205,10 +208,11 @@ def run_local_training(
     seed: int,
     round_idx: int,
     plan: Plan,
-) -> ClientUpdate:
+) -> ClientState:
     """E local epochs with the strategy-modified gradient, trained in place in
     a private copy of the client's round-start vector, then published
-    read-only."""
+    read-only as ``client.params`` with the round's ``train_loss`` and
+    ``diverged``; returns the client."""
     strat = cfg.strategy
     w_ref = client.eval_params  # round-start reference for prox/dyn terms
     if w_ref.shape != (plan.size,):
@@ -239,16 +243,11 @@ def run_local_training(
         diverged = True
     if strat.algorithm == "feddyn" and not diverged:
         client.dyn = update_dyn_memory(client.dyn, work, w_ref, strat.alpha)
-    train_loss = float(np.mean(losses)) if losses else float("nan")
     work.flags.writeable = False
     client.params = work
-    return ClientUpdate(
-        client_id=client.client_id,
-        params_after=work,
-        n_k=client.n_k,
-        train_loss=train_loss,
-        diverged=diverged,
-    )
+    client.train_loss = float(np.mean(losses)) if losses else float("nan")
+    client.diverged = diverged
+    return client
 
 
 def evaluate(plan: Plan, params: np.ndarray, batch: Batch, metric: str) -> float:
@@ -287,17 +286,18 @@ def run_round(
     start = time.perf_counter()
     round_idx = server.round
     w_start = server.global_params
-    updates = [run_local_training(c, cfg, seed, round_idx, plan) for c in clients]
+    for c in clients:
+        run_local_training(c, cfg, seed, round_idx, plan)
     distances = {
-        u.client_id: l2_distance_excluding_norm(u.params_after, w_start, plan.non_norm_slots)
-        for u in updates
-        if not u.diverged
+        c.client_id: l2_distance_excluding_norm(c.params, w_start, plan.non_norm_slots)
+        for c in clients
+        if not c.diverged
     }
-    diverged_ids = [u.client_id for u in updates if u.diverged]
+    diverged_ids = [c.client_id for c in clients if c.diverged]
     if diverged_ids:
         log.warning("round %d: diverged clients excluded from aggregation: %s",
                     round_idx + 1, diverged_ids)
-    new_server = server_aggregate(server, updates, strat)
+    new_server = server_aggregate(server, clients, strat)
     fragment = broadcast_fragment(new_server, strat.policy.prefix(plan))
     val_metrics = {}
     for c in clients:
@@ -306,7 +306,7 @@ def run_round(
     elapsed = time.perf_counter() - start
     record = RoundRecord(
         round=round_idx + 1,
-        train_losses={u.client_id: u.train_loss for u in updates},
+        train_losses={c.client_id: c.train_loss for c in clients},
         val_metrics=val_metrics,
         mean_val_metric=float(np.nanmean(list(val_metrics.values()))),
         distances=distances,
@@ -414,7 +414,6 @@ def run_experiment(cfg: ExperimentConfig, seed: int, out_dir=None,
         test_metrics=test_metrics,
         mean_test_metric=float(np.nanmean(list(test_metrics.values()))),
         rounds=records,
-        checkpoint_dir=str(ckpt_dir) if ckpt_dir is not None else None,
         seed=seed,
     )
     if out_dir is not None:

@@ -1,12 +1,14 @@
 """The eight aggregation strategies behind one interface.
 
 Local-objective modifiers (fedprox, fedpxn, feddyn) act on the per-batch flat
-gradient of a client round's parameter vector; server-update rules act on the
-round's client vectors (see ``params``): fedavg, fedprox, fedbn and fedpxn
-average whole vectors, feddyn averages them uniformly and corrects the
-trainable prefix by its server state, and the FedOpt family steps the
-trainable prefix by its moments and averages the running statistics.  What a
-client takes of the global is a prefix of the plan's vector, whose length
+gradient of a client round's parameter vector.  The server rule reads the
+round's clients themselves (their trained vectors, ``n_k`` and divergence
+flags; see ``params``) and starts from one weighted average of the alive
+clients' vectors: fedavg, fedprox, fedbn and fedpxn keep it whole, feddyn
+weighs the clients uniformly and corrects the trainable prefix by its server
+state, and the FedOpt family replaces the trainable prefix by its moment step,
+so only the running statistics keep the average.  What a client takes of the
+global is a prefix of the plan's vector, whose length
 ``ExclusionPolicy.prefix`` sets.  So fedbn/fedpxn keep the server's copy of
 excluded norm entries as a weighted average for checkpoint purposes only;
 client-held values stay authoritative and are never overwritten.
@@ -126,15 +128,6 @@ class ServerState:
     round: int = 0
 
 
-@dataclass
-class ClientUpdate:
-    client_id: int
-    params_after: np.ndarray  # the client's trained vector, read-only
-    n_k: int
-    train_loss: float
-    diverged: bool = False
-
-
 def init_server_state(w_0: np.ndarray, cfg: StrategyConfig, n_train: int) -> ServerState:
     """The global ``w_0`` (a read-only copy); over the trainable prefix
     ``w_0[:n_train]``, m = 0 and v = gamma^2 for the FedOpt family and h = 0
@@ -190,17 +183,25 @@ def update_dyn_memory(g: np.ndarray, w_local: np.ndarray, w_ref: np.ndarray,
     return g - alpha * (w_local[:k] - w_ref[:k])
 
 
-def server_aggregate(server: ServerState, updates: list[ClientUpdate],
-                     cfg: StrategyConfig) -> ServerState:
-    """One aggregation step; returns a fresh ServerState with round+1.  The
-    updates are summed in the order given (the run's clients, sorted by id)."""
+def server_aggregate(server: ServerState, clients: list, cfg: StrategyConfig) -> ServerState:
+    """One aggregation step over the round's clients, ``orchestrator.ClientState``s
+    after local training whose ``params``, ``n_k`` and ``diverged`` it reads;
+    returns a fresh ServerState with round+1.  Every rule starts from one
+    average of the alive clients' vectors, summed in the order given (the
+    run's, sorted by id)."""
     algorithm = cfg.algorithm
-    alive = [u for u in updates if not u.diverged]
+    alive = [c for c in clients if not c.diverged]
     if not alive:
         raise AllClientsDiverged("no non-diverged client updates this round")
-    weights = make_weights([u.n_k for u in alive])
-    vectors = [u.params_after for u in alive]
+    vectors = [c.params for c in alive]
+    uniform = make_weights([1] * len(alive))
+    weights = uniform if algorithm == "feddyn" else make_weights([c.n_k for c in alive])
+    # Under fedbn/fedpxn the excluded entries of the average are a server-side
+    # convenience copy only and are never broadcast back (the orchestrator
+    # broadcasts the policy's prefix).
+    new_global = weighted_average(vectors, weights)
     w_t = server.global_params
+    m = v = h = None
 
     if algorithm == "feddyn":
         if server.h is None:
@@ -213,47 +214,34 @@ def server_aggregate(server: ServerState, updates: list[ClientUpdate],
         drift = np.zeros(n)
         for vec in vectors:
             drift += vec[:n] - w_t[:n]
-        h = server.h - cfg.alpha / len(updates) * drift
-        new_global = weighted_average(vectors, make_weights([1] * len(alive)))
+        h = server.h - cfg.alpha / len(clients) * drift
         new_global[:n] -= h / cfg.alpha
-        new_global.flags.writeable = False
-        return ServerState(global_params=new_global, h=h, round=server.round + 1)
-
-    if algorithm not in FEDOPT_FAMILY:
-        # Weighted average of whole vectors.  Under fedbn/fedpxn the excluded
-        # entries are a server-side convenience copy only and are never
-        # broadcast back (the orchestrator broadcasts the policy's prefix).
-        new_global = weighted_average(vectors, weights)
-        new_global.flags.writeable = False
-        return ServerState(global_params=new_global, round=server.round + 1)
-
-    if server.m is None or server.v is None:
-        raise UninitializedOptState(f"{algorithm} requires initialized m, v")
-    n = server.m.shape[0]  # the trainable prefix
-    d_weights = make_weights([1] * len(alive)) if cfg.uniform_pseudo_grad else weights
-    delta = np.zeros(n)
-    for vec, w in zip(vectors, d_weights):
-        delta += w * (vec[:n] - w_t[:n])
-    m = cfg.beta1 * server.m + (1.0 - cfg.beta1) * delta
-    d2 = delta * delta
-    if algorithm == "fedadam":
-        v = cfg.beta2 * server.v + (1.0 - cfg.beta2) * d2
-    elif algorithm == "fedadagrad":
-        v = server.v + d2
-    else:  # fedyogi
-        v = server.v - (1.0 - cfg.beta2) * d2 * np.sign(server.v - d2)
-        floor = cfg.gamma**2
-        clamped = int(np.sum(v < floor))
-        if clamped:
-            log.info("fedyogi clamped %d second-moment entries at gamma^2", clamped)
-        v = np.maximum(v, floor)
-    new_global = np.empty_like(w_t)
-    new_global[:n] = w_t[:n] + cfg.eta_g * m / (np.sqrt(v) + cfg.gamma)
-    if n < w_t.shape[0]:
-        # running statistics carry no meaningful pseudo-gradient: plain average
-        new_global[n:] = weighted_average([vec[n:] for vec in vectors], weights)
+    elif algorithm in FEDOPT_FAMILY:
+        if server.m is None or server.v is None:
+            raise UninitializedOptState(f"{algorithm} requires initialized m, v")
+        # the trainable prefix steps by the moments; running statistics carry
+        # no meaningful pseudo-gradient and keep the average
+        n = server.m.shape[0]
+        d_weights = uniform if cfg.uniform_pseudo_grad else weights
+        delta = np.zeros(n)
+        for vec, w in zip(vectors, d_weights):
+            delta += w * (vec[:n] - w_t[:n])
+        m = cfg.beta1 * server.m + (1.0 - cfg.beta1) * delta
+        d2 = delta * delta
+        if algorithm == "fedadam":
+            v = cfg.beta2 * server.v + (1.0 - cfg.beta2) * d2
+        elif algorithm == "fedadagrad":
+            v = server.v + d2
+        else:  # fedyogi
+            v = server.v - (1.0 - cfg.beta2) * d2 * np.sign(server.v - d2)
+            floor = cfg.gamma**2
+            clamped = int(np.sum(v < floor))
+            if clamped:
+                log.info("fedyogi clamped %d second-moment entries at gamma^2", clamped)
+            v = np.maximum(v, floor)
+        new_global[:n] = w_t[:n] + cfg.eta_g * m / (np.sqrt(v) + cfg.gamma)
     new_global.flags.writeable = False
-    return ServerState(global_params=new_global, m=m, v=v, round=server.round + 1)
+    return ServerState(global_params=new_global, m=m, v=v, h=h, round=server.round + 1)
 
 
 def broadcast_fragment(server: ServerState, k: int) -> np.ndarray:

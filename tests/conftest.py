@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from fedbench.nn import Batch, LayerSpec, ModelSpec, Plan, init_params, model_forward
+from fedbench.orchestrator import ClientState
 
 
 def make_model(kinds, input_dim=5, hidden=6, num_classes=3, groups=2):
@@ -16,6 +17,26 @@ def make_model(kinds, input_dim=5, hidden=6, num_classes=3, groups=2):
     ]
     return ModelSpec(input_dim=input_dim, layers=layers, loss="cross_entropy",
                      num_classes=num_classes)
+
+
+def round_client(client_id, vec, n_k=1, diverged=False):
+    """A client after its local round, as ``server_aggregate`` reads it: the
+    trained vector ``vec``, its ``n_k`` and its divergence flag (no data)."""
+    return ClientState(client_id=client_id, n_k=n_k, train=None, val=None, test=None,
+                       params=vec, eval_params=vec, diverged=diverged)
+
+
+def edit_cell(path, line, column, cell):
+    """Put ``cell`` at ``column`` of the 1-based ``line`` of a CSV file, or drop
+    that cell when ``cell`` is None."""
+    lines = path.read_text().splitlines()
+    cells = lines[line - 1].split(",")
+    if cell is None:
+        del cells[column]
+    else:
+        cells[column] = cell
+    lines[line - 1] = ",".join(cells)
+    path.write_text("\n".join(lines) + "\n")
 
 
 def random_batch(spec, n, seed):

@@ -62,6 +62,7 @@ from conftest import (
     forward_loss,
     make_model,
     random_batch,
+    round_client,
     trainable_names,
 )
 from nn_oracle import to_vector
@@ -265,14 +266,13 @@ def test_criterion_4_fedbn_partition_invariant(tmp_path):
 # 5. fedopt math
 
 def test_criterion_5_fedopt_math():
-    from fedbench.strategies import ClientUpdate, server_aggregate
+    from fedbench.strategies import server_aggregate
 
     def scalar_set(w):
         return np.array([w])  # one trainable entry
 
     def update(target):
-        return ClientUpdate(client_id=0, params_after=scalar_set(target), n_k=1,
-                            train_loss=0.0, diverged=False)
+        return round_client(0, scalar_set(target))
 
     deltas = [0.8, -0.3, 0.5]
     for algorithm in ("fedadam", "fedadagrad", "fedyogi"):
@@ -434,14 +434,14 @@ def test_criterion_9_divergence_handling(monkeypatch, caplog):
     original = orchestrator.run_local_training
 
     def sabotage(client, cfg, seed, round_idx, plan):
-        update = original(client, cfg, seed, round_idx, plan)
+        client = original(client, cfg, seed, round_idx, plan)
         if client.client_id == 0 and round_idx == 0:
             # the published vector is read-only: replace its trainable prefix by NaN
-            sabotaged = update.params_after.copy()
+            sabotaged = client.params.copy()
             sabotaged[:plan.n_train] = np.nan
-            update.params_after = sabotaged
-            update.diverged = True
-        return update
+            client.params = sabotaged
+            client.diverged = True
+        return client
 
     monkeypatch.setattr(orchestrator, "run_local_training", sabotage)
     cfg = benchmark_config("fedavg", "feature_shift", rounds=3, local_epochs=1)

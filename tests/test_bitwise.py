@@ -251,9 +251,9 @@ def test_local_training_matches_oracle_loop(algorithm, optimizer, model):
     client = ClientState.create(ds, w_start, cfg, plan)
     client.dyn = dyn
     before = w_start.copy()
-    update = run_local_training(client, cfg, seed, round_idx, plan)
-    assert not update.diverged
-    trained = plan.entries(update.params_after)
+    assert run_local_training(client, cfg, seed, round_idx, plan) is client
+    assert not client.diverged
+    trained = plan.entries(client.params)
     for name, value in params.entries.items():
         assert np.array_equal(trained[name], value), name
     assert np.array_equal(w_start, before)  # training never wrote into a vector it was handed

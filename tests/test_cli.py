@@ -16,6 +16,8 @@ from fedbench.cli import (
 from fedbench.data_synth import PartitionSpec, write_partition
 from fedbench.errors import ConfigError
 
+from conftest import edit_cell
+
 
 def base_config(**extra):
     cfg = {
@@ -286,13 +288,23 @@ def edited_manifest(tmp_path, edit):
 def test_non_finite_feature_cell_is_data_error_naming_its_line(tmp_path, capsys, cell):
     manifest = write_partition(PartitionSpec(**base_config()["data"]), tmp_path / "part")
     path = manifest.parent / "client_2.csv"
-    lines = path.read_text().splitlines(keepends=True)
-    cells = lines[4].split(",")
-    cells[3] = cell
-    lines[4] = ",".join(cells)
-    path.write_text("".join(lines))
+    edit_cell(path, 5, 3, cell)
     message = run_on_manifest(tmp_path, capsys, manifest)
-    assert message.startswith("line 5: non-finite feature cell in [")
+    assert message.startswith(f"{path}: line 5: non-finite feature cell in [")
+
+
+@pytest.mark.parametrize("client,line,column,cell,message", [
+    (1, 7, -1, "7", "label '7' outside [0, 3)"),
+    (0, 3, 0, "oops", "non-numeric feature cell in ["),
+    (1, 4, -1, None, "expected 6 cells, got 5"),
+])
+def test_malformed_row_is_data_error_naming_its_csv(tmp_path, capsys, client, line, column,
+                                                    cell, message):
+    manifest = write_partition(PartitionSpec(**base_config()["data"]), tmp_path / "part")
+    path = manifest.parent / f"client_{client}.csv"
+    edit_cell(path, line, column, cell)
+    assert run_on_manifest(tmp_path, capsys, manifest).startswith(
+        f"{path}: line {line}: {message}")
 
 
 def test_manifest_with_a_duplicate_client_id_is_data_error(tmp_path, capsys):
@@ -356,6 +368,7 @@ def test_sweep_bad_grid(tmp_path, capsys):
     code = main(["sweep", "--config", str(path), "--grid", "banana",
                  "--out", str(tmp_path / "x")])
     assert code == EXIT_CONFIG
+    assert not (tmp_path / "x").exists()
 
 
 def write_results(root, values, algorithm="fedavg"):

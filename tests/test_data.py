@@ -19,6 +19,8 @@ from fedbench.benchmarks import feature_shift_spec, label_skew_spec
 from fedbench.errors import ConfigError, InfeasibleSizes, MalformedRow, SchemaMismatch
 from fedbench.nn import Plan, apply_running_stats, model_forward
 
+from conftest import edit_cell
+
 
 def spec(kind="label_skew", **kw):
     base = dict(
@@ -224,15 +226,28 @@ def test_manifest_class_count_below_its_labels_is_malformed_row(tmp_path):
 @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
 def test_non_finite_feature_rejected(tmp_path, cell):
     manifest = write_partition(spec(), tmp_path)
-    path = tmp_path / "client_1.csv"
-    lines = path.read_text().splitlines(keepends=True)
-    cells = lines[5].split(",")
-    cells[1] = cell
-    lines[5] = ",".join(cells)
-    path.write_text("".join(lines))
+    edit_cell(tmp_path / "client_1.csv", 6, 1, cell)
     with pytest.raises(MalformedRow, match="non-finite feature cell") as err:
         load_partition(manifest)
     assert err.value.line_number == 6
+
+
+@pytest.mark.parametrize("client,line,column,cell,message", [
+    (2, 5, 3, "nan", "non-finite feature cell in ["),
+    (1, 7, -1, "7", "label '7' outside [0, 3)"),
+    (0, 3, 0, "oops", "non-numeric feature cell in ["),
+    (1, 4, -1, None, "expected 7 cells, got 6"),
+])
+def test_malformed_row_names_its_csv(tmp_path, client, line, column, cell, message):
+    """In a partition of several clients, a malformed row names its file as
+    well as its line."""
+    manifest = write_partition(spec(), tmp_path)
+    path = tmp_path / f"client_{client}.csv"
+    edit_cell(path, line, column, cell)
+    with pytest.raises(MalformedRow) as err:
+        load_partition(manifest)
+    assert str(err.value).startswith(f"{path}: line {line}: {message}")
+    assert err.value.line_number == line
 
 
 def test_wrong_cell_count_rejected(tmp_path):

@@ -458,7 +458,7 @@ def test_round_rejects_entries_keyed_unlike_the_model():
 
 def test_later_rounds_leave_published_arrays_unchanged(monkeypatch, tmp_path):
     """Each round trains a fresh private vector in place, so what a round has
-    published (the in-memory checkpoint snapshot, ``params_after``) and its
+    published (the in-memory checkpoint snapshot, ``client.params``) and its
     round-start reference keep their bits while later rounds train."""
     held = []  # (array, its bits when the round that made it ended)
 
@@ -474,11 +474,11 @@ def test_later_rounds_leave_published_arrays_unchanged(monkeypatch, tmp_path):
         return real_loss_grad(grad, w_local, w_global, *rest)
 
     def train(*args):
-        update = real_train(*args)
-        hold([update.params_after])
+        client = real_train(*args)
+        hold([client.params])
         hold(refs.values())
         refs.clear()
-        return update
+        return client
 
     def snapshot(*args):
         snap = real_snapshot(*args)

@@ -13,7 +13,7 @@ import pytest
 
 import server_oracle as oracle
 from nn_oracle import to_paramset, to_vector
-from conftest import make_model
+from conftest import make_model, round_client
 from fedbench import metrics, orchestrator
 from fedbench.errors import SingleClass
 from fedbench.nn import Plan, init_params
@@ -21,7 +21,6 @@ from fedbench.params import l2_distance_excluding_norm
 from fedbench.strategies import (
     ALGORITHMS,
     NORM_EXCLUDING,
-    ClientUpdate,
     ExclusionPolicy,
     StrategyConfig,
     broadcast_fragment,
@@ -56,19 +55,19 @@ def test_round_vectors_match_oracle(algorithm, policy, kind):
         start = orchestrator._merge(broadcast_fragment(server, k), own[0])
         o_start = oracle.eval_params(to_paramset(plan, own[0]), o_server, policy)
         assert np.array_equal(start, to_vector(plan, o_start.entries))
-        updates, o_updates = [], []
+        clients, o_updates = [], []
         for cid in own:
             scale = rng.choice([1e-3, 0.1, 2.0])
             vec = server.global_params + scale * rng.standard_normal(plan.size)
             vec.flags.writeable = False
             diverged = round_idx == 2 and cid == 1
-            updates.append(ClientUpdate(cid, vec, int(rng.integers(5, 60)), 0.0, diverged))
-            o_updates.append(oracle.ClientUpdate(cid, to_paramset(plan, vec), updates[-1].n_k,
+            clients.append(round_client(cid, vec, int(rng.integers(5, 60)), diverged))
+            o_updates.append(oracle.ClientUpdate(cid, to_paramset(plan, vec), clients[-1].n_k,
                                                  diverged))
             d = l2_distance_excluding_norm(vec, server.global_params, plan.non_norm_slots)
             assert d == oracle.l2_distance_excluding_norm(
                 to_paramset(plan, vec), o_server.global_params)
-        server = server_aggregate(server, updates, cfg)
+        server = server_aggregate(server, clients, cfg)
         o_server = oracle.server_aggregate(algorithm, o_server, o_updates, cfg)
         o_global = o_server.global_params.entries
         assert np.array_equal(server.global_params, to_vector(plan, o_global))
@@ -79,9 +78,9 @@ def test_round_vectors_match_oracle(algorithm, policy, kind):
         if algorithm == "feddyn":
             assert np.array_equal(server.h, to_vector(plan, o_server.h))
         fragment = broadcast_fragment(server, k)
-        for u, o_u in zip(updates, o_updates):
-            own[u.client_id] = u.params_after
-            got = orchestrator._merge(fragment, u.params_after)
+        for c, o_u in zip(clients, o_updates):
+            own[c.client_id] = c.params
+            got = orchestrator._merge(fragment, c.params)
             want = oracle.eval_params(o_u.params_after, o_server, policy)
             assert np.array_equal(got, to_vector(plan, want.entries))
             assert np.shares_memory(got, server.global_params) == (k == plan.size)

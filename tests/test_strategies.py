@@ -9,7 +9,6 @@ from fedbench.errors import (
 )
 from fedbench.nn import Plan, init_params
 from fedbench.strategies import (
-    ClientUpdate,
     ExclusionPolicy,
     ServerState,
     StrategyConfig,
@@ -20,7 +19,7 @@ from fedbench.strategies import (
     update_dyn_memory,
 )
 
-from conftest import make_model
+from conftest import make_model, round_client
 
 
 def scalar_set(w=1.0):
@@ -165,16 +164,11 @@ def test_init_deterministic_w0():
     assert np.array_equal(a, b)
 
 
-def update(cid, params, n_k=1, diverged=False):
-    return ClientUpdate(client_id=cid, params_after=params, n_k=n_k,
-                        train_loss=0.0, diverged=diverged)
-
-
 def test_fedavg_single_client_exact():
     w0 = scalar_set(1.0)
     state = init_server_state(w0, StrategyConfig("fedavg"), 1)
     client = scalar_set(3.141592653589793)
-    new = server_aggregate(state, [update(0, client)], StrategyConfig("fedavg"))
+    new = server_aggregate(state, [round_client(0, client)], StrategyConfig("fedavg"))
     assert new.global_params[0] == client[0]
     assert new.round == 1
 
@@ -183,27 +177,29 @@ def test_all_diverged_raises():
     w0 = scalar_set()
     state = init_server_state(w0, StrategyConfig("fedavg"), 1)
     with pytest.raises(AllClientsDiverged):
-        server_aggregate(state, [update(0, scalar_set(), diverged=True)], StrategyConfig("fedavg"))
+        server_aggregate(state, [round_client(0, scalar_set(), diverged=True)],
+                         StrategyConfig("fedavg"))
 
 
 def test_diverged_clients_excluded():
     w0 = scalar_set(0.0)
     state = init_server_state(w0, StrategyConfig("fedavg"), 1)
-    ups = [update(0, scalar_set(2.0)), update(1, scalar_set(np.nan), diverged=True)]
-    new = server_aggregate(state, ups, StrategyConfig("fedavg"))
+    clients = [round_client(0, scalar_set(2.0)),
+               round_client(1, scalar_set(np.nan), diverged=True)]
+    new = server_aggregate(state, clients, StrategyConfig("fedavg"))
     assert new.global_params[0] == 2.0
 
 
 def test_fedopt_requires_initialized_moments():
     state = ServerState(global_params=scalar_set())
     with pytest.raises(UninitializedOptState):
-        server_aggregate(state, [update(0, scalar_set(2.0))], StrategyConfig("fedadam"))
+        server_aggregate(state, [round_client(0, scalar_set(2.0))], StrategyConfig("fedadam"))
 
 
 def test_fedadagrad_scalar_first_round():
     cfg = StrategyConfig("fedadagrad", eta_g=1.0, beta1=0.9, gamma=0.01)
     state = init_server_state(scalar_set(0.0), cfg, 1)
-    new = server_aggregate(state, [update(0, scalar_set(1.0))], cfg)
+    new = server_aggregate(state, [round_client(0, scalar_set(1.0))], cfg)
     # delta=1: v = 1e-4 + 1, m = 0.1, step = 0.1/(sqrt(1.0001)+0.01)
     expected = 0.1 / (np.sqrt(1.0001) + 0.01)
     assert new.v[0] == pytest.approx(1.0001, abs=1e-15)
@@ -215,7 +211,7 @@ def test_fedyogi_fixpoint_when_v_equals_delta_squared():
     cfg = StrategyConfig("fedyogi", eta_g=0.1, beta2=0.9, gamma=0.001)
     state = init_server_state(scalar_set(0.0), cfg, 1)
     delta = cfg.gamma  # so delta^2 == v_0 == gamma^2
-    new = server_aggregate(state, [update(0, scalar_set(delta))], cfg)
+    new = server_aggregate(state, [round_client(0, scalar_set(delta))], cfg)
     assert new.v[0] == pytest.approx(cfg.gamma**2, abs=1e-20)
 
 
@@ -226,7 +222,7 @@ def test_fedadagrad_v_monotone_over_rounds():
     prev_v = state.v.copy()
     for _ in range(50):
         target = state.global_params[0] + rng.standard_normal()
-        state = server_aggregate(state, [update(0, scalar_set(target))], cfg)
+        state = server_aggregate(state, [round_client(0, scalar_set(target))], cfg)
         assert np.all(state.v >= prev_v)
         prev_v = state.v.copy()
 
@@ -239,7 +235,7 @@ def test_fedopt_step_direction_matches_momentum_sign(algorithm):
     for _ in range(5):
         w_before = state.global_params.copy()
         target = w_before[0] + rng.standard_normal()
-        state = server_aggregate(state, [update(0, scalar_set(target))], cfg)
+        state = server_aggregate(state, [round_client(0, scalar_set(target))], cfg)
         step = state.global_params - w_before
         assert np.all(np.sign(step) == np.sign(state.m))
 
@@ -253,8 +249,8 @@ def test_aggregation_idempotent_on_unchanged_clients(algorithm):
     w0 = init_params(plan, seed=1)
     cfg = StrategyConfig(algorithm)
     state = init_server_state(w0, cfg, plan.n_train)
-    ups = [update(cid, w0.copy(), n_k=cid + 1) for cid in range(3)]
-    new = server_aggregate(state, ups, cfg)
+    clients = [round_client(cid, w0.copy(), n_k=cid + 1) for cid in range(3)]
+    new = server_aggregate(state, clients, cfg)
     assert np.allclose(new.global_params, w0, atol=1e-14)
 
 
@@ -281,7 +277,7 @@ def test_fedopt_three_round_scalar_trajectory_matches_oracle():
         state = init_server_state(scalar_set(0.0), cfg, 1)
         for d, expect in zip(deltas, oracle):
             target = state.global_params[0] + d
-            state = server_aggregate(state, [update(0, scalar_set(target))], cfg)
+            state = server_aggregate(state, [round_client(0, scalar_set(target))], cfg)
             assert state.global_params[0] == pytest.approx(expect, abs=1e-12)
 
 
@@ -295,8 +291,9 @@ def test_feddyn_server_state_scalar_trajectory():
         h = h - cfg.alpha / 2 * sum(t - w for t in targets)
         w = sum(targets) / 2 - h / cfg.alpha
         # n_k does not weigh the mean
-        ups = [update(0, scalar_set(targets[0]), n_k=1), update(1, scalar_set(targets[1]), n_k=9)]
-        state = server_aggregate(state, ups, cfg)
+        clients = [round_client(0, scalar_set(targets[0]), n_k=1),
+                   round_client(1, scalar_set(targets[1]), n_k=9)]
+        state = server_aggregate(state, clients, cfg)
         assert state.h[0] == pytest.approx(h, abs=1e-12)
         assert state.global_params[0] == pytest.approx(w, abs=1e-12)
 
@@ -307,8 +304,8 @@ def test_feddyn_h_leaves_running_statistics_averaged():
     w0 = init_params(plan, seed=0)
     state = init_server_state(w0, cfg, plan.n_train)
     assert state.h.shape == (plan.n_train,)
-    ups = [update(cid, w0 + cid + 1.0, n_k=cid + 1) for cid in range(3)]
-    new = server_aggregate(state, ups, cfg)
+    clients = [round_client(cid, w0 + cid + 1.0, n_k=cid + 1) for cid in range(3)]
+    new = server_aggregate(state, clients, cfg)
     assert np.allclose(new.global_params[plan.n_train:], w0[plan.n_train:] + 2.0, atol=1e-12)
     # the trainable prefix moved by 2 on average, and h pulls it further along
     assert np.allclose(new.h, -0.1 * 2.0, atol=1e-12)
@@ -318,8 +315,8 @@ def test_feddyn_h_leaves_running_statistics_averaged():
 def test_uniform_pseudo_gradient_switch():
     cfg = StrategyConfig("fedadam", eta_g=0.1, gamma=0.01, uniform_pseudo_grad=True)
     state = init_server_state(scalar_set(0.0), cfg, 1)
-    ups = [update(0, scalar_set(1.0), n_k=1), update(1, scalar_set(0.0), n_k=99)]
-    new = server_aggregate(state, ups, cfg)
+    clients = [round_client(0, scalar_set(1.0), n_k=1), round_client(1, scalar_set(0.0), n_k=99)]
+    new = server_aggregate(state, clients, cfg)
     # uniform: delta = 0.5, not 0.01
     assert new.m[0] == pytest.approx(0.05, abs=1e-15)
 

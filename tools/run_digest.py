@@ -29,6 +29,9 @@ The set:
 * ``fedbench partition`` of a K=10 label-skew spec, then ``fedbench sweep
   --grid 5x4,10x2`` with fedpxn and local Adam over seeds 0-2, the shape of
   the benchmark's ``ls_sweep_cli`` workload;
+* ``fedbench run --seed 0 1`` of a 2-round fedavg config over that
+  partition, written to ``cli_run/`` (its ``config_echo.yaml``,
+  ``summary.csv`` and each seed's outputs);
 * the rank tests, written to ``rank/``: fixed ``result.json`` trees with
   tied metrics (four algorithms of 10 seeds and one of 15, so ``--exact``
   counts n+m = 25), ``fedbench compare`` under the default method,
@@ -148,15 +151,11 @@ def run_init() -> None:
         orchestrator.run_experiment(cfg, 0, out_dir=Path("init") / name)
 
 
-def run_sweep() -> None:
-    spec = {"data": {
-        "kind": "label_skew", "num_clients": len(SWEEP_SIZES), "num_classes": 3,
-        "input_dim": 8, "sizes": SWEEP_SIZES, "skew_concentration": 0.3,
-        "class_separation": 1.0, "seed": 0,
-    }}
-    Path("partition.yaml").write_text(yaml.safe_dump(spec, sort_keys=False))
+def cli_config(strategy: dict, **fields) -> dict:
+    """A config file's mapping: the small batch-norm model and ``strategy``
+    over the written partition, then ``fields`` in the order given."""
     model = benchmarks.small_model()
-    config = {
+    return {
         "model": {
             "input_dim": model.input_dim, "num_classes": model.num_classes, "loss": model.loss,
             "layers": [
@@ -164,19 +163,31 @@ def run_sweep() -> None:
                 for layer in model.layers
             ],
         },
-        "strategy": {"algorithm": "fedpxn", "mu": 0.1},
+        "strategy": strategy,
         "data": "partition/manifest.json",
-        "local_epochs": 5,
-        "rounds": 4,
-        "eta": 0.1,
-        "local_optimizer": "adam",
-        "batch_size": 32,
-        "seeds": [0, 1, 2],
-        "selection_metric": "auroc",
+        **fields,
     }
+
+
+def run_sweep() -> None:
+    spec = {"data": {
+        "kind": "label_skew", "num_clients": len(SWEEP_SIZES), "num_classes": 3,
+        "input_dim": 8, "sizes": SWEEP_SIZES, "skew_concentration": 0.3,
+        "class_separation": 1.0, "seed": 0,
+    }}
+    Path("partition.yaml").write_text(yaml.safe_dump(spec, sort_keys=False))
+    config = cli_config({"algorithm": "fedpxn", "mu": 0.1}, local_epochs=5, rounds=4, eta=0.1,
+                        local_optimizer="adam", batch_size=32, seeds=[0, 1, 2],
+                        selection_metric="auroc")
     Path("sweep.yaml").write_text(yaml.safe_dump(config, sort_keys=False))
     run_cli(["partition", "--spec", "partition.yaml", "--out", "partition"])
     run_cli(["sweep", "--config", "sweep.yaml", "--grid", SWEEP_GRID, "--out", "sweep"])
+
+
+def run_cli_run() -> None:
+    config = cli_config({"algorithm": "fedavg"}, rounds=2, eta=0.1)
+    Path("run.yaml").write_text(yaml.safe_dump(config, sort_keys=False))
+    run_cli(["run", "--config", "run.yaml", "--seed", "0", "1", "--out", "cli_run"])
 
 
 def run_rank() -> None:
@@ -245,6 +256,7 @@ def main(argv=None) -> int:
     run_paths()
     run_init()
     run_sweep()
+    run_cli_run()
     run_rank()
     for path in sorted(p for p in Path(".").rglob("*") if p.is_file()):
         print(f"{file_digest(path)}  {path.as_posix()}")
