@@ -13,7 +13,7 @@ import math
 import os
 import sys
 import tempfile
-from dataclasses import MISSING, fields
+from dataclasses import MISSING, fields, replace
 from pathlib import Path
 
 import yaml
@@ -174,11 +174,12 @@ def _atomic_write(path: Path, text: str) -> None:
 
 def cmd_run(args) -> int:
     cfg, echo = parse_and_validate_config(args.config, args.override)
-    seeds = args.seed if args.seed else cfg.seeds
+    if args.seed is not None:  # --seed gets the config's seed check
+        cfg = replace(cfg, seeds=args.seed)
     out_dir = Path(args.out or cfg.out_dir)
     _atomic_write(out_dir / "config_echo.yaml", yaml.safe_dump(echo, sort_keys=False))
     per_seed = []
-    for seed in seeds:
+    for seed in cfg.seeds:
         result = run_experiment(cfg, seed, out_dir=out_dir / f"seed_{seed}")
         per_seed.append(result.mean_test_metric)
         print(f"seed {seed}: selected round {result.selected_round}, "

@@ -1,11 +1,14 @@
 """Synthetic heterogeneous multi-client datasets and a per-client CSV loader.
 
-Two heterogeneity regimes:
+``generate`` is the one draw loop: each client opens its own stream
+``[seed, 1, client_id]``, draws its rows by the spec's kind, shuffles them
+once and splits them.  The kinds differ only in the draw:
 
 * label skew   — clients share class-conditional feature distributions but
                  draw class proportions from a symmetric Dirichlet;
 * feature shift — clients share the labeling rule but see client-specific
-                 affine-transformed inputs.
+                 affine-transformed inputs;
+* iid          — feature shift at scale 0, the identity transform.
 
 Per-client data is split 70/15/15 (train = floor(0.7 n), val = floor(0.15 n),
 test = remainder), so a client needs at least 7 examples for a non-empty
@@ -16,7 +19,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -49,8 +52,8 @@ class PartitionSpec:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("num_clients", "num_classes", "input_dim", "seed"):
-            check_int(getattr(self, name), f"data.{name}")
+        for name, low in (("num_clients", 1), ("num_classes", 1), ("input_dim", 1), ("seed", 0)):
+            check_int(getattr(self, name), f"data.{name}", low)
         if not isinstance(self.sizes, (list, tuple)):
             raise ConfigError("data.sizes", "must be a list of integers")
         for s in self.sizes:
@@ -59,8 +62,6 @@ class PartitionSpec:
             check_real(getattr(self, name), f"data.{name}")
         if self.kind not in ("label_skew", "feature_shift", "iid"):
             raise ConfigError("data.kind", f"unknown kind {self.kind!r}")
-        if self.num_clients < 1:
-            raise ConfigError("data.num_clients", "need at least one client")
         if len(self.sizes) != self.num_clients:
             raise ConfigError("data.sizes", "one size per client required")
         if any(s < MIN_CLIENT_SIZE for s in self.sizes):
@@ -107,32 +108,32 @@ def _split(inputs: np.ndarray, labels: np.ndarray, client_id: int,
     )
 
 
-def _class_means(spec: PartitionSpec) -> np.ndarray:
-    """Shared class-conditional Gaussian means on a scaled simplex."""
-    if spec.num_classes > spec.input_dim:
-        raise ConfigError("data.num_classes", "needs num_classes <= input_dim")
-    means = np.zeros((spec.num_classes, spec.input_dim))
-    for c in range(spec.num_classes):
-        means[c, c] = spec.class_separation
-    return means
-
-
-def generate_label_skew(spec: PartitionSpec) -> list[ClientDataset]:
-    """Pure label shift: shared per-class Gaussians, Dirichlet class mixes."""
-    if spec.kind != "label_skew":
-        raise ConfigError("data.kind", "generate_label_skew needs kind=label_skew")
-    means = _class_means(spec)
+def generate(spec: PartitionSpec) -> list[ClientDataset]:
+    """Each client's rows from its own stream ``[seed, 1, client_id]``: the
+    kind's draw, one shuffle, then the 70/15/15 split."""
+    draw = _label_skew_draw(spec) if spec.kind == "label_skew" else _feature_shift_draw(spec)
     clients = []
-    for cid in range(spec.num_clients):
-        n = spec.sizes[cid]
+    for cid, n in enumerate(spec.sizes):
         crng = np.random.default_rng([spec.seed, 1, cid])
-        props = crng.dirichlet(np.full(spec.num_classes, spec.skew_concentration))
-        counts = _largest_remainder(props, n)
-        labels = np.repeat(np.arange(spec.num_classes), counts)
-        inputs = crng.standard_normal((n, spec.input_dim)) + means[labels]
+        inputs, labels = draw(crng, n)
         order = crng.permutation(n)
         clients.append(_split(inputs[order], labels[order], cid, spec.num_classes))
     return clients
+
+
+def _label_skew_draw(spec: PartitionSpec):
+    """Pure label shift: shared class Gaussians whose means sit on a scaled
+    simplex, and a Dirichlet class mix per client."""
+    if spec.num_classes > spec.input_dim:
+        raise ConfigError("data.num_classes", "needs num_classes <= input_dim")
+    means = np.zeros((spec.num_classes, spec.input_dim))
+    np.fill_diagonal(means, spec.class_separation)
+
+    def draw(crng: np.random.Generator, n: int):
+        props = crng.dirichlet(np.full(spec.num_classes, spec.skew_concentration))
+        labels = np.repeat(np.arange(spec.num_classes), _largest_remainder(props, n))
+        return crng.standard_normal((n, spec.input_dim)) + means[labels], labels
+    return draw
 
 
 def _largest_remainder(props: np.ndarray, n: int) -> np.ndarray:
@@ -146,34 +147,20 @@ def _largest_remainder(props: np.ndarray, n: int) -> np.ndarray:
     return counts
 
 
-def generate_feature_shift(spec: PartitionSpec) -> list[ClientDataset]:
-    """One global label rule; per-client random affine input transforms."""
-    if spec.kind != "feature_shift":
-        raise ConfigError("data.kind", "generate_feature_shift needs kind=feature_shift")
-    rng = np.random.default_rng([spec.seed, 0])
-    w_true = rng.standard_normal((spec.input_dim, spec.num_classes))
-    s = spec.shift_scale
-    clients = []
-    for cid in range(spec.num_clients):
-        n = spec.sizes[cid]
-        crng = np.random.default_rng([spec.seed, 1, cid])
+def _feature_shift_draw(spec: PartitionSpec):
+    """One global label rule drawn from ``[seed, 0]``, and a random affine
+    input transform per client; iid is this draw at scale 0."""
+    w_true = np.random.default_rng([spec.seed, 0]).standard_normal(
+        (spec.input_dim, spec.num_classes))
+    s = spec.shift_scale if spec.kind == "feature_shift" else 0.0
+
+    def draw(crng: np.random.Generator, n: int):
         base = crng.standard_normal((n, spec.input_dim))
         labels = np.argmax(base @ w_true, axis=1)
         scale = crng.uniform(1.0 - s, 1.0 + s, spec.input_dim)
         shift = crng.uniform(-s, s, spec.input_dim)
-        inputs = base * scale + shift
-        order = crng.permutation(n)
-        clients.append(_split(inputs[order], labels[order], cid, spec.num_classes))
-    return clients
-
-
-def generate(spec: PartitionSpec) -> list[ClientDataset]:
-    if spec.kind == "label_skew":
-        return generate_label_skew(spec)
-    if spec.kind == "feature_shift":
-        return generate_feature_shift(spec)
-    # iid: the feature-shift generator with the identity transform
-    return generate_feature_shift(replace(spec, kind="feature_shift", shift_scale=0.0))
+        return base * scale + shift, labels
+    return draw
 
 
 # ---------------------------------------------------------------------------

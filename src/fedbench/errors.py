@@ -1,5 +1,6 @@
 """Exception hierarchy shared by all fedbench modules."""
 
+import math
 import numbers
 
 
@@ -80,13 +81,18 @@ class ConfigError(FedbenchError):
         self.reason = reason
 
 
-def check_int(value, field: str) -> None:
-    """ConfigError naming ``field`` unless ``value`` is an integer (a bool is not)."""
+def check_int(value, field: str, low: int | None = None) -> None:
+    """ConfigError naming ``field`` unless ``value`` is an integer (a bool is
+    not) and, when ``low`` is given, at least ``low``."""
     if not isinstance(value, numbers.Integral) or isinstance(value, bool):
         raise ConfigError(field, f"must be an integer, got {value!r}")
+    if low is not None and value < low:
+        raise ConfigError(field, f"must be >= {low}, got {value!r}")
 
 
 def check_real(value, field: str) -> None:
-    """ConfigError naming ``field`` unless ``value`` is a real number (a bool is not)."""
-    if not isinstance(value, numbers.Real) or isinstance(value, bool):
-        raise ConfigError(field, f"must be a number, got {value!r}")
+    """ConfigError naming ``field`` unless ``value`` is a finite real number
+    (a bool is not; NaN and +-inf are not)."""
+    if (not isinstance(value, numbers.Real) or isinstance(value, bool)
+            or not (isinstance(value, numbers.Integral) or math.isfinite(value))):
+        raise ConfigError(field, f"must be a finite number, got {value!r}")

@@ -90,27 +90,22 @@ class ExperimentConfig:
         self.validate()
 
     def validate(self) -> None:
-        for name in ("local_epochs", "rounds", "batch_size"):
-            check_int(getattr(self, name), name)
+        # _batches drops a singleton batch, so batch_size 1 would take no step
+        for name, low in (("local_epochs", 1), ("rounds", 1), ("batch_size", 2)):
+            check_int(getattr(self, name), name, low)
         check_real(self.eta, "eta")
-        if not isinstance(self.seeds, (list, tuple)):
-            raise ConfigError("seeds", f"must be a list of integers, got {self.seeds!r}")
+        if not isinstance(self.seeds, (list, tuple)) or not self.seeds:
+            raise ConfigError("seeds", f"must be a non-empty list of integers, got {self.seeds!r}")
         for seed in self.seeds:
-            check_int(seed, "seeds")
+            check_int(seed, "seeds", 0)
         if not isinstance(self.keep_all_checkpoints, bool):
             raise ConfigError("keep_all_checkpoints", "must be true or false")
         if not isinstance(self.out_dir, (str, Path)):
             raise ConfigError("out_dir", "must be a path")
-        if self.local_epochs < 1:
-            raise ConfigError("local_epochs", "must be >= 1")
-        if self.rounds < 1:
-            raise ConfigError("rounds", "must be >= 1")
         if self.eta <= 0:
             raise ConfigError("eta", "must be > 0")
         if self.local_optimizer not in ("sgd", "adam"):
             raise ConfigError("local_optimizer", f"unknown optimizer {self.local_optimizer!r}")
-        if self.batch_size < 1:
-            raise ConfigError("batch_size", "must be >= 1")
         if self.selection_metric not in SELECTION_METRICS:
             raise ConfigError("selection_metric", f"unknown metric {self.selection_metric!r}")
 

@@ -475,9 +475,42 @@ def config_error_field(tmp_path, capsys, cfg, overrides=()):
     ({}, ["local_epochs=true"], "local_epochs"),
     ({}, ["seeds=5"], "seeds"),
     ({"seeds": [0, "one"]}, [], "seeds"),
+    ({}, ["eta=.nan"], "eta"),
+    ({"seeds": [-1]}, [], "seeds"),
+    ({"seeds": []}, [], "seeds"),
+    ({}, ["batch_size=1"], "batch_size"),
 ])
 def test_top_level_wrong_type_is_config_error(tmp_path, capsys, extra, overrides, field):
     assert config_error_field(tmp_path, capsys, base_config(**extra), overrides) == field
+
+
+@pytest.mark.parametrize("seeds", [["-2"], ["0", "-2"], []])
+def test_run_seed_flag_gets_the_config_seed_check(tmp_path, capsys, seeds):
+    path = write_config(tmp_path, base_config())
+    code = main(["run", "--config", str(path), "--out", str(tmp_path / "x"), "--seed", *seeds])
+    assert code == EXIT_CONFIG
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"] == "config_error"
+    assert err["message"].split(":")[0] == "seeds"
+    assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("data,field", [
+    ({"seed": -3}, "data.seed"),
+    ({"kind": "feature_shift", "shift_scale": float("inf")}, "data.shift_scale"),
+    ({"skew_concentration": float("nan")}, "data.skew_concentration"),
+    ({"class_separation": float("-inf")}, "data.class_separation"),
+])
+def test_partition_rejects_non_finite_and_negative_seed(tmp_path, capsys, data, field):
+    cfg = base_config()
+    cfg["data"].update(data)
+    path = write_config(tmp_path, cfg)
+    code = main(["partition", "--spec", str(path), "--out", str(tmp_path / "part")])
+    assert code == EXIT_CONFIG
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"] == "config_error"
+    assert err["message"].split(":")[0] == field
+    assert not (tmp_path / "part").exists()
 
 
 @pytest.mark.parametrize("override,field", [
@@ -485,6 +518,7 @@ def test_top_level_wrong_type_is_config_error(tmp_path, capsys, extra, overrides
     ("strategy.alpha=[1]", "strategy.alpha"),
     ("strategy.uniform_pseudo_grad=3", "strategy.uniform_pseudo_grad"),
     ("strategy=fedavg", "strategy"),
+    ("strategy.mu=.inf", "strategy.mu"),
 ])
 def test_strategy_wrong_type_is_config_error(tmp_path, capsys, override, field):
     assert config_error_field(tmp_path, capsys, base_config(), [override]) == field

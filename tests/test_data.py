@@ -7,8 +7,6 @@ from fedbench.data_synth import (
     DEFAULT_SIZES_K5,
     PartitionSpec,
     generate,
-    generate_feature_shift,
-    generate_label_skew,
     load_client_csv,
     load_partition,
     save_client_csv,
@@ -79,6 +77,16 @@ def test_generation_bitwise_deterministic():
             assert np.array_equal(da.test.inputs, db.test.inputs)
 
 
+@pytest.mark.parametrize("seed", [0, 11])
+def test_iid_is_feature_shift_at_scale_zero(seed):
+    iid = generate(spec("iid", seed=seed, shift_scale=2.0))
+    shift = generate(spec("feature_shift", seed=seed, shift_scale=0.0))
+    for a, b in zip(iid, shift, strict=True):
+        for split in ("train", "val", "test"):
+            assert np.array_equal(getattr(a, split).inputs, getattr(b, split).inputs)
+            assert np.array_equal(getattr(a, split).labels, getattr(b, split).labels)
+
+
 def test_splits_disjoint_and_cover():
     for ds in generate(spec()):
         n = ds.train.inputs.shape[0] + ds.val.inputs.shape[0] + ds.test.inputs.shape[0]
@@ -91,7 +99,7 @@ def test_splits_disjoint_and_cover():
 
 def test_dirichlet_high_concentration_near_uniform():
     s = spec(skew_concentration=1e6, sizes=[3000, 3000, 3000])
-    for ds in generate_label_skew(s):
+    for ds in generate(s):
         _, y = all_rows(ds)
         counts = np.bincount(y.astype(int), minlength=3) / y.size
         assert np.all(np.abs(counts - 1 / 3) < 0.05)
@@ -109,7 +117,7 @@ def test_dirichlet_low_concentration_skews(seed):
         seed=seed,
     )
     hit = False
-    for ds in generate_label_skew(s):
+    for ds in generate(s):
         _, y = all_rows(ds)
         counts = np.bincount(y.astype(int), minlength=3) / y.size
         if counts.max() > 0.5:
@@ -119,7 +127,7 @@ def test_dirichlet_low_concentration_skews(seed):
 
 def test_label_skew_class_conditional_means_shared():
     s = spec(sizes=[2000, 2000, 2000], class_separation=3.0)
-    datasets = generate_label_skew(s)
+    datasets = generate(s)
     for c in range(3):
         means = []
         for ds in datasets:
@@ -135,7 +143,7 @@ def test_feature_shift_scale_controls_client_divergence():
     def mean_pairwise_distance(scale):
         s = spec(kind="feature_shift", sizes=[1500, 1500, 1500], shift_scale=scale)
         centers = []
-        for ds in generate_feature_shift(s):
+        for ds in generate(s):
             x, _ = all_rows(ds)
             centers.append(x.mean(axis=0))
         dists = [
@@ -158,7 +166,7 @@ def test_bn_running_stats_diverge_across_clients():
     from conftest import make_model
 
     s = spec(kind="feature_shift", shift_scale=1.0, sizes=[200, 200, 200])
-    datasets = generate_feature_shift(s)
+    datasets = generate(s)
     model = make_model(["batch_norm"], input_dim=6, hidden=8, num_classes=3)
     stats = []
     for ds in datasets:
@@ -299,6 +307,9 @@ def test_partition_manifest_round_trip(tmp_path):
     ("num_clients", "five"), ("num_classes", 3.0), ("input_dim", True), ("seed", None),
     ("sizes", [40, "30", 30]), ("sizes", "40,30,30"), ("shift_scale", "big"),
     ("skew_concentration", False), ("class_separation", [2.0]),
+    ("num_clients", 0), ("num_classes", 0), ("input_dim", 0), ("seed", -1),
+    ("shift_scale", float("inf")), ("skew_concentration", float("nan")),
+    ("class_separation", float("-inf")),
 ])
 def test_spec_field_types(field, value):
     with pytest.raises(ConfigError) as err:
@@ -306,7 +317,14 @@ def test_spec_field_types(field, value):
     assert err.value.field == f"data.{field}"
 
 
-@pytest.mark.parametrize("make", [feature_shift_spec, label_skew_spec])
+def test_label_skew_needs_a_feature_per_class():
+    with pytest.raises(ConfigError) as err:
+        generate(spec(num_classes=7, input_dim=6))
+    assert err.value.field == "data.num_classes"
+    assert len(generate(spec("feature_shift", num_classes=7, input_dim=6))) == 3
+
+
+@pytest.mark.parametrize("make",[feature_shift_spec, label_skew_spec])
 def test_benchmark_specs_tile_the_default_sizes(make):
     assert make(num_clients=3).sizes == DEFAULT_SIZES_K5[:3]
     spec = make(num_clients=10)

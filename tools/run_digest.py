@@ -32,6 +32,9 @@ The set:
 * ``fedbench run --seed 0 1`` of a 2-round fedavg config over that
   partition, written to ``cli_run/`` (its ``config_echo.yaml``,
   ``summary.csv`` and each seed's outputs);
+* ``fedbench partition`` of a K=5 iid spec, written to ``partition_iid/``,
+  so that each generator kind is pinned (feature shift by the runs above,
+  label skew by ``partition/``);
 * the rank tests, written to ``rank/``: fixed ``result.json`` trees with
   tied metrics (four algorithms of 10 seeds and one of 15, so ``--exact``
   counts n+m = 25), ``fedbench compare`` under the default method,
@@ -190,6 +193,15 @@ def run_cli_run() -> None:
     run_cli(["run", "--config", "run.yaml", "--seed", "0", "1", "--out", "cli_run"])
 
 
+def run_iid_partition() -> None:
+    spec = {"data": {
+        "kind": "iid", "num_clients": 5, "num_classes": 3, "input_dim": 8,
+        "sizes": SWEEP_SIZES[:5], "seed": 0,
+    }}
+    Path("partition_iid.yaml").write_text(yaml.safe_dump(spec, sort_keys=False))
+    run_cli(["partition", "--spec", "partition_iid.yaml", "--out", "partition_iid"])
+
+
 def run_rank() -> None:
     rng = np.random.default_rng(0)
     results = {}
@@ -257,6 +269,7 @@ def main(argv=None) -> int:
     run_init()
     run_sweep()
     run_cli_run()
+    run_iid_partition()
     run_rank()
     for path in sorted(p for p in Path(".").rglob("*") if p.is_file()):
         print(f"{file_digest(path)}  {path.as_posix()}")
