@@ -184,10 +184,8 @@ def cmd_run(args) -> int:
         per_seed.append(result.mean_test_metric)
         print(f"seed {seed}: selected round {result.selected_round}, "
               f"mean test {cfg.selection_metric} = {result.mean_test_metric:.4f}")
-    metrics_mod.write_summary_csv(
-        out_dir / "summary.csv",
-        {cfg.strategy.algorithm: {cfg.selection_metric: per_seed}},
-    )
+    metrics_mod.write_summary_csv(out_dir / "summary.csv", cfg.strategy.algorithm,
+                                  cfg.selection_metric, per_seed)
     mean, std = metrics_mod.mean_std(per_seed)
     print(f"{cfg.strategy.algorithm}: {mean:.4f} +/- {std:.4f} over {len(per_seed)} seed(s)")
     return EXIT_OK
@@ -267,11 +265,14 @@ def cmd_compare(args) -> int:
     method = "exact" if args.exact else ("normal" if args.approx else "auto")
     alternative = "one-sided" if args.one_sided else "two-sided"
     matrix = metrics_mod.significance_matrix(collected, alternative=alternative, method=method)
-    out = Path(args.out) if args.out else None
-    if out:
+    pairs = sorted(matrix.items())
+    if args.out:
+        out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        metrics_mod.write_significance_csv(out / "significance.csv", matrix)
-    for (a, b), (res, label) in sorted(matrix.items()):
+        metrics_mod.write_csv(out / "significance.csv", ["alg_a", "alg_b", "u", "p", "label"],
+                              ([a, b, f"{res.u_statistic:.6f}", f"{res.p_value:.6g}", label]
+                               for (a, b), (res, label) in pairs))
+    for (a, b), (res, label) in pairs:
         print(f"{a} vs {b}: U={res.u_statistic:.1f} p={res.p_value:.4g} {label}")
     return EXIT_OK
 
@@ -284,8 +285,9 @@ def cmd_report(args) -> int:
         elapsed += _finite(record, "elapsed_seconds", path, default=0.0)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    metrics_mod.write_summary_csv(out / "summary.csv", {name: {"selection_metric": values}})
-    metrics_mod.write_timing_csv(out / "timing.csv", {name: elapsed})
+    metrics_mod.write_summary_csv(out / "summary.csv", name, "selection_metric", values)
+    metrics_mod.write_csv(out / "timing.csv", ["algorithm", "elapsed_seconds"],
+                          [[name, f"{elapsed:.3f}"]])
     for path in sorted(result_dir.glob("seed_*/distances.csv")):
         target = out / f"distances_{path.parent.name}.csv"
         target.write_text(path.read_text())

@@ -32,6 +32,7 @@ from .errors import (
     check_int,
     check_real,
 )
+from .metrics import write_csv
 from .nn import Batch
 
 # default size imbalance for K=5, shaped like a realistic multi-site cohort
@@ -169,12 +170,10 @@ def _feature_shift_draw(spec: PartitionSpec):
 def save_client_csv(dataset: ClientDataset, path) -> None:
     """Write all splits as one CSV (header feature_0..feature_{d-1},label)."""
     d = dataset.train.inputs.shape[1]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"feature_{i}" for i in range(d)] + ["label"])
-        for batch in (dataset.train, dataset.val, dataset.test):
-            for row, label in zip(batch.inputs, batch.labels):
-                writer.writerow([repr(float(v)) for v in row] + [int(label)])
+    write_csv(path, [f"feature_{i}" for i in range(d)] + ["label"],
+              ([repr(float(v)) for v in row] + [int(label)]
+               for batch in (dataset.train, dataset.val, dataset.test)
+               for row, label in zip(batch.inputs, batch.labels)))
 
 
 def load_client_csv(path, num_classes: int, client_id: int = 0) -> ClientDataset:

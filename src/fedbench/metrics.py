@@ -10,7 +10,9 @@ tie-corrected normal approximation beyond.  The counts are int64 when none can
 reach 2**63 and Python integers otherwise; either way p is the correctly
 rounded quotient of two exact integers.  AUROC and U rank by one
 primitive, ``_doubled_midranks``: twice each midrank, an exact integer, from
-two binary searches in the sorted sample.
+two binary searches in the sorted sample.  ``write_csv`` is the one writer
+of every table fedbench writes (round logs, distances, summaries, the
+significance matrix, timings and the partition CSVs).
 """
 
 from __future__ import annotations
@@ -249,38 +251,17 @@ def mean_std(values) -> tuple[float, float]:
     return mean, std
 
 
-def write_summary_csv(path, per_algorithm: dict[str, dict[str, list[float]]]) -> None:
-    """``algorithm,metric,mean,std,n_seeds`` rows."""
+def write_csv(path, header: list, rows) -> None:
+    """The one writer of fedbench's tables: ``header``, then each of ``rows``,
+    in the default ``csv`` dialect."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["algorithm", "metric", "mean", "std", "n_seeds"])
-        for alg, metrics in per_algorithm.items():
-            for metric, values in metrics.items():
-                mean, std = mean_std(values)
-                writer.writerow([alg, metric, f"{mean:.6f}", f"{std:.6f}", len(values)])
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
-def write_significance_csv(path, matrix) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["alg_a", "alg_b", "u", "p", "label"])
-        for (alg_a, alg_b), (res, label) in sorted(matrix.items()):
-            writer.writerow([alg_a, alg_b, f"{res.u_statistic:.6f}", f"{res.p_value:.6g}", label])
-
-
-def write_distance_csv(path, rounds) -> None:
-    """``round,client_id,sq_distance`` rows from a RoundRecord series."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["round", "client_id", "sq_distance"])
-        for record in rounds:
-            for cid, d in record.distances.items():
-                writer.writerow([record.round, cid, repr(d)])
-
-
-def write_timing_csv(path, per_algorithm_elapsed: dict[str, float]) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["algorithm", "elapsed_seconds"])
-        for alg, elapsed in per_algorithm_elapsed.items():
-            writer.writerow([alg, f"{elapsed:.3f}"])
+def write_summary_csv(path, algorithm: str, metric: str, values) -> None:
+    """One ``algorithm,metric,mean,std,n_seeds`` row over the per-seed ``values``."""
+    mean, std = mean_std(values)
+    write_csv(path, ["algorithm", "metric", "mean", "std", "n_seeds"],
+              [[algorithm, metric, f"{mean:.6f}", f"{std:.6f}", len(values)]])

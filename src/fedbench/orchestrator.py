@@ -20,7 +20,6 @@ algorithms use the identical global vector.
 
 from __future__ import annotations
 
-import csv
 import json
 import logging
 import time
@@ -418,22 +417,21 @@ def run_experiment(cfg: ExperimentConfig, seed: int, out_dir=None,
 
 def _write_round_log(path: Path, records: list[RoundRecord]) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["round", "client_id", "split", "metric", "value"])
-        for r in records:
-            for cid, v in r.train_losses.items():
-                writer.writerow([r.round, cid, "train", "loss", repr(v)])
-            for cid, v in r.val_metrics.items():
-                writer.writerow([r.round, cid, "val", "selection_metric", repr(v)])
-            for cid, v in r.distances.items():
-                writer.writerow([r.round, cid, "diag", "sq_distance", repr(v)])
+    metrics_mod.write_csv(path, ["round", "client_id", "split", "metric", "value"], (
+        [r.round, cid, split, metric, repr(v)]
+        for r in records
+        for split, metric, values in (("train", "loss", r.train_losses),
+                                      ("val", "selection_metric", r.val_metrics),
+                                      ("diag", "sq_distance", r.distances))
+        for cid, v in values.items()))
 
 
 def _write_result(out_dir: Path, cfg: ExperimentConfig, result: ExperimentResult) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_round_log(out_dir / "rounds.csv", result.rounds)
-    metrics_mod.write_distance_csv(out_dir / "distances.csv", result.rounds)
+    metrics_mod.write_csv(out_dir / "distances.csv", ["round", "client_id", "sq_distance"],
+                          ([r.round, cid, repr(d)] for r in result.rounds
+                           for cid, d in r.distances.items()))
     summary = {
         "selected_round": result.selected_round,
         "seed": result.seed,

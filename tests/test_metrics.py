@@ -15,7 +15,7 @@ from fedbench.metrics import (
     mann_whitney_u,
     mean_std,
     significance_matrix,
-    write_significance_csv,
+    write_csv,
     write_summary_csv,
 )
 
@@ -382,14 +382,18 @@ def test_mean_std_example():
 
 def test_csv_writers(tmp_path):
     summary = tmp_path / "summary.csv"
-    write_summary_csv(summary, {"fedavg": {"auroc": [0.7, 0.8], "auprc": [0.6]}})
+    write_summary_csv(summary, "fedavg", "auroc", [0.7, 0.8])
     rows = list(csv.reader(open(summary)))
     assert rows[0] == ["algorithm", "metric", "mean", "std", "n_seeds"]
-    assert len(rows) == 3
+    assert len(rows) == 2
+    assert rows[1] == ["fedavg", "auroc", "0.750000", "0.070711", "2"]
 
     sig = tmp_path / "significance.csv"
     matrix = significance_matrix({"a": [1.0, 2.0], "b": [1.5, 2.5]})
-    write_significance_csv(sig, matrix)
+    write_csv(sig, ["alg_a", "alg_b", "u", "p", "label"],
+              ([a, b, res.u_statistic, res.p_value, label]
+               for (a, b), (res, label) in sorted(matrix.items())))
     rows = list(csv.reader(open(sig)))
     assert rows[0] == ["alg_a", "alg_b", "u", "p", "label"]
     assert len(rows) == 5
+    assert sig.read_bytes().endswith(b"\r\n")  # the default dialect's line ending
