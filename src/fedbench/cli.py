@@ -13,7 +13,7 @@ import math
 import os
 import sys
 import tempfile
-from dataclasses import MISSING, fields, replace
+from dataclasses import MISSING, fields
 from pathlib import Path
 
 import yaml
@@ -30,7 +30,7 @@ from .errors import (
     ShapeMismatch,
 )
 from .nn import LayerSpec, ModelSpec
-from .orchestrator import ExperimentConfig, run_experiment, sweep_local_epochs
+from .orchestrator import ExperimentConfig, load_clients, run_experiment, sweep_local_epochs
 from .strategies import FEDOPT_FAMILY, StrategyConfig
 
 EXIT_OK = 0
@@ -173,14 +173,15 @@ def _atomic_write(path: Path, text: str) -> None:
 # subcommands
 
 def cmd_run(args) -> int:
-    cfg, echo = parse_and_validate_config(args.config, args.override)
-    if args.seed is not None:  # --seed gets the config's seed check
-        cfg = replace(cfg, seeds=args.seed)
+    # --seed is an override of seeds, so the config's checks and the echo see it
+    seeds = [] if args.seed is None else [f"seeds={args.seed}"]
+    cfg, echo = parse_and_validate_config(args.config, args.override + seeds)
     out_dir = Path(args.out or cfg.out_dir)
     _atomic_write(out_dir / "config_echo.yaml", yaml.safe_dump(echo, sort_keys=False))
+    datasets = load_clients(cfg)  # once for every seed
     per_seed = []
     for seed in cfg.seeds:
-        result = run_experiment(cfg, seed, out_dir=out_dir / f"seed_{seed}")
+        result = run_experiment(cfg, seed, out_dir=out_dir / f"seed_{seed}", datasets=datasets)
         per_seed.append(result.mean_test_metric)
         print(f"seed {seed}: selected round {result.selected_round}, "
               f"mean test {cfg.selection_metric} = {result.mean_test_metric:.4f}")

@@ -10,9 +10,10 @@ tie-corrected normal approximation beyond.  The counts are int64 when none can
 reach 2**63 and Python integers otherwise; either way p is the correctly
 rounded quotient of two exact integers.  AUROC and U rank by one
 primitive, ``_doubled_midranks``: twice each midrank, an exact integer, from
-two binary searches in the sorted sample.  ``write_csv`` is the one writer
-of every table fedbench writes (round logs, distances, summaries, the
-significance matrix, timings and the partition CSVs).
+two binary searches in the sorted sample.  ``write_csv`` is the one CSV
+writer: round logs, distances, summaries, the significance matrix, timings
+and the partition CSVs all go through it (the CLI writes ``sweep.csv`` as
+text).
 """
 
 from __future__ import annotations

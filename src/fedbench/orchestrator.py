@@ -97,6 +97,8 @@ class ExperimentConfig:
             raise ConfigError("seeds", f"must be a non-empty list of integers, got {self.seeds!r}")
         for seed in self.seeds:
             check_int(seed, "seeds", 0)
+        if len(set(self.seeds)) != len(self.seeds):  # a seed run twice is not two replicates
+            raise ConfigError("seeds", f"must not repeat a seed, got {self.seeds!r}")
         if not isinstance(self.keep_all_checkpoints, bool):
             raise ConfigError("keep_all_checkpoints", "must be true or false")
         if not isinstance(self.out_dir, (str, Path)):
@@ -310,7 +312,8 @@ def run_round(
     return new_server, record
 
 
-def _load_clients(cfg: ExperimentConfig) -> list[ClientDataset]:
+def load_clients(cfg: ExperimentConfig) -> list[ClientDataset]:
+    """``cfg.data``'s clients: the manifest's CSVs, or the spec's generated data."""
     if isinstance(cfg.data, (str, Path)):
         return load_partition(cfg.data)
     return generate(cfg.data)
@@ -346,7 +349,7 @@ def run_experiment(cfg: ExperimentConfig, seed: int, out_dir=None,
     and a client_id given twice is a SchemaMismatch.
     """
     if datasets is None:
-        datasets = _load_clients(cfg)
+        datasets = load_clients(cfg)
     datasets = sorted(datasets, key=lambda ds: ds.client_id)
     for prev, ds in zip(datasets, datasets[1:]):
         if prev.client_id == ds.client_id:
@@ -454,7 +457,7 @@ def sweep_local_epochs(
     for e, t in splits:
         if e * t != budget:
             raise ConfigError("sweep.splits", f"split ({e},{t}) violates budget {budget}")
-    datasets = _load_clients(cfg)  # once for the whole sweep
+    datasets = load_clients(cfg)  # once for the whole sweep
     rows = []
     for e, t in splits:
         split_cfg = replace(cfg, local_epochs=e, rounds=t)
@@ -468,7 +471,7 @@ def sweep_local_epochs(
                 "rounds": t,
                 "seed": seed,
                 "selected_round": result.selected_round,
-                "mean_val_metric": max(r.mean_val_metric for r in result.rounds),
+                "mean_val_metric": result.rounds[result.selected_round - 1].mean_val_metric,
                 "mean_test_metric": result.mean_test_metric,
             })
     return rows

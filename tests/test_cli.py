@@ -1,10 +1,12 @@
 import csv
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
 
+from fedbench import orchestrator
 from fedbench.cli import (
     EXIT_CONFIG,
     EXIT_DATA,
@@ -113,6 +115,34 @@ def test_run_three_seeds_creates_dirs_and_summary(tmp_path):
     rows = list(csv.reader(open(out / "summary.csv")))
     assert rows[0] == ["algorithm", "metric", "mean", "std", "n_seeds"]
     assert rows[1][0] == "fedavg" and rows[1][4] == "3"
+
+
+def test_seed_flag_is_echoed_as_the_seeds_that_ran(tmp_path):
+    path = write_config(tmp_path, base_config())  # no seeds: the default is [0]
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(path), "--out", str(out), "--seed", "3", "5"]) == EXIT_OK
+    echo = out / "config_echo.yaml"
+    assert yaml.safe_load(echo.read_text())["seeds"] == [3, 5]
+    assert sorted(p.name for p in out.glob("seed_*")) == ["seed_3", "seed_5"]
+    assert parse_and_validate_config(echo)[0].seeds == [3, 5]
+
+
+def test_run_loads_the_partition_once(tmp_path, monkeypatch):
+    manifest = write_partition(PartitionSpec(**base_config()["data"]), tmp_path / "part")
+    path = write_config(tmp_path, base_config(data=str(manifest)))
+    loads = []
+    real_load = orchestrator.load_partition
+
+    def counting_load(manifest_path):
+        loads.append(Path(manifest_path))
+        return real_load(manifest_path)
+
+    monkeypatch.setattr(orchestrator, "load_partition", counting_load)
+    out = tmp_path / "out"
+    argv = ["run", "--config", str(path), "--out", str(out), "--seed", "0", "1", "2"]
+    assert main(argv) == EXIT_OK
+    assert loads == [manifest]
+    assert list(csv.reader(open(out / "summary.csv")))[1][4] == "3"
 
 
 def test_partition_then_run_matches_in_process(tmp_path):
@@ -479,12 +509,13 @@ def config_error_field(tmp_path, capsys, cfg, overrides=()):
     ({"seeds": [-1]}, [], "seeds"),
     ({"seeds": []}, [], "seeds"),
     ({}, ["batch_size=1"], "batch_size"),
+    ({"seeds": [0, 1, 0]}, [], "seeds"),
 ])
 def test_top_level_wrong_type_is_config_error(tmp_path, capsys, extra, overrides, field):
     assert config_error_field(tmp_path, capsys, base_config(**extra), overrides) == field
 
 
-@pytest.mark.parametrize("seeds", [["-2"], ["0", "-2"], []])
+@pytest.mark.parametrize("seeds", [["-2"], ["0", "-2"], [], ["0", "0"]])
 def test_run_seed_flag_gets_the_config_seed_check(tmp_path, capsys, seeds):
     path = write_config(tmp_path, base_config())
     code = main(["run", "--config", str(path), "--out", str(tmp_path / "x"), "--seed", *seeds])

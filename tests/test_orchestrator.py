@@ -360,6 +360,29 @@ def test_sweep_budget_enforced():
     assert exc.value.field == "sweep.splits"
 
 
+@pytest.mark.filterwarnings("ignore:Mean of empty slice")
+def test_sweep_reports_the_selected_rounds_validation_mean(monkeypatch):
+    """Round 1 cannot be scored, so its mean is NaN; the sweep row reports the
+    mean of the round it selected."""
+    cfg = experiment(rounds=3)
+    real_evaluate = orchestrator.evaluate
+    calls = []
+
+    def evaluate(plan, params, batch, metric):
+        calls.append(batch)
+        if len(calls) <= cfg.data.num_clients:  # round 1's validation
+            return float("nan")
+        return real_evaluate(plan, params, batch, metric)
+
+    monkeypatch.setattr(orchestrator, "evaluate", evaluate)
+    [row] = sweep_local_epochs(cfg, splits=[(1, 3)])
+    calls.clear()
+    result = run_experiment(cfg, seed=0)
+    means = [r.mean_val_metric for r in result.rounds]
+    assert np.isnan(means[0]) and row["selected_round"] == result.selected_round > 1
+    assert row["mean_val_metric"] == means[result.selected_round - 1] == np.nanmax(means)
+
+
 def test_sweep_runs_each_split():
     cfg = experiment(rounds=4)  # budget 4
     rows = sweep_local_epochs(cfg, splits=[(1, 4), (2, 2), (4, 1)])
