@@ -174,8 +174,8 @@ def _atomic_write(path: Path, text: str) -> None:
 
 def cmd_run(args) -> int:
     # --seed is an override of seeds, so the config's checks and the echo see it
-    seeds = [] if args.seed is None else [f"seeds={args.seed}"]
-    cfg, echo = parse_and_validate_config(args.config, args.override + seeds)
+    seed_override = [] if args.seed is None else [f"seeds={args.seed}"]
+    cfg, echo = parse_and_validate_config(args.config, args.override + seed_override)
     out_dir = Path(args.out or cfg.out_dir)
     _atomic_write(out_dir / "config_echo.yaml", yaml.safe_dump(echo, sort_keys=False))
     datasets = load_clients(cfg)  # once for every seed
