@@ -3,14 +3,17 @@
 Exit codes: 0 success, 2 configuration error, 3 data error,
 4 all clients diverged, 1 anything else.  A machine-readable error record is
 printed to stderr on failure.  Everything else lives in the config file.
+``main`` parses with one parser, built on first use and kept for the process.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
+import shutil
 import sys
 import tempfile
 from dataclasses import MISSING, fields
@@ -290,8 +293,7 @@ def cmd_report(args) -> int:
     metrics_mod.write_csv(out / "timing.csv", ["algorithm", "elapsed_seconds"],
                           [[name, f"{elapsed:.3f}"]])
     for path in sorted(result_dir.glob("seed_*/distances.csv")):
-        target = out / f"distances_{path.parent.name}.csv"
-        target.write_text(path.read_text())
+        shutil.copyfile(path, out / f"distances_{path.parent.name}.csv")
     print(f"report written to {out}")
     return EXIT_OK
 
@@ -343,8 +345,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser = functools.cache(build_parser)  # main's one parser: parse_args leaves it as it was
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except ConfigError as exc:

@@ -10,21 +10,24 @@ tie-corrected normal approximation beyond.  The counts are int64 when none can
 reach 2**63 and Python integers otherwise; either way p is the correctly
 rounded quotient of two exact integers.  AUROC and U rank by one
 primitive, ``_doubled_midranks``: twice each midrank, an exact integer, from
-two binary searches in the sorted sample.  ``write_csv`` is the one CSV
-writer: round logs, distances, summaries, the significance matrix, timings
-and the partition CSVs all go through it (the CLI writes ``sweep.csv`` as
-text).
+two binary searches in the sorted sample.  A method other than auto, exact or
+normal, or an alternative other than two-sided or one-sided, is a
+``ConfigError``.  ``significance_matrix`` runs one two-sided test per
+unordered pair and mirrors it (a one-sided test runs both ways).
+``write_csv`` is the one CSV writer: round logs, distances, summaries, the
+significance matrix, timings and the partition CSVs all go through it (the
+CLI writes ``sweep.csv`` as text).
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import EmptySample, NonFiniteScore, ShapeMismatch, SingleClass
+from .errors import ConfigError, EmptySample, NonFiniteScore, ShapeMismatch, SingleClass
 
 SIGNIFICANCE_LEVEL = 0.05
 EXACT_LIMIT = 20  # auto picks the exact rank-sum recurrence up to n+m = 20
@@ -155,6 +158,10 @@ def mann_whitney_u(a, b, alternative: str = "two-sided", method: str = "auto") -
     variance with continuity correction.  One-sided alternative: a tends
     smaller than b.
     """
+    if method not in ("auto", "exact", "normal"):
+        raise ConfigError("method", f"must be auto, exact or normal, got {method!r}")
+    if alternative not in ("two-sided", "one-sided"):
+        raise ConfigError("alternative", f"must be two-sided or one-sided, got {alternative!r}")
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     n, m = len(a), len(b)
@@ -221,21 +228,24 @@ def significance_matrix(
     alternative: str = "two-sided",
     method: str = "auto",
 ) -> dict[tuple[str, str], tuple[RankTestResult, str]]:
-    """Pairwise rank tests over per-seed metrics; labels read row-vs-column."""
+    """Pairwise rank tests over per-seed metrics; labels read row-vs-column.
+
+    Two-sided, each unordered pair is tested once: (b, a) takes (a, b)'s
+    result with U = n*m - U, which is what the swapped call returns.
+    """
     out = {}
     for alg_a, vals_a in results.items():
         for alg_b, vals_b in results.items():
             if alg_a == alg_b:
-                res = RankTestResult(
-                    u_statistic=len(vals_a) ** 2 / 2.0,
-                    p_value=1.0,
-                    significant=False,
-                    method=method,
-                    alternative=alternative,
-                )
+                res = RankTestResult(u_statistic=len(vals_a) ** 2 / 2.0, p_value=1.0,
+                                     significant=False, method=method, alternative=alternative)
                 out[(alg_a, alg_b)] = (res, INSIGNIFICANT)
                 continue
-            res = mann_whitney_u(vals_a, vals_b, alternative=alternative, method=method)
+            if alternative == "two-sided" and (alg_b, alg_a) in out:
+                res = out[(alg_b, alg_a)][0]
+                res = replace(res, u_statistic=len(vals_a) * len(vals_b) - res.u_statistic)
+            else:
+                res = mann_whitney_u(vals_a, vals_b, alternative=alternative, method=method)
             if res.significant:
                 label = WIN if np.mean(vals_a) > np.mean(vals_b) else LOSE
             else:

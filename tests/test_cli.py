@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import yaml
 
-from fedbench import orchestrator
+from fedbench import cli, orchestrator
 from fedbench.cli import (
     EXIT_CONFIG,
     EXIT_DATA,
@@ -191,7 +191,28 @@ def test_report_writes_tables(tmp_path):
     assert main(["report", "--results", str(out), "--out", str(rep)]) == EXIT_OK
     assert (rep / "summary.csv").exists()
     assert (rep / "timing.csv").exists()
-    assert (rep / "distances_seed_0.csv").exists()
+    for seed in (0, 1):  # the run's bytes, \r\n line ends included
+        copy = (rep / f"distances_seed_{seed}.csv").read_bytes()
+        assert b"\r\n" in copy
+        assert copy == (out / f"seed_{seed}" / "distances.csv").read_bytes()
+
+
+def test_one_parser_serves_every_main_call(tmp_path):
+    """``main`` builds its parser once per process, and no call leaves state in
+    it: an ``--override`` does not reach the next run, and a command line that
+    argparse rejects does not stop the next one."""
+    path = write_config(tmp_path, base_config())
+    one, two = tmp_path / "one", tmp_path / "two"
+    assert main(["run", "--config", str(path), "--out", str(one),
+                 "--override", "seeds=[1]"]) == EXIT_OK
+    assert main(["run", "--config", str(path), "--out", str(two)]) == EXIT_OK
+    assert [p.name for p in one.glob("seed_*")] == ["seed_1"]
+    assert [p.name for p in two.glob("seed_*")] == ["seed_0"]
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--out", str(tmp_path / "three")])  # --config is required
+    assert exc.value.code == 2
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "three")]) == EXIT_OK
+    assert cli._parser() is cli._parser()
 
 
 def test_exit_code_config_error(tmp_path, capsys):

@@ -1,13 +1,16 @@
 import csv
 import itertools
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
 
-from fedbench.errors import EmptySample, NonFiniteScore, ShapeMismatch, SingleClass
+from fedbench.errors import ConfigError, EmptySample, NonFiniteScore, ShapeMismatch, SingleClass
 from fedbench.metrics import (
     INSIGNIFICANT,
+    LOSE,
+    WIN,
     _doubled_midranks,
     _rank_sum_counts,
     auprc,
@@ -346,6 +349,17 @@ def test_mwu_one_sided():
     assert res.significant is False  # strict < threshold
 
 
+@pytest.mark.parametrize("option,value", [("method", "exakt"), ("method", "Exact"),
+                                          ("alternative", "less"), ("alternative", "greater")])
+def test_mwu_rejects_an_unknown_method_or_alternative(option, value):
+    with pytest.raises(ConfigError) as exc:
+        mann_whitney_u([1.0, 2.0, 3.0], [4.0, 5.0, 6.0], **{option: value})
+    assert exc.value.field == option
+    with pytest.raises(ConfigError) as exc:
+        significance_matrix({"a": [1.0, 2.0, 3.0], "b": [4.0, 5.0, 6.0]}, **{option: value})
+    assert exc.value.field == option
+
+
 def test_mwu_auto_switches_to_normal_above_limit():
     a = np.arange(11.0)
     b = np.arange(10.0) + 0.5
@@ -371,6 +385,38 @@ def test_significance_matrix_self_and_antisymmetry():
             pa = matrix[(a, b)][0].p_value
             pb = matrix[(b, a)][0].p_value
             assert pa == pytest.approx(pb, abs=1e-12)
+
+
+def tied(rng, n, shift=0.0):
+    return np.round(rng.random(n) + shift, 1).tolist()
+
+
+_RNG = np.random.default_rng(17)
+MATRIX_CASES = {
+    "10_10_10": {"a": tied(_RNG, 10), "b": tied(_RNG, 10, 0.3), "c": tied(_RNG, 10, 0.1)},
+    "15_10": {"a": tied(_RNG, 15), "b": tied(_RNG, 10, 0.2)},
+    "62_6": {"a": tied(_RNG, 62), "b": tied(_RNG, 6, 0.2)},  # int64 one way, object the other
+    "all_equal": {"a": [0.7] * 5, "b": [0.7] * 4},  # variance 0
+}
+
+
+@pytest.mark.parametrize("method", ["auto", "exact", "normal"])
+@pytest.mark.parametrize("alternative", ["two-sided", "one-sided"])
+@pytest.mark.parametrize("case", list(MATRIX_CASES))
+def test_significance_matrix_entries_equal_the_direct_test(case, alternative, method):
+    """Each off-diagonal entry, mirrored or not, is field for field and type for
+    type what ``mann_whitney_u`` returns for its ordered pair."""
+    results = MATRIX_CASES[case]
+    matrix = significance_matrix(results, alternative=alternative, method=method)
+    assert len(matrix) == len(results) ** 2
+    for (a, b), (res, label) in matrix.items():
+        if a == b:
+            continue
+        ref = mann_whitney_u(results[a], results[b], alternative=alternative, method=method)
+        assert res == ref
+        assert [type(v) for v in astuple(res)] == [type(v) for v in astuple(ref)]
+        won = np.mean(results[a]) > np.mean(results[b])
+        assert label == ((WIN if won else LOSE) if ref.significant else INSIGNIFICANT)
 
 
 def test_mean_std_example():

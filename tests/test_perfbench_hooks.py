@@ -7,13 +7,14 @@ under ``src/``, a hooked function returning something else or a skipped step
 would otherwise surface only in that pass.
 """
 
+import json
 import sys
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-from fedbench import orchestrator
+from fedbench import cli, orchestrator
 from fedbench.benchmarks import benchmark_config
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
@@ -59,3 +60,23 @@ def test_traced_run_does_the_computed_work(algorithm, optimizer):
     assert calls["orchestrator.run_local_training"] == work.client_rounds == 10
     assert calls["strategies.server_aggregate"] == calls["params.weighted_average"] == 2
     assert "orchestrator.diverged_client_rounds" not in tracer.counts
+
+
+@pytest.mark.parametrize("flags,tests", [([], 3), (["--one-sided"], 6)])
+def test_traced_compare_tests_each_pair_once_when_two_sided(tmp_path, flags, tests):
+    """``fedbench compare`` over three result trees runs one two-sided rank test
+    per unordered pair and mirrors it; a one-sided test runs both ways."""
+    dirs = []
+    for i, algorithm in enumerate(("fedavg", "fedprox", "fedbn")):
+        for seed in range(4):
+            run_dir = tmp_path / algorithm / f"seed_{seed}"
+            run_dir.mkdir(parents=True)
+            (run_dir / "result.json").write_text(json.dumps(
+                {"algorithm": algorithm, "mean_test_metric": 0.6 + 0.05 * i + 0.01 * seed}))
+        dirs.append(str(tmp_path / algorithm))
+    tracer = Tracer()
+    with traced(tracer):
+        assert cli.main(["compare", "--results", *dirs, *flags]) == 0
+    calls = {name: entry["calls"] for name, entry in summarize(tracer.spans).items()}
+    assert calls["metrics.mann_whitney_u"] == tests
+    assert calls["metrics.significance_matrix"] == calls["cli.main"] == 1
