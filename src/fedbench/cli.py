@@ -16,7 +16,7 @@ import os
 import shutil
 import sys
 import tempfile
-from dataclasses import MISSING, fields
+from dataclasses import MISSING, asdict, fields
 from pathlib import Path
 
 import yaml
@@ -30,7 +30,6 @@ from .errors import (
     InfeasibleSizes,
     MalformedRow,
     SchemaMismatch,
-    ShapeMismatch,
 )
 from .nn import LayerSpec, ModelSpec
 from .orchestrator import ExperimentConfig, load_clients, run_experiment, sweep_local_epochs
@@ -100,13 +99,6 @@ def _parse_layers(raw) -> list[LayerSpec]:
     return [_build(LayerSpec, layer, f"model.layers[{i}]") for i, layer in enumerate(raw)]
 
 
-def _parse_model(section) -> ModelSpec:
-    try:  # LayerSpec and ModelSpec check the model's structure
-        return _build(ModelSpec, section, "model", layers=_parse_layers)
-    except ShapeMismatch as exc:
-        raise ConfigError("model", str(exc))
-
-
 def _parse_strategy(section) -> StrategyConfig:
     cfg = _build(StrategyConfig, section, "strategy")
     # a config must state the hyperparameters these algorithms are tuned by
@@ -142,20 +134,22 @@ def _read_mapping(path, field: str) -> dict:
     return raw
 
 
-def parse_and_validate_config(path, overrides: list[str] | None = None) -> tuple[ExperimentConfig, dict]:
-    """Load, override, validate; returns (config, resolved-config echo dict)."""
+def parse_and_validate_config(path, overrides: list[str] | None = None,
+                              out_dir=None) -> tuple[ExperimentConfig, dict]:
+    """Load, override, validate; returns (config, echo).  ``out_dir``, when
+    given, replaces the config's; the echo is every field of the config,
+    defaults included, and ``total_budget``, and reads back as an equal config."""
     raw = apply_overrides(_read_mapping(path, "config"), overrides or [])
-    cfg = _build(ExperimentConfig, raw, "", ("total_budget",), model=_parse_model,
-                 strategy=_parse_strategy, data=_parse_data)
+    if out_dir is not None:
+        raw["out_dir"] = str(out_dir)
+    cfg = _build(ExperimentConfig, raw, "", ("total_budget",), strategy=_parse_strategy,
+                 model=lambda m: _build(ModelSpec, m, "model", layers=_parse_layers),
+                 data=_parse_data)
     if "total_budget" in raw and raw["total_budget"] != cfg.total_budget:
-        raise ConfigError(
-            "total_budget",
-            f"declared {raw['total_budget']} != local_epochs*rounds = {cfg.total_budget}",
-        )
-    echo = dict(raw)
-    for name in ("local_epochs", "local_optimizer", "batch_size", "seeds", "selection_metric"):
-        echo.setdefault(name, getattr(cfg, name))
-    echo["total_budget"] = cfg.total_budget
+        raise ConfigError("total_budget", f"declared {raw['total_budget']} != "
+                          f"local_epochs*rounds = {cfg.total_budget}")
+    echo = {**asdict(cfg), "total_budget": cfg.total_budget}
+    echo["strategy"]["policy"] = cfg.strategy.policy.value
     return cfg, echo
 
 
@@ -178,8 +172,8 @@ def _atomic_write(path: Path, text: str) -> None:
 def cmd_run(args) -> int:
     # --seed is an override of seeds, so the config's checks and the echo see it
     seed_override = [] if args.seed is None else [f"seeds={args.seed}"]
-    cfg, echo = parse_and_validate_config(args.config, args.override + seed_override)
-    out_dir = Path(args.out or cfg.out_dir)
+    cfg, echo = parse_and_validate_config(args.config, args.override + seed_override, args.out)
+    out_dir = Path(cfg.out_dir)
     _atomic_write(out_dir / "config_echo.yaml", yaml.safe_dump(echo, sort_keys=False))
     datasets = load_clients(cfg)  # once for every seed
     per_seed = []
@@ -207,9 +201,9 @@ def _parse_grid(grid: str) -> list[tuple[int, int]]:
 
 
 def cmd_sweep(args) -> int:
-    cfg, echo = parse_and_validate_config(args.config, args.override)
+    cfg, echo = parse_and_validate_config(args.config, args.override, args.out)
     splits = _parse_grid(args.grid)
-    out_dir = Path(args.out or cfg.out_dir)
+    out_dir = Path(cfg.out_dir)
     _atomic_write(out_dir / "config_echo.yaml", yaml.safe_dump(echo, sort_keys=False))
     rows = sweep_local_epochs(cfg, splits, out_dir=out_dir)
     lines = ["local_epochs,rounds,seed,selected_round,mean_val_metric,mean_test_metric"]

@@ -16,10 +16,13 @@ the operands numpy's own code would hand it, in the same order, so each
 result is bit-for-bit the one the wrappers give.  ``tests/test_bitwise.py``
 holds the wrapper-based code as the oracle.
 
-A ``Plan`` compiles a ModelSpec once into one flat float64 vector layout:
-trainable non-norm entries, then norm gains and biases (up to ``n_train``),
-then each batch-norm layer's running mean and variance as one (2, d) block,
-so what the server shares of it is always a prefix (see ``strategies``).
+A ModelSpec checks itself when built, and each fault is a ConfigError naming
+its field (``model.layers[1].kind``): the last layer, and no other, is the
+head that ``LOSS_HEADS`` pairs with the loss.  A ``Plan`` compiles a
+ModelSpec once into one flat float64 vector layout: trainable non-norm
+entries, then norm gains and biases (up to ``n_train``), then each
+batch-norm layer's running mean and variance as one (2, d) block, so what
+the server shares of it is always a prefix (see ``strategies``).
 From ``init_params`` to the checkpoint files this vector is the only
 parameter representation (see ``params``).  Each layer below the head is a
 pair of closures over fixed views of the vector, for train and eval alike;
@@ -49,7 +52,8 @@ from .params import NON_NORM, NORM
 
 BN_MOMENTUM = 0.1  # running-stat EMA step; convention, configurable per layer
 NORM_KINDS = ("batch_norm", "layer_norm", "group_norm")
-HEAD_KINDS = ("softmax_ce_head", "sigmoid_bce_head")
+LOSS_HEADS = {"cross_entropy": "softmax_ce_head", "binary_cross_entropy": "sigmoid_bce_head"}
+HEAD_KINDS = tuple(LOSS_HEADS.values())
 
 
 @dataclass
@@ -60,70 +64,61 @@ class LayerSpec:
     epsilon: float = 1e-5
     momentum: float = BN_MOMENTUM
 
-    def __post_init__(self):
+    def check(self, path: str, last: bool) -> None:
+        """Kind, field types and ranges; ModelSpec runs this for each layer, with
+        ``path`` naming the layer by its index in a ConfigError and ``last``
+        set for the last layer, which must be a loss head and the only one."""
         if self.kind not in ("dense", "relu") + NORM_KINDS + HEAD_KINDS:
-            raise ShapeMismatch(f"unknown layer kind {self.kind!r}")
-
-    def check(self, path: str) -> None:
-        """Field types and ranges; ModelSpec runs this for each layer, with
-        ``path`` naming the layer by its index in a ConfigError."""
+            raise ConfigError(f"{path}.kind", f"unknown layer kind {self.kind!r}")
+        if (self.kind in HEAD_KINDS) != last:
+            raise ConfigError(f"{path}.kind", "the last layer must be a loss head and no "
+                              f"other may be, got {self.kind!r}")
         check_int(self.width, f"{path}.width")
-        check_int(self.groups, f"{path}.groups")
+        check_int(self.groups, f"{path}.groups", 1)
         check_real(self.epsilon, f"{path}.epsilon")
         check_real(self.momentum, f"{path}.momentum")
-        if self.groups < 1:
-            raise ConfigError(f"{path}.groups", "must be >= 1")
         if not 0.0 <= self.momentum <= 1.0:
             raise ConfigError(f"{path}.momentum", "must lie in [0, 1]")
         if self.kind in NORM_KINDS and self.epsilon < 0:
-            raise ShapeMismatch("epsilon must be non-negative")
+            raise ConfigError(f"{path}.epsilon", "must be >= 0")
 
 
 @dataclass
 class ModelSpec:
     input_dim: int
     layers: list[LayerSpec]
-    loss: str  # cross_entropy | binary_cross_entropy
+    loss: str  # cross_entropy | binary_cross_entropy, paired with its head by LOSS_HEADS
     num_classes: int
 
     def __post_init__(self):
         check_int(self.input_dim, "model.input_dim")
         check_int(self.num_classes, "model.num_classes")
-        for i, layer in enumerate(self.layers):
-            layer.check(f"model.layers[{i}]")
-        if self.loss not in ("cross_entropy", "binary_cross_entropy"):
-            raise ShapeMismatch(f"unknown loss {self.loss!r}")
+        if self.loss not in LOSS_HEADS:
+            raise ConfigError("model.loss", f"unknown loss {self.loss!r}")
         if not self.layers:
-            raise ShapeMismatch("model has no layers")
-        widths = self.resolve_widths()
-        head = self.layers[-1]
-        if head.kind not in HEAD_KINDS:
-            raise ShapeMismatch("last layer must be a loss head")
-        if self.loss == "cross_entropy" and head.kind != "softmax_ce_head":
-            raise ShapeMismatch("cross_entropy requires softmax_ce_head")
-        if self.loss == "binary_cross_entropy" and head.kind != "sigmoid_bce_head":
-            raise ShapeMismatch("binary_cross_entropy requires sigmoid_bce_head")
-        if widths[-1] != self.num_classes:
-            raise ShapeMismatch(
-                f"head width {widths[-1]} != num_classes {self.num_classes}"
-            )
+            raise ConfigError("model.layers", "model has no layers")
+        for i, layer in enumerate(self.layers):
+            layer.check(f"model.layers[{i}]", last=i == len(self.layers) - 1)
+        if self.layers[-1].kind != LOSS_HEADS[self.loss]:
+            raise ConfigError("model.loss", f"{self.loss} requires {LOSS_HEADS[self.loss]}")
+        width = self.resolve_widths()[-1]
+        if width != self.num_classes:
+            raise ConfigError("model.num_classes", f"head width {width} != {self.num_classes}")
 
     def resolve_widths(self) -> list[int]:
         """Output width of every layer; validates consistency on the way."""
         w = self.input_dim
         out = []
         for i, layer in enumerate(self.layers):
+            path = f"model.layers[{i}]"
             if layer.kind == "dense":
                 if layer.width <= 0:
-                    raise ShapeMismatch(f"layer {i}: dense needs a positive width")
+                    raise ConfigError(f"{path}.width", "dense needs a positive width")
                 w = layer.width
-            else:
-                if layer.width not in (0, w):
-                    raise ShapeMismatch(
-                        f"layer {i}: width {layer.width} inconsistent with input {w}"
-                    )
-                if layer.kind == "group_norm" and w % layer.groups != 0:
-                    raise ShapeMismatch(f"layer {i}: groups must divide width {w}")
+            elif layer.width not in (0, w):
+                raise ConfigError(f"{path}.width", f"{layer.width} inconsistent with input {w}")
+            elif layer.kind == "group_norm" and w % layer.groups != 0:
+                raise ConfigError(f"{path}.groups", f"must divide width {w}")
             out.append(w)
         return out
 

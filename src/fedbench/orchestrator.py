@@ -86,9 +86,6 @@ class ExperimentConfig:
     keep_all_checkpoints: bool = False
 
     def __post_init__(self):
-        self.validate()
-
-    def validate(self) -> None:
         # _batches drops a singleton batch, so batch_size 1 would take no step
         for name, low in (("local_epochs", 1), ("rounds", 1), ("batch_size", 2)):
             check_int(getattr(self, name), name, low)

@@ -87,9 +87,6 @@ class StrategyConfig:
         except ValueError:
             valid = ", ".join(p.value for p in ExclusionPolicy)
             raise ConfigError("strategy.policy", f"unknown policy {self.policy!r}; valid: {valid}")
-        self.validate()
-
-    def validate(self) -> None:
         for name in ("mu", "alpha", "eta_g", "beta1", "beta2", "gamma"):
             check_real(getattr(self, name), f"strategy.{name}")
         if not isinstance(self.uniform_pseudo_grad, bool):

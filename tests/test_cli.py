@@ -127,6 +127,39 @@ def test_seed_flag_is_echoed_as_the_seeds_that_ran(tmp_path):
     assert parse_and_validate_config(echo)[0].seeds == [3, 5]
 
 
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_echo_reads_back_as_the_config_that_ran(tmp_path, monkeypatch, command):
+    """The echo holds every field, defaults included, and parses back to the
+    config the command ran, whose out_dir is the directory it wrote to."""
+    cfg = base_config(rounds=4, seeds=[1, 2])
+    cfg["model"]["layers"].insert(1, {"kind": "batch_norm"})
+    cfg["strategy"] = {"algorithm": "fedadam", "eta_g": 0.02, "gamma": 0.01}
+    if command == "sweep":  # a manifest, and a stated policy
+        cfg["data"] = str(write_partition(PartitionSpec(**cfg["data"]), tmp_path / "part"))
+        cfg["strategy"] = {"algorithm": "fedbn", "policy": "stats_only_excluded"}
+    ran = []
+    name = "run_experiment" if command == "run" else "sweep_local_epochs"
+    real = getattr(cli, name)
+    monkeypatch.setattr(cli, name, lambda cfg, *a, **kw: ran.append(cfg) or real(cfg, *a, **kw))
+    out = tmp_path / "out"
+    argv = [command, "--config", str(write_config(tmp_path, cfg)), "--out", str(out)]
+    assert main(argv + (["--grid", "2x2,4x1"] if command == "sweep" else [])) == EXIT_OK
+    echo_path = out / "config_echo.yaml"
+    echo = yaml.safe_load(echo_path.read_text())
+    assert echo["strategy"]["beta1"] == 0.9 and echo["strategy"]["uniform_pseudo_grad"] is False
+    assert echo["model"]["layers"][1] == {"kind": "batch_norm", "width": 0, "groups": 1,
+                                          "epsilon": 1e-5, "momentum": 0.1}
+    assert echo["out_dir"] == str(out) and echo["total_budget"] == 4
+    assert echo["local_optimizer"] == "sgd" and echo["keep_all_checkpoints"] is False
+    if command == "run":
+        assert echo["data"]["class_separation"] == 2.0
+        assert echo["strategy"]["policy"] == "none"
+    else:
+        assert echo["strategy"]["policy"] == "stats_only_excluded"
+    parsed, _ = parse_and_validate_config(echo_path)
+    assert ran and all(c == parsed for c in ran)
+
+
 def test_run_loads_the_partition_once(tmp_path, monkeypatch):
     manifest = write_partition(PartitionSpec(**base_config()["data"]), tmp_path / "part")
     path = write_config(tmp_path, base_config(data=str(manifest)))
@@ -656,16 +689,37 @@ def test_declared_total_budget_is_a_known_key(tmp_path):
 
 
 @pytest.mark.parametrize("edit,message", [
-    (lambda m: m.update(loss="mse"), "unknown loss 'mse'"),
-    (lambda m: m["layers"].insert(1, {"kind": "conv"}), "unknown layer kind 'conv'"),
-    (lambda m: m["layers"][0].pop("width"), "layer 0: dense needs a positive width"),
-    (lambda m: m.update(layers=[]), "model has no layers"),
+    (lambda m: m.update(loss="mse") or "model.loss", "unknown loss 'mse'"),
+    (lambda m: m["layers"].insert(1, {"kind": "conv"}) or "model.layers[1].kind",
+     "unknown layer kind 'conv'"),
+    (lambda m: m["layers"][0].pop("width") and "model.layers[0].width",
+     "dense needs a positive width"),
+    (lambda m: m.update(layers=[]) or "model.layers", "model has no layers"),
+    (lambda m: m["layers"].insert(1, {"kind": "softmax_ce_head"}) or "model.layers[1].kind",
+     "the last layer must be a loss head and no other may be, got 'softmax_ce_head'"),
+    (lambda m: m["layers"].pop() and "model.layers[2].kind",
+     "the last layer must be a loss head and no other may be, got 'dense'"),
+    (lambda m: m.update(loss="binary_cross_entropy") or "model.loss",
+     "binary_cross_entropy requires sigmoid_bce_head"),
+    (lambda m: m.update(num_classes=4) or "model.num_classes", "head width 3 != 4"),
+    (lambda m: m["layers"].insert(1, {"kind": "group_norm", "groups": 4})
+     or "model.layers[1].groups", "must divide width 6"),
+    (lambda m: m["layers"].insert(1, {"kind": "layer_norm", "epsilon": -1.0})
+     or "model.layers[1].epsilon", "must be >= 0"),
+    (lambda m: m["layers"][1].update(width=4) or "model.layers[1].width",
+     "4 inconsistent with input 6"),
 ])
 def test_bad_model_structure_is_config_error(tmp_path, capsys, edit, message):
+    """Each edit breaks the model section and returns the field it breaks;
+    the error record names that field, and the run writes nothing."""
     cfg = base_config()
-    edit(cfg["model"])
+    field = edit(cfg["model"])
     path = write_config(tmp_path, cfg)
+    with pytest.raises(ConfigError) as err:
+        parse_and_validate_config(path)
+    assert (err.value.field, err.value.reason) == (field, message)
     code = main(["run", "--config", str(path), "--out", str(tmp_path / "x")])
     assert code == EXIT_CONFIG
-    err = json.loads(capsys.readouterr().err.strip())
-    assert err == {"error": "config_error", "message": f"model: {message}"}
+    record = json.loads(capsys.readouterr().err.strip())
+    assert record == {"error": "config_error", "message": f"{field}: {message}"}
+    assert not (tmp_path / "x").exists()

@@ -165,6 +165,11 @@ def model_with(layer, input_dim=5, num_classes=3):
     ({"kind": "batch_norm", "momentum": 1.5}, "model.layers[1].momentum"),
     ({"kind": "batch_norm", "momentum": -0.1}, "model.layers[1].momentum"),
     ({"kind": "group_norm", "groups": 2.0}, "model.layers[1].groups"),
+    ({"kind": "group_norm", "groups": 4}, "model.layers[1].groups"),
+    ({"kind": "layer_norm", "epsilon": -1e-5}, "model.layers[1].epsilon"),
+    ({"kind": "relu", "width": 4}, "model.layers[1].width"),
+    ({"kind": "conv"}, "model.layers[1].kind"),
+    ({"kind": "sigmoid_bce_head"}, "model.layers[1].kind"),
 ])
 def test_model_spec_checks_each_layer_with_its_index(layer, field):
     with pytest.raises(ConfigError) as err:
