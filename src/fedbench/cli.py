@@ -1,8 +1,10 @@
 """Command-line front end: run, sweep, partition, compare, report.
 
 Exit codes: 0 success, 2 configuration error, 3 data error,
-4 all clients diverged, 1 anything else.  A machine-readable error record is
-printed to stderr on failure.  Everything else lives in the config file.
+4 all clients diverged, 1 anything else (an ``OSError`` is ``io_error``).  A
+machine-readable error record is printed to stderr on failure.  Everything
+else lives in the config file; its dataclasses check it, naming the bad field,
+and ``config_echo.yaml`` holds every field of the config a command ran.
 ``main`` parses with one parser, built on first use and kept for the process.
 """
 
@@ -197,6 +199,8 @@ def _parse_grid(grid: str) -> list[tuple[int, int]]:
             splits.append((int(e), int(t)))
         except ValueError:
             raise ConfigError("grid", f"expected ExT pairs like 1x60,5x12, got {part!r}")
+    if len(set(splits)) != len(splits):  # a split run twice would overwrite its own outputs
+        raise ConfigError("grid", f"must not repeat a split, got {grid!r}")
     return splits
 
 
@@ -207,11 +211,8 @@ def cmd_sweep(args) -> int:
     _atomic_write(out_dir / "config_echo.yaml", yaml.safe_dump(echo, sort_keys=False))
     rows = sweep_local_epochs(cfg, splits, out_dir=out_dir)
     lines = ["local_epochs,rounds,seed,selected_round,mean_val_metric,mean_test_metric"]
-    for r in rows:
-        lines.append(
-            f"{r['local_epochs']},{r['rounds']},{r['seed']},{r['selected_round']},"
-            f"{r['mean_val_metric']:.6f},{r['mean_test_metric']:.6f}"
-        )
+    lines += [f"{r['local_epochs']},{r['rounds']},{r['seed']},{r['selected_round']},"
+              f"{r['mean_val_metric']:.6f},{r['mean_test_metric']:.6f}" for r in rows]
     _atomic_write(out_dir / "sweep.csv", "\n".join(lines) + "\n")
     print("\n".join(lines))
     return EXIT_OK
@@ -242,7 +243,7 @@ def _collect_seed_metrics(result_dir: Path) -> tuple[str, list[float], list[tupl
     seeds = sorted(result_dir.glob("seed_*/result.json"))
     if not seeds:
         raise ConfigError("results", f"no seed_*/result.json under {result_dir}")
-    values, records, algorithm = [], [], None
+    values, records = [], []
     for path in seeds:
         try:
             record = json.loads(path.read_text())
@@ -250,8 +251,10 @@ def _collect_seed_metrics(result_dir: Path) -> tuple[str, list[float], list[tupl
             raise ConfigError("results", f"{path} is not valid JSON: {exc}")
         values.append(_finite(record, "mean_test_metric", path))
         records.append((path, record))
-        algorithm = record.get("algorithm", result_dir.name)
-    return algorithm or result_dir.name, values, records
+    names = {str(record.get("algorithm") or result_dir.name) for _, record in records}
+    if len(names) > 1:  # one tree's seeds are one algorithm's replicates
+        raise ConfigError("results", f"{result_dir} mixes the algorithms {sorted(names)}")
+    return names.pop(), values, records
 
 
 def cmd_compare(args) -> int:
@@ -278,9 +281,8 @@ def cmd_compare(args) -> int:
 def cmd_report(args) -> int:
     result_dir = Path(args.results)
     name, values, records = _collect_seed_metrics(result_dir)
-    elapsed = 0.0
-    for path, record in records:
-        elapsed += _finite(record, "elapsed_seconds", path, default=0.0)
+    elapsed = sum((_finite(record, "elapsed_seconds", path, default=0.0)
+                   for path, record in records), 0.0)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     metrics_mod.write_summary_csv(out / "summary.csv", name, "selection_metric", values)
@@ -357,6 +359,9 @@ def main(argv=None) -> int:
         return EXIT_DIVERGED
     except FedbenchError as exc:
         _emit_error("error", exc)
+        return EXIT_OTHER
+    except OSError as exc:  # an unwritable --out, an unreadable file
+        _emit_error("io_error", exc)
         return EXIT_OTHER
 
 

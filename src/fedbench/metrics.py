@@ -12,8 +12,9 @@ rounded quotient of two exact integers.  AUROC and U rank by one
 primitive, ``_doubled_midranks``: twice each midrank, an exact integer, from
 two binary searches in the sorted sample.  A method other than auto, exact or
 normal, or an alternative other than two-sided or one-sided, is a
-``ConfigError``.  ``significance_matrix`` runs one two-sided test per
-unordered pair and mirrors it (a one-sided test runs both ways).
+``ConfigError``, which ``significance_matrix`` raises before any entry.  It
+runs one two-sided test per unordered pair and mirrors it (a one-sided test
+runs both ways).
 ``write_csv`` is the one CSV writer: round logs, distances, summaries, the
 significance matrix, timings and the partition CSVs all go through it (the
 CLI writes ``sweep.csv`` as text).
@@ -150,6 +151,14 @@ def _rank_sum_counts(doubled: np.ndarray, n: int) -> np.ndarray:
     return counts[n]
 
 
+def _check_options(alternative: str, method: str) -> None:
+    """The one check of a rank test's options; the matrix runs it before any entry."""
+    if method not in ("auto", "exact", "normal"):
+        raise ConfigError("method", f"must be auto, exact or normal, got {method!r}")
+    if alternative not in ("two-sided", "one-sided"):
+        raise ConfigError("alternative", f"must be two-sided or one-sided, got {alternative!r}")
+
+
 def mann_whitney_u(a, b, alternative: str = "two-sided", method: str = "auto") -> RankTestResult:
     """Rank-sum test with midrank tie handling.
 
@@ -158,10 +167,7 @@ def mann_whitney_u(a, b, alternative: str = "two-sided", method: str = "auto") -
     variance with continuity correction.  One-sided alternative: a tends
     smaller than b.
     """
-    if method not in ("auto", "exact", "normal"):
-        raise ConfigError("method", f"must be auto, exact or normal, got {method!r}")
-    if alternative not in ("two-sided", "one-sided"):
-        raise ConfigError("alternative", f"must be two-sided or one-sided, got {alternative!r}")
+    _check_options(alternative, method)
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     n, m = len(a), len(b)
@@ -233,6 +239,7 @@ def significance_matrix(
     Two-sided, each unordered pair is tested once: (b, a) takes (a, b)'s
     result with U = n*m - U, which is what the swapped call returns.
     """
+    _check_options(alternative, method)
     out = {}
     for alg_a, vals_a in results.items():
         for alg_b, vals_b in results.items():

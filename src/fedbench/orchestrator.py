@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import json
 import logging
+import numbers
 import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -342,11 +343,14 @@ def run_experiment(cfg: ExperimentConfig, seed: int, out_dir=None,
 
     ``datasets`` are the clients' data when the caller has already loaded
     ``cfg.data`` (nothing writes to a ClientDataset, so runs can share them).
-    The run's client list is sorted by id here, the one place that orders it,
-    and a client_id given twice is a SchemaMismatch.
+    The run's client list is sorted by id here, the one place that orders it;
+    a client_id given twice, or not a non-negative integer, is a SchemaMismatch.
     """
     if datasets is None:
         datasets = load_clients(cfg)
+    for cid in (ds.client_id for ds in datasets):  # the sort and client_rng need them
+        if not isinstance(cid, numbers.Integral) or isinstance(cid, bool) or cid < 0:
+            raise SchemaMismatch(f"client_id {cid!r} is not a non-negative integer")
     datasets = sorted(datasets, key=lambda ds: ds.client_id)
     for prev, ds in zip(datasets, datasets[1:]):
         if prev.client_id == ds.client_id:
@@ -459,9 +463,7 @@ def sweep_local_epochs(
     for e, t in splits:
         split_cfg = replace(cfg, local_epochs=e, rounds=t)
         for seed in cfg.seeds:
-            run_dir = (
-                Path(out_dir) / f"E{e}_T{t}" / f"seed_{seed}" if out_dir is not None else None
-            )
+            run_dir = None if out_dir is None else Path(out_dir) / f"E{e}_T{t}" / f"seed_{seed}"
             result = run_experiment(split_cfg, seed, out_dir=run_dir, datasets=datasets)
             rows.append({
                 "local_epochs": e,

@@ -93,16 +93,11 @@ class StrategyConfig:
             raise ConfigError("strategy.uniform_pseudo_grad", "must be true or false")
         if self.algorithm not in ALGORITHMS:
             raise ConfigError("strategy.algorithm", f"unknown algorithm {self.algorithm!r}")
-        if self.algorithm in NORM_EXCLUDING:
-            if self.policy == ExclusionPolicy.NONE:
-                raise ConfigError(
-                    "strategy.policy",
-                    f"{self.algorithm} requires a norm-excluding policy, got {self.policy.value}",
-                )
-        elif self.policy != ExclusionPolicy.NONE:
-            raise ConfigError(
-                "strategy.policy", f"{self.algorithm} requires policy none"
-            )
+        if self.algorithm in NORM_EXCLUDING and self.policy == ExclusionPolicy.NONE:
+            raise ConfigError("strategy.policy", f"{self.algorithm} requires a norm-excluding "
+                              f"policy, got {self.policy.value}")
+        if self.algorithm not in NORM_EXCLUDING and self.policy != ExclusionPolicy.NONE:
+            raise ConfigError("strategy.policy", f"{self.algorithm} requires policy none")
         if self.mu < 0:
             raise ConfigError("strategy.mu", "mu must be >= 0")
         if self.algorithm == "feddyn" and self.alpha <= 0:

@@ -455,6 +455,17 @@ def test_sweep_bad_grid(tmp_path, capsys):
     assert not (tmp_path / "x").exists()
 
 
+def test_sweep_repeated_split_is_config_error(tmp_path, capsys):
+    path = write_config(tmp_path, base_config(rounds=2))
+    code = main(["sweep", "--config", str(path), "--grid", "1x2,1x2,2x1",
+                 "--out", str(tmp_path / "x")])
+    assert code == EXIT_CONFIG
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err == {"error": "config_error",
+                   "message": "grid: must not repeat a split, got '1x2,1x2,2x1'"}
+    assert not (tmp_path / "x").exists()
+
+
 def write_results(root, values, algorithm="fedavg"):
     """Per-seed result.json files as ``run`` writes them."""
     for seed, value in enumerate(values):
@@ -501,6 +512,34 @@ def test_report_bad_elapsed_seconds_is_config_error(tmp_path, capsys, elapsed):
     code = main(["report", "--results", str(results), "--out", str(tmp_path / "rep")])
     assert_results_config_error(capsys, code, str(path))
     assert not (tmp_path / "rep").exists()
+
+
+@pytest.mark.parametrize("command", ["report", "compare"])
+def test_tree_mixing_algorithms_is_config_error(tmp_path, capsys, command):
+    """A tree's seeds are one algorithm's replicates; pooled, a fedavg and a
+    fedbn seed would be reported under the last one's name."""
+    tree = write_results(tmp_path / "res", [0.7])
+    write_results(tmp_path / "other", [0.8], algorithm="fedbn")
+    (tmp_path / "other" / "seed_0").rename(tree / "seed_1")
+    other = write_results(tmp_path / "ok", [0.6, 0.65], algorithm="fedprox")
+    argv = {"report": ["report", "--results", str(tree), "--out", str(tmp_path / "rep")],
+            "compare": ["compare", "--results", str(other), str(tree),
+                        "--out", str(tmp_path / "rep")]}[command]
+    assert_results_config_error(capsys, main(argv), f"{tree} mixes the algorithms "
+                                                    "['fedavg', 'fedbn']")
+    assert not (tmp_path / "rep").exists()
+
+
+def test_unwritable_out_is_an_io_error_without_a_traceback(tmp_path, capsys):
+    path = write_config(tmp_path, base_config())
+    out = tmp_path / "out"
+    out.write_text("a file, not a directory\n")
+    assert main(["run", "--config", str(path), "--out", str(out)]) == cli.EXIT_OTHER
+    captured = capsys.readouterr()
+    record = json.loads(captured.err.strip())
+    assert record["error"] == "io_error" and str(out) in record["message"]
+    assert "Traceback" not in captured.err + captured.out
+    assert out.read_text() == "a file, not a directory\n"
 
 
 def test_compare_nan_metric_is_config_error(tmp_path, capsys):

@@ -355,9 +355,11 @@ def test_mwu_rejects_an_unknown_method_or_alternative(option, value):
     with pytest.raises(ConfigError) as exc:
         mann_whitney_u([1.0, 2.0, 3.0], [4.0, 5.0, 6.0], **{option: value})
     assert exc.value.field == option
-    with pytest.raises(ConfigError) as exc:
-        significance_matrix({"a": [1.0, 2.0, 3.0], "b": [4.0, 5.0, 6.0]}, **{option: value})
-    assert exc.value.field == option
+    # a matrix over one algorithm builds only its diagonal entry and runs no test
+    for results in ({"a": [1.0, 2.0, 3.0], "b": [4.0, 5.0, 6.0]}, {"a": [1.0, 2.0]}):
+        with pytest.raises(ConfigError) as exc:
+            significance_matrix(results, **{option: value})
+        assert exc.value.field == option
 
 
 def test_mwu_auto_switches_to_normal_above_limit():

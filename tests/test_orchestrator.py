@@ -466,6 +466,19 @@ def test_run_rejects_preloaded_datasets_with_a_repeated_client_id(tmp_path, monk
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize("client_id", [-1, 1.5, "0", None, True])
+def test_run_rejects_preloaded_datasets_with_a_bad_client_id(tmp_path, monkeypatch, client_id):
+    """The sort and ``client_rng`` need non-negative integer ids, as a manifest's are."""
+    cfg = experiment(rounds=1)
+    datasets = generate(cfg.data)
+    datasets[1] = replace(datasets[1], client_id=client_id)
+    monkeypatch.setattr(orchestrator, "run_round", lambda *args: pytest.fail("a round ran"))
+    with pytest.raises(SchemaMismatch) as err:
+        run_experiment(cfg, seed=0, out_dir=tmp_path / "run", datasets=datasets)
+    assert str(err.value) == f"client_id {client_id!r} is not a non-negative integer"
+    assert not (tmp_path / "run").exists()
+
+
 def test_round_rejects_entries_keyed_unlike_the_model():
     """The layout check runs once per client round, on the round-start vector."""
     cfg = experiment(norm="batch_norm", rounds=1)

@@ -1,0 +1,25 @@
+"""``tools/run_digest.py``, the digest every bitwise claim is checked with, runs
+end to end.  It changes its working directory, so it runs in a subprocess."""
+
+import ast
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+TOOL = Path(__file__).resolve().parent.parent / "tools" / "run_digest.py"
+
+
+def test_run_digest_prints_one_digest_per_file_of_every_set(tmp_path):
+    proc = subprocess.run([sys.executable, str(TOOL), str(tmp_path / "digest")],
+                          capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines and all(re.fullmatch(r"[0-9a-f]{64}  \S+", line) for line in lines)
+    paths = [line[66:] for line in lines]
+    assert len(set(paths)) == len(paths)
+    # each bullet of the docstring's set list says where its runs are written
+    bullets = ast.get_docstring(ast.parse(TOOL.read_text())).split("\n* ")[1:]
+    sets = [re.findall(r"written\s+to\s+``(\w+)/``", bullet) for bullet in bullets]
+    assert sets and all(sets)
+    assert {name for names in sets for name in names} <= {p.split("/")[0] for p in paths}

@@ -10,7 +10,8 @@ imported from the ``src/`` next to this script, and OUT_DIR must not exist.
 The set:
 
 * every algorithm, 50 rounds, E=1, on the feature-shift benchmark at seed 0,
-  checkpointing every round (``best/`` and the last round are kept);
+  checkpointing every round (``best/`` and the last round are kept), written
+  to ``grid/``;
 * fedyogi, 10 rounds, seed 0, with ``keep_all_checkpoints`` (every round's
   checkpoint and ``best/`` are kept), written to ``grid_keep_all/``;
 * 10 rounds at seed 0 of each other layer kind the model compiles, written
@@ -26,9 +27,10 @@ The set:
   no-norm and sigmoid-BCE models of ``kinds/`` and the 2-class model of
   ``paths/``, so that each ``round_0001/global_start.npz`` pins that model's
   ``w_0`` (``grid_keep_all/`` pins the batch-norm one);
-* ``fedbench partition`` of a K=10 label-skew spec, then ``fedbench sweep
-  --grid 5x4,10x2`` with fedpxn and local Adam over seeds 0-2, the shape of
-  the benchmark's ``ls_sweep_cli`` workload;
+* ``fedbench partition`` of a K=10 label-skew spec, written to
+  ``partition/``, then ``fedbench sweep --grid 5x4,10x2`` with fedpxn and
+  local Adam over seeds 0-2, the shape of the benchmark's ``ls_sweep_cli``
+  workload, written to ``sweep/``;
 * ``fedbench run --seed 0 1`` of a 2-round fedavg config over that
   partition, written to ``cli_run/`` (its ``config_echo.yaml``,
   ``summary.csv`` and each seed's outputs);
