@@ -15,6 +15,7 @@ import functools
 import json
 import math
 import os
+import re
 import shutil
 import sys
 import tempfile
@@ -78,13 +79,32 @@ def _build(cls, section, path: str, extras: tuple[str, ...] = (), **parse):
                   for k, v in section.items() if k not in extras})
 
 
+class _Loader(yaml.SafeLoader):
+    """PyYAML's safe loader, reading exponent floats as YAML 1.2 does:
+    ``1e-3`` is 0.001, where YAML 1.1 wants a dot and a signed exponent
+    (``1.0e-3``) and reads a string."""
+
+
+class _Dumper(yaml.SafeDumper):
+    """PyYAML's safe dumper, quoting a string that ``_Loader`` reads as a
+    float, so that an echoed config reads back as the one that ran."""
+
+
+for _cls in (_Loader, _Dumper):
+    _cls.add_implicit_resolver(
+        "tag:yaml.org,2002:float",
+        re.compile(r"^[-+]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)[eE][-+]?[0-9]+$"),
+        list("-+0123456789."),
+    )
+
+
 def apply_overrides(config: dict, overrides: list[str]) -> dict:
     """Apply dotted ``key=value`` overrides; values parse as YAML scalars."""
     for item in overrides:
         if "=" not in item:
             raise ConfigError("override", f"expected key=value, got {item!r}")
         key, _, raw = item.partition("=")
-        value = yaml.safe_load(raw)
+        value = yaml.load(raw, Loader=_Loader)
         node = config
         parts = key.split(".")
         for part in parts[:-1]:
@@ -128,7 +148,9 @@ def _read_mapping(path, field: str) -> dict:
     if not path.exists():
         raise ConfigError(field, f"file not found: {path}")
     try:
-        raw = yaml.safe_load(path.read_text())
+        raw = yaml.load(path.read_text(encoding="utf-8"), Loader=_Loader)
+    except UnicodeDecodeError as exc:
+        raise ConfigError(field, f"{path} is not UTF-8 text: {exc}")
     except yaml.YAMLError as exc:
         raise ConfigError(field, f"invalid YAML: {exc}")
     if not isinstance(raw, dict):
@@ -176,7 +198,7 @@ def cmd_run(args) -> int:
     seed_override = [] if args.seed is None else [f"seeds={args.seed}"]
     cfg, echo = parse_and_validate_config(args.config, args.override + seed_override, args.out)
     out_dir = Path(cfg.out_dir)
-    _atomic_write(out_dir / "config_echo.yaml", yaml.safe_dump(echo, sort_keys=False))
+    _atomic_write(out_dir / "config_echo.yaml", yaml.dump(echo, Dumper=_Dumper, sort_keys=False))
     datasets = load_clients(cfg)  # once for every seed
     per_seed = []
     for seed in cfg.seeds:
@@ -208,7 +230,7 @@ def cmd_sweep(args) -> int:
     cfg, echo = parse_and_validate_config(args.config, args.override, args.out)
     splits = _parse_grid(args.grid)
     out_dir = Path(cfg.out_dir)
-    _atomic_write(out_dir / "config_echo.yaml", yaml.safe_dump(echo, sort_keys=False))
+    _atomic_write(out_dir / "config_echo.yaml", yaml.dump(echo, Dumper=_Dumper, sort_keys=False))
     rows = sweep_local_epochs(cfg, splits, out_dir=out_dir)
     lines = ["local_epochs,rounds,seed,selected_round,mean_val_metric,mean_test_metric"]
     lines += [f"{r['local_epochs']},{r['rounds']},{r['seed']},{r['selected_round']},"

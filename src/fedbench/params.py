@@ -5,11 +5,13 @@ trainable non-norm entries, then norm gains and biases (up to ``n_train``),
 then batch-norm running statistics.  The server's global, its optimizer
 state, every client's vector and every round-start vector are such vectors,
 and the aggregation and drift primitives below work on them, from ``w_0``
-(``init_params``) to the checkpoint files (``save_paramset``), which hold a
-vector's entries one array each in the checkpoint's layout order with the
-plan's names, tags (``norm`` or ``non_norm``) and trainable flags.  A
-ParamSet, an ordered map of named arrays with a tag and a trainable flag per
-entry, is what ``load_paramset`` reads a checkpoint back as.
+(``init_params``) to the checkpoint files (``save_paramset``), which hold the
+vector whole, as one float64 ``vector`` member, next to a ``__meta__`` that
+names its entries in the checkpoint's layout order with the plan's tags
+(``norm`` or ``non_norm``), trainable flags and each entry's offset and shape
+in the vector.  A ParamSet, an ordered map of named arrays with a tag and a
+trainable flag per entry, is what ``load_paramset`` slices a checkpoint back
+into.
 
 A published vector is read-only and never written again, so vectors are
 shared freely: the broadcast is a view of the global, a round-start vector
@@ -22,6 +24,7 @@ round-start vector and then publishes it read-only.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,7 +34,7 @@ from .errors import KeyMismatch, WeightSumViolation
 NORM = "norm"
 NON_NORM = "non_norm"
 
-_FORMAT_VERSION = 1
+_FORMAT_VERSION = 2
 
 WEIGHT_SUM_TOL = 1e-12
 
@@ -102,24 +105,34 @@ def l2_distance_excluding_norm(a: np.ndarray, b: np.ndarray,
 # serialization (checkpoint format)
 
 def save_paramset(vec: np.ndarray, path, plan) -> None:
-    """Write the entries of ``vec``, laid out by the ``nn.Plan`` ``plan``, with
-    the plan's names, tags and trainable flags; float64 payloads round-trip
-    bitwise through ``load_paramset``."""
+    """Write ``vec``, laid out by the ``nn.Plan`` ``plan``, whole as the
+    ``vector`` member, with the plan's names, tags, trainable flags and each
+    entry's (offset, shape); float64 payloads round-trip bitwise through
+    ``load_paramset``."""
     meta = {
         "format_version": _FORMAT_VERSION,
         "names": plan.names,
         "tags": plan.tags,
         "trainable": plan.trainable,
+        "offsets": [plan.slots[n][0] for n in plan.names],
+        "shapes": [plan.slots[n][2] for n in plan.names],
     }
-    arrays = {f"v_{i}": entry for i, entry in enumerate(plan.entries(vec).values())}
     with open(path, "wb") as fh:
-        np.savez(fh, __meta__=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8), **arrays)
+        np.savez(fh, __meta__=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8),
+                 vector=vec)
 
 
 def load_paramset(path) -> ParamSet:
+    """A checkpoint's entries, each its own copy sliced from the vector."""
     with np.load(path) as data:
         meta = json.loads(bytes(data["__meta__"]).decode())
         if meta.get("format_version") != _FORMAT_VERSION:
             raise KeyMismatch(f"unsupported checkpoint version {meta.get('format_version')}")
-        entries = {n: data[f"v_{i}"].copy() for i, n in enumerate(meta["names"])}
+        vec = data["vector"]
+    entries = {}
+    for name, start, shape in zip(meta["names"], meta["offsets"], meta["shapes"]):
+        stop = start + math.prod(shape)
+        if not 0 <= start <= stop <= vec.shape[0]:
+            raise KeyMismatch(f"entry {name!r} lies outside the {vec.shape[0]}-entry vector")
+        entries[name] = vec[start:stop].reshape(shape).copy()
     return ParamSet(entries=entries, tags=meta["tags"], trainable=meta["trainable"])

@@ -52,8 +52,10 @@ def base_config(**extra):
 
 
 def write_config(tmp_path, cfg, name="config.yaml"):
+    """Write ``cfg`` as fedbench writes its echo, so that a string such as
+    ``"1e-5"`` is quoted and reads back as a string, not a YAML 1.2 float."""
     path = tmp_path / name
-    path.write_text(yaml.safe_dump(cfg))
+    path.write_text(yaml.dump(cfg, Dumper=cli._Dumper))
     return path
 
 
@@ -158,6 +160,14 @@ def test_echo_reads_back_as_the_config_that_ran(tmp_path, monkeypatch, command):
         assert echo["strategy"]["policy"] == "stats_only_excluded"
     parsed, _ = parse_and_validate_config(echo_path)
     assert ran and all(c == parsed for c in ran)
+
+
+def test_echo_quotes_a_string_that_reads_as_a_float(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    path = write_config(tmp_path, base_config())
+    assert main(["run", "--config", str(path), "--out", "1e3", "--seed", "0"]) == EXIT_OK
+    parsed, _ = parse_and_validate_config(tmp_path / "1e3" / "config_echo.yaml")
+    assert parsed.out_dir == "1e3"
 
 
 def test_run_loads_the_partition_once(tmp_path, monkeypatch):
@@ -278,7 +288,51 @@ def test_partition_bad_spec_is_config_error(tmp_path, capsys, content):
     assert err["message"].startswith("spec:")
 
 
-@pytest.mark.parametrize("flag", [["--metric", "auroc"], ["--two-sided"]])
+@pytest.mark.parametrize("command,flag,field", [("run", "--config", "config"),
+                                                ("partition", "--spec", "spec")])
+def test_non_utf8_file_is_config_error_naming_it(tmp_path, capsys, command, flag, field):
+    path = tmp_path / "input.yaml"
+    path.write_bytes(b"\xff\xfe" + yaml.safe_dump(base_config()).encode())
+    code = main([command, flag, str(path), "--out", str(tmp_path / "out")])
+    assert code == EXIT_CONFIG
+    captured = capsys.readouterr()
+    err = json.loads(captured.err.strip())
+    assert err["error"] == "config_error"
+    assert err["message"].startswith(f"{field}:") and str(path) in err["message"]
+    assert "Traceback" not in captured.err + captured.out
+
+
+def config_without_eta(tmp_path, eta_line):
+    """A config file whose ``eta`` is the literal text ``eta_line``."""
+    cfg = base_config()
+    del cfg["eta"]
+    path = write_config(tmp_path, cfg)
+    path.write_text(path.read_text() + eta_line + "\n")
+    return path
+
+
+@pytest.mark.parametrize("eta_line,overrides", [("eta: 1e-3", []),
+                                                ("eta: 0.1", ["eta=1e-3"])])
+def test_exponent_float_reads_as_yaml_1_2(tmp_path, eta_line, overrides):
+    path = config_without_eta(tmp_path, eta_line)
+    out = tmp_path / "out"
+    argv = ["run", "--config", str(path), "--out", str(out), "--seed", "0"]
+    for item in overrides:
+        argv += ["--override", item]
+    assert main(argv) == EXIT_OK
+    assert yaml.safe_load((out / "config_echo.yaml").read_text())["eta"] == 0.001
+
+
+@pytest.mark.parametrize("eta_line,overrides", [("eta: '1e-3'", []),
+                                                ("eta: 0.1", ["eta='1e-3'"])])
+def test_quoted_exponent_float_stays_a_string(tmp_path, eta_line, overrides):
+    path = config_without_eta(tmp_path, eta_line)
+    with pytest.raises(ConfigError) as err:
+        parse_and_validate_config(path, overrides)
+    assert err.value.field == "eta"
+
+
+@pytest.mark.parametrize("flag",[["--metric", "auroc"], ["--two-sided"]])
 def test_compare_rejects_removed_flags(tmp_path, flag):
     with pytest.raises(SystemExit) as exc:
         main(["compare", "--results", str(tmp_path)] + flag)

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -159,8 +161,11 @@ def test_distance_symmetry(bn_params, bn_plan):
 # ---------------------------------------------------------------------------
 # serialization
 
+NORM_KINDS = [["batch_norm"], ["layer_norm"], ["group_norm"], []]
+
+
 def test_checkpoint_roundtrip_bitwise(tmp_path):
-    for kinds in (["batch_norm"], ["layer_norm"], ["group_norm"], []):
+    for kinds in NORM_KINDS:
         plan = Plan(make_model(kinds))
         vec = np.random.default_rng(3).standard_normal(plan.size)
         path = tmp_path / f"{'_'.join(kinds)}.npz"
@@ -172,3 +177,40 @@ def test_checkpoint_roundtrip_bitwise(tmp_path):
         for name, entry in plan.entries(vec).items():
             assert loaded.entries[name].dtype == entry.dtype
             assert np.array_equal(loaded.entries[name], entry)
+            assert loaded.entries[name].flags.owndata  # its own copy, not a view
+
+
+@pytest.mark.parametrize("kinds", NORM_KINDS, ids=lambda k: k[0] if k else "no_norm")
+def test_checkpoint_holds_the_vector_whole(tmp_path, kinds):
+    plan = Plan(make_model(kinds))
+    vec = init_params(plan, seed=1)
+    path = tmp_path / "ckpt.npz"
+    save_paramset(vec, path, plan)
+    with np.load(path) as data:
+        assert sorted(data.files) == ["__meta__", "vector"]
+        stored = data["vector"]
+    assert stored.dtype == np.float64
+    assert stored.shape == (plan.size,)
+    assert np.array_equal(stored, vec)
+
+
+def test_format_1_checkpoint_is_rejected_naming_its_version(tmp_path, bn_plan, bn_params):
+    meta = {"format_version": 1, "names": bn_plan.names, "tags": bn_plan.tags,
+            "trainable": bn_plan.trainable}
+    arrays = {f"v_{i}": e for i, e in enumerate(bn_plan.entries(bn_params).values())}
+    path = tmp_path / "v1.npz"
+    np.savez(path, __meta__=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8), **arrays)
+    with pytest.raises(KeyMismatch, match="version 1"):
+        load_paramset(path)
+
+
+def test_checkpoint_entry_outside_the_vector_is_rejected(tmp_path, bn_plan, bn_params):
+    path = tmp_path / "ckpt.npz"
+    save_paramset(bn_params, path, bn_plan)
+    with np.load(path) as data:
+        meta = json.loads(bytes(data["__meta__"]).decode())
+    meta["offsets"][-1] = bn_plan.size
+    np.savez(path, __meta__=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8),
+             vector=bn_params)
+    with pytest.raises(KeyMismatch, match="outside"):
+        load_paramset(path)

@@ -47,9 +47,12 @@ The set:
 
 CSV, YAML and JSON files are hashed as bytes, except ``result.json``, which
 is hashed without its wall-clock ``elapsed_seconds``.  ``.npz`` checkpoints
-are hashed by their loaded arrays (name, dtype, shape, bytes), because the
-zip container records write times.  All paths handed to fedbench are relative
-to OUT_DIR, so the echoed config does not depend on where OUT_DIR is.
+are hashed as ``fedbench.params.load_paramset`` reads them: the tags and
+trainable flags, then each entry's name, dtype, shape and bytes.  So the
+digest pins parameter values, not the zip container, which records write
+times and whose members are the checkpoint format's own business.  All
+paths handed to fedbench are relative to OUT_DIR, so the echoed config does
+not depend on where OUT_DIR is.
 """
 
 from __future__ import annotations
@@ -70,6 +73,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from fedbench import benchmarks, cli, metrics, orchestrator  # noqa: E402
 from fedbench.nn import LayerSpec  # noqa: E402
+from fedbench.params import load_paramset  # noqa: E402
 from fedbench.strategies import ALGORITHMS  # noqa: E402
 
 ROUNDS = 50
@@ -242,11 +246,11 @@ def run_cli(argv: list[str]) -> None:
 def file_digest(path: Path) -> str:
     h = hashlib.sha256()
     if path.suffix == ".npz":
-        with np.load(path) as data:
-            for name in data.files:
-                arr = data[name]
-                h.update(f"{name}|{arr.dtype.str}|{arr.shape}|".encode())
-                h.update(np.ascontiguousarray(arr).tobytes())
+        paramset = load_paramset(path)
+        h.update(json.dumps([paramset.tags, paramset.trainable]).encode())
+        for name, arr in paramset.entries.items():
+            h.update(f"{name}|{arr.dtype.str}|{arr.shape}|".encode())
+            h.update(np.ascontiguousarray(arr).tobytes())
     elif path.name == "result.json":
         record = json.loads(path.read_text())
         record.pop("elapsed_seconds", None)
