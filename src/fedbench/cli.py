@@ -5,6 +5,8 @@ Exit codes: 0 success, 2 configuration error, 3 data error,
 machine-readable error record is printed to stderr on failure.  Everything
 else lives in the config file; its dataclasses check it, naming the bad field,
 and ``config_echo.yaml`` holds every field of the config a command ran.
+Config files and ``--override`` values are UTF-8 YAML read with YAML 1.2's
+exponent floats (``1e-3``).
 ``main`` parses with one parser, built on first use and kept for the process.
 """
 
@@ -104,7 +106,10 @@ def apply_overrides(config: dict, overrides: list[str]) -> dict:
         if "=" not in item:
             raise ConfigError("override", f"expected key=value, got {item!r}")
         key, _, raw = item.partition("=")
-        value = yaml.load(raw, Loader=_Loader)
+        try:
+            value = yaml.load(raw, Loader=_Loader)
+        except yaml.YAMLError as exc:
+            raise ConfigError("override", f"invalid YAML in {item!r}: {exc}")
         node = config
         parts = key.split(".")
         for part in parts[:-1]:

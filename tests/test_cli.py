@@ -657,6 +657,7 @@ def config_error_field(tmp_path, capsys, cfg, overrides=()):
     ({"seeds": []}, [], "seeds"),
     ({}, ["batch_size=1"], "batch_size"),
     ({"seeds": [0, 1, 0]}, [], "seeds"),
+    ({}, ["eta=["], "override"),
 ])
 def test_top_level_wrong_type_is_config_error(tmp_path, capsys, extra, overrides, field):
     assert config_error_field(tmp_path, capsys, base_config(**extra), overrides) == field
