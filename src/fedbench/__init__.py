@@ -3,13 +3,12 @@
 from .data_synth import ClientDataset, PartitionSpec
 from .nn import Batch, LayerSpec, ModelSpec, init_params
 from .orchestrator import ExperimentConfig, ExperimentResult, RoundRecord, run_experiment
-from .strategies import ALGORITHMS, ExclusionPolicy, StrategyConfig
+from .strategies import ALGORITHMS, StrategyConfig
 
 __all__ = [
     "ALGORITHMS",
     "Batch",
     "ClientDataset",
-    "ExclusionPolicy",
     "ExperimentConfig",
     "ExperimentResult",
     "LayerSpec",

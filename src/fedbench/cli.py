@@ -177,9 +177,7 @@ def parse_and_validate_config(path, overrides: list[str] | None = None,
     if "total_budget" in raw and raw["total_budget"] != cfg.total_budget:
         raise ConfigError("total_budget", f"declared {raw['total_budget']} != "
                           f"local_epochs*rounds = {cfg.total_budget}")
-    echo = {**asdict(cfg), "total_budget": cfg.total_budget}
-    echo["strategy"]["policy"] = cfg.strategy.policy.value
-    return cfg, echo
+    return cfg, {**asdict(cfg), "total_budget": cfg.total_budget}
 
 
 def _atomic_write(path: Path, text: str) -> None:

@@ -422,6 +422,9 @@ def model_backward(plan: Plan, params: np.ndarray, cache: ForwardCache,
 # A step updates the trainable prefix params[:grad.size] of a parameter
 # vector in place; the running statistics after it are left as they are.
 
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8  # Kingma and Ba (ICLR 2015)
+
+
 def local_sgd_step(params: np.ndarray, grad: np.ndarray, eta: float) -> None:
     """One step of w <- w - eta*g."""
     n = grad.shape[0]
@@ -444,32 +447,25 @@ class AdamState:
         return cls(m=np.zeros(size), v=np.zeros(size), step=0)
 
 
-def local_adam_step(
-    params: np.ndarray,
-    grad: np.ndarray,
-    state: AdamState,
-    eta: float,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps_adam: float = 1e-8,
-) -> None:
+def local_adam_step(params: np.ndarray, grad: np.ndarray, state: AdamState, eta: float) -> None:
     """Bias-corrected Adam update.  Each in-place ufunc sees the operands of
-    ``m = beta1*m + (1-beta1)*g``, ``v = beta2*v + (1-beta2)*g*g`` and
-    ``w = w - eta*m_hat / (sqrt(v_hat) + eps)``, so the bits are the same."""
+    ``m = b1*m + (1-b1)*g``, ``v = b2*v + (1-b2)*g*g`` and
+    ``w = w - eta*m_hat / (sqrt(v_hat) + eps)``, with ``b1, b2, eps`` the
+    ``ADAM_*`` constants, so the bits are the same."""
     n = grad.shape[0]
     if n != state.m.shape[0] or n > params.shape[0]:
         raise KeyMismatch("gradient size differs from the Adam state's")
     state.step += 1
     t = state.step
     m, v = state.m, state.v
-    m *= beta1
-    m += (1.0 - beta1) * grad
-    v *= beta2
-    v += (1.0 - beta2) * grad * grad
-    m_hat = m / (1.0 - beta1**t)
-    v_hat = v / (1.0 - beta2**t)
+    m *= ADAM_BETA1
+    m += (1.0 - ADAM_BETA1) * grad
+    v *= ADAM_BETA2
+    v += (1.0 - ADAM_BETA2) * grad * grad
+    m_hat = m / (1.0 - ADAM_BETA1**t)
+    v_hat = v / (1.0 - ADAM_BETA2**t)
     np.sqrt(v_hat, out=v_hat)
-    v_hat += eps_adam
+    v_hat += ADAM_EPS
     m_hat *= eta
     m_hat /= v_hat
     w = params[:n]

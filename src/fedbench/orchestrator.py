@@ -1,7 +1,7 @@
 """Full-participation round protocol under a fixed training-epoch budget.
 
 Every round: E local epochs per client, barrier, aggregation, broadcast
-(respecting the exclusion policy), then a validation pass per client.  A run
+(of the algorithm's shared prefix), then a validation pass per client.  A run
 sorts its clients by id once, and training, aggregation, validation,
 checkpoints and the test all follow that order; with client RNG streams
 derived from (seed, client_id, round), neither the order in which a manifest
@@ -11,9 +11,9 @@ client's ``ClientState`` is the one holder of its round outcome: local
 training leaves the trained vector, the mean loss and the divergence flag on
 it, and ``server_aggregate`` reads the round's clients themselves.  Each
 client keeps one start vector, built once per round after aggregation from
-the global's first ``k`` entries (the policy's ``ExclusionPolicy.prefix``)
-and the rest of its own vector: it validates with it, trains from it in the
-next round, and the selected round's is tested.
+the global's first ``k`` entries (``StrategyConfig.shared_prefix``) and the
+rest of its own vector: it validates with it, trains from it in the next
+round, and the selected round's is tested.
 Under fedbn/fedpxn each client keeps its own norm parameters; all other
 algorithms use the identical global vector.
 """
@@ -292,7 +292,7 @@ def run_round(
         log.warning("round %d: diverged clients excluded from aggregation: %s",
                     round_idx + 1, diverged_ids)
     new_server = server_aggregate(server, clients, strat)
-    fragment = broadcast_fragment(new_server, strat.policy.prefix(plan))
+    fragment = broadcast_fragment(new_server, strat.shared_prefix(plan))
     val_metrics = {}
     for c in clients:
         c.eval_params = _merge(fragment, c.params)
@@ -455,9 +455,10 @@ def sweep_local_epochs(
 ) -> list[dict]:
     """One experiment per (E, T) split per seed under ``cfg``'s E*T budget."""
     budget = cfg.total_budget
-    for e, t in splits:
-        if e * t != budget:
-            raise ConfigError("sweep.splits", f"split ({e},{t}) violates budget {budget}")
+    for e, t in splits:  # every split is checked before the first one runs
+        if e < 1 or t < 1 or e * t != budget:
+            raise ConfigError("sweep.splits", f"split ({e},{t}) needs E >= 1, T >= 1 "
+                              f"and E*T = budget {budget}")
     datasets = load_clients(cfg)  # once for the whole sweep
     rows = []
     for e, t in splits:

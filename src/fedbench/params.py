@@ -15,7 +15,7 @@ into.
 
 A published vector is read-only and never written again, so vectors are
 shared freely: the broadcast is a view of the global, a round-start vector
-is a view of the global when the policy shares all of it, and the in-memory
+is a view of the global when the algorithm shares all of it, and the in-memory
 checkpoint snapshots hold vectors by reference until the run ends.  The one
 in-place writer is a client round, which trains a private copy of its
 round-start vector and then publishes it read-only.

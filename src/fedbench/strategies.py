@@ -8,17 +8,18 @@ clients' vectors: fedavg, fedprox, fedbn and fedpxn keep it whole, feddyn
 weighs the clients uniformly and corrects the trainable prefix by its server
 state, and the FedOpt family replaces the trainable prefix by its moment step,
 so only the running statistics keep the average.  What a client takes of the
-global is a prefix of the plan's vector, whose length
-``ExclusionPolicy.prefix`` sets.  So fedbn/fedpxn keep the server's copy of
-excluded norm entries as a weighted average for checkpoint purposes only;
-client-held values stay authoritative and are never overwritten.
+global is a prefix of the plan's vector, whose length the algorithm fixes
+(``StrategyConfig.shared_prefix``): fedbn/fedpxn keep every norm entry local
+(Li et al., ICLR 2021), so the server's copy of those entries is a weighted
+average for checkpoint purposes only; client-held values stay authoritative
+and are never overwritten.  The FedOpt moments use the fixed ``BETA1`` and
+``BETA2`` of Reddi et al. (ICLR 2021), who tune ``eta_g`` and ``gamma``.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -40,30 +41,7 @@ ALGORITHMS = (
 )
 FEDOPT_FAMILY = ("fedadam", "fedadagrad", "fedyogi")
 NORM_EXCLUDING = ("fedbn", "fedpxn")
-
-
-class ExclusionPolicy(str, Enum):
-    """Which norm-layer entries a client keeps instead of taking the global's.
-
-    ``none``                take everything.
-    ``all_norm_excluded``   keep every norm-tagged entry (gains, biases,
-                            running stats).
-    ``stats_only_excluded`` take norm gains/biases, keep running stats; for a
-                            model without batch norm this takes everything.
-    """
-
-    NONE = "none"
-    ALL_NORM_EXCLUDED = "all_norm_excluded"
-    STATS_ONLY_EXCLUDED = "stats_only_excluded"
-
-    def prefix(self, plan: Plan) -> int:
-        """How many leading entries of a ``plan`` vector the server shares: all
-        of them, the non-norm ones, or the trainable ones."""
-        if self is ExclusionPolicy.NONE:
-            return plan.size
-        if self is ExclusionPolicy.ALL_NORM_EXCLUDED:
-            return plan.n_non_norm
-        return plan.n_train
+BETA1, BETA2 = 0.9, 0.99  # FedOpt momentum and second-moment decay
 
 
 @dataclass
@@ -72,32 +50,13 @@ class StrategyConfig:
     mu: float = 0.0           # fedprox / fedpxn
     alpha: float = 0.01       # feddyn
     eta_g: float = 0.01       # fedopt server learning rate
-    beta1: float = 0.9        # fedopt momentum
-    beta2: float = 0.99       # fedopt second moment
     gamma: float = 0.001      # fedopt adaptivity floor
-    policy: ExclusionPolicy | None = None  # None: all_norm_excluded for fedbn/fedpxn, else none
-    uniform_pseudo_grad: bool = False  # average deltas uniformly instead of n_k/n
 
     def __post_init__(self):
-        if self.policy is None:
-            self.policy = (ExclusionPolicy.ALL_NORM_EXCLUDED if self.algorithm in NORM_EXCLUDING
-                           else ExclusionPolicy.NONE)
-        try:
-            self.policy = ExclusionPolicy(self.policy)
-        except ValueError:
-            valid = ", ".join(p.value for p in ExclusionPolicy)
-            raise ConfigError("strategy.policy", f"unknown policy {self.policy!r}; valid: {valid}")
-        for name in ("mu", "alpha", "eta_g", "beta1", "beta2", "gamma"):
+        for name in ("mu", "alpha", "eta_g", "gamma"):
             check_real(getattr(self, name), f"strategy.{name}")
-        if not isinstance(self.uniform_pseudo_grad, bool):
-            raise ConfigError("strategy.uniform_pseudo_grad", "must be true or false")
         if self.algorithm not in ALGORITHMS:
             raise ConfigError("strategy.algorithm", f"unknown algorithm {self.algorithm!r}")
-        if self.algorithm in NORM_EXCLUDING and self.policy == ExclusionPolicy.NONE:
-            raise ConfigError("strategy.policy", f"{self.algorithm} requires a norm-excluding "
-                              f"policy, got {self.policy.value}")
-        if self.algorithm not in NORM_EXCLUDING and self.policy != ExclusionPolicy.NONE:
-            raise ConfigError("strategy.policy", f"{self.algorithm} requires policy none")
         if self.mu < 0:
             raise ConfigError("strategy.mu", "mu must be >= 0")
         if self.algorithm == "feddyn" and self.alpha <= 0:
@@ -105,10 +64,13 @@ class StrategyConfig:
         if self.algorithm in FEDOPT_FAMILY:
             if self.eta_g <= 0:
                 raise ConfigError("strategy.eta_g", "eta_g must be > 0")
-            if not (0 <= self.beta1 < 1) or not (0 <= self.beta2 < 1):
-                raise ConfigError("strategy.beta1", "betas must lie in [0, 1)")
             if self.gamma <= 0:
                 raise ConfigError("strategy.gamma", "gamma must be > 0")
+
+    def shared_prefix(self, plan: Plan) -> int:
+        """How many leading entries of a ``plan`` vector the server shares:
+        the non-norm ones under fedbn/fedpxn, all of them otherwise."""
+        return plan.n_non_norm if self.algorithm in NORM_EXCLUDING else plan.size
 
 
 @dataclass
@@ -186,11 +148,10 @@ def server_aggregate(server: ServerState, clients: list, cfg: StrategyConfig) ->
     if not alive:
         raise AllClientsDiverged("no non-diverged client updates this round")
     vectors = [c.params for c in alive]
-    uniform = make_weights([1] * len(alive))
-    weights = uniform if algorithm == "feddyn" else make_weights([c.n_k for c in alive])
+    weights = make_weights([1 if algorithm == "feddyn" else c.n_k for c in alive])
     # Under fedbn/fedpxn the excluded entries of the average are a server-side
     # convenience copy only and are never broadcast back (the orchestrator
-    # broadcasts the policy's prefix).
+    # broadcasts the shared prefix).
     new_global = weighted_average(vectors, weights)
     w_t = server.global_params
     m = v = h = None
@@ -214,18 +175,17 @@ def server_aggregate(server: ServerState, clients: list, cfg: StrategyConfig) ->
         # the trainable prefix steps by the moments; running statistics carry
         # no meaningful pseudo-gradient and keep the average
         n = server.m.shape[0]
-        d_weights = uniform if cfg.uniform_pseudo_grad else weights
         delta = np.zeros(n)
-        for vec, w in zip(vectors, d_weights):
+        for vec, w in zip(vectors, weights):
             delta += w * (vec[:n] - w_t[:n])
-        m = cfg.beta1 * server.m + (1.0 - cfg.beta1) * delta
+        m = BETA1 * server.m + (1.0 - BETA1) * delta
         d2 = delta * delta
         if algorithm == "fedadam":
-            v = cfg.beta2 * server.v + (1.0 - cfg.beta2) * d2
+            v = BETA2 * server.v + (1.0 - BETA2) * d2
         elif algorithm == "fedadagrad":
             v = server.v + d2
         else:  # fedyogi
-            v = server.v - (1.0 - cfg.beta2) * d2 * np.sign(server.v - d2)
+            v = server.v - (1.0 - BETA2) * d2 * np.sign(server.v - d2)
             floor = cfg.gamma**2
             clamped = int(np.sum(v < floor))
             if clamped:
@@ -238,5 +198,5 @@ def server_aggregate(server: ServerState, clients: list, cfg: StrategyConfig) ->
 
 def broadcast_fragment(server: ServerState, k: int) -> np.ndarray:
     """What a client takes of the global: its first ``k`` entries (the
-    policy's ``ExclusionPolicy.prefix``), as a read-only view."""
+    ``StrategyConfig.shared_prefix``), as a read-only view."""
     return server.global_params[:k]

@@ -26,6 +26,27 @@ def round_client(client_id, vec, n_k=1, diverged=False):
                        params=vec, eval_params=vec, diverged=diverged)
 
 
+def fedopt_scalar_oracle(algorithm, deltas, eta_g, gamma):
+    """The global after each round of a one-entry FedOpt server fed
+    pseudo-gradients ``deltas``, recomputed in plain floats (Reddi et al.,
+    ICLR 2021, with their fixed betas)."""
+    beta1, beta2 = 0.9, 0.99
+    w, m, v = 0.0, 0.0, gamma**2
+    trajectory = []
+    for d in deltas:
+        m = beta1 * m + (1 - beta1) * d
+        if algorithm == "fedadam":
+            v = beta2 * v + (1 - beta2) * d * d
+        elif algorithm == "fedadagrad":
+            v = v + d * d
+        else:
+            v = v - (1 - beta2) * d * d * np.sign(v - d * d)
+            v = max(v, gamma**2)
+        w = w + eta_g * m / (v**0.5 + gamma)
+        trajectory.append(w)
+    return trajectory
+
+
 def edit_cell(path, line, column, cell):
     """Put ``cell`` at ``column`` of the 1-based ``line`` of a CSV file, or drop
     that cell when ``cell`` is None."""

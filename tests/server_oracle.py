@@ -1,8 +1,8 @@
 """The dict-based server, drift, evaluation-vector and AUROC code, kept as an oracle.
 
 These are aggregation, the FedOpt server rules, the drift diagnostic, the
-policy partition and the per-client evaluation parameters as they were
-written over named ParamSet entries, the FedDyn server rule written the same
+name partition into shared and local entries and the per-client evaluation
+parameters as they were written over named ParamSet entries, the FedDyn server rule written the same
 way, and AUROC as one midrank sort per class.  ``test_server_bitwise.py`` checks that the vector code of
 ``fedbench.params``, ``fedbench.strategies`` and ``fedbench.orchestrator``
 and the one-sort ``metrics.auroc`` give the same bits as this code.
@@ -17,11 +17,12 @@ import numpy as np
 
 from fedbench.errors import AllClientsDiverged, KeyMismatch, SingleClass, WeightSumViolation
 from fedbench.params import NORM, WEIGHT_SUM_TOL, ParamSet, make_weights
-from fedbench.strategies import FEDOPT_FAMILY, NORM_EXCLUDING, ExclusionPolicy
+from fedbench.strategies import FEDOPT_FAMILY, NORM_EXCLUDING
 
 log = logging.getLogger(__name__)
 
 GradSet = dict[str, np.ndarray]
+BETA1, BETA2 = 0.9, 0.99  # the FedOpt decays of Reddi et al. (ICLR 2021)
 
 
 def same_keying(a: ParamSet, b: ParamSet) -> bool:
@@ -44,15 +45,14 @@ def overwrite(params: ParamSet, fragment: dict[str, np.ndarray]) -> None:
         params.entries[name] = value
 
 
-def partition_names(params: ParamSet, policy: ExclusionPolicy) -> tuple[set, set]:
-    """Split names into (excluded, aggregated) under the given policy."""
+def partition_names(params: ParamSet, algorithm: str) -> tuple[set, set]:
+    """Split names into (excluded, aggregated): fedbn/fedpxn keep every norm
+    entry local, the other algorithms share everything."""
     names = set(params.entries)
-    if policy == ExclusionPolicy.NONE:
-        excluded = set()
-    elif policy == ExclusionPolicy.ALL_NORM_EXCLUDED:
+    if algorithm in NORM_EXCLUDING:
         excluded = {n for n in names if params.tags[n] == NORM}
-    else:  # stats_only_excluded
-        excluded = {n for n in names if params.tags[n] == NORM and not params.trainable[n]}
+    else:
+        excluded = set()
     return excluded, names - excluded
 
 
@@ -151,24 +151,20 @@ def server_aggregate(algorithm: str, server: ServerState, updates: list[ClientUp
         return ServerState(global_params=new_global, round=server.round + 1)
 
     names = [n for n in w_t.entries if w_t.trainable[n]]
-    if cfg.uniform_pseudo_grad:
-        d_weights = make_weights([1] * len(alive))
-    else:
-        d_weights = weights
     delta: GradSet = {n: np.zeros_like(w_t.entries[n]) for n in names}
-    for u, w in zip(alive, d_weights):
+    for u, w in zip(alive, weights):
         for n in names:
             delta[n] += w * (u.params_after.entries[n] - w_t.entries[n])
-    m = {n: cfg.beta1 * server.m[n] + (1.0 - cfg.beta1) * delta[n] for n in names}
+    m = {n: BETA1 * server.m[n] + (1.0 - BETA1) * delta[n] for n in names}
     v: GradSet = {}
     for n in names:
         d2 = delta[n] * delta[n]
         if algorithm == "fedadam":
-            v[n] = cfg.beta2 * server.v[n] + (1.0 - cfg.beta2) * d2
+            v[n] = BETA2 * server.v[n] + (1.0 - BETA2) * d2
         elif algorithm == "fedadagrad":
             v[n] = server.v[n] + d2
         else:  # fedyogi
-            vn = server.v[n] - (1.0 - cfg.beta2) * d2 * np.sign(server.v[n] - d2)
+            vn = server.v[n] - (1.0 - BETA2) * d2 * np.sign(server.v[n] - d2)
             v[n] = np.maximum(vn, cfg.gamma**2)
     new_global = shallow_copy(w_t)
     for n in names:
@@ -179,15 +175,15 @@ def server_aggregate(algorithm: str, server: ServerState, updates: list[ClientUp
     return ServerState(global_params=new_global, m=m, v=v, round=server.round + 1)
 
 
-def broadcast_fragment(server: ServerState, policy: ExclusionPolicy) -> dict[str, np.ndarray]:
-    _, aggregated = partition_names(server.global_params, policy)
+def broadcast_fragment(server: ServerState, algorithm: str) -> dict[str, np.ndarray]:
+    _, aggregated = partition_names(server.global_params, algorithm)
     return {n: server.global_params.entries[n] for n in sorted(aggregated)}
 
 
-def eval_params(client_params: ParamSet, server: ServerState, policy: ExclusionPolicy) -> ParamSet:
+def eval_params(client_params: ParamSet, server: ServerState, algorithm: str) -> ParamSet:
     """A client's post-aggregation parameters (also its next round's start)."""
     merged = shallow_copy(client_params)
-    overwrite(merged, broadcast_fragment(server, policy))
+    overwrite(merged, broadcast_fragment(server, algorithm))
     return merged
 
 

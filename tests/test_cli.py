@@ -136,9 +136,9 @@ def test_echo_reads_back_as_the_config_that_ran(tmp_path, monkeypatch, command):
     cfg = base_config(rounds=4, seeds=[1, 2])
     cfg["model"]["layers"].insert(1, {"kind": "batch_norm"})
     cfg["strategy"] = {"algorithm": "fedadam", "eta_g": 0.02, "gamma": 0.01}
-    if command == "sweep":  # a manifest, and a stated policy
+    if command == "sweep":  # a manifest, and an algorithm that keeps its norm entries local
         cfg["data"] = str(write_partition(PartitionSpec(**cfg["data"]), tmp_path / "part"))
-        cfg["strategy"] = {"algorithm": "fedbn", "policy": "stats_only_excluded"}
+        cfg["strategy"] = {"algorithm": "fedbn"}
     ran = []
     name = "run_experiment" if command == "run" else "sweep_local_epochs"
     real = getattr(cli, name)
@@ -148,16 +148,13 @@ def test_echo_reads_back_as_the_config_that_ran(tmp_path, monkeypatch, command):
     assert main(argv + (["--grid", "2x2,4x1"] if command == "sweep" else [])) == EXIT_OK
     echo_path = out / "config_echo.yaml"
     echo = yaml.safe_load(echo_path.read_text())
-    assert echo["strategy"]["beta1"] == 0.9 and echo["strategy"]["uniform_pseudo_grad"] is False
+    assert list(echo["strategy"]) == ["algorithm", "mu", "alpha", "eta_g", "gamma"]
     assert echo["model"]["layers"][1] == {"kind": "batch_norm", "width": 0, "groups": 1,
                                           "epsilon": 1e-5, "momentum": 0.1}
     assert echo["out_dir"] == str(out) and echo["total_budget"] == 4
     assert echo["local_optimizer"] == "sgd" and echo["keep_all_checkpoints"] is False
     if command == "run":
         assert echo["data"]["class_separation"] == 2.0
-        assert echo["strategy"]["policy"] == "none"
-    else:
-        assert echo["strategy"]["policy"] == "stats_only_excluded"
     parsed, _ = parse_and_validate_config(echo_path)
     assert ran and all(c == parsed for c in ran)
 
@@ -520,6 +517,16 @@ def test_sweep_repeated_split_is_config_error(tmp_path, capsys):
     assert not (tmp_path / "x").exists()
 
 
+def test_sweep_non_positive_split_is_config_error_before_any_run(tmp_path, capsys):
+    path = write_config(tmp_path, base_config(rounds=2))
+    out = tmp_path / "x"
+    code = main(["sweep", "--config", str(path), "--grid", "1x2,-1x-2", "--out", str(out)])
+    assert code == EXIT_CONFIG
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"] == "config_error" and err["message"].startswith("sweep.splits:")
+    assert not list(out.glob("E*_T*")) and not (out / "sweep.csv").exists()
+
+
 def write_results(root, values, algorithm="fedavg"):
     """Per-seed result.json files as ``run`` writes them."""
     for seed, value in enumerate(values):
@@ -695,7 +702,6 @@ def test_partition_rejects_non_finite_and_negative_seed(tmp_path, capsys, data, 
 @pytest.mark.parametrize("override,field", [
     ("strategy.mu=x", "strategy.mu"),
     ("strategy.alpha=[1]", "strategy.alpha"),
-    ("strategy.uniform_pseudo_grad=3", "strategy.uniform_pseudo_grad"),
     ("strategy=fedavg", "strategy"),
     ("strategy.mu=.inf", "strategy.mu"),
 ])
@@ -764,6 +770,12 @@ def test_client_without_a_validation_example_is_config_error(tmp_path, capsys, s
     ("model", "hidden"),
     ("strategy", "eta_global"),
     ("data", "skew_concentraton"),
+    # the algorithm fixes what a client shares, the FedOpt pseudo-gradient
+    # weights and its betas
+    ("strategy", "policy"),
+    ("strategy", "uniform_pseudo_grad"),
+    ("strategy", "beta1"),
+    ("strategy", "beta2"),
 ])
 def test_unknown_key_is_config_error(tmp_path, capsys, section, key):
     cfg = base_config()

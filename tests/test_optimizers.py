@@ -53,7 +53,7 @@ def test_adam_zero_gradient_zero_moments_is_identity():
 def test_adam_first_step_moves_by_eta():
     p = scalar_params(1.0)
     state = AdamState.zeros(1)
-    local_adam_step(p, np.ones(1), state, eta=0.1, beta1=0.9, beta2=0.999, eps_adam=1e-8)
+    local_adam_step(p, np.ones(1), state, eta=0.1)
     assert p[0] == pytest.approx(0.9, abs=1e-8)
     assert state.step == 1
 
@@ -74,5 +74,5 @@ def test_adam_three_step_trajectory_matches_scalar_oracle():
     p = scalar_params(1.0)
     state = AdamState.zeros(1)
     for g in grads:
-        local_adam_step(p, np.array([g]), state, eta, b1, b2, eps)
+        local_adam_step(p, np.array([g]), state, eta)
     assert p[0] == pytest.approx(w, abs=1e-12)

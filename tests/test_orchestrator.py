@@ -172,7 +172,7 @@ def test_fedbn_clients_keep_local_norm_params():
     # while aggregated names are identical after broadcast at the next round
     from fedbench.strategies import broadcast_fragment
 
-    frag = broadcast_fragment(server, cfg.strategy.policy.prefix(plan))
+    frag = broadcast_fragment(server, cfg.strategy.shared_prefix(plan))
     assert len(frag) <= plan.slots["layer1.gain"][0]
 
 
@@ -431,7 +431,7 @@ def test_each_round_builds_each_start_vector_once(monkeypatch):
     assert all(c.eval_params is w0 for c in clients)
     server, _ = run_round(server, clients, cfg, 0, plan)
     starts = {c.client_id: c.eval_params for c in clients}
-    k = cfg.strategy.policy.prefix(plan)
+    k = cfg.strategy.shared_prefix(plan)
     for c in clients:
         assert np.array_equal(starts[c.client_id][:k], server.global_params[:k])
         assert np.array_equal(starts[c.client_id][k:], c.params[k:])

@@ -12,7 +12,7 @@ from fedbench.params import (
     save_paramset,
     weighted_average,
 )
-from fedbench.strategies import ExclusionPolicy
+from fedbench.strategies import ALGORITHMS, NORM_EXCLUDING, StrategyConfig
 
 from conftest import make_model
 
@@ -27,9 +27,10 @@ def bn_params(bn_plan):
     return init_params(bn_plan, seed=0)
 
 
-def partition_names(plan, policy):
-    """(excluded, aggregated) names: the entries after and within the policy's prefix."""
-    k = policy.prefix(plan)
+def partition_names(plan, algorithm):
+    """(excluded, aggregated) names: the entries after and within the
+    algorithm's shared prefix."""
+    k = StrategyConfig(algorithm).shared_prefix(plan)
     aggregated = {n for n, (start, stop, _) in plan.slots.items() if stop <= k}
     return set(plan.slots) - aggregated, aggregated
 
@@ -39,38 +40,31 @@ def partition_names(plan, policy):
 
 def test_no_norm_model_excludes_nothing():
     plan = Plan(make_model([]))
-    for policy in ExclusionPolicy:
-        excluded, aggregated = partition_names(plan, policy)
+    for algorithm in ALGORITHMS:
+        excluded, aggregated = partition_names(plan, algorithm)
         assert excluded == set()
         assert aggregated == set(plan.names)
-        assert policy.prefix(plan) == plan.size
+        assert StrategyConfig(algorithm).shared_prefix(plan) == plan.size
 
 
 def test_bn_all_norm_excluded(bn_plan):
-    excluded, _ = partition_names(bn_plan, ExclusionPolicy.ALL_NORM_EXCLUDED)
-    assert excluded == {
-        "layer1.gain", "layer1.bias", "layer1.running_mean", "layer1.running_var"
-    }
+    for algorithm in ALGORITHMS:
+        excluded, _ = partition_names(bn_plan, algorithm)
+        assert excluded == ({"layer1.gain", "layer1.bias", "layer1.running_mean",
+                             "layer1.running_var"} if algorithm in NORM_EXCLUDING else set())
 
 
-def test_bn_stats_only_excluded(bn_plan):
-    excluded, _ = partition_names(bn_plan, ExclusionPolicy.STATS_ONLY_EXCLUDED)
-    assert excluded == {"layer1.running_mean", "layer1.running_var"}
-
-
-def test_stats_only_excluded_shares_all_of_a_layer_norm_model():
-    plan = Plan(make_model(["layer_norm"]))
-    assert partition_names(plan, ExclusionPolicy.STATS_ONLY_EXCLUDED) == (set(), set(plan.names))
-
-
-@pytest.mark.parametrize("policy", list(ExclusionPolicy))
-def test_partition_is_disjoint_cover(bn_plan, policy):
-    excluded, aggregated = partition_names(bn_plan, policy)
-    assert excluded | aggregated == set(bn_plan.names)
-    assert excluded & aggregated == set()
-    # the prefix ends on an entry boundary
-    assert all(stop <= policy.prefix(bn_plan) or start >= policy.prefix(bn_plan)
-               for start, stop, _ in bn_plan.slots.values())
+@pytest.mark.parametrize("algorithms", [
+    [a for a in ALGORITHMS if a not in NORM_EXCLUDING], NORM_EXCLUDING,
+], ids=["none", "all_norm_excluded"])  # what the algorithms keep local
+def test_partition_is_disjoint_cover(bn_plan, algorithms):
+    for algorithm in algorithms:
+        excluded, aggregated = partition_names(bn_plan, algorithm)
+        assert excluded | aggregated == set(bn_plan.names)
+        assert excluded & aggregated == set()
+        # the prefix ends on an entry boundary
+        k = StrategyConfig(algorithm).shared_prefix(bn_plan)
+        assert all(stop <= k or start >= k for start, stop, _ in bn_plan.slots.values())
 
 
 # ---------------------------------------------------------------------------

@@ -23,3 +23,6 @@ def test_run_digest_prints_one_digest_per_file_of_every_set(tmp_path):
     sets = [re.findall(r"written\s+to\s+``(\w+)/``", bullet) for bullet in bullets]
     assert sets and all(sets)
     assert {name for names in sets for name in names} <= {p.split("/")[0] for p in paths}
+    # ``paths/`` holds the four fedavg evaluation-path runs
+    assert {p.split("/")[1] for p in paths if p.startswith("paths/")} == {
+        "binary", "select_auprc", "select_accuracy", "select_loss"}

@@ -3,7 +3,7 @@
 ``server_oracle`` holds aggregation, the FedOpt rules, the drift diagnostic,
 the evaluation parameters and AUROC as they were written over named
 ParamSet entries.  The server now works on one plan's flat vectors, with
-the policy as a broadcast prefix; ``nn_oracle.to_paramset`` and
+the algorithm's shared prefix as the broadcast; ``nn_oracle.to_paramset`` and
 ``to_vector`` translate between the two forms, and every comparison here is
 ``np.array_equal`` or ``==``.
 """
@@ -21,7 +21,6 @@ from fedbench.params import l2_distance_excluding_norm
 from fedbench.strategies import (
     ALGORITHMS,
     NORM_EXCLUDING,
-    ExclusionPolicy,
     StrategyConfig,
     broadcast_fragment,
     init_server_state,
@@ -30,22 +29,21 @@ from fedbench.strategies import (
 
 KINDS = {"batch_norm": ["batch_norm"], "layer_norm": ["layer_norm"],
          "group_norm": ["group_norm"], "no_norm": []}
+# the middle of an id names the entries the algorithm keeps local
 CASES = [
-    pytest.param(algorithm, policy, kind, id=f"{algorithm}-{policy.value}-{kind}")
+    pytest.param(algorithm, kind, id=f"{algorithm}-{local}-{kind}")
     for algorithm in ALGORITHMS
-    for policy in ExclusionPolicy
-    if (policy != ExclusionPolicy.NONE) == (algorithm in NORM_EXCLUDING)
+    for local in ["all_norm_excluded" if algorithm in NORM_EXCLUDING else "none"]
     for kind in KINDS
 ]
 
 
-@pytest.mark.parametrize("algorithm,policy,kind", CASES)
-def test_round_vectors_match_oracle(algorithm, policy, kind):
+@pytest.mark.parametrize("algorithm,kind", CASES)
+def test_round_vectors_match_oracle(algorithm, kind):
     """Global, m/v/h, drift and round-start vectors over six rounds of random clients."""
     plan = Plan(make_model(KINDS[kind], hidden=8, groups=2))
-    cfg = StrategyConfig(algorithm=algorithm, policy=policy, eta_g=0.1, gamma=0.01,
-                         uniform_pseudo_grad=algorithm == "fedyogi")
-    k = policy.prefix(plan)
+    cfg = StrategyConfig(algorithm=algorithm, eta_g=0.1, gamma=0.01)
+    k = cfg.shared_prefix(plan)
     rng = np.random.default_rng([ALGORITHMS.index(algorithm), len(plan.slots)])
     w_0 = init_params(plan, 0)
     server = init_server_state(w_0, cfg, plan.n_train)
@@ -53,7 +51,7 @@ def test_round_vectors_match_oracle(algorithm, policy, kind):
     own = {cid: w_0 for cid in range(4)}  # each client's own vector
     for round_idx in range(6):
         start = orchestrator._merge(broadcast_fragment(server, k), own[0])
-        o_start = oracle.eval_params(to_paramset(plan, own[0]), o_server, policy)
+        o_start = oracle.eval_params(to_paramset(plan, own[0]), o_server, algorithm)
         assert np.array_equal(start, to_vector(plan, o_start.entries))
         clients, o_updates = [], []
         for cid in own:
@@ -81,7 +79,7 @@ def test_round_vectors_match_oracle(algorithm, policy, kind):
         for c, o_u in zip(clients, o_updates):
             own[c.client_id] = c.params
             got = orchestrator._merge(fragment, c.params)
-            want = oracle.eval_params(o_u.params_after, o_server, policy)
+            want = oracle.eval_params(o_u.params_after, o_server, algorithm)
             assert np.array_equal(got, to_vector(plan, want.entries))
             assert np.shares_memory(got, server.global_params) == (k == plan.size)
 

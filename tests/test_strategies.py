@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from fedbench.cli import _parse_strategy
 from fedbench.errors import (
     AllClientsDiverged,
     ConfigError,
@@ -9,7 +10,6 @@ from fedbench.errors import (
 )
 from fedbench.nn import Plan, init_params
 from fedbench.strategies import (
-    ExclusionPolicy,
     ServerState,
     StrategyConfig,
     broadcast_fragment,
@@ -19,7 +19,7 @@ from fedbench.strategies import (
     update_dyn_memory,
 )
 
-from conftest import make_model, round_client
+from conftest import fedopt_scalar_oracle, make_model, round_client
 
 
 def scalar_set(w=1.0):
@@ -27,38 +27,27 @@ def scalar_set(w=1.0):
     return np.array([w])
 
 
+# The algorithm fixes which entries are shared, so a config that states a
+# policy fails the strategy section's unknown-key check.
+
 def test_config_rejects_policy_mismatch():
-    with pytest.raises(ConfigError):
-        StrategyConfig(algorithm="fedavg", policy=ExclusionPolicy.ALL_NORM_EXCLUDED)
-    with pytest.raises(ConfigError):
-        StrategyConfig(algorithm="fedbn", policy=ExclusionPolicy.NONE)
-
-
-def test_policy_defaults_from_the_algorithm():
-    assert StrategyConfig("fedbn").policy == ExclusionPolicy.ALL_NORM_EXCLUDED
-    assert StrategyConfig("fedpxn", mu=0.1).policy == ExclusionPolicy.ALL_NORM_EXCLUDED
-    for algorithm in ("fedavg", "fedprox", "fedadam", "feddyn"):
-        assert StrategyConfig(algorithm).policy == ExclusionPolicy.NONE
+    for section in ({"algorithm": "fedavg", "policy": "all_norm_excluded"},
+                    {"algorithm": "fedbn", "policy": "none"}):
+        with pytest.raises(ConfigError) as err:
+            _parse_strategy(section)
+        assert err.value.field == "strategy"
 
 
 def test_explicit_policy_none_for_fedbn_still_rejected():
     with pytest.raises(ConfigError) as err:
-        StrategyConfig("fedbn", policy="none")
-    assert err.value.field == "strategy.policy"
+        _parse_strategy({"algorithm": "fedbn", "policy": "none"})
+    assert err.value.field == "strategy"
 
 
 def test_unknown_policy_is_config_error():
     with pytest.raises(ConfigError) as err:
-        StrategyConfig("fedbn", policy="bogus")
-    assert err.value.field == "strategy.policy"
-
-
-def test_rescaling_aggregated_is_rejected_naming_the_valid_policies():
-    with pytest.raises(ConfigError) as err:
-        StrategyConfig("fedbn", policy="rescaling_aggregated")
-    assert err.value.field == "strategy.policy"
-    for valid in ("none", "all_norm_excluded", "stats_only_excluded"):
-        assert valid in str(err.value)
+        _parse_strategy({"algorithm": "fedbn", "policy": "bogus"})
+    assert err.value.field == "strategy"
 
 
 # ---------------------------------------------------------------------------
@@ -197,7 +186,7 @@ def test_fedopt_requires_initialized_moments():
 
 
 def test_fedadagrad_scalar_first_round():
-    cfg = StrategyConfig("fedadagrad", eta_g=1.0, beta1=0.9, gamma=0.01)
+    cfg = StrategyConfig("fedadagrad", eta_g=1.0, gamma=0.01)
     state = init_server_state(scalar_set(0.0), cfg, 1)
     new = server_aggregate(state, [round_client(0, scalar_set(1.0))], cfg)
     # delta=1: v = 1e-4 + 1, m = 0.1, step = 0.1/(sqrt(1.0001)+0.01)
@@ -208,7 +197,7 @@ def test_fedadagrad_scalar_first_round():
 
 
 def test_fedyogi_fixpoint_when_v_equals_delta_squared():
-    cfg = StrategyConfig("fedyogi", eta_g=0.1, beta2=0.9, gamma=0.001)
+    cfg = StrategyConfig("fedyogi", eta_g=0.1, gamma=0.001)
     state = init_server_state(scalar_set(0.0), cfg, 1)
     delta = cfg.gamma  # so delta^2 == v_0 == gamma^2
     new = server_aggregate(state, [round_client(0, scalar_set(delta))], cfg)
@@ -256,24 +245,9 @@ def test_aggregation_idempotent_on_unchanged_clients(algorithm):
 
 def test_fedopt_three_round_scalar_trajectory_matches_oracle():
     for algorithm in ("fedadam", "fedadagrad", "fedyogi"):
-        cfg = StrategyConfig(algorithm, eta_g=0.5, beta1=0.9, beta2=0.99, gamma=0.01)
+        cfg = StrategyConfig(algorithm, eta_g=0.5, gamma=0.01)
         deltas = [0.8, -0.3, 0.5]
-
-        # independent plain-float recomputation of the server rule
-        w, m, v = 0.0, 0.0, cfg.gamma**2
-        oracle = []
-        for d in deltas:
-            m = cfg.beta1 * m + (1 - cfg.beta1) * d
-            if algorithm == "fedadam":
-                v = cfg.beta2 * v + (1 - cfg.beta2) * d * d
-            elif algorithm == "fedadagrad":
-                v = v + d * d
-            else:
-                v = v - (1 - cfg.beta2) * d * d * np.sign(v - d * d)
-                v = max(v, cfg.gamma**2)
-            w = w + cfg.eta_g * m / (v**0.5 + cfg.gamma)
-            oracle.append(w)
-
+        oracle = fedopt_scalar_oracle(algorithm, deltas, cfg.eta_g, cfg.gamma)
         state = init_server_state(scalar_set(0.0), cfg, 1)
         for d, expect in zip(deltas, oracle):
             target = state.global_params[0] + d
@@ -312,21 +286,21 @@ def test_feddyn_h_leaves_running_statistics_averaged():
     assert np.allclose(new.global_params[:plan.n_train], w0[:plan.n_train] + 4.0, atol=1e-12)
 
 
-def test_uniform_pseudo_gradient_switch():
-    cfg = StrategyConfig("fedadam", eta_g=0.1, gamma=0.01, uniform_pseudo_grad=True)
+def test_fedopt_pseudo_gradient_is_weighted_by_n_k():
+    cfg = StrategyConfig("fedadam", eta_g=0.1, gamma=0.01)
     state = init_server_state(scalar_set(0.0), cfg, 1)
     clients = [round_client(0, scalar_set(1.0), n_k=1), round_client(1, scalar_set(0.0), n_k=99)]
     new = server_aggregate(state, clients, cfg)
-    # uniform: delta = 0.5, not 0.01
-    assert new.m[0] == pytest.approx(0.05, abs=1e-15)
+    # delta = 1/100, not the uniform 0.5
+    assert new.m[0] == pytest.approx(0.001, abs=1e-15)
 
 
-def test_broadcast_fragment_respects_policy():
+def test_broadcast_fragment_respects_policy():  # fedbn keeps its norm entries local
     spec = make_model(["batch_norm"])
     plan = Plan(spec)
     cfg = StrategyConfig("fedbn")
     state = init_server_state(init_params(plan, seed=0), cfg, plan.n_train)
-    frag = broadcast_fragment(state, cfg.policy.prefix(plan))
+    frag = broadcast_fragment(state, cfg.shared_prefix(plan))
     assert plan.slots["layer1.gain"][0] >= len(frag)
     assert plan.slots["layer1.running_mean"][0] >= len(frag)
     assert plan.slots["layer0.weight"][1] <= len(frag)

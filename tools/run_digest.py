@@ -17,11 +17,9 @@ The set:
 * 10 rounds at seed 0 of each other layer kind the model compiles, written
   to ``kinds/``: layer norm (fedpxn), group norm (feddyn with local Adam), no
   norm (fedprox) and a sigmoid-BCE head after batch norm (fedadam);
-* 10 rounds at seed 0 of the other server and evaluation paths, written to
-  ``paths/``: fedbn under ``stats_only_excluded`` (the broadcast covers the
-  norm gains and biases), fedavg on a 2-class feature-shift partition (the
-  binary AUROC path), and fedavg selecting by ``auprc``, ``accuracy`` and
-  ``loss``;
+* 10 rounds at seed 0 of the other evaluation paths, written to
+  ``paths/``: fedavg on a 2-class feature-shift partition (the binary AUROC
+  path), and fedavg selecting by ``auprc``, ``accuracy`` and ``loss``;
 * 1 round at seed 0 with ``keep_all_checkpoints`` of each model other than
   the batch-norm one, written to ``init/``: the layer-norm, group-norm,
   no-norm and sigmoid-BCE models of ``kinds/`` and the 2-class model of
@@ -86,13 +84,12 @@ KIND_RUNS = {
     "no_norm": ("fedprox", "", "sgd", "softmax_ce_head"),
     "sigmoid_bce": ("fedadam", "batch_norm", "sgd", "sigmoid_bce_head"),
 }
-# run name -> (algorithm, policy, number of classes, selection metric)
+# run name -> (number of classes, selection metric) of a fedavg run
 PATH_RUNS = {
-    "fedbn_stats_only": ("fedbn", "stats_only_excluded", 3, "auroc"),
-    "binary": ("fedavg", "none", 2, "auroc"),
-    "select_auprc": ("fedavg", "none", 3, "auprc"),
-    "select_accuracy": ("fedavg", "none", 3, "accuracy"),
-    "select_loss": ("fedavg", "none", 3, "loss"),
+    "binary": (2, "auroc"),
+    "select_auprc": (3, "auprc"),
+    "select_accuracy": (3, "accuracy"),
+    "select_loss": (3, "loss"),
 }
 SWEEP_GRID = "5x4,10x2"
 SWEEP_SIZES = [400, 350, 282, 238, 226] * 2
@@ -132,10 +129,9 @@ def kind_config(name: str, rounds: int):
 
 
 def path_config(name: str, rounds: int):
-    alg, policy, classes, metric = PATH_RUNS[name]
-    cfg = benchmarks.benchmark_config(alg, "feature_shift", rounds=rounds, seeds=(0,))
-    return replace(cfg, strategy=replace(cfg.strategy, policy=policy),
-                   data=replace(cfg.data, num_classes=classes),
+    classes, metric = PATH_RUNS[name]
+    cfg = benchmarks.benchmark_config("fedavg", "feature_shift", rounds=rounds, seeds=(0,))
+    return replace(cfg, data=replace(cfg.data, num_classes=classes),
                    model=benchmarks.small_model(num_classes=classes),
                    selection_metric=metric)
 
