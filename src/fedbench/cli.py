@@ -232,6 +232,7 @@ def _parse_grid(grid: str) -> list[tuple[int, int]]:
 def cmd_sweep(args) -> int:
     cfg, echo = parse_and_validate_config(args.config, args.override, args.out)
     splits = _parse_grid(args.grid)
+    cfg.check_splits(splits)  # before anything is written
     out_dir = Path(cfg.out_dir)
     _atomic_write(out_dir / "config_echo.yaml", yaml.dump(echo, Dumper=_Dumper, sort_keys=False))
     rows = sweep_local_epochs(cfg, splits, out_dir=out_dir)

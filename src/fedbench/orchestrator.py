@@ -112,6 +112,13 @@ class ExperimentConfig:
     def total_budget(self) -> int:
         return self.local_epochs * self.rounds
 
+    def check_splits(self, splits: list[tuple[int, int]]) -> None:
+        """ConfigError on ``sweep.splits`` unless every (E, T) has E, T >= 1, E*T = budget."""
+        for e, t in splits:
+            if e < 1 or t < 1 or e * t != self.total_budget:
+                raise ConfigError("sweep.splits", f"split ({e},{t}) needs E >= 1, T >= 1 "
+                                  f"and E*T = budget {self.total_budget}")
+
 
 @dataclass
 class RoundRecord:
@@ -319,16 +326,11 @@ def load_clients(cfg: ExperimentConfig) -> list[ClientDataset]:
 
 def _snapshot(w_start: np.ndarray, server: ServerState,
               clients: list[ClientState]) -> dict[str, np.ndarray]:
-    """One round's checkpoint files, held in memory.
-
-    A published vector is never written again, and a round replaces
-    ``client.params`` instead of editing it (see ``params``), so holding the
-    vectors by reference is enough.
-    """
-    snapshot = {"global_start.npz": w_start, "global_agg.npz": server.global_params}
-    for c in clients:
-        snapshot[f"client_{c.client_id}.npz"] = c.params
-    return snapshot
+    """One round's checkpoint files, held in memory by reference: a published
+    vector is never written again, and a round replaces ``client.params``
+    instead of editing it (see ``params``)."""
+    return {"global_start.npz": w_start, "global_agg.npz": server.global_params,
+            **{f"client_{c.client_id}.npz": c.params for c in clients}}
 
 
 def _write_checkpoint(cdir: Path, snapshot: dict[str, np.ndarray], plan: Plan) -> None:
@@ -373,7 +375,7 @@ def run_experiment(cfg: ExperimentConfig, seed: int, out_dir=None,
     ckpt_dir = Path(out_dir) / "checkpoints" if out_dir is not None else None
     best_round, best_metric = 0, -np.inf
     best_eval_sets: list[np.ndarray] = []
-    # the last and the best round's checkpoints, written once when the run ends
+    # the last and the best round's (round, snapshot), written once when the run ends
     last = best = None
     records: list[RoundRecord] = []
     try:
@@ -396,13 +398,12 @@ def run_experiment(cfg: ExperimentConfig, seed: int, out_dir=None,
             )
     except (AllClientsDiverged, NoSelectableRound):
         if out_dir is not None and records:
-            _write_round_log(Path(out_dir) / "rounds.csv", records)
+            _write_logs(Path(out_dir), records)
         raise
     finally:
-        if last is not None and not cfg.keep_all_checkpoints:
-            _write_checkpoint(ckpt_dir / f"round_{last[0]:04d}", last[1], plan)
-        if best is not None:
-            _write_checkpoint(ckpt_dir / "best", best[1], plan)
+        if not cfg.keep_all_checkpoints:  # one directory when the best round is the last
+            for round_no, snapshot in dict(k for k in (last, best) if k is not None).items():
+                _write_checkpoint(ckpt_dir / f"round_{round_no:04d}", snapshot, plan)
 
     # test once, at the selected round, with each client's own eval parameters
     test_metrics = {c.client_id: _score(plan, eval_params, c.test, cfg.selection_metric)
@@ -419,23 +420,23 @@ def run_experiment(cfg: ExperimentConfig, seed: int, out_dir=None,
     return result
 
 
-def _write_round_log(path: Path, records: list[RoundRecord]) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    metrics_mod.write_csv(path, ["round", "client_id", "split", "metric", "value"], (
+def _write_logs(out_dir: Path, records: list[RoundRecord]) -> None:
+    """``rounds.csv`` (train loss, validation metric) and ``distances.csv`` (drift)."""
+    out_dir.mkdir(parents=True, exist_ok=True)
+    header = ["round", "client_id", "split", "metric", "value"]
+    metrics_mod.write_csv(out_dir / "rounds.csv", header, (
         [r.round, cid, split, metric, repr(v)]
         for r in records
         for split, metric, values in (("train", "loss", r.train_losses),
-                                      ("val", "selection_metric", r.val_metrics),
-                                      ("diag", "sq_distance", r.distances))
+                                      ("val", "selection_metric", r.val_metrics))
         for cid, v in values.items()))
+    metrics_mod.write_csv(out_dir / "distances.csv", ["round", "client_id", "sq_distance"],
+                          ([r.round, cid, repr(d)] for r in records
+                           for cid, d in r.distances.items()))
 
 
 def _write_result(out_dir: Path, cfg: ExperimentConfig, result: ExperimentResult) -> None:
-    out_dir.mkdir(parents=True, exist_ok=True)
-    _write_round_log(out_dir / "rounds.csv", result.rounds)
-    metrics_mod.write_csv(out_dir / "distances.csv", ["round", "client_id", "sq_distance"],
-                          ([r.round, cid, repr(d)] for r in result.rounds
-                           for cid, d in r.distances.items()))
+    _write_logs(out_dir, result.rounds)
     summary = {
         "selected_round": result.selected_round,
         "seed": result.seed,
@@ -454,11 +455,7 @@ def sweep_local_epochs(
     cfg: ExperimentConfig, splits: list[tuple[int, int]], out_dir=None
 ) -> list[dict]:
     """One experiment per (E, T) split per seed under ``cfg``'s E*T budget."""
-    budget = cfg.total_budget
-    for e, t in splits:  # every split is checked before the first one runs
-        if e < 1 or t < 1 or e * t != budget:
-            raise ConfigError("sweep.splits", f"split ({e},{t}) needs E >= 1, T >= 1 "
-                              f"and E*T = budget {budget}")
+    cfg.check_splits(splits)  # every split, before the first one runs
     datasets = load_clients(cfg)  # once for the whole sweep
     rows = []
     for e, t in splits:

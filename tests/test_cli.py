@@ -527,6 +527,17 @@ def test_sweep_non_positive_split_is_config_error_before_any_run(tmp_path, capsy
     assert not list(out.glob("E*_T*")) and not (out / "sweep.csv").exists()
 
 
+def test_sweep_split_off_the_budget_writes_nothing(tmp_path, capsys):
+    # every split is checked before config_echo.yaml is written
+    path = write_config(tmp_path, base_config(rounds=2))
+    out = tmp_path / "x"
+    code = main(["sweep", "--config", str(path), "--grid", "1x2,1x3", "--out", str(out)])
+    assert code == EXIT_CONFIG
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"] == "config_error" and err["message"].startswith("sweep.splits:")
+    assert not out.exists()
+
+
 def write_results(root, values, algorithm="fedavg"):
     """Per-seed result.json files as ``run`` writes them."""
     for seed, value in enumerate(values):

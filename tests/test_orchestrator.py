@@ -1,3 +1,4 @@
+import csv
 import json
 from dataclasses import replace
 
@@ -258,14 +259,15 @@ def test_distances_recomputable_from_checkpoints(tmp_path):
             assert got == pytest.approx(want, abs=1e-10)
 
 
-def test_checkpoint_pruning_keeps_best_and_last(tmp_path):
+def test_checkpoint_pruning_keeps_selected_and_last(tmp_path):
     # seed 0 improves the validation metric at several non-final rounds, so
     # every former-best round directory must be pruned as well
     cfg = benchmark_config("fedavg", rounds=50)
     result = run_experiment(cfg, seed=0, out_dir=tmp_path)
     assert result.selected_round < cfg.rounds
     ckpt = tmp_path / "checkpoints"
-    assert {p.name for p in ckpt.iterdir()} == {"best", f"round_{cfg.rounds:04d}"}
+    assert {p.name for p in ckpt.iterdir()} == {f"round_{result.selected_round:04d}",
+                                                f"round_{cfg.rounds:04d}"}
 
 
 def test_checkpoints_written_once_per_run(monkeypatch, tmp_path):
@@ -278,11 +280,35 @@ def test_checkpoints_written_once_per_run(monkeypatch, tmp_path):
 
     monkeypatch.setattr(orchestrator, "save_paramset", counting)
     cfg = benchmark_config("fedavg", rounds=50)
-    run_experiment(cfg, seed=0, out_dir=tmp_path)
+    result = run_experiment(cfg, seed=0, out_dir=tmp_path / "earlier")
+    assert result.selected_round < cfg.rounds
     num_clients = cfg.data.num_clients
-    # global_start, global_agg and one file per client, for best/ and the last round
+    # global_start, global_agg and one file per client, for the selected and the last round
     assert len(calls) == 2 * (num_clients + 2) == 14
     assert len(set(calls)) == len(calls)
+
+    # seed 0 of this 3-client config improves in every round, so it selects its
+    # last round, and that round's one directory is written once
+    calls.clear()
+    cfg = experiment(rounds=5)
+    result = run_experiment(cfg, seed=0, out_dir=tmp_path / "last")
+    assert result.selected_round == cfg.rounds
+    assert len(calls) == len(set(calls)) == cfg.data.num_clients + 2 == 5
+    assert {p.parent for p in calls} == {tmp_path / "last" / "checkpoints" / "round_0005"}
+
+
+@pytest.mark.filterwarnings("ignore:Mean of empty slice")
+def test_no_checkpoint_is_named_best(monkeypatch, tmp_path):
+    """The selected round's checkpoint has one name, its round's."""
+    cfg = experiment(rounds=3)
+    run_experiment(cfg, seed=0, out_dir=tmp_path / "default")
+    run_experiment(replace(cfg, keep_all_checkpoints=True), seed=0, out_dir=tmp_path / "keep_all")
+    monkeypatch.setattr(orchestrator, "evaluate", lambda *a, **k: float("nan"))
+    with pytest.raises(NoSelectableRound):
+        run_experiment(cfg, seed=0, out_dir=tmp_path / "failed")
+    runs = sorted(tmp_path.glob("*/checkpoints"))
+    assert [d.parent.name for d in runs] == ["default", "failed", "keep_all"]
+    assert not [p for d in runs for p in d.rglob("*") if p.stem == "best"]
 
 
 def assert_same_checkpoint(dir_a, dir_b):
@@ -303,29 +329,55 @@ def test_snapshot_checkpoints_equal_keep_all_checkpoints(tmp_path):
                               out_dir=tmp_path / "keep_all")
     assert default.selected_round == keep_all.selected_round < cfg.rounds
     a, b = tmp_path / "default" / "checkpoints", tmp_path / "keep_all" / "checkpoints"
-    assert_same_checkpoint(a / "best", b / f"round_{default.selected_round:04d}")
-    assert_same_checkpoint(a / "best", b / "best")
+    selected = f"round_{default.selected_round:04d}"
+    assert_same_checkpoint(a / selected, b / selected)
     assert_same_checkpoint(a / "round_0050", b / "round_0050")
-    assert len(list(b.iterdir())) == cfg.rounds + 1
+    assert len(list(b.iterdir())) == cfg.rounds
+
+
+def diverge_all_in_round(monkeypatch, failing_round):
+    """Every client of round ``failing_round`` (1-based) diverges."""
+    original = orchestrator.run_local_training
+
+    def diverging(client, cfg, seed, round_idx, plan):
+        update = original(client, cfg, seed, round_idx, plan)
+        update.diverged = update.diverged or round_idx == failing_round - 1
+        return update
+
+    monkeypatch.setattr(orchestrator, "run_local_training", diverging)
 
 
 def test_all_clients_diverged_leaves_best_and_last_round(monkeypatch, tmp_path):
+    # seed 0 validates best at round 2, the last completed one when round 3
+    # fails, so one directory is left; seed 3 validates best at round 4 of the
+    # first 5, so a failing round 6 leaves the best round so far and round 5
+    cfg = experiment(rounds=6)
+    for seed, failing_round, kept in ((0, 3, (2,)), (3, 6, (4, 5))):
+        ref_dir, run_dir = tmp_path / f"ref_{seed}", tmp_path / f"run_{seed}"
+        ref = run_experiment(replace(cfg, keep_all_checkpoints=True), seed=seed, out_dir=ref_dir)
+        metrics = [r.mean_val_metric for r in ref.rounds[:failing_round - 1]]
+        assert (int(np.argmax(metrics)) + 1, failing_round - 1) == (kept[0], kept[-1])
+        with monkeypatch.context() as m:
+            diverge_all_in_round(m, failing_round)
+            with pytest.raises(AllClientsDiverged):
+                run_experiment(cfg, seed=seed, out_dir=run_dir)
+        names = {f"round_{r:04d}" for r in kept}
+        assert {p.name for p in (run_dir / "checkpoints").iterdir()} == names
+        # the failing round trained the clients before it failed; each kept
+        # directory holds its own round
+        for name in names:
+            assert_same_checkpoint(run_dir / "checkpoints" / name, ref_dir / "checkpoints" / name)
+
+
+def test_all_clients_diverged_flushes_the_completed_rounds_drift(monkeypatch, tmp_path):
     cfg = experiment(rounds=5)
-    run_experiment(replace(cfg, keep_all_checkpoints=True), seed=0, out_dir=tmp_path / "ref")
-    original = orchestrator.run_local_training
-
-    def diverge_in_round_3(client, cfg, seed, round_idx, plan):
-        update = original(client, cfg, seed, round_idx, plan)
-        update.diverged = update.diverged or round_idx == 2
-        return update
-
-    monkeypatch.setattr(orchestrator, "run_local_training", diverge_in_round_3)
+    run_experiment(cfg, seed=0, out_dir=tmp_path / "ref")
+    diverge_all_in_round(monkeypatch, 3)
     with pytest.raises(AllClientsDiverged):
         run_experiment(cfg, seed=0, out_dir=tmp_path / "run")
-    ckpt = tmp_path / "run" / "checkpoints"
-    assert {p.name for p in ckpt.iterdir()} == {"best", "round_0002"}
-    # round 3 trained the clients before it failed; round_0002 holds round 2
-    assert_same_checkpoint(ckpt / "round_0002", tmp_path / "ref" / "checkpoints" / "round_0002")
+    for name in ("rounds.csv", "distances.csv"):
+        want = [row for row in read_csv(tmp_path / "ref" / name) if int(row["round"]) <= 2]
+        assert read_csv(tmp_path / "run" / name) == want, name
 
 
 @pytest.mark.filterwarnings("ignore:Mean of empty slice")
@@ -338,19 +390,39 @@ def test_no_selectable_round_leaves_last_round(monkeypatch, tmp_path):
 
 @pytest.mark.filterwarnings("ignore:Mean of empty slice")
 def test_all_nan_selection_is_typed_error(monkeypatch, tmp_path):
-    monkeypatch.setattr(orchestrator, "evaluate", lambda *a, **k: float("nan"))
     cfg = experiment(rounds=2)
+    run_experiment(cfg, seed=0, out_dir=tmp_path / "ref")
+    monkeypatch.setattr(orchestrator, "evaluate", lambda *a, **k: float("nan"))
     with pytest.raises(NoSelectableRound, match="NaN in all 2 rounds"):
-        run_experiment(cfg, seed=0, out_dir=tmp_path)
-    assert (tmp_path / "rounds.csv").exists()
+        run_experiment(cfg, seed=0, out_dir=tmp_path / "run")
+    assert (tmp_path / "run" / "rounds.csv").exists()
+    # the partial flush keeps the drift too; validation does not feed
+    # training, so it is the scored run's
+    want = (tmp_path / "ref" / "distances.csv").read_bytes()
+    assert (tmp_path / "run" / "distances.csv").read_bytes() == want
+    assert len(read_csv(tmp_path / "run" / "distances.csv")) == 2 * cfg.data.num_clients
+
+
+def read_csv(path):
+    with open(path, newline="") as fh:
+        return list(csv.DictReader(fh))
 
 
 def test_output_files_written(tmp_path):
     cfg = experiment(rounds=2)
-    run_experiment(cfg, seed=0, out_dir=tmp_path)
+    result = run_experiment(cfg, seed=0, out_dir=tmp_path)
     assert (tmp_path / "rounds.csv").exists()
     assert (tmp_path / "distances.csv").exists()
     assert (tmp_path / "result.json").exists()
+    # rounds.csv holds each round's train loss and validation metric per
+    # client, and the drift is written once, to distances.csv
+    rows = read_csv(tmp_path / "rounds.csv")
+    assert sorted({(r["split"], r["metric"]) for r in rows}) == [
+        ("train", "loss"), ("val", "selection_metric")]
+    assert len(rows) == 2 * cfg.rounds * cfg.data.num_clients
+    drift = read_csv(tmp_path / "distances.csv")
+    assert [(int(r["round"]), int(r["client_id"]), float(r["sq_distance"])) for r in drift] == [
+        (rec.round, cid, d) for rec in result.rounds for cid, d in rec.distances.items()]
 
 
 def test_sweep_budget_enforced():

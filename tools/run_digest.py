@@ -10,10 +10,10 @@ imported from the ``src/`` next to this script, and OUT_DIR must not exist.
 The set:
 
 * every algorithm, 50 rounds, E=1, on the feature-shift benchmark at seed 0,
-  checkpointing every round (``best/`` and the last round are kept), written
-  to ``grid/``;
+  checkpointing every round (the selected and the last round are kept, each
+  as ``round_NNNN/``), written to ``grid/``;
 * fedyogi, 10 rounds, seed 0, with ``keep_all_checkpoints`` (every round's
-  checkpoint and ``best/`` are kept), written to ``grid_keep_all/``;
+  checkpoint is kept), written to ``grid_keep_all/``;
 * 10 rounds at seed 0 of each other layer kind the model compiles, written
   to ``kinds/``: layer norm (fedpxn), group norm (feddyn with local Adam), no
   norm (fedprox) and a sigmoid-BCE head after batch norm (fedadam);
