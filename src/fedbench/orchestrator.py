@@ -326,17 +326,11 @@ def load_clients(cfg: ExperimentConfig) -> list[ClientDataset]:
 
 def _snapshot(w_start: np.ndarray, server: ServerState,
               clients: list[ClientState]) -> dict[str, np.ndarray]:
-    """One round's checkpoint files, held in memory by reference: a published
+    """One round's checkpoint rows, held in memory by reference: a published
     vector is never written again, and a round replaces ``client.params``
     instead of editing it (see ``params``)."""
-    return {"global_start.npz": w_start, "global_agg.npz": server.global_params,
-            **{f"client_{c.client_id}.npz": c.params for c in clients}}
-
-
-def _write_checkpoint(cdir: Path, snapshot: dict[str, np.ndarray], plan: Plan) -> None:
-    cdir.mkdir(parents=True, exist_ok=True)
-    for name, vec in snapshot.items():
-        save_paramset(vec, cdir / name, plan)
+    return {"global_start": w_start, "global_agg": server.global_params,
+            **{f"client_{c.client_id}": c.params for c in clients}}
 
 
 def run_experiment(cfg: ExperimentConfig, seed: int, out_dir=None,
@@ -375,7 +369,7 @@ def run_experiment(cfg: ExperimentConfig, seed: int, out_dir=None,
     ckpt_dir = Path(out_dir) / "checkpoints" if out_dir is not None else None
     best_round, best_metric = 0, -np.inf
     best_eval_sets: list[np.ndarray] = []
-    # the last and the best round's (round, snapshot), written once when the run ends
+    # the last and the best round's (file, snapshot), written once when the run ends
     last = best = None
     records: list[RoundRecord] = []
     try:
@@ -384,9 +378,12 @@ def run_experiment(cfg: ExperimentConfig, seed: int, out_dir=None,
             server, record = run_round(server, clients, cfg, seed, plan)
             records.append(record)
             if ckpt_dir is not None:
-                last = (record.round, _snapshot(w_start, server, clients))
+                if last is None:
+                    ckpt_dir.mkdir(parents=True, exist_ok=True)
+                last = (ckpt_dir / f"round_{record.round:04d}.npz",
+                        _snapshot(w_start, server, clients))
                 if cfg.keep_all_checkpoints:
-                    _write_checkpoint(ckpt_dir / f"round_{record.round:04d}", last[1], plan)
+                    save_paramset(last[1], last[0], plan)
             if record.mean_val_metric > best_metric:
                 best_metric = record.mean_val_metric
                 best_round = record.round
@@ -401,9 +398,9 @@ def run_experiment(cfg: ExperimentConfig, seed: int, out_dir=None,
             _write_logs(Path(out_dir), records)
         raise
     finally:
-        if not cfg.keep_all_checkpoints:  # one directory when the best round is the last
-            for round_no, snapshot in dict(k for k in (last, best) if k is not None).items():
-                _write_checkpoint(ckpt_dir / f"round_{round_no:04d}", snapshot, plan)
+        if not cfg.keep_all_checkpoints:  # one file when the best round is the last
+            for path, snapshot in dict(k for k in (last, best) if k is not None).items():
+                save_paramset(snapshot, path, plan)
 
     # test once, at the selected round, with each client's own eval parameters
     test_metrics = {c.client_id: _score(plan, eval_params, c.test, cfg.selection_metric)

@@ -5,13 +5,12 @@ trainable non-norm entries, then norm gains and biases (up to ``n_train``),
 then batch-norm running statistics.  The server's global, its optimizer
 state, every client's vector and every round-start vector are such vectors,
 and the aggregation and drift primitives below work on them, from ``w_0``
-(``init_params``) to the checkpoint files (``save_paramset``), which hold the
-vector whole, as one float64 ``vector`` member, next to a ``__meta__`` that
-names its entries in the checkpoint's layout order with the plan's tags
-(``norm`` or ``non_norm``), trainable flags and each entry's offset and shape
-in the vector.  A ParamSet, an ordered map of named arrays with a tag and a
-trainable flag per entry, is what ``load_paramset`` slices a checkpoint back
-into.
+(``init_params``) to the checkpoint files (``save_paramset``), which stack a
+round's vectors as the rows of one float64 ``vectors`` member, next to a
+``__meta__`` that names the rows, and the entries of a row in layout order
+with the plan's tags (``norm`` or ``non_norm``), trainable flags, offsets and
+shapes.  A ParamSet, an ordered map of named arrays with a tag and a
+trainable flag per entry, is what ``load_checkpoint`` slices a row back into.
 
 A published vector is read-only and never written again, so vectors are
 shared freely: the broadcast is a view of the global, a round-start vector
@@ -34,7 +33,7 @@ from .errors import KeyMismatch, WeightSumViolation
 NORM = "norm"
 NON_NORM = "non_norm"
 
-_FORMAT_VERSION = 2
+_FORMAT_VERSION = 3
 
 WEIGHT_SUM_TOL = 1e-12
 
@@ -104,11 +103,10 @@ def l2_distance_excluding_norm(a: np.ndarray, b: np.ndarray,
 # ---------------------------------------------------------------------------
 # serialization (checkpoint format)
 
-def save_paramset(vec: np.ndarray, path, plan) -> None:
-    """Write ``vec``, laid out by the ``nn.Plan`` ``plan``, whole as the
-    ``vector`` member, with the plan's names, tags, trainable flags and each
-    entry's (offset, shape); float64 payloads round-trip bitwise through
-    ``load_paramset``."""
+def save_paramset(vectors: dict[str, np.ndarray], path, plan) -> None:
+    """Write a snapshot (row name -> ``plan`` vector) as the (rows, ``plan.size``)
+    ``vectors`` member in the mapping's order, with the plan's entry layout;
+    every row round-trips bitwise through ``load_checkpoint``."""
     meta = {
         "format_version": _FORMAT_VERSION,
         "names": plan.names,
@@ -116,23 +114,28 @@ def save_paramset(vec: np.ndarray, path, plan) -> None:
         "trainable": plan.trainable,
         "offsets": [plan.slots[n][0] for n in plan.names],
         "shapes": [plan.slots[n][2] for n in plan.names],
+        "rows": list(vectors),
     }
     with open(path, "wb") as fh:
         np.savez(fh, __meta__=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8),
-                 vector=vec)
+                 vectors=np.stack(list(vectors.values())))
 
 
-def load_paramset(path) -> ParamSet:
-    """A checkpoint's entries, each its own copy sliced from the vector."""
+def load_checkpoint(path) -> dict[str, ParamSet]:
+    """A checkpoint's rows by name, each sliced into entries, each entry its own copy."""
     with np.load(path) as data:
         meta = json.loads(bytes(data["__meta__"]).decode())
         if meta.get("format_version") != _FORMAT_VERSION:
             raise KeyMismatch(f"unsupported checkpoint version {meta.get('format_version')}")
-        vec = data["vector"]
-    entries = {}
+        stack = data["vectors"]
+    if stack.ndim != 2 or stack.shape[0] != len(meta["rows"]):
+        raise KeyMismatch(f"{len(meta['rows'])} rows named for vectors of shape {stack.shape}")
+    entries = {row: {} for row in meta["rows"]}
     for name, start, shape in zip(meta["names"], meta["offsets"], meta["shapes"]):
         stop = start + math.prod(shape)
-        if not 0 <= start <= stop <= vec.shape[0]:
-            raise KeyMismatch(f"entry {name!r} lies outside the {vec.shape[0]}-entry vector")
-        entries[name] = vec[start:stop].reshape(shape).copy()
-    return ParamSet(entries=entries, tags=meta["tags"], trainable=meta["trainable"])
+        if not 0 <= start <= stop <= stack.shape[1]:
+            raise KeyMismatch(f"entry {name!r} lies outside the {stack.shape[1]}-entry vector")
+        for row, vec in zip(meta["rows"], stack):
+            entries[row][name] = vec[start:stop].reshape(shape).copy()
+    return {row: ParamSet(row_entries, dict(meta["tags"]), dict(meta["trainable"]))
+            for row, row_entries in entries.items()}

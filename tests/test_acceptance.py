@@ -46,7 +46,7 @@ from fedbench.orchestrator import (
 from fedbench.params import (
     NORM,
     l2_distance_excluding_norm,
-    load_paramset,
+    load_checkpoint,
     make_weights,
     weighted_average,
 )
@@ -226,11 +226,9 @@ def test_criterion_4_fedbn_partition_invariant(tmp_path):
     plan = Plan(cfg.model)
 
     for record in result.rounds:
-        rdir = tmp_path / "checkpoints" / f"round_{record.round:04d}"
-        client_sets = [
-            load_paramset(rdir / f"client_{cid}.npz") for cid in range(5)
-        ]
-        agg = load_paramset(rdir / "global_agg.npz")
+        rows = load_checkpoint(tmp_path / "checkpoints" / f"round_{record.round:04d}.npz")
+        client_sets = [rows[f"client_{cid}"] for cid in range(5)]
+        agg = rows["global_agg"]
         # after broadcast at the next round all non-norm entries would be the
         # aggregated values; verify the aggregate itself is the shared part
         # and that at least one norm parameter differs across clients
@@ -243,7 +241,7 @@ def test_criterion_4_fedbn_partition_invariant(tmp_path):
         assert norm_diff
 
         # eq-3 distance recomputed offline matches the log to 1e-10
-        w_start = to_vector(plan, load_paramset(rdir / "global_start.npz").entries)
+        w_start = to_vector(plan, rows["global_start"].entries)
         for cid, want in record.distances.items():
             got = l2_distance_excluding_norm(to_vector(plan, client_sets[cid].entries), w_start,
                                              plan.non_norm_slots)

@@ -1,6 +1,8 @@
 import csv
 import json
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -33,11 +35,16 @@ from fedbench.orchestrator import (
     run_round,
     sweep_local_epochs,
 )
-from fedbench.params import l2_distance_excluding_norm, load_paramset
+from fedbench.params import l2_distance_excluding_norm, load_checkpoint
 from fedbench.strategies import StrategyConfig, init_server_state
 
 from conftest import make_model
 from nn_oracle import to_vector
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
+
+from perfbench.spans import Tracer, summarize, traced  # noqa: E402
+from perfbench.workloads import Work  # noqa: E402
 
 
 def data_spec(num_clients=3, sizes=(60, 50, 40), seed=9, kind="label_skew"):
@@ -251,50 +258,53 @@ def test_distances_recomputable_from_checkpoints(tmp_path):
     result = run_experiment(cfg, seed=0, out_dir=tmp_path)
     plan = Plan(cfg.model)
     for record in result.rounds:
-        rdir = tmp_path / "checkpoints" / f"round_{record.round:04d}"
-        w_start = to_vector(plan, load_paramset(rdir / "global_start.npz").entries)
+        rows = load_checkpoint(tmp_path / "checkpoints" / f"round_{record.round:04d}.npz")
+        w_start = to_vector(plan, rows["global_start"].entries)
         for cid, want in record.distances.items():
-            client = to_vector(plan, load_paramset(rdir / f"client_{cid}.npz").entries)
+            client = to_vector(plan, rows[f"client_{cid}"].entries)
             got = l2_distance_excluding_norm(client, w_start, plan.non_norm_slots)
             assert got == pytest.approx(want, abs=1e-10)
 
 
 def test_checkpoint_pruning_keeps_selected_and_last(tmp_path):
     # seed 0 improves the validation metric at several non-final rounds, so
-    # every former-best round directory must be pruned as well
+    # every former-best round must be left out as well
     cfg = benchmark_config("fedavg", rounds=50)
     result = run_experiment(cfg, seed=0, out_dir=tmp_path)
     assert result.selected_round < cfg.rounds
     ckpt = tmp_path / "checkpoints"
-    assert {p.name for p in ckpt.iterdir()} == {f"round_{result.selected_round:04d}",
-                                                f"round_{cfg.rounds:04d}"}
+    assert {p.name for p in ckpt.iterdir()} == {f"round_{result.selected_round:04d}.npz",
+                                                f"round_{cfg.rounds:04d}.npz"}
 
 
 def test_checkpoints_written_once_per_run(monkeypatch, tmp_path):
     calls = []
     original = orchestrator.save_paramset
 
-    def counting(vec, path, plan):
-        calls.append(path)
-        return original(vec, path, plan)
+    def counting(vectors, path, plan):
+        calls.append((path, list(vectors)))
+        return original(vectors, path, plan)
 
     monkeypatch.setattr(orchestrator, "save_paramset", counting)
     cfg = benchmark_config("fedavg", rounds=50)
     result = run_experiment(cfg, seed=0, out_dir=tmp_path / "earlier")
     assert result.selected_round < cfg.rounds
-    num_clients = cfg.data.num_clients
-    # global_start, global_agg and one file per client, for the selected and the last round
-    assert len(calls) == 2 * (num_clients + 2) == 14
-    assert len(set(calls)) == len(calls)
+    # one file for the selected and one for the last round, each holding
+    # global_start, global_agg and one row per client, in client id order
+    ckpt = tmp_path / "earlier" / "checkpoints"
+    assert sorted(path for path, _ in calls) == [
+        ckpt / f"round_{result.selected_round:04d}.npz", ckpt / "round_0050.npz"]
+    rows = ["global_start", "global_agg"] + [f"client_{i}" for i in range(cfg.data.num_clients)]
+    assert [names for _, names in calls] == [rows, rows] and len(rows) == 7
 
     # seed 0 of this 3-client config improves in every round, so it selects its
-    # last round, and that round's one directory is written once
+    # last round, and that round's one file is written once
     calls.clear()
     cfg = experiment(rounds=5)
     result = run_experiment(cfg, seed=0, out_dir=tmp_path / "last")
     assert result.selected_round == cfg.rounds
-    assert len(calls) == len(set(calls)) == cfg.data.num_clients + 2 == 5
-    assert {p.parent for p in calls} == {tmp_path / "last" / "checkpoints" / "round_0005"}
+    assert calls == [(tmp_path / "last" / "checkpoints" / "round_0005.npz",
+                      ["global_start", "global_agg", "client_0", "client_1", "client_2"])]
 
 
 @pytest.mark.filterwarnings("ignore:Mean of empty slice")
@@ -311,15 +321,13 @@ def test_no_checkpoint_is_named_best(monkeypatch, tmp_path):
     assert not [p for d in runs for p in d.rglob("*") if p.stem == "best"]
 
 
-def assert_same_checkpoint(dir_a, dir_b):
-    """Same .npz files holding the same arrays under the same keys."""
-    files = sorted(p.name for p in dir_a.iterdir())
-    assert files == sorted(p.name for p in dir_b.iterdir())
-    for name in files:
-        with np.load(dir_a / name) as a, np.load(dir_b / name) as b:
-            assert a.files == b.files
-            for key in a.files:
-                assert np.array_equal(a[key], b[key]), f"{name}:{key}"
+def assert_same_checkpoint(file_a, file_b):
+    """Two round files holding the same arrays under the same keys: the same
+    row names in ``__meta__`` and the same bits in every row of ``vectors``."""
+    with np.load(file_a) as a, np.load(file_b) as b:
+        assert a.files == b.files == ["__meta__", "vectors"]
+        for key in a.files:
+            assert np.array_equal(a[key], b[key]), f"{file_a.name}:{key}"
 
 
 def test_snapshot_checkpoints_equal_keep_all_checkpoints(tmp_path):
@@ -329,9 +337,9 @@ def test_snapshot_checkpoints_equal_keep_all_checkpoints(tmp_path):
                               out_dir=tmp_path / "keep_all")
     assert default.selected_round == keep_all.selected_round < cfg.rounds
     a, b = tmp_path / "default" / "checkpoints", tmp_path / "keep_all" / "checkpoints"
-    selected = f"round_{default.selected_round:04d}"
+    selected = f"round_{default.selected_round:04d}.npz"
     assert_same_checkpoint(a / selected, b / selected)
-    assert_same_checkpoint(a / "round_0050", b / "round_0050")
+    assert_same_checkpoint(a / "round_0050.npz", b / "round_0050.npz")
     assert len(list(b.iterdir())) == cfg.rounds
 
 
@@ -349,7 +357,7 @@ def diverge_all_in_round(monkeypatch, failing_round):
 
 def test_all_clients_diverged_leaves_best_and_last_round(monkeypatch, tmp_path):
     # seed 0 validates best at round 2, the last completed one when round 3
-    # fails, so one directory is left; seed 3 validates best at round 4 of the
+    # fails, so one file is left; seed 3 validates best at round 4 of the
     # first 5, so a failing round 6 leaves the best round so far and round 5
     cfg = experiment(rounds=6)
     for seed, failing_round, kept in ((0, 3, (2,)), (3, 6, (4, 5))):
@@ -361,10 +369,10 @@ def test_all_clients_diverged_leaves_best_and_last_round(monkeypatch, tmp_path):
             diverge_all_in_round(m, failing_round)
             with pytest.raises(AllClientsDiverged):
                 run_experiment(cfg, seed=seed, out_dir=run_dir)
-        names = {f"round_{r:04d}" for r in kept}
+        names = {f"round_{r:04d}.npz" for r in kept}
         assert {p.name for p in (run_dir / "checkpoints").iterdir()} == names
         # the failing round trained the clients before it failed; each kept
-        # directory holds its own round
+        # file holds its own round
         for name in names:
             assert_same_checkpoint(run_dir / "checkpoints" / name, ref_dir / "checkpoints" / name)
 
@@ -385,7 +393,7 @@ def test_no_selectable_round_leaves_last_round(monkeypatch, tmp_path):
     monkeypatch.setattr(orchestrator, "evaluate", lambda *a, **k: float("nan"))
     with pytest.raises(NoSelectableRound):
         run_experiment(experiment(rounds=5), seed=0, out_dir=tmp_path)
-    assert {p.name for p in (tmp_path / "checkpoints").iterdir()} == {"round_0005"}
+    assert {p.name for p in (tmp_path / "checkpoints").iterdir()} == {"round_0005.npz"}
 
 
 @pytest.mark.filterwarnings("ignore:Mean of empty slice")
@@ -477,6 +485,25 @@ def test_epoch_budget_instrumented(monkeypatch):
     run_experiment(cfg, seed=0)
     assert all(v == cfg.total_budget for v in counts.values())
     assert len(counts) == 3
+
+
+def test_trailing_singleton_batch_is_skipped_in_a_batch_norm_run():
+    """A client of 48 examples trains on 33 rows: one 32-row step per epoch,
+    and the 1-row tail, which batch-norm train mode cannot use, takes none."""
+    base = benchmark_config("fedavg", "feature_shift", rounds=2, seeds=(0,))
+    data = replace(base.data, num_clients=2, sizes=[48, 60])
+    cfg = replace(base, data=data)
+    assert "batch_norm" in [layer.kind for layer in cfg.model.layers]
+    assert [ds.train.size for ds in generate(data)] == [33, 42]
+    work = Work()
+    work.add_experiment(cfg.model, data.sizes, cfg.local_epochs, cfg.rounds)
+    tracer = Tracer()
+    with traced(tracer):
+        result = run_experiment(cfg, 0)
+    calls = {name: entry["calls"] for name, entry in summarize(tracer.spans).items()}
+    assert calls["nn.forward_train"] == work.steps == 2 * (1 + 2)
+    assert tracer.counts["nn.train_rows"] == work.rows == 2 * (32 + 42)
+    assert len(result.rounds) == cfg.rounds and np.isfinite(result.mean_test_metric)
 
 
 def test_each_round_builds_each_start_vector_once(monkeypatch):

@@ -7,7 +7,7 @@ from fedbench.errors import KeyMismatch, WeightSumViolation
 from fedbench.nn import Plan, init_params
 from fedbench.params import (
     l2_distance_excluding_norm,
-    load_paramset,
+    load_checkpoint,
     make_weights,
     save_paramset,
     weighted_average,
@@ -156,36 +156,54 @@ def test_distance_symmetry(bn_params, bn_plan):
 # serialization
 
 NORM_KINDS = [["batch_norm"], ["layer_norm"], ["group_norm"], []]
+ROWS = ("global_start", "global_agg", "client_0", "client_7")
+
+
+def snapshot(plan):
+    """A round's rows, in the order a run writes them, each a random vector."""
+    rng = np.random.default_rng(3)
+    return {row: rng.standard_normal(plan.size) for row in ROWS}
+
+
+def write_raw(path, meta, **arrays):
+    """A checkpoint file with ``meta`` as its ``__meta__`` and ``arrays`` as its other members."""
+    np.savez(path, __meta__=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8), **arrays)
 
 
 def test_checkpoint_roundtrip_bitwise(tmp_path):
     for kinds in NORM_KINDS:
         plan = Plan(make_model(kinds))
-        vec = np.random.default_rng(3).standard_normal(plan.size)
+        vectors = snapshot(plan)
         path = tmp_path / f"{'_'.join(kinds)}.npz"
-        save_paramset(vec, path, plan)
-        loaded = load_paramset(path)
-        assert list(loaded.entries) == plan.names
-        assert loaded.tags == plan.tags
-        assert loaded.trainable == plan.trainable
-        for name, entry in plan.entries(vec).items():
-            assert loaded.entries[name].dtype == entry.dtype
-            assert np.array_equal(loaded.entries[name], entry)
-            assert loaded.entries[name].flags.owndata  # its own copy, not a view
+        save_paramset(vectors, path, plan)
+        loaded = load_checkpoint(path)
+        assert list(loaded) == list(ROWS)
+        for row, vec in vectors.items():
+            assert list(loaded[row].entries) == plan.names
+            assert loaded[row].tags == plan.tags
+            assert loaded[row].trainable == plan.trainable
+            for name, entry in plan.entries(vec).items():
+                assert loaded[row].entries[name].dtype == entry.dtype
+                assert np.array_equal(loaded[row].entries[name], entry)
+                assert loaded[row].entries[name].flags.owndata  # its own copy, not a view
 
 
 @pytest.mark.parametrize("kinds", NORM_KINDS, ids=lambda k: k[0] if k else "no_norm")
 def test_checkpoint_holds_the_vector_whole(tmp_path, kinds):
+    """Each vector of the snapshot is one row of the one ``vectors`` member."""
     plan = Plan(make_model(kinds))
-    vec = init_params(plan, seed=1)
+    vectors = {row: init_params(plan, seed=i) for i, row in enumerate(ROWS)}
     path = tmp_path / "ckpt.npz"
-    save_paramset(vec, path, plan)
+    save_paramset(vectors, path, plan)
     with np.load(path) as data:
-        assert sorted(data.files) == ["__meta__", "vector"]
-        stored = data["vector"]
+        assert sorted(data.files) == ["__meta__", "vectors"]
+        meta = json.loads(bytes(data["__meta__"]).decode())
+        stored = data["vectors"]
+    assert meta["format_version"] == 3 and meta["rows"] == list(ROWS)
     assert stored.dtype == np.float64
-    assert stored.shape == (plan.size,)
-    assert np.array_equal(stored, vec)
+    assert stored.shape == (len(ROWS), plan.size)
+    for stored_row, vec in zip(stored, vectors.values()):
+        assert np.array_equal(stored_row, vec)
 
 
 def test_format_1_checkpoint_is_rejected_naming_its_version(tmp_path, bn_plan, bn_params):
@@ -193,18 +211,51 @@ def test_format_1_checkpoint_is_rejected_naming_its_version(tmp_path, bn_plan, b
             "trainable": bn_plan.trainable}
     arrays = {f"v_{i}": e for i, e in enumerate(bn_plan.entries(bn_params).values())}
     path = tmp_path / "v1.npz"
-    np.savez(path, __meta__=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8), **arrays)
-    with pytest.raises(KeyMismatch, match="version 1"):
-        load_paramset(path)
+    write_raw(path, meta, **arrays)
+    with pytest.raises(KeyMismatch, match="unsupported checkpoint version 1"):
+        load_checkpoint(path)
 
 
-def test_checkpoint_entry_outside_the_vector_is_rejected(tmp_path, bn_plan, bn_params):
-    path = tmp_path / "ckpt.npz"
-    save_paramset(bn_params, path, bn_plan)
+def test_format_2_checkpoint_is_rejected_naming_its_version(tmp_path, bn_plan, bn_params):
+    """Format 2 held one vector per file; no run reads a checkpoint back, so no
+    reader of it is kept."""
+    meta = {"format_version": 2, "names": bn_plan.names, "tags": bn_plan.tags,
+            "trainable": bn_plan.trainable,
+            "offsets": [bn_plan.slots[n][0] for n in bn_plan.names],
+            "shapes": [bn_plan.slots[n][2] for n in bn_plan.names]}
+    path = tmp_path / "v2.npz"
+    write_raw(path, meta, vector=bn_params)
+    with pytest.raises(KeyMismatch, match="unsupported checkpoint version 2"):
+        load_checkpoint(path)
+
+
+def read_raw(path):
+    """(meta, vectors member) of the checkpoint at ``path``."""
     with np.load(path) as data:
-        meta = json.loads(bytes(data["__meta__"]).decode())
+        return json.loads(bytes(data["__meta__"]).decode()), data["vectors"]
+
+
+def test_checkpoint_entry_outside_the_vector_is_rejected(tmp_path, bn_plan):
+    path = tmp_path / "ckpt.npz"
+    save_paramset(snapshot(bn_plan), path, bn_plan)
+    meta, stored = read_raw(path)
     meta["offsets"][-1] = bn_plan.size
-    np.savez(path, __meta__=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8),
-             vector=bn_params)
+    write_raw(path, meta, vectors=stored)
     with pytest.raises(KeyMismatch, match="outside"):
-        load_paramset(path)
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("case", ["extra_row_name", "missing_row_name", "one_vector"])
+def test_checkpoint_rows_disagreeing_with_vectors_are_rejected(tmp_path, bn_plan, case):
+    path = tmp_path / "ckpt.npz"
+    save_paramset(snapshot(bn_plan), path, bn_plan)
+    meta, stored = read_raw(path)
+    if case == "extra_row_name":
+        meta["rows"].append("client_9")
+    elif case == "missing_row_name":
+        meta["rows"].pop()
+    else:  # one row named, over a format-2-shaped member
+        meta["rows"], stored = ["global_start"], stored[0]
+    write_raw(path, meta, vectors=stored)
+    with pytest.raises(KeyMismatch, match="rows named for vectors of shape"):
+        load_checkpoint(path)

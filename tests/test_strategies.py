@@ -50,6 +50,19 @@ def test_unknown_policy_is_config_error():
     assert err.value.field == "strategy"
 
 
+@pytest.mark.parametrize("fields,field", [
+    ({"algorithm": "fedsgd"}, "strategy.algorithm"),
+    ({"algorithm": "fedprox", "mu": -0.1}, "strategy.mu"),
+    ({"algorithm": "feddyn", "alpha": 0.0}, "strategy.alpha"),
+    ({"algorithm": "fedadam", "eta_g": 0.0}, "strategy.eta_g"),
+    ({"algorithm": "fedyogi", "gamma": -0.001}, "strategy.gamma"),
+], ids=["algorithm", "mu", "alpha", "eta_g", "gamma"])
+def test_strategy_config_range_check_names_its_field(fields, field):
+    with pytest.raises(ConfigError) as err:
+        StrategyConfig(**fields)
+    assert err.value.field == field
+
+
 # ---------------------------------------------------------------------------
 # local objective modifiers
 

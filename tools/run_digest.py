@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Run a fixed set of fedbench experiments and print one SHA-256 per output file.
+"""Run a fixed set of fedbench experiments and print one SHA-256 per output file
+(per row of a checkpoint file).
 
     python3 tools/run_digest.py OUT_DIR > digest.txt
 
@@ -11,7 +12,7 @@ The set:
 
 * every algorithm, 50 rounds, E=1, on the feature-shift benchmark at seed 0,
   checkpointing every round (the selected and the last round are kept, each
-  as ``round_NNNN/``), written to ``grid/``;
+  as ``round_NNNN.npz``), written to ``grid/``;
 * fedyogi, 10 rounds, seed 0, with ``keep_all_checkpoints`` (every round's
   checkpoint is kept), written to ``grid_keep_all/``;
 * 10 rounds at seed 0 of each other layer kind the model compiles, written
@@ -23,8 +24,8 @@ The set:
 * 1 round at seed 0 with ``keep_all_checkpoints`` of each model other than
   the batch-norm one, written to ``init/``: the layer-norm, group-norm,
   no-norm and sigmoid-BCE models of ``kinds/`` and the 2-class model of
-  ``paths/``, so that each ``round_0001/global_start.npz`` pins that model's
-  ``w_0`` (``grid_keep_all/`` pins the batch-norm one);
+  ``paths/``, so that the ``global_start`` row of each ``round_0001.npz``
+  pins that model's ``w_0`` (``grid_keep_all/`` pins the batch-norm one);
 * ``fedbench partition`` of a K=10 label-skew spec, written to
   ``partition/``, then ``fedbench sweep --grid 5x4,10x2`` with fedpxn and
   local Adam over seeds 0-2, the shape of the benchmark's ``ls_sweep_cli``
@@ -44,11 +45,12 @@ The set:
   (``significance.csv`` rounds p to 6 digits).
 
 CSV, YAML and JSON files are hashed as bytes, except ``result.json``, which
-is hashed without its wall-clock ``elapsed_seconds``.  ``.npz`` checkpoints
-are hashed as ``fedbench.params.load_paramset`` reads them: the tags and
-trainable flags, then each entry's name, dtype, shape and bytes.  So the
-digest pins parameter values, not the zip container, which records write
-times and whose members are the checkpoint format's own business.  All
+is hashed without its wall-clock ``elapsed_seconds``.  Each row of a ``.npz``
+checkpoint (``global_start``, ``global_agg``, ``client_<id>``) is hashed on its
+own line, ``<file>:<row>``, as ``fedbench.params.load_checkpoint`` reads it:
+the tags and trainable flags, then each entry's name, dtype, shape and bytes.
+So the digest pins parameter values, not the zip container, which records
+write times and whose members are the checkpoint format's own business.  All
 paths handed to fedbench are relative to OUT_DIR, so the echoed config does
 not depend on where OUT_DIR is.
 """
@@ -71,7 +73,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from fedbench import benchmarks, cli, metrics, orchestrator  # noqa: E402
 from fedbench.nn import LayerSpec  # noqa: E402
-from fedbench.params import load_paramset  # noqa: E402
+from fedbench.params import load_checkpoint  # noqa: E402
 from fedbench.strategies import ALGORITHMS  # noqa: E402
 
 ROUNDS = 50
@@ -239,15 +241,18 @@ def run_cli(argv: list[str]) -> None:
         raise SystemExit(f"fedbench {' '.join(argv)} exited {code}")
 
 
+def paramset_digest(paramset) -> str:
+    h = hashlib.sha256()
+    h.update(json.dumps([paramset.tags, paramset.trainable]).encode())
+    for name, arr in paramset.entries.items():
+        h.update(f"{name}|{arr.dtype.str}|{arr.shape}|".encode())
+        h.update(np.ascontiguousarray(arr).tobytes())
+    return h.hexdigest()
+
+
 def file_digest(path: Path) -> str:
     h = hashlib.sha256()
-    if path.suffix == ".npz":
-        paramset = load_paramset(path)
-        h.update(json.dumps([paramset.tags, paramset.trainable]).encode())
-        for name, arr in paramset.entries.items():
-            h.update(f"{name}|{arr.dtype.str}|{arr.shape}|".encode())
-            h.update(np.ascontiguousarray(arr).tobytes())
-    elif path.name == "result.json":
+    if path.name == "result.json":
         record = json.loads(path.read_text())
         record.pop("elapsed_seconds", None)
         h.update(json.dumps(record, indent=2).encode())
@@ -274,7 +279,11 @@ def main(argv=None) -> int:
     run_iid_partition()
     run_rank()
     for path in sorted(p for p in Path(".").rglob("*") if p.is_file()):
-        print(f"{file_digest(path)}  {path.as_posix()}")
+        if path.suffix == ".npz":
+            for row, paramset in load_checkpoint(path).items():
+                print(f"{paramset_digest(paramset)}  {path.as_posix()}:{row}")
+        else:
+            print(f"{file_digest(path)}  {path.as_posix()}")
     return 0
 
 
