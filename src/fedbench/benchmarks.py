@@ -5,7 +5,7 @@ from __future__ import annotations
 from .data_synth import DEFAULT_SIZES_K5, PartitionSpec
 from .nn import LayerSpec, ModelSpec
 from .orchestrator import ExperimentConfig
-from .strategies import StrategyConfig
+from .strategies import KNOBS, StrategyConfig
 
 
 def default_sizes(num_clients: int) -> list[int]:
@@ -64,9 +64,10 @@ def benchmark_config(
     data_seed: int = 0,
 ) -> ExperimentConfig:
     spec = feature_shift_spec(data_seed) if data_kind == "feature_shift" else label_skew_spec(data_seed)
+    knobs = {"mu": mu, "alpha": 0.01, "eta_g": 0.01, "gamma": 0.001}  # an algorithm is passed the ones it reads
     return ExperimentConfig(
         model=small_model(norm_kind),
-        strategy=StrategyConfig(algorithm=algorithm, mu=mu),
+        strategy=StrategyConfig(algorithm, **{k: knobs[k] for k in KNOBS.get(algorithm, ())}),
         data=spec,
         local_epochs=local_epochs,
         rounds=rounds,

@@ -4,7 +4,8 @@ Exit codes: 0 success, 2 configuration error, 3 data error,
 4 all clients diverged, 1 anything else (an ``OSError`` is ``io_error``).  A
 machine-readable error record is printed to stderr on failure.  Everything
 else lives in the config file; its dataclasses check it, naming the bad field,
-and ``config_echo.yaml`` holds every field of the config a command ran.
+and ``config_echo.yaml`` holds every field of the config a command ran (of
+the strategy's knobs, those its algorithm reads).
 Config files and ``--override`` values are UTF-8 YAML read with YAML 1.2's
 exponent floats (``1e-3``).
 ``main`` parses with one parser, built on first use and kept for the process.
@@ -38,7 +39,7 @@ from .errors import (
 )
 from .nn import LayerSpec, ModelSpec
 from .orchestrator import ExperimentConfig, load_clients, run_experiment, sweep_local_epochs
-from .strategies import FEDOPT_FAMILY, StrategyConfig
+from .strategies import StrategyConfig
 
 EXIT_OK = 0
 EXIT_OTHER = 1
@@ -58,22 +59,17 @@ _EPILOG = """exit codes:
 # ---------------------------------------------------------------------------
 # config parsing
 
-def _mapping(value, path: str, cls, extras: tuple[str, ...] = ()) -> dict:
-    """``value`` as a mapping whose keys are all fields of ``cls`` or ``extras``."""
-    keys = [f.name for f in fields(cls)] + list(extras)
-    if not isinstance(value, dict):
-        raise ConfigError(path, f"must be a mapping, got {value!r}")
-    unknown = [k for k in value if k not in keys]
-    if unknown:
-        raise ConfigError(path, f"unknown keys {unknown}; expected some of {keys}")
-    return value
-
-
 def _build(cls, section, path: str, extras: tuple[str, ...] = (), **parse):
-    """``cls(**section)`` for a config section checked by ``_mapping``; a field
-    without a default must be present, and ``parse[name]`` converts a field's
-    raw value first.  ``path`` "" is the top level."""
-    _mapping(section, path or "config", cls, extras)
+    """``cls(**section)`` for a config section, a mapping whose keys are all
+    fields of ``cls`` or ``extras``; a field without a default must be present,
+    and ``parse[name]`` converts a field's raw value first.  ``path`` "" is the
+    top level."""
+    keys = [f.name for f in fields(cls)] + list(extras)
+    if not isinstance(section, dict):
+        raise ConfigError(path or "config", f"must be a mapping, got {section!r}")
+    unknown = [k for k in section if k not in keys]
+    if unknown:
+        raise ConfigError(path or "config", f"unknown keys {unknown}; expected some of {keys}")
     for f in fields(cls):
         if f.name not in section and f.default is MISSING and f.default_factory is MISSING:
             raise ConfigError(f"{path}.{f.name}" if path else f.name, "required field missing")
@@ -126,25 +122,9 @@ def _parse_layers(raw) -> list[LayerSpec]:
     return [_build(LayerSpec, layer, f"model.layers[{i}]") for i, layer in enumerate(raw)]
 
 
-def _parse_strategy(section) -> StrategyConfig:
-    cfg = _build(StrategyConfig, section, "strategy")
-    # a config must state the hyperparameters these algorithms are tuned by
-    stated = {"fedprox": ("mu",), "fedpxn": ("mu",), "feddyn": ("alpha",),
-              **dict.fromkeys(FEDOPT_FAMILY, ("eta_g", "gamma"))}
-    for name in stated.get(cfg.algorithm, ()):
-        if name not in section:
-            raise ConfigError(f"strategy.{name}", f"{cfg.algorithm} requires {name}")
-    return cfg
-
-
 def _parse_data(section):
-    if isinstance(section, str):
-        return section
-    if not isinstance(section, dict):
-        raise ConfigError("data", f"must be a manifest path or a mapping, got {section!r}")
-    if "manifest" in section:
-        return _mapping(section, "data", PartitionSpec, ("manifest",))["manifest"]
-    return _build(PartitionSpec, section, "data", ("manifest",))
+    """A partition manifest's path, or an inline ``PartitionSpec``."""
+    return section if isinstance(section, str) else _build(PartitionSpec, section, "data")
 
 
 def _read_mapping(path, field: str) -> dict:
@@ -167,17 +147,20 @@ def parse_and_validate_config(path, overrides: list[str] | None = None,
                               out_dir=None) -> tuple[ExperimentConfig, dict]:
     """Load, override, validate; returns (config, echo).  ``out_dir``, when
     given, replaces the config's; the echo is every field of the config,
-    defaults included, and ``total_budget``, and reads back as an equal config."""
+    defaults included, but the strategy knobs its algorithm does not read, and
+    ``total_budget``, and reads back as an equal config."""
     raw = apply_overrides(_read_mapping(path, "config"), overrides or [])
     if out_dir is not None:
         raw["out_dir"] = str(out_dir)
-    cfg = _build(ExperimentConfig, raw, "", ("total_budget",), strategy=_parse_strategy,
+    cfg = _build(ExperimentConfig, raw, "", ("total_budget",),
+                 strategy=lambda s: _build(StrategyConfig, s, "strategy"),
                  model=lambda m: _build(ModelSpec, m, "model", layers=_parse_layers),
                  data=_parse_data)
     if "total_budget" in raw and raw["total_budget"] != cfg.total_budget:
         raise ConfigError("total_budget", f"declared {raw['total_budget']} != "
                           f"local_epochs*rounds = {cfg.total_budget}")
-    return cfg, {**asdict(cfg), "total_budget": cfg.total_budget}
+    echo = asdict(cfg, dict_factory=lambda items: {k: v for k, v in items if v is not None})
+    return cfg, {**echo, "total_budget": cfg.total_budget}
 
 
 def _atomic_write(path: Path, text: str) -> None:

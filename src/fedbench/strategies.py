@@ -35,10 +35,15 @@ from .params import make_weights, weighted_average
 
 log = logging.getLogger(__name__)
 
-ALGORITHMS = (
-    "fedavg", "fedprox", "fedbn", "fedpxn",
-    "fedadam", "fedadagrad", "fedyogi", "feddyn",
-)
+# The StrategyConfig fields each algorithm reads, the hyperparameters its
+# paper tunes: FedProx's mu (Li et al., MLSys 2020), FedDyn's alpha, and the
+# FedOpt server rate eta_g and adaptivity tau (``gamma``, Reddi et al.).
+KNOBS = {
+    "fedavg": (), "fedprox": ("mu",), "fedbn": (), "fedpxn": ("mu",),
+    "fedadam": ("eta_g", "gamma"), "fedadagrad": ("eta_g", "gamma"),
+    "fedyogi": ("eta_g", "gamma"), "feddyn": ("alpha",),
+}
+ALGORITHMS = tuple(KNOBS)
 FEDOPT_FAMILY = ("fedadam", "fedadagrad", "fedyogi")
 NORM_EXCLUDING = ("fedbn", "fedpxn")
 BETA1, BETA2 = 0.9, 0.99  # FedOpt momentum and second-moment decay
@@ -46,26 +51,28 @@ BETA1, BETA2 = 0.9, 0.99  # FedOpt momentum and second-moment decay
 
 @dataclass
 class StrategyConfig:
+    """An algorithm and exactly the knobs ``KNOBS`` lists for it; a knob left
+    at ``None`` is not stated."""
     algorithm: str
-    mu: float = 0.0           # fedprox / fedpxn
-    alpha: float = 0.01       # feddyn
-    eta_g: float = 0.01       # fedopt server learning rate
-    gamma: float = 0.001      # fedopt adaptivity floor
+    mu: float | None = None     # fedprox / fedpxn; 0 drops the proximal term
+    alpha: float | None = None  # feddyn
+    eta_g: float | None = None  # fedopt server learning rate
+    gamma: float | None = None  # fedopt adaptivity floor
 
     def __post_init__(self):
-        for name in ("mu", "alpha", "eta_g", "gamma"):
-            check_real(getattr(self, name), f"strategy.{name}")
         if self.algorithm not in ALGORITHMS:
             raise ConfigError("strategy.algorithm", f"unknown algorithm {self.algorithm!r}")
-        if self.mu < 0:
-            raise ConfigError("strategy.mu", "mu must be >= 0")
-        if self.algorithm == "feddyn" and self.alpha <= 0:
-            raise ConfigError("strategy.alpha", "alpha must be > 0")
-        if self.algorithm in FEDOPT_FAMILY:
-            if self.eta_g <= 0:
-                raise ConfigError("strategy.eta_g", "eta_g must be > 0")
-            if self.gamma <= 0:
-                raise ConfigError("strategy.gamma", "gamma must be > 0")
+        for name in ("mu", "alpha", "eta_g", "gamma"):
+            field, value = f"strategy.{name}", getattr(self, name)
+            if name not in KNOBS[self.algorithm]:
+                if value is not None:
+                    raise ConfigError(field, f"{self.algorithm} does not read {name}")
+            elif value is None:
+                raise ConfigError(field, "required field missing")
+            else:
+                check_real(value, field)
+                if value < 0 or (value == 0 and name != "mu"):  # only mu may be 0
+                    raise ConfigError(field, f"{name} must be {'>=' if name == 'mu' else '>'} 0")
 
     def shared_prefix(self, plan: Plan) -> int:
         """How many leading entries of a ``plan`` vector the server shares:

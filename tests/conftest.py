@@ -3,6 +3,10 @@ import pytest
 
 from fedbench.nn import Batch, LayerSpec, ModelSpec, Plan, init_params, model_forward
 from fedbench.orchestrator import ClientState
+from fedbench.strategies import KNOBS, StrategyConfig
+
+# the knob values a test that does not vary them runs at
+KNOB_VALUES = {"mu": 0.0, "alpha": 0.01, "eta_g": 0.01, "gamma": 0.001}
 
 
 def make_model(kinds, input_dim=5, hidden=6, num_classes=3, groups=2):
@@ -17,6 +21,13 @@ def make_model(kinds, input_dim=5, hidden=6, num_classes=3, groups=2):
     ]
     return ModelSpec(input_dim=input_dim, layers=layers, loss="cross_entropy",
                      num_classes=num_classes)
+
+
+def strategy_config(algorithm, **knobs):
+    """``StrategyConfig`` of ``algorithm`` stating exactly the knobs it reads:
+    each at its value in ``knobs``, else at ``KNOB_VALUES``'s."""
+    values = {**KNOB_VALUES, **knobs}
+    return StrategyConfig(algorithm, **{k: values[k] for k in KNOBS[algorithm]})
 
 
 def round_client(client_id, vec, n_k=1, diverged=False):

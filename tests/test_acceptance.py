@@ -64,6 +64,7 @@ from conftest import (
     make_model,
     random_batch,
     round_client,
+    strategy_config,
     trainable_names,
 )
 from nn_oracle import to_vector
@@ -156,7 +157,7 @@ def test_criterion_2_gradient_suite():
             ref = plan.entries(w_ref)
             batch = random_batch(spec, 8, seed + 1000)
             mu, alpha = 0.7, 0.4
-            strat = StrategyConfig(algorithm=algorithm, mu=mu, alpha=alpha)
+            strat = strategy_config(algorithm, mu=mu, alpha=alpha)
             dyn = None
             if algorithm == "feddyn":
                 rng = np.random.default_rng(seed)
@@ -224,14 +225,24 @@ def test_criterion_4_fedbn_partition_invariant(tmp_path):
     cfg.keep_all_checkpoints = True
     result = run_experiment(cfg, seed=0, out_dir=tmp_path)
     plan = Plan(cfg.model)
+    datasets = generate(cfg.data)
+    weights = make_weights([ds.n_k for ds in datasets])
 
+    prev_agg = None
     for record in result.rounds:
         rows = load_checkpoint(tmp_path / "checkpoints" / f"round_{record.round:04d}.npz")
         client_sets = [rows[f"client_{cid}"] for cid in range(5)]
-        agg = rows["global_agg"]
-        # after broadcast at the next round all non-norm entries would be the
-        # aggregated values; verify the aggregate itself is the shared part
-        # and that at least one norm parameter differs across clients
+        # the aggregate is the n_k-weighted average of the round's clients,
+        # norm entries included (the server's copy), and the next round
+        # starts from it
+        assert not record.diverged
+        agg = to_vector(plan, rows["global_agg"].entries)
+        clients = [to_vector(plan, c.entries) for c in client_sets]
+        assert np.array_equal(agg, weighted_average(clients, weights))
+        if prev_agg is not None:
+            assert np.array_equal(to_vector(plan, rows["global_start"].entries), prev_agg)
+        prev_agg = agg
+        # at least one norm parameter differs across clients
         norm_diff = False
         for name in client_sets[0].entries:
             if client_sets[0].tags[name] == NORM:
@@ -243,12 +254,10 @@ def test_criterion_4_fedbn_partition_invariant(tmp_path):
         # eq-3 distance recomputed offline matches the log to 1e-10
         w_start = to_vector(plan, rows["global_start"].entries)
         for cid, want in record.distances.items():
-            got = l2_distance_excluding_norm(to_vector(plan, client_sets[cid].entries), w_start,
-                                             plan.non_norm_slots)
+            got = l2_distance_excluding_norm(clients[cid], w_start, plan.non_norm_slots)
             assert got == pytest.approx(want, abs=1e-10)
 
     # after a round + broadcast every client evaluates with identical non-norm
-    datasets = generate(cfg.data)
     w0 = init_params(plan, 0)
     server = init_server_state(w0, cfg.strategy, plan.n_train)
     clients = [ClientState.create(ds, w0, cfg, plan) for ds in datasets]

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import nn_oracle as oracle
-from conftest import make_model
+from conftest import make_model, strategy_config
 from fedbench import orchestrator
 from fedbench.data_synth import PartitionSpec, generate, write_partition
 from fedbench.nn import (
@@ -213,7 +213,7 @@ ORACLE_LOOP_CASES = [
 @pytest.mark.parametrize("algorithm,optimizer,model", ORACLE_LOOP_CASES)
 def test_local_training_matches_oracle_loop(algorithm, optimizer, model):
     """run_local_training against the per-step loop written with the oracle."""
-    strategy = StrategyConfig(algorithm=algorithm, mu=0.1)
+    strategy = strategy_config(algorithm, mu=0.1)
     cfg = ExperimentConfig(
         model=MODELS[model](), strategy=strategy,
         data=data_spec(num_clients=1, sizes=(90,)), local_epochs=2, rounds=1, eta=0.05,

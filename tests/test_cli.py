@@ -17,8 +17,9 @@ from fedbench.cli import (
 )
 from fedbench.data_synth import PartitionSpec, write_partition
 from fedbench.errors import ConfigError
+from fedbench.strategies import ALGORITHMS, KNOBS, StrategyConfig
 
-from conftest import edit_cell
+from conftest import KNOB_VALUES, edit_cell
 
 
 def base_config(**extra):
@@ -79,6 +80,47 @@ def test_fedprox_without_mu_is_config_error(tmp_path):
     assert err.value.field == "strategy.mu"
 
 
+def test_knob_table_keeps_the_algorithms_in_order():
+    assert tuple(KNOBS) == ALGORITHMS == ("fedavg", "fedprox", "fedbn", "fedpxn",
+                                          "fedadam", "fedadagrad", "fedyogi", "feddyn")
+
+
+@pytest.mark.parametrize("knob", ["mu", "alpha", "eta_g", "gamma"])
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_strategy_states_exactly_the_knobs_its_algorithm_reads(tmp_path, capsys,
+                                                               algorithm, knob):
+    """Omitting a knob the algorithm reads, or stating one it does not read,
+    is a ConfigError naming the knob, in the library and from ``fedbench run``."""
+    section = {"algorithm": algorithm, **{k: KNOB_VALUES[k] for k in KNOBS[algorithm]}}
+    if knob in KNOBS[algorithm]:
+        del section[knob]
+        reason = "required field missing"
+    else:
+        section[knob] = 0.5
+        reason = f"{algorithm} does not read {knob}"
+    with pytest.raises(ConfigError) as err:
+        StrategyConfig(**section)
+    assert (err.value.field, err.value.reason) == (f"strategy.{knob}", reason)
+    path = write_config(tmp_path, base_config(strategy=section))
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "x")]) == EXIT_CONFIG
+    record = json.loads(capsys.readouterr().err.strip())
+    assert record == {"error": "config_error", "message": f"strategy.{knob}: {reason}"}
+    assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_echo_states_the_algorithms_knobs_and_reads_back(tmp_path, algorithm):
+    values = {"mu": 0.1, "alpha": 0.1, "eta_g": 0.02, "gamma": 0.01}
+    section = {"algorithm": algorithm, **{k: values[k] for k in KNOBS[algorithm]}}
+    path = write_config(tmp_path, base_config(strategy=section, rounds=1))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(path), "--out", str(out)]) == EXIT_OK
+    echo_path = out / "config_echo.yaml"
+    assert yaml.safe_load(echo_path.read_text())["strategy"] == section
+    ran, _ = parse_and_validate_config(path, out_dir=out)
+    assert parse_and_validate_config(echo_path)[0] == ran
+
+
 def test_grid_eta_accepted(tmp_path):
     cfg = base_config(eta=0.003)
     path = write_config(tmp_path, cfg)
@@ -131,8 +173,9 @@ def test_seed_flag_is_echoed_as_the_seeds_that_ran(tmp_path):
 
 @pytest.mark.parametrize("command", ["run", "sweep"])
 def test_echo_reads_back_as_the_config_that_ran(tmp_path, monkeypatch, command):
-    """The echo holds every field, defaults included, and parses back to the
-    config the command ran, whose out_dir is the directory it wrote to."""
+    """The echo holds every field, defaults included, of the strategy only the
+    knobs its algorithm reads, and parses back to the config the command ran,
+    whose out_dir is the directory it wrote to."""
     cfg = base_config(rounds=4, seeds=[1, 2])
     cfg["model"]["layers"].insert(1, {"kind": "batch_norm"})
     cfg["strategy"] = {"algorithm": "fedadam", "eta_g": 0.02, "gamma": 0.01}
@@ -148,7 +191,8 @@ def test_echo_reads_back_as_the_config_that_ran(tmp_path, monkeypatch, command):
     assert main(argv + (["--grid", "2x2,4x1"] if command == "sweep" else [])) == EXIT_OK
     echo_path = out / "config_echo.yaml"
     echo = yaml.safe_load(echo_path.read_text())
-    assert list(echo["strategy"]) == ["algorithm", "mu", "alpha", "eta_g", "gamma"]
+    assert list(echo["strategy"]) == (["algorithm", "eta_g", "gamma"] if command == "run"
+                                      else ["algorithm"])
     assert echo["model"]["layers"][1] == {"kind": "batch_norm", "width": 0, "groups": 1,
                                           "epsilon": 1e-5, "momentum": 0.1}
     assert echo["out_dir"] == str(out) and echo["total_budget"] == 4
@@ -614,6 +658,17 @@ def test_unwritable_out_is_an_io_error_without_a_traceback(tmp_path, capsys):
     assert out.read_text() == "a file, not a directory\n"
 
 
+def test_echo_that_cannot_be_written_is_an_io_error_leaving_no_temp_file(tmp_path, capsys):
+    path = write_config(tmp_path, base_config())
+    out = tmp_path / "out"
+    (out / "config_echo.yaml").mkdir(parents=True)  # the temp file cannot replace it
+    assert main(["run", "--config", str(path), "--out", str(out)]) == cli.EXIT_OTHER
+    record = json.loads(capsys.readouterr().err.strip())
+    assert record["error"] == "io_error" and "config_echo.yaml" in record["message"]
+    assert [p.name for p in out.iterdir()] == ["config_echo.yaml"]
+    assert not any((out / "config_echo.yaml").iterdir())
+
+
 def test_compare_nan_metric_is_config_error(tmp_path, capsys):
     c = write_results(tmp_path / "c", [float("nan"), 0.7], algorithm="c")
     d = write_results(tmp_path / "d", [0.6, 0.65], algorithm="d")
@@ -717,7 +772,11 @@ def test_partition_rejects_non_finite_and_negative_seed(tmp_path, capsys, data, 
     ("strategy.mu=.inf", "strategy.mu"),
 ])
 def test_strategy_wrong_type_is_config_error(tmp_path, capsys, override, field):
-    assert config_error_field(tmp_path, capsys, base_config(), [override]) == field
+    # an algorithm that reads the knob, so that its value's type is what fails
+    readers = {"strategy.mu": {"algorithm": "fedprox", "mu": 0.1},
+               "strategy.alpha": {"algorithm": "feddyn", "alpha": 0.1}}
+    cfg = base_config(strategy=readers.get(field, {"algorithm": "fedavg"}))
+    assert config_error_field(tmp_path, capsys, cfg, [override]) == field
 
 
 @pytest.mark.parametrize("override,field", [
@@ -787,6 +846,8 @@ def test_client_without_a_validation_example_is_config_error(tmp_path, capsys, s
     ("strategy", "uniform_pseudo_grad"),
     ("strategy", "beta1"),
     ("strategy", "beta2"),
+    # data is a manifest path or an inline spec, never a mapping naming one
+    ("data", "manifest"),
 ])
 def test_unknown_key_is_config_error(tmp_path, capsys, section, key):
     cfg = base_config()

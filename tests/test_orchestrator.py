@@ -36,9 +36,9 @@ from fedbench.orchestrator import (
     sweep_local_epochs,
 )
 from fedbench.params import l2_distance_excluding_norm, load_checkpoint
-from fedbench.strategies import StrategyConfig, init_server_state
+from fedbench.strategies import init_server_state
 
-from conftest import make_model
+from conftest import make_model, strategy_config
 from nn_oracle import to_vector
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
@@ -60,12 +60,9 @@ def data_spec(num_clients=3, sizes=(60, 50, 40), seed=9, kind="label_skew"):
 
 def experiment(algorithm="fedavg", norm=None, rounds=3, local_epochs=1, **kw):
     kinds = [norm] if norm else []
-    strat_kw = {}
-    if algorithm in ("fedprox", "fedpxn"):
-        strat_kw["mu"] = kw.pop("mu", 0.1)
     return ExperimentConfig(
         model=make_model(kinds),
-        strategy=StrategyConfig(algorithm=algorithm, **strat_kw),
+        strategy=strategy_config(algorithm, mu=kw.pop("mu", 0.1)),
         data=kw.pop("data", data_spec()),
         local_epochs=local_epochs,
         rounds=rounds,

@@ -12,9 +12,9 @@ from fedbench.params import (
     save_paramset,
     weighted_average,
 )
-from fedbench.strategies import ALGORITHMS, NORM_EXCLUDING, StrategyConfig
+from fedbench.strategies import ALGORITHMS, NORM_EXCLUDING
 
-from conftest import make_model
+from conftest import make_model, strategy_config
 
 
 @pytest.fixture
@@ -30,7 +30,7 @@ def bn_params(bn_plan):
 def partition_names(plan, algorithm):
     """(excluded, aggregated) names: the entries after and within the
     algorithm's shared prefix."""
-    k = StrategyConfig(algorithm).shared_prefix(plan)
+    k = strategy_config(algorithm).shared_prefix(plan)
     aggregated = {n for n, (start, stop, _) in plan.slots.items() if stop <= k}
     return set(plan.slots) - aggregated, aggregated
 
@@ -44,7 +44,7 @@ def test_no_norm_model_excludes_nothing():
         excluded, aggregated = partition_names(plan, algorithm)
         assert excluded == set()
         assert aggregated == set(plan.names)
-        assert StrategyConfig(algorithm).shared_prefix(plan) == plan.size
+        assert strategy_config(algorithm).shared_prefix(plan) == plan.size
 
 
 def test_bn_all_norm_excluded(bn_plan):
@@ -63,7 +63,7 @@ def test_partition_is_disjoint_cover(bn_plan, algorithms):
         assert excluded | aggregated == set(bn_plan.names)
         assert excluded & aggregated == set()
         # the prefix ends on an entry boundary
-        k = StrategyConfig(algorithm).shared_prefix(bn_plan)
+        k = strategy_config(algorithm).shared_prefix(bn_plan)
         assert all(stop <= k or start >= k for start, stop, _ in bn_plan.slots.values())
 
 

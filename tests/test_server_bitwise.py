@@ -13,7 +13,7 @@ import pytest
 
 import server_oracle as oracle
 from nn_oracle import to_paramset, to_vector
-from conftest import make_model, round_client
+from conftest import make_model, round_client, strategy_config
 from fedbench import metrics, orchestrator
 from fedbench.errors import SingleClass
 from fedbench.nn import Plan, init_params
@@ -21,7 +21,6 @@ from fedbench.params import l2_distance_excluding_norm
 from fedbench.strategies import (
     ALGORITHMS,
     NORM_EXCLUDING,
-    StrategyConfig,
     broadcast_fragment,
     init_server_state,
     server_aggregate,
@@ -42,7 +41,7 @@ CASES = [
 def test_round_vectors_match_oracle(algorithm, kind):
     """Global, m/v/h, drift and round-start vectors over six rounds of random clients."""
     plan = Plan(make_model(KINDS[kind], hidden=8, groups=2))
-    cfg = StrategyConfig(algorithm=algorithm, eta_g=0.1, gamma=0.01)
+    cfg = strategy_config(algorithm, eta_g=0.1, gamma=0.01)
     k = cfg.shared_prefix(plan)
     rng = np.random.default_rng([ALGORITHMS.index(algorithm), len(plan.slots)])
     w_0 = init_params(plan, 0)

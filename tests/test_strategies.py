@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fedbench.cli import _parse_strategy
+from fedbench.cli import _build
 from fedbench.errors import (
     AllClientsDiverged,
     ConfigError,
@@ -19,12 +19,17 @@ from fedbench.strategies import (
     update_dyn_memory,
 )
 
-from conftest import fedopt_scalar_oracle, make_model, round_client
+from conftest import fedopt_scalar_oracle, make_model, round_client, strategy_config
 
 
 def scalar_set(w=1.0):
     """A one-entry parameter vector (one trainable entry ``w``)."""
     return np.array([w])
+
+
+def parse_strategy(section):
+    """A config file's strategy section, as the CLI parses it."""
+    return _build(StrategyConfig, section, "strategy")
 
 
 # The algorithm fixes which entries are shared, so a config that states a
@@ -34,19 +39,19 @@ def test_config_rejects_policy_mismatch():
     for section in ({"algorithm": "fedavg", "policy": "all_norm_excluded"},
                     {"algorithm": "fedbn", "policy": "none"}):
         with pytest.raises(ConfigError) as err:
-            _parse_strategy(section)
+            parse_strategy(section)
         assert err.value.field == "strategy"
 
 
 def test_explicit_policy_none_for_fedbn_still_rejected():
     with pytest.raises(ConfigError) as err:
-        _parse_strategy({"algorithm": "fedbn", "policy": "none"})
+        parse_strategy({"algorithm": "fedbn", "policy": "none"})
     assert err.value.field == "strategy"
 
 
 def test_unknown_policy_is_config_error():
     with pytest.raises(ConfigError) as err:
-        _parse_strategy({"algorithm": "fedbn", "policy": "bogus"})
+        parse_strategy({"algorithm": "fedbn", "policy": "bogus"})
     assert err.value.field == "strategy"
 
 
@@ -54,8 +59,8 @@ def test_unknown_policy_is_config_error():
     ({"algorithm": "fedsgd"}, "strategy.algorithm"),
     ({"algorithm": "fedprox", "mu": -0.1}, "strategy.mu"),
     ({"algorithm": "feddyn", "alpha": 0.0}, "strategy.alpha"),
-    ({"algorithm": "fedadam", "eta_g": 0.0}, "strategy.eta_g"),
-    ({"algorithm": "fedyogi", "gamma": -0.001}, "strategy.gamma"),
+    ({"algorithm": "fedadam", "eta_g": 0.0, "gamma": 0.001}, "strategy.eta_g"),
+    ({"algorithm": "fedyogi", "eta_g": 0.01, "gamma": -0.001}, "strategy.gamma"),
 ], ids=["algorithm", "mu", "alpha", "eta_g", "gamma"])
 def test_strategy_config_range_check_names_its_field(fields, field):
     with pytest.raises(ConfigError) as err:
@@ -155,7 +160,7 @@ def test_init_server_state_fedavg_has_no_moments():
 
 def test_init_server_state_fedadam_moments():
     w0 = scalar_set()
-    state = init_server_state(w0, StrategyConfig("fedadam", gamma=0.1), 1)
+    state = init_server_state(w0, StrategyConfig("fedadam", eta_g=0.01, gamma=0.1), 1)
     assert np.array_equal(state.m, np.zeros(1))
     assert np.allclose(state.v, 0.01)
 
@@ -195,7 +200,8 @@ def test_diverged_clients_excluded():
 def test_fedopt_requires_initialized_moments():
     state = ServerState(global_params=scalar_set())
     with pytest.raises(UninitializedOptState):
-        server_aggregate(state, [round_client(0, scalar_set(2.0))], StrategyConfig("fedadam"))
+        server_aggregate(state, [round_client(0, scalar_set(2.0))],
+                         StrategyConfig("fedadam", eta_g=0.01, gamma=0.001))
 
 
 def test_fedadagrad_scalar_first_round():
@@ -249,7 +255,7 @@ def test_aggregation_idempotent_on_unchanged_clients(algorithm):
     spec = make_model(["batch_norm"])
     plan = Plan(spec)
     w0 = init_params(plan, seed=1)
-    cfg = StrategyConfig(algorithm)
+    cfg = strategy_config(algorithm)
     state = init_server_state(w0, cfg, plan.n_train)
     clients = [round_client(cid, w0.copy(), n_k=cid + 1) for cid in range(3)]
     new = server_aggregate(state, clients, cfg)
