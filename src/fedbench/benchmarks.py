@@ -42,7 +42,7 @@ def small_model(norm_kind: str = "batch_norm", input_dim: int = 8,
                 num_classes: int = 3, hidden: int = 16) -> ModelSpec:
     layers = [LayerSpec(kind="dense", width=hidden)]
     if norm_kind:
-        layers.append(LayerSpec(kind=norm_kind, groups=4 if norm_kind == "group_norm" else 1))
+        layers.append(LayerSpec(kind=norm_kind, groups=4 if norm_kind == "group_norm" else None))
     layers += [
         LayerSpec(kind="relu"),
         LayerSpec(kind="dense", width=num_classes),

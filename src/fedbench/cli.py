@@ -5,7 +5,7 @@ Exit codes: 0 success, 2 configuration error, 3 data error,
 machine-readable error record is printed to stderr on failure.  Everything
 else lives in the config file; its dataclasses check it, naming the bad field,
 and ``config_echo.yaml`` holds every field of the config a command ran (of
-the strategy's knobs, those its algorithm reads).
+the strategy, a layer or the data, those its kind reads).
 Config files and ``--override`` values are UTF-8 YAML read with YAML 1.2's
 exponent floats (``1e-3``).
 ``main`` parses with one parser, built on first use and kept for the process.
@@ -36,6 +36,7 @@ from .errors import (
     InfeasibleSizes,
     MalformedRow,
     SchemaMismatch,
+    stated,
 )
 from .nn import LayerSpec, ModelSpec
 from .orchestrator import ExperimentConfig, load_clients, run_experiment, sweep_local_epochs
@@ -146,9 +147,9 @@ def _read_mapping(path, field: str) -> dict:
 def parse_and_validate_config(path, overrides: list[str] | None = None,
                               out_dir=None) -> tuple[ExperimentConfig, dict]:
     """Load, override, validate; returns (config, echo).  ``out_dir``, when
-    given, replaces the config's; the echo is every field of the config,
-    defaults included, but the strategy knobs its algorithm does not read, and
-    ``total_budget``, and reads back as an equal config."""
+    given, replaces the config's; the echo is every field of the config that
+    its section's kind reads, defaults included, and ``total_budget``, and
+    reads back as an equal config."""
     raw = apply_overrides(_read_mapping(path, "config"), overrides or [])
     if out_dir is not None:
         raw["out_dir"] = str(out_dir)
@@ -159,7 +160,7 @@ def parse_and_validate_config(path, overrides: list[str] | None = None,
     if "total_budget" in raw and raw["total_budget"] != cfg.total_budget:
         raise ConfigError("total_budget", f"declared {raw['total_budget']} != "
                           f"local_epochs*rounds = {cfg.total_budget}")
-    echo = asdict(cfg, dict_factory=lambda items: {k: v for k, v in items if v is not None})
+    echo = asdict(cfg, dict_factory=stated)
     return cfg, {**echo, "total_budget": cfg.total_budget}
 
 

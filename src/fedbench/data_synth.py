@@ -2,7 +2,8 @@
 
 ``generate`` is the one draw loop: each client opens its own stream
 ``[seed, 1, client_id]``, draws its rows by the spec's kind, shuffles them
-once and splits them.  The kinds differ only in the draw:
+once and splits them.  The kinds differ only in the draw, and a spec holds
+the fields its kind's draw reads (``DATA_FIELDS``):
 
 * label skew   — clients share class-conditional feature distributions but
                  draw class proportions from a symmetric Dirichlet;
@@ -31,6 +32,8 @@ from .errors import (
     SchemaMismatch,
     check_int,
     check_real,
+    check_stated,
+    stated,
 )
 from .metrics import write_csv
 from .nn import Batch
@@ -38,18 +41,23 @@ from .nn import Batch
 # default size imbalance for K=5, shaped like a realistic multi-site cohort
 DEFAULT_SIZES_K5 = [400, 350, 282, 238, 226]
 MIN_CLIENT_SIZE = 7  # the smallest n with floor(0.15 n) >= 1
+# The PartitionSpec fields each kind's draw reads, and their defaults when omitted
+DATA_FIELDS = {"label_skew": ("skew_concentration", "class_separation"),
+               "feature_shift": ("shift_scale",), "iid": ()}
+DATA_DEFAULTS = {"skew_concentration": 0.5, "class_separation": 2.0, "shift_scale": 1.0}
 
 
 @dataclass
 class PartitionSpec:
+    """A partition kind and the fields ``DATA_FIELDS`` lists for it (None: not stated)."""
     kind: str  # label_skew | feature_shift | iid
     num_clients: int
     num_classes: int
     input_dim: int
     sizes: list[int]
-    skew_concentration: float = 0.5
-    shift_scale: float = 1.0
-    class_separation: float = 2.0
+    skew_concentration: float | None = None  # label_skew's Dirichlet concentration
+    shift_scale: float | None = None         # feature_shift
+    class_separation: float | None = None    # label_skew
     seed: int = 0
 
     def __post_init__(self):
@@ -59,17 +67,18 @@ class PartitionSpec:
             raise ConfigError("data.sizes", "must be a list of integers")
         for s in self.sizes:
             check_int(s, "data.sizes")
-        for name in ("skew_concentration", "shift_scale", "class_separation"):
-            check_real(getattr(self, name), f"data.{name}")
-        if self.kind not in ("label_skew", "feature_shift", "iid"):
+        if self.kind not in DATA_FIELDS:
             raise ConfigError("data.kind", f"unknown kind {self.kind!r}")
+        check_stated(self, "data", self.kind, DATA_FIELDS[self.kind], DATA_DEFAULTS)
+        for name in DATA_FIELDS[self.kind]:
+            check_real(getattr(self, name), f"data.{name}")
         if len(self.sizes) != self.num_clients:
             raise ConfigError("data.sizes", "one size per client required")
         if any(s < MIN_CLIENT_SIZE for s in self.sizes):
             raise ConfigError("data.sizes", f"every client needs >= {MIN_CLIENT_SIZE} examples")
         if self.kind == "label_skew" and self.skew_concentration <= 0:
             raise ConfigError("data.skew_concentration", "must be > 0")
-        if self.shift_scale < 0:
+        if self.kind == "feature_shift" and self.shift_scale < 0:
             raise ConfigError("data.shift_scale", "must be >= 0")
 
 
@@ -236,7 +245,7 @@ def write_partition(spec: PartitionSpec, out_dir) -> Path:
             "n_k": ds.n_k,
             "class_histogram": ds.class_histogram,
         })
-    manifest = {"spec": asdict(spec), "clients": entries}
+    manifest = {"spec": asdict(spec, dict_factory=stated), "clients": entries}
     manifest_path = out_dir / "manifest.json"
     manifest_path.write_text(json.dumps(manifest, indent=2))
     return manifest_path

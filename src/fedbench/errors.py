@@ -96,3 +96,23 @@ def check_real(value, field: str) -> None:
     if (not isinstance(value, numbers.Real) or isinstance(value, bool)
             or not (isinstance(value, numbers.Integral) or math.isfinite(value))):
         raise ConfigError(field, f"must be a finite number, got {value!r}")
+
+
+def check_stated(obj, path: str, kind: str, reads: tuple[str, ...], defaults: dict) -> None:
+    """Of the dataclass ``obj``'s fields that default to None (not stated), a stated one
+    ``kind`` does not read is a ConfigError, and an unstated one it reads takes its
+    ``defaults`` entry, or is a ConfigError if it has none."""
+    for name in [f.name for f in obj.__dataclass_fields__.values() if f.default is None]:
+        value, field = getattr(obj, name), f"{path}.{name}"
+        if name not in reads:
+            if value is not None:
+                raise ConfigError(field, f"{kind} does not read {name}")
+        elif value is None:
+            if name not in defaults:
+                raise ConfigError(field, "required field missing")
+            setattr(obj, name, defaults[name])
+
+
+def stated(items) -> dict:
+    """An ``asdict`` ``dict_factory`` that leaves out the fields not stated (None)."""
+    return {k: v for k, v in items if v is not None}

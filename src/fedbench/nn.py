@@ -17,7 +17,8 @@ result is bit-for-bit the one the wrappers give.  ``tests/test_bitwise.py``
 holds the wrapper-based code as the oracle.
 
 A ModelSpec checks itself when built, and each fault is a ConfigError naming
-its field (``model.layers[1].kind``): the last layer, and no other, is the
+its field (``model.layers[1].kind``): each layer holds the fields
+``LAYER_FIELDS`` lists for its kind, and the last layer, and no other, is the
 head that ``LOSS_HEADS`` pairs with the loss.  A ``Plan`` compiles a
 ModelSpec once into one flat float64 vector layout: trainable non-norm
 entries, then norm gains and biases (up to ``n_train``), then each
@@ -47,40 +48,48 @@ from .errors import (
     StaleCache,
     check_int,
     check_real,
+    check_stated,
 )
 from .params import NON_NORM, NORM
 
-BN_MOMENTUM = 0.1  # running-stat EMA step; convention, configurable per layer
+BN_MOMENTUM = 0.1  # running-stat EMA step; convention, configurable per batch-norm layer
 NORM_KINDS = ("batch_norm", "layer_norm", "group_norm")
 LOSS_HEADS = {"cross_entropy": "softmax_ce_head", "binary_cross_entropy": "sigmoid_bce_head"}
-HEAD_KINDS = tuple(LOSS_HEADS.values())
+# The LayerSpec fields each layer kind reads, and their defaults when omitted
+LAYER_FIELDS = {"dense": ("width",), "relu": (), "batch_norm": ("epsilon", "momentum"),
+                "layer_norm": ("epsilon",), "group_norm": ("groups", "epsilon"),
+                **dict.fromkeys(LOSS_HEADS.values(), ())}
+LAYER_DEFAULTS = {"groups": 1, "epsilon": 1e-5, "momentum": BN_MOMENTUM}  # width has none
 
 
 @dataclass
 class LayerSpec:
+    """A layer kind and the fields ``LAYER_FIELDS`` lists for it (None: not stated)."""
     kind: str
-    width: int = 0  # 0 = inherit previous width (non-dense layers)
-    groups: int = 1
-    epsilon: float = 1e-5
-    momentum: float = BN_MOMENTUM
+    width: int | None = None       # dense; any other layer keeps its input's width
+    groups: int | None = None      # group_norm
+    epsilon: float | None = None   # the norm layers
+    momentum: float | None = None  # batch_norm
 
     def check(self, path: str, last: bool) -> None:
-        """Kind, field types and ranges; ModelSpec runs this for each layer, with
-        ``path`` naming the layer by its index in a ConfigError and ``last``
-        set for the last layer, which must be a loss head and the only one."""
-        if self.kind not in ("dense", "relu") + NORM_KINDS + HEAD_KINDS:
+        """Kind, the fields it reads, their types and ranges; ModelSpec runs this
+        for each layer, with ``path`` naming the layer by its index in a ConfigError
+        and ``last`` set for the last layer, which must be a loss head and the only one."""
+        if self.kind not in LAYER_FIELDS:
             raise ConfigError(f"{path}.kind", f"unknown layer kind {self.kind!r}")
-        if (self.kind in HEAD_KINDS) != last:
+        if (self.kind in LOSS_HEADS.values()) != last:
             raise ConfigError(f"{path}.kind", "the last layer must be a loss head and no "
                               f"other may be, got {self.kind!r}")
-        check_int(self.width, f"{path}.width")
-        check_int(self.groups, f"{path}.groups", 1)
-        check_real(self.epsilon, f"{path}.epsilon")
-        check_real(self.momentum, f"{path}.momentum")
-        if not 0.0 <= self.momentum <= 1.0:
-            raise ConfigError(f"{path}.momentum", "must lie in [0, 1]")
-        if self.kind in NORM_KINDS and self.epsilon < 0:
-            raise ConfigError(f"{path}.epsilon", "must be >= 0")
+        check_stated(self, path, self.kind, LAYER_FIELDS[self.kind], LAYER_DEFAULTS)
+        for name in LAYER_FIELDS[self.kind]:
+            field, value = f"{path}.{name}", getattr(self, name)
+            if name in ("width", "groups"):
+                check_int(value, field, 1)
+                continue
+            check_real(value, field)
+            if value < 0 or (name == "momentum" and value > 1):
+                raise ConfigError(field, "must lie in [0, 1]" if name == "momentum"
+                                  else "must be >= 0")
 
 
 @dataclass
@@ -106,19 +115,14 @@ class ModelSpec:
             raise ConfigError("model.num_classes", f"head width {width} != {self.num_classes}")
 
     def resolve_widths(self) -> list[int]:
-        """Output width of every layer; validates consistency on the way."""
+        """Output width of every layer; checks that a group norm's groups divide it."""
         w = self.input_dim
         out = []
         for i, layer in enumerate(self.layers):
-            path = f"model.layers[{i}]"
             if layer.kind == "dense":
-                if layer.width <= 0:
-                    raise ConfigError(f"{path}.width", "dense needs a positive width")
                 w = layer.width
-            elif layer.width not in (0, w):
-                raise ConfigError(f"{path}.width", f"{layer.width} inconsistent with input {w}")
             elif layer.kind == "group_norm" and w % layer.groups != 0:
-                raise ConfigError(f"{path}.groups", f"must divide width {w}")
+                raise ConfigError(f"model.layers[{i}].groups", f"must divide width {w}")
             out.append(w)
         return out
 

@@ -29,6 +29,7 @@ from .errors import (
     MissingDynMemory,
     UninitializedOptState,
     check_real,
+    check_stated,
 )
 from .nn import Plan
 from .params import make_weights, weighted_average
@@ -62,17 +63,12 @@ class StrategyConfig:
     def __post_init__(self):
         if self.algorithm not in ALGORITHMS:
             raise ConfigError("strategy.algorithm", f"unknown algorithm {self.algorithm!r}")
-        for name in ("mu", "alpha", "eta_g", "gamma"):
+        check_stated(self, "strategy", self.algorithm, KNOBS[self.algorithm], {})
+        for name in KNOBS[self.algorithm]:
             field, value = f"strategy.{name}", getattr(self, name)
-            if name not in KNOBS[self.algorithm]:
-                if value is not None:
-                    raise ConfigError(field, f"{self.algorithm} does not read {name}")
-            elif value is None:
-                raise ConfigError(field, "required field missing")
-            else:
-                check_real(value, field)
-                if value < 0 or (value == 0 and name != "mu"):  # only mu may be 0
-                    raise ConfigError(field, f"{name} must be {'>=' if name == 'mu' else '>'} 0")
+            check_real(value, field)
+            if value < 0 or (value == 0 and name != "mu"):  # only mu may be 0
+                raise ConfigError(field, f"{name} must be {'>=' if name == 'mu' else '>'} 0")
 
     def shared_prefix(self, plan: Plan) -> int:
         """How many leading entries of a ``plan`` vector the server shares:

@@ -1,22 +1,26 @@
 import csv
 import json
+import logging
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
 
-from fedbench import cli, orchestrator
+from fedbench import benchmarks, cli, orchestrator
 from fedbench.cli import (
     EXIT_CONFIG,
     EXIT_DATA,
+    EXIT_DIVERGED,
     EXIT_OK,
     apply_overrides,
     main,
     parse_and_validate_config,
 )
-from fedbench.data_synth import PartitionSpec, write_partition
-from fedbench.errors import ConfigError
+from fedbench.data_synth import DATA_DEFAULTS, DATA_FIELDS, PartitionSpec, write_partition
+from fedbench.errors import ConfigError, NonFiniteLoss, stated
+from fedbench.nn import LAYER_DEFAULTS, LAYER_FIELDS, LOSS_HEADS, LayerSpec, ModelSpec
 from fedbench.strategies import ALGORITHMS, KNOBS, StrategyConfig
 
 from conftest import KNOB_VALUES, edit_cell
@@ -50,6 +54,9 @@ def base_config(**extra):
     }
     cfg.update(extra)
     return cfg
+
+
+OMITTED = object()  # a base_config field's value that leaves the field out
 
 
 def write_config(tmp_path, cfg, name="config.yaml"):
@@ -173,9 +180,9 @@ def test_seed_flag_is_echoed_as_the_seeds_that_ran(tmp_path):
 
 @pytest.mark.parametrize("command", ["run", "sweep"])
 def test_echo_reads_back_as_the_config_that_ran(tmp_path, monkeypatch, command):
-    """The echo holds every field, defaults included, of the strategy only the
-    knobs its algorithm reads, and parses back to the config the command ran,
-    whose out_dir is the directory it wrote to."""
+    """The echo holds every field, defaults included, but of the strategy, each
+    layer and the data only the fields their kind reads, and parses back to the
+    config the command ran, whose out_dir is the directory it wrote to."""
     cfg = base_config(rounds=4, seeds=[1, 2])
     cfg["model"]["layers"].insert(1, {"kind": "batch_norm"})
     cfg["strategy"] = {"algorithm": "fedadam", "eta_g": 0.02, "gamma": 0.01}
@@ -193,12 +200,14 @@ def test_echo_reads_back_as_the_config_that_ran(tmp_path, monkeypatch, command):
     echo = yaml.safe_load(echo_path.read_text())
     assert list(echo["strategy"]) == (["algorithm", "eta_g", "gamma"] if command == "run"
                                       else ["algorithm"])
-    assert echo["model"]["layers"][1] == {"kind": "batch_norm", "width": 0, "groups": 1,
-                                          "epsilon": 1e-5, "momentum": 0.1}
+    assert echo["model"]["layers"][:3] == [{"kind": "dense", "width": 6},
+                                           {"kind": "batch_norm", "epsilon": 1e-5, "momentum": 0.1},
+                                           {"kind": "relu"}]
     assert echo["out_dir"] == str(out) and echo["total_budget"] == 4
     assert echo["local_optimizer"] == "sgd" and echo["keep_all_checkpoints"] is False
-    if command == "run":
-        assert echo["data"]["class_separation"] == 2.0
+    if command == "run":  # label skew: its two fields, at their defaults
+        assert echo["data"]["skew_concentration"] == 0.5 and echo["data"]["class_separation"] == 2.0
+        assert "shift_scale" not in echo["data"]
     parsed, _ = parse_and_validate_config(echo_path)
     assert ran and all(c == parsed for c in ran)
 
@@ -706,9 +715,12 @@ def test_run_config_wrong_data_type_is_config_error(tmp_path, capsys):
 
 
 def config_error_field(tmp_path, capsys, cfg, overrides=()):
-    """Run ``fedbench run``; assert exit 2 with a JSON record, return the field it names."""
+    """Run ``fedbench run`` (with ``--out`` unless ``cfg`` states ``out_dir``);
+    assert exit 2 with a JSON record, return the field it names."""
     path = write_config(tmp_path, cfg)
-    argv = ["run", "--config", str(path), "--out", str(tmp_path / "x")]
+    argv = ["run", "--config", str(path)]
+    if "out_dir" not in cfg:
+        argv += ["--out", str(tmp_path / "x")]
     for item in overrides:
         argv += ["--override", item]
     code = main(argv)
@@ -731,9 +743,14 @@ def config_error_field(tmp_path, capsys, cfg, overrides=()):
     ({}, ["batch_size=1"], "batch_size"),
     ({"seeds": [0, 1, 0]}, [], "seeds"),
     ({}, ["eta=["], "override"),
+    ({"keep_all_checkpoints": "yes"}, [], "keep_all_checkpoints"),
+    ({"out_dir": 5}, [], "out_dir"),
+    ({"local_optimizer": "lbfgs"}, [], "local_optimizer"),
+    ({"rounds": OMITTED}, [], "rounds"),
 ])
 def test_top_level_wrong_type_is_config_error(tmp_path, capsys, extra, overrides, field):
-    assert config_error_field(tmp_path, capsys, base_config(**extra), overrides) == field
+    cfg = {k: v for k, v in base_config(**extra).items() if v is not OMITTED}
+    assert config_error_field(tmp_path, capsys, cfg, overrides) == field
 
 
 @pytest.mark.parametrize("seeds", [["-2"], ["0", "-2"], [], ["0", "0"]])
@@ -752,8 +769,10 @@ def test_run_seed_flag_gets_the_config_seed_check(tmp_path, capsys, seeds):
     ({"kind": "feature_shift", "shift_scale": float("inf")}, "data.shift_scale"),
     ({"skew_concentration": float("nan")}, "data.skew_concentration"),
     ({"class_separation": float("-inf")}, "data.class_separation"),
+    ({"kind": "feature_shift", "shift_scale": -1.0}, "data.shift_scale"),
 ])
 def test_partition_rejects_non_finite_and_negative_seed(tmp_path, capsys, data, field):
+    # each field on a kind that reads it, so that its value is what fails
     cfg = base_config()
     cfg["data"].update(data)
     path = write_config(tmp_path, cfg)
@@ -762,6 +781,7 @@ def test_partition_rejects_non_finite_and_negative_seed(tmp_path, capsys, data, 
     err = json.loads(capsys.readouterr().err.strip())
     assert err["error"] == "config_error"
     assert err["message"].split(":")[0] == field
+    assert err["message"].split(": ", 1)[1].startswith("must ")
     assert not (tmp_path / "part").exists()
 
 
@@ -791,7 +811,7 @@ def test_model_wrong_type_is_config_error(tmp_path, capsys, override, field):
 
 @pytest.mark.parametrize("layer,field", [
     ({"kind": "dense", "width": "wide"}, "model.layers[0].width"),
-    ({"kind": "dense", "width": 6, "epsilon": "1e-5"}, "model.layers[0].epsilon"),
+    ({"kind": "layer_norm", "epsilon": "1e-5"}, "model.layers[0].epsilon"),
     ({"kind": "dense", "widht": 6}, "model.layers[0]"),
     ("dense", "model.layers[0]"),
 ])
@@ -871,7 +891,7 @@ def test_declared_total_budget_is_a_known_key(tmp_path):
     (lambda m: m["layers"].insert(1, {"kind": "conv"}) or "model.layers[1].kind",
      "unknown layer kind 'conv'"),
     (lambda m: m["layers"][0].pop("width") and "model.layers[0].width",
-     "dense needs a positive width"),
+     "required field missing"),
     (lambda m: m.update(layers=[]) or "model.layers", "model has no layers"),
     (lambda m: m["layers"].insert(1, {"kind": "softmax_ce_head"}) or "model.layers[1].kind",
      "the last layer must be a loss head and no other may be, got 'softmax_ce_head'"),
@@ -884,8 +904,8 @@ def test_declared_total_budget_is_a_known_key(tmp_path):
      or "model.layers[1].groups", "must divide width 6"),
     (lambda m: m["layers"].insert(1, {"kind": "layer_norm", "epsilon": -1.0})
      or "model.layers[1].epsilon", "must be >= 0"),
-    (lambda m: m["layers"][1].update(width=4) or "model.layers[1].width",
-     "4 inconsistent with input 6"),
+    (lambda m: m["layers"].insert(1, {"kind": "batch_norm", "width": 4})
+     or "model.layers[1].width", "batch_norm does not read width"),
 ])
 def test_bad_model_structure_is_config_error(tmp_path, capsys, edit, message):
     """Each edit breaks the model section and returns the field it breaks;
@@ -901,3 +921,184 @@ def test_bad_model_structure_is_config_error(tmp_path, capsys, edit, message):
     record = json.loads(capsys.readouterr().err.strip())
     assert record == {"error": "config_error", "message": f"{field}: {message}"}
     assert not (tmp_path / "x").exists()
+
+
+# a valid value of each layer and data field, for stating it where it is not read
+LAYER_VALUES = {"width": 6, "groups": 2, "epsilon": 1e-3, "momentum": 0.5}
+DATA_VALUES = {"skew_concentration": 0.7, "shift_scale": 0.7, "class_separation": 0.7}
+HEAD_LOSSES = {head: loss for loss, head in LOSS_HEADS.items()}
+
+
+def config_with_layer(kind, **fields):
+    """base_config whose model holds a ``kind`` layer stating ``fields`` (a
+    dense one also its width, unless given): a head ends the model with its
+    loss, any other kind goes in at index 1.  Returns (config, index)."""
+    cfg = base_config()
+    layers = cfg["model"]["layers"]
+    layer = {"kind": kind, **({"width": 6} if kind == "dense" else {}), **fields}
+    if kind in HEAD_LOSSES:
+        layers[-1] = layer
+        cfg["model"]["loss"] = HEAD_LOSSES[kind]
+        return cfg, len(layers) - 1
+    layers.insert(1, layer)
+    return cfg, 1
+
+
+def library_model(cfg) -> ModelSpec:
+    model = cfg["model"]
+    return ModelSpec(input_dim=model["input_dim"], loss=model["loss"],
+                     num_classes=model["num_classes"],
+                     layers=[LayerSpec(**layer) for layer in model["layers"]])
+
+
+def run_config_error(tmp_path, capsys, cfg, argv=("run",)):
+    """``fedbench`` on ``cfg``, written as the run config or as the partition
+    spec; asserts exit 2 and that nothing was written, returns the JSON record."""
+    path = write_config(tmp_path, cfg)
+    flag = "--config" if argv[0] == "run" else "--spec"
+    assert main([*argv, flag, str(path), "--out", str(tmp_path / "x")]) == EXIT_CONFIG
+    assert not (tmp_path / "x").exists()
+    return json.loads(capsys.readouterr().err.strip())
+
+
+@pytest.mark.parametrize("kind,name", [(kind, name) for kind in LAYER_FIELDS
+                                       for name in ("width", "groups", "epsilon", "momentum")])
+def test_a_layer_holds_exactly_the_fields_its_kind_reads(tmp_path, capsys, kind, name):
+    """A field the kind does not read may not be stated; one it reads and the
+    config omits takes its default, but a dense layer's width has none.  Both
+    hold in the library and through ``fedbench run``, whose echo records the
+    field at its default."""
+    required = name == "width" and kind == "dense"
+    if name not in LAYER_FIELDS[kind] or required:
+        if required:
+            cfg, i = config_with_layer(kind)
+            del cfg["model"]["layers"][i]["width"]
+            reason = "required field missing"
+        else:
+            cfg, i = config_with_layer(kind, **{name: LAYER_VALUES[name]})
+            reason = f"{kind} does not read {name}"
+        field = f"model.layers[{i}].{name}"
+        with pytest.raises(ConfigError) as err:
+            library_model(cfg)
+        assert (err.value.field, err.value.reason) == (field, reason)
+        record = run_config_error(tmp_path, capsys, cfg)
+        assert record == {"error": "config_error", "message": f"{field}: {reason}"}
+        return
+    cfg, i = config_with_layer(kind)
+    assert getattr(library_model(cfg).layers[i], name) == LAYER_DEFAULTS[name]
+    out = tmp_path / "out"
+    path = write_config(tmp_path, {**cfg, "rounds": 1})
+    assert main(["run", "--config", str(path), "--out", str(out)]) == EXIT_OK
+    echo = yaml.safe_load((out / "config_echo.yaml").read_text())
+    assert echo["model"]["layers"][i] == {"kind": kind,
+                                          **{f: LAYER_DEFAULTS[f] for f in LAYER_FIELDS[kind]}}
+
+
+@pytest.mark.parametrize("kind,name", [(kind, name) for kind in DATA_FIELDS
+                                       for name in ("skew_concentration", "shift_scale",
+                                                    "class_separation")])
+def test_a_partition_holds_exactly_the_fields_its_kind_reads(tmp_path, capsys, kind, name):
+    """As for a layer, in the library and through ``fedbench partition``, whose
+    manifest records the spec's stated fields, defaults included."""
+    data = {**base_config()["data"], "kind": kind}
+    if name not in DATA_FIELDS[kind]:
+        data[name] = DATA_VALUES[name]
+        field, reason = f"data.{name}", f"{kind} does not read {name}"
+        with pytest.raises(ConfigError) as err:
+            PartitionSpec(**data)
+        assert (err.value.field, err.value.reason) == (field, reason)
+        record = run_config_error(tmp_path, capsys, {"data": data}, ("partition",))
+        assert record == {"error": "config_error", "message": f"{field}: {reason}"}
+        return
+    assert getattr(PartitionSpec(**data), name) == DATA_DEFAULTS[name]
+    path = write_config(tmp_path, {"data": data})
+    assert main(["partition", "--spec", str(path), "--out", str(tmp_path / "part")]) == EXIT_OK
+    manifest = json.loads((tmp_path / "part" / "manifest.json").read_text())
+    assert manifest["spec"] == {**data, **{f: DATA_DEFAULTS[f] for f in DATA_FIELDS[kind]}}
+
+
+@pytest.mark.parametrize("section,field", [
+    ({"model": {**base_config()["model"], "layers": [
+        {"kind": "dense", "width": 16, "momentum": 0.5, "groups": 4, "epsilon": 3.0},
+        {"kind": "relu"}, {"kind": "dense", "width": 3}, {"kind": "softmax_ce_head"}]}},
+     "model.layers[0].groups"),
+    ({"data": {**base_config()["data"], "kind": "feature_shift", "skew_concentration": 9.0}},
+     "data.skew_concentration"),
+])
+def test_fields_that_used_to_be_ignored_are_config_errors(tmp_path, capsys, section, field):
+    """A dense layer with norm fields and feature-shift data with a Dirichlet
+    concentration used to parse and run as if the fields were absent."""
+    record = run_config_error(tmp_path, capsys, base_config(**section))
+    assert record["message"].split(":")[0] == field
+
+
+@pytest.mark.parametrize("data_kind,head", [("label_skew", "softmax_ce_head"),
+                                            ("feature_shift", "sigmoid_bce_head"),
+                                            ("iid", "softmax_ce_head")])
+def test_echo_holds_each_kinds_fields_and_reads_back(tmp_path, data_kind, head):
+    """Every layer kind and one data kind in one run: the echo's layers and data
+    hold exactly the fields their kinds read, and read back as the config that ran."""
+    cfg = base_config(rounds=1)
+    cfg["model"]["layers"][1:1] = [{"kind": "batch_norm", "momentum": 0.5},
+                                   {"kind": "layer_norm"}, {"kind": "group_norm", "groups": 3}]
+    cfg["model"]["layers"][-1] = {"kind": head}
+    cfg["model"]["loss"] = HEAD_LOSSES[head]
+    cfg["data"]["kind"] = data_kind
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(write_config(tmp_path, cfg)), "--out", str(out)]) == EXIT_OK
+    echo_path = out / "config_echo.yaml"
+    echo = yaml.safe_load(echo_path.read_text())
+    for layer in echo["model"]["layers"]:
+        assert set(layer) == {"kind", *LAYER_FIELDS[layer["kind"]]}
+    assert [layer["kind"] for layer in echo["model"]["layers"]] == [
+        "dense", "batch_norm", "layer_norm", "group_norm", "relu", "dense", head]
+    assert echo["model"]["layers"][1:4] == [
+        {"kind": "batch_norm", "epsilon": 1e-5, "momentum": 0.5},
+        {"kind": "layer_norm", "epsilon": 1e-5}, {"kind": "group_norm", "groups": 3, "epsilon": 1e-5}]
+    assert set(echo["data"]) == set(base_config()["data"]) | set(DATA_FIELDS[data_kind])
+    assert parse_and_validate_config(echo_path)[0] == parse_and_validate_config(
+        write_config(tmp_path, cfg), out_dir=out)[0]
+
+
+def read_rows(path) -> list[dict]:
+    with open(path, newline="") as fh:
+        return list(csv.DictReader(fh))
+
+
+def test_a_real_partial_divergence_exits_4_after_flushing_its_rounds(
+        tmp_path, capsys, caplog, monkeypatch):
+    """At eta = 1e6 the benchmark's batch-norm model on its feature-shift data
+    overflows for real: clients 0-3 diverge in round 4 (one of them by a
+    non-finite loss, the others by a non-finite vector) and all five in round
+    5, so ``fedbench run`` exits 4 with rounds 1-4 flushed, round 4's drift
+    holding the one client left, and no result."""
+    raised = []
+    real_forward = orchestrator.model_forward
+
+    def forward(*args, **kwargs):  # the library's own forward, counting NonFiniteLoss
+        try:
+            return real_forward(*args, **kwargs)
+        except NonFiniteLoss:
+            raised.append(1)
+            raise
+
+    monkeypatch.setattr(orchestrator, "model_forward", forward)
+    cfg = base_config(model=asdict(benchmarks.small_model(), dict_factory=stated),
+                      data=asdict(benchmarks.feature_shift_spec(0), dict_factory=stated),
+                      eta=1.0e6, rounds=6, seeds=[0])
+    del cfg["batch_size"]
+    out = tmp_path / "out"
+    with caplog.at_level(logging.WARNING, logger="fedbench.orchestrator"):
+        code = main(["run", "--config", str(write_config(tmp_path, cfg)), "--out", str(out)])
+    assert code == EXIT_DIVERGED
+    assert json.loads(capsys.readouterr().err.strip())["error"] == "all_clients_diverged"
+    assert [r.getMessage() for r in caplog.records] == [
+        "round 4: diverged clients excluded from aggregation: [0, 1, 2, 3]",
+        "round 5: diverged clients excluded from aggregation: [0, 1, 2, 3, 4]"]
+    assert len(raised) == 1
+    seed_dir = out / "seed_0"
+    rounds = read_rows(seed_dir / "rounds.csv")
+    assert sorted({int(r["round"]) for r in rounds}) == [1, 2, 3, 4]
+    drift = [(int(r["round"]), int(r["client_id"])) for r in read_rows(seed_dir / "distances.csv")]
+    assert drift == [(t, k) for t in (1, 2, 3) for k in range(5)] + [(4, 4)]
+    assert not (seed_dir / "result.json").exists()

@@ -79,7 +79,7 @@ def test_generation_bitwise_deterministic():
 
 @pytest.mark.parametrize("seed", [0, 11])
 def test_iid_is_feature_shift_at_scale_zero(seed):
-    iid = generate(spec("iid", seed=seed, shift_scale=2.0))
+    iid = generate(spec("iid", seed=seed))
     shift = generate(spec("feature_shift", seed=seed, shift_scale=0.0))
     for a, b in zip(iid, shift, strict=True):
         for split in ("train", "val", "test"):
@@ -312,9 +312,11 @@ def test_partition_manifest_round_trip(tmp_path):
     ("class_separation", float("-inf")),
 ])
 def test_spec_field_types(field, value):
+    # a kind that reads the field, so that its value is what fails
     with pytest.raises(ConfigError) as err:
-        spec(**{field: value})
+        spec("feature_shift" if field == "shift_scale" else "label_skew", **{field: value})
     assert err.value.field == f"data.{field}"
+    assert err.value.reason.startswith("must ")
 
 
 def test_label_skew_needs_a_feature_per_class():

@@ -6,6 +6,7 @@ import pytest
 from fedbench.errors import ConfigError, DegenerateBatch, ShapeMismatch
 from fedbench.nn import (
     BN_MOMENTUM,
+    LAYER_FIELDS,
     Batch,
     ForwardCache,
     LayerSpec,
@@ -21,12 +22,13 @@ from conftest import make_model, random_batch
 
 def norm_forward(kind, x, gain, bias, running_stats, mode, epsilon, groups=1,
                  momentum=BN_MOMENTUM):
-    """Run one norm layer of a plan; returns (y, running stats after
-    ``apply_running_stats``, cache)."""
+    """Run one norm layer of a plan, stating the fields its kind reads; returns
+    (y, running stats after ``apply_running_stats``, cache)."""
     width = x.shape[1]
+    values = {"epsilon": epsilon, "groups": groups, "momentum": momentum}
     spec = ModelSpec(
         input_dim=width,
-        layers=[LayerSpec(kind=kind, epsilon=epsilon, groups=groups, momentum=momentum),
+        layers=[LayerSpec(kind=kind, **{k: values[k] for k in LAYER_FIELDS[kind]}),
                 LayerSpec(kind="softmax_ce_head")],
         loss="cross_entropy",
         num_classes=width,
@@ -175,6 +177,9 @@ def test_model_spec_checks_each_layer_with_its_index(layer, field):
     with pytest.raises(ConfigError) as err:
         model_with(LayerSpec(**layer))
     assert err.value.field == field
+    # each case but relu's width states its field on a kind that reads it, so
+    # that the field's value, not the field itself, is what fails
+    assert ("does not read" in err.value.reason) == (layer == {"kind": "relu", "width": 4})
 
 
 @pytest.mark.parametrize("kw,field", [
