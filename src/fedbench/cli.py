@@ -380,4 +380,4 @@ def _emit_error(kind: str, exc: Exception) -> None:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main())  # pragma: no cover: run as python -m, a child process line tracing misses

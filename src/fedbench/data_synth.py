@@ -153,7 +153,7 @@ def _largest_remainder(props: np.ndarray, n: int) -> np.ndarray:
     for idx in np.argsort(-remainders)[:short]:
         counts[idx] += 1
     if counts.sum() != n:
-        raise InfeasibleSizes(f"cannot place {n} examples")  # pragma: no cover
+        raise InfeasibleSizes(f"cannot place {n} examples")  # pragma: no cover: float-rounding guard
     return counts
 
 

@@ -36,20 +36,12 @@ class WeightSumViolation(FedbenchError):
     pass
 
 
-class MissingDynMemory(FedbenchError):
-    pass
-
-
 class AllClientsDiverged(FedbenchError):
     pass
 
 
 class NoSelectableRound(FedbenchError):
     """Every round's mean validation metric was NaN, so none can be selected."""
-
-
-class UninitializedOptState(FedbenchError):
-    pass
 
 
 class InfeasibleSizes(FedbenchError):

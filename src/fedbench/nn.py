@@ -42,7 +42,6 @@ import numpy as np
 from .errors import (
     ConfigError,
     DegenerateBatch,
-    KeyMismatch,
     NonFiniteLoss,
     ShapeMismatch,
     StaleCache,
@@ -142,7 +141,7 @@ class Batch:
     def from_arrays(cls, inputs, labels) -> "Batch":
         inputs = np.asarray(inputs, dtype=np.float64)
         labels = np.asarray(labels)
-        if inputs.shape[0] != labels.shape[0]:
+        if inputs.shape[0] != labels.shape[0]:  # Batch is public (fedbench.__all__)
             raise ShapeMismatch("inputs and labels disagree on batch size")
         return cls(inputs=inputs, labels=labels)
 
@@ -169,7 +168,7 @@ def _layout(spec: ModelSpec) -> list[tuple[str, tuple, str, bool]]:
 
 @dataclass
 class ForwardCache:
-    params: np.ndarray  # the vector the forward read
+    params: np.ndarray  # the vector the forward read, kept to detect a stale cache
     train: bool
     layers: list = field(default_factory=list)  # what each layer's backward needs
     head: tuple = ()  # (probs, targets)
@@ -286,7 +285,7 @@ def _norm(plan, i, layer, width):
         def standardize(v, x, cache):
             if cache.train:
                 n = x.shape[0]
-                if n < 2:
+                if n < 2:  # no batch variance; tests/nn_oracle.py mirrors this check
                     raise DegenerateBatch("batch_norm train mode needs batch size >= 2")
                 stats = np.empty(2 * width)
                 mean, var = stats[:width], stats[width:]
@@ -341,13 +340,13 @@ def labels_to_targets(spec: ModelSpec, labels: np.ndarray) -> np.ndarray:
     labels = np.asarray(labels)
     if labels.ndim == 1:
         ids = labels.astype(np.int64)
-        if ids.size and (ids.min() < 0 or ids.max() >= spec.num_classes):
+        if ids.size and (ids.min() < 0 or ids.max() >= spec.num_classes):  # public Batch input
             raise ShapeMismatch("class id outside [0, num_classes)")
         targets = np.zeros((labels.shape[0], spec.num_classes))
         targets[np.arange(labels.shape[0]), ids] = 1.0
         return targets
     if labels.shape[1] != spec.num_classes:
-        raise ShapeMismatch("multi-hot labels disagree with num_classes")
+        raise ShapeMismatch("multi-hot labels disagree with num_classes")  # pragma: no cover: no multi-hot source
     return labels.astype(np.float64)
 
 
@@ -359,7 +358,7 @@ def model_forward(plan: Plan, params: np.ndarray, batch: Batch, mode: str = "tra
     eval mode is deterministic w.r.t. params.
     """
     x = np.asarray(batch.inputs, dtype=np.float64)
-    if x.shape[0] < 1:
+    if x.shape[0] < 1:  # public Batch input, as from run_experiment(datasets=...)
         raise ShapeMismatch("empty batch")
     if x.shape[1] != plan.spec.input_dim:
         raise ShapeMismatch(f"input dim {x.shape[1]} != {plan.spec.input_dim}")
@@ -423,18 +422,15 @@ def model_backward(plan: Plan, params: np.ndarray, cache: ForwardCache,
 # ---------------------------------------------------------------------------
 # local optimizers
 #
-# A step updates the trainable prefix params[:grad.size] of a parameter
-# vector in place; the running statistics after it are left as they are.
+# A step updates the trainable prefix params[:grad.size] of a parameter vector in
+# place (the caller sizes grad and AdamState to n_train); running stats stay as they are.
 
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8  # Kingma and Ba (ICLR 2015)
 
 
 def local_sgd_step(params: np.ndarray, grad: np.ndarray, eta: float) -> None:
     """One step of w <- w - eta*g."""
-    n = grad.shape[0]
-    if n > params.shape[0]:
-        raise KeyMismatch("gradient is longer than the parameter vector")
-    w = params[:n]
+    w = params[:grad.shape[0]]
     np.subtract(w, eta * grad, out=w)
 
 
@@ -456,9 +452,6 @@ def local_adam_step(params: np.ndarray, grad: np.ndarray, state: AdamState, eta:
     ``m = b1*m + (1-b1)*g``, ``v = b2*v + (1-b2)*g*g`` and
     ``w = w - eta*m_hat / (sqrt(v_hat) + eps)``, with ``b1, b2, eps`` the
     ``ADAM_*`` constants, so the bits are the same."""
-    n = grad.shape[0]
-    if n != state.m.shape[0] or n > params.shape[0]:
-        raise KeyMismatch("gradient size differs from the Adam state's")
     state.step += 1
     t = state.step
     m, v = state.m, state.v
@@ -472,5 +465,5 @@ def local_adam_step(params: np.ndarray, grad: np.ndarray, state: AdamState, eta:
     v_hat += ADAM_EPS
     m_hat *= eta
     m_hat /= v_hat
-    w = params[:n]
+    w = params[:grad.shape[0]]
     w -= m_hat

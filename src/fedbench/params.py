@@ -48,7 +48,7 @@ class ParamSet:
 
     def __post_init__(self):
         for name in self.entries:
-            if name not in self.tags or name not in self.trainable:
+            if name not in self.tags or name not in self.trainable:  # a file's __meta__ may omit one
                 raise KeyMismatch(f"entry {name!r} missing tag or trainable flag")
 
     # a run never calls this; it stays for perfbench's ``params.copy`` span and the test oracles
@@ -67,17 +67,11 @@ def make_weights(sizes: list[int]) -> list[float]:
 
 
 def weighted_average(vectors: list[np.ndarray], weights: list[float]) -> np.ndarray:
-    """Elementwise convex combination ``sum_k w_k * v_k`` of equal-length
-    vectors, accumulated in list order."""
-    if not vectors:
-        raise KeyMismatch("need at least one vector")
-    if len(vectors) != len(weights):
-        raise KeyMismatch("weights/vectors length mismatch")
+    """Elementwise ``sum_k w_k * v_k`` in list order over ``server_aggregate``'s vectors
+    (one or more, of one plan) and weights, which must sum to 1 (acceptance criterion 3)."""
     total = sum(weights)
     if abs(total - 1.0) > WEIGHT_SUM_TOL:
         raise WeightSumViolation(f"weights sum to {total!r}, expected 1")
-    if any(v.shape != vectors[0].shape for v in vectors):
-        raise KeyMismatch("vectors have different lengths")
     acc = np.zeros_like(vectors[0])
     for v, w in zip(vectors, weights):
         acc += w * v
@@ -90,8 +84,6 @@ def l2_distance_excluding_norm(a: np.ndarray, b: np.ndarray,
     of local drift).  ``slots`` are the (start, stop) of each non-norm entry
     (``Plan.non_norm_slots``); each entry's squares are summed on their own and
     the sums added in name order, which fixes the bits."""
-    if a.shape != b.shape:
-        raise KeyMismatch("vectors have different lengths")
     diff = a - b
     squares = diff * diff
     total = 0.0

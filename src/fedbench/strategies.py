@@ -26,8 +26,6 @@ import numpy as np
 from .errors import (
     AllClientsDiverged,
     ConfigError,
-    MissingDynMemory,
-    UninitializedOptState,
     check_real,
     check_stated,
 )
@@ -109,13 +107,10 @@ def local_loss_grad(
 ) -> np.ndarray:
     """Apply the strategy's local-objective modification to a base gradient, in
     place.  ``base_grad`` covers the trainable prefix of the vectors ``w_local``
-    and ``w_global`` (one plan's layout, checked once per client round), whose
-    non-norm entries end at ``norm_start``; ``dyn`` is FedDyn's client memory
-    ``g_k`` over the same prefix."""
+    and ``w_global`` (both in one plan's layout), whose non-norm entries end at
+    ``norm_start``; ``dyn`` is FedDyn's client memory ``g_k`` over the same
+    prefix, which ``ClientState.create`` gives every feddyn client."""
     algorithm = cfg.algorithm
-    if algorithm == "feddyn" and dyn is None:
-        raise MissingDynMemory("feddyn requires its client memory")
-
     if algorithm in ("fedavg", "fedbn") or algorithm in FEDOPT_FAMILY:
         return base_grad
     if algorithm in ("fedprox", "fedpxn"):
@@ -143,9 +138,9 @@ def update_dyn_memory(g: np.ndarray, w_local: np.ndarray, w_ref: np.ndarray,
 def server_aggregate(server: ServerState, clients: list, cfg: StrategyConfig) -> ServerState:
     """One aggregation step over the round's clients, ``orchestrator.ClientState``s
     after local training whose ``params``, ``n_k`` and ``diverged`` it reads;
-    returns a fresh ServerState with round+1.  Every rule starts from one
-    average of the alive clients' vectors, summed in the order given (the
-    run's, sorted by id)."""
+    returns a fresh ServerState with round+1, which like ``init_server_state``'s
+    holds the algorithm's ``m``/``v`` or ``h``.  Every rule starts from one average
+    of the alive clients' vectors, summed in the order given (the run's, by id)."""
     algorithm = cfg.algorithm
     alive = [c for c in clients if not c.diverged]
     if not alive:
@@ -160,8 +155,6 @@ def server_aggregate(server: ServerState, clients: list, cfg: StrategyConfig) ->
     m = v = h = None
 
     if algorithm == "feddyn":
-        if server.h is None:
-            raise UninitializedOptState("feddyn requires an initialized h")
         # Acar et al. (ICLR 2021), Algorithm 1: h <- h - (alpha/m) sum_k
         # (theta_k - theta^{t-1}) over the m clients of the round, and theta^t
         # is the uniform mean of the client vectors minus h / alpha.  h covers
@@ -173,8 +166,6 @@ def server_aggregate(server: ServerState, clients: list, cfg: StrategyConfig) ->
         h = server.h - cfg.alpha / len(clients) * drift
         new_global[:n] -= h / cfg.alpha
     elif algorithm in FEDOPT_FAMILY:
-        if server.m is None or server.v is None:
-            raise UninitializedOptState(f"{algorithm} requires initialized m, v")
         # the trainable prefix steps by the moments; running statistics carry
         # no meaningful pseudo-gradient and keep the average
         n = server.m.shape[0]

@@ -14,6 +14,7 @@ from fedbench.cli import (
     EXIT_DATA,
     EXIT_DIVERGED,
     EXIT_OK,
+    EXIT_OTHER,
     apply_overrides,
     main,
     parse_and_validate_config,
@@ -154,6 +155,16 @@ def test_override_visible_in_echo(tmp_path, capsys):
     echo = yaml.safe_load((out / "config_echo.yaml").read_text())
     assert echo["eta"] == 0.05
     assert echo["total_budget"] == 2
+
+
+def test_override_builds_a_section_the_config_omits(tmp_path):
+    cfg = base_config()
+    del cfg["strategy"]
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(write_config(tmp_path, cfg)), "--out", str(out),
+                 "--override", "strategy.algorithm=fedavg"]) == EXIT_OK
+    echo = yaml.safe_load((out / "config_echo.yaml").read_text())
+    assert echo["strategy"] == {"algorithm": "fedavg"}
 
 
 def test_run_three_seeds_creates_dirs_and_summary(tmp_path):
@@ -324,10 +335,11 @@ def test_exit_code_missing_config(tmp_path, capsys):
     assert code == EXIT_CONFIG
 
 
-@pytest.mark.parametrize(
-    "content", [None, "- 1\n- 2\n", "data: [1, 2\n"], ids=["missing", "not_a_mapping", "bad_yaml"]
-)
-def test_partition_bad_spec_is_config_error(tmp_path, capsys, content):
+@pytest.mark.parametrize("content,field", [
+    (None, "spec"), ("- 1\n- 2\n", "spec"), ("data: [1, 2\n", "spec"),
+    ("data: partition/manifest.json\n", "data"),  # partition needs an inline spec
+], ids=["missing", "not_a_mapping", "bad_yaml", "manifest_path"])
+def test_partition_bad_spec_is_config_error(tmp_path, capsys, content, field):
     spec = tmp_path / "spec.yaml"
     if content is not None:
         spec.write_text(content)
@@ -335,7 +347,8 @@ def test_partition_bad_spec_is_config_error(tmp_path, capsys, content):
     assert code == EXIT_CONFIG
     err = json.loads(capsys.readouterr().err.strip())
     assert err["error"] == "config_error"
-    assert err["message"].startswith("spec:")
+    assert err["message"].startswith(f"{field}:")
+    assert not (tmp_path / "part").exists()
 
 
 @pytest.mark.parametrize("command,flag,field", [("run", "--config", "config"),
@@ -617,6 +630,14 @@ def test_compare_result_without_metric_is_config_error(tmp_path, capsys):
     (bad / "seed_0" / "result.json").write_text(json.dumps({"algorithm": "fedprox"}))
     code = main(["compare", "--results", str(good), str(bad)])
     assert_results_config_error(capsys, code, str(bad / "seed_0" / "result.json"))
+
+
+def test_compare_tree_without_seed_results_is_config_error(tmp_path, capsys):
+    good = write_results(tmp_path / "good", [0.6, 0.7])
+    empty = tmp_path / "empty"
+    empty.mkdir()
+    code = main(["compare", "--results", str(good), str(empty)])
+    assert_results_config_error(capsys, code, f"no seed_*/result.json under {empty}")
 
 
 def test_report_truncated_result_is_config_error(tmp_path, capsys):
@@ -1065,6 +1086,7 @@ def read_rows(path) -> list[dict]:
         return list(csv.DictReader(fh))
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # an overflow ending finite is no divergence
 def test_a_real_partial_divergence_exits_4_after_flushing_its_rounds(
         tmp_path, capsys, caplog, monkeypatch):
     """At eta = 1e6 the benchmark's batch-norm model on its feature-shift data
@@ -1101,4 +1123,24 @@ def test_a_real_partial_divergence_exits_4_after_flushing_its_rounds(
     assert sorted({int(r["round"]) for r in rounds}) == [1, 2, 3, 4]
     drift = [(int(r["round"]), int(r["client_id"])) for r in read_rows(seed_dir / "distances.csv")]
     assert drift == [(t, k) for t in (1, 2, 3) for k in range(5)] + [(4, 4)]
+    assert not (seed_dir / "result.json").exists()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("metric", ["auroc", "auprc"])
+def test_a_run_that_selects_no_round_exits_1_after_flushing_its_rounds(tmp_path, capsys, metric):
+    """Label skew at concentration 0.01 gives each client of data seed 0 one
+    class, so no validation split can be ranked, every round's mean is NaN, and
+    ``NoSelectableRound`` reaches the CLI as the generic error record."""
+    data = {**base_config()["data"], "sizes": [40, 40, 40], "seed": 0, "skew_concentration": 0.01}
+    cfg = base_config(data=data, selection_metric=metric)
+    out = tmp_path / "out"
+    code = main(["run", "--config", str(write_config(tmp_path, cfg)), "--out", str(out)])
+    assert code == EXIT_OTHER
+    assert json.loads(capsys.readouterr().err.strip()) == {
+        "error": "error", "message": f"mean validation {metric} is NaN in all 2 rounds"}
+    seed_dir = out / "seed_0"
+    rows = read_rows(seed_dir / "rounds.csv")
+    assert sorted({int(r["round"]) for r in rows}) == [1, 2]
+    assert {r["value"] for r in rows if r["split"] == "val"} == {"nan"}
     assert not (seed_dir / "result.json").exists()

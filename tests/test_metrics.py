@@ -160,6 +160,14 @@ def test_mwu_all_ties_p_one():
     assert res.p_value == 1.0
 
 
+def test_significance_matrix_rejects_a_nan_seed_metric():
+    """A seed whose test metric is NaN (every client's test split single-class)
+    cannot be ranked against the others."""
+    results = {"a": [0.6, float("nan"), 0.7], "b": [0.5, 0.55, 0.65]}
+    with pytest.raises(NonFiniteScore, match="samples must not hold NaN"):
+        significance_matrix(results)
+
+
 def test_mwu_empty_sample():
     with pytest.raises(EmptySample):
         mann_whitney_u([], [1.0])

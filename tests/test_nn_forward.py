@@ -226,3 +226,8 @@ def test_batch_rows_are_the_rows_of_its_inputs():
     assert Batch(inputs=x, labels=y).size == Batch.from_arrays(x, y).size == 4
     with pytest.raises(TypeError):
         Batch(inputs=x, labels=y, size=2)  # a row count of its own could disagree
+
+
+def test_batch_from_arrays_rejects_labels_of_another_length():
+    with pytest.raises(ShapeMismatch, match="inputs and labels disagree on batch size"):
+        Batch.from_arrays(np.zeros((4, 2)), np.zeros(3, dtype=int))

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from fedbench.errors import KeyMismatch
 from fedbench.nn import AdamState, local_adam_step, local_sgd_step
 
 
@@ -35,12 +34,6 @@ def test_sgd_passes_running_stats_through():
     p = np.array([1.0, 0.7])  # trainable w, then a running stat the gradient does not cover
     local_sgd_step(p, np.array([1.0]), eta=0.1)
     assert p[1] == 0.7
-
-
-def test_sgd_key_mismatch():
-    p = scalar_params()
-    with pytest.raises(KeyMismatch):
-        local_sgd_step(p, np.zeros(2), eta=0.1)
 
 
 def test_adam_zero_gradient_zero_moments_is_identity():

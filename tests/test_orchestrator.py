@@ -13,10 +13,10 @@ from fedbench.data_synth import PartitionSpec, generate, write_partition
 from fedbench.errors import (
     AllClientsDiverged,
     ConfigError,
-    KeyMismatch,
     NoSelectableRound,
     NonFiniteLoss,
     SchemaMismatch,
+    ShapeMismatch,
 )
 from fedbench.nn import (
     Batch,
@@ -304,7 +304,6 @@ def test_checkpoints_written_once_per_run(monkeypatch, tmp_path):
                       ["global_start", "global_agg", "client_0", "client_1", "client_2"])]
 
 
-@pytest.mark.filterwarnings("ignore:Mean of empty slice")
 def test_no_checkpoint_is_named_best(monkeypatch, tmp_path):
     """The selected round's checkpoint has one name, its round's."""
     cfg = experiment(rounds=3)
@@ -385,7 +384,6 @@ def test_all_clients_diverged_flushes_the_completed_rounds_drift(monkeypatch, tm
         assert read_csv(tmp_path / "run" / name) == want, name
 
 
-@pytest.mark.filterwarnings("ignore:Mean of empty slice")
 def test_no_selectable_round_leaves_last_round(monkeypatch, tmp_path):
     monkeypatch.setattr(orchestrator, "evaluate", lambda *a, **k: float("nan"))
     with pytest.raises(NoSelectableRound):
@@ -393,7 +391,6 @@ def test_no_selectable_round_leaves_last_round(monkeypatch, tmp_path):
     assert {p.name for p in (tmp_path / "checkpoints").iterdir()} == {"round_0005.npz"}
 
 
-@pytest.mark.filterwarnings("ignore:Mean of empty slice")
 def test_all_nan_selection_is_typed_error(monkeypatch, tmp_path):
     cfg = experiment(rounds=2)
     run_experiment(cfg, seed=0, out_dir=tmp_path / "ref")
@@ -437,7 +434,6 @@ def test_sweep_budget_enforced():
     assert exc.value.field == "sweep.splits"
 
 
-@pytest.mark.filterwarnings("ignore:Mean of empty slice")
 def test_sweep_reports_the_selected_rounds_validation_mean(monkeypatch):
     """Round 1 cannot be scored, so its mean is NaN; the sweep row reports the
     mean of the round it selected."""
@@ -575,17 +571,29 @@ def test_run_rejects_preloaded_datasets_with_a_bad_client_id(tmp_path, monkeypat
     assert not (tmp_path / "run").exists()
 
 
-def test_round_rejects_entries_keyed_unlike_the_model():
-    """The layout check runs once per client round, on the round-start vector."""
-    cfg = experiment(norm="batch_norm", rounds=1)
-    plan = Plan(cfg.model)
-    ds = generate(cfg.data)[0]
-    # a client vector from another model: layer norm has no running stats
-    other_plan = Plan(experiment(norm="layer_norm").model)
-    other = init_params(other_plan, 0)
-    client = ClientState.create(ds, other, cfg, plan)
-    with pytest.raises(KeyMismatch):
-        run_local_training(client, cfg, 0, 0, plan)
+@pytest.mark.parametrize("split", ["train", "val", "test"])
+def test_run_rejects_a_preloaded_label_outside_the_models_classes(monkeypatch, split):
+    """The class count matches, but one label is class 3 of a 3-class model."""
+    cfg = experiment(rounds=1)
+    datasets = generate(cfg.data)
+    batch = getattr(datasets[1], split)
+    labels = batch.labels.copy()
+    labels[0] = cfg.model.num_classes
+    datasets[1] = replace(datasets[1], **{split: Batch.from_arrays(batch.inputs, labels)})
+    monkeypatch.setattr(orchestrator, "run_round", lambda *args: pytest.fail("a round ran"))
+    with pytest.raises(ShapeMismatch, match=r"class id outside \[0, num_classes\)"):
+        run_experiment(cfg, seed=0, datasets=datasets)
+
+
+def test_run_rejects_a_preloaded_empty_validation_split():
+    """A preloaded client can hold any Batch; one without a validation row
+    fails at the first validation forward, after round 1's training."""
+    cfg = experiment(rounds=1)
+    datasets = generate(cfg.data)
+    val = datasets[2].val
+    datasets[2] = replace(datasets[2], val=Batch.from_arrays(val.inputs[:0], val.labels[:0]))
+    with pytest.raises(ShapeMismatch, match="empty batch"):
+        run_experiment(cfg, seed=0, datasets=datasets)
 
 
 def test_later_rounds_leave_published_arrays_unchanged(monkeypatch, tmp_path):

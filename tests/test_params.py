@@ -103,11 +103,6 @@ def test_bad_weight_sum_rejected():
         weighted_average([a, a.copy()], [0.5, 0.6])
 
 
-def test_keying_mismatch_rejected():
-    with pytest.raises(KeyMismatch):
-        weighted_average([np.array([1.0]), np.array([1.0, 2.0])], make_weights([1, 1]))
-
-
 def test_aggregated_values_within_client_bounds():
     rng = np.random.default_rng(5)
     vectors = [rng.standard_normal(6) for _ in range(4)]
@@ -243,6 +238,19 @@ def test_checkpoint_entry_outside_the_vector_is_rejected(tmp_path, bn_plan):
     write_raw(path, meta, vectors=stored)
     with pytest.raises(KeyMismatch, match="outside"):
         load_checkpoint(path)
+
+
+@pytest.mark.parametrize("key", ["tags", "trainable"])
+def test_checkpoint_entry_missing_from_its_meta_tags_is_rejected(tmp_path, bn_plan, key):
+    path = tmp_path / "ckpt.npz"
+    save_paramset(snapshot(bn_plan), path, bn_plan)
+    meta, stored = read_raw(path)
+    name = bn_plan.names[-1]
+    del meta[key][name]
+    write_raw(path, meta, vectors=stored)
+    with pytest.raises(KeyMismatch) as err:
+        load_checkpoint(path)
+    assert str(err.value) == f"entry {name!r} missing tag or trainable flag"
 
 
 @pytest.mark.parametrize("case", ["extra_row_name", "missing_row_name", "one_vector"])

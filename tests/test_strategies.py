@@ -2,15 +2,9 @@ import numpy as np
 import pytest
 
 from fedbench.cli import _build
-from fedbench.errors import (
-    AllClientsDiverged,
-    ConfigError,
-    MissingDynMemory,
-    UninitializedOptState,
-)
+from fedbench.errors import AllClientsDiverged, ConfigError
 from fedbench.nn import Plan, init_params
 from fedbench.strategies import (
-    ServerState,
     StrategyConfig,
     broadcast_fragment,
     init_server_state,
@@ -93,13 +87,6 @@ def test_fedpxn_skips_norm_entries():
     out = local_loss_grad(base, local, glob, 1, StrategyConfig("fedpxn", mu=0.1))
     assert out[1] == pytest.approx(0.2, abs=1e-15)  # no proximal pull
     assert out[0] == pytest.approx(0.4, abs=1e-15)
-
-
-def test_feddyn_requires_memory():
-    base = np.array([0.1])
-    with pytest.raises(MissingDynMemory):
-        local_loss_grad(base, np.array([1.0]), np.array([1.0]), 1,
-                        StrategyConfig("feddyn", alpha=0.1))
 
 
 def test_feddyn_gradient_matches_finite_difference_of_modified_objective():
@@ -195,13 +182,6 @@ def test_diverged_clients_excluded():
                round_client(1, scalar_set(np.nan), diverged=True)]
     new = server_aggregate(state, clients, StrategyConfig("fedavg"))
     assert new.global_params[0] == 2.0
-
-
-def test_fedopt_requires_initialized_moments():
-    state = ServerState(global_params=scalar_set())
-    with pytest.raises(UninitializedOptState):
-        server_aggregate(state, [round_client(0, scalar_set(2.0))],
-                         StrategyConfig("fedadam", eta_g=0.01, gamma=0.001))
 
 
 def test_fedadagrad_scalar_first_round():
