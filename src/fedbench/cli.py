@@ -184,9 +184,9 @@ def cmd_run(args) -> int:
     # --seed is an override of seeds, so the config's checks and the echo see it
     seed_override = [] if args.seed is None else [f"seeds={args.seed}"]
     cfg, echo = parse_and_validate_config(args.config, args.override + seed_override, args.out)
+    datasets = load_clients(cfg)  # once for every seed, before anything is written
     out_dir = Path(cfg.out_dir)
     _atomic_write(out_dir / "config_echo.yaml", yaml.dump(echo, Dumper=_Dumper, sort_keys=False))
-    datasets = load_clients(cfg)  # once for every seed
     per_seed = []
     for seed in cfg.seeds:
         result = run_experiment(cfg, seed, out_dir=out_dir / f"seed_{seed}", datasets=datasets)
@@ -217,9 +217,10 @@ def cmd_sweep(args) -> int:
     cfg, echo = parse_and_validate_config(args.config, args.override, args.out)
     splits = _parse_grid(args.grid)
     cfg.check_splits(splits)  # before anything is written
+    datasets = load_clients(cfg)  # once for every split, before anything is written
     out_dir = Path(cfg.out_dir)
     _atomic_write(out_dir / "config_echo.yaml", yaml.dump(echo, Dumper=_Dumper, sort_keys=False))
-    rows = sweep_local_epochs(cfg, splits, out_dir=out_dir)
+    rows = sweep_local_epochs(cfg, splits, out_dir=out_dir, datasets=datasets)
     lines = ["local_epochs,rounds,seed,selected_round,mean_val_metric,mean_test_metric"]
     lines += [f"{r['local_epochs']},{r['rounds']},{r['seed']},{r['selected_round']},"
               f"{r['mean_val_metric']:.6f},{r['mean_test_metric']:.6f}" for r in rows]

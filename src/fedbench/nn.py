@@ -358,7 +358,7 @@ def model_forward(plan: Plan, params: np.ndarray, batch: Batch, mode: str = "tra
     eval mode is deterministic w.r.t. params.
     """
     x = np.asarray(batch.inputs, dtype=np.float64)
-    if x.shape[0] < 1:  # public Batch input, as from run_experiment(datasets=...)
+    if x.shape[0] < 1:  # public Batch input
         raise ShapeMismatch("empty batch")
     if x.shape[1] != plan.spec.input_dim:
         raise ShapeMismatch(f"input dim {x.shape[1]} != {plan.spec.input_dim}")

@@ -156,9 +156,9 @@ class ClientState:
     @classmethod
     def create(cls, ds: ClientDataset, w_0: np.ndarray, cfg: ExperimentConfig,
                plan: Plan) -> "ClientState":
-        """A client at the start of a run.  Its targets are built here, once per
-        run (validating the class ids), into new Batches: the ClientDataset may
-        be shared between runs and is never written."""
+        """A client at the start of a run, its ``n_k`` read from its rows.  Its
+        targets are built here, once per run, into new Batches: the
+        ClientDataset may be shared between runs and is never written."""
         def split(batch: Batch) -> Batch:
             return replace(batch, targets=labels_to_targets(cfg.model, batch.labels))
 
@@ -320,10 +320,36 @@ def run_round(
 
 
 def load_clients(cfg: ExperimentConfig) -> list[ClientDataset]:
-    """``cfg.data``'s clients: the manifest's CSVs, or the spec's generated data."""
+    """``cfg.data``'s clients: the manifest's CSVs, or the spec's generated
+    data.  The class count the data declares (and a spec's input width) must
+    be the model's: a ConfigError naming the model's field otherwise, so a
+    command that loads its clients first writes nothing on a mismatch."""
     if isinstance(cfg.data, (str, Path)):
-        return load_partition(cfg.data)
+        return load_partition(cfg.data, cfg.model.num_classes)
+    for name in ("num_classes", "input_dim"):
+        model, data = getattr(cfg.model, name), getattr(cfg.data, name)
+        if model != data:
+            raise ConfigError(f"model.{name}", f"the model has {model}, the data {data}")
     return generate(cfg.data)
+
+
+def _check_client(ds: ClientDataset, model: ModelSpec) -> None:
+    """SchemaMismatch naming the client, and the split at fault, unless its id
+    is a non-negative integer (the sort and ``client_rng`` need one) and each
+    split has ``model.input_dim`` columns, labels in ``[0, model.num_classes)``
+    and rows enough: 2 in train, for one step, and 1 in validation and test."""
+    cid = ds.client_id
+    if not isinstance(cid, numbers.Integral) or isinstance(cid, bool) or cid < 0:
+        raise SchemaMismatch(f"client_id {cid!r} is not a non-negative integer")
+    for name, least in (("train", 2), ("val", 1), ("test", 1)):
+        batch, where = getattr(ds, name), f"client {cid} {name} split"
+        if batch.inputs.shape[1] != model.input_dim:
+            raise SchemaMismatch(f"{where} has {batch.inputs.shape[1]} features, "
+                                 f"the model takes {model.input_dim}")
+        if batch.size < least:
+            raise SchemaMismatch(f"{where} needs at least {least} rows, has {batch.size}")
+        if batch.labels.min() < 0 or batch.labels.max() >= model.num_classes:
+            raise SchemaMismatch(f"{where} has a label outside [0, {model.num_classes})")
 
 
 def _snapshot(w_start: np.ndarray, server: ServerState,
@@ -342,27 +368,18 @@ def run_experiment(cfg: ExperimentConfig, seed: int, out_dir=None,
 
     ``datasets`` are the clients' data when the caller has already loaded
     ``cfg.data`` (nothing writes to a ClientDataset, so runs can share them).
+    Each client passes ``_check_client`` before anything is built or written.
     The run's client list is sorted by id here, the one place that orders it;
-    a client_id given twice, or not a non-negative integer, is a SchemaMismatch.
+    a client_id given twice is a SchemaMismatch.
     """
     if datasets is None:
         datasets = load_clients(cfg)
-    for cid in (ds.client_id for ds in datasets):  # the sort and client_rng need them
-        if not isinstance(cid, numbers.Integral) or isinstance(cid, bool) or cid < 0:
-            raise SchemaMismatch(f"client_id {cid!r} is not a non-negative integer")
+    for ds in datasets:
+        _check_client(ds, cfg.model)
     datasets = sorted(datasets, key=lambda ds: ds.client_id)
     for prev, ds in zip(datasets, datasets[1:]):
         if prev.client_id == ds.client_id:
             raise SchemaMismatch(f"client_id {ds.client_id} is given twice")
-    # a client's histogram has one bin per class of its partition
-    data_classes = {len(ds.class_histogram) for ds in datasets}
-    if data_classes != {cfg.model.num_classes}:
-        raise ConfigError("model.num_classes", f"the model has {cfg.model.num_classes} "
-                          f"classes, the data {sorted(data_classes)}")
-    data_dims = {ds.train.inputs.shape[1] for ds in datasets}
-    if data_dims != {cfg.model.input_dim}:
-        raise ConfigError("model.input_dim", f"the model takes {cfg.model.input_dim} "
-                          f"inputs, the data has {sorted(data_dims)}")
     plan = Plan(cfg.model)
     w_0 = init_params(plan, seed)
     w_0.flags.writeable = False
@@ -452,11 +469,14 @@ def _write_result(out_dir: Path, cfg: ExperimentConfig, result: ExperimentResult
 
 
 def sweep_local_epochs(
-    cfg: ExperimentConfig, splits: list[tuple[int, int]], out_dir=None
+    cfg: ExperimentConfig, splits: list[tuple[int, int]], out_dir=None,
+    datasets: list[ClientDataset] | None = None,
 ) -> list[dict]:
-    """One experiment per (E, T) split per seed under ``cfg``'s E*T budget."""
+    """One experiment per (E, T) split per seed under ``cfg``'s E*T budget,
+    all on ``datasets``, or on ``cfg.data`` loaded once."""
     cfg.check_splits(splits)  # every split, before the first one runs
-    datasets = load_clients(cfg)  # once for the whole sweep
+    if datasets is None:
+        datasets = load_clients(cfg)
     rows = []
     for e, t in splits:
         split_cfg = replace(cfg, local_epochs=e, rounds=t)

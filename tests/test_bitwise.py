@@ -272,9 +272,9 @@ def test_sweep_loads_the_partition_once(tmp_path, monkeypatch):
     loads = []
     real_load = orchestrator.load_partition
 
-    def counting_load(path):
+    def counting_load(path, *rest):
         loads.append(Path(path))
-        return real_load(path)
+        return real_load(path, *rest)
 
     monkeypatch.setattr(orchestrator, "load_partition", counting_load)
     rows = orchestrator.sweep_local_epochs(cfg, [(1, 2), (2, 1)], out_dir=tmp_path / "sweep")

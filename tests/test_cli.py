@@ -237,9 +237,9 @@ def test_run_loads_the_partition_once(tmp_path, monkeypatch):
     loads = []
     real_load = orchestrator.load_partition
 
-    def counting_load(manifest_path):
+    def counting_load(manifest_path, *rest):
         loads.append(Path(manifest_path))
-        return real_load(manifest_path)
+        return real_load(manifest_path, *rest)
 
     monkeypatch.setattr(orchestrator, "load_partition", counting_load)
     out = tmp_path / "out"
@@ -436,6 +436,25 @@ def test_data_with_other_input_dim_than_the_model_is_config_error(tmp_path, caps
     cfg = base_config()
     cfg["model"]["input_dim"] = 4
     assert config_error_field(tmp_path, capsys, cfg) == "model.input_dim"
+
+
+def test_run_on_a_spec_of_another_class_count_writes_nothing(tmp_path, capsys):
+    cfg = base_config()
+    cfg["data"]["num_classes"] = 4
+    assert config_error_field(tmp_path, capsys, cfg) == "model.num_classes"
+    assert not (tmp_path / "x").exists()
+
+
+def test_sweep_on_a_manifest_of_another_class_count_writes_nothing(tmp_path, capsys):
+    data = dict(base_config()["data"], num_classes=2)
+    cfg = base_config(rounds=4, data=str(write_partition(PartitionSpec(**data), tmp_path / "part")))
+    out = tmp_path / "sweep"
+    code = main(["sweep", "--config", str(write_config(tmp_path, cfg)), "--grid", "1x4,2x2",
+                 "--out", str(out)])
+    assert code == EXIT_CONFIG
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"] == "config_error" and err["message"].startswith("model.num_classes:")
+    assert not out.exists()
 
 
 def run_on_manifest(tmp_path, capsys, manifest):

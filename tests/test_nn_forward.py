@@ -149,6 +149,19 @@ def test_wrong_input_dim_rejected(bn_model, seeded_params):
         forward(bn_model, seeded_params, batch, mode="train")
 
 
+def test_empty_batch_rejected(bn_model, seeded_params):
+    """``Batch`` is public, so ``model_forward`` checks the one it is given."""
+    batch = Batch.from_arrays(np.zeros((0, 5)), np.zeros(0, dtype=int))
+    with pytest.raises(ShapeMismatch, match="^empty batch$"):
+        forward(bn_model, seeded_params, batch, mode="eval")
+
+
+def test_class_id_outside_the_model_rejected(bn_model, seeded_params):
+    batch = Batch.from_arrays(np.zeros((4, 5)), np.array([0, 1, 2, 3]))
+    with pytest.raises(ShapeMismatch, match=r"^class id outside \[0, num_classes\)$"):
+        forward(bn_model, seeded_params, batch, mode="eval")
+
+
 def model_with(layer, input_dim=5, num_classes=3):
     """dense(6) -> ``layer`` -> relu -> dense -> softmax head, built in Python."""
     return ModelSpec(

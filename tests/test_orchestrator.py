@@ -16,7 +16,6 @@ from fedbench.errors import (
     NoSelectableRound,
     NonFiniteLoss,
     SchemaMismatch,
-    ShapeMismatch,
 )
 from fedbench.nn import (
     Batch,
@@ -195,13 +194,7 @@ def test_identical_data_and_rng_collapses_to_single_client(monkeypatch):
     plan = Plan(cfg.model)
     w0 = init_params(plan, 0)
     server = init_server_state(w0, cfg.strategy, plan.n_train)
-    clients = []
-    for cid in range(3):
-        clone = type(ds)(
-            client_id=cid, train=ds.train, val=ds.val, test=ds.test,
-            n_k=ds.n_k, class_histogram=ds.class_histogram,
-        )
-        clients.append(ClientState.create(clone, w0, cfg, plan))
+    clients = [ClientState.create(replace(ds, client_id=cid), w0, cfg, plan) for cid in range(3)]
     for _ in range(2):
         server, _ = run_round(server, clients, cfg, 0, plan)
     assert np.allclose(server.global_params, clients[0].params, atol=1e-12)
@@ -540,12 +533,40 @@ def test_each_round_builds_each_start_vector_once(monkeypatch):
     assert calls == {"broadcast": 2, "merge": 2 * len(clients)}
 
 
-def test_run_checks_the_class_count_of_preloaded_datasets():
+def no_parameters_built(monkeypatch):
+    """Fail the test if ``run_experiment`` gets as far as building ``w_0``."""
+    monkeypatch.setattr(orchestrator, "init_params",
+                        lambda *args: pytest.fail("parameters were built"))
+
+
+def test_run_checks_the_class_count_of_preloaded_datasets(tmp_path, monkeypatch):
+    """Preloaded clients declare no class count; a label of a fourth class
+    in a 3-class model's run is the mismatch their rows show."""
     cfg = experiment(rounds=1)
-    datasets = generate(replace(cfg.data, num_classes=2))
+    datasets = generate(replace(cfg.data, num_classes=4))
+    cid, split = next((ds.client_id, name) for ds in datasets for name in ("train", "val", "test")
+                      if (getattr(ds, name).labels == 3).any())
+    no_parameters_built(monkeypatch)
+    with pytest.raises(SchemaMismatch) as err:
+        run_experiment(cfg, seed=0, out_dir=tmp_path / "run", datasets=datasets)
+    assert str(err.value) == f"client {cid} {split} split has a label outside [0, 3)"
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("source", ["spec", "manifest"])
+@pytest.mark.parametrize("classes", [2, 4])
+def test_run_checks_the_declared_class_count(tmp_path, monkeypatch, source, classes):
+    """An inline spec's ``num_classes`` and a manifest's ``spec.num_classes``
+    are compared with the model's before any parameter is built."""
+    cfg = experiment(rounds=1)
+    data = replace(cfg.data, num_classes=classes)
+    if source == "manifest":
+        data = str(write_partition(data, tmp_path / "part"))
+    no_parameters_built(monkeypatch)
     with pytest.raises(ConfigError) as err:
-        run_experiment(cfg, seed=0, datasets=datasets)
+        run_experiment(replace(cfg, data=data), seed=0, out_dir=tmp_path / "run")
     assert err.value.field == "model.num_classes"
+    assert not (tmp_path / "run").exists()
 
 
 def test_run_rejects_preloaded_datasets_with_a_repeated_client_id(tmp_path, monkeypatch):
@@ -571,29 +592,68 @@ def test_run_rejects_preloaded_datasets_with_a_bad_client_id(tmp_path, monkeypat
     assert not (tmp_path / "run").exists()
 
 
+def preloaded_with(split, inputs, labels, client=1):
+    """The test config's clients, with ``client``'s ``split`` replaced."""
+    datasets = generate(experiment().data)
+    datasets[client] = replace(datasets[client],
+                               **{split: Batch.from_arrays(inputs, labels)})
+    return datasets
+
+
 @pytest.mark.parametrize("split", ["train", "val", "test"])
-def test_run_rejects_a_preloaded_label_outside_the_models_classes(monkeypatch, split):
+def test_run_rejects_a_preloaded_label_outside_the_models_classes(tmp_path, monkeypatch, split):
     """The class count matches, but one label is class 3 of a 3-class model."""
     cfg = experiment(rounds=1)
-    datasets = generate(cfg.data)
-    batch = getattr(datasets[1], split)
+    batch = getattr(generate(cfg.data)[1], split)
     labels = batch.labels.copy()
     labels[0] = cfg.model.num_classes
-    datasets[1] = replace(datasets[1], **{split: Batch.from_arrays(batch.inputs, labels)})
-    monkeypatch.setattr(orchestrator, "run_round", lambda *args: pytest.fail("a round ran"))
-    with pytest.raises(ShapeMismatch, match=r"class id outside \[0, num_classes\)"):
-        run_experiment(cfg, seed=0, datasets=datasets)
+    datasets = preloaded_with(split, batch.inputs, labels)
+    no_parameters_built(monkeypatch)
+    with pytest.raises(SchemaMismatch) as err:
+        run_experiment(cfg, seed=0, out_dir=tmp_path / "run", datasets=datasets)
+    assert str(err.value) == f"client 1 {split} split has a label outside [0, 3)"
+    assert not (tmp_path / "run").exists()
 
 
-def test_run_rejects_a_preloaded_empty_validation_split():
-    """A preloaded client can hold any Batch; one without a validation row
-    fails at the first validation forward, after round 1's training."""
-    cfg = experiment(rounds=1)
-    datasets = generate(cfg.data)
-    val = datasets[2].val
-    datasets[2] = replace(datasets[2], val=Batch.from_arrays(val.inputs[:0], val.labels[:0]))
-    with pytest.raises(ShapeMismatch, match="empty batch"):
-        run_experiment(cfg, seed=0, datasets=datasets)
+@pytest.mark.parametrize("split,rows,least", [
+    ("train", 0, 2),  # would take no step, yet weigh in aggregation
+    ("train", 1, 2),  # a trailing singleton is dropped, so no step either
+    ("test", 0, 1),  # an empty validation split has its own test below
+])
+def test_run_rejects_a_preloaded_split_without_the_rows_it_needs(tmp_path, monkeypatch,
+                                                                 split, rows, least):
+    batch = getattr(generate(experiment().data)[1], split)
+    datasets = preloaded_with(split, batch.inputs[:rows], batch.labels[:rows])
+    no_parameters_built(monkeypatch)
+    with pytest.raises(SchemaMismatch) as err:
+        run_experiment(experiment(rounds=1), seed=0, out_dir=tmp_path / "run",
+                       datasets=datasets)
+    assert str(err.value) == f"client 1 {split} split needs at least {least} rows, has {rows}"
+    assert not (tmp_path / "run").exists()
+
+
+def test_run_rejects_a_preloaded_empty_validation_split(tmp_path, monkeypatch):
+    """Found before round 1 trains, and before anything is written."""
+    val = generate(experiment().data)[2].val
+    datasets = preloaded_with("val", val.inputs[:0], val.labels[:0], client=2)
+    no_parameters_built(monkeypatch)
+    with pytest.raises(SchemaMismatch, match="^client 2 val split needs at least 1 rows, has 0$"):
+        run_experiment(experiment(rounds=1), seed=0, out_dir=tmp_path / "run", datasets=datasets)
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("split", ["train", "val", "test"])
+def test_run_rejects_a_preloaded_split_of_another_width(tmp_path, monkeypatch, split):
+    """A split of 4 features for a 5-input model, the test split's included:
+    it is found before round 1, not after the last round's checkpoints."""
+    batch = getattr(generate(experiment().data)[1], split)
+    datasets = preloaded_with(split, batch.inputs[:, :4], batch.labels)
+    no_parameters_built(monkeypatch)
+    with pytest.raises(SchemaMismatch) as err:
+        run_experiment(experiment(rounds=1), seed=0, out_dir=tmp_path / "run",
+                       datasets=datasets)
+    assert str(err.value) == f"client 1 {split} split has 4 features, the model takes 5"
+    assert not (tmp_path / "run").exists()
 
 
 def test_later_rounds_leave_published_arrays_unchanged(monkeypatch, tmp_path):

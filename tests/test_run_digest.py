@@ -1,6 +1,7 @@
 """``tools/run_digest.py``, the digest every bitwise claim is checked with, runs
-end to end and prints one line per output file, and per row of a checkpoint.
-It changes its working directory, so it runs in a subprocess."""
+end to end, prints one line per output file and per row of a checkpoint, and
+prints the lines committed in ``tests/run_digest.sha256``.  It changes its
+working directory, so it runs once, in a subprocess, for the whole module."""
 
 import ast
 import re
@@ -8,14 +9,25 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "run_digest.py"
+COMMITTED = Path(__file__).resolve().parent / "run_digest.sha256"
 
 
-def test_run_digest_prints_one_digest_per_file_of_every_set(tmp_path):
-    proc = subprocess.run([sys.executable, str(TOOL), str(tmp_path / "digest")],
+@pytest.fixture(scope="module")
+def digest(tmp_path_factory):
+    """(the tool's ``--header`` lines, its OUT_DIR)."""
+    out = tmp_path_factory.mktemp("run_digest") / "digest"
+    proc = subprocess.run([sys.executable, str(TOOL), "--header", str(out)],
                           capture_output=True, text=True, timeout=600)
     assert proc.returncode == 0, proc.stderr
-    lines = proc.stdout.splitlines()
+    return proc.stdout.splitlines(), out
+
+
+def test_run_digest_prints_one_digest_per_file_of_every_set(digest):
+    (header, *lines), out = digest
+    assert header.startswith("# numpy ")
     assert lines and all(re.fullmatch(r"[0-9a-f]{64}  \S+", line) for line in lines)
     paths = [line[66:] for line in lines]
     assert len(set(paths)) == len(paths)
@@ -29,7 +41,6 @@ def test_run_digest_prints_one_digest_per_file_of_every_set(tmp_path):
         "binary", "select_auprc", "select_accuracy", "select_loss"}
     # a checkpoint is hashed row by row: each kept round file of a grid run
     # (K = 5) gives one ``<file>:<row>`` line per row, in the file's row order
-    out = tmp_path / "digest"
     files = sorted(p.relative_to(out).as_posix()
                    for p in out.glob("grid/*/checkpoints/round_*.npz"))
     assert len({f.split("/")[1] for f in files}) == 8
@@ -37,3 +48,18 @@ def test_run_digest_prints_one_digest_per_file_of_every_set(tmp_path):
     for f in files:
         assert [p[len(f) + 1:] for p in paths if p.startswith(f + ":")] == rows, f
     assert all(":" in p for p in paths if ".npz" in p)
+
+
+def test_run_digest_matches_the_committed_digest(digest):
+    """Every output bit is the committed one.  The file is made with
+    ``python3 tools/run_digest.py --header OUT_DIR > tests/run_digest.sha256``
+    and changes only with a stated cause for each path that differs."""
+    (header, *lines), _ = digest
+    committed_header, *committed = COMMITTED.read_text().splitlines()
+    assert header == committed_header, (
+        f"{COMMITTED.name} was made under {committed_header[2:]!r}, this run is under "
+        f"{header[2:]!r}; the float bits are pinned for that environment only")
+    ran, kept = (dict(line.split("  ", 1)[::-1] for line in side) for side in (lines, committed))
+    differing = sorted(path for path in ran.keys() | kept.keys() if ran.get(path) != kept.get(path))
+    assert not differing, f"outputs that differ from {COMMITTED.name}:\n" + "\n".join(differing)
+    assert lines == committed  # and in the same order

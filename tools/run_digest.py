@@ -2,11 +2,14 @@
 """Run a fixed set of fedbench experiments and print one SHA-256 per output file
 (per row of a checkpoint file).
 
-    python3 tools/run_digest.py OUT_DIR > digest.txt
+    python3 tools/run_digest.py [--header] OUT_DIR > digest.txt
 
 Run it in two checkouts and diff the digests: equal lines mean that every
 output file, checkpoints included, is bit-for-bit the same.  fedbench is
 imported from the ``src/`` next to this script, and OUT_DIR must not exist.
+``--header`` first prints the environment line (``environment``) that heads
+``tests/run_digest.sha256``, the committed digest tier-1 checks a run
+against.
 
 The set:
 
@@ -261,12 +264,21 @@ def file_digest(path: Path) -> str:
     return h.hexdigest()
 
 
+def environment() -> str:
+    """The numpy version and BLAS build that the digests' float bits depend on."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return f"# numpy {np.__version__}; {blas.get('openblas configuration', blas['name'])}"
+
+
 def main(argv=None) -> int:
     args = sys.argv[1:] if argv is None else argv
-    if len(args) != 1:
+    header = args[:1] == ["--header"]
+    if len(args) != 1 + header:
         print(__doc__.split("\n\n")[1], file=sys.stderr)
         return 2
-    out = Path(args[0])
+    if header:
+        print(environment())
+    out = Path(args[-1])
     out.mkdir(parents=True)
     os.chdir(out)
     run_grid()
