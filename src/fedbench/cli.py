@@ -220,7 +220,7 @@ def cmd_sweep(args) -> int:
     datasets = load_clients(cfg)  # once for every split, before anything is written
     out_dir = Path(cfg.out_dir)
     _atomic_write(out_dir / "config_echo.yaml", yaml.dump(echo, Dumper=_Dumper, sort_keys=False))
-    rows = sweep_local_epochs(cfg, splits, out_dir=out_dir, datasets=datasets)
+    rows = sweep_local_epochs(cfg, splits, datasets, out_dir=out_dir)
     lines = ["local_epochs,rounds,seed,selected_round,mean_val_metric,mean_test_metric"]
     lines += [f"{r['local_epochs']},{r['rounds']},{r['seed']},{r['selected_round']},"
               f"{r['mean_val_metric']:.6f},{r['mean_test_metric']:.6f}" for r in rows]

@@ -321,11 +321,16 @@ def run_round(
 
 def load_clients(cfg: ExperimentConfig) -> list[ClientDataset]:
     """``cfg.data``'s clients: the manifest's CSVs, or the spec's generated
-    data.  The class count the data declares (and a spec's input width) must
-    be the model's: a ConfigError naming the model's field otherwise, so a
-    command that loads its clients first writes nothing on a mismatch."""
+    data.  The class count the data declares and its input width must be the
+    model's: a ConfigError naming the model's field otherwise, so a command
+    that loads its clients first writes nothing on a mismatch."""
     if isinstance(cfg.data, (str, Path)):
-        return load_partition(cfg.data, cfg.model.num_classes)
+        datasets = load_partition(cfg.data, cfg.model.num_classes)
+        width = datasets[0].train.inputs.shape[1]  # every CSV of a partition has it
+        if width != cfg.model.input_dim:
+            raise ConfigError("model.input_dim", f"the model has {cfg.model.input_dim}, "
+                              f"{cfg.data} holds {width} features")
+        return datasets
     for name in ("num_classes", "input_dim"):
         model, data = getattr(cfg.model, name), getattr(cfg.data, name)
         if model != data:
@@ -469,14 +474,12 @@ def _write_result(out_dir: Path, cfg: ExperimentConfig, result: ExperimentResult
 
 
 def sweep_local_epochs(
-    cfg: ExperimentConfig, splits: list[tuple[int, int]], out_dir=None,
-    datasets: list[ClientDataset] | None = None,
+    cfg: ExperimentConfig, splits: list[tuple[int, int]], datasets: list[ClientDataset],
+    out_dir=None,
 ) -> list[dict]:
     """One experiment per (E, T) split per seed under ``cfg``'s E*T budget,
-    all on ``datasets``, or on ``cfg.data`` loaded once."""
+    all on ``datasets``, ``cfg.data``'s clients loaded once by the caller."""
     cfg.check_splits(splits)  # every split, before the first one runs
-    if datasets is None:
-        datasets = load_clients(cfg)
     rows = []
     for e, t in splits:
         split_cfg = replace(cfg, local_epochs=e, rounds=t)

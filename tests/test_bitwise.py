@@ -277,7 +277,8 @@ def test_sweep_loads_the_partition_once(tmp_path, monkeypatch):
         return real_load(path, *rest)
 
     monkeypatch.setattr(orchestrator, "load_partition", counting_load)
-    rows = orchestrator.sweep_local_epochs(cfg, [(1, 2), (2, 1)], out_dir=tmp_path / "sweep")
+    rows = orchestrator.sweep_local_epochs(cfg, [(1, 2), (2, 1)], orchestrator.load_clients(cfg),
+                                           out_dir=tmp_path / "sweep")
     assert loads == [manifest]
     assert len(rows) == 4
 

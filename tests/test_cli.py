@@ -436,6 +436,15 @@ def test_data_with_other_input_dim_than_the_model_is_config_error(tmp_path, caps
     cfg = base_config()
     cfg["model"]["input_dim"] = 4
     assert config_error_field(tmp_path, capsys, cfg) == "model.input_dim"
+    assert not (tmp_path / "x").exists()
+
+
+def test_run_on_a_manifest_of_another_width_writes_nothing(tmp_path, capsys):
+    cfg = base_config(data=str(write_partition(PartitionSpec(**base_config()["data"]),
+                                               tmp_path / "part")))
+    cfg["model"]["input_dim"] = 4
+    assert config_error_field(tmp_path, capsys, cfg) == "model.input_dim"
+    assert not (tmp_path / "x").exists()
 
 
 def test_run_on_a_spec_of_another_class_count_writes_nothing(tmp_path, capsys):

@@ -29,6 +29,7 @@ from fedbench.orchestrator import (
     ClientState,
     ExperimentConfig,
     client_rng,
+    load_clients,
     run_experiment,
     run_local_training,
     run_round,
@@ -423,7 +424,7 @@ def test_output_files_written(tmp_path):
 def test_sweep_budget_enforced():
     cfg = experiment(local_epochs=6, rounds=10)  # budget 60
     with pytest.raises(ConfigError) as exc:
-        sweep_local_epochs(cfg, splits=[(7, 9)])
+        sweep_local_epochs(cfg, [(7, 9)], load_clients(cfg))
     assert exc.value.field == "sweep.splits"
 
 
@@ -441,7 +442,7 @@ def test_sweep_reports_the_selected_rounds_validation_mean(monkeypatch):
         return real_evaluate(plan, params, batch, metric)
 
     monkeypatch.setattr(orchestrator, "evaluate", evaluate)
-    [row] = sweep_local_epochs(cfg, splits=[(1, 3)])
+    [row] = sweep_local_epochs(cfg, [(1, 3)], load_clients(cfg))
     calls.clear()
     result = run_experiment(cfg, seed=0)
     means = [r.mean_val_metric for r in result.rounds]
@@ -451,7 +452,7 @@ def test_sweep_reports_the_selected_rounds_validation_mean(monkeypatch):
 
 def test_sweep_runs_each_split():
     cfg = experiment(rounds=4)  # budget 4
-    rows = sweep_local_epochs(cfg, splits=[(1, 4), (2, 2), (4, 1)])
+    rows = sweep_local_epochs(cfg, [(1, 4), (2, 2), (4, 1)], load_clients(cfg))
     assert [(r["local_epochs"], r["rounds"]) for r in rows] == [(1, 4), (2, 2), (4, 1)]
     for row in rows:
         assert row["local_epochs"] * row["rounds"] == 4

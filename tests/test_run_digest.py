@@ -9,6 +9,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "run_digest.py"
@@ -17,17 +18,23 @@ COMMITTED = Path(__file__).resolve().parent / "run_digest.sha256"
 
 @pytest.fixture(scope="module")
 def digest(tmp_path_factory):
-    """(the tool's ``--header`` lines, its OUT_DIR)."""
+    """(the tool's lines, its OUT_DIR)."""
     out = tmp_path_factory.mktemp("run_digest") / "digest"
-    proc = subprocess.run([sys.executable, str(TOOL), "--header", str(out)],
+    proc = subprocess.run([sys.executable, str(TOOL), str(out)],
                           capture_output=True, text=True, timeout=600)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.splitlines(), out
 
 
+def environment() -> str:
+    """The numpy version and BLAS build that the digests' float bits depend on.
+    The tool runs under this interpreter, so under this numpy."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return f"# numpy {np.__version__}; {blas.get('openblas configuration', blas['name'])}"
+
+
 def test_run_digest_prints_one_digest_per_file_of_every_set(digest):
-    (header, *lines), out = digest
-    assert header.startswith("# numpy ")
+    lines, out = digest
     assert lines and all(re.fullmatch(r"[0-9a-f]{64}  \S+", line) for line in lines)
     paths = [line[66:] for line in lines]
     assert len(set(paths)) == len(paths)
@@ -51,10 +58,11 @@ def test_run_digest_prints_one_digest_per_file_of_every_set(digest):
 
 
 def test_run_digest_matches_the_committed_digest(digest):
-    """Every output bit is the committed one.  The file is made with
-    ``python3 tools/run_digest.py --header OUT_DIR > tests/run_digest.sha256``
-    and changes only with a stated cause for each path that differs."""
-    (header, *lines), _ = digest
+    """Every output bit is the committed one.  The file is ``environment()``'s
+    line, then ``python3 tools/run_digest.py OUT_DIR``'s output, and changes
+    only with a stated cause for each path that differs."""
+    lines, _ = digest
+    header = environment()
     committed_header, *committed = COMMITTED.read_text().splitlines()
     assert header == committed_header, (
         f"{COMMITTED.name} was made under {committed_header[2:]!r}, this run is under "

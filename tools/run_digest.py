@@ -2,14 +2,13 @@
 """Run a fixed set of fedbench experiments and print one SHA-256 per output file
 (per row of a checkpoint file).
 
-    python3 tools/run_digest.py [--header] OUT_DIR > digest.txt
+    python3 tools/run_digest.py OUT_DIR > digest.txt
 
 Run it in two checkouts and diff the digests: equal lines mean that every
 output file, checkpoints included, is bit-for-bit the same.  fedbench is
 imported from the ``src/`` next to this script, and OUT_DIR must not exist.
-``--header`` first prints the environment line (``environment``) that heads
-``tests/run_digest.sha256``, the committed digest tier-1 checks a run
-against.
+``tests/run_digest.sha256`` holds these lines under one that names the
+numpy and BLAS build they were made with; tier-1 checks a run against it.
 
 The set:
 
@@ -264,21 +263,12 @@ def file_digest(path: Path) -> str:
     return h.hexdigest()
 
 
-def environment() -> str:
-    """The numpy version and BLAS build that the digests' float bits depend on."""
-    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    return f"# numpy {np.__version__}; {blas.get('openblas configuration', blas['name'])}"
-
-
 def main(argv=None) -> int:
     args = sys.argv[1:] if argv is None else argv
-    header = args[:1] == ["--header"]
-    if len(args) != 1 + header:
+    if len(args) != 1:
         print(__doc__.split("\n\n")[1], file=sys.stderr)
         return 2
-    if header:
-        print(environment())
-    out = Path(args[-1])
+    out = Path(args[0])
     out.mkdir(parents=True)
     os.chdir(out)
     run_grid()
