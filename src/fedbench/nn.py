@@ -339,9 +339,12 @@ def labels_to_targets(spec: ModelSpec, labels: np.ndarray) -> np.ndarray:
     """Class ids -> one-hot; multi-hot rows pass through (as float64)."""
     labels = np.asarray(labels)
     if labels.ndim == 1:
-        ids = labels.astype(np.int64)
-        if ids.size and (ids.min() < 0 or ids.max() >= spec.num_classes):  # public Batch input
+        # public Batch input; a NaN min fails the range, and the cast would truncate 1.5
+        if labels.size and not 0 <= labels.min() <= labels.max() < spec.num_classes:
             raise ShapeMismatch("class id outside [0, num_classes)")
+        if labels.dtype.kind == "f" and (labels != np.floor(labels)).any():
+            raise ShapeMismatch("class id is not an integer")
+        ids = labels.astype(np.int64)
         targets = np.zeros((labels.shape[0], spec.num_classes))
         targets[np.arange(labels.shape[0]), ids] = 1.0
         return targets

@@ -341,8 +341,9 @@ def load_clients(cfg: ExperimentConfig) -> list[ClientDataset]:
 def _check_client(ds: ClientDataset, model: ModelSpec) -> None:
     """SchemaMismatch naming the client, and the split at fault, unless its id
     is a non-negative integer (the sort and ``client_rng`` need one) and each
-    split has ``model.input_dim`` columns, labels in ``[0, model.num_classes)``
-    and rows enough: 2 in train, for one step, and 1 in validation and test."""
+    split has ``model.input_dim`` columns, rows enough (2 in train, for one
+    step, and 1 in validation and test), finite features and integer labels in
+    ``[0, model.num_classes)``, as a CSV's rows must (multi-hot 0/1 pass)."""
     cid = ds.client_id
     if not isinstance(cid, numbers.Integral) or isinstance(cid, bool) or cid < 0:
         raise SchemaMismatch(f"client_id {cid!r} is not a non-negative integer")
@@ -353,8 +354,13 @@ def _check_client(ds: ClientDataset, model: ModelSpec) -> None:
                                  f"the model takes {model.input_dim}")
         if batch.size < least:
             raise SchemaMismatch(f"{where} needs at least {least} rows, has {batch.size}")
-        if batch.labels.min() < 0 or batch.labels.max() >= model.num_classes:
+        if not np.isfinite(batch.inputs).all():
+            raise SchemaMismatch(f"{where} has a non-finite feature")
+        labels = batch.labels
+        if not 0 <= labels.min() <= labels.max() < model.num_classes:  # a NaN min fails too
             raise SchemaMismatch(f"{where} has a label outside [0, {model.num_classes})")
+        if labels.dtype.kind == "f" and (labels != np.floor(labels)).any():
+            raise SchemaMismatch(f"{where} has a label that is not an integer")
 
 
 def _snapshot(w_start: np.ndarray, server: ServerState,
@@ -443,15 +449,13 @@ def run_experiment(cfg: ExperimentConfig, seed: int, out_dir=None,
 
 
 def _write_logs(out_dir: Path, records: list[RoundRecord]) -> None:
-    """``rounds.csv`` (train loss, validation metric) and ``distances.csv`` (drift)."""
+    """``rounds.csv``, one row per round and client (its train loss and
+    validation metric), and ``distances.csv`` (drift)."""
     out_dir.mkdir(parents=True, exist_ok=True)
-    header = ["round", "client_id", "split", "metric", "value"]
-    metrics_mod.write_csv(out_dir / "rounds.csv", header, (
-        [r.round, cid, split, metric, repr(v)]
-        for r in records
-        for split, metric, values in (("train", "loss", r.train_losses),
-                                      ("val", "selection_metric", r.val_metrics))
-        for cid, v in values.items()))
+    metrics_mod.write_csv(out_dir / "rounds.csv",
+                          ["round", "client_id", "train_loss", "val_selection_metric"],
+                          ([r.round, cid, repr(loss), repr(r.val_metrics[cid])]
+                           for r in records for cid, loss in r.train_losses.items()))
     metrics_mod.write_csv(out_dir / "distances.csv", ["round", "client_id", "sq_distance"],
                           ([r.round, cid, repr(d)] for r in records
                            for cid, d in r.distances.items()))

@@ -1148,7 +1148,8 @@ def test_a_real_partial_divergence_exits_4_after_flushing_its_rounds(
     assert len(raised) == 1
     seed_dir = out / "seed_0"
     rounds = read_rows(seed_dir / "rounds.csv")
-    assert sorted({int(r["round"]) for r in rounds}) == [1, 2, 3, 4]
+    assert [(int(r["round"]), int(r["client_id"])) for r in rounds] == [
+        (t, k) for t in (1, 2, 3, 4) for k in range(5)]
     drift = [(int(r["round"]), int(r["client_id"])) for r in read_rows(seed_dir / "distances.csv")]
     assert drift == [(t, k) for t in (1, 2, 3) for k in range(5)] + [(4, 4)]
     assert not (seed_dir / "result.json").exists()
@@ -1169,6 +1170,7 @@ def test_a_run_that_selects_no_round_exits_1_after_flushing_its_rounds(tmp_path,
         "error": "error", "message": f"mean validation {metric} is NaN in all 2 rounds"}
     seed_dir = out / "seed_0"
     rows = read_rows(seed_dir / "rounds.csv")
-    assert sorted({int(r["round"]) for r in rows}) == [1, 2]
-    assert {r["value"] for r in rows if r["split"] == "val"} == {"nan"}
+    assert [(int(r["round"]), int(r["client_id"])) for r in rows] == [
+        (t, k) for t in (1, 2) for k in range(3)]
+    assert {r["val_selection_metric"] for r in rows} == {"nan"}
     assert not (seed_dir / "result.json").exists()

@@ -162,6 +162,15 @@ def test_class_id_outside_the_model_rejected(bn_model, seeded_params):
         forward(bn_model, seeded_params, batch, mode="eval")
 
 
+@pytest.mark.parametrize("label,fault", [(1.5, r"is not an integer"),
+                                         (float("nan"), r"outside \[0, num_classes\)")])
+def test_class_id_that_is_not_an_integer_rejected(bn_model, seeded_params, label, fault):
+    """Not cast to int64, which would train 1.5 as class 1."""
+    batch = Batch.from_arrays(np.zeros((4, 5)), np.array([0.0, 1.0, label, 2.0]))
+    with pytest.raises(ShapeMismatch, match=f"^class id {fault}$"):
+        forward(bn_model, seeded_params, batch, mode="eval")
+
+
 def model_with(layer, input_dim=5, num_classes=3):
     """dense(6) -> ``layer`` -> relu -> dense -> softmax head, built in Python."""
     return ModelSpec(

@@ -404,18 +404,29 @@ def read_csv(path):
         return list(csv.DictReader(fh))
 
 
+def bits(x: float) -> bytes:
+    return np.float64(x).tobytes()
+
+
 def test_output_files_written(tmp_path):
     cfg = experiment(rounds=2)
     result = run_experiment(cfg, seed=0, out_dir=tmp_path)
     assert (tmp_path / "rounds.csv").exists()
     assert (tmp_path / "distances.csv").exists()
     assert (tmp_path / "result.json").exists()
-    # rounds.csv holds each round's train loss and validation metric per
-    # client, and the drift is written once, to distances.csv
-    rows = read_csv(tmp_path / "rounds.csv")
-    assert sorted({(r["split"], r["metric"]) for r in rows}) == [
-        ("train", "loss"), ("val", "selection_metric")]
-    assert len(rows) == 2 * cfg.rounds * cfg.data.num_clients
+    # rounds.csv holds one row per round and client, in client id order, with
+    # its train loss and validation metric, each reading back to its bits;
+    # the drift is written once, to distances.csv
+    with open(tmp_path / "rounds.csv", newline="") as fh:
+        assert next(csv.reader(fh)) == ["round", "client_id", "train_loss", "val_selection_metric"]
+    rows = [(int(r["round"]), int(r["client_id"]), float(r["train_loss"]),
+             float(r["val_selection_metric"])) for r in read_csv(tmp_path / "rounds.csv")]
+    want = [(rec.round, cid, loss, rec.val_metrics[cid])
+            for rec in result.rounds for cid, loss in rec.train_losses.items()]
+    assert [(t, k) for t, k, *_ in want] == [
+        (t, k) for t in range(1, cfg.rounds + 1) for k in range(cfg.data.num_clients)]
+    assert [(t, k, bits(loss), bits(val)) for t, k, loss, val in rows] == [
+        (t, k, bits(loss), bits(val)) for t, k, loss, val in want]
     drift = read_csv(tmp_path / "distances.csv")
     assert [(int(r["round"]), int(r["client_id"]), float(r["sq_distance"])) for r in drift] == [
         (rec.round, cid, d) for rec in result.rounds for cid, d in rec.distances.items()]
@@ -655,6 +666,59 @@ def test_run_rejects_a_preloaded_split_of_another_width(tmp_path, monkeypatch, s
                        datasets=datasets)
     assert str(err.value) == f"client 1 {split} split has 4 features, the model takes 5"
     assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("split", ["train", "val", "test"])
+@pytest.mark.parametrize("label,fault", [(1.5, "that is not an integer"),
+                                         (float("nan"), "outside [0, 3)")])
+def test_run_rejects_a_preloaded_label_that_is_not_a_class_id(tmp_path, monkeypatch,
+                                                              split, label, fault):
+    """1.5 lies inside [0, 3) and would train as class 1; NaN fails every
+    comparison, so a check for a label below 0 or above 2 passed it, and the
+    run failed after round 1."""
+    batch = getattr(generate(experiment().data)[1], split)
+    labels = batch.labels.astype(np.float64)
+    labels[0] = label
+    datasets = preloaded_with(split, batch.inputs, labels)
+    no_parameters_built(monkeypatch)
+    with pytest.raises(SchemaMismatch) as err:
+        run_experiment(experiment(rounds=1), seed=0, out_dir=tmp_path / "run",
+                       datasets=datasets)
+    assert str(err.value) == f"client 1 {split} split has a label {fault}"
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("split", ["train", "val", "test"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_run_rejects_a_preloaded_non_finite_feature(tmp_path, monkeypatch, split, value):
+    """A CSV's non-finite feature is a MalformedRow; a preloaded one is refused
+    too, before round 1, where a NaN in train made its client diverge each round."""
+    batch = getattr(generate(experiment().data)[1], split)
+    inputs = batch.inputs.copy()
+    inputs[0, 2] = value
+    datasets = preloaded_with(split, inputs, batch.labels)
+    no_parameters_built(monkeypatch)
+    with pytest.raises(SchemaMismatch) as err:
+        run_experiment(experiment(rounds=1), seed=0, out_dir=tmp_path / "run",
+                       datasets=datasets)
+    assert str(err.value) == f"client 1 {split} split has a non-finite feature"
+    assert not (tmp_path / "run").exists()
+
+
+def test_run_accepts_preloaded_multi_hot_labels(tmp_path):
+    """The label check reads each 0/1 entry of a multi-hot row as a class id
+    check would, so a sigmoid-head run on multi-hot clients passes it."""
+    cfg = experiment(rounds=1, selection_metric="loss")
+    model = replace(cfg.model, loss="binary_cross_entropy",
+                    layers=[*cfg.model.layers[:-1], replace(cfg.model.layers[-1],
+                                                            kind="sigmoid_bce_head")])
+    datasets = [replace(ds, **{name: Batch.from_arrays(
+                    getattr(ds, name).inputs, np.eye(3)[getattr(ds, name).labels]) for name in
+                    ("train", "val", "test")}) for ds in generate(cfg.data)]
+    result = run_experiment(replace(cfg, model=model), seed=0, out_dir=tmp_path,
+                            datasets=datasets)
+    assert result.selected_round == 1
+    assert np.isfinite(result.mean_test_metric)
 
 
 def test_later_rounds_leave_published_arrays_unchanged(monkeypatch, tmp_path):
