@@ -274,9 +274,8 @@ def cmd_compare(args) -> int:
         name, values, _ = _collect_seed_metrics(Path(d))
         key = name if name not in collected else f"{name}:{d}"
         collected[key] = values
-    method = "exact" if args.exact else ("normal" if args.approx else "auto")
     alternative = "one-sided" if args.one_sided else "two-sided"
-    matrix = metrics_mod.significance_matrix(collected, alternative=alternative, method=method)
+    matrix = metrics_mod.significance_matrix(collected, alternative=alternative)
     pairs = sorted(matrix.items())
     if args.out:
         out = Path(args.out)
@@ -336,13 +335,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_part.add_argument("--out", required=True)
     p_part.set_defaults(func=cmd_partition)
 
-    p_cmp = sub.add_parser("compare", help="significance matrix across result dirs")
+    p_cmp = sub.add_parser("compare", help="rank-test significance matrix across result dirs")
     p_cmp.add_argument("--results", nargs="+", required=True)
     p_cmp.add_argument("--out", default=None)
-    method = p_cmp.add_mutually_exclusive_group()
-    method.add_argument("--exact", action="store_true")
-    method.add_argument("--approx", action="store_true")
-    p_cmp.add_argument("--one-sided", action="store_true")
+    p_cmp.add_argument("--one-sided", action="store_true", help="test a row ranking below a column")
     p_cmp.set_defaults(func=cmd_compare)
 
     p_rep = sub.add_parser("report", help="tables + plot-data CSVs from a result dir")

@@ -4,15 +4,14 @@ AUROC is the midrank (ties = 1/2) pairwise-ordering probability; AUPRC is
 average precision with step-wise interpolation.  Both score columns: a binary
 task is one column, and multiclass (class ids) and multi-label (multi-hot)
 tasks report the macro mean over the columns with both outcomes present.
-The Mann-Whitney U test is exact (the rank-sum distribution is counted by the
-Mann & Whitney (1947) recurrence) for n+m <= 20 and falls back to the
-tie-corrected normal approximation beyond.  The counts are int64 when none can
-reach 2**63 and Python integers otherwise; either way p is the correctly
-rounded quotient of two exact integers.  AUROC and U rank by one
-primitive, ``_doubled_midranks``: twice each midrank, an exact integer, from
-two binary searches in the sorted sample.  A method other than auto, exact or
-normal, or an alternative other than two-sided or one-sided, is a
-``ConfigError``, which ``significance_matrix`` raises before any entry.  It
+The Mann-Whitney U test is exact (the rank-sum distribution is counted in
+int64 by the Mann & Whitney (1947) recurrence, and p is the correctly rounded
+quotient of two exact integers) for n+m <= 20 and the tie-corrected normal
+approximation beyond; ``RankTestResult.method`` records which ran.  AUROC and
+U rank by one primitive, ``_doubled_midranks``: twice each midrank, an exact
+integer, from two binary searches in the sorted sample.  An alternative other
+than two-sided or one-sided is a ``ConfigError``, which
+``significance_matrix`` raises before any entry.  It
 runs one two-sided test per unordered pair and mirrors it (a one-sided test
 runs both ways).
 ``write_csv`` is the one CSV writer: round logs, distances, summaries, the
@@ -31,7 +30,7 @@ import numpy as np
 from .errors import ConfigError, EmptySample, NonFiniteScore, ShapeMismatch, SingleClass
 
 SIGNIFICANCE_LEVEL = 0.05
-EXACT_LIMIT = 20  # auto picks the exact rank-sum recurrence up to n+m = 20
+EXACT_LIMIT = 20  # the exact rank-sum recurrence runs up to n+m = 20
 
 
 def _doubled_midranks(ranked: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -137,37 +136,33 @@ def _rank_sum_counts(doubled: np.ndarray, n: int) -> np.ndarray:
 
     Mann & Whitney (1947) recurrence: fold in one doubled midrank ``d`` at a
     time, ``counts[k, s] += counts[k - 1, s - d]``.  Row k counts k-subsets of
-    the N pooled values, so no entry of rows 0..n exceeds C(N, min(n, N // 2)):
-    the table is int64 when that bound is below 2**63 (every n + m <= 66) and
-    exact Python integers beyond.
+    the N pooled values, so no entry exceeds C(N, N // 2), at most
+    C(20, 10) = 184,756 for the N <= ``EXACT_LIMIT`` this runs on: int64 holds
+    every count.
     """
-    pooled = len(doubled)
-    largest = math.comb(pooled, min(n, pooled // 2))
     width = int(doubled.sum()) + 1
-    counts = np.zeros((n + 1, width), dtype=np.int64 if largest < 2**63 else object)
+    counts = np.zeros((n + 1, width), dtype=np.int64)
     counts[0, 0] = 1
     for d in doubled.tolist():
         counts[1:, d:] += counts[:-1, :width - d].copy()
     return counts[n]
 
 
-def _check_options(alternative: str, method: str) -> None:
+def _check_options(alternative: str) -> None:
     """The one check of a rank test's options; the matrix runs it before any entry."""
-    if method not in ("auto", "exact", "normal"):
-        raise ConfigError("method", f"must be auto, exact or normal, got {method!r}")
     if alternative not in ("two-sided", "one-sided"):
         raise ConfigError("alternative", f"must be two-sided or one-sided, got {alternative!r}")
 
 
-def mann_whitney_u(a, b, alternative: str = "two-sided", method: str = "auto") -> RankTestResult:
+def mann_whitney_u(a, b, alternative: str = "two-sided") -> RankTestResult:
     """Rank-sum test with midrank tie handling.
 
-    Exact p counts all C(n+m, n) rank arrangements by the rank-sum recurrence
-    (n+m <= 20 under ``auto``); the normal path uses the tie-corrected
-    variance with continuity correction.  One-sided alternative: a tends
-    smaller than b.
+    For n+m <= ``EXACT_LIMIT`` the exact p counts all C(n+m, n) rank
+    arrangements by the rank-sum recurrence; beyond, the normal path uses the
+    tie-corrected variance with continuity correction.  One-sided
+    alternative: a tends smaller than b.
     """
-    _check_options(alternative, method)
+    _check_options(alternative)
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     n, m = len(a), len(b)
@@ -179,9 +174,7 @@ def mann_whitney_u(a, b, alternative: str = "two-sided", method: str = "auto") -
     doubled, ties = _doubled_midranks(np.sort(pooled), pooled)
     u_obs = doubled[:n].sum() / 2 - n * (n + 1) / 2.0
 
-    if method == "auto":
-        method = "exact" if n + m <= EXACT_LIMIT else "normal"
-
+    method = "exact" if n + m <= EXACT_LIMIT else "normal"
     if method == "exact":
         # U <= u_obs  <=>  doubled rank sum <= the observed doubled rank sum
         observed = int(doubled[:n].sum())
@@ -232,18 +225,18 @@ INSIGNIFICANT = "insignificant"
 def significance_matrix(
     results: dict[str, list[float]],
     alternative: str = "two-sided",
-    method: str = "auto",
 ) -> dict[tuple[str, str], tuple[RankTestResult, str]]:
     """Pairwise rank tests over per-seed metrics; labels read row-vs-column.
 
     Two-sided, each unordered pair is tested once: (b, a) takes (a, b)'s
     result with U = n*m - U, which is what the swapped call returns.
     """
-    _check_options(alternative, method)
+    _check_options(alternative)
     out = {}
     for alg_a, vals_a in results.items():
         for alg_b, vals_b in results.items():
             if alg_a == alg_b:
+                method = "exact" if 2 * len(vals_a) <= EXACT_LIMIT else "normal"
                 res = RankTestResult(u_statistic=len(vals_a) ** 2 / 2.0, p_value=1.0,
                                      significant=False, method=method, alternative=alternative)
                 out[(alg_a, alg_b)] = (res, INSIGNIFICANT)
@@ -252,7 +245,7 @@ def significance_matrix(
                 res = out[(alg_b, alg_a)][0]
                 res = replace(res, u_statistic=len(vals_a) * len(vals_b) - res.u_statistic)
             else:
-                res = mann_whitney_u(vals_a, vals_b, alternative=alternative, method=method)
+                res = mann_whitney_u(vals_a, vals_b, alternative=alternative)
             if res.significant:
                 label = WIN if np.mean(vals_a) > np.mean(vals_b) else LOSE
             else:

@@ -349,7 +349,9 @@ def labels_to_targets(spec: ModelSpec, labels: np.ndarray) -> np.ndarray:
         targets[np.arange(labels.shape[0]), ids] = 1.0
         return targets
     if labels.shape[1] != spec.num_classes:
-        raise ShapeMismatch("multi-hot labels disagree with num_classes")  # pragma: no cover: no multi-hot source
+        raise ShapeMismatch("multi-hot labels disagree with num_classes")
+    if not ((labels == 0) | (labels == 1)).all():  # public Batch input; 2 is no BCE target
+        raise ShapeMismatch("multi-hot entry other than 0 or 1")
     return labels.astype(np.float64)
 
 

@@ -256,7 +256,7 @@ def evaluate(plan: Plan, params: np.ndarray, batch: Batch, metric: str) -> float
     if metric == "accuracy":
         if labels.ndim == 1:
             return float(np.mean(np.argmax(probs, axis=1) == labels))
-        return float(np.mean((probs > 0.5) == (labels > 0.5)))  # pragma: no cover: no multi-hot source
+        return float(np.mean((probs > 0.5) == (labels > 0.5)))
     scores = probs[:, 1] if (labels.ndim == 1 and probs.shape[1] == 2) else probs
     if metric == "auroc":
         return metrics_mod.auroc(scores, labels)
@@ -342,8 +342,9 @@ def _check_client(ds: ClientDataset, model: ModelSpec) -> None:
     """SchemaMismatch naming the client, and the split at fault, unless its id
     is a non-negative integer (the sort and ``client_rng`` need one) and each
     split has ``model.input_dim`` columns, rows enough (2 in train, for one
-    step, and 1 in validation and test), finite features and integer labels in
-    ``[0, model.num_classes)``, as a CSV's rows must (multi-hot 0/1 pass)."""
+    step, and 1 in validation and test), finite features and one label per
+    row: an integer in ``[0, model.num_classes)``, as a CSV's rows must, or a
+    multi-hot row of ``model.num_classes`` entries, each 0 or 1."""
     cid = ds.client_id
     if not isinstance(cid, numbers.Integral) or isinstance(cid, bool) or cid < 0:
         raise SchemaMismatch(f"client_id {cid!r} is not a non-negative integer")
@@ -357,9 +358,18 @@ def _check_client(ds: ClientDataset, model: ModelSpec) -> None:
         if not np.isfinite(batch.inputs).all():
             raise SchemaMismatch(f"{where} has a non-finite feature")
         labels = batch.labels
-        if not 0 <= labels.min() <= labels.max() < model.num_classes:  # a NaN min fails too
+        if labels.ndim not in (1, 2) or labels.shape[0] != batch.size:
+            raise SchemaMismatch(f"{where} has labels of shape {labels.shape} "
+                                 f"for {batch.size} rows")
+        if labels.ndim == 2:  # multi-hot
+            if labels.shape[1] != model.num_classes:
+                raise SchemaMismatch(f"{where} has {labels.shape[1]} label columns, "
+                                     f"the model has {model.num_classes} classes")
+            if not ((labels == 0) | (labels == 1)).all():
+                raise SchemaMismatch(f"{where} has a multi-hot entry other than 0 or 1")
+        elif not 0 <= labels.min() <= labels.max() < model.num_classes:  # a NaN min fails too
             raise SchemaMismatch(f"{where} has a label outside [0, {model.num_classes})")
-        if labels.dtype.kind == "f" and (labels != np.floor(labels)).any():
+        elif labels.dtype.kind == "f" and (labels != np.floor(labels)).any():
             raise SchemaMismatch(f"{where} has a label that is not an integer")
 
 

@@ -411,7 +411,7 @@ def test_criterion_8_metric_oracles():
             a = rng.integers(0, 4, n).astype(float)
             b = rng.integers(0, 4, m).astype(float)
             u, p = _exact_mwu(list(a), list(b))
-            res = mann_whitney_u(a, b, method="exact")
+            res = mann_whitney_u(a, b)  # n + m <= 12: the exact path
             assert res.u_statistic == pytest.approx(u, abs=1e-12)
             assert res.p_value == pytest.approx(p, abs=1e-12)
 

@@ -395,7 +395,8 @@ def test_quoted_exponent_float_stays_a_string(tmp_path, eta_line, overrides):
     assert err.value.field == "eta"
 
 
-@pytest.mark.parametrize("flag",[["--metric", "auroc"], ["--two-sided"]])
+@pytest.mark.parametrize("flag", [["--metric", "auroc"], ["--two-sided"], ["--exact"],
+                                  ["--approx"]])
 def test_compare_rejects_removed_flags(tmp_path, flag):
     with pytest.raises(SystemExit) as exc:
         main(["compare", "--results", str(tmp_path)] + flag)
@@ -732,13 +733,6 @@ def test_compare_nan_metric_is_config_error(tmp_path, capsys):
     d = write_results(tmp_path / "d", [0.6, 0.65], algorithm="d")
     code = main(["compare", "--results", str(c), str(d)])
     assert_results_config_error(capsys, code, "nan")
-
-
-def test_compare_exact_and_approx_exclusive(tmp_path):
-    results = write_results(tmp_path / "res", [0.6, 0.7])
-    with pytest.raises(SystemExit) as exc:
-        main(["compare", "--results", str(results), "--exact", "--approx"])
-    assert exc.value.code == EXIT_CONFIG
 
 
 def test_partition_spec_wrong_field_type_is_config_error(tmp_path, capsys):

@@ -8,6 +8,7 @@ import pytest
 
 from fedbench.errors import ConfigError, EmptySample, NonFiniteScore, ShapeMismatch, SingleClass
 from fedbench.metrics import (
+    EXACT_LIMIT,
     INSIGNIFICANT,
     LOSE,
     WIN,
@@ -156,8 +157,9 @@ def test_mwu_documented_example():
 
 
 def test_mwu_all_ties_p_one():
-    res = mann_whitney_u([1.0, 1.0, 1.0], [1.0, 1.0, 1.0])
-    assert res.p_value == 1.0
+    for n, method in ((3, "exact"), (11, "normal")):  # normal: all ties leave the variance 0
+        res = mann_whitney_u([1.0] * n, [1.0] * n)
+        assert (res.method, res.p_value) == (method, 1.0)
 
 
 def test_significance_matrix_rejects_a_nan_seed_metric():
@@ -225,7 +227,8 @@ def test_mwu_exact_matches_independent_enumeration_with_ties():
         a = rng.integers(0, 5, n).astype(float)  # heavy ties
         b = rng.integers(0, 5, m).astype(float)
         u, p = exact_mwu_oracle(list(a), list(b))
-        res = mann_whitney_u(a, b, method="exact")
+        res = mann_whitney_u(a, b)
+        assert res.method == "exact"
         assert res.u_statistic == pytest.approx(u, abs=1e-12)
         assert res.p_value == pytest.approx(p, abs=1e-12)
 
@@ -237,8 +240,9 @@ def test_mwu_exact_equals_enumeration_up_to_limit(n, m, levels):
     a = rng.integers(0, levels, n).astype(float)  # heavy ties
     b = rng.integers(0, levels, m).astype(float) + 0.5 * rng.integers(0, 2, m)
     u_obs, le, ge, total = enumerate_mwu(list(a), list(b))
-    two = mann_whitney_u(a, b, alternative="two-sided", method="exact")
-    one = mann_whitney_u(a, b, alternative="one-sided", method="exact")
+    two = mann_whitney_u(a, b, alternative="two-sided")
+    one = mann_whitney_u(a, b, alternative="one-sided")
+    assert two.method == one.method == "exact"
     assert two.u_statistic == u_obs and one.u_statistic == u_obs
     assert two.p_value == min(1.0, 2.0 * min(le / total, ge / total))
     assert one.p_value == le / total
@@ -255,21 +259,6 @@ def test_midranks_match_oracle():
         doubled, ties = _doubled_midranks(np.sort(values), values)
         assert np.array_equal(doubled, 2 * np.array(midranks_oracle(list(values))))
         assert np.array_equal(ties, [np.count_nonzero(values == v) for v in values])
-
-
-def test_mwu_exact_large_samples_with_ties():
-    """n = m = 40 is out of reach of enumeration; counts must not overflow."""
-    rng = np.random.default_rng(8)
-    a = np.round(rng.random(40), 1)
-    b = np.round(rng.random(40) + 0.1, 1)
-    pooled = np.concatenate([a, b])
-    doubled, _ = _doubled_midranks(np.sort(pooled), pooled)
-    assert _rank_sum_counts(doubled, 40).sum() == math.comb(80, 40)
-    exact = mann_whitney_u(a, b, method="exact")
-    normal = mann_whitney_u(a, b, method="normal")
-    assert exact.method == "exact"
-    assert 0.0 <= exact.p_value <= 1.0
-    assert abs(exact.p_value - normal.p_value) <= 0.01
 
 
 def object_rank_sum_counts(doubled, n):
@@ -294,34 +283,12 @@ def test_int64_rank_sum_counts_equal_python_int_counts(n, m, levels):
     assert counts.tolist() == object_rank_sum_counts(doubled, n).tolist()
 
 
-@pytest.mark.parametrize("n,m,dtype", [
-    (10, 10, np.int64), (33, 33, np.int64), (34, 34, object), (62, 6, object), (6, 62, np.int64),
-])
-def test_rank_sum_counts_dtype_follows_the_largest_count(n, m, dtype):
-    """Rows 0..n hold counts up to C(N, min(n, N // 2)); int64 only below 2**63."""
-    doubled = np.arange(2, 2 * (n + m) + 1, 2)  # untied ranks 1..N, doubled
-    assert _rank_sum_counts(doubled, n).dtype == dtype
-
-
-def test_mwu_exact_unbalanced_equals_its_mirror():
-    """n = 62, m = 6: C(68, 62) fits int64 but the middle rows, up to C(68, 34),
-    do not, so this side counts in Python ints and the mirror in int64."""
-    rng = np.random.default_rng(12)
-    a = np.round(rng.random(62), 1)
-    b = np.round(rng.random(6) + 0.2, 1)
-    ab = mann_whitney_u(a, b, method="exact")
-    ba = mann_whitney_u(b, a, method="exact")
-    assert 0.0 < ab.p_value < 1.0
-    assert ab.p_value == ba.p_value
-    assert ab.u_statistic + ba.u_statistic == 62 * 6
-
-
 @pytest.mark.parametrize("n,m", [(3, 3), (10, 10), (62, 6)])
 @pytest.mark.parametrize("alternative", ["two-sided", "one-sided"])
 def test_mwu_exact_result_types(n, m, alternative):
     rng = np.random.default_rng(n + m)
     res = mann_whitney_u(np.round(rng.random(n), 1), np.round(rng.random(m) + 0.3, 1),
-                         alternative=alternative, method="exact")
+                         alternative=alternative)
     assert type(res.u_statistic) is float
     assert type(res.p_value) is float
     assert type(res.significant) is bool
@@ -335,20 +302,28 @@ def test_mwu_exact_matches_scipy_without_ties():
         a = rng.standard_normal(n)
         b = rng.standard_normal(m) + 0.5
         for alternative, scipy_alt in (("two-sided", "two-sided"), ("one-sided", "less")):
-            ours = mann_whitney_u(a, b, alternative=alternative, method="exact")
+            ours = mann_whitney_u(a, b, alternative=alternative)
             ref = stats.mannwhitneyu(a, b, alternative=scipy_alt, method="exact")
             assert ours.u_statistic == ref.statistic
             assert ours.p_value == pytest.approx(ref.pvalue, rel=1e-9, abs=1e-15)
 
 
 def test_mwu_normal_close_to_exact_at_boundary():
+    """Just past ``EXACT_LIMIT`` (n+m = 21-24) the normal p stays near the
+    exact p, which the test counts from the module's ``_rank_sum_counts``."""
     rng = np.random.default_rng(5)
-    for _ in range(10):
-        a = rng.standard_normal(10)
-        b = rng.standard_normal(10) + 0.5
-        exact = mann_whitney_u(a, b, method="exact")
-        normal = mann_whitney_u(a, b, method="normal")
-        assert abs(exact.p_value - normal.p_value) <= 0.02
+    for n, m in [(11, 10), (11, 11), (12, 11), (12, 12)] * 10:
+        a = rng.standard_normal(n)
+        b = rng.standard_normal(m) + 0.5
+        normal = mann_whitney_u(a, b)
+        assert normal.method == "normal"
+        pooled = np.concatenate([a, b])
+        doubled, _ = _doubled_midranks(np.sort(pooled), pooled)
+        counts = _rank_sum_counts(doubled, n)
+        observed = int(doubled[:n].sum())
+        total = math.comb(n + m, n)
+        low, high = int(counts[:observed + 1].sum()), int(counts[observed:].sum())
+        assert abs(min(1.0, 2.0 * min(low, high) / total) - normal.p_value) <= 0.02
 
 
 def test_mwu_one_sided():
@@ -357,8 +332,7 @@ def test_mwu_one_sided():
     assert res.significant is False  # strict < threshold
 
 
-@pytest.mark.parametrize("option,value", [("method", "exakt"), ("method", "Exact"),
-                                          ("alternative", "less"), ("alternative", "greater")])
+@pytest.mark.parametrize("option,value", [("alternative", "less"), ("alternative", "greater")])
 def test_mwu_rejects_an_unknown_method_or_alternative(option, value):
     with pytest.raises(ConfigError) as exc:
         mann_whitney_u([1.0, 2.0, 3.0], [4.0, 5.0, 6.0], **{option: value})
@@ -405,24 +379,37 @@ _RNG = np.random.default_rng(17)
 MATRIX_CASES = {
     "10_10_10": {"a": tied(_RNG, 10), "b": tied(_RNG, 10, 0.3), "c": tied(_RNG, 10, 0.1)},
     "15_10": {"a": tied(_RNG, 15), "b": tied(_RNG, 10, 0.2)},
-    "62_6": {"a": tied(_RNG, 62), "b": tied(_RNG, 6, 0.2)},  # int64 one way, object the other
-    "all_equal": {"a": [0.7] * 5, "b": [0.7] * 4},  # variance 0
+    "62_6": {"a": tied(_RNG, 62), "b": tied(_RNG, 6, 0.2)},
+    "all_equal": {"a": [0.7] * 5, "b": [0.7] * 4},  # every value tied
 }
 
 
-@pytest.mark.parametrize("method", ["auto", "exact", "normal"])
+def on_path(results, path):
+    """A case's arms as they are ("auto"), each cut to ``EXACT_LIMIT // 2``
+    values so that every pair runs exact, or each repeated three times so that
+    every pair (the smallest here is 5 vs 4, then 15 vs 12) runs normal."""
+    if path == "exact":
+        return {alg: vals[:EXACT_LIMIT // 2] for alg, vals in results.items()}
+    if path == "normal":
+        return {alg: vals * 3 for alg, vals in results.items()}
+    return results
+
+
+@pytest.mark.parametrize("path", ["auto", "exact", "normal"])
 @pytest.mark.parametrize("alternative", ["two-sided", "one-sided"])
 @pytest.mark.parametrize("case", list(MATRIX_CASES))
-def test_significance_matrix_entries_equal_the_direct_test(case, alternative, method):
+def test_significance_matrix_entries_equal_the_direct_test(case, alternative, path):
     """Each off-diagonal entry, mirrored or not, is field for field and type for
-    type what ``mann_whitney_u`` returns for its ordered pair."""
-    results = MATRIX_CASES[case]
-    matrix = significance_matrix(results, alternative=alternative, method=method)
+    type what ``mann_whitney_u`` returns for its ordered pair, on the path the
+    case's sample sizes select and on each path forced by resizing its arms."""
+    results = on_path(MATRIX_CASES[case], path)
+    matrix = significance_matrix(results, alternative=alternative)
     assert len(matrix) == len(results) ** 2
     for (a, b), (res, label) in matrix.items():
         if a == b:
             continue
-        ref = mann_whitney_u(results[a], results[b], alternative=alternative, method=method)
+        ref = mann_whitney_u(results[a], results[b], alternative=alternative)
+        assert path == "auto" or ref.method == path
         assert res == ref
         assert [type(v) for v in astuple(res)] == [type(v) for v in astuple(ref)]
         won = np.mean(results[a]) > np.mean(results[b])

@@ -171,6 +171,18 @@ def test_class_id_that_is_not_an_integer_rejected(bn_model, seeded_params, label
         forward(bn_model, seeded_params, batch, mode="eval")
 
 
+@pytest.mark.parametrize("labels,fault", [
+    ([[1.0, 0.0], [0.0, 1.0]], "multi-hot labels disagree with num_classes"),
+    ([[1.0, 0.0, 0.0], [0.0, 2.0, 0.0]], "multi-hot entry other than 0 or 1"),
+], ids=["two_columns", "entry_2"])
+def test_multi_hot_labels_that_do_not_fit_the_model_rejected(bn_model, seeded_params,
+                                                             labels, fault):
+    """A public ``Batch`` of multi-hot rows needs one 0/1 column per class."""
+    batch = Batch.from_arrays(np.zeros((2, 5)), np.array(labels))
+    with pytest.raises(ShapeMismatch, match=f"^{fault}$"):
+        forward(bn_model, seeded_params, batch, mode="eval")
+
+
 def model_with(layer, input_dim=5, num_classes=3):
     """dense(6) -> ``layer`` -> relu -> dense -> softmax head, built in Python."""
     return ModelSpec(

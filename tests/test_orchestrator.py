@@ -705,20 +705,71 @@ def test_run_rejects_a_preloaded_non_finite_feature(tmp_path, monkeypatch, split
     assert not (tmp_path / "run").exists()
 
 
-def test_run_accepts_preloaded_multi_hot_labels(tmp_path):
-    """The label check reads each 0/1 entry of a multi-hot row as a class id
-    check would, so a sigmoid-head run on multi-hot clients passes it."""
-    cfg = experiment(rounds=1, selection_metric="loss")
+@pytest.mark.parametrize("split", ["train", "val", "test"])
+@pytest.mark.parametrize("labels", [lambda y: y[:-1], lambda y: y[:, None, None]],
+                         ids=["one_short", "3d"])
+def test_run_rejects_preloaded_labels_that_are_not_one_per_row(tmp_path, monkeypatch,
+                                                               split, labels):
+    """``Batch(...)`` compares no label count with the rows; one label short
+    failed as a builtin IndexError or ValueError, in the test split's case
+    after every round had run."""
+    datasets = generate(experiment().data)
+    batch = getattr(datasets[1], split)
+    bad = labels(batch.labels)
+    datasets[1] = replace(datasets[1], **{split: Batch(batch.inputs, bad)})
+    no_parameters_built(monkeypatch)
+    with pytest.raises(SchemaMismatch) as err:
+        run_experiment(experiment(rounds=1), seed=0, out_dir=tmp_path / "run",
+                       datasets=datasets)
+    assert str(err.value) == (f"client 1 {split} split has labels of shape {bad.shape} "
+                              f"for {batch.size} rows")
+    assert not (tmp_path / "run").exists()
+
+
+def multi_hot_run(**kw):
+    """The test config with a sigmoid-BCE head, and its clients with each
+    class id as a one-hot row."""
+    cfg = experiment(rounds=1, **kw)
     model = replace(cfg.model, loss="binary_cross_entropy",
                     layers=[*cfg.model.layers[:-1], replace(cfg.model.layers[-1],
                                                             kind="sigmoid_bce_head")])
     datasets = [replace(ds, **{name: Batch.from_arrays(
                     getattr(ds, name).inputs, np.eye(3)[getattr(ds, name).labels]) for name in
                     ("train", "val", "test")}) for ds in generate(cfg.data)]
-    result = run_experiment(replace(cfg, model=model), seed=0, out_dir=tmp_path,
-                            datasets=datasets)
+    return replace(cfg, model=model), datasets
+
+
+@pytest.mark.parametrize("selection_metric", ["loss", "accuracy"])
+def test_run_accepts_preloaded_multi_hot_labels(tmp_path, selection_metric):
+    """Multi-hot rows of ``num_classes`` 0/1 entries pass the client check;
+    accuracy on them is the share of entries the 0.5 threshold gets right."""
+    cfg, datasets = multi_hot_run(selection_metric=selection_metric)
+    result = run_experiment(cfg, seed=0, out_dir=tmp_path, datasets=datasets)
     assert result.selected_round == 1
     assert np.isfinite(result.mean_test_metric)
+    if selection_metric == "accuracy":
+        assert 0.0 <= result.mean_test_metric <= 1.0
+
+
+@pytest.mark.parametrize("split", ["train", "val", "test"])
+@pytest.mark.parametrize("labels,fault", [
+    (lambda y: y[:, :2], "has 2 label columns, the model has 3 classes"),
+    (lambda y: 2 * y, "has a multi-hot entry other than 0 or 1"),
+    (lambda y: np.where(y == 1, np.nan, y), "has a multi-hot entry other than 0 or 1"),
+], ids=["two_columns", "entry_2", "entry_nan"])
+def test_run_rejects_preloaded_multi_hot_labels_that_do_not_fit_the_model(
+        tmp_path, monkeypatch, split, labels, fault):
+    """Two columns in a 3-class model failed after ``init_params`` with an
+    error naming no client; an entry of 2 trained on a BCE target of 2.0."""
+    cfg, datasets = multi_hot_run()
+    batch = getattr(datasets[1], split)
+    datasets[1] = replace(datasets[1], **{split: Batch.from_arrays(batch.inputs,
+                                                                   labels(batch.labels))})
+    no_parameters_built(monkeypatch)
+    with pytest.raises(SchemaMismatch) as err:
+        run_experiment(cfg, seed=0, out_dir=tmp_path / "run", datasets=datasets)
+    assert str(err.value) == f"client 1 {split} split {fault}"
+    assert not (tmp_path / "run").exists()
 
 
 def test_later_rounds_leave_published_arrays_unchanged(monkeypatch, tmp_path):

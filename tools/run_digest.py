@@ -39,12 +39,12 @@ The set:
   so that each generator kind is pinned (feature shift by the runs above,
   label skew by ``partition/``);
 * the rank tests, written to ``rank/``: fixed ``result.json`` trees with
-  tied metrics (four algorithms of 10 seeds and one of 15, so ``--exact``
-  counts n+m = 25), ``fedbench compare`` under the default method,
-  ``--one-sided``, ``--exact`` and ``--approx``, ``fedbench report`` of each
-  tree, and ``rank/p_values.txt``, the ``repr`` of every pair's p from
-  ``metrics.significance_matrix`` under the same four settings
-  (``significance.csv`` rounds p to 6 digits).
+  tied metrics (four algorithms of 10 seeds, whose pairs take the exact path
+  at n+m = 20, and one of 15, whose pairs take the normal path at
+  n+m = 25), ``fedbench compare`` two-sided and ``--one-sided``,
+  ``fedbench report`` of each tree, and ``rank/p_values.txt``, the ``repr``
+  of every pair's p from ``metrics.significance_matrix`` under the same two
+  settings (``significance.csv`` rounds p to 6 digits).
 
 CSV, YAML and JSON files are hashed as bytes, except ``result.json``, which
 is hashed without its wall-clock ``elapsed_seconds``.  Each row of a ``.npz``
@@ -99,12 +99,10 @@ SWEEP_GRID = "5x4,10x2"
 SWEEP_SIZES = [400, 350, 282, 238, 226] * 2
 # algorithm -> number of seeds of its result tree
 RANK_SEEDS = {"fedavg": 10, "fedprox": 10, "fedbn": 10, "fedpxn": 10, "feddyn": 15}
-# compare flags -> (method, alternative) of significance_matrix
+# compare flags -> alternative of significance_matrix
 RANK_SETTINGS = {
-    "default": ([], "auto", "two-sided"),
-    "one_sided": (["--one-sided"], "auto", "one-sided"),
-    "exact": (["--exact"], "exact", "two-sided"),
-    "approx": (["--approx"], "normal", "two-sided"),
+    "default": ([], "two-sided"),
+    "one_sided": (["--one-sided"], "one-sided"),
 }
 
 
@@ -225,10 +223,10 @@ def run_rank() -> None:
         results[alg] = values.tolist()
     dirs = [str(Path("rank") / "results" / alg) for alg in RANK_SEEDS]
     lines = []
-    for name, (flags, method, alternative) in RANK_SETTINGS.items():
+    for name, (flags, alternative) in RANK_SETTINGS.items():
         run_cli(["compare", "--results", *dirs, *flags,
                  "--out", str(Path("rank") / f"compare_{name}")])
-        matrix = metrics.significance_matrix(results, alternative=alternative, method=method)
+        matrix = metrics.significance_matrix(results, alternative=alternative)
         for (a, b), (res, _) in matrix.items():
             lines.append(f"{name} {a} {b} {res.p_value!r}")
     Path("rank", "p_values.txt").write_text("\n".join(lines) + "\n")
