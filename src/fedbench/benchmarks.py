@@ -43,11 +43,7 @@ def small_model(norm_kind: str = "batch_norm", input_dim: int = 8,
     layers = [LayerSpec(kind="dense", width=hidden)]
     if norm_kind:
         layers.append(LayerSpec(kind=norm_kind, groups=4 if norm_kind == "group_norm" else None))
-    layers += [
-        LayerSpec(kind="relu"),
-        LayerSpec(kind="dense", width=num_classes),
-        LayerSpec(kind="softmax_ce_head"),
-    ]
+    layers += [LayerSpec(kind="relu"), LayerSpec(kind="dense", width=num_classes)]
     return ModelSpec(input_dim=input_dim, layers=layers, loss="cross_entropy",
                      num_classes=num_classes)
 

@@ -60,12 +60,12 @@ _EPILOG = """exit codes:
 # ---------------------------------------------------------------------------
 # config parsing
 
-def _build(cls, section, path: str, extras: tuple[str, ...] = (), **parse):
+def _build(cls, section, path: str, **parse):
     """``cls(**section)`` for a config section, a mapping whose keys are all
-    fields of ``cls`` or ``extras``; a field without a default must be present,
-    and ``parse[name]`` converts a field's raw value first.  ``path`` "" is the
+    fields of ``cls``; a field without a default must be present, and
+    ``parse[name]`` converts a field's raw value first.  ``path`` "" is the
     top level."""
-    keys = [f.name for f in fields(cls)] + list(extras)
+    keys = [f.name for f in fields(cls)]
     if not isinstance(section, dict):
         raise ConfigError(path or "config", f"must be a mapping, got {section!r}")
     unknown = [k for k in section if k not in keys]
@@ -74,8 +74,7 @@ def _build(cls, section, path: str, extras: tuple[str, ...] = (), **parse):
     for f in fields(cls):
         if f.name not in section and f.default is MISSING and f.default_factory is MISSING:
             raise ConfigError(f"{path}.{f.name}" if path else f.name, "required field missing")
-    return cls(**{k: parse[k](v) if k in parse else v
-                  for k, v in section.items() if k not in extras})
+    return cls(**{k: parse[k](v) if k in parse else v for k, v in section.items()})
 
 
 class _Loader(yaml.SafeLoader):
@@ -148,20 +147,16 @@ def parse_and_validate_config(path, overrides: list[str] | None = None,
                               out_dir=None) -> tuple[ExperimentConfig, dict]:
     """Load, override, validate; returns (config, echo).  ``out_dir``, when
     given, replaces the config's; the echo is every field of the config that
-    its section's kind reads, defaults included, and ``total_budget``, and
-    reads back as an equal config."""
+    its section's kind reads, defaults included, and reads back as an equal
+    config.  The epoch budget is ``local_epochs * rounds``, never stated."""
     raw = apply_overrides(_read_mapping(path, "config"), overrides or [])
     if out_dir is not None:
         raw["out_dir"] = str(out_dir)
-    cfg = _build(ExperimentConfig, raw, "", ("total_budget",),
+    cfg = _build(ExperimentConfig, raw, "",
                  strategy=lambda s: _build(StrategyConfig, s, "strategy"),
                  model=lambda m: _build(ModelSpec, m, "model", layers=_parse_layers),
                  data=_parse_data)
-    if "total_budget" in raw and raw["total_budget"] != cfg.total_budget:
-        raise ConfigError("total_budget", f"declared {raw['total_budget']} != "
-                          f"local_epochs*rounds = {cfg.total_budget}")
-    echo = asdict(cfg, dict_factory=stated)
-    return cfg, {**echo, "total_budget": cfg.total_budget}
+    return cfg, asdict(cfg, dict_factory=stated)
 
 
 def _atomic_write(path: Path, text: str) -> None:

@@ -18,16 +18,17 @@ holds the wrapper-based code as the oracle.
 
 A ModelSpec checks itself when built, and each fault is a ConfigError naming
 its field (``model.layers[1].kind``): each layer holds the fields
-``LAYER_FIELDS`` lists for its kind, and the last layer, and no other, is the
-head that ``LOSS_HEADS`` pairs with the loss.  A ``Plan`` compiles a
-ModelSpec once into one flat float64 vector layout: trainable non-norm
-entries, then norm gains and biases (up to ``n_train``), then each
+``LAYER_FIELDS`` lists for its kind.  The loss picks the output head, a softmax
+(``cross_entropy``) or a sigmoid per output (``binary_cross_entropy``), and
+``check_labels`` is the one rule for the labels a model takes.  A ``Plan``
+compiles a ModelSpec once into one flat float64 vector layout: trainable
+non-norm entries, then norm gains and biases (up to ``n_train``), then each
 batch-norm layer's running mean and variance as one (2, d) block, so what
-the server shares of it is always a prefix (see ``strategies``).
-From ``init_params`` to the checkpoint files this vector is the only
-parameter representation (see ``params``).  Each layer below the head is a
-pair of closures over fixed views of the vector, for train and eval alike;
-the backward writes into a flat gradient with ``out=``.
+the server shares of it is always a prefix (see ``strategies``).  From
+``init_params`` to the checkpoint files this vector is the only parameter
+representation (see ``params``).  Each layer is a pair of closures over
+fixed views of the vector, for train and eval alike; the backward writes
+into a flat gradient with ``out=``.
 ``apply_running_stats`` and the optimizer steps update a vector in place,
 which only a client round's private vector may be (see ``params``).
 """
@@ -53,11 +54,10 @@ from .params import NON_NORM, NORM
 
 BN_MOMENTUM = 0.1  # running-stat EMA step; convention, configurable per batch-norm layer
 NORM_KINDS = ("batch_norm", "layer_norm", "group_norm")
-LOSS_HEADS = {"cross_entropy": "softmax_ce_head", "binary_cross_entropy": "sigmoid_bce_head"}
+LOSS_HEADS = ("cross_entropy", "binary_cross_entropy")  # softmax-CE and sigmoid-BCE heads
 # The LayerSpec fields each layer kind reads, and their defaults when omitted
 LAYER_FIELDS = {"dense": ("width",), "relu": (), "batch_norm": ("epsilon", "momentum"),
-                "layer_norm": ("epsilon",), "group_norm": ("groups", "epsilon"),
-                **dict.fromkeys(LOSS_HEADS.values(), ())}
+                "layer_norm": ("epsilon",), "group_norm": ("groups", "epsilon")}
 LAYER_DEFAULTS = {"groups": 1, "epsilon": 1e-5, "momentum": BN_MOMENTUM}  # width has none
 
 
@@ -70,15 +70,11 @@ class LayerSpec:
     epsilon: float | None = None   # the norm layers
     momentum: float | None = None  # batch_norm
 
-    def check(self, path: str, last: bool) -> None:
+    def check(self, path: str) -> None:
         """Kind, the fields it reads, their types and ranges; ModelSpec runs this
-        for each layer, with ``path`` naming the layer by its index in a ConfigError
-        and ``last`` set for the last layer, which must be a loss head and the only one."""
+        for each layer, with ``path`` naming the layer by its index in a ConfigError."""
         if self.kind not in LAYER_FIELDS:
             raise ConfigError(f"{path}.kind", f"unknown layer kind {self.kind!r}")
-        if (self.kind in LOSS_HEADS.values()) != last:
-            raise ConfigError(f"{path}.kind", "the last layer must be a loss head and no "
-                              f"other may be, got {self.kind!r}")
         check_stated(self, path, self.kind, LAYER_FIELDS[self.kind], LAYER_DEFAULTS)
         for name in LAYER_FIELDS[self.kind]:
             field, value = f"{path}.{name}", getattr(self, name)
@@ -95,7 +91,7 @@ class LayerSpec:
 class ModelSpec:
     input_dim: int
     layers: list[LayerSpec]
-    loss: str  # cross_entropy | binary_cross_entropy, paired with its head by LOSS_HEADS
+    loss: str  # cross_entropy | binary_cross_entropy; picks the output head
     num_classes: int
 
     def __post_init__(self):
@@ -106,9 +102,7 @@ class ModelSpec:
         if not self.layers:
             raise ConfigError("model.layers", "model has no layers")
         for i, layer in enumerate(self.layers):
-            layer.check(f"model.layers[{i}]", last=i == len(self.layers) - 1)
-        if self.layers[-1].kind != LOSS_HEADS[self.loss]:
-            raise ConfigError("model.loss", f"{self.loss} requires {LOSS_HEADS[self.loss]}")
+            layer.check(f"model.layers[{i}]")
         width = self.resolve_widths()[-1]
         if width != self.num_classes:
             raise ConfigError("model.num_classes", f"head width {width} != {self.num_classes}")
@@ -198,10 +192,10 @@ class Plan:
         self.non_norm_slots = [(a, b) for a, b, _ in self.slots.values() if b <= self.n_non_norm]
         self.index = {name: k for k, name in enumerate(self.slots)}  # position in views()
         self._views = [(None, []), (None, [])]  # (vector, its views), latest last
-        self.softmax = spec.layers[-1].kind == "softmax_ce_head"
+        self.softmax = spec.loss == "cross_entropy"
         widths = [spec.input_dim] + spec.resolve_widths()
         self.forward, self.backward = [], []
-        for i, layer in enumerate(spec.layers[:-1]):
+        for i, layer in enumerate(spec.layers):
             if layer.kind == "dense":
                 fwd, bwd = _dense(self, i)
             elif layer.kind == "relu":
@@ -335,23 +329,35 @@ def _norm(plan, i, layer, width):
     return forward, backward
 
 
+def check_labels(labels: np.ndarray, num_classes: int) -> None:
+    """ShapeMismatch, worded to follow "has", unless ``labels`` of a bool, integer
+    or real dtype are 1-D class ids in ``[0, num_classes)`` or 2-D multi-hot rows
+    of ``num_classes`` 0/1 entries (a complex 1.5+2j would train as class 1)."""
+    if labels.dtype.kind not in "biuf" or labels.ndim not in (1, 2):
+        raise ShapeMismatch(f"labels of dtype {labels.dtype} and shape {labels.shape}, "
+                            "not a 1-D or 2-D array of bools, integers or reals")
+    if labels.ndim == 2:
+        if labels.shape[1] != num_classes:
+            raise ShapeMismatch(f"{labels.shape[1]} label columns, "
+                                f"the model has {num_classes} classes")
+        if not ((labels == 0) | (labels == 1)).all():  # 2 is no BCE target
+            raise ShapeMismatch("a multi-hot entry other than 0 or 1")
+    # a NaN min fails the range, and the cast to int64 would truncate 1.5
+    elif labels.size and not 0 <= labels.min() <= labels.max() < num_classes:
+        raise ShapeMismatch(f"a label outside [0, {num_classes})")
+    elif labels.dtype.kind == "f" and (labels != np.floor(labels)).any():
+        raise ShapeMismatch("a label that is not an integer")
+
+
 def labels_to_targets(spec: ModelSpec, labels: np.ndarray) -> np.ndarray:
     """Class ids -> one-hot; multi-hot rows pass through (as float64)."""
     labels = np.asarray(labels)
+    check_labels(labels, spec.num_classes)  # a public Batch is checked here
     if labels.ndim == 1:
-        # public Batch input; a NaN min fails the range, and the cast would truncate 1.5
-        if labels.size and not 0 <= labels.min() <= labels.max() < spec.num_classes:
-            raise ShapeMismatch("class id outside [0, num_classes)")
-        if labels.dtype.kind == "f" and (labels != np.floor(labels)).any():
-            raise ShapeMismatch("class id is not an integer")
         ids = labels.astype(np.int64)
         targets = np.zeros((labels.shape[0], spec.num_classes))
         targets[np.arange(labels.shape[0]), ids] = 1.0
         return targets
-    if labels.shape[1] != spec.num_classes:
-        raise ShapeMismatch("multi-hot labels disagree with num_classes")
-    if not ((labels == 0) | (labels == 1)).all():  # public Batch input; 2 is no BCE target
-        raise ShapeMismatch("multi-hot entry other than 0 or 1")
     return labels.astype(np.float64)
 
 

@@ -37,6 +37,7 @@ from .errors import (
     NoSelectableRound,
     NonFiniteLoss,
     SchemaMismatch,
+    ShapeMismatch,
     SingleClass,
     check_int,
     check_real,
@@ -47,6 +48,7 @@ from .nn import (
     ModelSpec,
     Plan,
     apply_running_stats,
+    check_labels,
     init_params,
     labels_to_targets,
     local_adam_step,
@@ -342,9 +344,8 @@ def _check_client(ds: ClientDataset, model: ModelSpec) -> None:
     """SchemaMismatch naming the client, and the split at fault, unless its id
     is a non-negative integer (the sort and ``client_rng`` need one) and each
     split has ``model.input_dim`` columns, rows enough (2 in train, for one
-    step, and 1 in validation and test), finite features and one label per
-    row: an integer in ``[0, model.num_classes)``, as a CSV's rows must, or a
-    multi-hot row of ``model.num_classes`` entries, each 0 or 1."""
+    step, and 1 in validation and test), finite features and labels the model
+    takes (``nn.check_labels``), one per row."""
     cid = ds.client_id
     if not isinstance(cid, numbers.Integral) or isinstance(cid, bool) or cid < 0:
         raise SchemaMismatch(f"client_id {cid!r} is not a non-negative integer")
@@ -357,20 +358,13 @@ def _check_client(ds: ClientDataset, model: ModelSpec) -> None:
             raise SchemaMismatch(f"{where} needs at least {least} rows, has {batch.size}")
         if not np.isfinite(batch.inputs).all():
             raise SchemaMismatch(f"{where} has a non-finite feature")
-        labels = batch.labels
-        if labels.ndim not in (1, 2) or labels.shape[0] != batch.size:
-            raise SchemaMismatch(f"{where} has labels of shape {labels.shape} "
+        try:
+            check_labels(batch.labels, model.num_classes)
+        except ShapeMismatch as exc:
+            raise SchemaMismatch(f"{where} has {exc}") from exc
+        if batch.labels.shape[0] != batch.size:
+            raise SchemaMismatch(f"{where} has labels of shape {batch.labels.shape} "
                                  f"for {batch.size} rows")
-        if labels.ndim == 2:  # multi-hot
-            if labels.shape[1] != model.num_classes:
-                raise SchemaMismatch(f"{where} has {labels.shape[1]} label columns, "
-                                     f"the model has {model.num_classes} classes")
-            if not ((labels == 0) | (labels == 1)).all():
-                raise SchemaMismatch(f"{where} has a multi-hot entry other than 0 or 1")
-        elif not 0 <= labels.min() <= labels.max() < model.num_classes:  # a NaN min fails too
-            raise SchemaMismatch(f"{where} has a label outside [0, {model.num_classes})")
-        elif labels.dtype.kind == "f" and (labels != np.floor(labels)).any():
-            raise SchemaMismatch(f"{where} has a label that is not an integer")
 
 
 def _snapshot(w_start: np.ndarray, server: ServerState,

@@ -10,16 +10,12 @@ KNOB_VALUES = {"mu": 0.0, "alpha": 0.01, "eta_g": 0.01, "gamma": 0.001}
 
 
 def make_model(kinds, input_dim=5, hidden=6, num_classes=3, groups=2):
-    """dense -> [norm] -> relu -> dense -> softmax head, per requested kinds;
+    """dense -> [norm] -> relu -> dense under softmax-CE, per requested kinds;
     ``groups`` goes to a group-norm layer, the only kind that reads it."""
     layers = [LayerSpec(kind="dense", width=hidden)]
     for kind in kinds:
         layers.append(LayerSpec(kind=kind, groups=groups if kind == "group_norm" else None))
-    layers += [
-        LayerSpec(kind="relu"),
-        LayerSpec(kind="dense", width=num_classes),
-        LayerSpec(kind="softmax_ce_head"),
-    ]
+    layers += [LayerSpec(kind="relu"), LayerSpec(kind="dense", width=num_classes)]
     return ModelSpec(input_dim=input_dim, layers=layers, loss="cross_entropy",
                      num_classes=num_classes)
 

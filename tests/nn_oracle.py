@@ -197,27 +197,26 @@ def model_forward(spec: ModelSpec, params: ParamSet, batch: Batch, mode: str = "
                 new_stats[f"{prefix}.running_mean"] = updated[0]
                 new_stats[f"{prefix}.running_var"] = updated[1]
             cache.layer_caches.append(lcache)
-        else:  # loss head
-            targets = labels_to_targets(spec, batch.labels)
-            if layer.kind == "softmax_ce_head":
-                z = x - np.max(x, axis=1, keepdims=True)
-                expz = np.exp(z)
-                probs = expz / np.sum(expz, axis=1, keepdims=True)
-                per_example = -np.sum(targets * (z - np.log(np.sum(expz, axis=1, keepdims=True))), axis=1)
-            else:
-                probs = 1.0 / (1.0 + np.exp(-x))
-                eps = 1e-12
-                per_example = -np.mean(
-                    targets * np.log(probs + eps) + (1.0 - targets) * np.log(1.0 - probs + eps),
-                    axis=1,
-                )
-            loss = float(np.mean(per_example))
-            cache.layer_caches.append({"probs": probs, "targets": targets})
-            if not np.isfinite(loss):
-                raise NonFiniteLoss(f"loss = {loss}")
-            cache.updated_running_stats = new_stats
-            return probs, loss, cache
-    raise ShapeMismatch("model has no loss head")  # pragma: no cover
+    # the loss's head
+    targets = labels_to_targets(spec, batch.labels)
+    if spec.loss == "cross_entropy":
+        z = x - np.max(x, axis=1, keepdims=True)
+        expz = np.exp(z)
+        probs = expz / np.sum(expz, axis=1, keepdims=True)
+        per_example = -np.sum(targets * (z - np.log(np.sum(expz, axis=1, keepdims=True))), axis=1)
+    else:
+        probs = 1.0 / (1.0 + np.exp(-x))
+        eps = 1e-12
+        per_example = -np.mean(
+            targets * np.log(probs + eps) + (1.0 - targets) * np.log(1.0 - probs + eps),
+            axis=1,
+        )
+    loss = float(np.mean(per_example))
+    cache.layer_caches.append({"probs": probs, "targets": targets})
+    if not np.isfinite(loss):
+        raise NonFiniteLoss(f"loss = {loss}")
+    cache.updated_running_stats = new_stats
+    return probs, loss, cache
 
 
 def model_backward(spec: ModelSpec, params: ParamSet, cache: ForwardCache) -> GradSet:
@@ -230,12 +229,11 @@ def model_backward(spec: ModelSpec, params: ParamSet, cache: ForwardCache) -> Gr
     head_cache = cache.layer_caches[-1]
     probs, targets = head_cache["probs"], head_cache["targets"]
     n = cache.batch_size
-    head = spec.layers[-1]
-    if head.kind == "softmax_ce_head":
+    if spec.loss == "cross_entropy":
         dx = (probs - targets) / n
     else:
         dx = (probs - targets) / (n * targets.shape[1])
-    for i in range(len(spec.layers) - 2, -1, -1):
+    for i in range(len(spec.layers) - 1, -1, -1):
         layer = spec.layers[i]
         prefix = f"layer{i}"
         lcache = cache.layer_caches[i]

@@ -22,8 +22,6 @@ from fedbench.data_synth import PartitionSpec, generate, write_partition
 from fedbench.nn import (
     AdamState,
     Batch,
-    LayerSpec,
-    ModelSpec,
     Plan,
     apply_running_stats,
     init_params,
@@ -44,9 +42,7 @@ def data_spec(num_clients, sizes):
 
 def bce_model(kinds, input_dim=5, hidden=6, num_classes=3, groups=2):
     spec = make_model(kinds, input_dim, hidden, num_classes, groups)
-    layers = spec.layers[:-1] + [LayerSpec(kind="sigmoid_bce_head")]
-    return ModelSpec(input_dim=input_dim, layers=layers, loss="binary_cross_entropy",
-                     num_classes=num_classes)
+    return replace(spec, loss="binary_cross_entropy")
 
 
 def perturbed_params(plan, seed):

@@ -21,7 +21,7 @@ from fedbench.cli import (
 )
 from fedbench.data_synth import DATA_DEFAULTS, DATA_FIELDS, PartitionSpec, write_partition
 from fedbench.errors import ConfigError, NonFiniteLoss, stated
-from fedbench.nn import LAYER_DEFAULTS, LAYER_FIELDS, LOSS_HEADS, LayerSpec, ModelSpec
+from fedbench.nn import LAYER_DEFAULTS, LAYER_FIELDS, LayerSpec, ModelSpec, Plan
 from fedbench.strategies import ALGORITHMS, KNOBS, StrategyConfig
 
 from conftest import KNOB_VALUES, edit_cell
@@ -37,7 +37,6 @@ def base_config(**extra):
                 {"kind": "dense", "width": 6},
                 {"kind": "relu"},
                 {"kind": "dense", "width": 3},
-                {"kind": "softmax_ce_head"},
             ],
         },
         "strategy": {"algorithm": "fedavg"},
@@ -133,15 +132,17 @@ def test_grid_eta_accepted(tmp_path):
     cfg = base_config(eta=0.003)
     path = write_config(tmp_path, cfg)
     parsed, echo = parse_and_validate_config(path)
-    assert parsed.eta == 0.003
-    assert echo["total_budget"] == 2
+    assert parsed.eta == 0.003 and echo["eta"] == 0.003
 
 
 def test_total_budget_mismatch_rejected(tmp_path):
+    """The budget is local_epochs * rounds; no config states it, so a
+    mismatched one is an unknown key like any other."""
     cfg = base_config(total_budget=7)
     path = write_config(tmp_path, cfg)
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError) as err:
         parse_and_validate_config(path)
+    assert err.value.field == "config" and "unknown keys ['total_budget']" in err.value.reason
 
 
 def test_override_visible_in_echo(tmp_path, capsys):
@@ -154,7 +155,6 @@ def test_override_visible_in_echo(tmp_path, capsys):
     assert code == EXIT_OK
     echo = yaml.safe_load((out / "config_echo.yaml").read_text())
     assert echo["eta"] == 0.05
-    assert echo["total_budget"] == 2
 
 
 def test_override_builds_a_section_the_config_omits(tmp_path):
@@ -214,7 +214,7 @@ def test_echo_reads_back_as_the_config_that_ran(tmp_path, monkeypatch, command):
     assert echo["model"]["layers"][:3] == [{"kind": "dense", "width": 6},
                                            {"kind": "batch_norm", "epsilon": 1e-5, "momentum": 0.1},
                                            {"kind": "relu"}]
-    assert echo["out_dir"] == str(out) and echo["total_budget"] == 4
+    assert echo["out_dir"] == str(out) and "total_budget" not in echo
     assert echo["local_optimizer"] == "sgd" and echo["keep_all_checkpoints"] is False
     if command == "run":  # label skew: its two fields, at their defaults
         assert echo["data"]["skew_concentration"] == 0.5 and echo["data"]["class_separation"] == 2.0
@@ -924,9 +924,10 @@ def test_unknown_key_is_config_error(tmp_path, capsys, section, key):
     assert not (tmp_path / "x").exists()
 
 
-def test_declared_total_budget_is_a_known_key(tmp_path):
-    parsed, _ = parse_and_validate_config(write_config(tmp_path, base_config(total_budget=2)))
-    assert parsed.total_budget == 2
+def test_declared_total_budget_is_an_unknown_key(tmp_path, capsys):
+    """Even the budget the config works out to, local_epochs * rounds = 2."""
+    record = run_config_error(tmp_path, capsys, base_config(total_budget=2))
+    assert record["message"].startswith("config: unknown keys ['total_budget']")
 
 
 @pytest.mark.parametrize("edit,message", [
@@ -936,12 +937,9 @@ def test_declared_total_budget_is_a_known_key(tmp_path):
     (lambda m: m["layers"][0].pop("width") and "model.layers[0].width",
      "required field missing"),
     (lambda m: m.update(layers=[]) or "model.layers", "model has no layers"),
-    (lambda m: m["layers"].insert(1, {"kind": "softmax_ce_head"}) or "model.layers[1].kind",
-     "the last layer must be a loss head and no other may be, got 'softmax_ce_head'"),
-    (lambda m: m["layers"].pop() and "model.layers[2].kind",
-     "the last layer must be a loss head and no other may be, got 'dense'"),
-    (lambda m: m.update(loss="binary_cross_entropy") or "model.loss",
-     "binary_cross_entropy requires sigmoid_bce_head"),
+    # the loss picks the head, so a head layer is no layer kind
+    (lambda m: m["layers"].append({"kind": "softmax_ce_head"}) or "model.layers[3].kind",
+     "unknown layer kind 'softmax_ce_head'"),
     (lambda m: m.update(num_classes=4) or "model.num_classes", "head width 3 != 4"),
     (lambda m: m["layers"].insert(1, {"kind": "group_norm", "groups": 4})
      or "model.layers[1].groups", "must divide width 6"),
@@ -969,22 +967,19 @@ def test_bad_model_structure_is_config_error(tmp_path, capsys, edit, message):
 # a valid value of each layer and data field, for stating it where it is not read
 LAYER_VALUES = {"width": 6, "groups": 2, "epsilon": 1e-3, "momentum": 0.5}
 DATA_VALUES = {"skew_concentration": 0.7, "shift_scale": 0.7, "class_separation": 0.7}
-HEAD_LOSSES = {head: loss for loss, head in LOSS_HEADS.items()}
+RETIRED_HEADS = ("sigmoid_bce_head", "softmax_ce_head")  # the loss picks the head now
 
 
 def config_with_layer(kind, **fields):
     """base_config whose model holds a ``kind`` layer stating ``fields`` (a
-    dense one also its width, unless given): a head ends the model with its
-    loss, any other kind goes in at index 1.  Returns (config, index)."""
+    dense one also its width, unless given): a retired head ends the model,
+    where a head went, any other kind goes in at index 1.  Returns (config, index)."""
     cfg = base_config()
     layers = cfg["model"]["layers"]
     layer = {"kind": kind, **({"width": 6} if kind == "dense" else {}), **fields}
-    if kind in HEAD_LOSSES:
-        layers[-1] = layer
-        cfg["model"]["loss"] = HEAD_LOSSES[kind]
-        return cfg, len(layers) - 1
-    layers.insert(1, layer)
-    return cfg, 1
+    i = len(layers) if kind in RETIRED_HEADS else 1
+    layers.insert(i, layer)
+    return cfg, i
 
 
 def library_model(cfg) -> ModelSpec:
@@ -1004,23 +999,25 @@ def run_config_error(tmp_path, capsys, cfg, argv=("run",)):
     return json.loads(capsys.readouterr().err.strip())
 
 
-@pytest.mark.parametrize("kind,name", [(kind, name) for kind in LAYER_FIELDS
+@pytest.mark.parametrize("kind,name", [(kind, name) for kind in [*LAYER_FIELDS, *RETIRED_HEADS]
                                        for name in ("width", "groups", "epsilon", "momentum")])
 def test_a_layer_holds_exactly_the_fields_its_kind_reads(tmp_path, capsys, kind, name):
     """A field the kind does not read may not be stated; one it reads and the
     config omits takes its default, but a dense layer's width has none.  Both
     hold in the library and through ``fedbench run``, whose echo records the
-    field at its default."""
+    field at its default.  A retired head kind reads no field, as it is no
+    kind: whatever it states, the error names its kind."""
     required = name == "width" and kind == "dense"
-    if name not in LAYER_FIELDS[kind] or required:
+    if kind in RETIRED_HEADS or name not in LAYER_FIELDS[kind] or required:
         if required:
             cfg, i = config_with_layer(kind)
             del cfg["model"]["layers"][i]["width"]
-            reason = "required field missing"
+            field, reason = f"model.layers[{i}].{name}", "required field missing"
         else:
             cfg, i = config_with_layer(kind, **{name: LAYER_VALUES[name]})
-            reason = f"{kind} does not read {name}"
-        field = f"model.layers[{i}].{name}"
+            field, reason = ((f"model.layers[{i}].kind", f"unknown layer kind {kind!r}")
+                             if kind in RETIRED_HEADS else
+                             (f"model.layers[{i}].{name}", f"{kind} does not read {name}"))
         with pytest.raises(ConfigError) as err:
             library_model(cfg)
         assert (err.value.field, err.value.reason) == (field, reason)
@@ -1063,7 +1060,7 @@ def test_a_partition_holds_exactly_the_fields_its_kind_reads(tmp_path, capsys, k
 @pytest.mark.parametrize("section,field", [
     ({"model": {**base_config()["model"], "layers": [
         {"kind": "dense", "width": 16, "momentum": 0.5, "groups": 4, "epsilon": 3.0},
-        {"kind": "relu"}, {"kind": "dense", "width": 3}, {"kind": "softmax_ce_head"}]}},
+        {"kind": "relu"}, {"kind": "dense", "width": 3}]}},
      "model.layers[0].groups"),
     ({"data": {**base_config()["data"], "kind": "feature_shift", "skew_concentration": 9.0}},
      "data.skew_concentration"),
@@ -1075,17 +1072,16 @@ def test_fields_that_used_to_be_ignored_are_config_errors(tmp_path, capsys, sect
     assert record["message"].split(":")[0] == field
 
 
-@pytest.mark.parametrize("data_kind,head", [("label_skew", "softmax_ce_head"),
-                                            ("feature_shift", "sigmoid_bce_head"),
-                                            ("iid", "softmax_ce_head")])
-def test_echo_holds_each_kinds_fields_and_reads_back(tmp_path, data_kind, head):
+@pytest.mark.parametrize("data_kind,loss", [("label_skew", "cross_entropy"),
+                                            ("feature_shift", "binary_cross_entropy"),
+                                            ("iid", "cross_entropy")])
+def test_echo_holds_each_kinds_fields_and_reads_back(tmp_path, data_kind, loss):
     """Every layer kind and one data kind in one run: the echo's layers and data
     hold exactly the fields their kinds read, and read back as the config that ran."""
     cfg = base_config(rounds=1)
     cfg["model"]["layers"][1:1] = [{"kind": "batch_norm", "momentum": 0.5},
                                    {"kind": "layer_norm"}, {"kind": "group_norm", "groups": 3}]
-    cfg["model"]["layers"][-1] = {"kind": head}
-    cfg["model"]["loss"] = HEAD_LOSSES[head]
+    cfg["model"]["loss"] = loss
     cfg["data"]["kind"] = data_kind
     out = tmp_path / "out"
     assert main(["run", "--config", str(write_config(tmp_path, cfg)), "--out", str(out)]) == EXIT_OK
@@ -1094,13 +1090,26 @@ def test_echo_holds_each_kinds_fields_and_reads_back(tmp_path, data_kind, head):
     for layer in echo["model"]["layers"]:
         assert set(layer) == {"kind", *LAYER_FIELDS[layer["kind"]]}
     assert [layer["kind"] for layer in echo["model"]["layers"]] == [
-        "dense", "batch_norm", "layer_norm", "group_norm", "relu", "dense", head]
+        "dense", "batch_norm", "layer_norm", "group_norm", "relu", "dense"]
+    assert echo["model"]["loss"] == loss  # the one statement of the head
     assert echo["model"]["layers"][1:4] == [
         {"kind": "batch_norm", "epsilon": 1e-5, "momentum": 0.5},
         {"kind": "layer_norm", "epsilon": 1e-5}, {"kind": "group_norm", "groups": 3, "epsilon": 1e-5}]
     assert set(echo["data"]) == set(base_config()["data"]) | set(DATA_FIELDS[data_kind])
     assert parse_and_validate_config(echo_path)[0] == parse_and_validate_config(
         write_config(tmp_path, cfg), out_dir=out)[0]
+
+
+def test_readme_minimal_config_parses_and_builds_its_plan(tmp_path):
+    """README's "Minimal config:" block is a config as written: it parses,
+    and its model compiles to a plan."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    block = readme.split("Minimal config:", 1)[1].split("```yaml\n", 1)[1].split("```", 1)[0]
+    path = tmp_path / "config.yaml"
+    path.write_text(block, encoding="utf-8")
+    cfg, _ = parse_and_validate_config(path)
+    plan = Plan(cfg.model)
+    assert plan.softmax and len(plan.forward) == len(cfg.model.layers) == 4
 
 
 def read_rows(path) -> list[dict]:

@@ -283,15 +283,25 @@ def test_int64_rank_sum_counts_equal_python_int_counts(n, m, levels):
     assert counts.tolist() == object_rank_sum_counts(doubled, n).tolist()
 
 
-@pytest.mark.parametrize("n,m", [(3, 3), (10, 10), (62, 6)])
-@pytest.mark.parametrize("alternative", ["two-sided", "one-sided"])
-def test_mwu_exact_result_types(n, m, alternative):
+def check_result_types(n, m, alternative, method):
     rng = np.random.default_rng(n + m)
     res = mann_whitney_u(np.round(rng.random(n), 1), np.round(rng.random(m) + 0.3, 1),
                          alternative=alternative)
+    assert res.method == method
     assert type(res.u_statistic) is float
     assert type(res.p_value) is float
     assert type(res.significant) is bool
+
+
+@pytest.mark.parametrize("n,m", [(3, 3), (10, 10)])
+@pytest.mark.parametrize("alternative", ["two-sided", "one-sided"])
+def test_mwu_exact_result_types(n, m, alternative):
+    check_result_types(n, m, alternative, "exact")
+
+
+@pytest.mark.parametrize("alternative", ["two-sided", "one-sided"])
+def test_mwu_normal_result_types(alternative):
+    check_result_types(62, 6, alternative, "normal")  # 62 + 6 > EXACT_LIMIT
 
 
 def test_mwu_exact_matches_scipy_without_ties():
@@ -332,16 +342,16 @@ def test_mwu_one_sided():
     assert res.significant is False  # strict < threshold
 
 
-@pytest.mark.parametrize("option,value", [("alternative", "less"), ("alternative", "greater")])
-def test_mwu_rejects_an_unknown_method_or_alternative(option, value):
+@pytest.mark.parametrize("value", ["less", "greater"])
+def test_mwu_rejects_an_unknown_alternative(value):
     with pytest.raises(ConfigError) as exc:
-        mann_whitney_u([1.0, 2.0, 3.0], [4.0, 5.0, 6.0], **{option: value})
-    assert exc.value.field == option
+        mann_whitney_u([1.0, 2.0, 3.0], [4.0, 5.0, 6.0], alternative=value)
+    assert exc.value.field == "alternative"
     # a matrix over one algorithm builds only its diagonal entry and runs no test
     for results in ({"a": [1.0, 2.0, 3.0], "b": [4.0, 5.0, 6.0]}, {"a": [1.0, 2.0]}):
         with pytest.raises(ConfigError) as exc:
-            significance_matrix(results, **{option: value})
-        assert exc.value.field == option
+            significance_matrix(results, alternative=value)
+        assert exc.value.field == "alternative"
 
 
 def test_mwu_auto_switches_to_normal_above_limit():

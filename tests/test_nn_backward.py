@@ -43,7 +43,7 @@ def test_gradient_check_all_layer_kinds(kinds, seed):
 def test_zero_input_kills_weight_gradient():
     spec = ModelSpec(
         input_dim=3,
-        layers=[LayerSpec(kind="dense", width=2), LayerSpec(kind="softmax_ce_head")],
+        layers=[LayerSpec(kind="dense", width=2)],
         loss="cross_entropy",
         num_classes=2,
     )
@@ -109,11 +109,7 @@ def test_ln_gain_bias_grads_are_head_error_statistics():
     # reduce to plain head-error statistics
     spec = ModelSpec(
         input_dim=4,
-        layers=[
-            LayerSpec(kind="layer_norm", epsilon=0.0),
-            LayerSpec(kind="dense", width=2),
-            LayerSpec(kind="softmax_ce_head"),
-        ],
+        layers=[LayerSpec(kind="layer_norm", epsilon=0.0), LayerSpec(kind="dense", width=2)],
         loss="cross_entropy",
         num_classes=2,
     )

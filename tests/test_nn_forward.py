@@ -28,8 +28,7 @@ def norm_forward(kind, x, gain, bias, running_stats, mode, epsilon, groups=1,
     values = {"epsilon": epsilon, "groups": groups, "momentum": momentum}
     spec = ModelSpec(
         input_dim=width,
-        layers=[LayerSpec(kind=kind, **{k: values[k] for k in LAYER_FIELDS[kind]}),
-                LayerSpec(kind="softmax_ce_head")],
+        layers=[LayerSpec(kind=kind, **{k: values[k] for k in LAYER_FIELDS[kind]})],
         loss="cross_entropy",
         num_classes=width,
     )
@@ -53,7 +52,7 @@ def forward(spec, w, batch, mode):
 def test_zero_weight_dense_softmax_gives_uniform():
     spec = ModelSpec(
         input_dim=4,
-        layers=[LayerSpec(kind="dense", width=3), LayerSpec(kind="softmax_ce_head")],
+        layers=[LayerSpec(kind="dense", width=3)],
         loss="cross_entropy",
         num_classes=3,
     )
@@ -158,22 +157,22 @@ def test_empty_batch_rejected(bn_model, seeded_params):
 
 def test_class_id_outside_the_model_rejected(bn_model, seeded_params):
     batch = Batch.from_arrays(np.zeros((4, 5)), np.array([0, 1, 2, 3]))
-    with pytest.raises(ShapeMismatch, match=r"^class id outside \[0, num_classes\)$"):
+    with pytest.raises(ShapeMismatch, match=r"^a label outside \[0, 3\)$"):
         forward(bn_model, seeded_params, batch, mode="eval")
 
 
 @pytest.mark.parametrize("label,fault", [(1.5, r"is not an integer"),
-                                         (float("nan"), r"outside \[0, num_classes\)")])
+                                         (float("nan"), r"outside \[0, 3\)")])
 def test_class_id_that_is_not_an_integer_rejected(bn_model, seeded_params, label, fault):
     """Not cast to int64, which would train 1.5 as class 1."""
     batch = Batch.from_arrays(np.zeros((4, 5)), np.array([0.0, 1.0, label, 2.0]))
-    with pytest.raises(ShapeMismatch, match=f"^class id {fault}$"):
+    with pytest.raises(ShapeMismatch, match=f"^a label (that )?{fault}$"):
         forward(bn_model, seeded_params, batch, mode="eval")
 
 
 @pytest.mark.parametrize("labels,fault", [
-    ([[1.0, 0.0], [0.0, 1.0]], "multi-hot labels disagree with num_classes"),
-    ([[1.0, 0.0, 0.0], [0.0, 2.0, 0.0]], "multi-hot entry other than 0 or 1"),
+    ([[1.0, 0.0], [0.0, 1.0]], "2 label columns, the model has 3 classes"),
+    ([[1.0, 0.0, 0.0], [0.0, 2.0, 0.0]], "a multi-hot entry other than 0 or 1"),
 ], ids=["two_columns", "entry_2"])
 def test_multi_hot_labels_that_do_not_fit_the_model_rejected(bn_model, seeded_params,
                                                              labels, fault):
@@ -183,12 +182,28 @@ def test_multi_hot_labels_that_do_not_fit_the_model_rejected(bn_model, seeded_pa
         forward(bn_model, seeded_params, batch, mode="eval")
 
 
+@pytest.mark.parametrize("labels", [
+    np.eye(3)[[0, 1, 2, 1]][:, :, None],  # every entry 0 or 1
+    np.array(["0", "1", "2", "1"]),
+    np.array([0, 1, 1.5 + 2j, 2]),
+], ids=["3d", "str", "complex"])
+def test_batch_labels_that_are_not_a_1d_or_2d_real_array_rejected(bn_model, seeded_params,
+                                                                  labels):
+    """(4, 3, 1) labels failed as a builtin broadcast ValueError, string labels
+    as numpy's UFuncTypeError, and the complex 1.5+2j trained as class 1."""
+    batch = Batch.from_arrays(np.zeros((4, 5)), labels)
+    with pytest.raises(ShapeMismatch) as err:
+        forward(bn_model, seeded_params, batch, mode="eval")
+    assert str(err.value) == (f"labels of dtype {labels.dtype} and shape {labels.shape}, "
+                              "not a 1-D or 2-D array of bools, integers or reals")
+
+
 def model_with(layer, input_dim=5, num_classes=3):
-    """dense(6) -> ``layer`` -> relu -> dense -> softmax head, built in Python."""
+    """dense(6) -> ``layer`` -> relu -> dense under softmax-CE, built in Python."""
     return ModelSpec(
         input_dim=input_dim,
         layers=[LayerSpec(kind="dense", width=6), layer, LayerSpec(kind="relu"),
-                LayerSpec(kind="dense", width=3), LayerSpec(kind="softmax_ce_head")],
+                LayerSpec(kind="dense", width=3)],
         loss="cross_entropy",
         num_classes=num_classes,
     )
@@ -242,7 +257,7 @@ def test_running_stats_committed_only_on_apply(bn_model, seeded_params):
 def test_bce_head_on_multi_hot_labels():
     spec = ModelSpec(
         input_dim=3,
-        layers=[LayerSpec(kind="dense", width=2), LayerSpec(kind="sigmoid_bce_head")],
+        layers=[LayerSpec(kind="dense", width=2)],
         loss="binary_cross_entropy",
         num_classes=2,
     )

@@ -721,18 +721,39 @@ def test_run_rejects_preloaded_labels_that_are_not_one_per_row(tmp_path, monkeyp
     with pytest.raises(SchemaMismatch) as err:
         run_experiment(experiment(rounds=1), seed=0, out_dir=tmp_path / "run",
                        datasets=datasets)
-    assert str(err.value) == (f"client 1 {split} split has labels of shape {bad.shape} "
-                              f"for {batch.size} rows")
+    fault = (f"of shape {bad.shape} for {batch.size} rows" if bad.ndim == 1 else
+             f"of dtype {bad.dtype} and shape {bad.shape}, not a 1-D or 2-D array of "
+             "bools, integers or reals")
+    assert str(err.value) == f"client 1 {split} split has labels {fault}"
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("split", ["train", "val", "test"])
+@pytest.mark.parametrize("dtype", [str, complex])
+def test_run_rejects_preloaded_labels_of_a_dtype_that_is_not_bool_integer_or_real(
+        tmp_path, monkeypatch, split, dtype):
+    """String labels failed as numpy's UFuncTypeError, and a complex 1.5+2j
+    passed the client check and trained as class 1."""
+    batch = getattr(generate(experiment().data)[1], split)
+    labels = batch.labels.astype(dtype)
+    if dtype is complex:
+        labels[0] = 1.5 + 2j
+    datasets = preloaded_with(split, batch.inputs, labels)
+    no_parameters_built(monkeypatch)
+    with pytest.raises(SchemaMismatch) as err:
+        run_experiment(experiment(rounds=1), seed=0, out_dir=tmp_path / "run",
+                       datasets=datasets)
+    assert str(err.value) == (f"client 1 {split} split has labels of dtype {labels.dtype} "
+                              f"and shape {labels.shape}, not a 1-D or 2-D array of "
+                              "bools, integers or reals")
     assert not (tmp_path / "run").exists()
 
 
 def multi_hot_run(**kw):
-    """The test config with a sigmoid-BCE head, and its clients with each
-    class id as a one-hot row."""
+    """The test config under sigmoid-BCE, and its clients with each class id
+    as a one-hot row."""
     cfg = experiment(rounds=1, **kw)
-    model = replace(cfg.model, loss="binary_cross_entropy",
-                    layers=[*cfg.model.layers[:-1], replace(cfg.model.layers[-1],
-                                                            kind="sigmoid_bce_head")])
+    model = replace(cfg.model, loss="binary_cross_entropy")
     datasets = [replace(ds, **{name: Batch.from_arrays(
                     getattr(ds, name).inputs, np.eye(3)[getattr(ds, name).labels]) for name in
                     ("train", "val", "test")}) for ds in generate(cfg.data)]

@@ -17,9 +17,9 @@ The set:
   as ``round_NNNN.npz``), written to ``grid/``;
 * fedyogi, 10 rounds, seed 0, with ``keep_all_checkpoints`` (every round's
   checkpoint is kept), written to ``grid_keep_all/``;
-* 10 rounds at seed 0 of each other layer kind the model compiles, written
-  to ``kinds/``: layer norm (fedpxn), group norm (feddyn with local Adam), no
-  norm (fedprox) and a sigmoid-BCE head after batch norm (fedadam);
+* 10 rounds at seed 0 of each other layer kind and loss the model compiles,
+  written to ``kinds/``: layer norm (fedpxn), group norm (feddyn with local
+  Adam), no norm (fedprox) and the sigmoid-BCE loss after batch norm (fedadam);
 * 10 rounds at seed 0 of the other evaluation paths, written to
   ``paths/``: fedavg on a 2-class feature-shift partition (the binary AUROC
   path), and fedavg selecting by ``auprc``, ``accuracy`` and ``loss``;
@@ -74,19 +74,18 @@ import yaml
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from fedbench import benchmarks, cli, metrics, orchestrator  # noqa: E402
-from fedbench.nn import LayerSpec  # noqa: E402
 from fedbench.params import load_checkpoint  # noqa: E402
 from fedbench.strategies import ALGORITHMS  # noqa: E402
 
 ROUNDS = 50
 KEEP_ALL_ROUNDS = 10
 KIND_ROUNDS = 10
-# run name -> (algorithm, norm kind, local optimizer, loss head)
+# run name -> (algorithm, norm kind, local optimizer, loss)
 KIND_RUNS = {
-    "layer_norm": ("fedpxn", "layer_norm", "sgd", "softmax_ce_head"),
-    "group_norm": ("feddyn", "group_norm", "adam", "softmax_ce_head"),
-    "no_norm": ("fedprox", "", "sgd", "softmax_ce_head"),
-    "sigmoid_bce": ("fedadam", "batch_norm", "sgd", "sigmoid_bce_head"),
+    "layer_norm": ("fedpxn", "layer_norm", "sgd", "cross_entropy"),
+    "group_norm": ("feddyn", "group_norm", "adam", "cross_entropy"),
+    "no_norm": ("fedprox", "", "sgd", "cross_entropy"),
+    "sigmoid_bce": ("fedadam", "batch_norm", "sgd", "binary_cross_entropy"),
 }
 # run name -> (number of classes, selection metric) of a fedavg run
 PATH_RUNS = {
@@ -120,14 +119,10 @@ def run_keep_all() -> None:
 
 
 def kind_config(name: str, rounds: int):
-    alg, norm_kind, optimizer, head = KIND_RUNS[name]
+    alg, norm_kind, optimizer, loss = KIND_RUNS[name]
     cfg = benchmarks.benchmark_config(alg, "feature_shift", rounds=rounds, seeds=(0,),
                                       norm_kind=norm_kind)
-    model = cfg.model
-    if head == "sigmoid_bce_head":
-        model = replace(model, layers=model.layers[:-1] + [LayerSpec(kind=head)],
-                        loss="binary_cross_entropy")
-    return replace(cfg, model=model, local_optimizer=optimizer)
+    return replace(cfg, model=replace(cfg.model, loss=loss), local_optimizer=optimizer)
 
 
 def path_config(name: str, rounds: int):
