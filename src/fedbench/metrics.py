@@ -72,19 +72,21 @@ def auroc(scores, labels) -> float:
     """Probability a random positive outscores a random negative (ties 1/2),
     macro-averaged over the columns of ``_columns``.
 
-    The columns are sorted once, and the doubled rank sum of a column's p
+    The transposed scores are sorted once, so each column's binary searches
+    run in a contiguous row, and the doubled rank sum of a column's p
     positives (``_doubled_midranks``) is an exact integer.
     """
     scores, positives = _columns(scores, labels)
-    ranked = np.sort(scores, axis=0)
+    columns = scores.T
+    rows = columns.copy()  # C order: one contiguous row per column
+    rows.sort()
     n = scores.shape[0]
     vals = []
-    for c in range(scores.shape[1]):
-        pos = positives[:, c]
+    for ranked, column, pos in zip(rows, columns, positives.T):
         p = int(np.count_nonzero(pos))
         if p in (0, n):
             continue
-        doubled = int(np.add.reduce(_doubled_midranks(ranked[:, c], scores[pos, c])[0]))
+        doubled = int(np.add.reduce(_doubled_midranks(ranked, column[pos])[0]))
         vals.append((doubled / 2 - p * (p + 1) / 2.0) / (p * (n - p)))
     if not vals:
         raise SingleClass("AUROC needs both classes present")

@@ -26,17 +26,22 @@ non-norm entries, then norm gains and biases (up to ``n_train``), then each
 batch-norm layer's running mean and variance as one (2, d) block, so what
 the server shares of it is always a prefix (see ``strategies``).  From
 ``init_params`` to the checkpoint files this vector is the only parameter
-representation (see ``params``).  Each layer is a pair of closures over
-fixed views of the vector, for train and eval alike; the backward writes
-into a flat gradient with ``out=``.
-``apply_running_stats`` and the optimizer steps update a vector in place,
-which only a client round's private vector may be (see ``params``).
+representation (see ``params``).  A Plan owns one parameter vector and one
+gradient vector, ``Plan.params`` and ``Plan.grad``, allocated when it
+compiles; each layer is a pair of closures bound once to fixed views of
+those two, for train and eval alike.  ``model_forward`` and
+``model_backward`` copy a caller's other vector into ``Plan.params`` first,
+and the backward writes into ``Plan.grad`` with ``out=``, so a Plan serves
+one call at a time: it is single-threaded, and a forward on another vector
+overwrites what ``Plan.params`` held.  ``apply_running_stats`` and the
+optimizer steps update a vector in place, which only a client round's
+training vector, ``Plan.params``, may be (see ``params``).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -160,13 +165,16 @@ def _layout(spec: ModelSpec) -> list[tuple[str, tuple, str, bool]]:
 # ---------------------------------------------------------------------------
 # the layer plan
 
-@dataclass
 class ForwardCache:
-    params: np.ndarray  # the vector the forward read, kept to detect a stale cache
-    train: bool
-    layers: list = field(default_factory=list)  # what each layer's backward needs
-    head: tuple = ()  # (probs, targets)
-    batch_stats: list = field(default_factory=list)  # (start, momentum, [mean; var])
+    """What one forward leaves for its backward and ``apply_running_stats``."""
+    __slots__ = ("params", "train", "layers", "head", "batch_stats")
+
+    def __init__(self, params: np.ndarray, train: bool):
+        self.params = params  # the vector the forward read, kept to detect a stale cache
+        self.train = train
+        self.layers = []  # what each layer's backward needs (eval: no ReLU mask)
+        self.head = ()  # (probs, targets)
+        self.batch_stats = []  # (start, momentum, [mean; var])
 
 
 class Plan:
@@ -190,37 +198,32 @@ class Plan:
             self.slots[name] = (start, sum(sizes), shape)
         self.size, self.n_non_norm, self.n_train = sum(sizes), sizes[0], sizes[0] + sizes[1]
         self.non_norm_slots = [(a, b) for a, b, _ in self.slots.values() if b <= self.n_non_norm]
-        self.index = {name: k for k, name in enumerate(self.slots)}  # position in views()
-        self._views = [(None, []), (None, [])]  # (vector, its views), latest last
         self.softmax = spec.loss == "cross_entropy"
+        # the one vector every layer reads and the one gradient its backward writes
+        self.params, self.grad = np.zeros(self.size), np.zeros(self.n_train)
+        params, grad = self.entries(self.params), self.entries(self.grad)
         widths = [spec.input_dim] + spec.resolve_widths()
         self.forward, self.backward = [], []
         for i, layer in enumerate(spec.layers):
             if layer.kind == "dense":
-                fwd, bwd = _dense(self, i)
+                fwd, bwd = _dense(i, params, grad)
             elif layer.kind == "relu":
                 fwd, bwd = _relu()
             else:
-                fwd, bwd = _norm(self, i, layer, widths[i + 1])
+                fwd, bwd = _norm(self, i, layer, widths[i + 1], params, grad)
             self.forward.append(fwd)
             self.backward.append(bwd)
         self.backward.reverse()
 
-    def views(self, vec: np.ndarray) -> list[np.ndarray]:
-        """Views of the entries ``vec`` holds (a gradient: the trainable ones), in
-        vector order; kept for the last two vectors seen (a round's and its gradient)."""
-        for seen, views in self._views:
-            if seen is vec:
-                return views
-        views = [vec[a:b].reshape(shape) for a, b, shape in self.slots.values()
-                 if b <= vec.shape[0]]
-        self._views = [self._views[-1], (vec, views)]
-        return views
-
     def entries(self, vec: np.ndarray) -> dict[str, np.ndarray]:
-        """The views of ``vec`` by name, in the checkpoint's layout order."""
-        views = self.views(vec)
-        return {n: views[self.index[n]] for n in self.names if self.index[n] < len(views)}
+        """Views of the entries ``vec`` holds (a gradient: the trainable ones)
+        by name, in the checkpoint's layout order."""
+        out = {}
+        for name in self.names:
+            start, stop, shape = self.slots[name]
+            if stop <= vec.shape[0]:
+                out[name] = vec[start:stop].reshape(shape)
+        return out
 
 
 def init_params(plan: Plan, seed: int) -> np.ndarray:
@@ -236,47 +239,52 @@ def init_params(plan: Plan, seed: int) -> np.ndarray:
     return vec
 
 
-# Each layer's closures find their entries at fixed positions of Plan.views.
+# Each layer's closures are bound to their entries of Plan.params and Plan.grad
+# (``params`` and ``grad``, the views by name).
 
-def _dense(plan, i):
-    k, j = plan.index[f"layer{i}.weight"], plan.index[f"layer{i}.bias"]
+def _dense(i, params, grad):
+    w, b = params[f"layer{i}.weight"], params[f"layer{i}.bias"]
+    gw, gb = grad[f"layer{i}.weight"], grad[f"layer{i}.bias"]
 
-    def forward(v, x, cache):
+    def forward(x, cache):
         cache.layers.append(x)
-        return x @ v[k] + v[j]
+        return x @ w + b
 
-    def backward(v, g, dy, x):
-        np.matmul(x.T, dy, out=g[k])
-        np.add.reduce(dy, 0, out=g[j])
+    def backward(dy, x):
+        np.matmul(x.T, dy, out=gw)
+        np.add.reduce(dy, 0, out=gb)
         if i:  # nothing consumes the gradient w.r.t. the model's inputs
-            return dy @ v[k].T
+            return dy @ w.T
         return None
 
     return forward, backward
 
 
 def _relu():
-    def forward(v, x, cache):
-        cache.layers.append(x > 0)
+    def forward(x, cache):
+        if cache.train:  # only the backward reads the mask
+            cache.layers.append(x > 0)
         return np.maximum(x, 0.0)
 
-    def backward(v, g, dy, mask):
+    def backward(dy, mask):
         return dy * mask
 
     return forward, backward
 
 
-def _norm(plan, i, layer, width):
+def _norm(plan, i, layer, width, params, grad):
     """BN normalizes per feature over the batch (train) or by the running
     stats (eval); LN/GN normalize per example, layer norm as one group."""
     add = np.add.reduce
-    k, j = plan.index[f"layer{i}.gain"], plan.index[f"layer{i}.bias"]
+    gain, bias = params[f"layer{i}.gain"], params[f"layer{i}.bias"]
+    g_gain, g_bias = grad[f"layer{i}.gain"], grad[f"layer{i}.bias"]
     eps, momentum = layer.epsilon, layer.momentum
     if layer.kind == "batch_norm":
-        r, q = plan.index[f"layer{i}.running_mean"], plan.index[f"layer{i}.running_var"]
+        running_mean = params[f"layer{i}.running_mean"]
+        running_var = params[f"layer{i}.running_var"]
         start = plan.slots[f"layer{i}.running_mean"][0]  # mean, then var: one (2, width) block
 
-        def standardize(v, x, cache):
+        def standardize(x, cache):
             if cache.train:
                 n = x.shape[0]
                 if n < 2:  # no batch variance; tests/nn_oracle.py mirrors this check
@@ -288,7 +296,7 @@ def _norm(plan, i, layer, width):
                 np.divide(add(xc * xc, 0, out=var), n, out=var)  # biased (1/N)
                 cache.batch_stats.append((start, momentum, stats))
             else:
-                mean, var = v[r], v[q]
+                mean, var = running_mean, running_var
                 xc = x - mean
             inv = 1.0 / np.sqrt(var + eps)
             return xc * inv, inv
@@ -300,7 +308,7 @@ def _norm(plan, i, layer, width):
         groups = layer.groups if layer.kind == "group_norm" else 1
         size = width // groups
 
-        def standardize(v, x, cache):
+        def standardize(x, cache):
             n = x.shape[0]
             xg = x.reshape(n, groups, size)
             xc = xg - add(xg, 2, keepdims=True) / size
@@ -315,16 +323,16 @@ def _norm(plan, i, layer, width):
             dx = inv * (dxh_g - mean_dxh - xh_g * (add(dxh_g * xh_g, 2, keepdims=True) / size))
             return dx.reshape(n, width)
 
-    def forward(v, x, cache):
-        x_hat, inv = standardize(v, x, cache)
+    def forward(x, cache):
+        x_hat, inv = standardize(x, cache)
         cache.layers.append((x_hat, inv))
-        return v[k] * x_hat + v[j]
+        return gain * x_hat + bias
 
-    def backward(v, g, dy, saved):
+    def backward(dy, saved):
         x_hat, inv = saved
-        add(dy * x_hat, 0, out=g[k])
-        add(dy, 0, out=g[j])
-        return standardize_backward(dy * v[k], x_hat, inv)
+        add(dy * x_hat, 0, out=g_gain)
+        add(dy, 0, out=g_bias)
+        return standardize_backward(dy * gain, x_hat, inv)
 
     return forward, backward
 
@@ -364,19 +372,24 @@ def labels_to_targets(spec: ModelSpec, labels: np.ndarray) -> np.ndarray:
 def model_forward(plan: Plan, params: np.ndarray, batch: Batch, mode: str = "train"):
     """Run the network on the parameter vector; returns (predictions, mean loss, cache).
 
-    Train mode uses batch statistics for batch_norm and records them in the
-    cache (the caller moves the running stats with ``apply_running_stats``);
-    eval mode is deterministic w.r.t. params.
+    ``params`` is copied into ``plan.params`` unless it is that vector.  Train
+    mode uses batch statistics for batch_norm and records them in the cache
+    (the caller moves the running stats with ``apply_running_stats``); eval
+    mode is deterministic w.r.t. params.
     """
     x = np.asarray(batch.inputs, dtype=np.float64)
     if x.shape[0] < 1:  # public Batch input
         raise ShapeMismatch("empty batch")
     if x.shape[1] != plan.spec.input_dim:
         raise ShapeMismatch(f"input dim {x.shape[1]} != {plan.spec.input_dim}")
+    if params is not plan.params:  # the backward needs no check: its cache's forward made it
+        if params.shape != plan.params.shape:
+            raise ShapeMismatch(f"a parameter vector of shape {params.shape}, "
+                                f"the plan's has {plan.size} entries")
+        np.copyto(plan.params, params)
     cache = ForwardCache(params=params, train=mode == "train")
-    views = plan.views(params)
     for forward in plan.forward:
-        x = forward(views, x, cache)
+        x = forward(x, cache)
     targets = batch.targets
     if targets is None:
         targets = labels_to_targets(plan.spec, batch.labels)
@@ -412,22 +425,29 @@ def apply_running_stats(params: np.ndarray, cache: ForwardCache) -> None:
 def model_backward(plan: Plan, params: np.ndarray, cache: ForwardCache,
                    out: np.ndarray | None = None) -> np.ndarray:
     """Gradient of the mean loss w.r.t. the trainable prefix ``params[:n_train]``,
-    written into ``out`` (a fresh vector if None)."""
+    computed in ``plan.grad`` and copied into ``out`` (a fresh vector if None)
+    unless it is that vector.  ``params`` is copied into ``plan.params`` again
+    unless it is that vector, so a forward on another vector since ``cache``'s
+    cannot change the result."""
     if cache.params is not params:
         raise StaleCache("cache was built from different params")
     if not cache.train:
         raise StaleCache("backward requires a train-mode cache")
-    grad = np.empty(plan.n_train) if out is None else out
+    if params is not plan.params:
+        np.copyto(plan.params, params)
     probs, targets = cache.head
     n = probs.shape[0]
     if plan.softmax:
         dx = (probs - targets) / n
     else:
         dx = (probs - targets) / (n * targets.shape[1])
-    views, grad_views = plan.views(params), plan.views(grad)
     for backward, saved in zip(plan.backward, reversed(cache.layers)):
-        dx = backward(views, grad_views, dx, saved)
-    return grad
+        dx = backward(dx, saved)
+    if out is None:
+        return plan.grad.copy()
+    if out is not plan.grad:
+        np.copyto(out, plan.grad)
+    return out
 
 
 # ---------------------------------------------------------------------------

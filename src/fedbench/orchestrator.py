@@ -180,11 +180,13 @@ def client_rng(seed: int, client_id: int, round_idx: int) -> np.random.Generator
 
 def _batches(batch: Batch, batch_size: int, rng: np.random.Generator):
     """Shuffled consecutive mini-batches with their rows of the targets, all
-    gathered once per epoch; a trailing singleton is dropped (batch-norm
+    gathered once per epoch (``take``, which copies the rows ``a[order]`` would,
+    at a fraction of its cost); a trailing singleton is dropped (batch-norm
     train mode cannot use it)."""
     n = batch.size
     order = rng.permutation(n)
-    inputs, labels, targets = batch.inputs[order], batch.labels[order], batch.targets[order]
+    inputs, labels = batch.inputs.take(order, 0), batch.labels.take(order, 0)
+    targets = batch.targets.take(order, 0)
     for start in range(0, n, batch_size):
         stop = min(start + batch_size, n)
         if stop - start < 2:
@@ -212,18 +214,22 @@ def run_local_training(
     plan: Plan,
 ) -> ClientState:
     """E local epochs with the strategy-modified gradient, trained in place in
-    a private copy of the client's round-start vector, then published
-    read-only as ``client.params`` with the round's ``train_loss`` and
-    ``diverged``; returns the client."""
+    ``plan.params``, into which the client's round-start vector is copied
+    first, with ``plan.grad`` for the gradient; then a read-only copy is
+    published as ``client.params`` with the round's ``train_loss`` and
+    ``diverged``.  Returns the client.  The plan's two vectors make a round
+    single-threaded: no other forward may run on ``plan`` until it returns."""
     strat = cfg.strategy
     w_ref = client.eval_params  # round-start reference for prox/dyn terms
-    work = w_ref.copy()
-    grad = np.empty(plan.n_train)
+    work, grad = plan.params, plan.grad
+    np.copyto(work, w_ref)
+    eta, batch_size, n_non_norm = cfg.eta, cfg.batch_size, plan.n_non_norm
+    dyn, adam = client.dyn, client.adam_state  # adam_state: None under SGD
     rng = client_rng(seed, client.client_id, round_idx)
     losses = []
     diverged = False
     for _ in range(cfg.local_epochs):
-        for batch in _batches(client.train, cfg.batch_size, rng):
+        for batch in _batches(client.train, batch_size, rng):
             try:
                 _, loss, cache = model_forward(plan, work, batch, mode="train")
             except NonFiniteLoss:
@@ -232,20 +238,21 @@ def run_local_training(
             losses.append(loss)
             model_backward(plan, work, cache, grad)
             apply_running_stats(work, cache)
-            step_grad = local_loss_grad(grad, work, w_ref, plan.n_non_norm, strat, client.dyn)
-            if cfg.local_optimizer == "adam":
-                local_adam_step(work, step_grad, client.adam_state, cfg.eta)
+            step_grad = local_loss_grad(grad, work, w_ref, n_non_norm, strat, dyn)
+            if adam is None:
+                local_sgd_step(work, step_grad, eta)
             else:
-                local_sgd_step(work, step_grad, cfg.eta)
+                local_adam_step(work, step_grad, adam, eta)
         if diverged:
             break
     if not diverged and not np.isfinite(work).all():
         diverged = True
     if strat.algorithm == "feddyn" and not diverged:
-        client.dyn = update_dyn_memory(client.dyn, work, w_ref, strat.alpha)
-    work.flags.writeable = False
-    client.params = work
-    client.train_loss = float(np.mean(losses)) if losses else float("nan")
+        client.dyn = update_dyn_memory(dyn, work, w_ref, strat.alpha)
+    trained = work.copy()
+    trained.flags.writeable = False
+    client.params = trained
+    client.train_loss = _mean(losses) if losses else float("nan")
     client.diverged = diverged
     return client
 
@@ -265,9 +272,22 @@ def evaluate(plan: Plan, params: np.ndarray, batch: Batch, metric: str) -> float
     return metrics_mod.auprc(scores, labels)
 
 
+def _mean(values: list[float]) -> float:
+    """``np.mean``'s arithmetic without its wrapper: the pairwise sum over n."""
+    return float(np.add.reduce(values) / len(values))
+
+
 def _nanmean(values: list[float]) -> float:
-    """``np.nanmean``, but NaN without numpy's "Mean of empty slice" warning."""
-    return float("nan") if np.isnan(values).all() else float(np.nanmean(values))
+    """``np.nanmean``'s arithmetic without its wrapper (the NaNs zeroed, the
+    pairwise sum over the count of the others), and NaN without numpy's
+    "Mean of empty slice" warning when every value is NaN."""
+    array = np.array(values, dtype=np.float64)
+    nan = np.isnan(array)
+    count = array.shape[0] - np.count_nonzero(nan)
+    if not count:
+        return float("nan")
+    array[nan] = 0.0
+    return float(np.add.reduce(array) / count)
 
 
 def _score(plan: Plan, params: np.ndarray, batch: Batch, metric: str) -> float:
@@ -343,14 +363,24 @@ def load_clients(cfg: ExperimentConfig) -> list[ClientDataset]:
 def _check_client(ds: ClientDataset, model: ModelSpec) -> None:
     """SchemaMismatch naming the client, and the split at fault, unless its id
     is a non-negative integer (the sort and ``client_rng`` need one) and each
-    split has ``model.input_dim`` columns, rows enough (2 in train, for one
-    step, and 1 in validation and test), finite features and labels the model
-    takes (``nn.check_labels``), one per row."""
+    split holds arrays: inputs, 2-D of bools, integers or reals with
+    ``model.input_dim`` columns, rows enough (2 in train, for one step, and 1
+    in validation and test) and finite features, and labels the model takes
+    (``nn.check_labels``), one per row."""
     cid = ds.client_id
     if not isinstance(cid, numbers.Integral) or isinstance(cid, bool) or cid < 0:
         raise SchemaMismatch(f"client_id {cid!r} is not a non-negative integer")
     for name, least in (("train", 2), ("val", 1), ("test", 1)):
         batch, where = getattr(ds, name), f"client {cid} {name} split"
+        for field_name in ("inputs", "labels"):
+            value = getattr(batch, field_name)
+            if not isinstance(value, np.ndarray):
+                raise SchemaMismatch(f"{where} has {field_name} of type "
+                                     f"{type(value).__name__}, not an array")
+        if batch.inputs.ndim != 2 or batch.inputs.dtype.kind not in "biuf":
+            raise SchemaMismatch(f"{where} has inputs of dtype {batch.inputs.dtype} and shape "
+                                 f"{batch.inputs.shape}, not a 2-D array of bools, "
+                                 "integers or reals")
         if batch.inputs.shape[1] != model.input_dim:
             raise SchemaMismatch(f"{where} has {batch.inputs.shape[1]} features, "
                                  f"the model takes {model.input_dim}")

@@ -16,8 +16,10 @@ A published vector is read-only and never written again, so vectors are
 shared freely: the broadcast is a view of the global, a round-start vector
 is a view of the global when the algorithm shares all of it, and the in-memory
 checkpoint snapshots hold vectors by reference until the run ends.  The one
-in-place writer is a client round, which trains a private copy of its
-round-start vector and then publishes it read-only.
+in-place writer is a client round, which copies its round-start vector into
+its plan's own vector (``nn.Plan.params``), trains it there and then
+publishes a read-only copy; a Plan's two vectors are never published, and a
+Plan is single-threaded.
 """
 
 from __future__ import annotations

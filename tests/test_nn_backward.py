@@ -29,6 +29,28 @@ def forward_backward(spec, w, batch):
 
 
 @pytest.mark.parametrize("kinds", [[], ["batch_norm"], ["layer_norm"], ["group_norm"]])
+@pytest.mark.parametrize("out", ["fresh", "plan", "other"])
+def test_a_forward_on_another_vector_in_between_leaves_the_gradient_bitwise(kinds, out):
+    """A plan's layers read ``plan.params``, which a forward on B overwrites;
+    the backward of A's cache loads A again, so it gives A's own gradient, the
+    one a fresh plan gives, whether it is returned fresh, in ``plan.grad`` or
+    copied into another vector."""
+    spec = make_model(kinds)
+    plan = Plan(spec)
+    a, b = init_params(plan, seed=0), init_params(plan, seed=1)
+    batch_a, batch_b = random_batch(spec, 6, seed=10), random_batch(spec, 7, seed=11)
+    _, _, cache_a = model_forward(plan, a, batch_a, mode="train")
+    model_forward(plan, b, batch_b, mode="train")
+    target = {"fresh": None, "plan": plan.grad, "other": np.empty(plan.n_train)}[out]
+    got = model_backward(plan, a, cache_a, target)
+    fresh = Plan(spec)
+    _, _, cache = model_forward(fresh, a, batch_a, mode="train")
+    want = model_backward(fresh, a, cache)
+    assert got.tobytes() == want.tobytes()
+    assert got is target if target is not None else not np.shares_memory(got, plan.grad)
+
+
+@pytest.mark.parametrize("kinds", [[], ["batch_norm"], ["layer_norm"], ["group_norm"]])
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_gradient_check_all_layer_kinds(kinds, seed):
     spec = make_model(kinds)

@@ -33,13 +33,14 @@ def norm_forward(kind, x, gain, bias, running_stats, mode, epsilon, groups=1,
         num_classes=width,
     )
     plan = Plan(spec)
-    w = init_params(plan, seed=0)
+    w = plan.params  # the vector the layer's closures are bound to
+    w[...] = init_params(plan, seed=0)
     entries = plan.entries(w)
     entries["layer0.gain"][...], entries["layer0.bias"][...] = gain, bias
     if running_stats is not None:
         entries["layer0.running_mean"][...], entries["layer0.running_var"][...] = running_stats
     cache = ForwardCache(params=w, train=mode == "train")
-    y = plan.forward[0](plan.views(w), x, cache)
+    y = plan.forward[0](x, cache)
     apply_running_stats(w, cache)
     stats = (entries["layer0.running_mean"], entries["layer0.running_var"]) if running_stats else None
     return y, stats, cache
@@ -280,3 +281,17 @@ def test_batch_rows_are_the_rows_of_its_inputs():
 def test_batch_from_arrays_rejects_labels_of_another_length():
     with pytest.raises(ShapeMismatch, match="inputs and labels disagree on batch size"):
         Batch.from_arrays(np.zeros((4, 2)), np.zeros(3, dtype=int))
+
+
+@pytest.mark.parametrize("resize", [lambda w: w[:-5], lambda w: np.concatenate([w, w[:3]])],
+                         ids=["short", "long"])
+@pytest.mark.parametrize("mode", ["train", "eval"])
+def test_forward_refuses_a_vector_of_another_size(resize, mode):
+    """A vector five entries short failed as a builtin IndexError, and one three
+    entries long trained on its first entries as if the rest were not there."""
+    spec = make_model(["batch_norm"])
+    plan = Plan(spec)
+    w = resize(init_params(plan, seed=0))
+    with pytest.raises(ShapeMismatch, match=rf"^a parameter vector of shape \({w.size},\), "
+                                            rf"the plan's has {plan.size} entries$"):
+        model_forward(plan, w, random_batch(spec, 4, seed=0), mode=mode)

@@ -749,6 +749,33 @@ def test_run_rejects_preloaded_labels_of_a_dtype_that_is_not_bool_integer_or_rea
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize("split", ["train", "val", "test"])
+@pytest.mark.parametrize("field_name,bad,fault", [
+    ("labels", lambda a: a.tolist(), "labels of type list, not an array"),
+    ("inputs", lambda a: a.tolist(), "inputs of type list, not an array"),
+    ("inputs", lambda a: a[:, 0], "inputs of dtype float64 and shape ({rows},), not a 2-D "
+                                  "array of bools, integers or reals"),
+    ("inputs", lambda a: a.astype(object), "inputs of dtype object and shape ({rows}, 5), "
+                                           "not a 2-D array of bools, integers or reals"),
+], ids=["list_labels", "list_inputs", "1d_inputs", "object_inputs"])
+def test_run_rejects_a_preloaded_split_whose_fields_are_not_arrays_it_can_read(
+        tmp_path, monkeypatch, split, field_name, bad, fault):
+    """``Batch(...)`` converts nothing, and the client check read the inputs'
+    width before it knew they were a 2-D array: list labels failed as an
+    AttributeError, 1-D inputs as an IndexError and object inputs as numpy's
+    TypeError, none of them naming the client."""
+    datasets = generate(experiment().data)
+    batch = getattr(datasets[1], split)
+    datasets[1] = replace(datasets[1], **{split: replace(
+        batch, **{field_name: bad(getattr(batch, field_name))})})
+    no_parameters_built(monkeypatch)
+    with pytest.raises(SchemaMismatch) as err:
+        run_experiment(experiment(rounds=1), seed=0, out_dir=tmp_path / "run",
+                       datasets=datasets)
+    assert str(err.value) == f"client 1 {split} split has {fault.format(rows=batch.size)}"
+    assert not (tmp_path / "run").exists()
+
+
 def multi_hot_run(**kw):
     """The test config under sigmoid-BCE, and its clients with each class id
     as a one-hot row."""
@@ -794,9 +821,10 @@ def test_run_rejects_preloaded_multi_hot_labels_that_do_not_fit_the_model(
 
 
 def test_later_rounds_leave_published_arrays_unchanged(monkeypatch, tmp_path):
-    """Each round trains a fresh private vector in place, so what a round has
-    published (the in-memory checkpoint snapshot, ``client.params``) and its
-    round-start reference keep their bits while later rounds train."""
+    """Each round trains in the plan's own vector and publishes a copy, so what
+    a round has published (the in-memory checkpoint snapshot,
+    ``client.params``) and its round-start reference keep their bits while
+    later rounds train."""
     held = []  # (array, its bits when the round that made it ended)
 
     def hold(arrays):
@@ -830,6 +858,72 @@ def test_later_rounds_leave_published_arrays_unchanged(monkeypatch, tmp_path):
     assert len(held) > 4 * 3 * 2
     for array, bits in held:
         assert np.array_equal(array, bits)
+
+
+@pytest.mark.parametrize("algorithm,optimizer", [("fedavg", "sgd"), ("fedbn", "sgd"),
+                                                 ("feddyn", "adam")])
+def test_no_published_vector_shares_memory_with_the_plans_vectors(monkeypatch, tmp_path,
+                                                                  algorithm, optimizer):
+    """A round trains in ``plan.params`` with ``plan.grad`` and publishes a
+    copy, so no vector a run hands on (each ``client.params`` and
+    ``eval_params``, the global, each checkpoint row, every vector scored in
+    validation and the best round's in the test) is a view of either; the
+    next round's training would write through one."""
+    plans, published = set(), []
+    real_round, real_score = orchestrator.run_round, orchestrator._score
+    real_save = orchestrator.save_paramset
+
+    def round_(server, clients, cfg, seed, plan):
+        plans.add(plan)
+        new_server, record = real_round(server, clients, cfg, seed, plan)
+        published.extend([new_server.global_params, *(c.params for c in clients),
+                          *(c.eval_params for c in clients)])
+        return new_server, record
+
+    def score(plan, params, *rest):
+        published.append(params)
+        return real_score(plan, params, *rest)
+
+    def save(vectors, *rest):
+        published.extend(vectors.values())
+        return real_save(vectors, *rest)
+
+    monkeypatch.setattr(orchestrator, "run_round", round_)
+    monkeypatch.setattr(orchestrator, "_score", score)
+    monkeypatch.setattr(orchestrator, "save_paramset", save)
+    cfg = experiment(algorithm=algorithm, norm="batch_norm", rounds=3,
+                     local_optimizer=optimizer, keep_all_checkpoints=True)
+    run_experiment(cfg, seed=0, out_dir=tmp_path)
+    (plan,) = plans
+    rounds, clients = 3, 3  # each round: global, params, eval_params, scores, 2 + 3 rows
+    assert len(published) == rounds * (1 + 2 * clients + clients + 2 + clients) + clients
+    for vec in published:
+        assert not np.shares_memory(vec, plan.params)
+        assert not np.shares_memory(vec, plan.grad)
+
+
+def test_the_means_of_a_round_are_numpys_bit_for_bit():
+    """``_mean`` and ``_nanmean`` keep ``np.mean``'s and ``np.nanmean``'s
+    arithmetic without their wrappers: from 8 values up numpy sums pairwise,
+    and the NaNs are zeroed before the sum, so each result is the same float."""
+    rng = np.random.default_rng(31)
+    for n in range(1, 13):
+        for _ in range(50):
+            values = (rng.standard_normal(n) * 10.0 ** rng.integers(-3, 4, n)).tolist()
+            assert orchestrator._mean(values) == float(np.mean(values))
+            nan_at = rng.random(n) < 0.3
+            if nan_at.all():
+                nan_at[rng.integers(n)] = False
+            with_nans = [float("nan") if hit else v for v, hit in zip(values, nan_at)]
+            assert orchestrator._nanmean(with_nans) == float(np.nanmean(with_nans))
+
+
+def test_the_nanmean_of_all_nans_is_nan_without_a_warning():
+    import warnings
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for n in range(1, 13):
+            assert np.isnan(orchestrator._nanmean([float("nan")] * n))
 
 
 @pytest.mark.parametrize("algorithm", ["fedavg", "fedbn", "feddyn"])

@@ -42,12 +42,15 @@ def test_traced_restores_the_originals():
     assert all(owner.__dict__[attr] is fn for owner, attr, fn in before)
 
 
-@pytest.mark.parametrize("algorithm,optimizer", [("fedavg", "sgd"), ("feddyn", "adam")])
+@pytest.mark.parametrize("algorithm,optimizer", [("fedavg", "sgd"), ("fedbn", "sgd"),
+                                                 ("feddyn", "adam")])
 def test_traced_run_does_the_computed_work(algorithm, optimizer):
     """Under the wrappers a run makes one train-mode forward per client step
     and feeds it the rows that ``Work.add_experiment`` computes from the
     inputs, as the benchmark's traced pass checks; its post-call hooks read
-    what the hooked functions return."""
+    what the hooked functions return.  Under fedbn, which shares no norm
+    entry, each client validates its own merged vector, which the forward
+    copies into the plan's."""
     cfg = benchmark_config(algorithm, "feature_shift", rounds=2, seeds=(0,))
     cfg = replace(cfg, local_optimizer=optimizer)
     work = Work()
