@@ -84,8 +84,10 @@ class PartitionSpec:
 
 @dataclass
 class ClientDataset:
-    """One client's rows, split three ways; every count is read from them."""
+    """One client's rows, split three ways, and the class count its source declares
+    (a spec's or a manifest's ``num_classes``); every other count is read from the rows."""
     client_id: int
+    num_classes: int
     train: Batch
     val: Batch
     test: Batch
@@ -103,18 +105,19 @@ def split_sizes(n: int) -> tuple[int, int, int]:
     return n_train, n_val, n - n_train - n_val
 
 
-def _split(inputs: np.ndarray, labels: np.ndarray, client_id: int) -> ClientDataset:
-    """70/15/15 split in row order."""
+def _split(inputs: np.ndarray, labels: np.ndarray, client_id: int,
+           num_classes: int) -> ClientDataset:
+    """70/15/15 split in row order of float64 inputs and int64 labels."""
     n = inputs.shape[0]
     if n < MIN_CLIENT_SIZE:
         raise InfeasibleSizes(f"client {client_id} has {n} examples, fewer than the "
                               f"{MIN_CLIENT_SIZE} a non-empty validation split needs")
     n_train, n_val, _ = split_sizes(n)
     return ClientDataset(
-        client_id=client_id,
-        train=Batch.from_arrays(inputs[:n_train], labels[:n_train]),
-        val=Batch.from_arrays(inputs[n_train:n_train + n_val], labels[n_train:n_train + n_val]),
-        test=Batch.from_arrays(inputs[n_train + n_val:], labels[n_train + n_val:]),
+        client_id=client_id, num_classes=num_classes,
+        train=Batch(inputs[:n_train], labels[:n_train]),
+        val=Batch(inputs[n_train:n_train + n_val], labels[n_train:n_train + n_val]),
+        test=Batch(inputs[n_train + n_val:], labels[n_train + n_val:]),
     )
 
 
@@ -127,7 +130,7 @@ def generate(spec: PartitionSpec) -> list[ClientDataset]:
         crng = np.random.default_rng([spec.seed, 1, cid])
         inputs, labels = draw(crng, n)
         order = crng.permutation(n)
-        clients.append(_split(inputs[order], labels[order], cid))
+        clients.append(_split(inputs[order], labels[order], cid, spec.num_classes))
     return clients
 
 
@@ -224,17 +227,18 @@ def load_client_csv(path, num_classes: int, client_id: int = 0) -> ClientDataset
         row = int(np.flatnonzero(~finite.all(axis=1))[0])
         raise MalformedRow(path, row + 2, f"non-finite feature cell in {inputs[row].tolist()!r}")
     labels = np.asarray(labels, dtype=np.int64)
-    return _split(inputs, labels, client_id)
+    return _split(inputs, labels, client_id, num_classes)
 
 
 # ---------------------------------------------------------------------------
 # partition manifest
 
-def _manifest_counts(ds: ClientDataset, num_classes: int) -> dict:
+def _manifest_counts(ds: ClientDataset) -> dict:
     """The counts a manifest keeps of a client, both read from its rows:
-    ``n_k`` and the rows per class of its partition's ``num_classes``."""
+    ``n_k`` and the rows per class of its ``num_classes``."""
     labels = np.concatenate((ds.train.labels, ds.val.labels, ds.test.labels)).astype(np.int64)
-    return {"n_k": ds.n_k, "class_histogram": np.bincount(labels, minlength=num_classes).tolist()}
+    return {"n_k": ds.n_k,
+            "class_histogram": np.bincount(labels, minlength=ds.num_classes).tolist()}
 
 
 def write_partition(spec: PartitionSpec, out_dir) -> Path:
@@ -247,22 +251,22 @@ def write_partition(spec: PartitionSpec, out_dir) -> Path:
         csv_path = out_dir / f"client_{ds.client_id}.csv"
         save_client_csv(ds, csv_path)
         entries.append({"client_id": ds.client_id, "path": csv_path.name,
-                        **_manifest_counts(ds, spec.num_classes)})
+                        **_manifest_counts(ds)})
     manifest = {"spec": asdict(spec, dict_factory=stated), "clients": entries}
     manifest_path = out_dir / "manifest.json"
     manifest_path.write_text(json.dumps(manifest, indent=2))
     return manifest_path
 
 
-def load_partition(manifest_path, model_classes: int) -> list[ClientDataset]:
-    """The clients a manifest lists; SchemaMismatch naming the manifest if it
-    is unreadable, lacks a positive integer ``spec.num_classes`` or
-    ``clients``, lists no client, lists a client_id that is not a
-    non-negative integer or twice, names a client file that does not exist,
-    gives a client an ``n_k`` or ``class_histogram`` its CSV does not have
-    (both are optional), or holds CSVs with different feature counts.  Then
-    a ``spec.num_classes`` other than ``model_classes``, the class count of
-    the model the clients are for, is a ConfigError on ``model.num_classes``."""
+def load_partition(manifest_path) -> list[ClientDataset]:
+    """The clients a manifest lists, each declaring its ``spec.num_classes``;
+    SchemaMismatch naming the manifest if it is unreadable, lacks a positive
+    integer ``spec.num_classes`` or ``clients``, lists no client, lists a
+    client_id that is not a non-negative integer or twice, names a client
+    file that does not exist, gives a client an ``n_k`` or
+    ``class_histogram`` its CSV does not have (both are optional), or holds
+    CSVs with different feature counts.  Whether the clients fit a model is
+    ``orchestrator``'s one client check."""
     manifest_path = Path(manifest_path)
     try:
         manifest = json.loads(manifest_path.read_text())
@@ -293,7 +297,7 @@ def load_partition(manifest_path, model_classes: int) -> list[ClientDataset]:
     datasets = []
     for path, client_id, entry in clients:
         ds = load_client_csv(path, num_classes=num_classes, client_id=client_id)
-        for key, found in _manifest_counts(ds, num_classes).items():
+        for key, found in _manifest_counts(ds).items():
             if key in entry and entry[key] != found:
                 raise SchemaMismatch(f"{manifest_path}: client {client_id} lists {key} "
                                      f"{entry[key]!r}, but {path.name} holds {found!r}")
@@ -303,7 +307,4 @@ def load_partition(manifest_path, model_classes: int) -> list[ClientDataset]:
                                  f"client {datasets[0].client_id} has "
                                  f"{datasets[0].train.inputs.shape[1]}")
         datasets.append(ds)
-    if model_classes != num_classes:
-        raise ConfigError("model.num_classes", f"the model has {model_classes} classes, "
-                          f"{manifest_path} declares {num_classes}")
     return datasets

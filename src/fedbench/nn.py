@@ -136,14 +136,6 @@ class Batch:
         """The number of rows, read from ``inputs``."""
         return self.inputs.shape[0]
 
-    @classmethod
-    def from_arrays(cls, inputs, labels) -> "Batch":
-        inputs = np.asarray(inputs, dtype=np.float64)
-        labels = np.asarray(labels)
-        if inputs.shape[0] != labels.shape[0]:  # Batch is public (fedbench.__all__)
-            raise ShapeMismatch("inputs and labels disagree on batch size")
-        return cls(inputs=inputs, labels=labels)
-
 
 def _layout(spec: ModelSpec) -> list[tuple[str, tuple, str, bool]]:
     """(name, shape, tag, trainable) of every entry, in the checkpoint's layout order."""
@@ -358,9 +350,8 @@ def check_labels(labels: np.ndarray, num_classes: int) -> None:
 
 
 def labels_to_targets(spec: ModelSpec, labels: np.ndarray) -> np.ndarray:
-    """Class ids -> one-hot; multi-hot rows pass through (as float64)."""
-    labels = np.asarray(labels)
-    check_labels(labels, spec.num_classes)  # a public Batch is checked here
+    """Class ids -> one-hot; multi-hot rows pass through (as float64).  The
+    labels are ones ``check_labels`` has passed."""
     if labels.ndim == 1:
         ids = labels.astype(np.int64)
         targets = np.zeros((labels.shape[0], spec.num_classes))
@@ -375,13 +366,22 @@ def model_forward(plan: Plan, params: np.ndarray, batch: Batch, mode: str = "tra
     ``params`` is copied into ``plan.params`` unless it is that vector.  Train
     mode uses batch statistics for batch_norm and records them in the cache
     (the caller moves the running stats with ``apply_running_stats``); eval
-    mode is deterministic w.r.t. params.
+    mode is deterministic w.r.t. params.  ``Batch`` is public: its inputs are
+    checked here, and its labels only where targets are built from them.
     """
     x = np.asarray(batch.inputs, dtype=np.float64)
-    if x.shape[0] < 1:  # public Batch input
+    if x.ndim != 2 or x.shape[1] != plan.spec.input_dim:
+        raise ShapeMismatch(f"inputs of shape {x.shape}, the model takes "
+                            f"{plan.spec.input_dim} features")
+    if x.shape[0] < 1:
         raise ShapeMismatch("empty batch")
-    if x.shape[1] != plan.spec.input_dim:
-        raise ShapeMismatch(f"input dim {x.shape[1]} != {plan.spec.input_dim}")
+    targets = batch.targets
+    if targets is None:
+        labels = np.asarray(batch.labels)
+        check_labels(labels, plan.spec.num_classes)
+        if labels.shape[0] != x.shape[0]:
+            raise ShapeMismatch("inputs and labels disagree on batch size")
+        targets = labels_to_targets(plan.spec, labels)
     if params is not plan.params:  # the backward needs no check: its cache's forward made it
         if params.shape != plan.params.shape:
             raise ShapeMismatch(f"a parameter vector of shape {params.shape}, "
@@ -390,9 +390,6 @@ def model_forward(plan: Plan, params: np.ndarray, batch: Batch, mode: str = "tra
     cache = ForwardCache(params=params, train=mode == "train")
     for forward in plan.forward:
         x = forward(x, cache)
-    targets = batch.targets
-    if targets is None:
-        targets = labels_to_targets(plan.spec, batch.labels)
     if plan.softmax:
         z = x - np.maximum.reduce(x, 1, keepdims=True)
         expz = np.exp(z)

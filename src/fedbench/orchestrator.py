@@ -159,8 +159,9 @@ class ClientState:
     def create(cls, ds: ClientDataset, w_0: np.ndarray, cfg: ExperimentConfig,
                plan: Plan) -> "ClientState":
         """A client at the start of a run, its ``n_k`` read from its rows.  Its
-        targets are built here, once per run, into new Batches: the
-        ClientDataset may be shared between runs and is never written."""
+        targets are built here, once per run, from the labels ``_check_client``
+        has passed, into new Batches: the ClientDataset may be shared between
+        runs and is never written."""
         def split(batch: Batch) -> Batch:
             return replace(batch, targets=labels_to_targets(cfg.model, batch.labels))
 
@@ -342,34 +343,31 @@ def run_round(
 
 
 def load_clients(cfg: ExperimentConfig) -> list[ClientDataset]:
-    """``cfg.data``'s clients: the manifest's CSVs, or the spec's generated
-    data.  The class count the data declares and its input width must be the
-    model's: a ConfigError naming the model's field otherwise, so a command
-    that loads its clients first writes nothing on a mismatch."""
-    if isinstance(cfg.data, (str, Path)):
-        datasets = load_partition(cfg.data, cfg.model.num_classes)
-        width = datasets[0].train.inputs.shape[1]  # every CSV of a partition has it
-        if width != cfg.model.input_dim:
-            raise ConfigError("model.input_dim", f"the model has {cfg.model.input_dim}, "
-                              f"{cfg.data} holds {width} features")
-        return datasets
-    for name in ("num_classes", "input_dim"):
-        model, data = getattr(cfg.model, name), getattr(cfg.data, name)
-        if model != data:
-            raise ConfigError(f"model.{name}", f"the model has {model}, the data {data}")
-    return generate(cfg.data)
+    """``cfg.data``'s clients, the manifest's CSVs or the spec's generated
+    data, each passed by ``_check_client``, so a command that loads its
+    clients first writes nothing when they do not fit the model."""
+    datasets = (load_partition(cfg.data) if isinstance(cfg.data, (str, Path))
+                else generate(cfg.data))
+    for ds in datasets:
+        _check_client(ds, cfg.model)
+    return datasets
 
 
 def _check_client(ds: ClientDataset, model: ModelSpec) -> None:
-    """SchemaMismatch naming the client, and the split at fault, unless its id
+    """The one rule between a client's data and the model.  A ConfigError on
+    the model's field, naming the client, unless the client declares the
+    model's ``num_classes`` and each split has ``model.input_dim`` columns.
+    A SchemaMismatch naming the client, and the split at fault, unless its id
     is a non-negative integer (the sort and ``client_rng`` need one) and each
-    split holds arrays: inputs, 2-D of bools, integers or reals with
-    ``model.input_dim`` columns, rows enough (2 in train, for one step, and 1
-    in validation and test) and finite features, and labels the model takes
-    (``nn.check_labels``), one per row."""
+    split holds arrays: inputs, 2-D of bools, integers or reals, rows enough
+    (2 in train, for one step, and 1 in validation and test) and finite
+    features, and labels the model takes (``nn.check_labels``), one per row."""
     cid = ds.client_id
     if not isinstance(cid, numbers.Integral) or isinstance(cid, bool) or cid < 0:
         raise SchemaMismatch(f"client_id {cid!r} is not a non-negative integer")
+    if ds.num_classes != model.num_classes:
+        raise ConfigError("model.num_classes", f"the model has {model.num_classes} classes, "
+                          f"client {cid} declares {ds.num_classes!r}")
     for name, least in (("train", 2), ("val", 1), ("test", 1)):
         batch, where = getattr(ds, name), f"client {cid} {name} split"
         for field_name in ("inputs", "labels"):
@@ -382,8 +380,8 @@ def _check_client(ds: ClientDataset, model: ModelSpec) -> None:
                                  f"{batch.inputs.shape}, not a 2-D array of bools, "
                                  "integers or reals")
         if batch.inputs.shape[1] != model.input_dim:
-            raise SchemaMismatch(f"{where} has {batch.inputs.shape[1]} features, "
-                                 f"the model takes {model.input_dim}")
+            raise ConfigError("model.input_dim", f"the model has {model.input_dim}, "
+                              f"{where} has {batch.inputs.shape[1]} features")
         if batch.size < least:
             raise SchemaMismatch(f"{where} needs at least {least} rows, has {batch.size}")
         if not np.isfinite(batch.inputs).all():
@@ -413,14 +411,16 @@ def run_experiment(cfg: ExperimentConfig, seed: int, out_dir=None,
 
     ``datasets`` are the clients' data when the caller has already loaded
     ``cfg.data`` (nothing writes to a ClientDataset, so runs can share them).
-    Each client passes ``_check_client`` before anything is built or written.
+    Each client passes ``_check_client`` once, as ``load_clients`` loads it
+    or as it is handed in, before anything is built or written.
     The run's client list is sorted by id here, the one place that orders it;
     a client_id given twice is a SchemaMismatch.
     """
     if datasets is None:
         datasets = load_clients(cfg)
-    for ds in datasets:
-        _check_client(ds, cfg.model)
+    else:
+        for ds in datasets:
+            _check_client(ds, cfg.model)
     datasets = sorted(datasets, key=lambda ds: ds.client_id)
     for prev, ds in zip(datasets, datasets[1:]):
         if prev.client_id == ds.client_id:

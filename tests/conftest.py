@@ -72,7 +72,7 @@ def random_batch(spec, n, seed):
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((n, spec.input_dim))
     y = rng.integers(0, spec.num_classes, n)
-    return Batch.from_arrays(x, y)
+    return Batch(x, y)
 
 
 def trainable_names(plan):

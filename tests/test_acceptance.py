@@ -110,7 +110,7 @@ def test_criterion_1_collapse_equivalences():
                 idx = order[start:start + cfg.batch_size]
                 if len(idx) < 2:
                     continue
-                batch = Batch.from_arrays(ds.train.inputs[idx], ds.train.labels[idx])
+                batch = Batch(ds.train.inputs[idx], ds.train.labels[idx])
                 _, _, cache = model_forward(plan, params, batch, mode="train")
                 grad = model_backward(plan, params, cache)
                 apply_running_stats(params, cache)

@@ -79,7 +79,7 @@ def test_train_forward_backward_match_oracle(head, kinds, hidden, groups):
         n = int(rng.integers(2, 70))
         x = rng.standard_normal((n, spec.input_dim)) * rng.uniform(0.1, 10.0)
         labels = random_labels(spec, n, rng, multi_hot=head == "sigmoid" and trial % 2 == 1)
-        batch = Batch.from_arrays(x, labels)
+        batch = Batch(x, labels)
 
         probs, loss, cache = model_forward(plan, w, batch, mode="train")
         o_probs, o_loss, o_cache = oracle.model_forward(spec, params, batch, mode="train")
@@ -234,7 +234,7 @@ def test_local_training_matches_oracle_loop(algorithm, optimizer, model):
             idx = order[start:start + cfg.batch_size]
             if len(idx) < 2:
                 continue
-            batch = Batch.from_arrays(ds.train.inputs[idx], ds.train.labels[idx])
+            batch = Batch(ds.train.inputs[idx], ds.train.labels[idx])
             _, _, cache = oracle.model_forward(cfg.model, params, batch, mode="train")
             base = oracle.model_backward(cfg.model, params, cache)
             oracle.apply_running_stats(params, cache)

@@ -226,7 +226,7 @@ def test_manifest_class_count_below_its_labels_is_malformed_row(tmp_path):
     manifest["spec"]["num_classes"] = 2
     manifest_path.write_text(json.dumps(manifest))
     with pytest.raises(MalformedRow, match="outside \\[0, 2\\)") as err:
-        load_partition(manifest_path, 2)
+        load_partition(manifest_path)
     labels = generate(spec(num_classes=3))[0]
     rows = np.concatenate([labels.train.labels, labels.val.labels, labels.test.labels])
     assert err.value.line_number == 2 + int(np.argmax(rows == 2))
@@ -237,7 +237,7 @@ def test_non_finite_feature_rejected(tmp_path, cell):
     manifest = write_partition(spec(), tmp_path)
     edit_cell(tmp_path / "client_1.csv", 6, 1, cell)
     with pytest.raises(MalformedRow, match="non-finite feature cell") as err:
-        load_partition(manifest, 3)
+        load_partition(manifest)
     assert err.value.line_number == 6
 
 
@@ -254,7 +254,7 @@ def test_malformed_row_names_its_csv(tmp_path, client, line, column, cell, messa
     path = tmp_path / f"client_{client}.csv"
     edit_cell(path, line, column, cell)
     with pytest.raises(MalformedRow) as err:
-        load_partition(manifest, 3)
+        load_partition(manifest)
     assert str(err.value).startswith(f"{path}: line {line}: {message}")
     assert err.value.line_number == line
 
@@ -297,7 +297,7 @@ def test_partition_manifest_round_trip(tmp_path):
     assert manifest["spec"]["num_clients"] == 3
     assert len(manifest["clients"]) == 3
     direct = generate(s)
-    loaded = load_partition(tmp_path / "manifest.json", s.num_classes)
+    loaded = load_partition(tmp_path / "manifest.json")
     for a, b in zip(direct, loaded):
         assert np.array_equal(a.train.inputs, b.train.inputs)
         assert np.array_equal(a.train.labels, b.train.labels)

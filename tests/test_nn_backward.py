@@ -70,7 +70,7 @@ def test_zero_input_kills_weight_gradient():
         num_classes=2,
     )
     w = init_params(Plan(spec), seed=0)
-    batch = Batch.from_arrays(np.zeros((4, 3)), np.array([0, 1, 0, 1]))
+    batch = Batch(np.zeros((4, 3)), np.array([0, 1, 0, 1]))
     probs, grads = forward_backward(spec, w, batch)
     assert np.array_equal(grads["layer0.weight"], np.zeros((3, 2)))
     targets = np.zeros((4, 2))
@@ -80,7 +80,7 @@ def test_zero_input_kills_weight_gradient():
 
 def test_duplicated_batch_same_gradient(bn_model, seeded_params):
     batch = random_batch(bn_model, 5, seed=9)
-    doubled = Batch.from_arrays(
+    doubled = Batch(
         np.vstack([batch.inputs, batch.inputs]),
         np.concatenate([batch.labels, batch.labels]),
     )
@@ -93,7 +93,7 @@ def test_duplicated_batch_same_gradient(bn_model, seeded_params):
 def test_grad_permutation_invariance(bn_model, seeded_params):
     batch = random_batch(bn_model, 8, seed=4)
     perm = np.random.default_rng(2).permutation(8)
-    shuffled = Batch.from_arrays(batch.inputs[perm], batch.labels[perm])
+    shuffled = Batch(batch.inputs[perm], batch.labels[perm])
     _, g1 = forward_backward(bn_model, seeded_params, batch)
     _, g2 = forward_backward(bn_model, seeded_params, shuffled)
     for name in g1:
@@ -140,7 +140,7 @@ def test_ln_gain_bias_grads_are_head_error_statistics():
     rng = np.random.default_rng(0)
     x = rng.standard_normal((6, 4))
     x = (x - x.mean(axis=1, keepdims=True)) / x.std(axis=1, keepdims=True)
-    batch = Batch.from_arrays(x, rng.integers(0, 2, 6))
+    batch = Batch(x, rng.integers(0, 2, 6))
     probs, grads = forward_backward(spec, w, batch)
     targets = np.zeros((6, 2))
     targets[np.arange(6), batch.labels] = 1.0

@@ -61,7 +61,7 @@ def test_zero_weight_dense_softmax_gives_uniform():
     w = init_params(plan, seed=0)
     plan.entries(w)["layer0.weight"][:] = 0.0
     plan.entries(w)["layer0.bias"][:] = 0.0
-    batch = Batch.from_arrays(np.random.default_rng(1).standard_normal((5, 4)), [0, 1, 2, 0, 1])
+    batch = Batch(np.random.default_rng(1).standard_normal((5, 4)), np.array([0, 1, 2, 0, 1]))
     probs, loss, _ = forward(spec, w, batch, mode="eval")
     assert np.allclose(probs, 1.0 / 3.0)
     assert loss == pytest.approx(math.log(3.0), abs=1e-12)
@@ -131,7 +131,7 @@ def test_eval_mode_bitwise_deterministic(bn_model, seeded_params):
 def test_loss_permutation_invariance(bn_model, seeded_params):
     batch = random_batch(bn_model, 8, seed=5)
     perm = np.random.default_rng(0).permutation(8)
-    shuffled = Batch.from_arrays(batch.inputs[perm], batch.labels[perm])
+    shuffled = Batch(batch.inputs[perm], batch.labels[perm])
     _, l1, _ = forward(bn_model, seeded_params, batch, mode="train")
     _, l2, _ = forward(bn_model, seeded_params, shuffled, mode="train")
     assert l1 == pytest.approx(l2, abs=1e-12)
@@ -144,20 +144,20 @@ def test_bn_train_batch_of_one_rejected(bn_model, seeded_params):
 
 
 def test_wrong_input_dim_rejected(bn_model, seeded_params):
-    batch = Batch.from_arrays(np.zeros((4, 7)), np.zeros(4, dtype=int))
+    batch = Batch(np.zeros((4, 7)), np.zeros(4, dtype=int))
     with pytest.raises(ShapeMismatch):
         forward(bn_model, seeded_params, batch, mode="train")
 
 
 def test_empty_batch_rejected(bn_model, seeded_params):
     """``Batch`` is public, so ``model_forward`` checks the one it is given."""
-    batch = Batch.from_arrays(np.zeros((0, 5)), np.zeros(0, dtype=int))
+    batch = Batch(np.zeros((0, 5)), np.zeros(0, dtype=int))
     with pytest.raises(ShapeMismatch, match="^empty batch$"):
         forward(bn_model, seeded_params, batch, mode="eval")
 
 
 def test_class_id_outside_the_model_rejected(bn_model, seeded_params):
-    batch = Batch.from_arrays(np.zeros((4, 5)), np.array([0, 1, 2, 3]))
+    batch = Batch(np.zeros((4, 5)), np.array([0, 1, 2, 3]))
     with pytest.raises(ShapeMismatch, match=r"^a label outside \[0, 3\)$"):
         forward(bn_model, seeded_params, batch, mode="eval")
 
@@ -166,7 +166,7 @@ def test_class_id_outside_the_model_rejected(bn_model, seeded_params):
                                          (float("nan"), r"outside \[0, 3\)")])
 def test_class_id_that_is_not_an_integer_rejected(bn_model, seeded_params, label, fault):
     """Not cast to int64, which would train 1.5 as class 1."""
-    batch = Batch.from_arrays(np.zeros((4, 5)), np.array([0.0, 1.0, label, 2.0]))
+    batch = Batch(np.zeros((4, 5)), np.array([0.0, 1.0, label, 2.0]))
     with pytest.raises(ShapeMismatch, match=f"^a label (that )?{fault}$"):
         forward(bn_model, seeded_params, batch, mode="eval")
 
@@ -178,7 +178,7 @@ def test_class_id_that_is_not_an_integer_rejected(bn_model, seeded_params, label
 def test_multi_hot_labels_that_do_not_fit_the_model_rejected(bn_model, seeded_params,
                                                              labels, fault):
     """A public ``Batch`` of multi-hot rows needs one 0/1 column per class."""
-    batch = Batch.from_arrays(np.zeros((2, 5)), np.array(labels))
+    batch = Batch(np.zeros((2, 5)), np.array(labels))
     with pytest.raises(ShapeMismatch, match=f"^{fault}$"):
         forward(bn_model, seeded_params, batch, mode="eval")
 
@@ -192,7 +192,7 @@ def test_batch_labels_that_are_not_a_1d_or_2d_real_array_rejected(bn_model, seed
                                                                   labels):
     """(4, 3, 1) labels failed as a builtin broadcast ValueError, string labels
     as numpy's UFuncTypeError, and the complex 1.5+2j trained as class 1."""
-    batch = Batch.from_arrays(np.zeros((4, 5)), labels)
+    batch = Batch(np.zeros((4, 5)), labels)
     with pytest.raises(ShapeMismatch) as err:
         forward(bn_model, seeded_params, batch, mode="eval")
     assert str(err.value) == (f"labels of dtype {labels.dtype} and shape {labels.shape}, "
@@ -265,7 +265,7 @@ def test_bce_head_on_multi_hot_labels():
     plan = Plan(spec)
     w = init_params(plan, seed=1)
     plan.entries(w)["layer0.weight"][:] = 0.0
-    batch = Batch.from_arrays(np.zeros((3, 3)), np.array([[1, 0], [0, 1], [1, 1]], dtype=float))
+    batch = Batch(np.zeros((3, 3)), np.array([[1, 0], [0, 1], [1, 1]], dtype=float))
     probs, loss, _ = forward(spec, w, batch, mode="eval")
     assert np.allclose(probs, 0.5)
     assert loss == pytest.approx(math.log(2.0), rel=1e-9)
@@ -273,14 +273,22 @@ def test_bce_head_on_multi_hot_labels():
 
 def test_batch_rows_are_the_rows_of_its_inputs():
     x, y = np.zeros((4, 2)), np.zeros(4, dtype=int)
-    assert Batch(inputs=x, labels=y).size == Batch.from_arrays(x, y).size == 4
+    assert Batch(inputs=x, labels=y).size == 4
     with pytest.raises(TypeError):
         Batch(inputs=x, labels=y, size=2)  # a row count of its own could disagree
 
 
-def test_batch_from_arrays_rejects_labels_of_another_length():
-    with pytest.raises(ShapeMismatch, match="inputs and labels disagree on batch size"):
-        Batch.from_arrays(np.zeros((4, 2)), np.zeros(3, dtype=int))
+@pytest.mark.parametrize("inputs,labels,fault", [
+    (np.zeros((4, 5)), np.zeros(3, dtype=int), "^inputs and labels disagree on batch size$"),
+    (np.zeros(5), np.zeros(5, dtype=int), r"^inputs of shape \(5,\), the model takes 5 features$"),
+], ids=["labels_short", "1d_inputs"])
+def test_forward_refuses_a_batch_whose_inputs_and_labels_do_not_fit(bn_model, seeded_params,
+                                                                    inputs, labels, fault):
+    """``Batch(...)`` converts and checks nothing, so ``model_forward`` checks
+    the one it is given: one label short failed as numpy's broadcast
+    ValueError, and 1-D inputs as an IndexError."""
+    with pytest.raises(ShapeMismatch, match=fault):
+        forward(bn_model, seeded_params, Batch(inputs, labels), mode="eval")
 
 
 @pytest.mark.parametrize("resize", [lambda w: w[:-5], lambda w: np.concatenate([w, w[:3]])],

@@ -109,7 +109,7 @@ def test_single_client_fedavg_equals_centralized_sgd():
                 idx = order[start:start + cfg.batch_size]
                 if len(idx) < 2:
                     continue
-                batch = Batch.from_arrays(ds.train.inputs[idx], ds.train.labels[idx])
+                batch = Batch(ds.train.inputs[idx], ds.train.labels[idx])
                 _, _, cache = model_forward(plan, params, batch, mode="train")
                 grad = model_backward(plan, params, cache)
                 from fedbench.nn import apply_running_stats
@@ -147,7 +147,7 @@ def test_single_round_single_batch_hand_stepped():
     w = init_params(plan, seed)
     rng = client_rng(seed, 0, 0)
     order = rng.permutation(7)
-    batch = Batch.from_arrays(ds.train.inputs[order], ds.train.labels[order])
+    batch = Batch(ds.train.inputs[order], ds.train.labels[order])
     _, _, cache = model_forward(plan, w, batch, mode="train")
     grad = plan.entries(model_backward(plan, w, cache))
     w0 = plan.entries(w)
@@ -551,33 +551,26 @@ def no_parameters_built(monkeypatch):
                         lambda *args: pytest.fail("parameters were built"))
 
 
-def test_run_checks_the_class_count_of_preloaded_datasets(tmp_path, monkeypatch):
-    """Preloaded clients declare no class count; a label of a fourth class
-    in a 3-class model's run is the mismatch their rows show."""
-    cfg = experiment(rounds=1)
-    datasets = generate(replace(cfg.data, num_classes=4))
-    cid, split = next((ds.client_id, name) for ds in datasets for name in ("train", "val", "test")
-                      if (getattr(ds, name).labels == 3).any())
-    no_parameters_built(monkeypatch)
-    with pytest.raises(SchemaMismatch) as err:
-        run_experiment(cfg, seed=0, out_dir=tmp_path / "run", datasets=datasets)
-    assert str(err.value) == f"client {cid} {split} split has a label outside [0, 3)"
-    assert not (tmp_path / "run").exists()
-
-
-@pytest.mark.parametrize("source", ["spec", "manifest"])
+@pytest.mark.parametrize("source", ["spec", "manifest", "preloaded"])
 @pytest.mark.parametrize("classes", [2, 4])
 def test_run_checks_the_declared_class_count(tmp_path, monkeypatch, source, classes):
-    """An inline spec's ``num_classes`` and a manifest's ``spec.num_classes``
-    are compared with the model's before any parameter is built."""
+    """An inline spec's ``num_classes``, a manifest's ``spec.num_classes`` and
+    a preloaded client's ``num_classes`` are compared with the model's before
+    any parameter is built.  A preloaded 2-class partition trained in the
+    3-class model, and a 4-class one failed on a label, not on its count."""
     cfg = experiment(rounds=1)
     data = replace(cfg.data, num_classes=classes)
+    datasets = None
     if source == "manifest":
         data = str(write_partition(data, tmp_path / "part"))
+    elif source == "preloaded":  # handed in, for a config whose own data fits the model
+        data, datasets = cfg.data, generate(data)
     no_parameters_built(monkeypatch)
     with pytest.raises(ConfigError) as err:
-        run_experiment(replace(cfg, data=data), seed=0, out_dir=tmp_path / "run")
+        run_experiment(replace(cfg, data=data), seed=0, out_dir=tmp_path / "run",
+                       datasets=datasets)
     assert err.value.field == "model.num_classes"
+    assert err.value.reason == f"the model has 3 classes, client 0 declares {classes}"
     assert not (tmp_path / "run").exists()
 
 
@@ -608,7 +601,7 @@ def preloaded_with(split, inputs, labels, client=1):
     """The test config's clients, with ``client``'s ``split`` replaced."""
     datasets = generate(experiment().data)
     datasets[client] = replace(datasets[client],
-                               **{split: Batch.from_arrays(inputs, labels)})
+                               **{split: Batch(inputs, labels)})
     return datasets
 
 
@@ -657,14 +650,16 @@ def test_run_rejects_a_preloaded_empty_validation_split(tmp_path, monkeypatch):
 @pytest.mark.parametrize("split", ["train", "val", "test"])
 def test_run_rejects_a_preloaded_split_of_another_width(tmp_path, monkeypatch, split):
     """A split of 4 features for a 5-input model, the test split's included:
-    it is found before round 1, not after the last round's checkpoints."""
+    it is found before round 1, not after the last round's checkpoints, and it
+    is a config error on the model's width, as a spec's or a manifest's is."""
     batch = getattr(generate(experiment().data)[1], split)
     datasets = preloaded_with(split, batch.inputs[:, :4], batch.labels)
     no_parameters_built(monkeypatch)
-    with pytest.raises(SchemaMismatch) as err:
+    with pytest.raises(ConfigError) as err:
         run_experiment(experiment(rounds=1), seed=0, out_dir=tmp_path / "run",
                        datasets=datasets)
-    assert str(err.value) == f"client 1 {split} split has 4 features, the model takes 5"
+    assert err.value.field == "model.input_dim"
+    assert err.value.reason == f"the model has 5, client 1 {split} split has 4 features"
     assert not (tmp_path / "run").exists()
 
 
@@ -781,7 +776,7 @@ def multi_hot_run(**kw):
     as a one-hot row."""
     cfg = experiment(rounds=1, **kw)
     model = replace(cfg.model, loss="binary_cross_entropy")
-    datasets = [replace(ds, **{name: Batch.from_arrays(
+    datasets = [replace(ds, **{name: Batch(
                     getattr(ds, name).inputs, np.eye(3)[getattr(ds, name).labels]) for name in
                     ("train", "val", "test")}) for ds in generate(cfg.data)]
     return replace(cfg, model=model), datasets
@@ -811,8 +806,7 @@ def test_run_rejects_preloaded_multi_hot_labels_that_do_not_fit_the_model(
     error naming no client; an entry of 2 trained on a BCE target of 2.0."""
     cfg, datasets = multi_hot_run()
     batch = getattr(datasets[1], split)
-    datasets[1] = replace(datasets[1], **{split: Batch.from_arrays(batch.inputs,
-                                                                   labels(batch.labels))})
+    datasets[1] = replace(datasets[1], **{split: Batch(batch.inputs, labels(batch.labels))})
     no_parameters_built(monkeypatch)
     with pytest.raises(SchemaMismatch) as err:
         run_experiment(cfg, seed=0, out_dir=tmp_path / "run", datasets=datasets)
