@@ -97,7 +97,7 @@ for _cls in (_Loader, _Dumper):
 
 
 def apply_overrides(config: dict, overrides: list[str]) -> dict:
-    """Apply dotted ``key=value`` overrides; values parse as YAML scalars."""
+    """Apply dotted ``key=value`` overrides (YAML scalars), building absent or null mappings."""
     for item in overrides:
         if "=" not in item:
             raise ConfigError("override", f"expected key=value, got {item!r}")
@@ -109,8 +109,10 @@ def apply_overrides(config: dict, overrides: list[str]) -> dict:
         node = config
         parts = key.split(".")
         for part in parts[:-1]:
-            if part not in node or not isinstance(node[part], dict):
+            if node.get(part) is None:
                 node[part] = {}
+            elif not isinstance(node[part], dict):  # a list or a scalar
+                raise ConfigError("override", f"{key!r} crosses {part!r}, which is not a mapping")
             node = node[part]
         node[parts[-1]] = value
     return config
@@ -264,6 +266,10 @@ def _collect_seed_metrics(result_dir: Path) -> tuple[str, list[float], list[tupl
 
 
 def cmd_compare(args) -> int:
+    dirs = [Path(d).resolve() for d in args.results]  # a tree is one algorithm's sample
+    repeated = sorted({str(d) for d in dirs if dirs.count(d) > 1})
+    if repeated:
+        raise ConfigError("results", f"a directory given more than once: {repeated}")
     collected: dict[str, list[float]] = {}
     for d in args.results:
         name, values, _ = _collect_seed_metrics(Path(d))

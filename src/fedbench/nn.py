@@ -52,44 +52,35 @@ from .errors import (
     ShapeMismatch,
     StaleCache,
     check_int,
-    check_real,
     check_stated,
 )
 from .params import NON_NORM, NORM
 
-BN_MOMENTUM = 0.1  # running-stat EMA step; convention, configurable per batch-norm layer
+NORM_EPSILON = 1e-5  # added to every norm layer's variance (Ioffe and Szegedy, ICML 2015)
+BN_MOMENTUM = 0.1  # batch norm's running-stat EMA step, the same convention; FedBN keeps both
 NORM_KINDS = ("batch_norm", "layer_norm", "group_norm")
 LOSS_HEADS = ("cross_entropy", "binary_cross_entropy")  # softmax-CE and sigmoid-BCE heads
 # The LayerSpec fields each layer kind reads, and their defaults when omitted
-LAYER_FIELDS = {"dense": ("width",), "relu": (), "batch_norm": ("epsilon", "momentum"),
-                "layer_norm": ("epsilon",), "group_norm": ("groups", "epsilon")}
-LAYER_DEFAULTS = {"groups": 1, "epsilon": 1e-5, "momentum": BN_MOMENTUM}  # width has none
+LAYER_FIELDS = {"dense": ("width",), "relu": (), "batch_norm": (), "layer_norm": (),
+                "group_norm": ("groups",)}
+LAYER_DEFAULTS = {"groups": 1}  # width has none
 
 
 @dataclass
 class LayerSpec:
     """A layer kind and the fields ``LAYER_FIELDS`` lists for it (None: not stated)."""
     kind: str
-    width: int | None = None       # dense; any other layer keeps its input's width
-    groups: int | None = None      # group_norm
-    epsilon: float | None = None   # the norm layers
-    momentum: float | None = None  # batch_norm
+    width: int | None = None   # dense; any other layer keeps its input's width
+    groups: int | None = None  # group_norm
 
     def check(self, path: str) -> None:
-        """Kind, the fields it reads, their types and ranges; ModelSpec runs this
-        for each layer, with ``path`` naming the layer by its index in a ConfigError."""
+        """Kind, the fields it reads and their ranges; ModelSpec runs this for
+        each layer, with ``path`` naming the layer by its index in a ConfigError."""
         if self.kind not in LAYER_FIELDS:
             raise ConfigError(f"{path}.kind", f"unknown layer kind {self.kind!r}")
         check_stated(self, path, self.kind, LAYER_FIELDS[self.kind], LAYER_DEFAULTS)
         for name in LAYER_FIELDS[self.kind]:
-            field, value = f"{path}.{name}", getattr(self, name)
-            if name in ("width", "groups"):
-                check_int(value, field, 1)
-                continue
-            check_real(value, field)
-            if value < 0 or (name == "momentum" and value > 1):
-                raise ConfigError(field, "must lie in [0, 1]" if name == "momentum"
-                                  else "must be >= 0")
+            check_int(getattr(self, name), f"{path}.{name}", 1)
 
 
 @dataclass
@@ -166,7 +157,7 @@ class ForwardCache:
         self.train = train
         self.layers = []  # what each layer's backward needs (eval: no ReLU mask)
         self.head = ()  # (probs, targets)
-        self.batch_stats = []  # (start, momentum, [mean; var])
+        self.batch_stats = []  # (start, [mean; var])
 
 
 class Plan:
@@ -270,7 +261,6 @@ def _norm(plan, i, layer, width, params, grad):
     add = np.add.reduce
     gain, bias = params[f"layer{i}.gain"], params[f"layer{i}.bias"]
     g_gain, g_bias = grad[f"layer{i}.gain"], grad[f"layer{i}.bias"]
-    eps, momentum = layer.epsilon, layer.momentum
     if layer.kind == "batch_norm":
         running_mean = params[f"layer{i}.running_mean"]
         running_var = params[f"layer{i}.running_var"]
@@ -286,11 +276,11 @@ def _norm(plan, i, layer, width, params, grad):
                 np.divide(add(x, 0, out=mean), n, out=mean)
                 xc = x - mean
                 np.divide(add(xc * xc, 0, out=var), n, out=var)  # biased (1/N)
-                cache.batch_stats.append((start, momentum, stats))
+                cache.batch_stats.append((start, stats))
             else:
                 mean, var = running_mean, running_var
                 xc = x - mean
-            inv = 1.0 / np.sqrt(var + eps)
+            inv = 1.0 / np.sqrt(var + NORM_EPSILON)
             return xc * inv, inv
 
         def standardize_backward(dxh, x_hat, inv):
@@ -305,7 +295,7 @@ def _norm(plan, i, layer, width, params, grad):
             xg = x.reshape(n, groups, size)
             xc = xg - add(xg, 2, keepdims=True) / size
             var = add(xc * xc, 2, keepdims=True) / size
-            inv = 1.0 / np.sqrt(var + eps)
+            inv = 1.0 / np.sqrt(var + NORM_EPSILON)
             return (xc * inv).reshape(n, width), inv
 
         def standardize_backward(dxh, x_hat, inv):
@@ -413,10 +403,10 @@ def model_forward(plan: Plan, params: np.ndarray, batch: Batch, mode: str = "tra
 def apply_running_stats(params: np.ndarray, cache: ForwardCache) -> None:
     """Move each batch-norm layer's running stats in ``params`` one EMA step
     toward the batch statistics a train-mode forward recorded, in place."""
-    for start, momentum, batch_stats in cache.batch_stats:
+    for start, batch_stats in cache.batch_stats:
         running = params[start:start + batch_stats.shape[0]]  # mean, then var
-        np.multiply(running, 1.0 - momentum, out=running)
-        np.add(running, momentum * batch_stats, out=running)
+        np.multiply(running, 1.0 - BN_MOMENTUM, out=running)
+        np.add(running, BN_MOMENTUM * batch_stats, out=running)
 
 
 def model_backward(plan: Plan, params: np.ndarray, cache: ForwardCache,

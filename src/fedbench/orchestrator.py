@@ -414,13 +414,15 @@ def run_experiment(cfg: ExperimentConfig, seed: int, out_dir=None,
     Each client passes ``_check_client`` once, as ``load_clients`` loads it
     or as it is handed in, before anything is built or written.
     The run's client list is sorted by id here, the one place that orders it;
-    a client_id given twice is a SchemaMismatch.
+    no client, or a client_id given twice, is a SchemaMismatch.
     """
     if datasets is None:
         datasets = load_clients(cfg)
     else:
         for ds in datasets:
             _check_client(ds, cfg.model)
+    if not datasets:  # else round 1 would raise AllClientsDiverged
+        raise SchemaMismatch("no clients")
     datasets = sorted(datasets, key=lambda ds: ds.client_id)
     for prev, ds in zip(datasets, datasets[1:]):
         if prev.client_id == ds.client_id:

@@ -23,7 +23,7 @@ from fedbench.errors import (
     ShapeMismatch,
     StaleCache,
 )
-from fedbench.nn import BN_MOMENTUM, NORM_KINDS, Batch, ModelSpec
+from fedbench.nn import BN_MOMENTUM, NORM_EPSILON, NORM_KINDS, Batch, ModelSpec
 from fedbench.params import NON_NORM, NORM, ParamSet
 from fedbench.strategies import FEDOPT_FAMILY
 
@@ -190,8 +190,7 @@ def model_forward(spec: ModelSpec, params: ParamSet, batch: Batch, mode: str = "
                     params.entries[f"{prefix}.running_var"],
                 )
             x, updated, lcache = norm_forward(
-                layer.kind, x, gain, bias, stats, mode, layer.epsilon, layer.groups,
-                layer.momentum,
+                layer.kind, x, gain, bias, stats, mode, NORM_EPSILON, layer.groups, BN_MOMENTUM,
             )
             if layer.kind == "batch_norm" and mode == "train":
                 new_stats[f"{prefix}.running_mean"] = updated[0]

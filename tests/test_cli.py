@@ -1,6 +1,7 @@
 import csv
 import json
 import logging
+import shutil
 from dataclasses import asdict
 from pathlib import Path
 
@@ -76,6 +77,24 @@ def test_apply_overrides_dotted_and_yaml_typed():
     assert cfg["strategy"]["algorithm"] == "fedprox"
     with pytest.raises(ConfigError):
         apply_overrides(cfg, ["no-equals-sign"])
+
+
+@pytest.mark.parametrize("override,crossed", [("model.layers.1.width=5", "layers"),
+                                              ("seeds.0=3", "seeds"),
+                                              ("rounds.max=3", "rounds")])
+def test_an_override_may_not_cross_a_list_or_a_scalar(tmp_path, capsys, override, crossed):
+    """The override is the error, named with its key: it used to replace the
+    list or scalar with a mapping, and the error blamed the replaced field."""
+    key = override.partition("=")[0]
+    cfg = base_config(seeds=[0, 1])
+    record = run_config_error(tmp_path, capsys, cfg, ("run", "--override", override))
+    assert record == {"error": "config_error", "message":
+                      f"override: {key!r} crosses {crossed!r}, which is not a mapping"}
+
+
+def test_an_override_fills_a_null_section():
+    cfg = apply_overrides({"strategy": None}, ["strategy.algorithm=fedavg"])
+    assert cfg == {"strategy": {"algorithm": "fedavg"}}
 
 
 def test_fedprox_without_mu_is_config_error(tmp_path):
@@ -212,7 +231,7 @@ def test_echo_reads_back_as_the_config_that_ran(tmp_path, monkeypatch, command):
     assert list(echo["strategy"]) == (["algorithm", "eta_g", "gamma"] if command == "run"
                                       else ["algorithm"])
     assert echo["model"]["layers"][:3] == [{"kind": "dense", "width": 6},
-                                           {"kind": "batch_norm", "epsilon": 1e-5, "momentum": 0.1},
+                                           {"kind": "batch_norm"},
                                            {"kind": "relu"}]
     assert echo["out_dir"] == str(out) and "total_budget" not in echo
     assert echo["local_optimizer"] == "sgd" and echo["keep_all_checkpoints"] is False
@@ -278,8 +297,9 @@ def test_compare_self_all_insignificant(tmp_path, capsys):
     path = write_config(tmp_path, base_config(seeds=[0, 1, 2]))
     out = tmp_path / "out"
     main(["run", "--config", str(path), "--out", str(out)])
+    copy = shutil.copytree(out, tmp_path / "copy")
     cmp_out = tmp_path / "cmp"
-    code = main(["compare", "--results", str(out), str(out), "--out", str(cmp_out)])
+    code = main(["compare", "--results", str(out), str(copy), "--out", str(cmp_out)])
     assert code == EXIT_OK
     rows = list(csv.reader(open(cmp_out / "significance.csv")))
     assert rows[0] == ["alg_a", "alg_b", "u", "p", "label"]
@@ -661,6 +681,23 @@ def test_compare_result_without_metric_is_config_error(tmp_path, capsys):
     assert_results_config_error(capsys, code, str(bad / "seed_0" / "result.json"))
 
 
+@pytest.mark.parametrize("spellings", [["good", "good"], ["good", "./good", "other/../good"],
+                                       ["good", "link"]], ids=["twice", "thrice", "symlink"])
+def test_compare_refuses_a_directory_given_more_than_once(tmp_path, capsys, monkeypatch,
+                                                          spellings):
+    """Compared by resolved path, before any result is read: two copies used to
+    be compared as two algorithms, and a third was dropped."""
+    good = write_results(tmp_path / "good", [0.6, 0.7])
+    other = write_results(tmp_path / "other", [0.5, 0.4], algorithm="fedprox")
+    (tmp_path / "link").symlink_to(good, target_is_directory=True)
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli, "_collect_seed_metrics", lambda d: pytest.fail("results read"))
+    code = main(["compare", "--results", *spellings, str(other), "--out", str(tmp_path / "cmp")])
+    assert_results_config_error(capsys, code,
+                                f"a directory given more than once: {[str(good.resolve())]}")
+    assert not (tmp_path / "cmp").exists()
+
+
 def test_compare_tree_without_seed_results_is_config_error(tmp_path, capsys):
     good = write_results(tmp_path / "good", [0.6, 0.7])
     empty = tmp_path / "empty"
@@ -854,7 +891,7 @@ def test_model_wrong_type_is_config_error(tmp_path, capsys, override, field):
 
 @pytest.mark.parametrize("layer,field", [
     ({"kind": "dense", "width": "wide"}, "model.layers[0].width"),
-    ({"kind": "layer_norm", "epsilon": "1e-5"}, "model.layers[0].epsilon"),
+    ({"kind": "group_norm", "groups": "2"}, "model.layers[0].groups"),
     ({"kind": "dense", "widht": 6}, "model.layers[0]"),
     ("dense", "model.layers[0]"),
 ])
@@ -870,21 +907,7 @@ def with_layer(layer):
     return cfg
 
 
-def test_layer_momentum_is_parsed(tmp_path):
-    parsed, _ = parse_and_validate_config(
-        write_config(tmp_path, with_layer({"kind": "batch_norm", "momentum": 0.5}))
-    )
-    assert parsed.model.layers[1].momentum == 0.5
-    default, _ = parse_and_validate_config(
-        write_config(tmp_path, with_layer({"kind": "batch_norm"}), name="default.yaml")
-    )
-    assert default.model.layers[1].momentum == 0.1
-
-
 @pytest.mark.parametrize("layer,field", [
-    ({"kind": "batch_norm", "momentum": 1.5}, "model.layers[1].momentum"),
-    ({"kind": "batch_norm", "momentum": -0.1}, "model.layers[1].momentum"),
-    ({"kind": "batch_norm", "momentum": "fast"}, "model.layers[1].momentum"),
     ({"kind": "group_norm", "groups": 0}, "model.layers[1].groups"),
 ])
 def test_layer_out_of_range_is_config_error(tmp_path, capsys, layer, field):
@@ -943,8 +966,6 @@ def test_declared_total_budget_is_an_unknown_key(tmp_path, capsys):
     (lambda m: m.update(num_classes=4) or "model.num_classes", "head width 3 != 4"),
     (lambda m: m["layers"].insert(1, {"kind": "group_norm", "groups": 4})
      or "model.layers[1].groups", "must divide width 6"),
-    (lambda m: m["layers"].insert(1, {"kind": "layer_norm", "epsilon": -1.0})
-     or "model.layers[1].epsilon", "must be >= 0"),
     (lambda m: m["layers"].insert(1, {"kind": "batch_norm", "width": 4})
      or "model.layers[1].width", "batch_norm does not read width"),
 ])
@@ -965,7 +986,9 @@ def test_bad_model_structure_is_config_error(tmp_path, capsys, edit, message):
 
 
 # a valid value of each layer and data field, for stating it where it is not read
-LAYER_VALUES = {"width": 6, "groups": 2, "epsilon": 1e-3, "momentum": 0.5}
+LAYER_VALUES = {"width": 6, "groups": 2}
+# fields no layer has any more, at their old defaults (now nn.NORM_EPSILON, nn.BN_MOMENTUM)
+RETIRED_FIELDS = {"epsilon": 1e-5, "momentum": 0.1}
 DATA_VALUES = {"skew_concentration": 0.7, "shift_scale": 0.7, "class_separation": 0.7}
 RETIRED_HEADS = ("sigmoid_bce_head", "softmax_ce_head")  # the loss picks the head now
 
@@ -1000,13 +1023,23 @@ def run_config_error(tmp_path, capsys, cfg, argv=("run",)):
 
 
 @pytest.mark.parametrize("kind,name", [(kind, name) for kind in [*LAYER_FIELDS, *RETIRED_HEADS]
-                                       for name in ("width", "groups", "epsilon", "momentum")])
+                                       for name in ("width", "groups", *RETIRED_FIELDS)])
 def test_a_layer_holds_exactly_the_fields_its_kind_reads(tmp_path, capsys, kind, name):
     """A field the kind does not read may not be stated; one it reads and the
     config omits takes its default, but a dense layer's width has none.  Both
     hold in the library and through ``fedbench run``, whose echo records the
     field at its default.  A retired head kind reads no field, as it is no
-    kind: whatever it states, the error names its kind."""
+    kind: whatever it states, the error names its kind.  A retired field is
+    no field: stated on any kind, even at its old default, it is an unknown
+    key of the layer."""
+    if name in RETIRED_FIELDS:
+        cfg, i = config_with_layer(kind, **{name: RETIRED_FIELDS[name]})
+        with pytest.raises(TypeError):
+            library_model(cfg)
+        record = run_config_error(tmp_path, capsys, cfg)
+        assert record["error"] == "config_error"
+        assert record["message"].startswith(f"model.layers[{i}]: unknown keys ['{name}']")
+        return
     required = name == "width" and kind == "dense"
     if kind in RETIRED_HEADS or name not in LAYER_FIELDS[kind] or required:
         if required:
@@ -1059,14 +1092,14 @@ def test_a_partition_holds_exactly_the_fields_its_kind_reads(tmp_path, capsys, k
 
 @pytest.mark.parametrize("section,field", [
     ({"model": {**base_config()["model"], "layers": [
-        {"kind": "dense", "width": 16, "momentum": 0.5, "groups": 4, "epsilon": 3.0},
+        {"kind": "dense", "width": 16, "groups": 4},
         {"kind": "relu"}, {"kind": "dense", "width": 3}]}},
      "model.layers[0].groups"),
     ({"data": {**base_config()["data"], "kind": "feature_shift", "skew_concentration": 9.0}},
      "data.skew_concentration"),
 ])
 def test_fields_that_used_to_be_ignored_are_config_errors(tmp_path, capsys, section, field):
-    """A dense layer with norm fields and feature-shift data with a Dirichlet
+    """A dense layer with a norm field and feature-shift data with a Dirichlet
     concentration used to parse and run as if the fields were absent."""
     record = run_config_error(tmp_path, capsys, base_config(**section))
     assert record["message"].split(":")[0] == field
@@ -1079,7 +1112,7 @@ def test_echo_holds_each_kinds_fields_and_reads_back(tmp_path, data_kind, loss):
     """Every layer kind and one data kind in one run: the echo's layers and data
     hold exactly the fields their kinds read, and read back as the config that ran."""
     cfg = base_config(rounds=1)
-    cfg["model"]["layers"][1:1] = [{"kind": "batch_norm", "momentum": 0.5},
+    cfg["model"]["layers"][1:1] = [{"kind": "batch_norm"},
                                    {"kind": "layer_norm"}, {"kind": "group_norm", "groups": 3}]
     cfg["model"]["loss"] = loss
     cfg["data"]["kind"] = data_kind
@@ -1093,8 +1126,7 @@ def test_echo_holds_each_kinds_fields_and_reads_back(tmp_path, data_kind, loss):
         "dense", "batch_norm", "layer_norm", "group_norm", "relu", "dense"]
     assert echo["model"]["loss"] == loss  # the one statement of the head
     assert echo["model"]["layers"][1:4] == [
-        {"kind": "batch_norm", "epsilon": 1e-5, "momentum": 0.5},
-        {"kind": "layer_norm", "epsilon": 1e-5}, {"kind": "group_norm", "groups": 3, "epsilon": 1e-5}]
+        {"kind": "batch_norm"}, {"kind": "layer_norm"}, {"kind": "group_norm", "groups": 3}]
     assert set(echo["data"]) == set(base_config()["data"]) | set(DATA_FIELDS[data_kind])
     assert parse_and_validate_config(echo_path)[0] == parse_and_validate_config(
         write_config(tmp_path, cfg), out_dir=out)[0]

@@ -3,6 +3,7 @@ import pytest
 
 from fedbench.errors import StaleCache
 from fedbench.nn import (
+    NORM_EPSILON,
     Batch,
     LayerSpec,
     ModelSpec,
@@ -127,11 +128,11 @@ def test_running_stats_carry_no_gradient(bn_model, seeded_params):
 
 
 def test_ln_gain_bias_grads_are_head_error_statistics():
-    # standardized input + eps=0 LN makes x_hat == x, so the gain/bias grads
+    # rows of variance 1 - eps make LN's x_hat == x, so the gain/bias grads
     # reduce to plain head-error statistics
     spec = ModelSpec(
         input_dim=4,
-        layers=[LayerSpec(kind="layer_norm", epsilon=0.0), LayerSpec(kind="dense", width=2)],
+        layers=[LayerSpec(kind="layer_norm"), LayerSpec(kind="dense", width=2)],
         loss="cross_entropy",
         num_classes=2,
     )
@@ -140,6 +141,7 @@ def test_ln_gain_bias_grads_are_head_error_statistics():
     rng = np.random.default_rng(0)
     x = rng.standard_normal((6, 4))
     x = (x - x.mean(axis=1, keepdims=True)) / x.std(axis=1, keepdims=True)
+    x *= np.sqrt(1.0 - NORM_EPSILON)
     batch = Batch(x, rng.integers(0, 2, 6))
     probs, grads = forward_backward(spec, w, batch)
     targets = np.zeros((6, 2))

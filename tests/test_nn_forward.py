@@ -7,6 +7,8 @@ from fedbench.errors import ConfigError, DegenerateBatch, ShapeMismatch
 from fedbench.nn import (
     BN_MOMENTUM,
     LAYER_FIELDS,
+    NORM_EPSILON,
+    NORM_KINDS,
     Batch,
     ForwardCache,
     LayerSpec,
@@ -20,12 +22,11 @@ from fedbench.nn import (
 from conftest import make_model, random_batch
 
 
-def norm_forward(kind, x, gain, bias, running_stats, mode, epsilon, groups=1,
-                 momentum=BN_MOMENTUM):
+def norm_forward(kind, x, gain, bias, running_stats, mode, groups=1):
     """Run one norm layer of a plan, stating the fields its kind reads; returns
     (y, running stats after ``apply_running_stats``, cache)."""
     width = x.shape[1]
-    values = {"epsilon": epsilon, "groups": groups, "momentum": momentum}
+    values = {"groups": groups}
     spec = ModelSpec(
         input_dim=width,
         layers=[LayerSpec(kind=kind, **{k: values[k] for k in LAYER_FIELDS[kind]})],
@@ -69,15 +70,16 @@ def test_zero_weight_dense_softmax_gives_uniform():
 
 def test_layer_norm_standardizes_arithmetic_sequence():
     x = np.array([[1.0, 2.0, 3.0]])
-    y, _, _ = norm_forward("layer_norm", x, np.ones(3), np.zeros(3), None, "train", 0.0)
-    expected = np.array([[-1.2247448713915890, 0.0, 1.2247448713915890]])
+    y, _, _ = norm_forward("layer_norm", x, np.ones(3), np.zeros(3), None, "train")
+    expected = np.array([[-1.0, 0.0, 1.0]]) / math.sqrt(2.0 / 3.0 + NORM_EPSILON)  # var 2/3
     assert np.allclose(y, expected, atol=1e-12)
 
 
 def test_group_norm_two_point_groups():
     x = np.array([[1.0, 3.0, 5.0, 7.0]])
-    y, _, _ = norm_forward("group_norm", x, np.ones(4), np.zeros(4), None, "train", 0.0, groups=2)
-    assert np.allclose(y, [[-1.0, 1.0, -1.0, 1.0]], atol=1e-12)
+    y, _, _ = norm_forward("group_norm", x, np.ones(4), np.zeros(4), None, "train", groups=2)
+    expected = np.array([[-1.0, 1.0, -1.0, 1.0]]) / math.sqrt(1.0 + NORM_EPSILON)  # var 1
+    assert np.allclose(y, expected, atol=1e-12)
 
 
 def test_constant_batch_bn_output_is_bias():
@@ -85,7 +87,7 @@ def test_constant_batch_bn_output_is_bias():
     gain = np.full(3, 1.7)
     bias = np.array([0.1, -0.2, 0.3])
     stats = (np.zeros(3), np.ones(3))
-    y, _, _ = norm_forward("batch_norm", x, gain, bias, stats, "train", 1e-5)
+    y, _, _ = norm_forward("batch_norm", x, gain, bias, stats, "train")
     assert np.allclose(y, np.broadcast_to(bias, (4, 3)), atol=1e-6)
 
 
@@ -93,8 +95,9 @@ def test_bn_running_stat_ema_single_step():
     x = np.array([[1.0], [3.0]])  # batch mean 2.0
     stats = (np.zeros(1), np.ones(1))
     _, (new_mean, new_var), _ = norm_forward(
-        "batch_norm", x, np.ones(1), np.zeros(1), stats, "train", 1e-5, momentum=0.1
+        "batch_norm", x, np.ones(1), np.zeros(1), stats, "train"
     )
+    assert BN_MOMENTUM == 0.1
     assert new_mean[0] == pytest.approx(0.2, abs=1e-15)
     assert new_var[0] == pytest.approx(0.9 * 1.0 + 0.1 * 1.0, abs=1e-15)  # batch var = 1
 
@@ -213,12 +216,8 @@ def model_with(layer, input_dim=5, num_classes=3):
 @pytest.mark.parametrize("layer,field", [
     ({"kind": "group_norm", "groups": 0}, "model.layers[1].groups"),
     ({"kind": "dense", "width": "3"}, "model.layers[1].width"),
-    ({"kind": "batch_norm", "epsilon": "1e-5"}, "model.layers[1].epsilon"),
-    ({"kind": "batch_norm", "momentum": 1.5}, "model.layers[1].momentum"),
-    ({"kind": "batch_norm", "momentum": -0.1}, "model.layers[1].momentum"),
     ({"kind": "group_norm", "groups": 2.0}, "model.layers[1].groups"),
     ({"kind": "group_norm", "groups": 4}, "model.layers[1].groups"),
-    ({"kind": "layer_norm", "epsilon": -1e-5}, "model.layers[1].epsilon"),
     ({"kind": "relu", "width": 4}, "model.layers[1].width"),
     ({"kind": "conv"}, "model.layers[1].kind"),
     ({"kind": "sigmoid_bce_head"}, "model.layers[1].kind"),
@@ -230,6 +229,17 @@ def test_model_spec_checks_each_layer_with_its_index(layer, field):
     # each case but relu's width states its field on a kind that reads it, so
     # that the field's value, not the field itself, is what fails
     assert ("does not read" in err.value.reason) == (layer == {"kind": "relu", "width": 4})
+
+
+def test_a_norm_layer_states_no_numeric_setting_but_groups():
+    """The norm epsilon and batch-norm momentum are the constants NORM_EPSILON
+    and BN_MOMENTUM: a layer has no field for either, and the one number a
+    norm layer reads is a group norm's ``groups``."""
+    assert list(LayerSpec.__dataclass_fields__) == ["kind", "width", "groups"]
+    for name in ("epsilon", "momentum"):
+        with pytest.raises(TypeError):
+            LayerSpec(kind="batch_norm", **{name: 0.1})
+    assert [LAYER_FIELDS[kind] for kind in NORM_KINDS] == [(), (), ("groups",)]
 
 
 @pytest.mark.parametrize("kw,field", [

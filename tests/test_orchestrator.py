@@ -584,6 +584,15 @@ def test_run_rejects_preloaded_datasets_with_a_repeated_client_id(tmp_path, monk
     assert not (tmp_path / "run").exists()
 
 
+def test_run_without_clients_is_a_schema_mismatch(tmp_path, monkeypatch):
+    """No client exists, so none diverged: it used to raise AllClientsDiverged."""
+    no_parameters_built(monkeypatch)
+    with pytest.raises(SchemaMismatch) as err:
+        run_experiment(experiment(rounds=1), seed=0, out_dir=tmp_path / "run", datasets=[])
+    assert str(err.value) == "no clients"
+    assert not (tmp_path / "run").exists()
+
+
 @pytest.mark.parametrize("client_id", [-1, 1.5, "0", None, True])
 def test_run_rejects_preloaded_datasets_with_a_bad_client_id(tmp_path, monkeypatch, client_id):
     """The sort and ``client_rng`` need non-negative integer ids, as a manifest's are."""
