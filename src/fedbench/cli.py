@@ -246,8 +246,8 @@ def _finite(record: dict, key: str, path: Path, default=None) -> float:
     return value
 
 
-def _collect_seed_metrics(result_dir: Path) -> tuple[str, list[float], list[tuple[Path, dict]]]:
-    """(algorithm, per-seed mean test metrics, (path, record) of each result.json)."""
+def _collect_seed_metrics(result_dir: Path) -> tuple[str, str, list[float], list[tuple]]:
+    """(algorithm, metric, per-seed mean test metrics, (path, record) of each result.json)."""
     seeds = sorted(result_dir.glob("seed_*/result.json"))
     if not seeds:
         raise ConfigError("results", f"no seed_*/result.json under {result_dir}")
@@ -260,9 +260,11 @@ def _collect_seed_metrics(result_dir: Path) -> tuple[str, list[float], list[tupl
         values.append(_finite(record, "mean_test_metric", path))
         records.append((path, record))
     names = {str(record.get("algorithm") or result_dir.name) for _, record in records}
-    if len(names) > 1:  # one tree's seeds are one algorithm's replicates
-        raise ConfigError("results", f"{result_dir} mixes the algorithms {sorted(names)}")
-    return names.pop(), values, records
+    metrics = {str(record.get("selection_metric") or "selection_metric") for _, record in records}
+    for found, what in ((names, "algorithms"), (metrics, "metrics")):
+        if len(found) > 1:  # one tree's seeds are one algorithm's replicates on one metric
+            raise ConfigError("results", f"{result_dir} mixes the {what} {sorted(found)}")
+    return names.pop(), metrics.pop(), values, records
 
 
 def cmd_compare(args) -> int:
@@ -270,11 +272,14 @@ def cmd_compare(args) -> int:
     repeated = sorted({str(d) for d in dirs if dirs.count(d) > 1})
     if repeated:
         raise ConfigError("results", f"a directory given more than once: {repeated}")
-    collected: dict[str, list[float]] = {}
+    collected, metrics = {}, set()  # algorithm -> its per-seed values; the metrics seen
     for d in args.results:
-        name, values, _ = _collect_seed_metrics(Path(d))
+        name, metric, values, _ = _collect_seed_metrics(Path(d))
+        metrics.add(metric)
         key = name if name not in collected else f"{name}:{d}"
         collected[key] = values
+    if len(metrics) > 1:  # ranking AUROCs against accuracies tests nothing
+        raise ConfigError("results", f"the trees record different metrics {sorted(metrics)}")
     alternative = "one-sided" if args.one_sided else "two-sided"
     matrix = metrics_mod.significance_matrix(collected, alternative=alternative)
     pairs = sorted(matrix.items())
@@ -291,12 +296,12 @@ def cmd_compare(args) -> int:
 
 def cmd_report(args) -> int:
     result_dir = Path(args.results)
-    name, values, records = _collect_seed_metrics(result_dir)
+    name, metric, values, records = _collect_seed_metrics(result_dir)
     elapsed = sum((_finite(record, "elapsed_seconds", path, default=0.0)
                    for path, record in records), 0.0)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    metrics_mod.write_summary_csv(out / "summary.csv", name, "selection_metric", values)
+    metrics_mod.write_summary_csv(out / "summary.csv", name, metric, values)
     metrics_mod.write_csv(out / "timing.csv", ["algorithm", "elapsed_seconds"],
                           [[name, f"{elapsed:.3f}"]])
     for path in sorted(result_dir.glob("seed_*/distances.csv")):

@@ -21,7 +21,7 @@ class NonFiniteScore(FedbenchError):
 
 
 class StaleCache(FedbenchError):
-    """Backward called with a cache built from different params."""
+    """Backward called with an eval-mode cache: it holds no ReLU masks or batch statistics."""
 
 
 class DegenerateBatch(FedbenchError):

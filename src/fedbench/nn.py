@@ -29,13 +29,14 @@ the server shares of it is always a prefix (see ``strategies``).  From
 representation (see ``params``).  A Plan owns one parameter vector and one
 gradient vector, ``Plan.params`` and ``Plan.grad``, allocated when it
 compiles; each layer is a pair of closures bound once to fixed views of
-those two, for train and eval alike.  ``model_forward`` and
-``model_backward`` copy a caller's other vector into ``Plan.params`` first,
-and the backward writes into ``Plan.grad`` with ``out=``, so a Plan serves
-one call at a time: it is single-threaded, and a forward on another vector
-overwrites what ``Plan.params`` held.  ``apply_running_stats`` and the
-optimizer steps update a vector in place, which only a client round's
-training vector, ``Plan.params``, may be (see ``params``).
+those two, for train and eval alike.  ``model_forward`` copies a caller's
+other vector into ``Plan.params`` first, and ``model_backward(plan, cache)``
+the vector its cache's forward read; the backward writes ``Plan.grad`` and
+returns it.  So a Plan serves one call at a time: it is single-threaded,
+and a forward on another vector overwrites what ``Plan.params`` held.
+``apply_running_stats`` and the optimizer steps update a vector in place,
+which only a client round's training vector, ``Plan.params``, may be (see
+``params``).
 """
 
 from __future__ import annotations
@@ -153,7 +154,7 @@ class ForwardCache:
     __slots__ = ("params", "train", "layers", "head", "batch_stats")
 
     def __init__(self, params: np.ndarray, train: bool):
-        self.params = params  # the vector the forward read, kept to detect a stale cache
+        self.params = params  # the vector the forward read, reloaded by the backward
         self.train = train
         self.layers = []  # what each layer's backward needs (eval: no ReLU mask)
         self.head = ()  # (probs, targets)
@@ -231,13 +232,13 @@ def _dense(i, params, grad):
 
     def forward(x, cache):
         cache.layers.append(x)
-        return x @ w + b
+        return np.dot(x, w) + b  # matmul's gemm without the gufunc dispatch
 
     def backward(dy, x):
-        np.matmul(x.T, dy, out=gw)
+        np.dot(x.T, dy, out=gw)  # dot's out= must be C-contiguous, as gw's view is
         np.add.reduce(dy, 0, out=gb)
         if i:  # nothing consumes the gradient w.r.t. the model's inputs
-            return dy @ w.T
+            return np.dot(dy, w.T)
         return None
 
     return forward, backward
@@ -372,7 +373,7 @@ def model_forward(plan: Plan, params: np.ndarray, batch: Batch, mode: str = "tra
         if labels.shape[0] != x.shape[0]:
             raise ShapeMismatch("inputs and labels disagree on batch size")
         targets = labels_to_targets(plan.spec, labels)
-    if params is not plan.params:  # the backward needs no check: its cache's forward made it
+    if params is not plan.params:
         if params.shape != plan.params.shape:
             raise ShapeMismatch(f"a parameter vector of shape {params.shape}, "
                                 f"the plan's has {plan.size} entries")
@@ -409,19 +410,16 @@ def apply_running_stats(params: np.ndarray, cache: ForwardCache) -> None:
         np.add(running, BN_MOMENTUM * batch_stats, out=running)
 
 
-def model_backward(plan: Plan, params: np.ndarray, cache: ForwardCache,
-                   out: np.ndarray | None = None) -> np.ndarray:
-    """Gradient of the mean loss w.r.t. the trainable prefix ``params[:n_train]``,
-    computed in ``plan.grad`` and copied into ``out`` (a fresh vector if None)
-    unless it is that vector.  ``params`` is copied into ``plan.params`` again
-    unless it is that vector, so a forward on another vector since ``cache``'s
-    cannot change the result."""
-    if cache.params is not params:
-        raise StaleCache("cache was built from different params")
+def model_backward(plan: Plan, cache: ForwardCache) -> np.ndarray:
+    """Gradient of the mean loss w.r.t. the trainable prefix of the vector the
+    train-mode forward that built ``cache`` read, written into ``plan.grad``,
+    which is returned; the next backward overwrites it.  That vector is copied
+    into ``plan.params`` again unless it is that vector, so a forward on
+    another vector since ``cache``'s cannot change the result."""
     if not cache.train:
         raise StaleCache("backward requires a train-mode cache")
-    if params is not plan.params:
-        np.copyto(plan.params, params)
+    if cache.params is not plan.params:
+        np.copyto(plan.params, cache.params)
     probs, targets = cache.head
     n = probs.shape[0]
     if plan.softmax:
@@ -430,11 +428,7 @@ def model_backward(plan: Plan, params: np.ndarray, cache: ForwardCache,
         dx = (probs - targets) / (n * targets.shape[1])
     for backward, saved in zip(plan.backward, reversed(cache.layers)):
         dx = backward(dx, saved)
-    if out is None:
-        return plan.grad.copy()
-    if out is not plan.grad:
-        np.copyto(out, plan.grad)
-    return out
+    return plan.grad
 
 
 # ---------------------------------------------------------------------------

@@ -237,7 +237,7 @@ def run_local_training(
                 diverged = True
                 break
             losses.append(loss)
-            model_backward(plan, work, cache, grad)
+            model_backward(plan, cache)
             apply_running_stats(work, cache)
             step_grad = local_loss_grad(grad, work, w_ref, n_non_norm, strat, dyn)
             if adam is None:

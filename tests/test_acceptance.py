@@ -112,7 +112,7 @@ def test_criterion_1_collapse_equivalences():
                     continue
                 batch = Batch(ds.train.inputs[idx], ds.train.labels[idx])
                 _, _, cache = model_forward(plan, params, batch, mode="train")
-                grad = model_backward(plan, params, cache)
+                grad = model_backward(plan, cache)
                 apply_running_stats(params, cache)
                 local_sgd_step(params, grad, cfg.eta)
 
@@ -143,7 +143,7 @@ def test_criterion_2_gradient_suite():
             w = init_params(plan, seed)
             batch = random_batch(spec, 8, seed + 1000)
             _, _, cache = model_forward(plan, w, batch, mode="train")
-            grads = plan.entries(model_backward(plan, w, cache))
+            grads = plan.entries(model_backward(plan, cache))
             fd = finite_difference_grads(forward_loss(plan, batch), plan, w)
             assert_grads_close(grads, fd)
 
@@ -165,7 +165,7 @@ def test_criterion_2_gradient_suite():
                 prev_grad = plan.entries(dyn)
 
             _, _, cache = model_forward(plan, w, batch, mode="train")
-            base = model_backward(plan, w, cache)
+            base = model_backward(plan, cache)
             grads = plan.entries(local_loss_grad(
                 base, w, w_ref, plan.n_non_norm, strat, dyn
             ))

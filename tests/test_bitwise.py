@@ -92,7 +92,7 @@ def test_train_forward_backward_match_oracle(head, kinds, hidden, groups):
         for name, value in stats.items():
             assert np.array_equal(value, o_cache.updated_running_stats[name]), name
 
-        grads = plan.entries(model_backward(plan, w, cache))
+        grads = plan.entries(model_backward(plan, cache))
         o_grads = oracle.model_backward(spec, params, o_cache)
         assert grads.keys() == o_grads.keys()
         for name, g in grads.items():

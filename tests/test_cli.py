@@ -653,14 +653,16 @@ def test_sweep_split_off_the_budget_writes_nothing(tmp_path, capsys):
     assert not out.exists()
 
 
-def write_results(root, values, algorithm="fedavg"):
-    """Per-seed result.json files as ``run`` writes them."""
+def write_results(root, values, algorithm="fedavg", metric=None):
+    """Per-seed result.json files as ``run`` writes them; ``metric``, when
+    given, is recorded as the ``selection_metric``."""
     for seed, value in enumerate(values):
         run_dir = root / f"seed_{seed}"
         run_dir.mkdir(parents=True)
-        (run_dir / "result.json").write_text(json.dumps({
-            "mean_test_metric": value, "algorithm": algorithm, "elapsed_seconds": 0.5,
-        }))
+        record = {"mean_test_metric": value, "algorithm": algorithm, "elapsed_seconds": 0.5}
+        if metric is not None:
+            record["selection_metric"] = metric
+        (run_dir / "result.json").write_text(json.dumps(record))
     return root
 
 
@@ -740,6 +742,53 @@ def test_tree_mixing_algorithms_is_config_error(tmp_path, capsys, command):
     assert_results_config_error(capsys, main(argv), f"{tree} mixes the algorithms "
                                                     "['fedavg', 'fedbn']")
     assert not (tmp_path / "rep").exists()
+
+
+def test_report_writes_the_row_run_wrote(tmp_path):
+    """``report`` names the metric the tree's result.json files record, so its
+    summary row is ``run``'s for the same tree."""
+    path = write_config(tmp_path, base_config(seeds=[0, 1], selection_metric="accuracy"))
+    out, rep = tmp_path / "out", tmp_path / "report"
+    assert main(["run", "--config", str(path), "--out", str(out)]) == EXIT_OK
+    assert main(["report", "--results", str(out), "--out", str(rep)]) == EXIT_OK
+    run_rows = list(csv.reader(open(out / "summary.csv")))
+    assert run_rows[1][:2] == ["fedavg", "accuracy"]
+    assert list(csv.reader(open(rep / "summary.csv"))) == run_rows
+
+
+def test_report_of_a_tree_recording_no_metric_names_selection_metric(tmp_path):
+    tree = write_results(tmp_path / "res", [0.7, 0.8])
+    assert main(["report", "--results", str(tree), "--out", str(tmp_path / "rep")]) == EXIT_OK
+    assert list(csv.reader(open(tmp_path / "rep" / "summary.csv")))[1][:2] == \
+        ["fedavg", "selection_metric"]
+
+
+@pytest.mark.parametrize("command", ["report", "compare"])
+def test_tree_mixing_metrics_is_config_error(tmp_path, capsys, command):
+    """A tree's seeds are scored on one metric; an AUROC and an accuracy
+    pooled into one mean measure nothing."""
+    tree = write_results(tmp_path / "res", [0.7], metric="auroc")
+    write_results(tmp_path / "other", [0.8], metric="accuracy")
+    (tmp_path / "other" / "seed_0").rename(tree / "seed_1")
+    other = write_results(tmp_path / "ok", [0.6, 0.65], algorithm="fedprox", metric="auroc")
+    argv = {"report": ["report", "--results", str(tree), "--out", str(tmp_path / "rep")],
+            "compare": ["compare", "--results", str(other), str(tree),
+                        "--out", str(tmp_path / "rep")]}[command]
+    assert_results_config_error(capsys, main(argv), f"{tree} mixes the metrics "
+                                                    "['accuracy', 'auroc']")
+    assert not (tmp_path / "rep").exists()
+
+
+def test_compare_refuses_trees_of_different_metrics(tmp_path, capsys, monkeypatch):
+    """Ranking one tree's AUROCs against another's accuracies tests nothing,
+    so no rank test runs."""
+    monkeypatch.setattr(cli.metrics_mod, "significance_matrix",
+                        lambda *a, **kw: pytest.fail("rank test ran"))
+    a = write_results(tmp_path / "a", [0.7, 0.8], metric="auroc")
+    b = write_results(tmp_path / "b", [0.6, 0.65], algorithm="fedprox", metric="accuracy")
+    code = main(["compare", "--results", str(a), str(b), "--out", str(tmp_path / "cmp")])
+    assert_results_config_error(capsys, code, "different metrics ['accuracy', 'auroc']")
+    assert not (tmp_path / "cmp").exists()
 
 
 def test_unwritable_out_is_an_io_error_without_a_traceback(tmp_path, capsys):

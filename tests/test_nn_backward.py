@@ -26,29 +26,74 @@ def forward_backward(spec, w, batch):
     """(probs, named gradients) of one train-mode step of a plan."""
     plan = Plan(spec)
     probs, _, cache = model_forward(plan, w, batch, mode="train")
-    return probs, plan.entries(model_backward(plan, w, cache))
+    return probs, plan.entries(model_backward(plan, cache))
 
 
 @pytest.mark.parametrize("kinds", [[], ["batch_norm"], ["layer_norm"], ["group_norm"]])
-@pytest.mark.parametrize("out", ["fresh", "plan", "other"])
-def test_a_forward_on_another_vector_in_between_leaves_the_gradient_bitwise(kinds, out):
+def test_a_forward_on_another_vector_in_between_leaves_the_gradient_bitwise(kinds):
     """A plan's layers read ``plan.params``, which a forward on B overwrites;
     the backward of A's cache loads A again, so it gives A's own gradient, the
-    one a fresh plan gives, whether it is returned fresh, in ``plan.grad`` or
-    copied into another vector."""
+    one a fresh plan gives, in ``plan.grad``."""
     spec = make_model(kinds)
     plan = Plan(spec)
     a, b = init_params(plan, seed=0), init_params(plan, seed=1)
     batch_a, batch_b = random_batch(spec, 6, seed=10), random_batch(spec, 7, seed=11)
     _, _, cache_a = model_forward(plan, a, batch_a, mode="train")
     model_forward(plan, b, batch_b, mode="train")
-    target = {"fresh": None, "plan": plan.grad, "other": np.empty(plan.n_train)}[out]
-    got = model_backward(plan, a, cache_a, target)
+    got = model_backward(plan, cache_a)
     fresh = Plan(spec)
     _, _, cache = model_forward(fresh, a, batch_a, mode="train")
-    want = model_backward(fresh, a, cache)
-    assert got.tobytes() == want.tobytes()
-    assert got is target if target is not None else not np.shares_memory(got, plan.grad)
+    assert got is plan.grad
+    assert got.tobytes() == model_backward(fresh, cache).tobytes()
+
+
+def test_a_second_backward_overwrites_the_first_gradient(bn_model, seeded_params):
+    """The backward returns ``plan.grad`` itself: a caller keeps a gradient
+    past the next backward on the plan only by copying it."""
+    plan = Plan(bn_model)
+    _, _, cache_a = model_forward(plan, seeded_params, random_batch(bn_model, 5, seed=1))
+    first = model_backward(plan, cache_a)
+    kept = first.copy()
+    _, _, cache_b = model_forward(plan, seeded_params, random_batch(bn_model, 6, seed=2))
+    second = model_backward(plan, cache_b)
+    assert second is first is plan.grad
+    assert not np.array_equal(first, kept)
+    fresh = Plan(bn_model)
+    _, _, cache = model_forward(fresh, seeded_params, random_batch(bn_model, 6, seed=2))
+    assert first.tobytes() == model_backward(fresh, cache).tobytes()
+
+
+@pytest.mark.parametrize("kinds", [[], ["batch_norm"], ["layer_norm"], ["group_norm"]])
+def test_the_backward_leaves_its_cache_vector_in_plan_params(kinds):
+    """The backward of A's cache after a forward on B copies A into
+    ``plan.params`` again and leaves A itself as it was."""
+    spec = make_model(kinds)
+    plan = Plan(spec)
+    a, b = init_params(plan, seed=0), init_params(plan, seed=1)
+    a_bytes = a.tobytes()
+    _, _, cache_a = model_forward(plan, a, random_batch(spec, 6, seed=10), mode="train")
+    model_forward(plan, b, random_batch(spec, 7, seed=11), mode="train")
+    assert plan.params.tobytes() == b.tobytes() != a_bytes
+    model_backward(plan, cache_a)
+    assert plan.params.tobytes() == a_bytes == a.tobytes()
+
+
+@pytest.mark.parametrize("call", ["params", "out", "params_and_out"])
+def test_the_old_backward_arguments_are_a_type_error(bn_model, seeded_params, call):
+    """The backward takes only the plan and the cache: the vector is the
+    cache's and the gradient is ``plan.grad``, which a refused call leaves as
+    it was."""
+    plan = Plan(bn_model)
+    _, _, cache = model_forward(plan, seeded_params, random_batch(bn_model, 4, seed=1))
+    args, kwargs = {
+        "params": ((plan, seeded_params, cache), {}),
+        "out": ((plan, cache), {"out": np.empty(plan.n_train)}),
+        "params_and_out": ((plan, seeded_params, cache, plan.grad), {}),
+    }[call]
+    before = plan.grad.tobytes()
+    with pytest.raises(TypeError):
+        model_backward(*args, **kwargs)
+    assert plan.grad.tobytes() == before
 
 
 @pytest.mark.parametrize("kinds", [[], ["batch_norm"], ["layer_norm"], ["group_norm"]])
@@ -101,23 +146,13 @@ def test_grad_permutation_invariance(bn_model, seeded_params):
         assert np.allclose(g1[name], g2[name], atol=1e-12)
 
 
-def test_stale_cache_rejected(bn_model, seeded_params):
-    batch = random_batch(bn_model, 4, seed=1)
-    plan = Plan(bn_model)
-    w = seeded_params
-    _, _, cache = model_forward(plan, w, batch, mode="train")
-    other = w.copy()
-    with pytest.raises(StaleCache):
-        model_backward(plan, other, cache)
-
-
 def test_eval_cache_rejected(bn_model, seeded_params):
     batch = random_batch(bn_model, 4, seed=1)
     plan = Plan(bn_model)
     w = seeded_params
     _, _, cache = model_forward(plan, w, batch, mode="eval")
     with pytest.raises(StaleCache):
-        model_backward(plan, w, cache)
+        model_backward(plan, cache)
 
 
 def test_running_stats_carry_no_gradient(bn_model, seeded_params):

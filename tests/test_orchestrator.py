@@ -111,7 +111,7 @@ def test_single_client_fedavg_equals_centralized_sgd():
                     continue
                 batch = Batch(ds.train.inputs[idx], ds.train.labels[idx])
                 _, _, cache = model_forward(plan, params, batch, mode="train")
-                grad = model_backward(plan, params, cache)
+                grad = model_backward(plan, cache)
                 from fedbench.nn import apply_running_stats
 
                 apply_running_stats(params, cache)
@@ -149,7 +149,7 @@ def test_single_round_single_batch_hand_stepped():
     order = rng.permutation(7)
     batch = Batch(ds.train.inputs[order], ds.train.labels[order])
     _, _, cache = model_forward(plan, w, batch, mode="train")
-    grad = plan.entries(model_backward(plan, w, cache))
+    grad = plan.entries(model_backward(plan, cache))
     w0 = plan.entries(w)
     expected = {name: w0[name] - 0.05 * g for name, g in grad.items()}
 
