@@ -3,17 +3,17 @@
 AUROC is the midrank (ties = 1/2) pairwise-ordering probability; AUPRC is
 average precision with step-wise interpolation.  Both score columns: a binary
 task is one column, and multiclass (class ids) and multi-label (multi-hot)
-tasks report the macro mean over the columns with both outcomes present.
-The Mann-Whitney U test is exact (the rank-sum distribution is counted in
-int64 by the Mann & Whitney (1947) recurrence, and p is the correctly rounded
-quotient of two exact integers) for n+m <= 20 and the tie-corrected normal
-approximation beyond; ``RankTestResult.method`` records which ran.  AUROC and
-U rank by one primitive, ``_doubled_midranks``: twice each midrank, an exact
-integer, from two binary searches in the sorted sample.  An alternative other
-than two-sided or one-sided is a ``ConfigError``, which
-``significance_matrix`` raises before any entry.  It
-runs one two-sided test per unordered pair and mirrors it (a one-sided test
-runs both ways).
+tasks report the macro mean over the columns with both outcomes present,
+from one column loop (``_macro``).  The Mann-Whitney U test is exact (the
+rank-sum distribution is counted in int64 by the Mann & Whitney (1947)
+recurrence, and p is the correctly rounded quotient of two exact integers)
+for n+m <= 20 and the tie-corrected normal approximation beyond;
+``RankTestResult.method`` records which ran.  One primitive ranks for AUROC,
+AUPRC and U: binary searches in the sorted sample, which give twice each
+midrank (``_doubled_midranks``) and the count at or above each cut.  An
+alternative other than two-sided or one-sided is a ``ConfigError``, which
+``significance_matrix`` raises before any entry.  It runs one two-sided test
+per unordered pair and mirrors it (a one-sided test runs both ways).
 ``write_csv`` is the one CSV writer: round logs, distances, summaries, the
 significance matrix, timings and the partition CSVs all go through it (the
 CLI writes ``sweep.csv`` as text).
@@ -68,14 +68,10 @@ def _columns(scores, labels) -> tuple[np.ndarray, np.ndarray]:
     return scores, positives
 
 
-def auroc(scores, labels) -> float:
-    """Probability a random positive outscores a random negative (ties 1/2),
-    macro-averaged over the columns of ``_columns``.
-
-    The transposed scores are sorted once, so each column's binary searches
-    run in a contiguous row, and the doubled rank sum of a column's p
-    positives (``_doubled_midranks``) is an exact integer.
-    """
+def _macro(scores, labels, stat, name: str) -> float:
+    """The mean of ``stat(ranked, found, p, n)`` over the columns of ``_columns``
+    with both outcomes present: ``ranked`` is the column's contiguous row of
+    one sort of the transposed scores, ``found`` its p positives' scores, of n."""
     scores, positives = _columns(scores, labels)
     columns = scores.T
     rows = columns.copy()  # C order: one contiguous row per column
@@ -83,42 +79,41 @@ def auroc(scores, labels) -> float:
     n = scores.shape[0]
     vals = []
     for ranked, column, pos in zip(rows, columns, positives.T):
-        p = int(np.count_nonzero(pos))
-        if p in (0, n):
-            continue
-        doubled = int(np.add.reduce(_doubled_midranks(ranked, column[pos])[0]))
-        vals.append((doubled / 2 - p * (p + 1) / 2.0) / (p * (n - p)))
+        found = column[pos]
+        p = found.shape[0]
+        if 0 < p < n:
+            vals.append(stat(ranked, found, p, n))
     if not vals:
-        raise SingleClass("AUROC needs both classes present")
+        raise SingleClass(f"{name} needs both classes present")
     return float(np.add.reduce(vals) / len(vals))  # np.mean's arithmetic
+
+
+def _auroc_column(ranked, found, p, n) -> float:
+    # the doubled rank sum of the p positives is an exact integer
+    doubled = int(np.add.reduce(_doubled_midranks(ranked, found)[0]))
+    return (doubled / 2 - p * (p + 1) / 2.0) / (p * (n - p))
+
+
+def _auprc_column(ranked, found, p, n) -> float:
+    # cut at each distinct score, high to low: a cut keeps every score at or above it
+    cuts = ranked[np.append(ranked[1:] != ranked[:-1], True)][::-1]
+    tp = p - np.sort(found).searchsorted(cuts, "left")
+    precision = tp / (n - ranked.searchsorted(cuts, "left"))
+    recall = tp / p
+    prev_recall = np.concatenate([[0.0], recall[:-1]])
+    return float(np.sum((recall - prev_recall) * precision))
+
+
+def auroc(scores, labels) -> float:
+    """Probability a random positive outscores a random negative (ties 1/2),
+    macro-averaged over the columns of ``_columns``."""
+    return _macro(scores, labels, _auroc_column, "AUROC")
 
 
 def auprc(scores, labels) -> float:
     """Average precision with step-wise interpolation, macro-averaged over the
     columns of ``_columns``."""
-    scores, positives = _columns(scores, labels)
-    vals = []
-    for c in range(scores.shape[1]):
-        pos = positives[:, c]
-        n_pos = int(np.count_nonzero(pos))
-        if n_pos in (0, len(pos)):
-            continue
-        # walk thresholds at distinct scores, high to low
-        order = np.argsort(-scores[:, c], kind="stable")
-        sorted_scores = scores[order, c]
-        sorted_pos = pos[order].astype(np.float64)
-        tp = np.cumsum(sorted_pos)
-        fp = np.cumsum(1.0 - sorted_pos)
-        # keep the last index of each distinct score (full tie group counted at once)
-        distinct = np.append(sorted_scores[1:] != sorted_scores[:-1], True)
-        tp_d, fp_d = tp[distinct], fp[distinct]
-        recall = tp_d / n_pos
-        precision = tp_d / (tp_d + fp_d)
-        prev_recall = np.concatenate([[0.0], recall[:-1]])
-        vals.append(float(np.sum((recall - prev_recall) * precision)))
-    if not vals:
-        raise SingleClass("AUPRC needs both classes present")
-    return float(np.add.reduce(vals) / len(vals))
+    return _macro(scores, labels, _auprc_column, "AUPRC")
 
 
 # ---------------------------------------------------------------------------
@@ -156,6 +151,11 @@ def _check_options(alternative: str) -> None:
         raise ConfigError("alternative", f"must be two-sided or one-sided, got {alternative!r}")
 
 
+def _method(n: int, m: int) -> str:
+    """The path of a rank test of n against m values: exact up to ``EXACT_LIMIT``."""
+    return "exact" if n + m <= EXACT_LIMIT else "normal"
+
+
 def mann_whitney_u(a, b, alternative: str = "two-sided") -> RankTestResult:
     """Rank-sum test with midrank tie handling.
 
@@ -176,7 +176,7 @@ def mann_whitney_u(a, b, alternative: str = "two-sided") -> RankTestResult:
     doubled, ties = _doubled_midranks(np.sort(pooled), pooled)
     u_obs = doubled[:n].sum() / 2 - n * (n + 1) / 2.0
 
-    method = "exact" if n + m <= EXACT_LIMIT else "normal"
+    method = _method(n, m)
     if method == "exact":
         # U <= u_obs  <=>  doubled rank sum <= the observed doubled rank sum
         observed = int(doubled[:n].sum())
@@ -238,9 +238,9 @@ def significance_matrix(
     for alg_a, vals_a in results.items():
         for alg_b, vals_b in results.items():
             if alg_a == alg_b:
-                method = "exact" if 2 * len(vals_a) <= EXACT_LIMIT else "normal"
                 res = RankTestResult(u_statistic=len(vals_a) ** 2 / 2.0, p_value=1.0,
-                                     significant=False, method=method, alternative=alternative)
+                                     significant=False, method=_method(len(vals_a), len(vals_a)),
+                                     alternative=alternative)
                 out[(alg_a, alg_b)] = (res, INSIGNIFICANT)
                 continue
             if alternative == "two-sided" and (alg_b, alg_a) in out:

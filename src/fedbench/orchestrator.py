@@ -32,7 +32,6 @@ import numpy as np
 from . import metrics as metrics_mod
 from .data_synth import ClientDataset, PartitionSpec, generate, load_partition
 from .errors import (
-    AllClientsDiverged,
     ConfigError,
     NoSelectableRound,
     NonFiniteLoss,
@@ -460,11 +459,9 @@ def run_experiment(cfg: ExperimentConfig, seed: int, out_dir=None,
             raise NoSelectableRound(
                 f"mean validation {cfg.selection_metric} is NaN in all {cfg.rounds} rounds"
             )
-    except (AllClientsDiverged, NoSelectableRound):
+    finally:  # however the run ends: the completed rounds' logs and kept checkpoints
         if out_dir is not None and records:
             _write_logs(Path(out_dir), records)
-        raise
-    finally:
         if not cfg.keep_all_checkpoints:  # one file when the best round is the last
             for path, snapshot in dict(k for k in (last, best) if k is not None).items():
                 save_paramset(snapshot, path, plan)
@@ -498,7 +495,6 @@ def _write_logs(out_dir: Path, records: list[RoundRecord]) -> None:
 
 
 def _write_result(out_dir: Path, cfg: ExperimentConfig, result: ExperimentResult) -> None:
-    _write_logs(out_dir, result.rounds)
     summary = {
         "selected_round": result.selected_round,
         "seed": result.seed,

@@ -3,9 +3,10 @@
 These are aggregation, the FedOpt server rules, the drift diagnostic, the
 name partition into shared and local entries and the per-client evaluation
 parameters as they were written over named ParamSet entries, the FedDyn server rule written the same
-way, and AUROC as one midrank sort per class.  ``test_server_bitwise.py`` checks that the vector code of
+way, AUROC as one midrank sort per class and AUPRC as one stable argsort and two cumulative sums per
+column.  ``test_server_bitwise.py`` checks that the vector code of
 ``fedbench.params``, ``fedbench.strategies`` and ``fedbench.orchestrator``
-and the one-sort ``metrics.auroc`` give the same bits as this code.
+and the one-sort ``metrics.auroc`` and ``metrics.auprc`` give the same bits as this code.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from fedbench.errors import AllClientsDiverged, KeyMismatch, SingleClass, WeightSumViolation
+from fedbench.metrics import _columns
 from fedbench.params import NORM, WEIGHT_SUM_TOL, ParamSet, make_weights
 from fedbench.strategies import FEDOPT_FAMILY, NORM_EXCLUDING
 
@@ -222,3 +224,31 @@ def auroc(scores, labels) -> float:
         raise SingleClass("AUROC needs both classes present")
     ranks = _midranks(scores)
     return float((ranks[pos].sum() - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
+
+
+def auprc(scores, labels) -> float:
+    """Average precision with step-wise interpolation, macro-averaged over the
+    columns of ``metrics._columns``."""
+    scores, positives = _columns(scores, labels)
+    vals = []
+    for c in range(scores.shape[1]):
+        pos = positives[:, c]
+        n_pos = int(np.count_nonzero(pos))
+        if n_pos in (0, len(pos)):
+            continue
+        # walk thresholds at distinct scores, high to low
+        order = np.argsort(-scores[:, c], kind="stable")
+        sorted_scores = scores[order, c]
+        sorted_pos = pos[order].astype(np.float64)
+        tp = np.cumsum(sorted_pos)
+        fp = np.cumsum(1.0 - sorted_pos)
+        # keep the last index of each distinct score (full tie group counted at once)
+        distinct = np.append(sorted_scores[1:] != sorted_scores[:-1], True)
+        tp_d, fp_d = tp[distinct], fp[distinct]
+        recall = tp_d / n_pos
+        precision = tp_d / (tp_d + fp_d)
+        prev_recall = np.concatenate([[0.0], recall[:-1]])
+        vals.append(float(np.sum((recall - prev_recall) * precision)))
+    if not vals:
+        raise SingleClass("AUPRC needs both classes present")
+    return float(np.add.reduce(vals) / len(vals))

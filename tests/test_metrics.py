@@ -6,6 +6,7 @@ from dataclasses import astuple
 import numpy as np
 import pytest
 
+from fedbench import metrics
 from fedbench.errors import ConfigError, EmptySample, NonFiniteScore, ShapeMismatch, SingleClass
 from fedbench.metrics import (
     EXACT_LIMIT,
@@ -379,6 +380,18 @@ def test_significance_matrix_self_and_antisymmetry():
             pa = matrix[(a, b)][0].p_value
             pb = matrix[(b, a)][0].p_value
             assert pa == pytest.approx(pb, abs=1e-12)
+
+
+@pytest.mark.parametrize("n", [10, 11])
+def test_significance_matrix_diagonal_names_the_path_of_its_sample_against_itself(n, monkeypatch):
+    """n + n = 20 is exact and 22 is normal, as ``mann_whitney_u`` chooses;
+    the diagonal runs no test."""
+    vals = np.arange(float(n)).tolist()
+    want = mann_whitney_u(vals, vals).method
+    monkeypatch.setattr(metrics, "mann_whitney_u", lambda *a, **k: pytest.fail("a test ran"))
+    res, label = significance_matrix({"a": vals})[("a", "a")]
+    assert res.method == want == ("exact" if n == 10 else "normal")
+    assert (res.u_statistic, res.p_value, label) == (n * n / 2.0, 1.0, INSIGNIFICANT)
 
 
 def tied(rng, n, shift=0.0):

@@ -378,6 +378,30 @@ def test_all_clients_diverged_flushes_the_completed_rounds_drift(monkeypatch, tm
         assert read_csv(tmp_path / "run" / name) == want, name
 
 
+@pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
+def test_a_run_ending_early_flushes_its_logs_with_its_checkpoints(monkeypatch, tmp_path, error):
+    """Whatever ends a run, both logs hold its completed rounds next to the
+    kept checkpoints: seed 0 validates best at round 2, the last completed
+    one when round 3 raises."""
+    cfg = experiment(rounds=5)
+    run_experiment(cfg, seed=0, out_dir=tmp_path / "ref")
+    original = orchestrator.run_round
+
+    def failing(server, clients, cfg, seed, plan):
+        if server.round == 2:
+            raise error("round 3 stops")
+        return original(server, clients, cfg, seed, plan)
+
+    monkeypatch.setattr(orchestrator, "run_round", failing)
+    with pytest.raises(error, match="round 3 stops"):
+        run_experiment(cfg, seed=0, out_dir=tmp_path / "run")
+    assert sorted(p.name for p in (tmp_path / "run").rglob("*")) == [
+        "checkpoints", "distances.csv", "round_0002.npz", "rounds.csv"]
+    for name in ("rounds.csv", "distances.csv"):
+        want = [row for row in read_csv(tmp_path / "ref" / name) if int(row["round"]) <= 2]
+        assert read_csv(tmp_path / "run" / name) == want, name
+
+
 def test_no_selectable_round_leaves_last_round(monkeypatch, tmp_path):
     monkeypatch.setattr(orchestrator, "evaluate", lambda *a, **k: float("nan"))
     with pytest.raises(NoSelectableRound):

@@ -1,7 +1,7 @@
 """The round's vector code gives the same bits as its dict-based oracle.
 
 ``server_oracle`` holds aggregation, the FedOpt rules, the drift diagnostic,
-the evaluation parameters and AUROC as they were written over named
+the evaluation parameters, AUROC and AUPRC as they were written over named
 ParamSet entries.  The server now works on one plan's flat vectors, with
 the algorithm's shared prefix as the broadcast; ``nn_oracle.to_paramset`` and
 ``to_vector`` translate between the two forms, and every comparison here is
@@ -109,3 +109,35 @@ def test_auroc_matches_oracle_on_tied_inputs():
         assert metrics.auroc(scores, labels) == want
         checked += 1
     assert checked >= 10_000 and single > 100
+
+
+def multi_hot_inputs(rng, n, columns):
+    """Tied scores and 0/1 labels whose columns may be all 0 or all 1."""
+    levels = int(rng.integers(2, 12))
+    scores = rng.integers(0, levels, (n, columns)) / levels
+    rate = rng.choice([0.0, 0.2, 0.5, 0.8, 1.0], columns)  # per column
+    return scores, (rng.random((n, columns)) < rate).astype(int)
+
+
+def test_auprc_matches_oracle_on_tied_inputs():
+    """Binary, class-id and multi-hot labels, the last with 1-4 label columns."""
+    rng = np.random.default_rng(2025)
+    checked, single = {"binary": 0, "class_ids": 0, "multi_hot": 0}, 0
+    for trial in range(18_000):
+        n, kind = int(rng.integers(2, 80)), ("binary", "class_ids", "multi_hot")[trial % 3]
+        if kind == "binary":
+            scores, labels = tied_inputs(rng, n, 2)
+        elif kind == "class_ids":
+            scores, labels = tied_inputs(rng, n, int(rng.integers(3, 6)))
+        else:
+            scores, labels = multi_hot_inputs(rng, n, int(rng.integers(1, 5)))
+        try:
+            want = oracle.auprc(scores, labels)
+        except SingleClass:
+            with pytest.raises(SingleClass):
+                metrics.auprc(scores, labels)
+            single += 1
+            continue
+        assert metrics.auprc(scores, labels) == want
+        checked[kind] += 1
+    assert min(checked.values()) >= 2_500 and single > 100
